@@ -8,7 +8,6 @@ from .chunking import OverlapView, plan_chunks, slice_overlap
 from .errors import (
     ChunkFuseError,
     DegenerateConfiguration,
-    InsufficientSupport,
     InvalidConfig,
     InvalidSpec,
     KeyMismatch,
@@ -33,7 +32,7 @@ from .model import (
     PipelineConfig,
     Pose,
     SimilarityTransform,
-    Tracklet,
+    TrackletSet,
     transform_apply,
     transform_compose,
 )

@@ -1,19 +1,31 @@
 """Dynamic tracklet construction, multi-cue pair costs, endpoint gating,
-and identity-preserving one-to-one assignment."""
+and identity-preserving one-to-one assignment.
+
+Each chunk side of a junction is one :class:`TrackletSet`: dense arrays
+over the shared overlap frames, where a tracklet's id is its row. Gating,
+costs and assignment work on whole sets at once: candidates are an
+(K, 2) array of (row in set i, row in set j) pairs, and costs are a
+matching (K,) array.
+"""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from .errors import InsufficientSupport
-from .model import Chunk, PipelineConfig, SimilarityTransform, Tracklet
+from .model import Chunk, PipelineConfig, SimilarityTransform, TrackletSet
 from .registration import OverlapAbstraction
 
 VEL_EPS = 1e-9
+# cKDTree's ball test is inclusive and works on squared distances; the
+# query is widened by this factor so the strict test below decides alone
+_BALL_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,6 +45,14 @@ class MatchSet:
     def __len__(self) -> int:
         return len(self.matches)
 
+    def pairs(self) -> np.ndarray:
+        """Matched (a, b) ids as an (M, 2) integer array, in match order."""
+        return np.array([(a, b) for a, b, _ in self.matches], dtype=np.intp).reshape(-1, 2)
+
+
+def _no_pairs() -> np.ndarray:
+    return np.empty((0, 2), dtype=np.intp)
+
 
 def build_tracklets(
     chunk: Chunk,
@@ -40,14 +60,14 @@ def build_tracklets(
     abstraction: OverlapAbstraction,
     cfg: PipelineConfig,
     gauge: SimilarityTransform,
-) -> list[Tracklet]:
+) -> TrackletSet:
     """Per-pixel candidate tracklets over the overlap, filtered and gauged.
 
-    One candidate per dynamic-support pixel sampled at ``seed_stride``.
-    Candidates with mean confidence at or below gamma_c, or with total path
-    displacement below the minimum (the resolved rigidity threshold by
-    default), are dropped. Returned positions are mapped by ``gauge`` into
-    the shared frame; ids are the tracklets' positions in the returned list.
+    One candidate per dynamic-support pixel sampled at ``seed_stride``, in
+    row-major pixel order. Candidates with mean confidence at or below
+    gamma_c, with a non-finite position, or with net displacement below the
+    minimum (the resolved rigidity threshold by default) are dropped.
+    Positions are mapped by ``gauge`` into the shared frame.
     """
     frames = sorted(set(int(f) for f in overlap_frames))
     if any(f < chunk.start_frame or f > chunk.end_frame for f in frames):
@@ -62,56 +82,37 @@ def build_tracklets(
 
         min_disp = cfg.gamma_stat_frac * chunk_scene_scale(chunk, frames)
 
-    points = np.stack([chunk.frame(f).points for f in frames])
-    confs = np.stack([chunk.frame(f).confidence for f in frames])
-
     rows, cols = np.nonzero(abstraction.dynamic_mask)
     stride = cfg.seed_stride
     keep = (rows % stride == 0) & (cols % stride == 0)
     rows, cols = rows[keep], cols[keep]
 
-    tracklets: list[Tracklet] = []
-    for r, c in zip(rows, cols):
-        pos = points[:, r, c, :]
-        cnf = confs[:, r, c]
-        mean_conf = float(cnf.mean())
-        if mean_conf <= cfg.gamma_c:
-            continue
-        if not np.isfinite(pos).all():
-            continue
+    preds = [chunk.frame(f) for f in frames]
+    pos = np.stack([p.points[rows, cols] for p in preds], axis=1)
+    cnf = np.stack([p.confidence[rows, cols] for p in preds], axis=1)
+    with np.errstate(invalid="ignore"):
         # net displacement over the window; robust to noise, unlike path length
-        if float(np.linalg.norm(pos[-1] - pos[0])) < min_disp:
-            continue
-        tracklets.append(
-            Tracklet(
-                tracklet_id=len(tracklets),
-                source_chunk=chunk.chunk_id,
-                pixel=(int(r), int(c)),
-                frames=tuple(frames),
-                positions=gauge.apply(pos),
-                confidences=cnf,
-                mean_confidence=mean_conf,
-            )
-        )
-    return tracklets
-
-
-def _common_overlap(d_a: Tracklet, d_b: Tracklet, overlap_frames) -> list[int]:
-    frames = set(int(f) for f in overlap_frames)
-    common = sorted(frames & set(d_a.frames) & set(d_b.frames))
-    if len(set(d_a.frames) & frames) < 2 or len(set(d_b.frames) & frames) < 2:
-        raise InsufficientSupport("both tracklets need >= 2 positions inside the overlap")
-    return common
+        disp = np.linalg.norm(pos[:, -1] - pos[:, 0], axis=-1)
+    keep = (cnf.mean(axis=1) > cfg.gamma_c) & np.isfinite(pos).all(axis=(1, 2))
+    keep &= disp >= min_disp
+    return TrackletSet(
+        source_chunk=chunk.chunk_id,
+        frames=tuple(frames),
+        pixels=np.stack([rows[keep], cols[keep]], axis=1),
+        positions=gauge.apply(pos[keep]),
+        conf=cnf[keep],
+    )
 
 
 def pair_cost(
-    d_a: Tracklet,
-    d_b: Tracklet,
-    overlap_frames,
+    tracklets_i: TrackletSet,
+    tracklets_j: TrackletSet,
+    candidates: np.ndarray,
     cfg: PipelineConfig,
     scene_scale: float,
-) -> float | None:
-    """Multi-cue association cost, or None when the pair is rejected.
+) -> np.ndarray:
+    """Multi-cue association cost of every candidate pair; inf where the
+    pair is rejected.
 
     cost = lambda_traj * L_traj + lambda_vel * L_vel + lambda_dir * L_dir
     with L_traj the mean 3D discrepancy normalized by the pair's scene
@@ -119,160 +120,121 @@ def pair_cost(
     (1 - cos angle) / 2 between finite-difference velocities. Pairs whose
     L_traj or L_dir exceed the configured caps are rejected.
     """
-    common = _common_overlap(d_a, d_b, overlap_frames)
-    idx_a = [d_a.frames.index(f) for f in common]
-    idx_b = [d_b.frames.index(f) for f in common]
-    pa = d_a.positions[idx_a]
-    pb = d_b.positions[idx_b]
-    dt = np.diff(np.asarray(common, dtype=np.float64))
+    if tracklets_i.frames != tracklets_j.frames:
+        raise ValueError("pair costs need both tracklet sets over the same frames")
+    pa = tracklets_i.positions[candidates[:, 0]]
+    pb = tracklets_j.positions[candidates[:, 1]]
+    dt = np.diff(np.asarray(tracklets_i.frames, dtype=np.float64))[:, None]
 
-    l_traj = float(np.linalg.norm(pa - pb, axis=1).mean()) / scene_scale
-    if l_traj > cfg.traj_cap:
-        return None
+    l_traj = np.linalg.norm(pa - pb, axis=-1).mean(axis=-1) / scene_scale
 
-    va = np.diff(pa, axis=0) / dt[:, None]
-    vb = np.diff(pb, axis=0) / dt[:, None]
-    sa = np.linalg.norm(va, axis=1)
-    sb = np.linalg.norm(vb, axis=1)
-    l_vel = float((np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean())
+    va = np.diff(pa, axis=1) / dt
+    vb = np.diff(pb, axis=1) / dt
+    sa = np.linalg.norm(va, axis=-1)
+    sb = np.linalg.norm(vb, axis=-1)
+    l_vel = (np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean(axis=-1)
 
-    cos = np.clip((va * vb).sum(axis=1) / (sa * sb + VEL_EPS**2), -1.0, 1.0)
-    l_dir = float(((1.0 - cos) / 2.0).mean())
-    if l_dir > cfg.dir_cap:
-        return None
+    cos = np.clip((va * vb).sum(axis=-1) / (sa * sb + VEL_EPS**2), -1.0, 1.0)
+    l_dir = ((1.0 - cos) / 2.0).mean(axis=-1)
 
-    return cfg.lambda_traj * l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
+    cost = cfg.lambda_traj * l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
+    return np.where((l_traj > cfg.traj_cap) | (l_dir > cfg.dir_cap), np.inf, cost)
 
 
 def resolve_gamma_p(
-    tracklets_i: list[Tracklet], tracklets_j: list[Tracklet], cfg: PipelineConfig
+    tracklets_i: TrackletSet, tracklets_j: TrackletSet, cfg: PipelineConfig
 ) -> float:
     """Gating radius: 3x the mean per-frame dynamic displacement by default."""
     if cfg.gamma_p is not None:
         return cfg.gamma_p
-    steps = []
-    for t in list(tracklets_i) + list(tracklets_j):
-        d = np.linalg.norm(np.diff(t.positions, axis=0), axis=1)
-        if d.size:
-            steps.append(d.mean())
-    if not steps:
+    steps = np.concatenate([
+        np.linalg.norm(np.diff(t.positions, axis=1), axis=-1).mean(axis=-1)
+        for t in (tracklets_i, tracklets_j)
+    ])
+    if not steps.size:
         return 0.0
     return cfg.gamma_p_factor * float(np.mean(steps))
 
 
 def gate_candidates(
-    tracklets_i: list[Tracklet],
-    tracklets_j: list[Tracklet],
+    tracklets_i: TrackletSet,
+    tracklets_j: TrackletSet,
     cfg: PipelineConfig,
     gamma_p: float | None = None,
-) -> list[tuple[int, int]]:
-    """Candidate index pairs whose terminal positions lie within gamma_p.
+) -> np.ndarray:
+    """Candidate id pairs whose terminal positions lie within gamma_p.
 
-    A uniform spatial hash with cell size gamma_p keeps this near-linear in
-    the tracklet count. Terminal = position at the last covered overlap
-    frame (tracklet positions are already overlap-restricted).
+    Terminal = position at the last overlap frame. A k-d tree over set j's
+    terminals keeps this near-linear in the tracklet count; the distance
+    test is strict. Pairs come sorted by (a, b).
     """
-    if not tracklets_i or not tracklets_j:
-        return []
+    if not len(tracklets_i) or not len(tracklets_j):
+        return _no_pairs()
     radius = resolve_gamma_p(tracklets_i, tracklets_j, cfg) if gamma_p is None else gamma_p
     if radius <= 0:
-        return []
+        return _no_pairs()
 
-    grid: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    terms_j = np.stack([t.positions[-1] for t in tracklets_j])
-    for b, p in enumerate(terms_j):
-        grid[tuple(np.floor(p / radius).astype(int))].append(b)
-
-    pairs: list[tuple[int, int]] = []
-    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    for a, t_a in enumerate(tracklets_i):
-        p = t_a.positions[-1]
-        cell = tuple(np.floor(p / radius).astype(int))
-        for off in offsets:
-            key = (cell[0] + off[0], cell[1] + off[1], cell[2] + off[2])
-            for b in grid.get(key, ()):
-                if np.linalg.norm(p - terms_j[b]) < radius:
-                    pairs.append((a, b))
-    pairs.sort()
-    return pairs
-
-
-def _components(costs: dict[tuple[int, int], float]):
-    """Connected components of the bipartite candidate graph."""
-    adj_rows: dict[int, set[int]] = defaultdict(set)
-    adj_cols: dict[int, set[int]] = defaultdict(set)
-    for a, b in costs:
-        adj_rows[a].add(b)
-        adj_cols[b].add(a)
-    seen_rows: set[int] = set()
-    comps = []
-    for start in sorted(adj_rows):
-        if start in seen_rows:
-            continue
-        rows, cols = set(), set()
-        stack = [("r", start)]
-        while stack:
-            side, node = stack.pop()
-            if side == "r":
-                if node in rows:
-                    continue
-                rows.add(node)
-                stack.extend(("c", b) for b in adj_rows[node])
-            else:
-                if node in cols:
-                    continue
-                cols.add(node)
-                stack.extend(("r", a) for a in adj_cols[node])
-        seen_rows |= rows
-        comps.append((sorted(rows), sorted(cols)))
-    return comps
+    terms_i = tracklets_i.positions[:, -1]
+    terms_j = tracklets_j.positions[:, -1]
+    hits = cKDTree(terms_j).query_ball_point(terms_i, radius * _BALL_SLACK, return_sorted=True)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    a = np.repeat(np.arange(len(hits), dtype=np.intp), counts)
+    b = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
+    near = np.linalg.norm(terms_i[a] - terms_j[b], axis=-1) < radius
+    return np.stack([a[near], b[near]], axis=1)
 
 
 def assign(
-    costs: dict[tuple[int, int], float],
+    candidates: np.ndarray,
+    costs: np.ndarray,
     n_i: int,
     n_j: int,
     cfg: PipelineConfig,
 ) -> MatchSet:
     """Minimum-total-cost one-to-one matching with unmatched allowed.
 
-    The sparse candidate matrix is padded with per-tracklet dummy
-    assignments of cost ``cost_max``, so any tracklet may remain unmatched;
-    candidates above ``cost_max`` are discarded up front, which keeps every
-    reported match at or below the threshold. Deterministic given the input
-    ordering. Solved per connected component with the Hungarian method.
+    ``costs[k]`` is the cost of the pair ``candidates[k]``. The sparse
+    candidate matrix is padded with per-tracklet dummy assignments of cost
+    ``cost_max``, so any tracklet may remain unmatched; candidates above
+    ``cost_max`` (or rejected, non-finite) are discarded up front, which
+    keeps every reported match at or below the threshold. Deterministic
+    given the input. Solved per connected component of the candidate graph
+    with the Hungarian method.
     """
-    filtered = {
-        (a, b): float(c)
-        for (a, b), c in costs.items()
-        if np.isfinite(c) and 0.0 <= c <= cfg.cost_max
-    }
+    pairs = np.asarray(candidates, dtype=np.intp).reshape(-1, 2)
+    costs = np.asarray(costs, dtype=np.float64)
+    keep = np.isfinite(costs) & (costs >= 0.0) & (costs <= cfg.cost_max)
+    a, b, c = pairs[keep, 0], pairs[keep, 1], costs[keep]
+
     matched: list[tuple[int, int, float]] = []
-    for rows, cols in _components(filtered):
-        nr, nc = len(rows), len(cols)
-        big = np.inf
-        M = np.full((nr + nc, nc + nr), big)
-        for ia, a in enumerate(rows):
-            for ib, b in enumerate(cols):
-                if (a, b) in filtered:
-                    M[ia, ib] = filtered[(a, b)]
-        for ia in range(nr):
-            M[ia, nc + ia] = cfg.cost_max
-        for ib in range(nc):
-            M[nr + ib, ib] = cfg.cost_max
-        M[nr:, nc:] = 0.0
-        rr, cc = linear_sum_assignment(M)
-        for ia, ib in zip(rr, cc):
-            if ia < nr and ib < nc:
-                a, b = rows[ia], cols[ib]
-                matched.append((a, b, filtered[(a, b)]))
+    if len(a):
+        n = n_i + n_j
+        graph = coo_matrix((np.ones(len(a)), (a, n_i + b)), shape=(n, n))
+        _, label = connected_components(graph, directed=False)
+        comp = label[a]
+        order = np.argsort(comp, kind="stable")
+        for edges in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
+            rows, ra = np.unique(a[edges], return_inverse=True)
+            cols, cb = np.unique(b[edges], return_inverse=True)
+            nr, nc = len(rows), len(cols)
+            M = np.full((nr + nc, nc + nr), np.inf)
+            M[ra, cb] = c[edges]
+            M[np.arange(nr), nc + np.arange(nr)] = cfg.cost_max
+            M[nr + np.arange(nc), np.arange(nc)] = cfg.cost_max
+            M[nr:, nc:] = 0.0
+            rr, cc = linear_sum_assignment(M)
+            real = (rr < nr) & (cc < nc)
+            rr, cc = rr[real], cc[real]
+            matched += zip(rows[rr].tolist(), cols[cc].tolist(), M[rr, cc].tolist())
     matched.sort()
-    taken_i = {a for a, _, _ in matched}
-    taken_j = {b for _, b, _ in matched}
+    taken_i = np.zeros(n_i, dtype=bool)
+    taken_j = np.zeros(n_j, dtype=bool)
+    taken_i[[m[0] for m in matched]] = True
+    taken_j[[m[1] for m in matched]] = True
     return MatchSet(
         matches=tuple(matched),
-        unmatched_i=tuple(a for a in range(n_i) if a not in taken_i),
-        unmatched_j=tuple(b for b in range(n_j) if b not in taken_j),
+        unmatched_i=tuple(np.flatnonzero(~taken_i).tolist()),
+        unmatched_j=tuple(np.flatnonzero(~taken_j).tolist()),
     )
 
 

@@ -77,6 +77,8 @@ class OverlapView:
 
 def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
     """Shared frame indices and paired predictions of two adjacent chunks."""
+    if chunk_i.grid_shape != chunk_j.grid_shape:
+        raise ValueError(f"chunk grids differ: {chunk_i.grid_shape} vs {chunk_j.grid_shape}")
     lo = max(chunk_i.start_frame, chunk_j.start_frame)
     hi = min(chunk_i.end_frame, chunk_j.end_frame)
     if hi < lo:

@@ -29,10 +29,6 @@ class DegenerateConfiguration(ChunkFuseError):
     """Point configuration is rank-deficient (coincident or collinear)."""
 
 
-class InsufficientSupport(ChunkFuseError):
-    """A tracklet does not cover enough of the overlap window."""
-
-
 class WindowTooShort(ChunkFuseError):
     """Boundary reconstruction needs a window of at least two frames."""
 

@@ -1,6 +1,11 @@
 """Trajectory-guided dynamic fusion: transform refinement from matched
 tracklets plus camera centers, tiered fallback selection, boundary
-continuity reconstruction, and sequence-level fusion."""
+continuity reconstruction, and sequence-level fusion.
+
+Matched tracklets travel as row-aligned :class:`TrackletSet` pairs, so the
+refinement, the boundary reconstruction and the trajectory stitching of a
+junction each run once over all of its matches.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from .association import (
 )
 from .chunking import OverlapView, slice_overlap
 from .errors import DegenerateConfiguration, NotEnoughPoints, WindowTooShort
-from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform, Tracklet
+from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform, TrackletSet
 from .registration import (
     OverlapAbstraction,
     RegistrationReport,
@@ -46,8 +51,8 @@ def _project_rotation(M: np.ndarray) -> np.ndarray:
 
 def refine_transform(
     matches: MatchSet,
-    tracklets_i: Sequence[Tracklet],
-    tracklets_j: Sequence[Tracklet],
+    tracklets_i: TrackletSet,
+    tracklets_j: TrackletSet,
     poses_i: Sequence[Pose],
     poses_j: Sequence[Pose],
     initial: SimilarityTransform,
@@ -56,31 +61,23 @@ def refine_transform(
     """Re-solve the pairwise transform on matched dynamic points plus
     camera centers.
 
-    Tracklet positions must be in their raw chunk gauges. Each matched
-    correspondence is weighted by the confidence geometric mean attenuated
-    by its residual under ``initial`` (rescaled to [0, 1]); gross outliers,
-    beyond 5x the median residual, are zeroed outright so a few wrong
-    matches cannot destabilize the transform. Camera-center pairs carry
-    ``lambda_cam`` times the mean track weight. The solve is a rigid
-    weighted Kabsch with the scale frozen from ``initial`` unless
-    ``refine_scale`` is set.
+    Tracklet positions must be in their raw chunk gauges, over the same
+    frames. Each matched correspondence is weighted by the confidence
+    geometric mean attenuated by its residual under ``initial`` (rescaled
+    to [0, 1]); gross outliers, beyond 5x the median residual, are zeroed
+    outright so a few wrong matches cannot destabilize the transform.
+    Camera-center pairs carry ``lambda_cam`` times the mean track weight.
+    The solve is a rigid weighted Kabsch with the scale frozen from
+    ``initial`` unless ``refine_scale`` is set.
     """
-    src_list, dst_list, conf_list = [], [], []
-    for a, b, _ in matches.matches:
-        ta, tb = tracklets_i[a], tracklets_j[b]
-        common = sorted(set(ta.frames) & set(tb.frames))
-        if not common:
-            continue
-        ia = [ta.frames.index(f) for f in common]
-        ib = [tb.frames.index(f) for f in common]
-        src_list.append(tb.positions[ib])
-        dst_list.append(ta.positions[ia])
-        conf_list.append(np.sqrt(ta.confidences[ia] * tb.confidences[ib]))
-
-    if src_list:
-        src = np.concatenate(src_list)
-        dst = np.concatenate(dst_list)
-        conf = np.concatenate(conf_list)
+    if tracklets_i.frames != tracklets_j.frames:
+        raise ValueError("refinement needs both tracklet sets over the same frames")
+    pairs = matches.pairs()
+    if len(pairs):
+        a, b = pairs[:, 0], pairs[:, 1]
+        src = tracklets_j.positions[b].reshape(-1, 3)
+        dst = tracklets_i.positions[a].reshape(-1, 3)
+        conf = np.sqrt(tracklets_i.conf[a] * tracklets_j.conf[b]).reshape(-1)
         residual = np.linalg.norm(initial.apply(src) - dst, axis=1)
         rmax = residual.max()
         scaled = residual / rmax if rmax > 0 else residual
@@ -167,9 +164,14 @@ def choose_transform(
 
 
 def solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm for a tridiagonal system; rhs may be (n,) or (n, k)."""
+    """Thomas algorithm for a tridiagonal system along the first axis.
+
+    ``rhs`` may be (n,), (n, k) or deeper. Row k of each coefficient array
+    broadcasts against ``rhs[k]``, so a (n, m, 1) ``diag`` with a
+    (n, m, 3) ``rhs`` solves m independent systems at once.
+    """
     n = len(diag)
-    cp = np.empty(n - 1) if n > 1 else np.empty(0)
+    cp = np.empty((max(n - 1, 0),) + np.shape(diag)[1:])
     dp = np.empty_like(rhs, dtype=np.float64)
     denom = diag[0]
     if n > 1:
@@ -192,101 +194,91 @@ def blend_weights(num: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha, 1.0 - alpha
 
 
+def _frame_data(tracks: TrackletSet, frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions and confidences of ``tracks`` at ``frames``, with a
+    (N, len(frames)) mask of where they are given and finite; positions are
+    zero and confidences zero-filled where the set lacks the frame."""
+    col = {f: k for k, f in enumerate(tracks.frames)}
+    present = np.array([f in col for f in frames])
+    idx = [col.get(f, 0) for f in frames]
+    pos = tracks.positions[:, idx]
+    has = present & np.isfinite(pos).all(axis=-1)
+    pos = np.where(has[..., None], pos, 0.0)
+    conf = np.where(present, tracks.conf[:, idx], 0.0)
+    return pos, conf, has
+
+
 def reconstruct_boundary(
-    d_a: Tracklet,
-    d_b_aligned: Tracklet,
+    d_a: TrackletSet,
+    d_b_aligned: TrackletSet,
     window_frames,
     cfg: PipelineConfig,
-) -> Tracklet:
-    """Continuity reconstruction over a short window around the junction.
+) -> TrackletSet:
+    """Continuity reconstruction over a short window around the junction,
+    for every row pair (d_a[k], d_b_aligned[k]) at once.
 
-    Minimizes, per coordinate,
+    Minimizes, per row and coordinate,
       sum_t alpha_t ||x_t - a_t||^2 + beta_t ||x_t - b_t||^2
       + lambda_sm * sum ||x_t - x_{t-1}||^2,
-    a symmetric tridiagonal quadratic solved exactly by the Thomas
-    algorithm. alpha/beta follow a cos^2 ramp across the window; where only
-    one source covers a frame it receives the full unit data weight. The
-    smoothness chain is anchored to the fixed neighbors just outside the
-    window when the source tracklets extend there. Outside the window,
-    positions are copied verbatim from their source tracklets.
+    a symmetric tridiagonal quadratic solved exactly by one batched Thomas
+    solve. alpha/beta follow a cos^2 ramp across the window; where only one
+    source covers a frame with a finite position it receives the full unit
+    data weight, and a frame neither covers gets zero data weight and
+    confidence 0, so the smoothness chain fills it in. With lambda_sm == 0
+    nothing fills such a frame, and it comes back NaN. The chain is
+    anchored to the fixed neighbors just outside the window when the
+    sources extend there. Outside the window, positions are copied
+    verbatim: d_a's frames before it and d_b_aligned's frames after it.
     """
     frames = sorted(set(int(f) for f in window_frames))
     if len(frames) < 2:
         raise WindowTooShort(f"boundary window needs >= 2 frames, got {len(frames)}")
     if any(b - a != 1 for a, b in zip(frames, frames[1:])):
         raise ValueError("boundary window frames must be consecutive")
+    if len(d_a) != len(d_b_aligned):
+        raise ValueError("boundary sources must pair up row by row")
     m = len(frames)
 
-    a_map = {f: d_a.positions[k] for k, f in enumerate(d_a.frames)}
-    b_map = {f: d_b_aligned.positions[k] for k, f in enumerate(d_b_aligned.frames)}
-    ca_map = {f: d_a.confidences[k] for k, f in enumerate(d_a.frames)}
-    cb_map = {f: d_b_aligned.confidences[k] for k, f in enumerate(d_b_aligned.frames)}
-
-    alpha, beta = blend_weights(m)
-    A = np.zeros((m, 3))
-    B = np.zeros((m, 3))
-    for k, f in enumerate(frames):
-        has_a = f in a_map and np.isfinite(a_map[f]).all()
-        has_b = f in b_map and np.isfinite(b_map[f]).all()
-        if not has_a and not has_b:
-            raise ValueError(f"frame {f} of the boundary window is covered by neither tracklet")
-        if has_a and not has_b:
-            alpha[k], beta[k] = 1.0, 0.0
-        elif has_b and not has_a:
-            alpha[k], beta[k] = 0.0, 1.0
-        if has_a:
-            A[k] = a_map[f]
-        if has_b:
-            B[k] = b_map[f]
+    A, ca, has_a = _frame_data(d_a, frames)
+    B, cb, has_b = _frame_data(d_b_aligned, frames)
+    ramp_a, ramp_b = blend_weights(m)
+    alpha = np.where(has_a, np.where(has_b, ramp_a, 1.0), 0.0)
+    beta = np.where(has_b, np.where(has_a, ramp_b, 1.0), 0.0)
 
     lam = cfg.lambda_sm
     diag = alpha + beta + lam * 2.0
-    diag[0] -= lam
-    diag[-1] -= lam
-    rhs = alpha[:, None] * A + beta[:, None] * B
+    diag[:, 0] -= lam
+    diag[:, -1] -= lam
+    rhs = alpha[..., None] * A + beta[..., None] * B
 
-    prev_f, next_f = frames[0] - 1, frames[-1] + 1
-    if prev_f in a_map and np.isfinite(a_map[prev_f]).all():
-        diag[0] += lam
-        rhs[0] += lam * a_map[prev_f]
-    if next_f in b_map and np.isfinite(b_map[next_f]).all():
-        diag[-1] += lam
-        rhs[-1] += lam * b_map[next_f]
+    anchor_a, _, has_prev = _frame_data(d_a, [frames[0] - 1])
+    anchor_b, _, has_next = _frame_data(d_b_aligned, [frames[-1] + 1])
+    has_prev, has_next = has_prev[:, 0], has_next[:, 0]
+    diag[has_prev, 0] += lam
+    rhs[has_prev, 0] += lam * anchor_a[has_prev, 0]
+    diag[has_next, -1] += lam
+    rhs[has_next, -1] += lam * anchor_b[has_next, 0]
 
-    off = np.full(m - 1, -lam)
     if lam > 0:
-        x = solve_tridiagonal(off, diag, off, rhs)
+        off = np.full(m - 1, -lam)
+        x = solve_tridiagonal(off, diag.T[..., None], off, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
     else:
-        x = rhs / diag[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = rhs / diag[..., None]
+    w = alpha + beta
+    conf = np.divide(alpha * ca + beta * cb, w, out=np.zeros_like(w), where=w > 0)
 
-    out_frames: list[int] = []
-    out_pos: list[np.ndarray] = []
-    out_conf: list[float] = []
-    for f in d_a.frames:
-        if f < frames[0]:
-            out_frames.append(f)
-            out_pos.append(a_map[f])
-            out_conf.append(float(ca_map[f]))
-    for k, f in enumerate(frames):
-        out_frames.append(f)
-        out_pos.append(x[k])
-        w = alpha[k] + beta[k]
-        out_conf.append(float((alpha[k] * ca_map.get(f, 0.0) + beta[k] * cb_map.get(f, 0.0)) / w))
-    for f in d_b_aligned.frames:
-        if f > frames[-1]:
-            out_frames.append(f)
-            out_pos.append(b_map[f])
-            out_conf.append(float(cb_map[f]))
-
-    conf = np.asarray(out_conf)
-    return Tracklet(
-        tracklet_id=d_a.tracklet_id,
+    before = [k for k, f in enumerate(d_a.frames) if f < frames[0]]
+    after = [k for k, f in enumerate(d_b_aligned.frames) if f > frames[-1]]
+    return TrackletSet(
         source_chunk=d_a.source_chunk,
-        pixel=d_a.pixel,
-        frames=tuple(out_frames),
-        positions=np.asarray(out_pos),
-        confidences=conf,
-        mean_confidence=float(conf.mean()),
+        frames=tuple(d_a.frames[k] for k in before) + tuple(frames)
+        + tuple(d_b_aligned.frames[k] for k in after),
+        pixels=d_a.pixels,
+        positions=np.concatenate(
+            [d_a.positions[:, before], x, d_b_aligned.positions[:, after]], axis=1
+        ),
+        conf=np.concatenate([d_a.conf[:, before], conf, d_b_aligned.conf[:, after]], axis=1),
     )
 
 
@@ -312,26 +304,105 @@ class Trajectory:
 
 
 class _TrajectoryBuilder:
-    def __init__(self, traj_id: int):
+    """Positions over consecutive frames from ``start``, and the
+    (chunk, tracklet id, pixel) sources they were stitched from."""
+
+    def __init__(self, traj_id: int, start: int, positions: np.ndarray, source):
         self.traj_id = traj_id
-        self.data: dict[int, np.ndarray] = {}
-        self.sources: list[tuple[int, int, tuple[int, int]]] = []
+        self.start = start
+        self.positions = positions
+        self.sources = [source]
 
-    def write(self, frames, positions):
-        for f, p in zip(frames, positions):
-            self.data[int(f)] = np.asarray(p, dtype=np.float64)
-
-    def add_source(self, chunk_id: int, tracklet_id: int, pixel: tuple[int, int]):
-        self.sources.append((chunk_id, tracklet_id, pixel))
+    def write_from(self, frame: int, positions: np.ndarray):
+        """Replace everything from ``frame`` on by ``positions``."""
+        self.positions = np.concatenate([self.positions[: frame - self.start], positions])
 
     def finish(self) -> Trajectory:
-        frames = sorted(self.data)
         return Trajectory(
             trajectory_id=self.traj_id,
-            frames=tuple(frames),
-            positions=np.stack([self.data[f] for f in frames]),
+            frames=tuple(range(self.start, self.start + len(self.positions))),
+            positions=self.positions,
             sources=tuple(self.sources),
         )
+
+
+def _pixel_tracks(chunk: Chunk, pixels: np.ndarray, gauge: SimilarityTransform) -> TrackletSet:
+    """Whole-chunk tracks of the given pixels, mapped by ``gauge``."""
+    rows, cols = pixels[:, 0], pixels[:, 1]
+    return TrackletSet(
+        source_chunk=chunk.chunk_id,
+        frames=tuple(chunk.frame_range()),
+        pixels=pixels,
+        positions=gauge.apply(np.stack([fp.points[rows, cols] for fp in chunk.frames], axis=1)),
+        conf=np.stack([fp.confidence[rows, cols] for fp in chunk.frames], axis=1),
+    )
+
+
+class _Stitcher:
+    """Grows long-range trajectories junction by junction.
+
+    A trajectory stays open while the pixel of its newest tracklet is
+    matched again at the next junction; ``open`` maps those pixels of the
+    newest chunk to their builders.
+    """
+
+    def __init__(self):
+        self.builders: list[_TrajectoryBuilder] = []
+        self.open: dict[tuple[int, int], _TrajectoryBuilder] = {}
+
+    def _start(self, chunk: Chunk, tracks: TrackletSet, row: int, tracklet_id: int):
+        """A new trajectory from row ``row`` of ``tracks``, which start with
+        ``chunk``; its first source is tracklet ``tracklet_id`` of ``chunk``."""
+        pixel = tuple(tracks.pixels[row].tolist())
+        builder = _TrajectoryBuilder(len(self.builders), chunk.start_frame,
+                                     tracks.positions[row], (chunk.chunk_id, tracklet_id, pixel))
+        self.builders.append(builder)
+        return builder
+
+    def junction(self, prev: Chunk, cur: Chunk, G_prev: SimilarityTransform,
+                 G_cur: SimilarityTransform, raw_i: TrackletSet, raw_j: TrackletSet,
+                 match_set: MatchSet, cfg: PipelineConfig):
+        """Stitch the matches of one junction across its boundary window.
+
+        Every match shares the window [junction - bw + 1, junction + bw],
+        clipped to the two chunks, and all are reconstructed in one solve.
+        A match whose window cannot be reconstructed is handled as two
+        unmatched tracklets.
+        """
+        bw = cfg.boundary_half_width
+        junction = prev.end_frame
+        window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
+        pairs = match_set.pairs()
+        rows_a, rows_b = pairs[:, 0], pairs[:, 1]
+        # each row runs from prev's first frame to cur's last
+        rebuilt = reconstruct_boundary(_pixel_tracks(prev, raw_i.pixels[rows_a], G_prev),
+                                       _pixel_tracks(cur, raw_j.pixels[rows_b], G_cur), window, cfg)
+        tail = rebuilt.positions[:, window[0] - prev.start_frame:]
+        stitched = np.isfinite(tail[:, : len(window)]).all(axis=(1, 2))
+
+        new_open: dict[tuple[int, int], _TrajectoryBuilder] = {}
+        for k in np.flatnonzero(stitched).tolist():
+            a, b = int(rows_a[k]), int(rows_b[k])
+            builder = self.open.pop(tuple(raw_i.pixels[a].tolist()), None)
+            if builder is None:
+                builder = self._start(prev, rebuilt, k, a)
+            else:
+                builder.write_from(window[0], tail[k])
+            pixel_b = tuple(raw_j.pixels[b].tolist())
+            builder.sources.append((cur.chunk_id, b, pixel_b))
+            new_open[pixel_b] = builder
+
+        tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)
+        tracks_j = _pixel_tracks(cur, raw_j.pixels, G_cur)
+        for a in sorted([*match_set.unmatched_i, *rows_a[~stitched].tolist()]):
+            if self.open.pop(tuple(raw_i.pixels[a].tolist()), None) is None:
+                self._start(prev, tracks_i, a, a)
+        for b in sorted([*match_set.unmatched_j, *rows_b[~stitched].tolist()]):
+            new_open[tuple(raw_j.pixels[b].tolist())] = self._start(cur, tracks_j, b, b)
+        self.open = new_open
+
+    def finish(self) -> list[Trajectory]:
+        return [b.finish() for b in self.builders]
 
 
 @dataclass(frozen=True)
@@ -361,28 +432,13 @@ class FusedScene:
     chunk_transforms: list[SimilarityTransform]
     trajectories: list[Trajectory]
     reports: list[PairReport]
-    match_sets: list[tuple[int, int, MatchSet, list[Tracklet], list[Tracklet]]] = field(
+    match_sets: list[tuple[int, int, MatchSet, TrackletSet, TrackletSet]] = field(
         default_factory=list
     )
 
     @property
     def poses(self) -> list[Pose]:
         return [fp.pose for fp in self.frames]
-
-
-def _pixel_track(chunk: Chunk, pixel: tuple[int, int], gauge: SimilarityTransform) -> Tracklet:
-    r, c = pixel
-    pos = np.stack([fp.points[r, c] for fp in chunk.frames])
-    cnf = np.array([fp.confidence[r, c] for fp in chunk.frames])
-    return Tracklet(
-        tracklet_id=-1,
-        source_chunk=chunk.chunk_id,
-        pixel=pixel,
-        frames=tuple(chunk.frame_range()),
-        positions=gauge.apply(pos),
-        confidences=cnf,
-        mean_confidence=float(cnf.mean()),
-    )
 
 
 def _map_frame(fp: FramePrediction, G: SimilarityTransform) -> FramePrediction:
@@ -428,9 +484,8 @@ def fuse_sequence(
     identity = SimilarityTransform.identity()
     transforms = [identity]
     reports: list[PairReport] = []
-    match_dumps: list[tuple[int, int, MatchSet, list[Tracklet], list[Tracklet]]] = []
-    builders: list[_TrajectoryBuilder] = []
-    open_map: dict[tuple[int, int], _TrajectoryBuilder] = {}
+    match_dumps: list[tuple[int, int, MatchSet, TrackletSet, TrackletSet]] = []
+    stitcher = _Stitcher()
 
     for fp in prev.frames:
         emit(_map_frame(fp, identity))
@@ -449,8 +504,7 @@ def fuse_sequence(
             except (NotEnoughPoints, DegenerateConfiguration):
                 static_result = None
 
-        raw_i: list[Tracklet] = []
-        raw_j: list[Tracklet] = []
+        raw_i = raw_j = None
         match_set = MatchSet((), (), ())
         refined = None
         num_candidates = 0
@@ -463,15 +517,11 @@ def fuse_sequence(
             # skews the one-to-one matching
             T_assoc = T_init
             for _ in range(cfg.association_rounds):
-                aligned_j = [t.transformed(T_assoc) for t in raw_j]
+                aligned_j = raw_j.transformed(T_assoc)
                 candidates = gate_candidates(raw_i, aligned_j, cfg)
                 num_candidates = len(candidates)
-                costs = {}
-                for a, b in candidates:
-                    c = pair_cost(raw_i[a], aligned_j[b], overlap.frames, cfg, abstraction.scene_scale)
-                    if c is not None:
-                        costs[(a, b)] = c
-                match_set = assign(costs, len(raw_i), len(raw_j), cfg)
+                costs = pair_cost(raw_i, aligned_j, candidates, cfg, abstraction.scene_scale)
+                match_set = assign(candidates, costs, len(raw_i), len(raw_j), cfg)
                 if len(match_set) == 0:
                     refined = None
                     break
@@ -510,8 +560,8 @@ def fuse_sequence(
                 tier=tier,
                 num_static=abstraction.num_static,
                 num_dynamic=abstraction.num_dynamic,
-                num_tracklets_i=len(raw_i),
-                num_tracklets_j=len(raw_j),
+                num_tracklets_i=len(raw_i) if raw_i is not None else 0,
+                num_tracklets_j=len(raw_j) if raw_j is not None else 0,
                 num_candidates=num_candidates,
                 num_matches=len(match_set),
                 static_rms=static_result[1].residual_rms if static_result else None,
@@ -521,56 +571,7 @@ def fuse_sequence(
 
         if ablation == "full":
             match_dumps.append((prev.chunk_id, cur.chunk_id, match_set, raw_i, raw_j))
-            bw = cfg.boundary_half_width
-            junction = prev.end_frame
-            new_open: dict[tuple[int, int], _TrajectoryBuilder] = {}
-
-            for a, b, _cost in match_set.matches:
-                ta, tb = raw_i[a], raw_j[b]
-                builder = open_map.pop(ta.pixel, None)
-                if builder is None:
-                    builder = _TrajectoryBuilder(len(builders))
-                    builders.append(builder)
-                    builder.add_source(prev.chunk_id, ta.tracklet_id, ta.pixel)
-                    d_a_full = _pixel_track(prev, ta.pixel, G_prev)
-                    builder.write(d_a_full.frames, d_a_full.positions)
-                else:
-                    d_a_full = _pixel_track(prev, ta.pixel, G_prev)
-                builder.add_source(cur.chunk_id, tb.tracklet_id, tb.pixel)
-                d_b_full = _pixel_track(cur, tb.pixel, G_cur)
-                b_start = max(junction - bw + 1, prev.start_frame, min(builder.data))
-                b_end = min(junction + bw, cur.end_frame)
-                window = range(b_start, b_end + 1)
-                rebuilt = reconstruct_boundary(d_a_full, d_b_full, window, cfg)
-                sel = [k for k, f in enumerate(rebuilt.frames) if b_start <= f <= b_end]
-                builder.write([rebuilt.frames[k] for k in sel], rebuilt.positions[sel])
-                suffix = [f for f in d_b_full.frames if f > b_end]
-                if suffix:
-                    idx = [d_b_full.frames.index(f) for f in suffix]
-                    builder.write(suffix, d_b_full.positions[idx])
-                new_open[tb.pixel] = builder
-
-            for a in match_set.unmatched_i:
-                ta = raw_i[a]
-                if ta.pixel in open_map:
-                    open_map.pop(ta.pixel)
-                else:
-                    builder = _TrajectoryBuilder(len(builders))
-                    builders.append(builder)
-                    builder.add_source(prev.chunk_id, ta.tracklet_id, ta.pixel)
-                    track = _pixel_track(prev, ta.pixel, G_prev)
-                    builder.write(track.frames, track.positions)
-
-            for b in match_set.unmatched_j:
-                tb = raw_j[b]
-                builder = _TrajectoryBuilder(len(builders))
-                builders.append(builder)
-                builder.add_source(cur.chunk_id, tb.tracklet_id, tb.pixel)
-                track = _pixel_track(cur, tb.pixel, G_cur)
-                builder.write(track.frames, track.positions)
-                new_open[tb.pixel] = builder
-
-            open_map = new_open
+            stitcher.junction(prev, cur, G_prev, G_cur, raw_i, raw_j, match_set, cfg)
 
         for fp in cur.frames:
             if fp.frame_index > prev.end_frame:
@@ -582,7 +583,7 @@ def fuse_sequence(
         num_frames=num_frames,
         frames=collected,
         chunk_transforms=transforms,
-        trajectories=[b.finish() for b in builders],
+        trajectories=stitcher.finish(),
         reports=reports,
         match_sets=match_dumps,
     )

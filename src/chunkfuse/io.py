@@ -344,8 +344,8 @@ def write_trajectories(trajectories: list[Trajectory], path) -> None:
     lines = []
     for tr in trajectories:
         parts = [str(tr.trajectory_id)]
-        for f, p in zip(tr.frames, tr.positions):
-            parts.append(f"{f} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
+        for f, (x, y, z) in zip(tr.frames, tr.positions.tolist()):
+            parts.append(f"{f} {x!r} {y!r} {z!r}")
         lines.append(" ".join(parts))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
@@ -403,16 +403,14 @@ def write_fusion_outputs(fused: FusedScene, directory) -> None:
     write_trajectory_meta(fused.trajectories, directory / "trajectories_meta.json")
     dumps = []
     for chunk_i, chunk_j, match_set, tr_i, tr_j in fused.match_sets:
+        pix_i, pix_j = tr_i.pixels.tolist(), tr_j.pixels.tolist()
         dumps.append(
             {
                 "chunk_i": chunk_i,
                 "chunk_j": chunk_j,
-                "matches": [
-                    [a, b, c, list(tr_i[a].pixel), list(tr_j[b].pixel)]
-                    for a, b, c in match_set.matches
-                ],
-                "tracklets_i": [[t.tracklet_id, t.pixel[0], t.pixel[1]] for t in tr_i],
-                "tracklets_j": [[t.tracklet_id, t.pixel[0], t.pixel[1]] for t in tr_j],
+                "matches": [[a, b, c, pix_i[a], pix_j[b]] for a, b, c in match_set.matches],
+                "tracklets_i": [[k, *px] for k, px in enumerate(pix_i)],
+                "tracklets_j": [[k, *px] for k, px in enumerate(pix_j)],
             }
         )
     (directory / "matches.json").write_text(json.dumps(dumps, indent=1) + "\n")

@@ -1,5 +1,5 @@
 """Core domain types: poses, per-frame predictions, chunks, similarity
-transforms, tracklets, and the pipeline configuration.
+transforms, tracklet sets, and the pipeline configuration.
 
 All types are immutable value objects after construction (arrays are made
 read-only), so they can be shared freely between threads.
@@ -8,7 +8,6 @@ read-only), so they can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable
 
 import numpy as np
 
@@ -225,65 +224,48 @@ class Chunk:
 
 
 @dataclass(frozen=True)
-class Tracklet:
-    """A short per-pixel 3D trajectory segment over an overlap window."""
+class TrackletSet:
+    """Per-pixel 3D trajectory segments of one chunk over shared frames.
 
-    tracklet_id: int
+    Row k is the tracklet with id k: ``pixels[k]`` is its seed pixel
+    (row, col), ``positions[k]`` its (T, 3) positions over ``frames`` and
+    ``conf[k]`` the matching confidences.
+    """
+
     source_chunk: int
-    pixel: tuple[int, int]
     frames: tuple[int, ...]
+    pixels: np.ndarray
     positions: np.ndarray
-    confidences: np.ndarray
-    mean_confidence: float
+    conf: np.ndarray
 
     def __post_init__(self):
         frames = tuple(int(f) for f in self.frames)
-        pos = np.asarray(self.positions, dtype=np.float64)
-        conf = np.asarray(self.confidences, dtype=np.float64)
         if len(frames) < 2:
-            raise ValueError("a tracklet needs at least 2 positions to support velocities")
+            raise ValueError("tracklets need at least 2 frames to support velocities")
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError("tracklet frames must be strictly increasing without duplicates")
-        if pos.shape != (len(frames), 3):
-            raise ValueError(f"positions must be ({len(frames)}, 3), got {pos.shape}")
-        if conf.shape != (len(frames),):
-            raise ValueError(f"confidences must be ({len(frames)},), got {conf.shape}")
-        pos = pos.copy()
-        conf = conf.copy()
-        pos.setflags(write=False)
-        conf.setflags(write=False)
+        pixels = np.array(self.pixels, dtype=np.int64)
+        if pixels.ndim != 2 or pixels.shape[1] != 2:
+            raise ValueError(f"pixels must be (N, 2), got {pixels.shape}")
+        n = len(pixels)
+        pos = np.array(self.positions, dtype=np.float64)
+        conf = np.array(self.conf, dtype=np.float64)
+        if pos.shape != (n, len(frames), 3):
+            raise ValueError(f"positions must be {(n, len(frames), 3)}, got {pos.shape}")
+        if conf.shape != (n, len(frames)):
+            raise ValueError(f"conf must be {(n, len(frames))}, got {conf.shape}")
+        for arr in (pixels, pos, conf):
+            arr.setflags(write=False)
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "confidences", conf)
-        object.__setattr__(self, "pixel", (int(self.pixel[0]), int(self.pixel[1])))
-        object.__setattr__(self, "mean_confidence", float(self.mean_confidence))
+        object.__setattr__(self, "conf", conf)
 
-    def transformed(self, T: SimilarityTransform) -> "Tracklet":
-        return Tracklet(
-            self.tracklet_id,
-            self.source_chunk,
-            self.pixel,
-            self.frames,
-            T.apply(self.positions),
-            self.confidences,
-            self.mean_confidence,
-        )
+    def __len__(self) -> int:
+        return len(self.pixels)
 
-    def position_at(self, frame_index: int) -> np.ndarray:
-        return self.positions[self.frames.index(frame_index)]
-
-    def restrict(self, frames: Iterable[int]) -> "Tracklet":
-        wanted = sorted(set(frames) & set(self.frames))
-        idx = [self.frames.index(f) for f in wanted]
-        return Tracklet(
-            self.tracklet_id,
-            self.source_chunk,
-            self.pixel,
-            tuple(wanted),
-            self.positions[idx],
-            self.confidences[idx],
-            self.mean_confidence,
-        )
+    def transformed(self, T: SimilarityTransform) -> "TrackletSet":
+        return TrackletSet(self.source_chunk, self.frames, self.pixels, T.apply(self.positions), self.conf)
 
 
 @dataclass(frozen=True)

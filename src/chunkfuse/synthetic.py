@@ -608,16 +608,3 @@ def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> Emitte
 
     return EmittedChunks(plan=plan, gauges=gauges, chunks=stream())
 
-
-def pixel_identity_truth(tracklets_i, tracklets_j) -> dict[int, int]:
-    """Ground-truth correspondence for oracle scenes: same seed pixel.
-
-    Every chunk tracks the same frame-0 seed grid, so the true partner of a
-    tracklet is the opposite chunk's tracklet at the same pixel.
-    """
-    by_pixel = {t.pixel: t.tracklet_id for t in tracklets_j}
-    return {
-        t.tracklet_id: by_pixel[t.pixel]
-        for t in tracklets_i
-        if t.pixel in by_pixel
-    }

@@ -12,18 +12,55 @@ from chunkfuse.association import (
     pair_cost,
     resolve_gamma_p,
 )
+from chunkfuse.association import VEL_EPS
 from chunkfuse.chunking import slice_overlap
-from chunkfuse.errors import InsufficientSupport
-from chunkfuse.model import PipelineConfig, SimilarityTransform, Tracklet
+from chunkfuse.model import PipelineConfig, SimilarityTransform, TrackletSet
 from chunkfuse.registration import OverlapAbstraction, select_anchors
 from conftest import make_chunk, random_rotation
 
 
-def tracklet(positions, frames=None, tid=0, chunk=0, pixel=(0, 0), conf=None):
-    positions = np.asarray(positions, dtype=float)
-    frames = tuple(range(len(positions))) if frames is None else tuple(frames)
-    conf = np.ones(len(positions)) if conf is None else np.asarray(conf)
-    return Tracklet(tid, chunk, pixel, frames, positions, conf, float(conf.mean()))
+def tracklets(positions, frames=None, chunk=0):
+    """A set from an (N, T, 3) stack; tracklet k seeds at pixel (k, 0)."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, *np.shape(positions)[-2:])
+    n, t = positions.shape[:2]
+    frames = tuple(range(t)) if frames is None else tuple(frames)
+    pixels = np.stack([np.arange(n), np.zeros(n, dtype=int)], axis=1)
+    return TrackletSet(chunk, frames, pixels, positions, np.ones((n, t)))
+
+
+def reference_pair_cost(pa, pb, frames, cfg, scene_scale):
+    """The per-pair cost formula, one (T, 3) tracklet pair at a time; None
+    when the pair is rejected."""
+    dt = np.diff(np.asarray(frames, dtype=np.float64))
+    l_traj = float(np.linalg.norm(pa - pb, axis=1).mean()) / scene_scale
+    if l_traj > cfg.traj_cap:
+        return None
+    va = np.diff(pa, axis=0) / dt[:, None]
+    vb = np.diff(pb, axis=0) / dt[:, None]
+    sa = np.linalg.norm(va, axis=1)
+    sb = np.linalg.norm(vb, axis=1)
+    l_vel = float((np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean())
+    cos = np.clip((va * vb).sum(axis=1) / (sa * sb + VEL_EPS**2), -1.0, 1.0)
+    l_dir = float(((1.0 - cos) / 2.0).mean())
+    if l_dir > cfg.dir_cap:
+        return None
+    return cfg.lambda_traj * l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
+
+
+def single_cost(pa, pb, cfg, scene_scale, frames=None):
+    """Batched cost of one tracklet pair, None when rejected."""
+    (c,) = pair_cost(tracklets([pa], frames), tracklets([pb], frames, chunk=1),
+                     np.array([[0, 0]]), cfg, scene_scale)
+    return None if c == np.inf else float(c)
+
+
+def assign_dict(costs, n_i, n_j, cfg):
+    pairs = np.array(list(costs), dtype=int).reshape(-1, 2)
+    return assign(pairs, np.array(list(costs.values()), dtype=float), n_i, n_j, cfg)
+
+
+def pair_set(candidates):
+    return set(map(tuple, candidates.tolist()))
 
 
 def brute_force_match(costs, n_i, n_j, cost_max):
@@ -81,7 +118,7 @@ class TestBuildTracklets:
         cfg = PipelineConfig(gamma_stat=0.1, seed_stride=1)
         out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg,
                               SimilarityTransform.identity())
-        assert out == []  # ...the displacement filter drops motionless pixels
+        assert len(out) == 0  # ...the displacement filter drops motionless pixels
 
     def test_moving_block_tracked(self, rng):
         pts = np.broadcast_to(rng.normal(size=(8, 8, 3)), (4, 8, 8, 3)).copy()
@@ -95,11 +132,10 @@ class TestBuildTracklets:
         cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.5, seed_stride=1)
         out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg,
                               SimilarityTransform.identity())
-        assert {t.pixel for t in out} == {(r, c) for r in range(2, 5) for c in range(3, 6)}
-        for t in out:
-            assert len(t.frames) == 4
-            steps = np.diff(t.positions, axis=0)
-            assert np.abs(steps - v).max() < 1e-12
+        assert pair_set(out.pixels) == {(r, c) for r in range(2, 5) for c in range(3, 6)}
+        assert out.frames == (0, 1, 2, 3)
+        steps = np.diff(out.positions, axis=1)
+        assert np.abs(steps - v).max() < 1e-12
 
     def test_zero_confidence_dropped(self, rng):
         pts = np.broadcast_to(rng.normal(size=(6, 6, 3)), (4, 6, 6, 3)).copy()
@@ -110,7 +146,7 @@ class TestBuildTracklets:
         cfg = PipelineConfig(gamma_stat=0.1, seed_stride=1)
         out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg,
                               SimilarityTransform.identity())
-        assert out == []
+        assert len(out) == 0
 
     def test_gauge_applied_and_stride(self, rng):
         pts = np.broadcast_to(rng.normal(size=(6, 6, 3)), (4, 6, 6, 3)).copy()
@@ -121,9 +157,9 @@ class TestBuildTracklets:
         gauge = SimilarityTransform(2.0, random_rotation(rng), rng.normal(size=3))
         cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.5, seed_stride=2)
         out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg, gauge)
-        assert {t.pixel for t in out} == {(r, c) for r in range(0, 6, 2) for c in range(0, 6, 2)}
+        assert pair_set(out.pixels) == {(r, c) for r in range(0, 6, 2) for c in range(0, 6, 2)}
         raw = pts[:, 0, 0, :]
-        got = next(t for t in out if t.pixel == (0, 0)).positions
+        got = out.positions[out.pixels.tolist().index([0, 0])]
         assert np.abs(got - gauge.apply(raw)).max() < 1e-12
 
 
@@ -132,34 +168,28 @@ class TestPairCost:
 
     def test_identical_tracklets_cost_zero(self, rng):
         pos = np.cumsum(rng.normal(size=(5, 3)), axis=0)
-        a = tracklet(pos, tid=0)
-        b = tracklet(pos, tid=1)
-        assert pair_cost(a, b, range(5), self.CFG, scene_scale=4.0) == pytest.approx(0.0, abs=1e-12)
+        assert single_cost(pos, pos, self.CFG, scene_scale=4.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_opposite_velocities_rejected(self):
         v = np.array([0.02, 0.0, 0.0])
         path = np.array([k * v for k in range(4)])
-        a = tracklet(path)
-        b = tracklet(path[::-1])
         # same swept segment, exactly opposite velocities: L_dir = 1 > 0.5
-        assert pair_cost(a, b, range(4), self.CFG, scene_scale=10.0) is None
+        assert single_cost(path, path[::-1], self.CFG, scene_scale=10.0) is None
 
     def test_parallel_offset_closed_form(self):
         v = np.array([0.1, 0.05, 0.0])
         delta = np.array([0.0, 0.0, 0.12])
         path = np.array([k * v for k in range(4)])
-        a = tracklet(path)
-        b = tracklet(path + delta)
         scene_scale = 6.0
-        cost = pair_cost(a, b, range(4), self.CFG, scene_scale)
+        cost = single_cost(path, path + delta, self.CFG, scene_scale)
         expected = self.CFG.lambda_traj * np.linalg.norm(delta) / scene_scale
         assert cost == pytest.approx(expected, abs=1e-15)
 
-    def test_insufficient_support(self):
-        a = tracklet(np.zeros((2, 3)), frames=(0, 1))
-        b = tracklet(np.array([[0, 0, 0], [1, 0, 0]]), frames=(4, 5))
-        with pytest.raises(InsufficientSupport):
-            pair_cost(a, b, range(2), self.CFG, scene_scale=1.0)
+    def test_frames_must_match(self):
+        ti = tracklets([np.zeros((2, 3))], frames=(0, 1))
+        tj = tracklets([[[0, 0, 0], [1, 0, 0]]], frames=(4, 5), chunk=1)
+        with pytest.raises(ValueError):
+            pair_cost(ti, tj, np.array([[0, 0]]), self.CFG, scene_scale=1.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -167,21 +197,18 @@ class TestPairCost:
         rng = np.random.default_rng(seed)
         pa = np.cumsum(rng.normal(scale=0.05, size=(4, 3)), axis=0)
         pb = pa + rng.normal(scale=0.02, size=(4, 3))
-        a, b = tracklet(pa, tid=0), tracklet(pb, tid=1)
         cfg = PipelineConfig(traj_cap=10.0, dir_cap=10.0)
-        ab = pair_cost(a, b, range(4), cfg, scene_scale=3.0)
-        ba = pair_cost(b, a, range(4), cfg, scene_scale=3.0)
+        ab = single_cost(pa, pb, cfg, scene_scale=3.0)
+        ba = single_cost(pb, pa, cfg, scene_scale=3.0)
         assert ab == pytest.approx(ba, abs=1e-12)
 
     def test_rigid_gauge_invariance(self, rng):
         pa = np.cumsum(rng.normal(scale=0.1, size=(4, 3)), axis=0)
         pb = pa + rng.normal(scale=0.03, size=(4, 3))
         cfg = PipelineConfig(traj_cap=10.0, dir_cap=10.0)
-        base = pair_cost(tracklet(pa), tracklet(pb, tid=1), range(4), cfg, scene_scale=3.0)
+        base = single_cost(pa, pb, cfg, scene_scale=3.0)
         T = SimilarityTransform(1.0, random_rotation(rng), rng.normal(size=3))
-        moved = pair_cost(
-            tracklet(T.apply(pa)), tracklet(T.apply(pb), tid=1), range(4), cfg, scene_scale=3.0
-        )
+        moved = single_cost(T.apply(pa), T.apply(pb), cfg, scene_scale=3.0)
         assert moved == pytest.approx(base, abs=1e-9)
 
     def test_uniform_scaling_normalized(self, rng):
@@ -191,11 +218,9 @@ class TestPairCost:
         # with the magnitude term off, scaling points and scene scale together
         # leaves the cost unchanged (trajectory term normalized, direction
         # term scale-free)
-        base = pair_cost(tracklet(pa), tracklet(pb, tid=1), range(4), cfg, scene_scale=3.0)
+        base = single_cost(pa, pb, cfg, scene_scale=3.0)
         s = 4.2
-        scaled = pair_cost(
-            tracklet(s * pa), tracklet(s * pb, tid=1), range(4), cfg, scene_scale=3.0 * s
-        )
+        scaled = single_cost(s * pa, s * pb, cfg, scene_scale=3.0 * s)
         assert scaled == pytest.approx(base, abs=1e-9)
 
     @given(st.integers(0, 10_000))
@@ -213,77 +238,129 @@ class TestPairCost:
         t = np.arange(n, dtype=float)
         pa = crossing + np.outer(t - mid, direction * speed)
         pb = crossing - np.outer(t - mid, direction * speed)
-        a, b = tracklet(pa, tid=0), tracklet(pb, tid=1)
         cfg = PipelineConfig(dir_cap=float(rng.uniform(0.1, 0.99)), traj_cap=100.0)
-        assert pair_cost(a, b, range(n), cfg, scene_scale=float(rng.uniform(1, 10))) is None
+        assert single_cost(pa, pb, cfg, scene_scale=float(rng.uniform(1, 10))) is None
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_equals_scalar_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n_i, n_j, t = (int(v) for v in rng.integers([1, 1, 2], [12, 12, 10]))
+        start = int(rng.integers(0, 50))
+        frames = tuple(start + np.cumsum(rng.integers(1, 3, size=t)))
+
+        steps = rng.normal(scale=rng.uniform(0.01, 0.3), size=(n_i, t, 3))
+        pos_i = rng.normal(size=(n_i, 1, 3)) + np.cumsum(steps, axis=1)
+        # set j: noisy copies of set i's tracklets, so many pairs survive
+        pos_j = pos_i[rng.integers(0, n_i, n_j)] + rng.normal(scale=0.05, size=(n_j, t, 3))
+        ti, tj = tracklets(pos_i, frames), tracklets(pos_j, frames, chunk=1)
+        # caps low enough that both rejections fire on part of the pairs
+        cfg = PipelineConfig(traj_cap=float(rng.uniform(0.05, 1.0)),
+                             dir_cap=float(rng.uniform(0.05, 0.6)),
+                             lambda_vel=float(rng.uniform(0, 2)))
+        scene_scale = float(rng.uniform(0.5, 5.0))
+        candidates = np.array([(a, b) for a in range(n_i) for b in range(n_j)])
+        costs = pair_cost(ti, tj, candidates, cfg, scene_scale)
+        for (a, b), c in zip(candidates, costs):
+            ref = reference_pair_cost(ti.positions[a], tj.positions[b], frames, cfg, scene_scale)
+            if ref is None:
+                assert c == np.inf
+            else:
+                assert c == ref  # bit for bit, not approximately
 
 
 class TestGateCandidates:
     CFG = PipelineConfig()
 
     def _tracklets(self, terminals, chunk=0):
-        out = []
-        for k, term in enumerate(terminals):
-            term = np.asarray(term, dtype=float)
-            pos = np.stack([term - [0.5, 0, 0], term])
-            out.append(tracklet(pos, tid=k, chunk=chunk))
-        return out
+        terms = np.asarray(terminals, dtype=float).reshape(-1, 3)
+        return tracklets(np.stack([terms - [0.5, 0, 0], terms], axis=1), chunk=chunk)
 
     def test_coincident_all_pairs(self):
         ti = self._tracklets([[0, 0, 0]] * 3)
         tj = self._tracklets([[0, 0, 0]] * 4, chunk=1)
         pairs = gate_candidates(ti, tj, self.CFG, gamma_p=1.0)
-        assert set(pairs) == {(a, b) for a in range(3) for b in range(4)}
+        assert pair_set(pairs) == {(a, b) for a in range(3) for b in range(4)}
 
     def test_two_clusters(self):
         gamma_p = 0.4
         ti = self._tracklets([[0, 0, 0], [0.1, 0, 0], [10 * gamma_p, 0, 0]])
         tj = self._tracklets([[0.05, 0, 0], [10 * gamma_p + 0.05, 0, 0]], chunk=1)
-        pairs = set(gate_candidates(ti, tj, self.CFG, gamma_p=gamma_p))
-        assert pairs == {(0, 0), (1, 0), (2, 1)}
+        pairs = gate_candidates(ti, tj, self.CFG, gamma_p=gamma_p)
+        assert pairs.tolist() == [[0, 0], [1, 0], [2, 1]]
 
     def test_empty_side(self):
         ti = self._tracklets([[0, 0, 0]])
-        assert gate_candidates(ti, [], self.CFG, gamma_p=1.0) == []
-        assert gate_candidates([], ti, self.CFG, gamma_p=1.0) == []
+        none = self._tracklets(np.empty((0, 3)), chunk=1)
+        assert len(gate_candidates(ti, none, self.CFG, gamma_p=1.0)) == 0
+        assert len(gate_candidates(none, ti, self.CFG, gamma_p=1.0)) == 0
 
     def test_adaptive_radius(self):
         cfg = PipelineConfig(gamma_p_factor=3.0)
         ti = self._tracklets([[0, 0, 0]])  # single step of 0.5
         tj = self._tracklets([[1.2, 0, 0]], chunk=1)
         assert resolve_gamma_p(ti, tj, cfg) == pytest.approx(1.5)
-        assert gate_candidates(ti, tj, cfg) == [(0, 0)]
+        assert gate_candidates(ti, tj, cfg).tolist() == [[0, 0]]
+
+    def test_radius_is_strict(self):
+        ti = self._tracklets([[0, 0, 0]])
+        tj = self._tracklets([[0.5, 0, 0], [0.25, 0, 0]], chunk=1)
+        assert gate_candidates(ti, tj, self.CFG, gamma_p=0.5).tolist() == [[0, 1]]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_brute_force_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n_i, n_j = (int(v) for v in rng.integers(0, 40, size=2))
+        # a coarse lattice puts many terminals at exactly the radius
+        terms_i = rng.integers(-3, 4, size=(n_i, 3)) * 0.25
+        terms_j = rng.integers(-3, 4, size=(n_j, 3)) * 0.25
+        terms_j[: n_j // 2] += rng.normal(scale=0.1, size=(n_j // 2, 3))
+        ti, tj = self._tracklets(terms_i), self._tracklets(terms_j, chunk=1)
+        radius = float(rng.choice([0.25, 0.5, rng.uniform(0.05, 1.0)]))
+        brute = [
+            [a, b]
+            for a in range(n_i)
+            for b in range(n_j)
+            if np.linalg.norm(terms_i[a] - terms_j[b]) < radius
+        ]
+        assert gate_candidates(ti, tj, self.CFG, gamma_p=radius).tolist() == brute
 
 
 class TestAssign:
     CFG = PipelineConfig(cost_max=1.0)
 
     def test_single_candidate(self):
-        ms = assign({(0, 0): 0.4}, 1, 1, self.CFG)
+        ms = assign_dict({(0, 0): 0.4}, 1, 1, self.CFG)
         assert ms.matches == ((0, 0, 0.4),)
         assert ms.unmatched_i == () and ms.unmatched_j == ()
 
     def test_diagonal_2x2(self):
         costs = {(0, 0): 1.0, (0, 1): 10.0, (1, 0): 10.0, (1, 1): 1.0}
         cfg = PipelineConfig(cost_max=20.0)
-        ms = assign(costs, 2, 2, cfg)
+        ms = assign_dict(costs, 2, 2, cfg)
         assert ms.matches == ((0, 0, 1.0), (1, 1, 1.0))
 
     def test_all_over_threshold_unmatched(self):
         costs = {(a, b): 5.0 for a in range(2) for b in range(2)}
-        ms = assign(costs, 2, 2, self.CFG)
+        ms = assign_dict(costs, 2, 2, self.CFG)
+        assert ms.matches == ()
+        assert ms.unmatched_i == (0, 1) and ms.unmatched_j == (0, 1)
+
+    def test_rejected_costs_never_match(self):
+        ms = assign(np.array([[0, 0], [1, 1]]), np.array([np.inf, np.nan]), 2, 2, self.CFG)
         assert ms.matches == ()
         assert ms.unmatched_i == (0, 1) and ms.unmatched_j == (0, 1)
 
     def test_match_costs_capped(self, rng):
         costs = {(a, b): float(rng.uniform(0, 2)) for a in range(5) for b in range(5)}
-        ms = assign(costs, 5, 5, self.CFG)
+        ms = assign_dict(costs, 5, 5, self.CFG)
         assert all(c <= self.CFG.cost_max for _, _, c in ms.matches)
 
     def test_deterministic(self, rng):
         costs = {(a, b): float(rng.uniform(0, 2)) for a in range(6) for b in range(5)}
-        first = assign(costs, 6, 5, self.CFG)
-        second = assign(dict(costs), 6, 5, self.CFG)
+        first = assign_dict(costs, 6, 5, self.CFG)
+        second = assign_dict(dict(costs), 6, 5, self.CFG)
         assert first == second
 
     def test_matches_brute_force_small(self, rng):
@@ -297,7 +374,7 @@ class TestAssign:
                 for b in range(n_j)
                 if rng.random() < density
             }
-            ours = assign(costs, n_i, n_j, self.CFG)
+            ours = assign_dict(costs, n_i, n_j, self.CFG)
             brute = brute_force_match(costs, n_i, n_j, self.CFG.cost_max)
             assert assignment_total_cost(ours, self.CFG) == assignment_total_cost(brute, self.CFG)
 
@@ -317,12 +394,9 @@ class TestEndToEndAssociation:
         ab = select_anchors(overlap, cfg)
         ti = build_tracklets(a, overlap.frames, ab, cfg, SimilarityTransform.identity())
         tj = build_tracklets(b, overlap.frames, ab, cfg, SimilarityTransform.identity())
-        costs = {}
-        for x, y in gate_candidates(ti, tj, cfg):
-            c = pair_cost(ti[x], tj[y], overlap.frames, cfg, ab.scene_scale)
-            if c is not None:
-                costs[(x, y)] = c
-        ms = assign(costs, len(ti), len(tj), cfg)
+        candidates = gate_candidates(ti, tj, cfg)
+        costs = pair_cost(ti, tj, candidates, cfg, ab.scene_scale)
+        ms = assign(candidates, costs, len(ti), len(tj), cfg)
         assert len(ms) == 9
         for x, y, _ in ms.matches:
-            assert ti[x].pixel == tj[y].pixel
+            assert ti.pixels[x].tolist() == tj.pixels[y].tolist()

@@ -90,3 +90,9 @@ class TestSliceOverlap:
         a, b = self._chunks((0, 15), (20, 35))
         with pytest.raises(NoOverlap):
             slice_overlap(a, b)
+
+    def test_mismatched_grids_raise(self):
+        a = make_chunk(np.zeros((8, 2, 2, 3)), chunk_id=0)
+        b = make_chunk(np.zeros((8, 2, 3, 3)), chunk_id=1, start_frame=4)
+        with pytest.raises(ValueError, match="grids differ"):
+            slice_overlap(a, b)

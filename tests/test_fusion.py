@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import NotEnoughPoints, WindowTooShort
@@ -19,29 +21,42 @@ from chunkfuse.model import (
     PipelineConfig,
     Pose,
     SimilarityTransform,
-    Tracklet,
+    TrackletSet,
 )
 from chunkfuse.registration import RegistrationReport
+from chunkfuse.synthetic import emit_chunks, generate
 from conftest import make_chunk, random_rotation
+from scenes import identity_span_spec
 
 
-def tracklet(positions, frames, tid=0, chunk=0, pixel=(0, 0)):
-    positions = np.asarray(positions, dtype=float)
-    return Tracklet(tid, chunk, tuple(pixel), tuple(frames), positions,
-                    np.ones(len(positions)), 1.0)
+def tracklets(positions, frames, chunk=0):
+    """A set from an (N, T, 3) stack; row k seeds at pixel (k, 0)."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, len(frames), 3)
+    n = len(positions)
+    pixels = np.stack([np.arange(n), np.zeros(n, dtype=int)], axis=1)
+    return TrackletSet(chunk, tuple(frames), pixels, positions, np.ones((n, len(frames))))
+
+
+def tracklet(positions, frames, chunk=0):
+    """A one-row set."""
+    return tracklets([positions], frames, chunk)
+
+
+NO_TRACKS = tracklets(np.empty((0, 4, 3)), range(4))
 
 
 def dense_boundary_oracle(d_a, d_b, frames, cfg):
     """Independent dense solve of the boundary objective.
 
     Re-assembles the documented quadratic (cos^2 ramp, one-sided full data
-    weight, smoothness chain anchored to fixed outside neighbors) as a full
+    weight, zero data weight where neither source has a finite position,
+    smoothness chain anchored to fixed outside neighbors) as a full
     matrix and solves with numpy's generic solver.
     """
     frames = list(frames)
     m = len(frames)
-    a_map = {f: d_a.positions[k] for k, f in enumerate(d_a.frames)}
-    b_map = {f: d_b.positions[k] for k, f in enumerate(d_b.frames)}
+    a_map = {f: p for f, p in zip(d_a.frames, d_a.positions[0]) if np.isfinite(p).all()}
+    b_map = {f: p for f, p in zip(d_b.frames, d_b.positions[0]) if np.isfinite(p).all()}
     r = np.linspace(0.0, 1.0, m)
     alpha = np.cos(0.5 * np.pi * r) ** 2
     beta = 1.0 - alpha
@@ -55,6 +70,8 @@ def dense_boundary_oracle(d_a, d_b, frames, cfg):
             ak, bk = 1.0, 0.0
         if has_b and not has_a:
             ak, bk = 0.0, 1.0
+        if not has_a and not has_b:
+            ak, bk = 0.0, 0.0
         A[k, k] += ak + bk
         if has_a:
             rhs[k] += ak * a_map[f]
@@ -97,23 +114,23 @@ class TestReconstructBoundary:
     def test_consistent_constant_inputs_fixed_point(self):
         pos = np.tile(np.array([1.0, -2.0, 3.0]), (10, 1))
         d_a = tracklet(pos[:7], range(0, 7))
-        d_b = tracklet(pos[2:], range(2, 10), tid=1, chunk=1)
+        d_b = tracklet(pos[2:], range(2, 10), chunk=1)
         for lam in (0.0, 0.3, 1.0, 10.0):
             cfg = PipelineConfig(lambda_sm=lam)
             out = reconstruct_boundary(d_a, d_b, range(2, 7), cfg)
-            assert np.abs(out.positions - pos[: len(out.frames)]).max() < 1e-12
+            assert np.abs(out.positions[0] - pos[: len(out.frames)]).max() < 1e-12
 
     def test_lambda_zero_closed_form(self, rng):
         frames = list(range(8))
         pa = np.cumsum(rng.normal(size=(8, 3)), axis=0)
         pb = pa + rng.normal(scale=0.3, size=(8, 3))
         d_a = tracklet(pa, frames)
-        d_b = tracklet(pb, frames, tid=1, chunk=1)
+        d_b = tracklet(pb, frames, chunk=1)
         cfg = PipelineConfig(lambda_sm=1e-12)  # config requires > 0; solver path hits Thomas
         out = reconstruct_boundary(d_a, d_b, frames, cfg)
         alpha, beta = blend_weights(8)
         expect = (alpha[:, None] * pa + beta[:, None] * pb) / (alpha + beta)[:, None]
-        assert np.abs(out.positions - expect).max() < 1e-9
+        assert np.abs(out.positions[0] - expect).max() < 1e-9
 
     def test_step_discontinuity_dense_oracle_and_damping(self):
         delta = 0.8
@@ -122,14 +139,14 @@ class TestReconstructBoundary:
         pa = np.tile(np.array([0.0, 0.0, 0.0]), (9, 1))
         pb = np.tile(np.array([delta, 0.0, 0.0]), (12, 1))
         d_a = tracklet(pa, frames_a)
-        d_b = tracklet(pb, frames_b, tid=1, chunk=1)
+        d_b = tracklet(pb, frames_b, chunk=1)
         window = range(3, 9)  # |B| = 6
         cfg = PipelineConfig(lambda_sm=1.0)
         out = reconstruct_boundary(d_a, d_b, window, cfg)
         oracle = dense_boundary_oracle(d_a, d_b, window, cfg)
         sel = [k for k, f in enumerate(out.frames) if 3 <= f <= 8]
-        assert np.abs(out.positions[sel] - oracle).max() < 1e-9
-        jumps = np.linalg.norm(np.diff(out.positions, axis=0), axis=1)
+        assert np.abs(out.positions[0][sel] - oracle).max() < 1e-9
+        jumps = np.linalg.norm(np.diff(out.positions[0], axis=0), axis=1)
         assert jumps.max() < delta
 
     def test_dense_oracle_random_windows(self, rng):
@@ -141,7 +158,7 @@ class TestReconstructBoundary:
             pa = np.cumsum(rng.normal(size=(len(frames_a), 3)), axis=0)
             pb = np.cumsum(rng.normal(size=(len(frames_b), 3)), axis=0)
             d_a = tracklet(pa, frames_a)
-            d_b = tracklet(pb, frames_b, tid=1, chunk=1)
+            d_b = tracklet(pb, frames_b, chunk=1)
             window = range(start, start + n_b)
             lam = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
             cfg = PipelineConfig(lambda_sm=lam) if lam > 0 else PipelineConfig(lambda_sm=1e-300)
@@ -149,23 +166,23 @@ class TestReconstructBoundary:
             cfg_oracle = PipelineConfig(lambda_sm=lam) if lam > 0 else cfg
             oracle = dense_boundary_oracle(d_a, d_b, window, cfg_oracle)
             sel = [k for k, f in enumerate(out.frames) if window[0] <= f <= window[-1]]
-            assert np.abs(out.positions[sel] - oracle).max() < 1e-9
+            assert np.abs(out.positions[0][sel] - oracle).max() < 1e-9
 
     def test_monotone_blending_bound(self, rng):
         frames = list(range(6))
         pa = rng.normal(size=(6, 3))
         pb = rng.normal(size=(6, 3))
         d_a = tracklet(pa, frames)
-        d_b = tracklet(pb, frames, tid=1, chunk=1)
+        d_b = tracklet(pb, frames, chunk=1)
         out = reconstruct_boundary(d_a, d_b, frames, PipelineConfig(lambda_sm=1e-300))
         lo = np.minimum(pa, pb) - 1e-9
         hi = np.maximum(pa, pb) + 1e-9
-        assert (out.positions >= lo).all() and (out.positions <= hi).all()
+        assert (out.positions[0] >= lo).all() and (out.positions[0] <= hi).all()
 
     def test_window_too_short(self):
         pos = np.zeros((4, 3))
         d_a = tracklet(pos, range(4))
-        d_b = tracklet(pos, range(4), tid=1)
+        d_b = tracklet(pos, range(4))
         with pytest.raises(WindowTooShort):
             reconstruct_boundary(d_a, d_b, [2], PipelineConfig())
 
@@ -173,13 +190,65 @@ class TestReconstructBoundary:
         pa = np.cumsum(rng.normal(size=(8, 3)), axis=0)
         pb = np.cumsum(rng.normal(size=(8, 3)), axis=0)
         d_a = tracklet(pa, range(8))
-        d_b = tracklet(pb, range(4, 12), tid=1)
+        d_b = tracklet(pb, range(4, 12))
         out = reconstruct_boundary(d_a, d_b, range(5, 9), PipelineConfig(lambda_sm=2.0))
-        pos = {f: p for f, p in zip(out.frames, out.positions)}
+        pos = {f: p for f, p in zip(out.frames, out.positions[0])}
         for f in range(0, 5):
             assert np.array_equal(pos[f], pa[f])
         for f in range(9, 12):
             assert np.array_equal(pos[f], pb[f - 4])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_rows_equal_single_row_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        start, m = int(rng.integers(0, 4)), int(rng.integers(2, 9))
+        frames_a = range(0, start + m + int(rng.integers(0, 3)))
+        frames_b = range(start, start + m + int(rng.integers(1, 4)))
+        pa = np.cumsum(rng.normal(size=(n, len(frames_a), 3)), axis=1)
+        pb = np.cumsum(rng.normal(size=(n, len(frames_b), 3)), axis=1)
+        # legal holes: a missing point in either source
+        pa[rng.random(pa.shape[:2]) < 0.2] = np.nan
+        pb[rng.random(pb.shape[:2]) < 0.2] = np.nan
+        window = range(start, start + m)
+        cfg = PipelineConfig(lambda_sm=float(rng.choice([0.0, 0.1, 1.0, 10.0])))
+        both = reconstruct_boundary(tracklets(pa, frames_a), tracklets(pb, frames_b), window, cfg)
+        for k in range(n):
+            one = reconstruct_boundary(tracklet(pa[k], frames_a), tracklet(pb[k], frames_b),
+                                       window, cfg)
+            assert one.frames == both.frames
+            assert np.array_equal(one.positions[0], both.positions[k], equal_nan=True)
+            assert np.array_equal(one.conf[0], both.conf[k])
+
+    def test_uncovered_frame_filled_by_smoothness(self, rng):
+        pa = np.cumsum(rng.normal(size=(6, 3)), axis=0)
+        pb = np.cumsum(rng.normal(size=(7, 3)), axis=0)
+        pb[3] = np.nan  # frame 6: after d_a ends, and d_b has no point there
+        d_a = tracklet(pa, range(0, 6))
+        d_b = tracklet(pb, range(3, 10))
+        window = range(3, 9)
+        out = reconstruct_boundary(d_a, d_b, window, self.CFG)
+        sel = [k for k, f in enumerate(out.frames) if 3 <= f <= 8]
+        assert np.isfinite(out.positions[0][sel]).all()
+        oracle = dense_boundary_oracle(d_a, d_b, window, self.CFG)
+        assert np.abs(out.positions[0][sel] - oracle).max() < 1e-9
+        assert out.conf[0][out.frames.index(6)] == 0.0
+        # the filled frame sits on the chain between its neighbors
+        x5, x6, x7 = (out.positions[0][out.frames.index(f)] for f in (5, 6, 7))
+        assert np.abs(x6 - (x5 + x7) / 2).max() < 1e-12
+
+    def test_uncovered_frame_without_smoothness_is_nan(self, rng):
+        pa = rng.normal(size=(2, 6, 3))
+        pb = rng.normal(size=(2, 7, 3))
+        pb[1, 3] = np.nan
+        out = reconstruct_boundary(tracklets(pa, range(0, 6)), tracklets(pb, range(3, 10)),
+                                   range(3, 9), PipelineConfig(lambda_sm=0.0))
+        sel = [k for k, f in enumerate(out.frames) if 3 <= f <= 8]
+        assert np.isfinite(out.positions[0][sel]).all()
+        hole = out.frames.index(6)
+        assert np.isnan(out.positions[1][hole]).all()
+        assert np.isfinite(np.delete(out.positions[1], hole, axis=0)).all()
 
 
 def _overlap_poses(rng, n=4, collinear=False):
@@ -193,15 +262,11 @@ def _overlap_poses(rng, n=4, collinear=False):
 
 class TestRefineTransform:
     def _matched_tracklets(self, rng, T_star, n_tracks=6, frames=(0, 1, 2, 3)):
-        tracks_i, tracks_j = [], []
-        for k in range(n_tracks):
-            base = rng.normal(size=3) * 2
-            vel = rng.normal(size=3) * 0.2
-            world = base + np.outer(np.arange(len(frames), dtype=float), vel)
-            tracks_i.append(tracklet(world, frames, tid=k, chunk=0, pixel=(k, 0)))
-            tracks_j.append(tracklet(T_star.apply(world), frames, tid=k, chunk=1, pixel=(k, 0)))
+        base = rng.normal(size=(n_tracks, 1, 3)) * 2
+        vel = rng.normal(size=(n_tracks, 1, 3)) * 0.2
+        world = base + np.arange(len(frames), dtype=float)[:, None] * vel
         matches = MatchSet(tuple((k, k, 0.0) for k in range(n_tracks)), (), ())
-        return matches, tracks_i, tracks_j
+        return matches, tracklets(world, frames), tracklets(T_star.apply(world), frames, chunk=1)
 
     def test_rigid_injected_gauge_recovered(self, rng):
         T_star = SimilarityTransform(1.0, random_rotation(rng), rng.normal(size=3))
@@ -232,7 +297,7 @@ class TestRefineTransform:
         poses = _overlap_poses(rng, n=2)
         cfg = PipelineConfig(lambda_cam=0.0)
         with pytest.raises(NotEnoughPoints):
-            refine_transform(MatchSet((), (), ()), [], [], poses, poses,
+            refine_transform(MatchSet((), (), ()), NO_TRACKS, NO_TRACKS, poses, poses,
                              SimilarityTransform.identity(), cfg)
 
     def test_centers_only_equals_reduced_kabsch(self, rng):
@@ -242,7 +307,7 @@ class TestRefineTransform:
         poses_i = _overlap_poses(rng, n=4)
         poses_j = [T_star.apply_pose(p) for p in poses_i]
         cfg = PipelineConfig(lambda_cam=1.0)
-        T = refine_transform(MatchSet((), (), ()), [], [], poses_i, poses_j,
+        T = refine_transform(MatchSet((), (), ()), NO_TRACKS, NO_TRACKS, poses_i, poses_j,
                              SimilarityTransform.identity(), cfg)
         src = np.stack([p.center for p in poses_j])
         dst = np.stack([p.center for p in poses_i])
@@ -254,10 +319,8 @@ class TestRefineTransform:
         T_star = SimilarityTransform(1.0, random_rotation(rng), rng.normal(size=3))
         matches, ti, tj = self._matched_tracklets(rng, T_star, n_tracks=8)
         # noise on both sides; matches remain all correct
-        ti = [tracklet(t.positions + rng.normal(scale=0.01, size=t.positions.shape),
-                       t.frames, tid=t.tracklet_id) for t in ti]
-        tj = [tracklet(t.positions + rng.normal(scale=0.01, size=t.positions.shape),
-                       t.frames, tid=t.tracklet_id) for t in tj]
+        ti, tj = (tracklets(t.positions + rng.normal(scale=0.01, size=t.positions.shape), t.frames)
+                  for t in (ti, tj))
         poses_i = _overlap_poses(rng)
         poses_j = [T_star.apply_pose(p) for p in poses_i]
         # a deliberately sloppy static estimate
@@ -268,8 +331,8 @@ class TestRefineTransform:
         T_ref = refine_transform(matches, ti, tj, poses_i, poses_j, T_static, cfg)
 
         # evaluate both under the same correspondence weights
-        src = np.concatenate([tj[k].positions for k in range(len(tj))])
-        dst = np.concatenate([ti[k].positions for k in range(len(ti))])
+        src = tj.positions.reshape(-1, 3)
+        dst = ti.positions.reshape(-1, 3)
         resid = np.linalg.norm(T_static.apply(src) - dst, axis=1)
         w = 1.0 / (1.0 + resid / resid.max())
         med = np.median(resid)
@@ -412,3 +475,53 @@ class TestFuseSequence:
                               frame_sink=seen.append)
         assert fused.frames == []
         assert [fp.frame_index for fp in seen] == list(range(12))
+
+
+HOLE_CFG = PipelineConfig(chunk_length=16, overlap=4, seed_stride=1)
+
+
+@pytest.fixture(scope="module")
+def chunks_with_hole():
+    """``identity_span_spec`` chunks with one legal hole: the point of a
+    pixel matched at the first junction is NaN, at confidence 0, in the
+    frame just after the junction. Returns the chunks, the hole's chunk id,
+    tracklet id and pixel."""
+    spec = identity_span_spec()
+    chunks = list(emit_chunks(generate(spec), HOLE_CFG, spec).chunks)
+    _, chunk_j, match_set, _, tracks_j = fuse_sequence(chunks, HOLE_CFG).match_sets[0]
+    b = match_set.matches[0][1]
+    pixel = tuple(tracks_j.pixels[b].tolist())
+    cur = chunks[1]
+    assert cur.chunk_id == chunk_j
+    frame = chunks[0].end_frame + 1
+    fp = cur.frame(frame)
+    points, conf = fp.points.copy(), fp.confidence.copy()
+    points[pixel] = np.nan
+    conf[pixel] = 0.0
+    frames = list(cur.frames)
+    frames[frame - cur.start_frame] = FramePrediction(points, conf, fp.pose, frame)
+    chunks[1] = Chunk(cur.chunk_id, cur.start_frame, cur.end_frame, tuple(frames))
+    return chunks, chunk_j, b, pixel
+
+
+class TestBoundaryHoles:
+    @staticmethod
+    def _trajectory_from(fused, source):
+        (tr,) = [t for t in fused.trajectories if source in t.sources]
+        return tr
+
+    def test_hole_after_junction_is_filled(self, chunks_with_hole):
+        chunks, chunk_j, b, pixel = chunks_with_hole
+        fused = fuse_sequence(chunks, HOLE_CFG)
+        tr = self._trajectory_from(fused, (chunk_j, b, pixel))
+        junction = chunks[0].end_frame
+        bw = HOLE_CFG.boundary_half_width
+        assert tr.frames[0] <= junction - bw + 1 and tr.frames[-1] >= junction + bw
+        assert np.isfinite(tr.positions).all()
+
+    def test_hole_without_smoothness_leaves_match_unstitched(self, chunks_with_hole):
+        chunks, chunk_j, b, pixel = chunks_with_hole
+        fused = fuse_sequence(chunks, PipelineConfig(**{**HOLE_CFG.to_dict(), "lambda_sm": 0.0}))
+        tr = self._trajectory_from(fused, (chunk_j, b, pixel))
+        assert tr.sources[0] == (chunk_j, b, pixel)
+        assert tr.frames[0] == chunks[1].start_frame

@@ -10,7 +10,7 @@ from chunkfuse.model import (
     PipelineConfig,
     Pose,
     SimilarityTransform,
-    Tracklet,
+    TrackletSet,
     transform_apply,
     transform_compose,
 )
@@ -190,21 +190,39 @@ class TestChunk:
             c.frame(8)
 
 
-class TestTracklet:
-    def test_requires_two_positions(self):
+class TestTrackletSet:
+    @staticmethod
+    def _set(frames, n=2, positions=None):
+        positions = np.zeros((n, len(frames), 3)) if positions is None else positions
+        return TrackletSet(0, frames, np.zeros((n, 2), dtype=int), positions,
+                           np.ones((n, len(frames))))
+
+    def test_requires_two_frames(self):
         with pytest.raises(ValueError):
-            Tracklet(0, 0, (0, 0), (3,), np.zeros((1, 3)), np.ones(1), 1.0)
+            self._set((3,))
 
     def test_requires_strictly_increasing_frames(self):
         with pytest.raises(ValueError):
-            Tracklet(0, 0, (0, 0), (3, 3), np.zeros((2, 3)), np.ones(2), 1.0)
+            self._set((3, 3))
         with pytest.raises(ValueError):
-            Tracklet(0, 0, (0, 0), (4, 3), np.zeros((2, 3)), np.ones(2), 1.0)
+            self._set((4, 3))
+
+    def test_array_shapes_checked_once_per_set(self):
+        self._set((0, 1), n=0)
+        with pytest.raises(ValueError):
+            self._set((0, 1), positions=np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError):
+            TrackletSet(0, (0, 1), np.zeros((2, 2), dtype=int), np.zeros((2, 2, 3)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            TrackletSet(0, (0, 1), np.zeros(4, dtype=int), np.zeros((2, 2, 3)), np.ones((2, 2)))
 
     def test_transformed(self, rng):
-        t = Tracklet(0, 0, (1, 2), (0, 1), rng.normal(size=(2, 3)), np.ones(2), 1.0)
+        t = self._set((0, 1), n=3, positions=rng.normal(size=(3, 2, 3)))
         T = random_transform(rng)
-        assert np.allclose(t.transformed(T).positions, T.apply(t.positions), atol=0)
+        moved = t.transformed(T)
+        assert np.array_equal(moved.positions, T.apply(t.positions))
+        assert moved.frames == t.frames and np.array_equal(moved.pixels, t.pixels)
+        assert len(moved) == 3
 
 
 class TestPipelineConfig:
