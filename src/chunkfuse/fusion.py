@@ -20,13 +20,11 @@ from .association import (
     build_tracklets,
     gate_candidates,
     pair_cost,
-    resolve_gamma_p,
 )
-from .chunking import OverlapView, slice_overlap
+from .chunking import slice_overlap
 from .errors import DegenerateConfiguration, NotEnoughPoints, WindowTooShort
 from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform, TrackletSet
 from .registration import (
-    OverlapAbstraction,
     RegistrationReport,
     register_pair,
     select_anchors,

@@ -75,14 +75,6 @@ def chunk_scene_scale(chunk, frames) -> float:
     return _median_distance(pts, cnf, centers)
 
 
-def pair_scene_scale(overlap: OverlapView) -> float:
-    """Median camera-to-point distance of chunk i over the overlap; chunk
-    i's gauge is the pair's working frame."""
-    pts_i, cnf_i, _, _ = overlap.stacked()
-    c_i, _ = overlap.centers()
-    return _median_distance(pts_i, cnf_i, c_i)
-
-
 def _max_pairwise_displacement(points: np.ndarray) -> np.ndarray:
     """Exact max over frame pairs of per-pixel displacement, (H, W).
 
@@ -211,10 +203,6 @@ class RegistrationReport:
     correspondence_count: int
     residual_rms: float
     scene_scale: float
-
-    @property
-    def quality_ok(self) -> bool:
-        return self.anchor_count > 0 and np.isfinite(self.residual_rms)
 
 
 def registration_residual_rms(

@@ -7,6 +7,18 @@ ray-cast against analytic surfaces (bumped wall, spheres, boxes); each
 pixel is bound to the nearest surface point along its first-frame ray and
 tracked through time, so per-pixel point tracks are exact physical
 trajectories.
+
+The wall has no closed-form hit, so each ray is sampled on a fixed grid
+until the height function changes sign and the bracket is bisected. Only
+the grid steps whose height can lie within the wall's relief are
+evaluated, since no sign change can happen outside it. A point is visible
+in a frame when it is in view and nothing lies on its ray more than a
+small tolerance before it. That is an any-hit test up to a known
+distance, so the bisection stops once every ray's bracket lies wholly
+before or beyond that distance. Objects are cast only against the rays that pass
+within their bounding spheres. None of these shortcuts changes a per-ray
+result: ``generate`` gives the same bits as scanning every step, bisecting
+to the end and casting every object against every ray.
 """
 
 from __future__ import annotations
@@ -306,60 +318,90 @@ def _ray_box(origin, dirs, center, half):
     return np.where(hit, near, s)
 
 
-def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap):
-    """First intersection with the bumped wall via sign scan + bisection."""
+_SCAN_STEPS = 96
+_BISECTIONS = 60
+
+
+def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
+    """First intersection with the bumped wall along each ray, inf on a miss.
+
+    A ray is sampled at ``_SCAN_STEPS`` equal steps up to ``s_cap`` or
+    ``s_flat``, whichever is nearer, where ``s_flat`` reaches past the
+    wall's highest point. The first step at which ``g = z - height`` turns
+    positive brackets the hit, which is then bisected ``_BISECTIONS`` times.
+
+    Only the band of steps near the wall is evaluated. The height is
+    ``distance - amplitude * sin * cos`` with ``|sin * cos| <= 1``, and
+    float rounding is monotone, so ``g <= 0`` at every step whose z lies
+    below ``distance - |amplitude|`` and ``g > 0`` at every step whose z
+    lies above ``distance + |amplitude|``. A ray's z does not decrease from
+    one step to the next, so every sign change lies between the last step
+    below the band and the first step above it, and scanning those steps
+    finds the same bracket as scanning the whole grid.
+
+    ``limit`` (per ray) asks only whether the hit lies before it. The
+    bisection then stops as soon as every ray's bracket lies wholly on one
+    side of its limit. Each bracket holds the brackets of all later steps,
+    so the returned midpoint is on the same side of ``limit`` as the full
+    root, but is not the root itself. The rays bisect in lockstep: they
+    usually all decide at the same step, and gathering the undecided ones
+    each step cost more than the steps it saved.
+    """
     flat = dirs.reshape(-1, 3)
-    n = len(flat)
-    s_out = np.full(n, np.inf)
-    dz = flat[:, 2]
-    towards = dz > 1e-12
-    if not towards.any():
-        return s_out.reshape(dirs.shape[:-1])
-    idx = np.nonzero(towards)[0]
+    s_out = np.full(len(flat), np.inf)
+    idx = np.nonzero(flat[:, 2] > 1e-12)[0]
     d = flat[idx]
-    s_flat = (bg.distance + abs(bg.amplitude) + 1.0 - origin[2]) / d[:, 2]
-    cap = np.broadcast_to(np.asarray(s_cap, dtype=np.float64).ravel(), (n,))[idx] \
-        if np.ndim(s_cap) else np.full(len(idx), float(s_cap))
+    oz = origin[2]
+    s_flat = (bg.distance + abs(bg.amplitude) + 1.0 - oz) / d[:, 2]
+    cap = np.broadcast_to(np.asarray(s_cap, dtype=np.float64), dirs.shape[:-1]).ravel()[idx]
     s_hi = np.minimum(s_flat, np.where(np.isfinite(cap), cap, s_flat))
     s_hi = np.maximum(s_hi, 1e-9)
+    grid = np.linspace(0.0, 1.0, _SCAN_STEPS + 1)
 
-    def g(s):
-        p = origin + s[:, None] * d
-        return p[:, 2] - bg.height(p[:, 0], p[:, 1])
+    def g(s, dd):
+        p = origin + s[..., None] * dd
+        return p[..., 2] - bg.height(p[..., 0], p[..., 1])
 
-    steps = 96
-    grid = np.linspace(0.0, 1.0, steps + 1)
-    lo = np.zeros(len(idx))
-    hi = np.full(len(idx), np.nan)
-    prev = g(lo)
-    found = np.zeros(len(idx), dtype=bool)
-    for k in range(1, steps + 1):
-        s_k = grid[k] * s_hi
-        val = g(s_k)
-        new = ~found & (prev <= 0) & (val > 0)
-        lo = np.where(new, grid[k - 1] * s_hi, lo)
-        hi = np.where(new, s_k, hi)
-        found |= new
-        prev = val
-    if found.any():
-        flo = lo[found]
-        fhi = hi[found]
-        dd = d[found]
+    # z of the sample at step k, computed as g computes it
+    def z_at(k):
+        return oz + (grid[k] * s_hi) * d[:, 2]
 
-        def gf(s):
-            p = origin + s[:, None] * dd
-            return p[:, 2] - bg.height(p[:, 0], p[:, 1])
+    # The padding keeps the band safe should sin or cos round past +-1.
+    reach = abs(bg.amplitude) + 1e-9 * (abs(bg.distance) + abs(bg.amplitude))
+    z_lo, z_hi = bg.distance - reach, bg.distance + reach
+    rise = s_hi * d[:, 2] / _SCAN_STEPS
+    first = np.clip(np.floor((z_lo - oz) / rise) - 1, 0, _SCAN_STEPS).astype(np.intp)
+    last = np.clip(np.ceil((z_hi - oz) / rise) + 1, 0, _SCAN_STEPS).astype(np.intp)
+    # The estimate is exact to a few ulps; should it miss, scan every step.
+    off = ((first > 0) & (z_at(first) > z_lo)) | ((last < _SCAN_STEPS) & (z_at(last) <= z_hi))
+    first[off] = 0
+    last[off] = _SCAN_STEPS
 
-        for _ in range(60):
-            mid = 0.5 * (flo + fhi)
-            val = gf(mid)
-            neg = val <= 0
-            flo = np.where(neg, mid, flo)
-            fhi = np.where(neg, fhi, mid)
-        s_root = 0.5 * (flo + fhi)
-        tmp = np.full(len(idx), np.inf)
-        tmp[found] = s_root
-        s_out[idx] = tmp
+    rows = np.nonzero(last > first)[0]
+    if not rows.size:
+        return s_out.reshape(dirs.shape[:-1])
+    width = int((last[rows] - first[rows]).max()) + 1
+    steps = np.minimum(first[rows, None] + np.arange(width), _SCAN_STEPS)
+    s = grid[steps] * s_hi[rows, None]
+    val = g(s, d[rows, None, :])
+    cross = (val[:, :-1] <= 0) & (val[:, 1:] > 0)
+    hit = np.nonzero(cross.any(axis=1))[0]
+    at = cross[hit].argmax(axis=1)
+    flo = s[hit, at]
+    fhi = s[hit, at + 1]
+    rows = rows[hit]
+    dd = d[rows]
+
+    if limit is not None:
+        lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[idx[rows]]
+    for _ in range(_BISECTIONS):
+        if limit is not None and not ((flo < lim) & (lim <= fhi)).any():
+            break
+        mid = 0.5 * (flo + fhi)
+        neg = g(mid, dd) <= 0
+        flo = np.where(neg, mid, flo)
+        fhi = np.where(neg, fhi, mid)
+    s_out[idx[rows]] = 0.5 * (flo + fhi)
     return s_out.reshape(dirs.shape[:-1])
 
 
@@ -404,23 +446,50 @@ def _object_offsets(spec: SceneSpec) -> np.ndarray:
     return np.stack([o.trajectory.offsets(spec.num_frames) for o in spec.objects])
 
 
-def _cast_all(origin, dirs, spec: SceneSpec, offsets_t: np.ndarray, s_cap=np.inf):
+def _near_bounds(origin, dirs, centers, radii):
+    """(N, M) mask: ray n passes within bounding sphere m.
+
+    The test is on the squared distance from each center to each ray's
+    line, the quantity ``_ray_sphere`` also tests. The spheres are
+    inflated by 0.1% and by a rounding allowance, so no ray that hits an
+    object is dropped.
+    """
+    rel = centers - origin
+    dist2 = (rel**2).sum(axis=1)
+    miss2 = dist2 - (dirs @ rel.T) ** 2
+    return miss2 <= (1.001 * radii) ** 2 + 1e-12 * dist2
+
+
+def _cast_all(origin, dirs, spec: SceneSpec, offsets_t: np.ndarray, s_cap=np.inf, limit=None):
     """Nearest hit over background and all objects: (s, owner id).
 
-    Owner is -1 for the background, the object index otherwise.
+    Owner is -1 for the background, the object index otherwise, and -2
+    where nothing is hit. Each object is cast only against the rays that
+    pass within its slightly inflated bounding sphere; the rest cannot hit
+    it. ``limit`` is passed to the wall scan, so where it is given, ``s`` is
+    exact for objects but only on the right side of ``limit`` for the wall.
     """
-    best_s = _ray_background(origin, dirs, spec.background, s_cap)
+    best_s = _ray_background(origin, dirs, spec.background, s_cap, limit).ravel()
     best_id = np.where(np.isfinite(best_s), -1, -2)
-    for m, obj in enumerate(spec.objects):
-        center = np.asarray(obj.position) + offsets_t[m]
-        if obj.shape == "sphere":
-            s = _ray_sphere(origin, dirs, center, obj.size[0])
-        else:
-            s = _ray_box(origin, dirs, center, obj.size)
-        closer = s < best_s
-        best_s = np.where(closer, s, best_s)
-        best_id = np.where(closer, m, best_id)
-    return best_s, best_id
+    if spec.objects:
+        flat = dirs.reshape(-1, 3)
+        centers = np.array([obj.position for obj in spec.objects], dtype=np.float64) + offsets_t
+        radii = np.array([obj.size[0] if obj.shape == "sphere" else math.hypot(*obj.size)
+                          for obj in spec.objects])
+        near = _near_bounds(origin, flat, centers, radii)
+        for m, obj in enumerate(spec.objects):
+            rows = np.nonzero(near[:, m])[0]
+            if not rows.size:
+                continue
+            if obj.shape == "sphere":
+                s = _ray_sphere(origin, flat[rows], centers[m], obj.size[0])
+            else:
+                s = _ray_box(origin, flat[rows], centers[m], obj.size)
+            closer = s < best_s[rows]
+            best_s[rows[closer]] = s[closer]
+            best_id[rows[closer]] = m
+    shape = dirs.shape[:-1]
+    return best_s.reshape(shape), best_id.reshape(shape)
 
 
 def generate(spec: SceneSpec) -> GroundTruth:
@@ -479,7 +548,8 @@ def generate(spec: SceneSpec) -> GroundTruth:
         in_frame = in_front & (u >= -0.5) & (u <= spec.width - 0.5) & (v >= -0.5) & (v <= spec.height - 0.5)
         dist = np.linalg.norm(points[t] - o, axis=-1)
         rays = (points[t] - o) / np.maximum(dist, 1e-12)[..., None]
-        s_hit, _ = _cast_all(o, rays, spec, offsets[:, t] if spec.objects else offsets[:, :0], s_cap=dist + tol)
+        s_hit, _ = _cast_all(o, rays, spec, offsets[:, t] if spec.objects else offsets[:, :0],
+                             s_cap=dist + tol, limit=dist - tol)
         unoccluded = s_hit >= dist - tol
         vis = in_frame & unoccluded
         for m, obj in enumerate(spec.objects):

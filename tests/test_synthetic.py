@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chunkfuse import synthetic
 from chunkfuse.errors import InvalidSpec
 from chunkfuse.model import PipelineConfig
 from chunkfuse.synthetic import (
@@ -10,6 +15,10 @@ from chunkfuse.synthetic import (
     ObjectSpec,
     SceneSpec,
     TrajectorySpec,
+    _near_bounds,
+    _ray_background,
+    _ray_box,
+    _ray_sphere,
     emit_chunks,
     generate,
 )
@@ -236,3 +245,189 @@ class TestEmitChunks:
             assert np.array_equal(fp.pose.rotation, want.rotation)
             delta = np.linalg.norm(fp.pose.center - want.center)
             assert 0 < delta < 6 * 0.01 * gt.scene_scale
+
+
+# ---------------------------------------------------------------------------
+# Reference casts: the full 96-step wall scan with 60 bisections on every
+# ray, and every object cast against every ray. ``generate`` must give the
+# same bits with its band-limited scan, culled object casts and any-hit
+# visibility test.
+
+
+def reference_ray_background(origin, dirs, bg, s_cap):
+    flat = dirs.reshape(-1, 3)
+    n = len(flat)
+    s_out = np.full(n, np.inf)
+    towards = flat[:, 2] > 1e-12
+    if not towards.any():
+        return s_out.reshape(dirs.shape[:-1])
+    idx = np.nonzero(towards)[0]
+    d = flat[idx]
+    s_flat = (bg.distance + abs(bg.amplitude) + 1.0 - origin[2]) / d[:, 2]
+    cap = np.broadcast_to(np.asarray(s_cap, dtype=np.float64).ravel(), (n,))[idx] \
+        if np.ndim(s_cap) else np.full(len(idx), float(s_cap))
+    s_hi = np.minimum(s_flat, np.where(np.isfinite(cap), cap, s_flat))
+    s_hi = np.maximum(s_hi, 1e-9)
+
+    def g(s, dd):
+        p = origin + s[:, None] * dd
+        return p[:, 2] - bg.height(p[:, 0], p[:, 1])
+
+    grid = np.linspace(0.0, 1.0, 97)
+    lo = np.zeros(len(idx))
+    hi = np.full(len(idx), np.nan)
+    prev = g(lo, d)
+    found = np.zeros(len(idx), dtype=bool)
+    for k in range(1, 97):
+        s_k = grid[k] * s_hi
+        val = g(s_k, d)
+        new = ~found & (prev <= 0) & (val > 0)
+        lo = np.where(new, grid[k - 1] * s_hi, lo)
+        hi = np.where(new, s_k, hi)
+        found |= new
+        prev = val
+    if found.any():
+        flo, fhi, dd = lo[found], hi[found], d[found]
+        for _ in range(60):
+            mid = 0.5 * (flo + fhi)
+            neg = g(mid, dd) <= 0
+            flo = np.where(neg, mid, flo)
+            fhi = np.where(neg, fhi, mid)
+        tmp = np.full(len(idx), np.inf)
+        tmp[found] = 0.5 * (flo + fhi)
+        s_out[idx] = tmp
+    return s_out.reshape(dirs.shape[:-1])
+
+
+def reference_cast_all(origin, dirs, spec, offsets_t, s_cap=np.inf, limit=None):
+    best_s = reference_ray_background(origin, dirs, spec.background, s_cap)
+    best_id = np.where(np.isfinite(best_s), -1, -2)
+    for m, obj in enumerate(spec.objects):
+        center = np.asarray(obj.position) + offsets_t[m]
+        if obj.shape == "sphere":
+            s = _ray_sphere(origin, dirs, center, obj.size[0])
+        else:
+            s = _ray_box(origin, dirs, center, obj.size)
+        closer = s < best_s
+        best_s = np.where(closer, s, best_s)
+        best_id = np.where(closer, m, best_id)
+    return best_s, best_id
+
+
+def reference_generate(spec, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(synthetic, "_cast_all", reference_cast_all)
+        return generate(spec)
+
+
+def grazing_wall_spec():
+    """A tall bumpy wall seen at a grazing angle from a rising camera: the
+    wall's own bumps hide some of its points in later frames."""
+    return SceneSpec(num_frames=6, height=16, width=16, seed=0,
+                     background=BackgroundSpec(distance=6.0, amplitude=1.2, frequency=1.5),
+                     camera=CameraSpec(kind="dolly", start=(-3.0, 0.5, 3.0), target=(2.0, 0.0, 6.0),
+                                       velocity=(0.0, 0.3, 0.15)))
+
+
+def in_frame(gt, t):
+    spec = gt.spec
+    focal = 0.5 * (spec.width - 1) / math.tan(math.radians(spec.camera.fov_deg) / 2.0)
+    rel = (gt.points[t] - gt.poses[t].center) @ gt.poses[t].rotation
+    u = (spec.width - 1) / 2.0 + focal * rel[..., 0] / rel[..., 2]
+    v = (spec.height - 1) / 2.0 + focal * rel[..., 1] / rel[..., 2]
+    return (rel[..., 2] > 1e-6) & (np.abs(u - (spec.width - 1) / 2.0) <= spec.width / 2.0) \
+        & (np.abs(v - (spec.height - 1) / 2.0) <= spec.height / 2.0)
+
+
+PARITY_SCENES = {
+    "sphere_and_box": SceneSpec(
+        num_frames=5, height=14, width=14, seed=2,
+        objects=(sphere(), ObjectSpec(shape="box", size=(0.3, 0.2, 0.25), position=(0.7, -0.2, 3.5),
+                                      trajectory=TrajectorySpec(velocity=(-0.04, 0.02, 0.01)))),
+        camera=static_camera()),
+    "visible_ranges": SceneSpec(
+        num_frames=8, height=12, width=12, seed=4,
+        objects=(ObjectSpec(shape="sphere", size=(0.45,) * 3, position=(-0.3, 0.1, 3.8),
+                            trajectory=TrajectorySpec(velocity=(0.05, 0.0, 0.0)),
+                            visible_ranges=((0, 2), (5, 7))),),
+        camera=static_camera()),
+    "orbit": SceneSpec(
+        num_frames=10, height=12, width=12, seed=9,
+        objects=(sphere(), ObjectSpec(shape="box", size=(0.25,) * 3, position=(0.8, 0.3, 3.2),
+                                      trajectory=TrajectorySpec(velocity=(-0.03, 0.0, 0.02)))),
+        camera=CameraSpec(kind="orbit", target=(0, 0, 4.0), start=(0.3, 0.1, -1.2),
+                          rate=0.03, bob=0.05)),
+    "grazing_wall": grazing_wall_spec(),
+}
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("name", sorted(PARITY_SCENES))
+    def test_generate_matches_reference_bytes(self, name, monkeypatch):
+        spec = PARITY_SCENES[name]
+        got = generate(spec)
+        want = reference_generate(spec, monkeypatch)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.visible.tobytes() == want.visible.tobytes()
+        assert got.object_ids.tobytes() == want.object_ids.tobytes()
+        assert got.scene_scale == want.scene_scale
+        assert all(p.matrix().tobytes() == q.matrix().tobytes()
+                   for p, q in zip(got.poses, want.poses))
+
+    def test_grazing_wall_hides_its_own_points(self):
+        gt = generate(grazing_wall_spec())
+        hidden = sum(int((in_frame(gt, t) & ~gt.visible[t]).sum()) for t in range(gt.num_frames))
+        shown = sum(int(gt.visible[t].sum()) for t in range(1, gt.num_frames))
+        assert (gt.object_ids == -1).all()
+        assert hidden > 0 and shown > 0
+
+    def test_any_hit_decision_at_the_limit(self):
+        # Limits on, just below and just above each reference root: the
+        # stopped bisection must land on the same side as the full one.
+        spec = grazing_wall_spec()
+        gt = generate(spec)
+        o = gt.poses[2].center
+        rays = gt.points[0] - o
+        rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+        cap = 40.0
+        root = reference_ray_background(o, rays, spec.background, cap)
+        hit = np.isfinite(root)
+        assert hit.mean() > 0.9
+        rays, root = rays[hit], root[hit]
+        for limit in (root, np.nextafter(root, 0.0), np.nextafter(root, np.inf),
+                      0.5 * root, 2.0 * root, root * (1 + 1e-7)):
+            got = _ray_background(o, rays, spec.background, cap, limit)
+            assert np.array_equal(got >= limit, root >= limit)
+        assert np.array_equal(_ray_background(o, rays, spec.background, cap), root)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["sphere", "box"]),
+    inside=st.booleans(),
+    half=st.tuples(*[st.floats(0.01, 2.0)] * 3),
+    span=st.floats(0.1, 50.0),
+)
+def test_cull_keeps_every_hit(seed, shape, inside, half, span):
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-span, span, size=3)
+    half = np.asarray(half)
+    radius = half[0] if shape == "sphere" else float(np.linalg.norm(half))
+    offset = _unit(rng.normal(size=3)) * radius * (
+        rng.uniform(0.0, 0.999) if inside else rng.uniform(1.001, 30.0))
+    origin = center + offset
+    # aim most rays at points scattered around the bounding sphere, so
+    # many graze it; the rest point anywhere
+    aims = center + rng.normal(size=(300, 3)) * radius
+    dirs = np.concatenate([_unit(aims - origin), _unit(rng.normal(size=(100, 3)))])
+    if shape == "sphere":
+        s = _ray_sphere(origin, dirs, center, radius)
+    else:
+        s = _ray_box(origin, dirs, center, tuple(half))
+    near = _near_bounds(origin, dirs, center[None], np.array([radius]))[:, 0]
+    assert near[np.isfinite(s)].all()
