@@ -33,8 +33,6 @@ from .model import (
     Pose,
     SimilarityTransform,
     TrackletSet,
-    transform_apply,
-    transform_compose,
 )
 from .registration import (
     OverlapAbstraction,

@@ -19,7 +19,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .model import Chunk, PipelineConfig, SimilarityTransform, TrackletSet
+from .model import Chunk, PipelineConfig, SimilarityTransform, TrackletSet, finite3, norm3
 from .registration import OverlapAbstraction
 
 VEL_EPS = 1e-9
@@ -92,8 +92,8 @@ def build_tracklets(
     cnf = np.stack([p.confidence[rows, cols] for p in preds], axis=1)
     with np.errstate(invalid="ignore"):
         # net displacement over the window; robust to noise, unlike path length
-        disp = np.linalg.norm(pos[:, -1] - pos[:, 0], axis=-1)
-    keep = (cnf.mean(axis=1) > cfg.gamma_c) & np.isfinite(pos).all(axis=(1, 2))
+        disp = norm3(pos[:, -1] - pos[:, 0])
+    keep = (cnf.mean(axis=1) > cfg.gamma_c) & finite3(pos).all(axis=1)
     keep &= disp >= min_disp
     return TrackletSet(
         source_chunk=chunk.chunk_id,
@@ -126,12 +126,12 @@ def pair_cost(
     pb = tracklets_j.positions[candidates[:, 1]]
     dt = np.diff(np.asarray(tracklets_i.frames, dtype=np.float64))[:, None]
 
-    l_traj = np.linalg.norm(pa - pb, axis=-1).mean(axis=-1) / scene_scale
+    l_traj = norm3(pa - pb).mean(axis=-1) / scene_scale
 
     va = np.diff(pa, axis=1) / dt
     vb = np.diff(pb, axis=1) / dt
-    sa = np.linalg.norm(va, axis=-1)
-    sb = np.linalg.norm(vb, axis=-1)
+    sa = norm3(va)
+    sb = norm3(vb)
     l_vel = (np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean(axis=-1)
 
     cos = np.clip((va * vb).sum(axis=-1) / (sa * sb + VEL_EPS**2), -1.0, 1.0)
@@ -148,7 +148,7 @@ def resolve_gamma_p(
     if cfg.gamma_p is not None:
         return cfg.gamma_p
     steps = np.concatenate([
-        np.linalg.norm(np.diff(t.positions, axis=1), axis=-1).mean(axis=-1)
+        norm3(np.diff(t.positions, axis=1)).mean(axis=-1)
         for t in (tracklets_i, tracklets_j)
     ])
     if not steps.size:
@@ -180,7 +180,7 @@ def gate_candidates(
     counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
     a = np.repeat(np.arange(len(hits), dtype=np.intp), counts)
     b = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
-    near = np.linalg.norm(terms_i[a] - terms_j[b], axis=-1) < radius
+    near = norm3(terms_i[a] - terms_j[b]) < radius
     return np.stack([a[near], b[near]], axis=1)
 
 

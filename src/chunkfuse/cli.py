@@ -11,14 +11,20 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
 
 from . import io as cio
 from .chunking import slice_overlap
 from .errors import InvalidConfig, InvalidSpec, KeyMismatch, MalformedContainer
 from .fusion import fuse_sequence
-from .metrics import align_trajectories, ate, dense_epe, format_metrics_table, rpe
+from .metrics import (
+    align_trajectories,
+    ate,
+    build_fused_table,
+    dense_epe,
+    format_metrics_table,
+    rpe,
+)
 from .model import PipelineConfig
 from .synthetic import emit_chunks, generate
 
@@ -77,29 +83,6 @@ def _resolve_gt_dir(path: Path) -> Path:
     raise MalformedContainer(f"no ground-truth container under {path}")
 
 
-def _pred_table(pred_dir: Path, fused, stride: int):
-    points = np.stack([fp.points for fp in fused.frames])
-    table = {
-        (r, c): points[:, r, c, :]
-        for r in range(0, points.shape[1], stride)
-        for c in range(0, points.shape[2], stride)
-    }
-    meta_path = pred_dir.parent / "trajectories_meta.json"
-    traj_path = pred_dir.parent / "trajectories.txt"
-    if meta_path.is_file() and traj_path.is_file():
-        meta = json.loads(meta_path.read_text())
-        for tid, frames, positions in cio.read_trajectories(traj_path):
-            sources = meta.get(str(tid), {}).get("sources", [])
-            if not sources:
-                continue
-            root = (sources[0][2], sources[0][3])
-            if root in table:
-                track = table[root].copy()
-                track[frames] = positions
-                table[root] = track
-    return table
-
-
 def _cmd_evaluate(args) -> int:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = set(wanted) - {"epe", "ate", "rpe", "assoc"}
@@ -138,7 +121,12 @@ def _cmd_evaluate(args) -> int:
         report["rpe_rot"] = r
         report["rpe_delta"] = args.rpe_delta
     if "epe" in wanted:
-        pred_table = _pred_table(pred_dir, fused, args.epe_stride)
+        out_dir = pred_dir.parent
+        have_tracks = all((out_dir / name).is_file()
+                          for name in ("trajectories.txt", "trajectories_meta.json"))
+        trajectories = cio.read_fused_trajectories(out_dir) if have_tracks else []
+        pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories),
+                                       stride=args.epe_stride)
         gt_table = gt.trajectory_table(stride=args.epe_stride)
         value = dense_epe(pred_table, gt_table, align=not args.no_align)
         row["epe"] = value

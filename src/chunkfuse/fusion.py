@@ -23,7 +23,16 @@ from .association import (
 )
 from .chunking import slice_overlap
 from .errors import DegenerateConfiguration, NotEnoughPoints, WindowTooShort
-from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform, TrackletSet
+from .model import (
+    Chunk,
+    FramePrediction,
+    PipelineConfig,
+    Pose,
+    SimilarityTransform,
+    TrackletSet,
+    finite3,
+    norm3,
+)
 from .registration import (
     RegistrationReport,
     register_pair,
@@ -76,7 +85,7 @@ def refine_transform(
         src = tracklets_j.positions[b].reshape(-1, 3)
         dst = tracklets_i.positions[a].reshape(-1, 3)
         conf = np.sqrt(tracklets_i.conf[a] * tracklets_j.conf[b]).reshape(-1)
-        residual = np.linalg.norm(initial.apply(src) - dst, axis=1)
+        residual = norm3(initial.apply(src) - dst)
         rmax = residual.max()
         scaled = residual / rmax if rmax > 0 else residual
         track_w = conf / (1.0 + scaled)
@@ -200,7 +209,7 @@ def _frame_data(tracks: TrackletSet, frames) -> tuple[np.ndarray, np.ndarray, np
     present = np.array([f in col for f in frames])
     idx = [col.get(f, 0) for f in frames]
     pos = tracks.positions[:, idx]
-    has = present & np.isfinite(pos).all(axis=-1)
+    has = present & finite3(pos)
     pos = np.where(has[..., None], pos, 0.0)
     conf = np.where(present, tracks.conf[:, idx], 0.0)
     return pos, conf, has
@@ -297,8 +306,11 @@ class Trajectory:
         pos = np.asarray(self.positions, dtype=np.float64).copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        if any(b - a != 1 for a, b in zip(self.frames, self.frames[1:])):
+        frames = tuple(self.frames)
+        if frames and frames != tuple(range(frames[0], frames[0] + len(frames))):
             raise ValueError("trajectory frames must be contiguous and increasing")
+        if pos.shape != (len(frames), 3):
+            raise ValueError(f"positions must be {(len(frames), 3)}, got {pos.shape}")
 
 
 class _TrajectoryBuilder:
@@ -376,7 +388,7 @@ class _Stitcher:
         rebuilt = reconstruct_boundary(_pixel_tracks(prev, raw_i.pixels[rows_a], G_prev),
                                        _pixel_tracks(cur, raw_j.pixels[rows_b], G_cur), window, cfg)
         tail = rebuilt.positions[:, window[0] - prev.start_frame:]
-        stitched = np.isfinite(tail[:, : len(window)]).all(axis=(1, 2))
+        stitched = finite3(tail[:, : len(window)]).all(axis=1)
 
         new_open: dict[tuple[int, int], _TrajectoryBuilder] = {}
         for k in np.flatnonzero(stitched).tolist():

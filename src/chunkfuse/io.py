@@ -5,12 +5,38 @@ arrays: 32-bit floats, little-endian, row-major. Chunk containers carry
 ``points`` [T][H][W][3], ``confidence`` [T][H][W], and ``poses`` [T][4][4]
 (camera-to-world, last row exactly 0,0,0,1). Readers reject unknown format
 versions and any shape or byte-count mismatch.
+
+Sidecar files
+-------------
+``chunkfuse fuse`` writes the fused frames as a chunk container under
+``fused/`` and, next to it:
+
+- ``transforms.json``: per chunk, the similarity into the first chunk's
+  gauge, ``{"scale", "rotation" (9 values, row-major), "translation"}``.
+- ``report.json``: per junction, the tier taken, the stage counts, the
+  static residual and the pair transform.
+- ``matches.json``: per junction, ``{"chunk_i", "chunk_j", "matches",
+  "tracklets_i", "tracklets_j"}``. A match is ``[a, b, cost, [row, col] of
+  a, [row, col] of b]``, a tracklet ``[id, row, col]``.
+- ``trajectories.txt``: one trajectory per line, its id and then
+  ``frame x y z`` for every frame, coordinates as ``repr`` of the float.
+- ``trajectories_meta.json``: ``{"<id>": {"sources": [[chunk, tracklet,
+  row, col], ...]}}``, the tracklets each trajectory was stitched from.
+
+Every JSON sidecar and manifest is byte-compatible with
+``json.dumps(obj, indent=1)`` plus a newline. ``matches.json`` and
+``trajectories_meta.json`` are written from per-row ``%`` templates, with
+floats as ``float.__repr__`` and empty containers as ``[]``/``{}``, because
+the pure-Python JSON encoder dominated a dense fuse; match costs must be
+finite there.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -30,17 +56,38 @@ POSE_STORAGE_TOL = 1e-4
 # Raw arrays and manifests
 
 
-def _write_array(directory: Path, name: str, data: np.ndarray) -> dict:
-    rel = f"{name}.bin"
-    arr = np.ascontiguousarray(data, dtype="<f4")
-    arr.tofile(directory / rel)
+def _array_entry(name: str, shape) -> dict:
     return {
         "name": name,
         "dtype": "float32",
-        "shape": list(arr.shape),
-        "path": rel,
+        "shape": list(shape),
+        "path": f"{name}.bin",
         "byte_order": "little",
     }
+
+
+def _write_array(directory: Path, name: str, data: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(data, dtype="<f4")
+    arr.tofile(directory / f"{name}.bin")
+    return _array_entry(name, arr.shape)
+
+
+def _write_manifest(directory: Path, kind: str, chunk_id: int, start: int, end: int,
+                    grid: tuple[int, int], arrays: list[dict], **extra) -> None:
+    """``manifest.json`` of a container; ``extra`` fields go before the arrays."""
+    H, W = grid
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "chunk_id": chunk_id,
+        "start_frame": start,
+        "end_frame": end,
+        "height": H,
+        "width": W,
+        **extra,
+        "arrays": arrays,
+    }
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 def _read_array(directory: Path, entry: dict) -> np.ndarray:
@@ -99,22 +146,13 @@ def write_chunk(chunk: Chunk, directory) -> None:
     confidence = np.stack([fp.confidence for fp in chunk.frames])
     poses = np.stack([fp.pose.matrix() for fp in chunk.frames])
     poses[:, 3, :] = np.array([0.0, 0.0, 0.0, 1.0])
-    H, W = chunk.grid_shape
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "chunk",
-        "chunk_id": chunk.chunk_id,
-        "start_frame": chunk.start_frame,
-        "end_frame": chunk.end_frame,
-        "height": H,
-        "width": W,
-        "arrays": [
-            _write_array(directory, "points", points),
-            _write_array(directory, "confidence", confidence),
-            _write_array(directory, "poses", poses),
-        ],
-    }
-    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1) + "\n")
+    arrays = [
+        _write_array(directory, "points", points),
+        _write_array(directory, "confidence", confidence),
+        _write_array(directory, "poses", poses),
+    ]
+    _write_manifest(directory, "chunk", chunk.chunk_id, chunk.start_frame, chunk.end_frame,
+                    chunk.grid_shape, arrays)
 
 
 def read_chunk(directory) -> Chunk:
@@ -227,24 +265,13 @@ class StreamingFrameWriter:
             raise ValueError("no frames were written")
         H, W = self._grid
         T = self._count
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "kind": "chunk",
-            "chunk_id": 0,
-            "start_frame": self._start,
-            "end_frame": self._start + T - 1,
-            "height": H,
-            "width": W,
-            "arrays": [
-                {"name": "points", "dtype": "float32", "shape": [T, H, W, 3],
-                 "path": "points.bin", "byte_order": "little"},
-                {"name": "confidence", "dtype": "float32", "shape": [T, H, W],
-                 "path": "confidence.bin", "byte_order": "little"},
-                {"name": "poses", "dtype": "float32", "shape": [T, 4, 4],
-                 "path": "poses.bin", "byte_order": "little"},
-            ],
-        }
-        (self.directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1) + "\n")
+        arrays = [
+            _array_entry("points", [T, H, W, 3]),
+            _array_entry("confidence", [T, H, W]),
+            _array_entry("poses", [T, 4, 4]),
+        ]
+        _write_manifest(self.directory, "chunk", 0, self._start, self._start + T - 1,
+                        self._grid, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +282,14 @@ def write_ground_truth(gt: GroundTruth, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     poses = np.stack([p.matrix() for p in gt.poses])
-    H, W = gt.grid_shape
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "ground_truth",
-        "chunk_id": -1,
-        "start_frame": 0,
-        "end_frame": gt.num_frames - 1,
-        "height": H,
-        "width": W,
-        "scene_scale": gt.scene_scale,
-        "arrays": [
-            _write_array(directory, "points", gt.points),
-            _write_array(directory, "poses", poses),
-            _write_array(directory, "object_ids", gt.object_ids.astype(np.float64)),
-            _write_array(directory, "visible", gt.visible.astype(np.float64)),
-        ],
-    }
-    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1) + "\n")
+    arrays = [
+        _write_array(directory, "points", gt.points),
+        _write_array(directory, "poses", poses),
+        _write_array(directory, "object_ids", gt.object_ids.astype(np.float64)),
+        _write_array(directory, "visible", gt.visible.astype(np.float64)),
+    ]
+    _write_manifest(directory, "ground_truth", -1, 0, gt.num_frames - 1, gt.grid_shape, arrays,
+                    scene_scale=gt.scene_scale)
     (directory / "scene_spec.json").write_text(json.dumps(spec_to_dict(gt.spec), indent=1) + "\n")
 
 
@@ -341,11 +358,14 @@ def read_gauges(path) -> list[SimilarityTransform]:
 
 def write_trajectories(trajectories: list[Trajectory], path) -> None:
     """One trajectory per line: id, then flattened (frame, x, y, z) tuples."""
+    positions = [tr.positions for tr in trajectories] or [np.empty((0, 3))]
+    coords = map(repr, np.concatenate(positions).ravel().tolist())
+    # zip over one iterator three times groups the coordinates by point
+    points = map("%s %s %s".__mod__, zip(coords, coords, coords))
     lines = []
     for tr in trajectories:
         parts = [str(tr.trajectory_id)]
-        for f, (x, y, z) in zip(tr.frames, tr.positions.tolist()):
-            parts.append(f"{f} {x!r} {y!r} {z!r}")
+        parts += map("%d %s".__mod__, zip(tr.frames, islice(points, len(tr.frames))))
         lines.append(" ".join(parts))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
@@ -365,14 +385,79 @@ def read_trajectories(path) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out
 
 
+def read_fused_trajectories(directory) -> list[Trajectory]:
+    """The trajectories of a fuse output directory, rebuilt from
+    ``trajectories.txt`` and ``trajectories_meta.json``; one the meta file
+    does not list has no sources."""
+    directory = Path(directory)
+    try:
+        meta = json.loads((directory / "trajectories_meta.json").read_text())
+        return [
+            Trajectory(
+                trajectory_id=tid,
+                frames=tuple(frames.tolist()),
+                positions=positions,
+                sources=tuple((c, t, (r, col)) for c, t, r, col
+                              in meta.get(str(tid), {}).get("sources", [])),
+            )
+            for tid, frames, positions in read_trajectories(directory / "trajectories.txt")
+        ]
+    except ValueError as e:
+        raise MalformedContainer(f"bad trajectory files in {directory}: {e}") from e
+
+
+# Rows of the two large sidecars, laid out as json.dumps(obj, indent=1) lays
+# out a list three levels deep.
+_SOURCE_ROW = "   [\n    %d,\n    %d,\n    %d,\n    %d\n   ]"
+_TRACKLET_ROW = "   [\n    %d,\n    %d,\n    %d\n   ]"
+_MATCH_ROW = (
+    "   [\n    %d,\n    %d,\n    %s,\n"
+    "    [\n     %d,\n     %d\n    ],\n"
+    "    [\n     %d,\n     %d\n    ]\n   ]"
+)
+_TRAJECTORY_ENTRY = ' "%d": {\n  "sources": %s\n }'
+_JUNCTION_ENTRY = (
+    ' {\n  "chunk_i": %d,\n  "chunk_j": %d,\n  "matches": %s,\n'
+    '  "tracklets_i": %s,\n  "tracklets_j": %s\n }'
+)
+
+
+def _json_container(rows: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON list (or object) of preformatted rows whose closing bracket
+    sits at ``indent``; empty, it is ``[]`` (``{}``) as json.dumps writes it."""
+    if not rows:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(rows) + f"\n{indent}{brackets[1]}"
+
+
 def write_trajectory_meta(trajectories: list[Trajectory], path) -> None:
-    meta = {
-        str(tr.trajectory_id): {
-            "sources": [[int(c), int(t), int(px[0]), int(px[1])] for c, t, px in tr.sources]
-        }
-        for tr in trajectories
-    }
-    Path(path).write_text(json.dumps(meta, indent=1) + "\n")
+    # through a dict, so a repeated id keeps its first place and last value
+    meta = {tr.trajectory_id: tr.sources for tr in trajectories}
+    entries = [
+        _TRAJECTORY_ENTRY % (tid, _json_container(
+            [_SOURCE_ROW % (c, t, px[0], px[1]) for c, t, px in sources], "  "))
+        for tid, sources in meta.items()
+    ]
+    Path(path).write_text(_json_container(entries, "", "{}") + "\n")
+
+
+def write_matches(match_sets, path) -> None:
+    """One record per junction: its matches with costs and pixels, and the
+    (id, row, col) of every tracklet on each side."""
+    junctions = []
+    for chunk_i, chunk_j, match_set, tr_i, tr_j in match_sets:
+        pix_i, pix_j = tr_i.pixels.tolist(), tr_j.pixels.tolist()
+        if not all(math.isfinite(c) for _, _, c in match_set.matches):
+            raise ValueError(f"junction {chunk_i}-{chunk_j}: match costs must be finite")
+        matches = [_MATCH_ROW % (a, b, float.__repr__(c), *pix_i[a], *pix_j[b])
+                   for a, b, c in match_set.matches]
+        tracklets = [
+            _json_container([_TRACKLET_ROW % (k, r, c) for k, (r, c) in enumerate(pix)], "  ")
+            for pix in (pix_i, pix_j)
+        ]
+        junctions.append(_JUNCTION_ENTRY % (chunk_i, chunk_j, _json_container(matches, "  "),
+                                            *tracklets))
+    Path(path).write_text(_json_container(junctions, "") + "\n")
 
 
 def write_fusion_outputs(fused: FusedScene, directory) -> None:
@@ -401,19 +486,7 @@ def write_fusion_outputs(fused: FusedScene, directory) -> None:
     (directory / "report.json").write_text(json.dumps(report, indent=1) + "\n")
     write_trajectories(fused.trajectories, directory / "trajectories.txt")
     write_trajectory_meta(fused.trajectories, directory / "trajectories_meta.json")
-    dumps = []
-    for chunk_i, chunk_j, match_set, tr_i, tr_j in fused.match_sets:
-        pix_i, pix_j = tr_i.pixels.tolist(), tr_j.pixels.tolist()
-        dumps.append(
-            {
-                "chunk_i": chunk_i,
-                "chunk_j": chunk_j,
-                "matches": [[a, b, c, pix_i[a], pix_j[b]] for a, b, c in match_set.matches],
-                "tracklets_i": [[k, *px] for k, px in enumerate(pix_i)],
-                "tracklets_j": [[k, *px] for k, px in enumerate(pix_j)],
-            }
-        )
-    (directory / "matches.json").write_text(json.dumps(dumps, indent=1) + "\n")
+    write_matches(fused.match_sets, directory / "matches.json")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 
 from .association import MatchSet
 from .errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
-from .model import Pose, SimilarityTransform
+from .model import Pose, SimilarityTransform, finite3, norm3
 from .registration import solve_weighted_rigid, solve_weighted_similarity
 
 
@@ -51,7 +51,7 @@ def align_trajectories(
 def ate(pred: Sequence[Pose], gt: Sequence[Pose], mode: str = "similarity") -> float:
     """RMS camera-center distance after gauge alignment."""
     T = align_trajectories(pred, gt, mode)
-    err = np.linalg.norm(T.apply(_centers(pred)) - _centers(gt), axis=1)
+    err = norm3(T.apply(_centers(pred)) - _centers(gt))
     return float(np.sqrt((err**2).mean()))
 
 
@@ -92,7 +92,9 @@ def _stack_tables(pred: TrajectoryTable, gt: TrajectoryTable):
     g = np.concatenate([np.asarray(gt[k], dtype=np.float64) for k in keys])
     if p.shape != g.shape:
         raise KeyMismatch(f"trajectory tables disagree on shapes: {p.shape} vs {g.shape}")
-    ok = np.isfinite(p).all(axis=1) & np.isfinite(g).all(axis=1)
+    ok = finite3(p) & finite3(g)
+    if ok.all():
+        return p, g
     return p[ok], g[ok]
 
 
@@ -109,7 +111,7 @@ def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) ->
     if align:
         T = solve_weighted_similarity(p, g, np.ones(len(p)))
         p = T.apply(p)
-    return float(np.linalg.norm(p - g, axis=1).mean())
+    return float(norm3(p - g).mean())
 
 
 def association_prf(matches: MatchSet, truth: Mapping[int, int]) -> tuple[float, float, float]:

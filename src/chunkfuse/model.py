@@ -25,6 +25,21 @@ def _as_readonly(a, shape, name: str) -> np.ndarray:
     return arr
 
 
+def norm3(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` of an (..., 3) array, bit for bit.
+
+    numpy sums a length-3 axis as (a + b) + c; spelling the same sum out
+    column by column skips the reduction machinery, several times faster.
+    """
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
+def finite3(x: np.ndarray) -> np.ndarray:
+    """``np.isfinite(x).all(axis=-1)`` of an (..., 3) array, column by column."""
+    return np.isfinite(x[..., 0]) & np.isfinite(x[..., 1]) & np.isfinite(x[..., 2])
+
+
 def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> None:
     """Raise ValueError unless R is orthonormal with det +1 within tol."""
     err = np.abs(R.T @ R - np.eye(3)).max()
@@ -136,14 +151,6 @@ class SimilarityTransform:
         return SimilarityTransform(inv_s, Rt, -inv_s * (Rt @ self.translation))
 
 
-def transform_apply(T: SimilarityTransform, x) -> np.ndarray:
-    return T.apply(x)
-
-
-def transform_compose(A: SimilarityTransform, B: SimilarityTransform) -> SimilarityTransform:
-    return A.compose(B)
-
-
 @dataclass(frozen=True)
 class FramePrediction:
     """One frame of a chunk-local reconstruction.
@@ -170,7 +177,7 @@ class FramePrediction:
             )
         if conf.min() < 0.0 or conf.max() > 1.0:
             raise ValueError("confidence values must lie in [0, 1]")
-        bad = ~np.isfinite(pts).all(axis=2) & (conf > 0.0)
+        bad = ~finite3(pts) & (conf > 0.0)
         if bad.any():
             raise ValueError("non-finite points are only permitted where confidence == 0")
         pts = pts.copy()

@@ -12,7 +12,7 @@ import numpy as np
 
 from .chunking import OverlapView
 from .errors import DegenerateConfiguration, NotEnoughPoints
-from .model import PipelineConfig, SimilarityTransform
+from .model import PipelineConfig, SimilarityTransform, norm3
 
 RANK_TOL = 1e-12
 
@@ -57,7 +57,7 @@ class OverlapAbstraction:
 
 
 def _median_distance(points: np.ndarray, confidence: np.ndarray, centers: np.ndarray) -> float:
-    d = np.linalg.norm(points - centers[:, None, None, :], axis=-1)
+    d = norm3(points - centers[:, None, None, :])
     kept = d[confidence > 0]
     if kept.size == 0:
         kept = d.ravel()
@@ -85,7 +85,7 @@ def _max_pairwise_displacement(points: np.ndarray) -> np.ndarray:
     out = np.zeros(points.shape[1:3])
     for a in range(T):
         for b in range(a + 1, T):
-            d = np.linalg.norm(points[a] - points[b], axis=-1)
+            d = norm3(points[a] - points[b])
             np.maximum(out, d, out=out)
     return out
 
@@ -139,7 +139,8 @@ def _weighted_moments(src, dst, weights):
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
     keep = w > 0
-    src, dst, w = src[keep], dst[keep], w[keep]
+    if not keep.all():
+        src, dst, w = src[keep], dst[keep], w[keep]
     if len(src) < 3:
         raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {len(src)}")
     wsum = w.sum()
@@ -208,7 +209,7 @@ class RegistrationReport:
 def registration_residual_rms(
     T: SimilarityTransform, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
 ) -> float:
-    r = np.linalg.norm(T.apply(src) - dst, axis=-1)
+    r = norm3(T.apply(src) - dst)
     wsum = weights.sum()
     if wsum <= 0:
         return float("nan")

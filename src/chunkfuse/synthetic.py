@@ -31,7 +31,7 @@ import numpy as np
 
 from .chunking import plan_chunks
 from .errors import InvalidSpec
-from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform
+from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform, norm3
 
 VISIBLE_CONF = (0.7, 1.0)
 HIDDEN_CONF = (0.0, 0.05)
@@ -529,7 +529,7 @@ def generate(spec: SceneSpec) -> GroundTruth:
         points[t] = bound + disp
 
     cam_centers = positions
-    dists = np.linalg.norm(points - cam_centers[:, None, None, :], axis=-1)
+    dists = norm3(points - cam_centers[:, None, None, :])
     scene_scale = float(np.median(dists))
     tol = 1e-6 * scene_scale
 
@@ -546,7 +546,7 @@ def generate(spec: SceneSpec) -> GroundTruth:
             u = cx + focal * rel[..., 0] / z
             v = cy + focal * rel[..., 1] / z
         in_frame = in_front & (u >= -0.5) & (u <= spec.width - 0.5) & (v >= -0.5) & (v <= spec.height - 0.5)
-        dist = np.linalg.norm(points[t] - o, axis=-1)
+        dist = norm3(points[t] - o)
         rays = (points[t] - o) / np.maximum(dist, 1e-12)[..., None]
         s_hit, _ = _cast_all(o, rays, spec, offsets[:, t] if spec.objects else offsets[:, :0],
                              s_cap=dist + tol, limit=dist - tol)

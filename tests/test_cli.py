@@ -6,6 +6,7 @@ import pytest
 
 from chunkfuse import io as cio
 from chunkfuse.cli import main
+from chunkfuse.metrics import dense_epe
 from scenes import ablation_config, gauge_recovery_spec
 
 
@@ -68,6 +69,45 @@ def test_evaluate_all_metrics(workspace, capsys):
     assert report["rpe_trans"] < 5e-4
     assert report["assoc_f1"] == pytest.approx(1.0)
     assert (out / "metrics.json").is_file()
+
+
+def reference_pred_table(out, fused, stride: int, trajectories: bool = True):
+    """The EPE table the CLI built before it used ``build_fused_table``."""
+    points = np.stack([fp.points for fp in fused.frames])
+    table = {
+        (r, c): points[:, r, c, :]
+        for r in range(0, points.shape[1], stride)
+        for c in range(0, points.shape[2], stride)
+    }
+    if not trajectories:
+        return table
+    meta = json.loads((out / "trajectories_meta.json").read_text())
+    for tid, frames, positions in cio.read_trajectories(out / "trajectories.txt"):
+        sources = meta.get(str(tid), {}).get("sources", [])
+        if not sources:
+            continue
+        root = (sources[0][2], sources[0][3])
+        if root in table:
+            track = table[root].copy()
+            track[frames] = positions
+            table[root] = track
+    return table
+
+
+@pytest.mark.parametrize("stride", [None, 1, 2])
+def test_evaluate_epe_matches_reference_table(workspace, capsys, stride):
+    root, data, out, _ = workspace
+    flag = [] if stride is None else ["--epe-stride", str(stride)]
+    assert main(["evaluate", "--pred", str(out), "--gt", str(data), "--metrics", "epe", *flag]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    stride = stride or 1
+    fused = cio.read_chunk(out / "fused")
+    table = reference_pred_table(out, fused, stride)
+    # stitched trajectories override some pixel tracks, so the override is exercised
+    plain = reference_pred_table(out, fused, stride, trajectories=False)
+    assert any(not np.array_equal(table[k], plain[k]) for k in table)
+    gt = cio.read_ground_truth(data / "gt")
+    assert report["epe"] == dense_epe(table, gt.trajectory_table(stride=stride))
 
 
 def test_evaluate_unknown_metric_is_config_error(workspace):

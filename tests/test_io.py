@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from chunkfuse import io as cio
+from chunkfuse.association import MatchSet
 from chunkfuse.errors import InvalidConfig, InvalidSpec, MalformedContainer
-from chunkfuse.fusion import Trajectory, fuse_sequence
-from chunkfuse.model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform
+from chunkfuse.fusion import ABLATION_MODES, FusedScene, Trajectory, fuse_sequence
+from chunkfuse.model import (
+    Chunk,
+    FramePrediction,
+    PipelineConfig,
+    Pose,
+    SimilarityTransform,
+    TrackletSet,
+)
 from chunkfuse.synthetic import SceneSpec, emit_chunks, generate
 from conftest import random_rotation
 from scenes import gauge_recovery_spec
@@ -187,6 +195,182 @@ class TestSidecars:
         assert [p[0] for p in parsed] == [7, 9]
         assert list(parsed[0][1]) == list(range(3, 8))
         assert np.array_equal(parsed[0][2], trajectories[0].positions)
+
+    def test_fused_trajectories_roundtrip(self, rng, tmp_path):
+        trajectories = [
+            Trajectory(7, tuple(range(3, 8)), rng.normal(size=(5, 3)),
+                       ((0, 1, (2, 3)), (1, 4, (2, 3)))),
+            Trajectory(9, (4,), rng.normal(size=(1, 3)), ()),
+        ]
+        cio.write_trajectories(trajectories, tmp_path / "trajectories.txt")
+        cio.write_trajectory_meta(trajectories, tmp_path / "trajectories_meta.json")
+        again = cio.read_fused_trajectories(tmp_path)
+        for a, b in zip(trajectories, again, strict=True):
+            assert (a.trajectory_id, a.frames, a.sources) == (b.trajectory_id, b.frames, b.sources)
+            assert np.array_equal(a.positions, b.positions)
+
+    def test_malformed_fused_trajectories(self, tmp_path):
+        (tmp_path / "trajectories_meta.json").write_text("{}\n")
+        (tmp_path / "trajectories.txt").write_text("0 3 0.0 0.0 0.0 5 1.0 1.0 1.0\n")
+        with pytest.raises(MalformedContainer, match="contiguous"):
+            cio.read_fused_trajectories(tmp_path)
+        (tmp_path / "trajectories_meta.json").write_text("{not json")
+        with pytest.raises(MalformedContainer):
+            cio.read_fused_trajectories(tmp_path)
+
+    def test_trajectory_checks_frames_and_shape(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            Trajectory(0, (3, 5), np.zeros((2, 3)), ())
+        with pytest.raises(ValueError, match="positions"):
+            Trajectory(0, (3, 4), np.zeros((3, 3)), ())
+        assert Trajectory(0, (), np.zeros((0, 3)), ()).frames == ()
+
+
+def reference_sidecars(fused: FusedScene) -> dict[str, bytes]:
+    """``trajectories.txt``, ``trajectories_meta.json`` and ``matches.json``
+    as the json.dumps(indent=1) writer wrote them, kept as the reference
+    for the template writers."""
+    lines = []
+    for tr in fused.trajectories:
+        parts = [str(tr.trajectory_id)]
+        for f, (x, y, z) in zip(tr.frames, tr.positions.tolist()):
+            parts.append(f"{f} {x!r} {y!r} {z!r}")
+        lines.append(" ".join(parts))
+    meta = {
+        str(tr.trajectory_id): {
+            "sources": [[int(c), int(t), int(px[0]), int(px[1])] for c, t, px in tr.sources]
+        }
+        for tr in fused.trajectories
+    }
+    dumps = []
+    for chunk_i, chunk_j, match_set, tr_i, tr_j in fused.match_sets:
+        pix_i, pix_j = tr_i.pixels.tolist(), tr_j.pixels.tolist()
+        dumps.append(
+            {
+                "chunk_i": chunk_i,
+                "chunk_j": chunk_j,
+                "matches": [[a, b, c, pix_i[a], pix_j[b]] for a, b, c in match_set.matches],
+                "tracklets_i": [[k, *px] for k, px in enumerate(pix_i)],
+                "tracklets_j": [[k, *px] for k, px in enumerate(pix_j)],
+            }
+        )
+    return {
+        "trajectories.txt": ("\n".join(lines) + ("\n" if lines else "")).encode(),
+        "trajectories_meta.json": (json.dumps(meta, indent=1) + "\n").encode(),
+        "matches.json": (json.dumps(dumps, indent=1) + "\n").encode(),
+    }
+
+
+def written_sidecars(fused: FusedScene, directory: Path) -> dict[str, bytes]:
+    cio.write_fusion_outputs(fused, directory)
+    return {name: (directory / name).read_bytes() for name in reference_sidecars(fused)}
+
+
+def tracklet_set(chunk: int, pixels, frames=(2, 3)) -> TrackletSet:
+    n = len(pixels)
+    return TrackletSet(chunk, frames, np.reshape(pixels, (n, 2)),
+                       np.linspace(-1.0, 1.0, n * len(frames) * 3).reshape(n, len(frames), 3),
+                       np.full((n, len(frames)), 0.5))
+
+
+def scene(trajectories=(), match_sets=()) -> FusedScene:
+    return FusedScene(num_frames=4, frames=[], chunk_transforms=[SimilarityTransform.identity()],
+                      trajectories=list(trajectories), reports=[], match_sets=list(match_sets))
+
+
+@pytest.fixture(scope="module")
+def fused_ablations():
+    spec = gauge_recovery_spec(num_frames=28, grid=12)
+    cfg = PipelineConfig(chunk_length=8, overlap=4, seed_stride=1, min_displacement=0.05)
+    gt = generate(spec)
+    return {ablation: fuse_sequence(emit_chunks(gt, cfg, spec).chunks, cfg, ablation=ablation)
+            for ablation in ABLATION_MODES}
+
+
+class TestSidecarBytes:
+    """The template writers give the bytes of the json.dumps writer."""
+
+    @pytest.mark.parametrize("ablation", ABLATION_MODES)
+    def test_fused_scene(self, fused_ablations, ablation, tmp_path):
+        fused = fused_ablations[ablation]
+        if ablation == "full":
+            assert sum(len(m[2]) for m in fused.match_sets) > 0
+            assert any(len(tr.sources) > 1 for tr in fused.trajectories)
+        assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
+
+    def test_no_match_sets_and_no_trajectories(self, tmp_path):
+        fused = scene()
+        got = written_sidecars(fused, tmp_path)
+        assert got == reference_sidecars(fused)
+        assert got == {"trajectories.txt": b"", "trajectories_meta.json": b"{}\n",
+                       "matches.json": b"[]\n"}
+
+    def test_junctions_without_matches_or_tracklets(self, tmp_path):
+        fused = scene(match_sets=[
+            (0, 1, MatchSet((), (), ()), tracklet_set(0, []), tracklet_set(1, [])),
+            (1, 2, MatchSet((), (0,), (0, 1)), tracklet_set(1, [(4, 5)]),
+             tracklet_set(2, [(6, 7), (8, 9)])),
+            (2, 3, MatchSet((), (), (0,)), tracklet_set(2, []), tracklet_set(3, [(1, 1)])),
+            (3, 4, MatchSet(((1, 0, 0.30000000000000004), (0, 1, np.float64(1e-17))), (), ()),
+             tracklet_set(3, [(0, 2), (2, 4)]), tracklet_set(4, [(3, 1), (5, 0)])),
+        ])
+        assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
+
+    def test_trajectory_edge_cases(self, tmp_path):
+        fused = scene(trajectories=[
+            Trajectory(0, (5,), [[1.0, -0.0, 1e-300]], ((0, 4, (1, 2)),)),
+            Trajectory(1, (0, 1, 2), [[np.nan, np.inf, -np.inf], [5e-324, 1e300, 0.1],
+                                      [1e16, -2.5, 3.0]], ((0, 1, (0, 0)), (1, 7, (2, 3)))),
+            Trajectory(2, (), np.zeros((0, 3)), ()),
+            Trajectory(12, (3, 4), np.ones((2, 3)), ((2, 0, (9, 9)),)),
+        ])
+        assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
+
+    def test_non_finite_cost_rejected(self, tmp_path):
+        fused = scene(match_sets=[(0, 1, MatchSet(((0, 0, float("inf")),), (), ()),
+                                   tracklet_set(0, [(0, 0)]), tracklet_set(1, [(0, 0)]))])
+        with pytest.raises(ValueError, match="finite"):
+            cio.write_fusion_outputs(fused, tmp_path)
+
+
+class TestManifests:
+    """Every container manifest reads as the hand-built dict it replaced."""
+
+    @staticmethod
+    def entry(name, shape):
+        return {"name": name, "dtype": "float32", "shape": shape, "path": f"{name}.bin",
+                "byte_order": "little"}
+
+    def test_chunk_and_streamed(self, rng, tmp_path):
+        chunk = random_chunk(rng, chunk_id=3, start=12)
+        cio.write_chunk(chunk, tmp_path / "chunk")
+        writer = cio.StreamingFrameWriter(tmp_path / "streamed")
+        for fp in chunk.frames:
+            writer(fp)
+        writer.finish()
+        T, H, W = 4, 6, 5
+        manifest = {
+            "format_version": 1, "kind": "chunk", "chunk_id": 3, "start_frame": 12,
+            "end_frame": 15, "height": H, "width": W,
+            "arrays": [self.entry("points", [T, H, W, 3]), self.entry("confidence", [T, H, W]),
+                       self.entry("poses", [T, 4, 4])],
+        }
+        text = (tmp_path / "chunk" / cio.MANIFEST_NAME).read_text()
+        assert text == json.dumps(manifest, indent=1) + "\n"
+        manifest["chunk_id"] = 0
+        text = (tmp_path / "streamed" / cio.MANIFEST_NAME).read_text()
+        assert text == json.dumps(manifest, indent=1) + "\n"
+
+    def test_ground_truth(self, tmp_path):
+        gt = generate(gauge_recovery_spec(num_frames=6, grid=8))
+        cio.write_ground_truth(gt, tmp_path)
+        manifest = {
+            "format_version": 1, "kind": "ground_truth", "chunk_id": -1, "start_frame": 0,
+            "end_frame": 5, "height": 8, "width": 8, "scene_scale": gt.scene_scale,
+            "arrays": [self.entry("points", [6, 8, 8, 3]), self.entry("poses", [6, 4, 4]),
+                       self.entry("object_ids", [8, 8]), self.entry("visible", [6, 8, 8])],
+        }
+        assert (tmp_path / cio.MANIFEST_NAME).read_text() == json.dumps(manifest, indent=1) + "\n"
 
 
 class TestConfigFiles:

@@ -127,6 +127,22 @@ class TestDenseEpe:
         gt = self._tables(rng)
         assert dense_epe(gt, gt) < 1e-12
 
+    def test_non_finite_samples_skipped(self, rng):
+        gt = self._tables(rng)
+        pred = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in gt.items()}
+        holed_pred, holed_gt = dict(pred), dict(gt)
+        holed_pred[(2, 0)] = pred[(2, 0)].copy()
+        holed_pred[(2, 0)][5] = np.nan
+        holed_gt[(4, 0)] = gt[(4, 0)].copy()
+        holed_gt[(4, 0)][7, 1] = np.inf
+        # the same samples with the holes left out, in the same order
+        kept_pred, kept_gt = dict(pred), dict(gt)
+        for key, row in (((2, 0), 5), ((4, 0), 7)):
+            kept_pred[key] = np.delete(pred[key], row, axis=0)
+            kept_gt[key] = np.delete(gt[key], row, axis=0)
+        for align in (True, False):
+            assert dense_epe(holed_pred, holed_gt, align=align) == dense_epe(kept_pred, kept_gt, align=align)
+
     def test_uniform_offset_absorbed(self, rng):
         gt = self._tables(rng)
         pred = {k: v + np.array([1.0, -2.0, 0.5]) for k, v in gt.items()}

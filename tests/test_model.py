@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chunkfuse.errors import InvalidConfig
 from chunkfuse.model import (
@@ -11,8 +12,8 @@ from chunkfuse.model import (
     Pose,
     SimilarityTransform,
     TrackletSet,
-    transform_apply,
-    transform_compose,
+    finite3,
+    norm3,
 )
 from conftest import random_rotation, rot_z
 
@@ -26,7 +27,7 @@ def random_transform(rng) -> SimilarityTransform:
 class TestTransformApply:
     def test_identity(self):
         T = SimilarityTransform.identity()
-        assert np.array_equal(transform_apply(T, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        assert np.array_equal(T.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_pure_scale(self):
         T = SimilarityTransform(2.0, np.eye(3), np.zeros(3))
@@ -48,7 +49,7 @@ class TestTransformApply:
 class TestTransformCompose:
     def test_identity_pair(self):
         I = SimilarityTransform.identity()
-        C = transform_compose(I, I)
+        C = I.compose(I)
         assert C.scale == 1.0
         assert np.allclose(C.rotation, np.eye(3), atol=0)
         assert np.allclose(C.translation, 0.0, atol=0)
@@ -62,7 +63,7 @@ class TestTransformCompose:
 
     def test_pointwise_oracle(self, rng):
         A, B = random_transform(rng), random_transform(rng)
-        C = transform_compose(A, B)
+        C = A.compose(B)
         x = rng.normal(size=(100, 3))
         assert np.abs(C.apply(x) - A.apply(B.apply(x))).max() < 1e-9
 
@@ -223,6 +224,44 @@ class TestTrackletSet:
         assert np.array_equal(moved.positions, T.apply(t.positions))
         assert moved.frames == t.frames and np.array_equal(moved.pixels, t.pixels)
         assert len(moved) == 3
+
+
+# values where a different summation order or overflow handling would show
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                  1e300, -1e300, 1.7976931348623157e308, 1.0, 0.1, np.nan, np.inf, -np.inf]
+VECTOR_ARRAYS = arrays(
+    np.float64,
+    st.one_of(
+        st.tuples(st.integers(0, 8)),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    ).map(lambda lead: lead + (3,)),
+    elements=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats(-1e3, 1e3)),
+)
+
+
+def assert_kernels_match_numpy(x):
+    with np.errstate(over="ignore"):  # both warn alike when a square overflows
+        expected = np.linalg.norm(x, axis=-1)
+        got = norm3(x)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    # bit for bit, so -0.0 and 0.0 count as different
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+    assert np.array_equal(finite3(x), np.isfinite(x).all(axis=-1))
+
+
+class TestColumnKernels:
+    @given(VECTOR_ARRAYS, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_match_numpy_reductions(self, x, strided):
+        if strided:  # a non-contiguous view of the same vectors
+            x = np.swapaxes(x, 0, -2)
+        assert_kernels_match_numpy(x)
+
+    def test_every_special_value_triple(self):
+        a, b, c = np.meshgrid(SPECIAL_FLOATS, SPECIAL_FLOATS, SPECIAL_FLOATS, indexing="ij")
+        assert_kernels_match_numpy(np.stack([a, b, c], axis=-1))
 
 
 class TestPipelineConfig:
