@@ -211,14 +211,28 @@ def assign(
         n = n_i + n_j
         graph = coo_matrix((np.ones(len(a)), (a, n_i + b)), shape=(n, n))
         _, label = connected_components(graph, directed=False)
+        # Every vertex with a kept candidate, ordered by component, then by
+        # id, which puts a component's rows (ids < n_i) before its columns.
+        # Its rank within its (component, side) group is its local index.
+        used = np.zeros(n, dtype=bool)
+        used[a] = used[n_i + b] = True
+        vert = np.flatnonzero(used)
+        vert = vert[np.argsort(label[vert], kind="stable")]
+        first = np.flatnonzero(np.diff(2 * label[vert] + (vert >= n_i), prepend=-1))
+        size = np.diff(first, append=len(vert))
+        local = np.empty(n, dtype=np.intp)
+        local[vert] = np.arange(len(vert)) - np.repeat(first, size)
+        ra_all, cb_all = local[a], local[n_i + b]
         comp = label[a]
         order = np.argsort(comp, kind="stable")
-        for edges in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
-            rows, ra = np.unique(a[edges], return_inverse=True)
-            cols, cb = np.unique(b[edges], return_inverse=True)
-            nr, nc = len(rows), len(cols)
+        groups = zip(
+            np.split(order, np.flatnonzero(np.diff(comp[order])) + 1),
+            first[0::2], size[0::2], first[1::2], size[1::2],
+        )
+        for edges, r0, nr, c0, nc in groups:
+            rows, cols = vert[r0:r0 + nr], vert[c0:c0 + nc] - n_i
             M = np.full((nr + nc, nc + nr), np.inf)
-            M[ra, cb] = c[edges]
+            M[ra_all[edges], cb_all[edges]] = c[edges]
             M[np.arange(nr), nc + np.arange(nr)] = cfg.cost_max
             M[nr + np.arange(nc), np.arange(nc)] = cfg.cost_max
             M[nr:, nc:] = 0.0

@@ -15,10 +15,9 @@ def plan_chunks(num_frames: int, chunk_length: int, overlap: int) -> list[tuple[
 
     The first chunk starts at 0, consecutive chunks share exactly
     ``overlap`` frames (start_next = end - overlap + 1), and interior
-    chunks have length exactly ``chunk_length``. A final fragment shorter
-    than overlap + 1 frames would be absorbed into its predecessor; with
-    this recurrence the tail always has at least overlap + 1 frames, so the
-    rule is a guard rather than a reachable branch.
+    chunks have length exactly ``chunk_length``. A tail chunk exists only
+    when its predecessor ends before the last frame, so it reaches at least
+    one frame past the shared ones: at least overlap + 1 frames.
     """
     if overlap < 2 or overlap >= chunk_length:
         raise InvalidConfig(
@@ -35,13 +34,6 @@ def plan_chunks(num_frames: int, chunk_length: int, overlap: int) -> list[tuple[
         if end >= num_frames - 1:
             break
         start = end - overlap + 1
-
-    if len(plan) > 1:
-        last_start, last_end = plan[-1]
-        if last_end - last_start + 1 < overlap + 1:
-            prev_start, _ = plan[-2]
-            plan[-2] = (prev_start, last_end)
-            plan.pop()
     return plan
 
 

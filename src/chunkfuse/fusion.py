@@ -148,6 +148,15 @@ class RefinedResult:
     match_count: int
 
 
+def static_accepted(report: RegistrationReport, cfg: PipelineConfig) -> bool:
+    """Whether a static registration is trusted: enough anchors, and a
+    residual within ``static_rms_cap`` scene scales."""
+    return (
+        report.anchor_count >= cfg.min_static_anchors
+        and report.residual_rms <= cfg.static_rms_cap * report.scene_scale
+    )
+
+
 def choose_transform(
     static_result: tuple[SimilarityTransform, RegistrationReport] | None,
     refined_result: RefinedResult | None,
@@ -158,11 +167,8 @@ def choose_transform(
     """Fallback hierarchy: dynamic-refined, static-anchor, pose-only."""
     if refined_result is not None and refined_result.match_count >= cfg.min_dynamic_matches:
         return refined_result.transform, "refined"
-    if static_result is not None:
-        transform, report = static_result
-        rms_cap = cfg.static_rms_cap * report.scene_scale
-        if report.anchor_count >= cfg.min_static_anchors and report.residual_rms <= rms_cap:
-            return transform, "static"
+    if static_result is not None and static_accepted(static_result[1], cfg):
+        return static_result[0], "static"
     return pose_only_transform(poses_i, poses_j), "pose"
 
 
@@ -551,13 +557,8 @@ def fuse_sequence(
             # isolates the contribution of static-aware overlap registration:
             # no dynamic feedback, no pose fallback
             T_pair, tier = identity, "identity"
-            if static_result is not None:
-                transform, rep = static_result
-                if (
-                    rep.anchor_count >= cfg.min_static_anchors
-                    and rep.residual_rms <= cfg.static_rms_cap * rep.scene_scale
-                ):
-                    T_pair, tier = transform, "static"
+            if static_result is not None and static_accepted(static_result[1], cfg):
+                T_pair, tier = static_result[0], "static"
         else:
             T_pair, tier = choose_transform(static_result, refined, poses_i, poses_j, cfg)
 

@@ -1,5 +1,21 @@
 """Evaluation protocols: trajectory alignment, ATE, RPE, dense tracking
-end-point error, and association precision/recall."""
+end-point error, and association precision/recall.
+
+Dense EPE compares two trajectory tables, mappings from seed pixel (r, c)
+to a (T, 3) track. ``build_fused_table`` and ``GroundTruth.trajectory_table``
+return a :class:`~chunkfuse.model.TrackTable`: one read-only (N, T, 3)
+array with the seeds in sorted (row-major) order, so ``dense_epe`` takes
+its (N*T, 3) samples by a reshape. Any other mapping, such as a dict of a
+subset of seeds or of tracks of different lengths, is concatenated key by
+key in sorted order, which gives the same samples in the same order.
+
+The EPE is the same to the last bit whichever way the samples arrive, and
+the same as whole-array numpy expressions would give: the column-wise
+kernels in ``registration`` and ``SimilarityTransform.apply`` perform the
+same float operations in the same order (sequential axis-0 sums, ``(a + b)
++ c`` over a length-3 axis, unchanged BLAS operand layouts), only with
+fewer passes and temporaries.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +25,7 @@ import numpy as np
 
 from .association import MatchSet
 from .errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
-from .model import Pose, SimilarityTransform, finite3, norm3
+from .model import Pose, SimilarityTransform, TrackTable, finite3, norm3, seed_tracks
 from .registration import solve_weighted_rigid, solve_weighted_similarity
 
 
@@ -81,15 +97,25 @@ TrajectoryTable = Mapping[tuple[int, int], np.ndarray]
 
 
 def _stack_tables(pred: TrajectoryTable, gt: TrajectoryTable):
-    if set(pred.keys()) != set(gt.keys()):
-        missing = set(gt.keys()) - set(pred.keys())
-        extra = set(pred.keys()) - set(gt.keys())
-        raise KeyMismatch(
-            f"trajectory tables disagree on seed pixels ({len(missing)} missing, {len(extra)} extra)"
-        )
-    keys = sorted(pred.keys())
-    p = np.concatenate([np.asarray(pred[k], dtype=np.float64) for k in keys])
-    g = np.concatenate([np.asarray(gt[k], dtype=np.float64) for k in keys])
+    """(M, 3) predicted and ground-truth samples over the sorted keys,
+    frame by frame, with the rows that are non-finite in either dropped.
+
+    Two :class:`TrackTable` over the same seeds give their samples by a
+    reshape; any other pair of tables is concatenated key by key.
+    """
+    if isinstance(pred, TrackTable) and isinstance(gt, TrackTable) and pred.same_keys(gt):
+        p = pred.tracks.reshape(-1, 3)
+        g = gt.tracks.reshape(-1, 3)
+    else:
+        if set(pred.keys()) != set(gt.keys()):
+            missing = set(gt.keys()) - set(pred.keys())
+            extra = set(pred.keys()) - set(gt.keys())
+            raise KeyMismatch(
+                f"trajectory tables disagree on seed pixels ({len(missing)} missing, {len(extra)} extra)"
+            )
+        keys = sorted(pred.keys())
+        p = np.concatenate([np.asarray(pred[k], dtype=np.float64) for k in keys])
+        g = np.concatenate([np.asarray(gt[k], dtype=np.float64) for k in keys])
     if p.shape != g.shape:
         raise KeyMismatch(f"trajectory tables disagree on shapes: {p.shape} vs {g.shape}")
     ok = finite3(p) & finite3(g)
@@ -110,8 +136,11 @@ def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) ->
         raise NotEnoughPoints("no finite trajectory samples to compare")
     if align:
         T = solve_weighted_similarity(p, g, np.ones(len(p)))
-        p = T.apply(p)
-    return float(norm3(p - g).mean())
+        d = T.apply(p)
+        d -= g
+    else:
+        d = p - g
+    return float(norm3(d).mean())
 
 
 def association_prf(matches: MatchSet, truth: Mapping[int, int]) -> tuple[float, float, float]:
@@ -153,26 +182,27 @@ def object_level_prf(
     return precision, recall, f1
 
 
-def build_fused_table(fused, stride: int = 1) -> dict[tuple[int, int], np.ndarray]:
+def build_fused_table(fused, stride: int = 1) -> TrackTable:
     """Trajectory table of a fused scene, keyed by seed pixel.
 
     Per-pixel pointmap tracks, overridden by the associated long-range
-    trajectories where one is rooted at the seed pixel.
+    trajectories where one is rooted at the seed pixel; where several are
+    rooted at the same pixel, the later one wins on the frames they share.
     """
     points = np.stack([fp.points for fp in fused.frames])
-    table = {
-        (r, c): points[:, r, c, :]
-        for r in range(0, points.shape[1], stride)
-        for c in range(0, points.shape[2], stride)
-    }
-    for tr in getattr(fused, "trajectories", []):
-        if not tr.sources:
-            continue
-        root = tr.sources[0][2]
-        if root in table:
-            track = table[root].copy()
-            track[list(tr.frames)] = tr.positions
-            table[root] = track
+    tracks = seed_tracks(points, stride)
+    table = TrackTable(tracks, points.shape[1:3], stride)
+    rooted = [
+        (table.row(tr.sources[0][2]), tr)
+        for tr in getattr(fused, "trajectories", [])
+        if tr.sources and tr.sources[0][2] in table
+    ]
+    if rooted:
+        # one scatter into the array the table is a read-only view of; numpy
+        # assigns repeated indices in order, so the last write wins
+        rows = np.repeat([k for k, _ in rooted], [len(tr.frames) for _, tr in rooted])
+        frames = np.concatenate([np.asarray(tr.frames, dtype=np.intp) for _, tr in rooted])
+        tracks[rows, frames] = np.concatenate([tr.positions for _, tr in rooted])
     return table
 
 

@@ -1,5 +1,6 @@
 """Core domain types: poses, per-frame predictions, chunks, similarity
-transforms, tracklet sets, and the pipeline configuration.
+transforms, tracklet sets, seed-pixel track tables, and the pipeline
+configuration.
 
 All types are immutable value objects after construction (arrays are made
 read-only), so they can be shared freely between threads.
@@ -7,7 +8,9 @@ read-only), so they can be shared freely between threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from itertools import product
 
 import numpy as np
 
@@ -125,9 +128,17 @@ class SimilarityTransform:
         return cls(1.0, np.eye(3), np.zeros(3))
 
     def apply(self, x) -> np.ndarray:
-        """Apply to a 3-vector or an (..., 3) array of points."""
-        x = np.asarray(x, dtype=np.float64)
-        return self.scale * (x @ self.rotation.T) + self.translation
+        """Apply to a 3-vector or an (..., 3) array of points.
+
+        Computes ``scale * (x @ rotation.T) + translation`` with the same
+        bits, scaling and translating the product in place, the translation
+        column by column.
+        """
+        out = np.asarray(x, dtype=np.float64) @ self.rotation.T
+        out *= self.scale
+        for j in range(3):
+            out[..., j] += self.translation[j]
+        return out
 
     def apply_pose(self, pose: Pose) -> Pose:
         """Map a camera pose expressed in this transform's source frame."""
@@ -273,6 +284,72 @@ class TrackletSet:
 
     def transformed(self, T: SimilarityTransform) -> "TrackletSet":
         return TrackletSet(self.source_chunk, self.frames, self.pixels, T.apply(self.positions), self.conf)
+
+
+def seed_tracks(points, stride: int = 1) -> np.ndarray:
+    """(N, T, 3) tracks of the seed pixels of a (T, H, W, 3) pointmap stack.
+
+    The seeds are the pixels whose row and column are multiples of
+    ``stride``, in row-major order: row k is the track of the k-th key of
+    the :class:`TrackTable` over the same grid and stride.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    T, H, W, _ = points.shape
+    grid = points[:, 0:H:stride, 0:W:stride]
+    tracks = np.empty(grid.shape[1:3] + (T, 3))
+    # one strided copy per coordinate; a copy of whole (3,) points runs a
+    # 3-wide inner loop per pixel and frame
+    for j in range(3):
+        tracks[..., j] = grid[..., j].transpose(1, 2, 0)
+    return tracks.reshape(-1, T, 3)
+
+
+class TrackTable(Mapping):
+    """Read-only mapping from seed pixel ``(r, c)`` to its (T, 3) track.
+
+    The keys are the pixels of an (H, W) grid whose row and column are
+    multiples of ``stride``. One (N, T, 3) array ``tracks`` holds their
+    tracks in sorted (row-major) key order, which is also the order keys
+    iterate in, so ``tracks.reshape(-1, 3)`` lists the samples exactly as
+    concatenating ``table[k]`` over the sorted keys would.
+    """
+
+    def __init__(self, tracks, grid_shape: tuple[int, int], stride: int = 1):
+        H, W = grid_shape
+        self.rows = range(0, H, stride)
+        self.cols = range(0, W, stride)
+        tracks = np.asarray(tracks, dtype=np.float64)
+        n = len(self.rows) * len(self.cols)
+        if tracks.ndim != 3 or tracks.shape[0] != n or tracks.shape[2] != 3:
+            raise ValueError(f"tracks must be ({n}, T, 3), got {tracks.shape}")
+        self.tracks = tracks.view()
+        self.tracks.setflags(write=False)
+
+    def same_keys(self, other: "TrackTable") -> bool:
+        return self.rows == other.rows and self.cols == other.cols
+
+    def row(self, key) -> int:
+        """Row of ``tracks`` that holds the track of seed ``key``."""
+        if key not in self:
+            raise KeyError(key)
+        r, c = key
+        return self.rows.index(r) * len(self.cols) + self.cols.index(c)
+
+    def __contains__(self, key) -> bool:
+        try:
+            r, c = key
+        except (TypeError, ValueError):
+            return False
+        return r in self.rows and c in self.cols
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.tracks[self.row(key)]
+
+    def __iter__(self):
+        return product(self.rows, self.cols)
+
+    def __len__(self) -> int:
+        return len(self.tracks)
 
 
 @dataclass(frozen=True)

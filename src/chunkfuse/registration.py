@@ -27,7 +27,7 @@ class OverlapAbstraction:
     own gauge against that chunk's own scale). Dynamic supports pass
     confidence but fail rigidity. Pixels failing confidence belong to
     neither set. ``scene_scale`` and ``gamma_stat`` refer to chunk i, whose
-    gauge is the pair's working frame.
+    gauge is the pair's working frame; the ``_j`` fields are chunk j's own.
     """
 
     static_mask: np.ndarray
@@ -36,16 +36,12 @@ class OverlapAbstraction:
     mean_conf_j: np.ndarray
     gamma_stat: float
     scene_scale: float
-    gamma_stat_j: float = 0.0
-    scene_scale_j: float = 0.0
+    gamma_stat_j: float
+    scene_scale_j: float
 
     def __post_init__(self):
         if (self.static_mask & self.dynamic_mask).any():
             raise ValueError("static and dynamic sets must be disjoint")
-        if self.gamma_stat_j == 0.0:
-            object.__setattr__(self, "gamma_stat_j", self.gamma_stat)
-        if self.scene_scale_j == 0.0:
-            object.__setattr__(self, "scene_scale_j", self.scene_scale)
 
     @property
     def num_static(self) -> int:
@@ -130,7 +126,31 @@ def select_anchors(overlap: OverlapView, cfg: PipelineConfig) -> OverlapAbstract
     )
 
 
+def _column_sum(x: np.ndarray) -> float:
+    """One column's share of ``a.sum(axis=0)`` of an (N, 3) array ``a``;
+    overwrites ``x`` with its running sums.
+
+    numpy reduces an (N, 3) array over axis 0 row by row onto a zero
+    start; a pairwise ``x.sum()`` would round differently.
+    """
+    return 0.0 + np.add.accumulate(x, out=x)[-1]
+
+
 def _weighted_moments(src, dst, weights):
+    """Weighted centroids and second moments of a correspondence set.
+
+    Returns ``(mu_src, mu_dst, cov, src_cov, var_src)`` with the bits of
+    the array expressions, for row-major inputs (every caller passes them):
+
+        mu = (w[:, None] * x).sum(axis=0) / wsum
+        cov = (dst_c * w[:, None]).T @ src_c / wsum
+        src_cov = (src_c * w[:, None]).T @ src_c / wsum
+        var_src = (w * (src_c**2).sum(axis=1)).sum() / wsum
+
+    Centring and weighting run column by column into two (N, 3) buffers,
+    and both products keep the operand layouts of those expressions, on
+    which BLAS rounding depends.
+    """
     src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -144,19 +164,33 @@ def _weighted_moments(src, dst, weights):
     if len(src) < 3:
         raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {len(src)}")
     wsum = w.sum()
-    mu_src = (w[:, None] * src).sum(axis=0) / wsum
-    mu_dst = (w[:, None] * dst).sum(axis=0) / wsum
-    src_c = src - mu_src
-    dst_c = dst - mu_dst
-    cov = (dst_c * w[:, None]).T @ src_c / wsum
-    var_src = float((w * (src_c**2).sum(axis=1)).sum() / wsum)
-    return src_c, dst_c, w, wsum, mu_src, mu_dst, cov, var_src
+    n = len(src)
+    src_c = np.empty((n, 3))
+    weighted = np.empty((n, 3))
+    col = np.empty(n)
+    mu_src = np.empty(3)
+    mu_dst = np.empty(3)
+    for j in range(3):
+        mu_src[j] = _column_sum(np.multiply(w, src[:, j], out=col)) / wsum
+        mu_dst[j] = _column_sum(np.multiply(w, dst[:, j], out=col)) / wsum
+        np.subtract(src[:, j], mu_src[j], out=src_c[:, j])
+        np.subtract(dst[:, j], mu_dst[j], out=weighted[:, j])
+        weighted[:, j] *= w
+    cov = weighted.T @ src_c / wsum
+    for j in range(3):
+        np.multiply(src_c[:, j], w, out=weighted[:, j])
+    src_cov = weighted.T @ src_c / wsum
+    sq = src_c[:, 0] * src_c[:, 0]
+    sq += np.multiply(src_c[:, 1], src_c[:, 1], out=col)
+    sq += np.multiply(src_c[:, 2], src_c[:, 2], out=col)
+    sq *= w
+    var_src = float(sq.sum() / wsum)
+    return mu_src, mu_dst, cov, src_cov, var_src
 
 
-def _rotation_from_cov(cov: np.ndarray, src_c: np.ndarray, w: np.ndarray, wsum: float):
+def _rotation_from_cov(cov: np.ndarray, src_cov: np.ndarray):
     # Rank check on the weighted source covariance: collinear or coincident
     # sources leave the rotation under-determined.
-    src_cov = (src_c * w[:, None]).T @ src_c / wsum
     svals = np.linalg.svd(src_cov, compute_uv=False)
     if svals[1] < RANK_TOL * max(svals[0], RANK_TOL):
         raise DegenerateConfiguration(
@@ -178,8 +212,8 @@ def solve_weighted_similarity(src, dst, weights) -> SimilarityTransform:
     sign when det(U Vt) < 0), scale from the corrected singular-value trace
     over the weighted source variance, translation from the centroids.
     """
-    src_c, dst_c, w, wsum, mu_src, mu_dst, cov, var_src = _weighted_moments(src, dst, weights)
-    R, D, S = _rotation_from_cov(cov, src_c, w, wsum)
+    mu_src, mu_dst, cov, src_cov, var_src = _weighted_moments(src, dst, weights)
+    R, D, S = _rotation_from_cov(cov, src_cov)
     scale = float((D * S).sum() / var_src)
     if scale <= 0 or not np.isfinite(scale):
         raise DegenerateConfiguration(f"non-positive recovered scale {scale}")
@@ -190,8 +224,8 @@ def solve_weighted_similarity(src, dst, weights) -> SimilarityTransform:
 def solve_weighted_rigid(src, dst, weights, scale: float = 1.0) -> SimilarityTransform:
     """Weighted Kabsch with a fixed scale: minimizes over (R, t) only."""
     src = np.asarray(src, dtype=np.float64) * scale
-    src_c, dst_c, w, wsum, mu_src, mu_dst, cov, _ = _weighted_moments(src, dst, weights)
-    R, _, _ = _rotation_from_cov(cov, src_c, w, wsum)
+    mu_src, mu_dst, cov, src_cov, _ = _weighted_moments(src, dst, weights)
+    R, _, _ = _rotation_from_cov(cov, src_cov)
     t = mu_dst - R @ mu_src
     return SimilarityTransform(scale, R, t)
 

@@ -31,7 +31,16 @@ import numpy as np
 
 from .chunking import plan_chunks
 from .errors import InvalidSpec
-from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform, norm3
+from .model import (
+    Chunk,
+    FramePrediction,
+    PipelineConfig,
+    Pose,
+    SimilarityTransform,
+    TrackTable,
+    norm3,
+    seed_tracks,
+)
 
 VISIBLE_CONF = (0.7, 1.0)
 HIDDEN_CONF = (0.0, 0.05)
@@ -428,13 +437,8 @@ class GroundTruth:
     def grid_shape(self) -> tuple[int, int]:
         return self.points.shape[1:3]
 
-    def trajectory_table(self, stride: int = 1) -> dict[tuple[int, int], np.ndarray]:
-        H, W = self.grid_shape
-        return {
-            (r, c): self.points[:, r, c, :]
-            for r in range(0, H, stride)
-            for c in range(0, W, stride)
-        }
+    def trajectory_table(self, stride: int = 1) -> TrackTable:
+        return TrackTable(seed_tracks(self.points, stride), self.grid_shape, stride)
 
     def centers(self) -> np.ndarray:
         return np.stack([p.center for p in self.poses])

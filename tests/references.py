@@ -1,0 +1,163 @@
+"""Earlier implementations kept as bit-for-bit references.
+
+The dense seed-pixel tables (``model.TrackTable``) replaced per-pixel
+dicts, ``registration._weighted_moments`` and ``SimilarityTransform.apply``
+replaced whole-array expressions by column-wise, in-place passes, and
+``association.assign`` replaced two ``np.unique`` calls per connected
+component by one ordering of all kept vertices. The functions here are the
+replaced code, so the tests can check that every output bit stayed the same.
+"""
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from chunkfuse.association import MatchSet
+from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
+from chunkfuse.model import SimilarityTransform
+from chunkfuse.registration import RANK_TOL
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, NaN at the same places, and identical bytes elsewhere
+    (so -0.0 and 0.0 differ)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def apply(T: SimilarityTransform, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return T.scale * (x @ T.rotation.T) + T.translation
+
+
+def weighted_moments(src, dst, weights):
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    if not (len(src) == len(dst) == len(w)):
+        raise ValueError("src, dst and weights must have the same length")
+    if (w < 0).any():
+        raise ValueError("weights must be non-negative")
+    keep = w > 0
+    if not keep.all():
+        src, dst, w = src[keep], dst[keep], w[keep]
+    if len(src) < 3:
+        raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {len(src)}")
+    wsum = w.sum()
+    mu_src = (w[:, None] * src).sum(axis=0) / wsum
+    mu_dst = (w[:, None] * dst).sum(axis=0) / wsum
+    src_c = src - mu_src
+    dst_c = dst - mu_dst
+    cov = (dst_c * w[:, None]).T @ src_c / wsum
+    var_src = float((w * (src_c**2).sum(axis=1)).sum() / wsum)
+    return src_c, dst_c, w, wsum, mu_src, mu_dst, cov, var_src
+
+
+def rotation_from_cov(cov, src_c, w, wsum):
+    src_cov = (src_c * w[:, None]).T @ src_c / wsum
+    svals = np.linalg.svd(src_cov, compute_uv=False)
+    if svals[1] < RANK_TOL * max(svals[0], RANK_TOL):
+        raise DegenerateConfiguration("rank < 2")
+    U, D, Vt = np.linalg.svd(cov)
+    S = np.ones(3)
+    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
+        S[-1] = -1.0
+    return (U * S) @ Vt, D, S
+
+
+def solve_weighted_similarity(src, dst, weights) -> SimilarityTransform:
+    src_c, _, w, wsum, mu_src, mu_dst, cov, var_src = weighted_moments(src, dst, weights)
+    R, D, S = rotation_from_cov(cov, src_c, w, wsum)
+    scale = float((D * S).sum() / var_src)
+    if scale <= 0 or not np.isfinite(scale):
+        raise DegenerateConfiguration(f"non-positive recovered scale {scale}")
+    return SimilarityTransform(scale, R, mu_dst - scale * (R @ mu_src))
+
+
+def solve_weighted_rigid(src, dst, weights, scale: float = 1.0) -> SimilarityTransform:
+    src = np.asarray(src, dtype=np.float64) * scale
+    src_c, _, w, wsum, mu_src, mu_dst, cov, _ = weighted_moments(src, dst, weights)
+    R, _, _ = rotation_from_cov(cov, src_c, w, wsum)
+    return SimilarityTransform(scale, R, mu_dst - R @ mu_src)
+
+
+def trajectory_table(points, stride: int = 1) -> dict:
+    """``GroundTruth.trajectory_table`` over a (T, H, W, 3) stack."""
+    _, H, W, _ = points.shape
+    return {(r, c): points[:, r, c, :] for r in range(0, H, stride) for c in range(0, W, stride)}
+
+
+def build_fused_table(fused, stride: int = 1) -> dict:
+    points = np.stack([fp.points for fp in fused.frames])
+    table = trajectory_table(points, stride)
+    for tr in getattr(fused, "trajectories", []):
+        if not tr.sources:
+            continue
+        root = tr.sources[0][2]
+        if root in table:
+            track = table[root].copy()
+            track[list(tr.frames)] = tr.positions
+            table[root] = track
+    return table
+
+
+def stack_tables(pred, gt):
+    if set(pred.keys()) != set(gt.keys()):
+        raise KeyMismatch("trajectory tables disagree on seed pixels")
+    keys = sorted(pred.keys())
+    p = np.concatenate([np.asarray(pred[k], dtype=np.float64) for k in keys])
+    g = np.concatenate([np.asarray(gt[k], dtype=np.float64) for k in keys])
+    if p.shape != g.shape:
+        raise KeyMismatch(f"trajectory tables disagree on shapes: {p.shape} vs {g.shape}")
+    ok = np.isfinite(p).all(axis=1) & np.isfinite(g).all(axis=1)
+    return p[ok], g[ok]
+
+
+def dense_epe(pred, gt, align: bool = True) -> float:
+    p, g = stack_tables(pred, gt)
+    if len(p) == 0:
+        raise NotEnoughPoints("no finite trajectory samples to compare")
+    if align:
+        p = apply(solve_weighted_similarity(p, g, np.ones(len(p))), p)
+    return float(np.linalg.norm(p - g, axis=1).mean())
+
+
+def assign(candidates, costs, n_i: int, n_j: int, cfg) -> MatchSet:
+    pairs = np.asarray(candidates, dtype=np.intp).reshape(-1, 2)
+    costs = np.asarray(costs, dtype=np.float64)
+    keep = np.isfinite(costs) & (costs >= 0.0) & (costs <= cfg.cost_max)
+    a, b, c = pairs[keep, 0], pairs[keep, 1], costs[keep]
+    matched = []
+    if len(a):
+        n = n_i + n_j
+        graph = coo_matrix((np.ones(len(a)), (a, n_i + b)), shape=(n, n))
+        _, label = connected_components(graph, directed=False)
+        comp = label[a]
+        order = np.argsort(comp, kind="stable")
+        for edges in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
+            rows, ra = np.unique(a[edges], return_inverse=True)
+            cols, cb = np.unique(b[edges], return_inverse=True)
+            nr, nc = len(rows), len(cols)
+            M = np.full((nr + nc, nc + nr), np.inf)
+            M[ra, cb] = c[edges]
+            M[np.arange(nr), nc + np.arange(nr)] = cfg.cost_max
+            M[nr + np.arange(nc), np.arange(nc)] = cfg.cost_max
+            M[nr:, nc:] = 0.0
+            rr, cc = linear_sum_assignment(M)
+            real = (rr < nr) & (cc < nc)
+            rr, cc = rr[real], cc[real]
+            matched += zip(rows[rr].tolist(), cols[cc].tolist(), M[rr, cc].tolist())
+    matched.sort()
+    taken_i = np.zeros(n_i, dtype=bool)
+    taken_j = np.zeros(n_j, dtype=bool)
+    taken_i[[m[0] for m in matched]] = True
+    taken_j[[m[1] for m in matched]] = True
+    return MatchSet(
+        matches=tuple(matched),
+        unmatched_i=tuple(np.flatnonzero(~taken_i).tolist()),
+        unmatched_j=tuple(np.flatnonzero(~taken_j).tolist()),
+    )

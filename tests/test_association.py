@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references as ref
 from chunkfuse.association import (
     MatchSet,
     assign,
@@ -109,6 +110,8 @@ class TestBuildTracklets:
             mean_conf_j=np.ones((H, W)),
             gamma_stat=gamma_stat,
             scene_scale=scene_scale,
+            gamma_stat_j=gamma_stat,
+            scene_scale_j=scene_scale,
         )
 
     def test_static_chunk_yields_nothing(self, rng):
@@ -377,6 +380,21 @@ class TestAssign:
             ours = assign_dict(costs, n_i, n_j, self.CFG)
             brute = brute_force_match(costs, n_i, n_j, self.CFG.cost_max)
             assert assignment_total_cost(ours, self.CFG) == assignment_total_cost(brute, self.CFG)
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40), st.floats(0.01, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_component_unique_reference(self, seed, n_i, n_j, density):
+        # costs from a coarse grid, so ties make the result depend on each
+        # component's local row and column order
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n_i, n_j)) < density
+        candidates = np.argwhere(mask)
+        costs = rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, 1.5, np.inf, np.nan], len(candidates))
+        order = rng.permutation(len(candidates))
+        candidates, costs = candidates[order], costs[order]
+        expected = ref.assign(candidates, costs, n_i, n_j, self.CFG)
+        assert assign(candidates, costs, n_i, n_j, self.CFG) == expected
 
 
 class TestEndToEndAssociation:

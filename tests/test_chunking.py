@@ -66,6 +66,26 @@ class TestPlanChunks:
             assert e - s + 1 >= overlap + 1
 
 
+    @given(
+        num_frames=st.integers(1, 400),
+        chunk_length=st.integers(3, 40),
+        overlap=st.integers(2, 39),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_chunk_spans_past_its_overlap(self, num_frames, chunk_length, overlap):
+        if overlap >= chunk_length:
+            return
+        plan = plan_chunks(num_frames, chunk_length, overlap)
+        # every chunk, the tail included, has at least overlap + 1 frames
+        # unless the whole sequence is shorter than that
+        for s, e in plan:
+            assert e - s + 1 >= min(overlap + 1, num_frames)
+        # neighbours share exactly `overlap` frames: the next start is
+        # `overlap - 1` frames before the previous end
+        for (_, e1), (s2, _) in zip(plan, plan[1:]):
+            assert s2 == e1 - overlap + 1
+
+
 class TestSliceOverlap:
     def _chunks(self, r1, r2):
         T1 = r1[1] - r1[0] + 1

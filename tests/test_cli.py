@@ -1,12 +1,14 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import references as ref
 from chunkfuse import io as cio
 from chunkfuse.cli import main
-from chunkfuse.metrics import dense_epe
+from chunkfuse.metrics import build_fused_table, dense_epe
 from scenes import ablation_config, gauge_recovery_spec
 
 
@@ -108,6 +110,23 @@ def test_evaluate_epe_matches_reference_table(workspace, capsys, stride):
     assert any(not np.array_equal(table[k], plain[k]) for k in table)
     gt = cio.read_ground_truth(data / "gt")
     assert report["epe"] == dense_epe(table, gt.trajectory_table(stride=stride))
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_dense_tables_match_dict_tables(workspace, stride):
+    root, data, out, _ = workspace
+    fused = SimpleNamespace(frames=cio.read_chunk(out / "fused").frames,
+                            trajectories=cio.read_fused_trajectories(out))
+    gt = cio.read_ground_truth(data / "gt")
+    pred, truth = build_fused_table(fused, stride), gt.trajectory_table(stride)
+    pred_dict, truth_dict = ref.build_fused_table(fused, stride), ref.trajectory_table(gt.points, stride)
+    assert list(pred) == list(pred_dict) and list(truth) == list(truth_dict)
+    assert all(pred[k].tobytes() == pred_dict[k].tobytes() for k in pred_dict)
+    assert all(truth[k].tobytes() == truth_dict[k].tobytes() for k in truth_dict)
+    for align in (True, False):
+        expected = ref.dense_epe(pred_dict, truth_dict, align=align)
+        assert dense_epe(pred, truth, align=align) == expected
+        assert dense_epe(pred_dict, truth_dict, align=align) == expected
 
 
 def test_evaluate_unknown_metric_is_config_error(workspace):

@@ -1,12 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import references as ref
 from chunkfuse.association import MatchSet
-from chunkfuse.errors import KeyMismatch, NotEnoughPoints
+from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
+from chunkfuse.fusion import Trajectory
 from chunkfuse.metrics import (
     align_trajectories,
     association_prf,
     ate,
+    build_fused_table,
     dense_epe,
     format_metrics_table,
     object_level_prf,
@@ -14,6 +21,7 @@ from chunkfuse.metrics import (
     rpe,
 )
 from chunkfuse.model import Pose, SimilarityTransform
+from chunkfuse.synthetic import GroundTruth
 from conftest import random_rotation, rot_z
 
 
@@ -176,6 +184,96 @@ class TestDenseEpe:
                 errs.append(dense_epe(pred, gt))
             values.append(np.mean(errs))
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def fused_scenes(draw):
+    """A small fused scene, its ground truth and an EPE stride, with holes
+    in either and trajectories whose roots repeat, miss the stride grid or
+    lie off the grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, H, W = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    gt = np.cumsum(rng.normal(size=(T, H, W, 3)), axis=0)
+    gauge = SimilarityTransform(float(rng.uniform(0.5, 2.0)), random_rotation(rng), rng.normal(size=3))
+    pred = gauge.apply(gt + rng.normal(scale=0.05, size=gt.shape))
+    for points in (pred, gt):
+        for _ in range(draw(st.integers(0, 3))):
+            points[rng.integers(T), rng.integers(H), rng.integers(W), rng.integers(3)] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+    roots = [(int(rng.integers(H + 1)), int(rng.integers(W))) for _ in range(3)]
+    trajectories = []
+    for tid in range(draw(st.integers(0, 8))):
+        start = int(rng.integers(T))
+        frames = tuple(range(start, start + int(rng.integers(T - start + 1))))
+        positions = pred[list(frames), 0, 0] + rng.normal(size=(len(frames), 3))
+        if len(frames) and rng.random() < 0.2:
+            positions[rng.integers(len(frames))] = np.nan
+        sources = () if rng.random() < 0.1 else ((0, tid, roots[rng.integers(len(roots))]),)
+        trajectories.append(Trajectory(tid, frames, positions, sources))
+    fused = SimpleNamespace(
+        frames=[SimpleNamespace(points=pred[t]) for t in range(T)], trajectories=trajectories
+    )
+    truth = GroundTruth(spec=None, points=gt, poses=[], object_ids=np.full((H, W), -1),
+                        visible=np.ones((T, H, W), dtype=bool), scene_scale=1.0)
+    return fused, truth, draw(st.integers(1, 3))
+
+
+def _epe_outcome(epe, pred, gt, align):
+    """The EPE, or the type of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return epe(pred, gt, align=align)
+    except (NotEnoughPoints, DegenerateConfiguration, np.linalg.LinAlgError, ValueError) as e:
+        return type(e)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return ref.same_bits(a, b)
+
+
+class TestDenseTables:
+    """Dense seed-pixel tables against the per-pixel dicts they replaced."""
+
+    @given(fused_scenes())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_dicts(self, scene):
+        fused, truth, stride = scene
+        for dense, expected in (
+            (build_fused_table(fused, stride), ref.build_fused_table(fused, stride)),
+            (truth.trajectory_table(stride), ref.trajectory_table(truth.points, stride)),
+        ):
+            assert list(dense) == list(expected)
+            for k, track in expected.items():
+                assert ref.same_bits(dense[k], track)
+
+    @given(fused_scenes(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_dense_epe_matches_dicts(self, scene, align):
+        fused, truth, stride = scene
+        pred, gt = build_fused_table(fused, stride), truth.trajectory_table(stride)
+        pred_dict, gt_dict = ref.build_fused_table(fused, stride), ref.trajectory_table(truth.points, stride)
+        expected = _epe_outcome(ref.dense_epe, pred_dict, gt_dict, align)
+        assert _same(_epe_outcome(dense_epe, pred, gt, align), expected)
+        assert _same(_epe_outcome(dense_epe, pred_dict, gt_dict, align), expected)
+        assert _same(_epe_outcome(dense_epe, pred, gt_dict, align), expected)
+
+    def test_mismatched_dense_tables(self, rng):
+        points = rng.normal(size=(4, 6, 6, 3))
+        truth = GroundTruth(spec=None, points=points, poses=[], object_ids=np.full((6, 6), -1),
+                            visible=np.ones((4, 6, 6), dtype=bool), scene_scale=1.0)
+        with pytest.raises(KeyMismatch, match="seed pixels"):
+            dense_epe(truth.trajectory_table(1), truth.trajectory_table(2))
+        shorter = GroundTruth(spec=None, points=points[:3], poses=[], object_ids=truth.object_ids,
+                              visible=truth.visible[:3], scene_scale=1.0)
+        with pytest.raises(KeyMismatch, match="shapes"):
+            dense_epe(truth.trajectory_table(2), shorter.trajectory_table(2))
+
+    def test_ragged_dict_tables_still_concatenate(self, rng):
+        gt = {(0, k): rng.normal(size=(2 + k, 3)) for k in range(5)}
+        pred = {k: v + rng.normal(scale=0.01, size=v.shape) for k, v in gt.items()}
+        assert dense_epe(pred, gt) == ref.dense_epe(pred, gt)
 
 
 class TestAssociationPrf:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import references as ref
 from chunkfuse.errors import InvalidConfig
 from chunkfuse.model import (
     Chunk,
@@ -12,8 +13,10 @@ from chunkfuse.model import (
     Pose,
     SimilarityTransform,
     TrackletSet,
+    TrackTable,
     finite3,
     norm3,
+    seed_tracks,
 )
 from conftest import random_rotation, rot_z
 
@@ -262,6 +265,88 @@ class TestColumnKernels:
     def test_every_special_value_triple(self):
         a, b, c = np.meshgrid(SPECIAL_FLOATS, SPECIAL_FLOATS, SPECIAL_FLOATS, indexing="ij")
         assert_kernels_match_numpy(np.stack([a, b, c], axis=-1))
+
+
+POINT_ARRAYS = arrays(
+    np.float64,
+    st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, 8)),
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    ).map(lambda lead: lead + (3,)),
+    elements=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats(-1e3, 1e3)),
+)
+
+
+class TestApplyMatchesReference:
+    """``apply`` scales and translates its one output in place, with the
+    bits of ``scale * (x @ R.T) + t``."""
+
+    @given(POINT_ARRAYS, st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_special_values(self, x, seed, strided):
+        if strided and x.ndim == 3:
+            x = np.swapaxes(x, 0, 1)
+        T = random_transform(np.random.default_rng(seed))
+        with np.errstate(all="ignore"):
+            assert ref.same_bits(T.apply(x), ref.apply(T, x))
+
+    @pytest.mark.parametrize("shape", [(3,), (5000, 3), (300, 16, 3), (120, 120, 3), (3, 40, 40, 3)])
+    def test_realistic_shapes(self, rng, shape):
+        T = random_transform(rng)
+        x = rng.normal(size=shape) * 50
+        assert ref.same_bits(T.apply(x), ref.apply(T, x))
+        assert ref.same_bits(T.apply(x.tolist()), ref.apply(T, x))
+
+
+class TestTrackTable:
+    def _table(self, rng, T=3, H=5, W=4, stride=2):
+        points = rng.normal(size=(T, H, W, 3))
+        return points, TrackTable(seed_tracks(points, stride), (H, W), stride)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7])
+    def test_matches_per_pixel_dict(self, rng, stride):
+        points, table = self._table(rng, stride=stride)
+        expected = ref.trajectory_table(points, stride)
+        assert list(table) == list(expected) == sorted(expected)
+        assert len(table) == len(expected)
+        for k, track in expected.items():
+            assert k in table and table[k].tobytes() == track.tobytes()
+        # the samples of all keys, in key order, are the array's rows
+        assert table.tracks.reshape(-1, 3).tobytes() == np.concatenate(list(expected.values())).tobytes()
+
+    def test_non_seed_keys_missing(self, rng):
+        _, table = self._table(rng, stride=2)
+        for key in [(1, 0), (0, 1), (6, 0), (0, 4), (-2, 0), (0,), "ab", None, (0, 0, 0)]:
+            assert key not in table
+            with pytest.raises(KeyError):
+                table[key]
+        assert table.get((1, 1)) is None and table.get((2, 2)) is not None
+
+    def test_read_only(self, rng):
+        _, table = self._table(rng)
+        with pytest.raises(ValueError):
+            table[(0, 0)][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.tracks[0, 0, 0] = 1.0
+
+    def test_numpy_index_keys_match_python_ints(self, rng):
+        _, table = self._table(rng)
+        assert np.int64(2) in table.rows
+        assert table[(np.int64(2), np.int64(2))].tobytes() == table[(2, 2)].tobytes()
+
+    def test_same_keys(self, rng):
+        _, a = self._table(rng, H=5, stride=2)
+        _, b = self._table(rng, H=6, stride=2)  # rows 0, 2, 4 either way
+        _, c = self._table(rng, H=7, stride=2)
+        assert a.same_keys(b) and set(a) == set(b)
+        assert not a.same_keys(c) and set(a) != set(c)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            TrackTable(np.zeros((5, 2, 3)), (3, 3), 2)
+        with pytest.raises(ValueError):
+            TrackTable(np.zeros((4, 2, 2)), (3, 3), 2)
 
 
 class TestPipelineConfig:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import references as ref
 from chunkfuse.chunking import slice_overlap
 from chunkfuse.errors import DegenerateConfiguration, NotEnoughPoints
 from chunkfuse.model import PipelineConfig, SimilarityTransform
 from chunkfuse.registration import (
+    _weighted_moments,
     register_pair,
     registration_residual_rms,
     select_anchors,
@@ -124,6 +128,88 @@ class TestWeightedRigid:
         assert T.scale == 2.5
         assert np.linalg.norm(T.rotation - T_true.rotation) < 1e-9
         assert np.linalg.norm(T.translation - T_true.translation) < 1e-9
+
+
+def _outcome(fn, *args, **kwargs):
+    """A transform's (scale, rotation, translation), or the error type."""
+    try:
+        with np.errstate(all="ignore"):
+            T = fn(*args, **kwargs)
+    except (np.linalg.LinAlgError, ValueError, NotEnoughPoints, DegenerateConfiguration) as e:
+        return type(e)
+    return T.scale, T.rotation, T.translation
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return all(ref.same_bits(x, y) for x, y in zip(a, b))
+
+
+@st.composite
+def correspondences(draw):
+    """Weighted correspondences with the cases that expose a changed
+    rounding order: zero weights, signed zeros, wide magnitudes, holes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 400))
+    mag = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    src = rng.normal(size=(n, 3)) * mag + rng.normal(size=3) * 10 * mag
+    dst = (1.3 * src @ random_rotation(rng).T + rng.normal(size=3)) + rng.normal(size=(n, 3)) * 0.01 * mag
+    w = {
+        "ones": np.ones(n),
+        "positive": rng.uniform(0.1, 2.0, n),
+        "zeros": np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.0, 2.0, n)),
+    }[draw(st.sampled_from(["ones", "positive", "zeros"]))]
+    plane = draw(st.sampled_from([None, "mixed", "negative"]))
+    if plane:  # a plane of signed zeros
+        src[:, draw(st.integers(0, 2))] = rng.choice([0.0, -0.0], n) if plane == "mixed" else -0.0
+    if draw(st.booleans()):
+        src[rng.integers(n), rng.integers(3)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return src, dst, w
+
+
+class TestMomentsMatchReference:
+    """The column-wise moments give the bits of the array expressions."""
+
+    @given(correspondences())
+    @settings(max_examples=200, deadline=None)
+    def test_moments(self, case):
+        src, dst, w = case
+        try:
+            with np.errstate(all="ignore"):
+                src_c, _, w_ref, wsum, mu_src, mu_dst, cov, var_src = ref.weighted_moments(src, dst, w)
+                src_cov = (src_c * w_ref[:, None]).T @ src_c / wsum
+        except NotEnoughPoints:
+            with pytest.raises(NotEnoughPoints):
+                _weighted_moments(src, dst, w)
+            return
+        with np.errstate(all="ignore"):
+            got = _weighted_moments(src, dst, w)
+        for a, b in zip(got, (mu_src, mu_dst, cov, src_cov, var_src), strict=True):
+            assert ref.same_bits(a, b)
+
+    @given(correspondences(), st.sampled_from([1.0, 0.37, 2.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_solvers(self, case, scale):
+        src, dst, w = case
+        assert _same_outcome(
+            _outcome(solve_weighted_similarity, src, dst, w),
+            _outcome(ref.solve_weighted_similarity, src, dst, w),
+        )
+        assert _same_outcome(
+            _outcome(solve_weighted_rigid, src, dst, w, scale=scale),
+            _outcome(ref.solve_weighted_rigid, src, dst, w, scale=scale),
+        )
+
+    def test_column_sums_are_sequential(self):
+        # a pairwise sum of this column rounds differently from numpy's
+        # axis-0 reduction, which adds the rows in order
+        src = np.zeros((20, 3))
+        src[:, 0] = [1e16] + [1.0] * 18 + [-1e16]
+        dst = np.random.default_rng(0).normal(size=(20, 3))
+        expected = src.sum(axis=0) / 20
+        assert src[:, 0].sum() / 20 != expected[0]
+        assert ref.same_bits(_weighted_moments(src, dst, np.ones(20))[0], expected)
 
 
 def _static_scene(rng, grid=16, frames=4):
