@@ -25,7 +25,7 @@ from .fusion import (
     reconstruct_boundary,
     refine_transform,
 )
-from .metrics import align_trajectories, association_prf, ate, dense_epe, rpe
+from .metrics import align_trajectories, ate, dense_epe, junction_prf, rpe
 from .model import (
     Chunk,
     FramePrediction,

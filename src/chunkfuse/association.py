@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .model import Chunk, PipelineConfig, SimilarityTransform, TrackletSet, finite3, norm3
-from .registration import OverlapAbstraction
+from .registration import OverlapAbstraction, chunk_scene_scale
 
 VEL_EPS = 1e-9
 # cKDTree's ball test is inclusive and works on squared distances; the
@@ -78,8 +78,6 @@ def build_tracklets(
         min_disp = cfg.gamma_stat
     else:
         # resolved against this chunk's own scale so the gate is gauge-free
-        from .registration import chunk_scene_scale
-
         min_disp = cfg.gamma_stat_frac * chunk_scene_scale(chunk, frames)
 
     rows, cols = np.nonzero(abstraction.dynamic_mask)
@@ -250,16 +248,3 @@ def assign(
         unmatched_i=tuple(np.flatnonzero(~taken_i).tolist()),
         unmatched_j=tuple(np.flatnonzero(~taken_j).tolist()),
     )
-
-
-def assignment_total_cost(match_set: MatchSet, cfg: PipelineConfig) -> float:
-    """Objective value: matched costs plus cost_max per unmatched tracklet.
-
-    Summation runs in a canonical order so independent solvers of the same
-    instance produce bit-identical totals.
-    """
-    total = 0.0
-    for _, _, c in sorted(match_set.matches):
-        total += c
-    total += cfg.cost_max * (len(match_set.unmatched_i) + len(match_set.unmatched_j))
-    return total

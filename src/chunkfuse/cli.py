@@ -1,5 +1,17 @@
 """Command-line surface: generate, fuse, evaluate, inspect.
 
+``evaluate`` prints a table and one JSON line, and writes the JSON to
+``metrics.json`` next to the fused container. ``--metrics assoc`` scores
+the matches of ``matches.json`` against the ground truth at two levels,
+counts pooled over all junctions:
+
+- point level, ``assoc_precision``, ``assoc_recall``, ``assoc_f1``: a
+  match is correct when both tracklets are seeded at the same pixel, which
+  under the oracle's binding is the same surface point;
+- object level, ``assoc_obj_precision``, ``assoc_obj_recall``,
+  ``assoc_obj_f1``: a match is correct when both seed pixels carry the
+  same ground-truth object id.
+
 Exit codes: 0 success, 2 invalid config or scene spec, 3 malformed
 container, 4 evaluation key mismatch.
 """
@@ -13,6 +25,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import io as cio
 from .chunking import slice_overlap
 from .errors import InvalidConfig, InvalidSpec, KeyMismatch, MalformedContainer
@@ -23,9 +37,11 @@ from .metrics import (
     build_fused_table,
     dense_epe,
     format_metrics_table,
+    junction_prf,
     rpe,
 )
 from .model import PipelineConfig
+from .registration import select_anchors
 from .synthetic import emit_chunks, generate
 
 
@@ -67,20 +83,12 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _resolve_pred_dir(path: Path) -> Path:
-    if (path / cio.MANIFEST_NAME).is_file():
-        return path
-    if (path / "fused" / cio.MANIFEST_NAME).is_file():
-        return path / "fused"
-    raise MalformedContainer(f"no fused container under {path}")
-
-
-def _resolve_gt_dir(path: Path) -> Path:
-    if (path / cio.MANIFEST_NAME).is_file():
-        return path
-    if (path / "gt" / cio.MANIFEST_NAME).is_file():
-        return path / "gt"
-    raise MalformedContainer(f"no ground-truth container under {path}")
+def _resolve_container(path: Path, sub: str) -> Path:
+    """``path`` if it is a container, else its ``sub`` container."""
+    for d in (path, path / sub):
+        if (d / cio.MANIFEST_NAME).is_file():
+            return d
+    raise MalformedContainer(f"no container under {path} or {path / sub}")
 
 
 def _cmd_evaluate(args) -> int:
@@ -88,8 +96,8 @@ def _cmd_evaluate(args) -> int:
     unknown = set(wanted) - {"epe", "ate", "rpe", "assoc"}
     if unknown:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
-    pred_dir = _resolve_pred_dir(Path(args.pred))
-    gt_dir = _resolve_gt_dir(Path(args.gt))
+    pred_dir = _resolve_container(Path(args.pred), "fused")
+    gt_dir = _resolve_container(Path(args.gt), "gt")
     fused = cio.read_chunk(pred_dir)
     gt = cio.read_ground_truth(gt_dir)
 
@@ -103,23 +111,16 @@ def _cmd_evaluate(args) -> int:
     if info_path.is_file():
         variant = json.loads(info_path.read_text()).get("ablation", "pred")
 
-    row: dict[str, object] = {"variant": variant}
-    report: dict[str, object] = {"variant": variant}
+    result: dict[str, object] = {"variant": variant}
     pred_poses = [fp.pose for fp in fused.frames]
     if "ate" in wanted:
-        value = ate(pred_poses, gt.poses)
-        row["ate"] = value
-        report["ate"] = value
+        result["ate"] = ate(pred_poses, gt.poses)
     if "rpe" in wanted:
         # aligning away the monocular gauge first keeps RPE scale-free
         T = align_trajectories(pred_poses, gt.poses)
         aligned = [T.apply_pose(p) for p in pred_poses]
-        t, r = rpe(aligned, gt.poses, delta=args.rpe_delta)
-        row["rpe_trans"] = t
-        row["rpe_rot"] = r
-        report["rpe_trans"] = t
-        report["rpe_rot"] = r
-        report["rpe_delta"] = args.rpe_delta
+        result["rpe_trans"], result["rpe_rot"] = rpe(aligned, gt.poses, delta=args.rpe_delta)
+        result["rpe_delta"] = args.rpe_delta
     if "epe" in wanted:
         out_dir = pred_dir.parent
         have_tracks = all((out_dir / name).is_file()
@@ -128,38 +129,26 @@ def _cmd_evaluate(args) -> int:
         pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories),
                                        stride=args.epe_stride)
         gt_table = gt.trajectory_table(stride=args.epe_stride)
-        value = dense_epe(pred_table, gt_table, align=not args.no_align)
-        row["epe"] = value
-        report["epe"] = value
+        result["epe"] = dense_epe(pred_table, gt_table, align=not args.no_align)
     if "assoc" in wanted:
         matches_path = pred_dir.parent / "matches.json"
         if not matches_path.is_file():
             raise KeyMismatch(f"no matches.json under {pred_dir.parent} (fused with association?)")
-        correct = predicted = actual = 0
-        for pair in json.loads(matches_path.read_text()):
-            pix_j = {tuple(t[1:3]): t[0] for t in pair["tracklets_j"]}
-            truth = {
-                t[0]: pix_j[tuple(t[1:3])]
-                for t in pair["tracklets_i"]
-                if tuple(t[1:3]) in pix_j
-            }
-            pred_pairs = {(m[0], m[1]) for m in pair["matches"]}
-            true_pairs = set(truth.items())
-            correct += len(pred_pairs & true_pairs)
-            predicted += len(pred_pairs)
-            actual += len(true_pairs)
-        precision = correct / predicted if predicted else 0.0
-        recall = correct / actual if actual else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        row["assoc_p"] = precision
-        row["assoc_r"] = recall
-        row["assoc_f1"] = f1
-        report.update({"assoc_precision": precision, "assoc_recall": recall, "assoc_f1": f1})
+        if fused.grid_shape != gt.grid_shape:
+            raise KeyMismatch(f"prediction grid {fused.grid_shape} but ground truth has {gt.grid_shape}")
+        junctions = json.loads(matches_path.read_text())
+        H, W = gt.grid_shape
+        # point level: generate binds each pixel to one surface point, so a
+        # pixel identifies its point
+        levels = {"assoc": np.arange(H * W).reshape(H, W), "assoc_obj": gt.object_ids}
+        for prefix, labels in levels.items():
+            p, r, f1 = junction_prf(junctions, labels)
+            result.update({f"{prefix}_precision": p, f"{prefix}_recall": r, f"{prefix}_f1": f1})
 
-    print(format_metrics_table([row]))
-    print(json.dumps(report))
+    print(format_metrics_table([result]))
+    print(json.dumps(result))
     out_path = pred_dir.parent / "metrics.json"
-    out_path.write_text(json.dumps(report, indent=1) + "\n")
+    out_path.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
 
@@ -175,8 +164,6 @@ def _cmd_inspect(args) -> int:
             f"({len(chunk.frames)} frames, {H}x{W})"
         )
         if prev is not None:
-            from .registration import select_anchors
-
             overlap = slice_overlap(prev, chunk)
             abstraction = select_anchors(overlap, cfg)
             line += (

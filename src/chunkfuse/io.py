@@ -1,10 +1,21 @@
 """Container file format, configuration files, and trajectory export.
 
 A container is a directory holding ``manifest.json`` plus raw binary
-arrays: 32-bit floats, little-endian, row-major. Chunk containers carry
-``points`` [T][H][W][3], ``confidence`` [T][H][W], and ``poses`` [T][4][4]
-(camera-to-world, last row exactly 0,0,0,1). Readers reject unknown format
-versions and any shape or byte-count mismatch.
+arrays: 32-bit floats, little-endian, row-major. Chunk containers (kind
+``chunk``, also the fused output) carry ``points`` [T][H][W][3],
+``confidence`` [T][H][W], and ``poses`` [T][4][4] (camera-to-world, last
+row exactly 0,0,0,1). Ground-truth containers (kind ``ground_truth``)
+carry ``points``, ``poses``, ``object_ids`` [H][W] and ``visible``
+[T][H][W], plus the generating ``scene_spec.json``.
+
+``read_chunk`` and ``read_ground_truth`` share one loader. It raises
+:class:`MalformedContainer` for a manifest that is missing or not a JSON
+object, an unknown format version, a kind other than the one asked for, a
+missing or non-integer frame range, chunk id or grid, a missing array, an
+array of the wrong shape, dtype, byte order or byte count, and a pose whose
+last row is not exactly 0,0,0,1 or whose rotation is not orthonormal. A
+chunk's frames must also pass :class:`FramePrediction`'s checks, and a
+ground truth's ``scene_spec.json`` must be a valid scene spec.
 
 Sidecar files
 -------------
@@ -122,6 +133,8 @@ def _load_manifest(directory: Path) -> dict:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise MalformedContainer(f"manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise MalformedContainer("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise MalformedContainer(f"unknown format_version {version!r}, expected {FORMAT_VERSION}")
@@ -130,9 +143,67 @@ def _load_manifest(directory: Path) -> dict:
 
 def _array_map(manifest: dict) -> dict[str, dict]:
     entries = manifest.get("arrays")
-    if not isinstance(entries, list):
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise MalformedContainer("manifest has no array list")
     return {e.get("name"): e for e in entries}
+
+
+def _field(manifest: dict, key: str, cast=int, default=None):
+    """Manifest field ``key`` converted by ``cast``; absent, ``default``."""
+    value = manifest.get(key, default)
+    if value is None:
+        raise MalformedContainer(f"manifest missing field {key!r}")
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as e:
+        raise MalformedContainer(f"manifest field {key!r}: {e}") from e
+
+
+_LAST_POSE_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
+    """The manifest, the arrays ``names`` and the poses of a ``kind`` container.
+
+    The manifest's frame range, chunk id and grid come back as ints. Each
+    array must have the shape the frame range and grid give it, and each
+    pose a last row of exactly (0, 0, 0, 1) and an orthonormal rotation.
+    """
+    manifest = _load_manifest(directory)
+    if manifest.get("kind") != kind:
+        raise MalformedContainer(f"expected a {kind} container, got kind={manifest.get('kind')!r}")
+    for key in ("chunk_id", "start_frame", "end_frame", "height", "width"):
+        manifest[key] = _field(manifest, key)
+    start, end = manifest["start_frame"], manifest["end_frame"]
+    T = end - start + 1
+    H, W = manifest["height"], manifest["width"]
+    if T < 1:
+        raise MalformedContainer(f"empty frame range [{start}, {end}]")
+    shapes = {
+        "points": [T, H, W, 3],
+        "confidence": [T, H, W],
+        "poses": [T, 4, 4],
+        "object_ids": [H, W],
+        "visible": [T, H, W],
+    }
+    entries = _array_map(manifest)
+    data = {}
+    for name in names:
+        if name not in entries:
+            raise MalformedContainer(f"manifest missing required array {name!r}")
+        got = entries[name].get("shape")
+        if got != shapes[name]:
+            raise MalformedContainer(f"array {name!r}: shape {got} does not match {shapes[name]}")
+        data[name] = _read_array(directory, entries[name])
+    poses = []
+    for k, m in enumerate(data.pop("poses")):
+        if np.abs(m[3] - _LAST_POSE_ROW).max() > 0:
+            raise MalformedContainer(f"pose {k}: last row must be exactly (0, 0, 0, 1)")
+        try:
+            poses.append(Pose(m[:3, :3], m[:3, 3], _tol=POSE_STORAGE_TOL))
+        except ValueError as e:
+            raise MalformedContainer(f"frame {start + k}: {e}") from e
+    return manifest, data, poses
 
 
 # ---------------------------------------------------------------------------
@@ -140,57 +211,20 @@ def _array_map(manifest: dict) -> dict[str, dict]:
 
 
 def write_chunk(chunk: Chunk, directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    points = np.stack([fp.points for fp in chunk.frames])
-    confidence = np.stack([fp.confidence for fp in chunk.frames])
-    poses = np.stack([fp.pose.matrix() for fp in chunk.frames])
-    poses[:, 3, :] = np.array([0.0, 0.0, 0.0, 1.0])
-    arrays = [
-        _write_array(directory, "points", points),
-        _write_array(directory, "confidence", confidence),
-        _write_array(directory, "poses", poses),
-    ]
-    _write_manifest(directory, "chunk", chunk.chunk_id, chunk.start_frame, chunk.end_frame,
-                    chunk.grid_shape, arrays)
+    writer = StreamingFrameWriter(directory, chunk.chunk_id)
+    for fp in chunk.frames:
+        writer(fp)
+    writer.finish()
 
 
 def read_chunk(directory) -> Chunk:
     """Read and re-validate a chunk container; byte-exact round-trip."""
-    directory = Path(directory)
-    manifest = _load_manifest(directory)
-    for key in ("chunk_id", "start_frame", "end_frame", "height", "width"):
-        if key not in manifest:
-            raise MalformedContainer(f"manifest missing field {key!r}")
-    start = int(manifest["start_frame"])
-    end = int(manifest["end_frame"])
-    H, W = int(manifest["height"]), int(manifest["width"])
-    T = end - start + 1
-    if T < 1:
-        raise MalformedContainer(f"empty frame range [{start}, {end}]")
-
-    arrays = _array_map(manifest)
-    expected_shapes = {
-        "points": (T, H, W, 3),
-        "confidence": (T, H, W),
-        "poses": (T, 4, 4),
-    }
-    data = {}
-    for name, shape in expected_shapes.items():
-        if name not in arrays:
-            raise MalformedContainer(f"manifest missing required array {name!r}")
-        got = tuple(int(s) for s in arrays[name]["shape"])
-        if got != shape:
-            raise MalformedContainer(f"array {name!r}: shape {list(got)} does not match {list(shape)}")
-        data[name] = _read_array(directory, arrays[name])
-
+    manifest, data, poses = _read_container(Path(directory), "chunk",
+                                            ("points", "confidence", "poses"))
+    start = manifest["start_frame"]
     frames = []
-    for k in range(T):
-        m = data["poses"][k]
-        if np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > 0:
-            raise MalformedContainer(f"pose {k}: last row must be exactly (0, 0, 0, 1)")
+    for k, pose in enumerate(poses):
         try:
-            pose = Pose(m[:3, :3], m[:3, 3], _tol=POSE_STORAGE_TOL)
             frames.append(
                 FramePrediction(
                     points=data["points"][k],
@@ -203,9 +237,9 @@ def read_chunk(directory) -> Chunk:
             raise MalformedContainer(f"frame {start + k}: {e}") from e
     try:
         return Chunk(
-            chunk_id=int(manifest["chunk_id"]),
+            chunk_id=manifest["chunk_id"],
             start_frame=start,
-            end_frame=end,
+            end_frame=manifest["end_frame"],
             frames=tuple(frames),
         )
     except ValueError as e:
@@ -233,11 +267,13 @@ class StreamingFrameWriter:
 
     Appends each frame's arrays to the binary files immediately, so the
     fusion stage never holds more than its two resident chunks;
-    :meth:`finish` writes the manifest.
+    :meth:`finish` writes the manifest, under ``chunk_id`` (0 for fused
+    output).
     """
 
-    def __init__(self, directory):
+    def __init__(self, directory, chunk_id: int = 0):
         self.directory = Path(directory)
+        self.chunk_id = chunk_id
         self.directory.mkdir(parents=True, exist_ok=True)
         self._files = {
             name: open(self.directory / f"{name}.bin", "wb")
@@ -254,7 +290,7 @@ class StreamingFrameWriter:
         self._files["points"].write(np.ascontiguousarray(fp.points, dtype="<f4").tobytes())
         self._files["confidence"].write(np.ascontiguousarray(fp.confidence, dtype="<f4").tobytes())
         m = fp.pose.matrix()
-        m[3, :] = np.array([0.0, 0.0, 0.0, 1.0])
+        m[3, :] = _LAST_POSE_ROW
         self._files["poses"].write(np.ascontiguousarray(m, dtype="<f4").tobytes())
         self._count += 1
 
@@ -270,7 +306,7 @@ class StreamingFrameWriter:
             _array_entry("confidence", [T, H, W]),
             _array_entry("poses", [T, 4, 4]),
         ]
-        _write_manifest(self.directory, "chunk", 0, self._start, self._start + T - 1,
+        _write_manifest(self.directory, "chunk", self.chunk_id, self._start, self._start + T - 1,
                         self._grid, arrays)
 
 
@@ -295,36 +331,22 @@ def write_ground_truth(gt: GroundTruth, directory) -> None:
 
 def read_ground_truth(directory) -> GroundTruth:
     directory = Path(directory)
-    manifest = _load_manifest(directory)
-    if manifest.get("kind") != "ground_truth":
-        raise MalformedContainer(f"expected a ground_truth container, got kind={manifest.get('kind')!r}")
-    T = int(manifest["end_frame"]) - int(manifest["start_frame"]) + 1
-    H, W = int(manifest["height"]), int(manifest["width"])
-    arrays = _array_map(manifest)
-    expected = {
-        "points": (T, H, W, 3),
-        "poses": (T, 4, 4),
-        "object_ids": (H, W),
-        "visible": (T, H, W),
-    }
-    data = {}
-    for name, shape in expected.items():
-        if name not in arrays:
-            raise MalformedContainer(f"manifest missing required array {name!r}")
-        got = tuple(int(s) for s in arrays[name]["shape"])
-        if got != shape:
-            raise MalformedContainer(f"array {name!r}: shape {list(got)} does not match {list(shape)}")
-        data[name] = _read_array(directory, arrays[name])
-    poses = [Pose(m[:3, :3], m[:3, 3], _tol=POSE_STORAGE_TOL) for m in data["poses"]]
+    manifest, data, poses = _read_container(directory, "ground_truth",
+                                            ("points", "poses", "object_ids", "visible"))
+    spec = None
     spec_path = directory / "scene_spec.json"
-    spec = SceneSpec.from_dict(json.loads(spec_path.read_text())) if spec_path.is_file() else None
+    if spec_path.is_file():
+        try:
+            spec = SceneSpec.from_dict(json.loads(spec_path.read_text()))
+        except (AttributeError, KeyError, TypeError, ValueError, InvalidSpec) as e:
+            raise MalformedContainer(f"bad scene_spec.json: {e}") from e
     return GroundTruth(
         spec=spec,
         points=data["points"],
         poses=poses,
         object_ids=data["object_ids"].astype(np.int32),
         visible=data["visible"] > 0.5,
-        scene_scale=float(manifest.get("scene_scale", 1.0)),
+        scene_scale=_field(manifest, "scene_scale", float, 1.0),
     )
 
 
@@ -467,22 +489,11 @@ def write_fusion_outputs(fused: FusedScene, directory) -> None:
     (directory / "transforms.json").write_text(
         json.dumps([_transform_to_dict(T) for T in fused.chunk_transforms], indent=1) + "\n"
     )
-    report = [
-        {
-            "chunk_i": r.chunk_i,
-            "chunk_j": r.chunk_j,
-            "tier": r.tier,
-            "num_static": r.num_static,
-            "num_dynamic": r.num_dynamic,
-            "num_tracklets_i": r.num_tracklets_i,
-            "num_tracklets_j": r.num_tracklets_j,
-            "num_candidates": r.num_candidates,
-            "num_matches": r.num_matches,
-            "static_rms": r.static_rms,
-            "pair_transform": _transform_to_dict(r.pair_transform),
-        }
-        for r in fused.reports
-    ]
+    report = []
+    for r in fused.reports:
+        record = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+        record["pair_transform"] = _transform_to_dict(r.pair_transform)
+        report.append(record)
     (directory / "report.json").write_text(json.dumps(report, indent=1) + "\n")
     write_trajectories(fused.trajectories, directory / "trajectories.txt")
     write_trajectory_meta(fused.trajectories, directory / "trajectories_meta.json")

@@ -1,5 +1,6 @@
 """Evaluation protocols: trajectory alignment, ATE, RPE, dense tracking
-end-point error, and association precision/recall.
+end-point error, and association precision/recall at the object and the
+point level (``junction_prf``).
 
 Dense EPE compares two trajectory tables, mappings from seed pixel (r, c)
 to a (T, 3) track. ``build_fused_table`` and ``GroundTruth.trajectory_table``
@@ -19,6 +20,7 @@ fewer passes and temporaries.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -143,17 +145,6 @@ def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) ->
     return float(norm3(d).mean())
 
 
-def association_prf(matches: MatchSet, truth: Mapping[int, int]) -> tuple[float, float, float]:
-    """Precision, recall, and F1 of matched pairs against true pairs."""
-    predicted = {(a, b) for a, b, _ in matches.matches}
-    actual = {(a, b) for a, b in truth.items()}
-    correct = len(predicted & actual)
-    precision = correct / len(predicted) if predicted else 0.0
-    recall = correct / len(actual) if actual else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
-
-
 def object_level_prf(
     matches: MatchSet,
     labels_i: Mapping[int, int],
@@ -170,8 +161,6 @@ def object_level_prf(
         for a, b, _ in matches.matches
         if a in labels_i and b in labels_j and labels_i[a] == labels_j[b]
     )
-    from collections import Counter
-
     count_i = Counter(labels_i.values())
     count_j = Counter(labels_j.values())
     achievable = sum(min(n, count_j.get(label, 0)) for label, n in count_i.items())
@@ -180,6 +169,26 @@ def object_level_prf(
     recall = correct / achievable if achievable else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+def junction_prf(junctions: Sequence[Mapping], labels: np.ndarray) -> tuple[float, float, float]:
+    """Association precision/recall/F1 of the junction records of
+    ``matches.json``, with the counts pooled over all junctions.
+
+    A match is correct when the seed pixels of its two tracklets carry the
+    same value in the (H, W) ground-truth ``labels``. ``object_ids`` gives
+    the object-level score; one distinct value per pixel gives the
+    point-level score, since the oracle binds each pixel to one surface
+    point for the whole sequence. Recall is against the same-label pairs
+    achievable one-to-one within each junction (:func:`object_level_prf`).
+    """
+    matches, labels_i, labels_j = [], {}, {}
+    for k, pair in enumerate(junctions):
+        # ids and labels carry the junction, so one call sums the per-junction counts
+        for side, out in (("tracklets_i", labels_i), ("tracklets_j", labels_j)):
+            out.update(((k, t), (k, int(labels[r, c]))) for t, r, c in pair[side])
+        matches += [((k, m[0]), (k, m[1]), m[2]) for m in pair["matches"]]
+    return object_level_prf(MatchSet(tuple(matches), (), ()), labels_i, labels_j)
 
 
 def build_fused_table(fused, stride: int = 1) -> TrackTable:

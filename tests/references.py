@@ -4,8 +4,10 @@ The dense seed-pixel tables (``model.TrackTable``) replaced per-pixel
 dicts, ``registration._weighted_moments`` and ``SimilarityTransform.apply``
 replaced whole-array expressions by column-wise, in-place passes, and
 ``association.assign`` replaced two ``np.unique`` calls per connected
-component by one ordering of all kept vertices. The functions here are the
-replaced code, so the tests can check that every output bit stayed the same.
+component by one ordering of all kept vertices. ``metrics.junction_prf``
+replaced the same-pixel association score that ``chunkfuse evaluate``
+built inline. The functions here are the replaced code, so the tests can
+check that every output bit stayed the same.
 """
 
 import numpy as np
@@ -161,3 +163,25 @@ def assign(candidates, costs, n_i: int, n_j: int, cfg) -> MatchSet:
         unmatched_i=tuple(np.flatnonzero(~taken_i).tolist()),
         unmatched_j=tuple(np.flatnonzero(~taken_j).tolist()),
     )
+
+
+def same_pixel_prf(junctions) -> tuple[float, float, float]:
+    """Association P/R/F1 of ``matches.json`` records, a match correct when
+    both tracklets sit at the same pixel, counts pooled over junctions."""
+    correct = predicted = actual = 0
+    for pair in junctions:
+        pix_j = {tuple(t[1:3]): t[0] for t in pair["tracklets_j"]}
+        truth = {
+            t[0]: pix_j[tuple(t[1:3])]
+            for t in pair["tracklets_i"]
+            if tuple(t[1:3]) in pix_j
+        }
+        pred_pairs = {(m[0], m[1]) for m in pair["matches"]}
+        true_pairs = set(truth.items())
+        correct += len(pred_pairs & true_pairs)
+        predicted += len(pred_pairs)
+        actual += len(true_pairs)
+    precision = correct / predicted if predicted else 0.0
+    recall = correct / actual if actual else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1

@@ -7,7 +7,6 @@ import references as ref
 from chunkfuse.association import (
     MatchSet,
     assign,
-    assignment_total_cost,
     build_tracklets,
     gate_candidates,
     pair_cost,
@@ -62,6 +61,19 @@ def assign_dict(costs, n_i, n_j, cfg):
 
 def pair_set(candidates):
     return set(map(tuple, candidates.tolist()))
+
+
+def assignment_total_cost(match_set: MatchSet, cfg: PipelineConfig) -> float:
+    """Objective value: matched costs plus cost_max per unmatched tracklet.
+
+    Summation runs in a canonical order so independent solvers of the same
+    instance produce bit-identical totals.
+    """
+    total = 0.0
+    for _, _, c in sorted(match_set.matches):
+        total += c
+    total += cfg.cost_max * (len(match_set.unmatched_i) + len(match_set.unmatched_j))
+    return total
 
 
 def brute_force_match(costs, n_i, n_j, cost_max):

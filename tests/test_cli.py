@@ -1,4 +1,7 @@
+import importlib
 import json
+import shutil
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +12,9 @@ import references as ref
 from chunkfuse import io as cio
 from chunkfuse.cli import main
 from chunkfuse.metrics import build_fused_table, dense_epe
-from scenes import ablation_config, gauge_recovery_spec
+from scenes import ablation_config, ablation_spec, gauge_recovery_spec
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +173,6 @@ def test_unknown_config_key_exit_2(workspace):
 
 def test_malformed_container_exit_3(workspace, tmp_path):
     root, data, out, cfg_path = workspace
-    import shutil
-
     broken = tmp_path / "chunks"
     shutil.copytree(data / "chunks", broken)
     target = broken / "chunk_0001" / "points.bin"
@@ -190,9 +193,88 @@ def test_key_mismatch_exit_4(workspace, tmp_path):
                  "--chunk-length", "8", "--overlap", "4"]) == 0
     code = main(["evaluate", "--pred", str(out), "--gt", str(other), "--metrics", "ate"])
     assert code == 4
+    # same frames on another grid: the matched pixels cannot be looked up
+    other_spec.write_text(
+        json.dumps(cio.spec_to_dict(gauge_recovery_spec(num_frames=28, grid=10)))
+    )
+    assert main(["generate", "--spec", str(other_spec), "--out", str(other),
+                 "--chunk-length", "8", "--overlap", "4"]) == 0
+    code = main(["evaluate", "--pred", str(out), "--gt", str(other), "--metrics", "assoc"])
+    assert code == 4
 
 
 def test_missing_pred_dir_exit_3(workspace, tmp_path):
     root, data, out, _ = workspace
     assert main(["evaluate", "--pred", str(tmp_path), "--gt", str(data),
                  "--metrics", "ate"]) == 3
+
+
+def _drop_height(gt_dir: Path):
+    manifest = json.loads((gt_dir / cio.MANIFEST_NAME).read_text())
+    del manifest["height"]
+    (gt_dir / cio.MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def _unknown_spec_key(gt_dir: Path):
+    spec = json.loads((gt_dir / "scene_spec.json").read_text())
+    spec["num_frmaes"] = 3
+    (gt_dir / "scene_spec.json").write_text(json.dumps(spec))
+
+
+def _skewed_pose(gt_dir: Path):
+    poses = np.fromfile(gt_dir / "poses.bin", dtype="<f4").reshape(-1, 4, 4)
+    poses[2, :3, :3] *= 1.5
+    poses.tofile(gt_dir / "poses.bin")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_height,
+    lambda gt_dir: (gt_dir / "scene_spec.json").write_text("{nope"),
+    _unknown_spec_key,
+    lambda gt_dir: (gt_dir / "scene_spec.json").write_text('{"camera": []}'),
+    _skewed_pose,
+], ids=["no-height", "spec-not-json", "spec-unknown-key", "spec-wrong-type",
+        "pose-not-orthonormal"])
+def test_malformed_ground_truth_exit_3(workspace, tmp_path, capsys, corrupt):
+    root, data, out, _ = workspace
+    broken = tmp_path / "data"
+    shutil.copytree(data / "gt", broken / "gt")
+    corrupt(broken / "gt")
+    assert main(["evaluate", "--pred", str(out), "--gt", str(broken), "--metrics", "ate"]) == 3
+    assert "malformed container" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def ablation_workspace(tmp_path_factory):
+    """``ablation_spec(0)`` generated and fused by the CLI: association
+    there is imperfect, so both levels of the score are below 1."""
+    root = tmp_path_factory.mktemp("ablation")
+    cfg = ablation_config()
+    (root / "scene.json").write_text(json.dumps(cio.spec_to_dict(ablation_spec(0))))
+    (root / "config.json").write_text(json.dumps(cfg.to_dict()))
+    data, out = root / "data", root / "fused"
+    assert main(["generate", "--spec", str(root / "scene.json"), "--out", str(data),
+                 "--chunk-length", str(cfg.chunk_length), "--overlap", str(cfg.overlap)]) == 0
+    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(root / "config.json"),
+                 "--out", str(out)]) == 0
+    return data, out
+
+
+def test_evaluate_assoc_levels(ablation_workspace, capsys, monkeypatch):
+    data, out = ablation_workspace
+    assert main(["evaluate", "--pred", str(out), "--gt", str(data), "--metrics", "assoc"]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert json.loads((out / "metrics.json").read_text()) == report
+    junctions = json.loads((out / "matches.json").read_text())
+
+    point = (report["assoc_precision"], report["assoc_recall"], report["assoc_f1"])
+    assert point == ref.same_pixel_prf(junctions)
+    assert max(point) < 1.0
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    harness = importlib.import_module("harness")
+    gt = cio.read_ground_truth(data / "gt")
+    obj = (report["assoc_obj_precision"], report["assoc_obj_recall"])
+    assert obj == harness.pooled_object_prf(junctions, gt.object_ids)
+    assert report["assoc_obj_recall"] < 1.0

@@ -168,6 +168,9 @@ class TestGroundTruthContainer:
         cio.write_chunk(random_chunk(rng), tmp_path / "c")
         with pytest.raises(MalformedContainer, match="ground_truth"):
             cio.read_ground_truth(tmp_path / "c")
+        cio.write_ground_truth(generate(gauge_recovery_spec(num_frames=6, grid=8)), tmp_path / "gt")
+        with pytest.raises(MalformedContainer, match="kind='ground_truth'"):
+            cio.read_chunk(tmp_path / "gt")
 
 
 class TestSidecars:

@@ -11,11 +11,11 @@ from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoin
 from chunkfuse.fusion import Trajectory
 from chunkfuse.metrics import (
     align_trajectories,
-    association_prf,
     ate,
     build_fused_table,
     dense_epe,
     format_metrics_table,
+    junction_prf,
     object_level_prf,
     rotation_angle_deg,
     rpe,
@@ -276,23 +276,47 @@ class TestDenseTables:
         assert dense_epe(pred, gt) == ref.dense_epe(pred, gt)
 
 
+def junction(matches, pixels_i, pixels_j):
+    """A ``matches.json`` record; ``pixels_*`` map tracklet id -> (row, col)."""
+    return {
+        "matches": [[a, b, cost] for a, b, cost in matches],
+        "tracklets_i": [[t, r, c] for t, (r, c) in pixels_i.items()],
+        "tracklets_j": [[t, r, c] for t, (r, c) in pixels_j.items()],
+    }
+
+
+PIXEL_IDS = np.arange(16).reshape(4, 4)
+
+
 class TestAssociationPrf:
     def test_perfect(self):
-        ms = MatchSet(((0, 5, 0.1), (1, 6, 0.1)), (), ())
-        assert association_prf(ms, {0: 5, 1: 6}) == (1.0, 1.0, 1.0)
+        pixels = {0: (0, 0), 1: (0, 1)}
+        record = junction([(0, 5, 0.1), (1, 6, 0.1)], pixels, {5: (0, 0), 6: (0, 1)})
+        assert junction_prf([record], PIXEL_IDS) == (1.0, 1.0, 1.0)
 
     def test_empty_matches(self):
-        ms = MatchSet((), (0, 1), (5, 6))
-        assert association_prf(ms, {0: 5, 1: 6}) == (0.0, 0.0, 0.0)
+        record = junction([], {0: (0, 0), 1: (0, 1)}, {5: (0, 0), 6: (0, 1)})
+        assert junction_prf([record], PIXEL_IDS) == (0.0, 0.0, 0.0)
 
     def test_hand_counted_two_thirds(self):
         # three true pairs, one predicted match wrong: counts give 2/3 across
-        ms = MatchSet(((0, 10, 0.1), (1, 11, 0.1), (2, 13, 0.1)), (), (12,))
-        truth = {0: 10, 1: 11, 2: 12}
-        p, r, f1 = association_prf(ms, truth)
+        pixels_i = {0: (0, 0), 1: (0, 1), 2: (0, 2)}
+        pixels_j = {10: (0, 0), 11: (0, 1), 12: (0, 2), 13: (1, 0)}
+        record = junction([(0, 10, 0.1), (1, 11, 0.1), (2, 13, 0.1)], pixels_i, pixels_j)
+        p, r, f1 = junction_prf([record], PIXEL_IDS)
         assert p == pytest.approx(2 / 3)
         assert r == pytest.approx(2 / 3)
         assert f1 == pytest.approx(2 / 3)
+
+    def test_pooled_over_junctions(self):
+        # the same tracklet ids and pixels at two junctions stay apart: a
+        # match is scored against its own junction's tracklets only
+        pixels = {0: (0, 0), 1: (0, 1)}
+        right = junction([(0, 0, 0.1), (1, 1, 0.1)], pixels, pixels)
+        wrong = junction([(0, 1, 0.1)], pixels, pixels)
+        assert junction_prf([right, wrong], PIXEL_IDS) == (2 / 3, 2 / 4, 2 * (2 / 3) * 0.5 / (2 / 3 + 0.5))
+        labels = np.zeros((4, 4), dtype=int)
+        assert junction_prf([right, wrong], labels) == (1.0, 3 / 4, 2 * 0.75 / 1.75)
 
     def test_object_level(self):
         ms = MatchSet(((0, 0, 0.1), (1, 1, 0.1), (2, 2, 0.1)), (), ())
