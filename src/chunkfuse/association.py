@@ -19,8 +19,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .model import Chunk, PipelineConfig, SimilarityTransform, TrackletSet, finite3, norm3
-from .registration import OverlapAbstraction, chunk_scene_scale
+from .model import PipelineConfig, TrackletSet, finite3, norm3
 
 VEL_EPS = 1e-9
 # cKDTree's ball test is inclusive and works on squared distances; the
@@ -55,49 +54,42 @@ def _no_pairs() -> np.ndarray:
 
 
 def build_tracklets(
-    chunk: Chunk,
-    overlap_frames,
-    abstraction: OverlapAbstraction,
+    frames: tuple[int, ...],
+    points: np.ndarray,
+    conf: np.ndarray,
+    dynamic_mask: np.ndarray,
+    gamma_stat: float,
     cfg: PipelineConfig,
-    gauge: SimilarityTransform,
 ) -> TrackletSet:
-    """Per-pixel candidate tracklets over the overlap, filtered and gauged.
+    """Per-pixel candidate tracklets of one chunk over the overlap.
 
-    One candidate per dynamic-support pixel sampled at ``seed_stride``, in
+    ``points`` (T, H, W, 3) and ``conf`` (T, H, W) are the chunk's
+    predictions over the overlap ``frames``, in its own gauge. One
+    candidate per dynamic-support pixel sampled at ``seed_stride``, in
     row-major pixel order. Candidates with mean confidence at or below
     gamma_c, with a non-finite position, or with net displacement below the
-    minimum (the resolved rigidity threshold by default) are dropped.
-    Positions are mapped by ``gauge`` into the shared frame.
+    minimum are dropped: ``cfg.min_displacement``, or else ``gamma_stat``,
+    the rigidity threshold :func:`select_anchors` resolved against this
+    chunk's own scale, so the gate is gauge-free.
     """
-    frames = sorted(set(int(f) for f in overlap_frames))
-    if any(f < chunk.start_frame or f > chunk.end_frame for f in frames):
-        raise ValueError("overlap frames must lie inside the chunk's range")
-    if cfg.min_displacement is not None:
-        min_disp = cfg.min_displacement
-    elif cfg.gamma_stat is not None:
-        min_disp = cfg.gamma_stat
-    else:
-        # resolved against this chunk's own scale so the gate is gauge-free
-        min_disp = cfg.gamma_stat_frac * chunk_scene_scale(chunk, frames)
-
-    rows, cols = np.nonzero(abstraction.dynamic_mask)
+    min_disp = gamma_stat if cfg.min_displacement is None else cfg.min_displacement
+    rows, cols = np.nonzero(dynamic_mask)
     stride = cfg.seed_stride
     keep = (rows % stride == 0) & (cols % stride == 0)
     rows, cols = rows[keep], cols[keep]
 
-    preds = [chunk.frame(f) for f in frames]
-    pos = np.stack([p.points[rows, cols] for p in preds], axis=1)
-    cnf = np.stack([p.confidence[rows, cols] for p in preds], axis=1)
+    # C-contiguous: numpy's sums over T round by layout once T >= 8
+    pos = np.ascontiguousarray(points[:, rows, cols].transpose(1, 0, 2))
+    cnf = np.ascontiguousarray(conf[:, rows, cols].T)
     with np.errstate(invalid="ignore"):
         # net displacement over the window; robust to noise, unlike path length
         disp = norm3(pos[:, -1] - pos[:, 0])
     keep = (cnf.mean(axis=1) > cfg.gamma_c) & finite3(pos).all(axis=1)
     keep &= disp >= min_disp
     return TrackletSet(
-        source_chunk=chunk.chunk_id,
-        frames=tuple(frames),
+        frames=frames,
         pixels=np.stack([rows[keep], cols[keep]], axis=1),
-        positions=gauge.apply(pos[keep]),
+        positions=pos[keep],
         conf=cnf[keep],
     )
 
@@ -158,7 +150,6 @@ def gate_candidates(
     tracklets_i: TrackletSet,
     tracklets_j: TrackletSet,
     cfg: PipelineConfig,
-    gamma_p: float | None = None,
 ) -> np.ndarray:
     """Candidate id pairs whose terminal positions lie within gamma_p.
 
@@ -168,7 +159,7 @@ def gate_candidates(
     """
     if not len(tracklets_i) or not len(tracklets_j):
         return _no_pairs()
-    radius = resolve_gamma_p(tracklets_i, tracklets_j, cfg) if gamma_p is None else gamma_p
+    radius = resolve_gamma_p(tracklets_i, tracklets_j, cfg)
     if radius <= 0:
         return _no_pairs()
 

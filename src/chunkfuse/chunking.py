@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NoOverlap
-from .model import Chunk, FramePrediction
+from .model import Chunk, Pose
 
 
 def plan_chunks(num_frames: int, chunk_length: int, overlap: int) -> list[tuple[int, int]]:
@@ -39,36 +39,31 @@ def plan_chunks(num_frames: int, chunk_length: int, overlap: int) -> list[tuple[
 
 @dataclass(frozen=True)
 class OverlapView:
-    """Paired per-frame predictions of two chunks over their shared frames."""
+    """Both chunks' predictions over their shared frames, stacked once:
+    points (T, H, W, 3), confidences (T, H, W) and the T poses of each."""
 
     frames: tuple[int, ...]
-    preds_i: tuple[FramePrediction, ...]
-    preds_j: tuple[FramePrediction, ...]
+    points_i: np.ndarray
+    conf_i: np.ndarray
+    poses_i: tuple[Pose, ...]
+    points_j: np.ndarray
+    conf_j: np.ndarray
+    poses_j: tuple[Pose, ...]
 
     def __len__(self) -> int:
         return len(self.frames)
 
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.preds_i[0].grid_shape
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(points_i, conf_i, points_j, conf_j) stacked as (T, H, W, ...)."""
-        pts_i = np.stack([p.points for p in self.preds_i])
-        cnf_i = np.stack([p.confidence for p in self.preds_i])
-        pts_j = np.stack([p.points for p in self.preds_j])
-        cnf_j = np.stack([p.confidence for p in self.preds_j])
-        return pts_i, cnf_i, pts_j, cnf_j
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Camera centers of both chunks over the overlap, (T, 3) each."""
-        c_i = np.stack([p.pose.center for p in self.preds_i])
-        c_j = np.stack([p.pose.center for p in self.preds_j])
-        return c_i, c_j
+def _stack(chunk: Chunk, frames) -> tuple[np.ndarray, np.ndarray, tuple[Pose, ...]]:
+    """Points, confidences and poses of ``chunk`` over ``frames``."""
+    preds = [chunk.frame(f) for f in frames]
+    points = np.stack([p.points for p in preds])
+    conf = np.stack([p.confidence for p in preds])
+    return points, conf, tuple(p.pose for p in preds)
 
 
 def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
-    """Shared frame indices and paired predictions of two adjacent chunks."""
+    """Shared frame indices and stacked predictions of two adjacent chunks."""
     if chunk_i.grid_shape != chunk_j.grid_shape:
         raise ValueError(f"chunk grids differ: {chunk_i.grid_shape} vs {chunk_j.grid_shape}")
     lo = max(chunk_i.start_frame, chunk_j.start_frame)
@@ -79,8 +74,4 @@ def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
             f"[{chunk_j.start_frame}, {chunk_j.end_frame}] do not intersect"
         )
     frames = tuple(range(lo, hi + 1))
-    return OverlapView(
-        frames=frames,
-        preds_i=tuple(chunk_i.frame(f) for f in frames),
-        preds_j=tuple(chunk_j.frame(f) for f in frames),
-    )
+    return OverlapView(frames, *_stack(chunk_i, frames), *_stack(chunk_j, frames))

@@ -30,7 +30,7 @@ import numpy as np
 from . import io as cio
 from .chunking import slice_overlap
 from .errors import InvalidConfig, InvalidSpec, KeyMismatch, MalformedContainer
-from .fusion import fuse_sequence
+from .fusion import ABLATION_MODES, fuse_sequence
 from .metrics import (
     align_trajectories,
     ate,
@@ -109,7 +109,7 @@ def _cmd_evaluate(args) -> int:
     info_path = pred_dir.parent / "fuse_info.json"
     variant = "pred"
     if info_path.is_file():
-        variant = json.loads(info_path.read_text()).get("ablation", "pred")
+        variant = cio.read_sidecar(info_path).get("ablation", "pred")
 
     result: dict[str, object] = {"variant": variant}
     pred_poses = [fp.pose for fp in fused.frames]
@@ -136,7 +136,7 @@ def _cmd_evaluate(args) -> int:
             raise KeyMismatch(f"no matches.json under {pred_dir.parent} (fused with association?)")
         if fused.grid_shape != gt.grid_shape:
             raise KeyMismatch(f"prediction grid {fused.grid_shape} but ground truth has {gt.grid_shape}")
-        junctions = json.loads(matches_path.read_text())
+        junctions = cio.read_matches(matches_path)
         H, W = gt.grid_shape
         # point level: generate binds each pixel to one surface point, so a
         # pixel identifies its point
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--chunks", required=True, help="directory of chunk containers")
     f.add_argument("--config", required=True, help="pipeline config JSON")
     f.add_argument("--out", required=True, help="output directory")
-    f.add_argument("--ablation", choices=["base", "overlap", "full"], default="full")
+    f.add_argument("--ablation", choices=ABLATION_MODES, default="full")
     f.set_defaults(func=_cmd_fuse)
 
     e = sub.add_parser("evaluate", help="score a fused scene against ground truth")

@@ -35,6 +35,7 @@ from .model import (
 )
 from .registration import (
     RegistrationReport,
+    nearest_rotation,
     register_pair,
     select_anchors,
     solve_weighted_rigid,
@@ -46,14 +47,6 @@ ABLATION_MODES = ("base", "overlap", "full")
 
 # ---------------------------------------------------------------------------
 # Refined overlap alignment
-
-
-def _project_rotation(M: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(M)
-    S = np.ones(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        S[-1] = -1.0
-    return (U * S) @ Vt
 
 
 def refine_transform(
@@ -132,7 +125,7 @@ def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose]) -> Sim
     M = np.zeros((3, 3))
     for pi, pj in zip(poses_i, poses_j):
         M += pi.rotation @ pj.rotation.T
-    R = _project_rotation(M)
+    R, _, _ = nearest_rotation(M)
     mu_i = c_i.mean(axis=0)
     mu_j = c_j.mean(axis=0)
     spread_j = np.sqrt(((c_j - mu_j) ** 2).sum(axis=1).mean())
@@ -284,7 +277,6 @@ def reconstruct_boundary(
     before = [k for k, f in enumerate(d_a.frames) if f < frames[0]]
     after = [k for k, f in enumerate(d_b_aligned.frames) if f > frames[-1]]
     return TrackletSet(
-        source_chunk=d_a.source_chunk,
         frames=tuple(d_a.frames[k] for k in before) + tuple(frames)
         + tuple(d_b_aligned.frames[k] for k in after),
         pixels=d_a.pixels,
@@ -346,7 +338,6 @@ def _pixel_tracks(chunk: Chunk, pixels: np.ndarray, gauge: SimilarityTransform) 
     """Whole-chunk tracks of the given pixels, mapped by ``gauge``."""
     rows, cols = pixels[:, 0], pixels[:, 1]
     return TrackletSet(
-        source_chunk=chunk.chunk_id,
         frames=tuple(chunk.frame_range()),
         pixels=pixels,
         positions=gauge.apply(np.stack([fp.points[rows, cols] for fp in chunk.frames], axis=1)),
@@ -381,11 +372,11 @@ class _Stitcher:
         """Stitch the matches of one junction across its boundary window.
 
         Every match shares the window [junction - bw + 1, junction + bw],
-        clipped to the two chunks, and all are reconstructed in one solve.
-        A match whose window cannot be reconstructed is handled as two
-        unmatched tracklets.
+        with half width bw = ``cfg.overlap``, clipped to the two chunks, and
+        all are reconstructed in one solve. A match whose window cannot be
+        reconstructed is handled as two unmatched tracklets.
         """
-        bw = cfg.boundary_half_width
+        bw = cfg.overlap
         junction = prev.end_frame
         window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
         pairs = match_set.pairs()
@@ -452,10 +443,6 @@ class FusedScene:
         default_factory=list
     )
 
-    @property
-    def poses(self) -> list[Pose]:
-        return [fp.pose for fp in self.frames]
-
 
 def _map_frame(fp: FramePrediction, G: SimilarityTransform) -> FramePrediction:
     return FramePrediction(
@@ -464,6 +451,83 @@ def _map_frame(fp: FramePrediction, G: SimilarityTransform) -> FramePrediction:
         pose=G.apply_pose(fp.pose),
         frame_index=fp.frame_index,
     )
+
+
+def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
+    """Register and associate one junction under ``ablation``: its report,
+    the match set, and both raw tracklet sets (None unless "full"). The
+    stacked overlap lives only as long as this call, so it is freed before
+    the next chunk is read."""
+    overlap = slice_overlap(prev, cur)
+    abstraction = select_anchors(overlap, cfg)
+    poses_i, poses_j = overlap.poses_i, overlap.poses_j
+
+    static_result = None
+    if ablation != "base":
+        try:
+            static_result = register_pair(overlap, abstraction, cfg)
+        except (NotEnoughPoints, DegenerateConfiguration):
+            static_result = None
+
+    raw_i = raw_j = None
+    match_set = MatchSet((), (), ())
+    refined = None
+    num_candidates = 0
+    if ablation == "full":
+        T_assoc = static_result[0] if static_result else pose_only_transform(poses_i, poses_j)
+        raw_i = build_tracklets(overlap.frames, overlap.points_i, overlap.conf_i,
+                                abstraction.dynamic_mask, abstraction.gamma_stat, cfg)
+        raw_j = build_tracklets(overlap.frames, overlap.points_j, overlap.conf_j,
+                                abstraction.dynamic_mask, abstraction.gamma_stat_j, cfg)
+        # association, the fuse's memory peak, does not need the stacked overlap
+        del overlap
+        # associate, refine, then re-associate in the improved gauge: the
+        # first alignment may be off by more than a seed spacing, which
+        # skews the one-to-one matching
+        for _ in range(cfg.association_rounds):
+            aligned_j = raw_j.transformed(T_assoc)
+            candidates = gate_candidates(raw_i, aligned_j, cfg)
+            num_candidates = len(candidates)
+            costs = pair_cost(raw_i, aligned_j, candidates, cfg, abstraction.scene_scale)
+            match_set = assign(candidates, costs, len(raw_i), len(raw_j), cfg)
+            if len(match_set) == 0:
+                refined = None
+                break
+            try:
+                refined = RefinedResult(
+                    refine_transform(match_set, raw_i, raw_j, poses_i, poses_j, T_assoc, cfg),
+                    len(match_set),
+                )
+            except NotEnoughPoints:
+                refined = None
+                break
+            T_assoc = refined.transform
+
+    if ablation == "base":
+        T_pair, tier = SimilarityTransform.identity(), "base"
+    elif ablation == "overlap":
+        # isolates the contribution of static-aware overlap registration:
+        # no dynamic feedback, no pose fallback
+        T_pair, tier = SimilarityTransform.identity(), "identity"
+        if static_result is not None and static_accepted(static_result[1], cfg):
+            T_pair, tier = static_result[0], "static"
+    else:
+        T_pair, tier = choose_transform(static_result, refined, poses_i, poses_j, cfg)
+
+    report = PairReport(
+        chunk_i=prev.chunk_id,
+        chunk_j=cur.chunk_id,
+        tier=tier,
+        num_static=abstraction.num_static,
+        num_dynamic=abstraction.num_dynamic,
+        num_tracklets_i=len(raw_i) if raw_i is not None else 0,
+        num_tracklets_j=len(raw_j) if raw_j is not None else 0,
+        num_candidates=num_candidates,
+        num_matches=len(match_set),
+        static_rms=static_result[1].residual_rms if static_result else None,
+        pair_transform=T_pair,
+    )
+    return report, match_set, raw_i, raw_j
 
 
 def fuse_sequence(
@@ -508,77 +572,10 @@ def fuse_sequence(
 
     for cur in it:
         G_prev = transforms[-1]
-        overlap = slice_overlap(prev, cur)
-        abstraction = select_anchors(overlap, cfg)
-        poses_i = [p.pose for p in overlap.preds_i]
-        poses_j = [p.pose for p in overlap.preds_j]
-
-        static_result = None
-        if ablation != "base":
-            try:
-                static_result = register_pair(overlap, abstraction, cfg)
-            except (NotEnoughPoints, DegenerateConfiguration):
-                static_result = None
-
-        raw_i = raw_j = None
-        match_set = MatchSet((), (), ())
-        refined = None
-        num_candidates = 0
-        if ablation == "full":
-            T_init = static_result[0] if static_result else pose_only_transform(poses_i, poses_j)
-            raw_i = build_tracklets(prev, overlap.frames, abstraction, cfg, identity)
-            raw_j = build_tracklets(cur, overlap.frames, abstraction, cfg, identity)
-            # associate, refine, then re-associate in the improved gauge: the
-            # first alignment may be off by more than a seed spacing, which
-            # skews the one-to-one matching
-            T_assoc = T_init
-            for _ in range(cfg.association_rounds):
-                aligned_j = raw_j.transformed(T_assoc)
-                candidates = gate_candidates(raw_i, aligned_j, cfg)
-                num_candidates = len(candidates)
-                costs = pair_cost(raw_i, aligned_j, candidates, cfg, abstraction.scene_scale)
-                match_set = assign(candidates, costs, len(raw_i), len(raw_j), cfg)
-                if len(match_set) == 0:
-                    refined = None
-                    break
-                try:
-                    refined = RefinedResult(
-                        refine_transform(match_set, raw_i, raw_j, poses_i, poses_j, T_assoc, cfg),
-                        len(match_set),
-                    )
-                except NotEnoughPoints:
-                    refined = None
-                    break
-                T_assoc = refined.transform
-
-        if ablation == "base":
-            T_pair, tier = identity, "base"
-        elif ablation == "overlap":
-            # isolates the contribution of static-aware overlap registration:
-            # no dynamic feedback, no pose fallback
-            T_pair, tier = identity, "identity"
-            if static_result is not None and static_accepted(static_result[1], cfg):
-                T_pair, tier = static_result[0], "static"
-        else:
-            T_pair, tier = choose_transform(static_result, refined, poses_i, poses_j, cfg)
-
-        G_cur = G_prev.compose(T_pair)
+        report, match_set, raw_i, raw_j = _align_pair(prev, cur, cfg, ablation)
+        G_cur = G_prev.compose(report.pair_transform)
         transforms.append(G_cur)
-        reports.append(
-            PairReport(
-                chunk_i=prev.chunk_id,
-                chunk_j=cur.chunk_id,
-                tier=tier,
-                num_static=abstraction.num_static,
-                num_dynamic=abstraction.num_dynamic,
-                num_tracklets_i=len(raw_i) if raw_i is not None else 0,
-                num_tracklets_j=len(raw_j) if raw_j is not None else 0,
-                num_candidates=num_candidates,
-                num_matches=len(match_set),
-                static_rms=static_result[1].residual_rms if static_result else None,
-                pair_transform=T_pair,
-            )
-        )
+        reports.append(report)
 
         if ablation == "full":
             match_dumps.append((prev.chunk_id, cur.chunk_id, match_set, raw_i, raw_j))

@@ -16,6 +16,8 @@ array of the wrong shape, dtype, byte order or byte count, and a pose whose
 last row is not exactly 0,0,0,1 or whose rotation is not orthonormal. A
 chunk's frames must also pass :class:`FramePrediction`'s checks, and a
 ground truth's ``scene_spec.json`` must be a valid scene spec.
+:func:`read_sidecar` and :func:`read_matches` raise it for a sidecar that
+is not JSON or not of the expected shape.
 
 Sidecar files
 -------------
@@ -333,13 +335,8 @@ def read_ground_truth(directory) -> GroundTruth:
     directory = Path(directory)
     manifest, data, poses = _read_container(directory, "ground_truth",
                                             ("points", "poses", "object_ids", "visible"))
-    spec = None
     spec_path = directory / "scene_spec.json"
-    if spec_path.is_file():
-        try:
-            spec = SceneSpec.from_dict(json.loads(spec_path.read_text()))
-        except (AttributeError, KeyError, TypeError, ValueError, InvalidSpec) as e:
-            raise MalformedContainer(f"bad scene_spec.json: {e}") from e
+    spec = _read_spec(spec_path, MalformedContainer) if spec_path.is_file() else None
     return GroundTruth(
         spec=spec,
         points=data["points"],
@@ -482,6 +479,32 @@ def write_matches(match_sets, path) -> None:
     Path(path).write_text(_json_container(junctions, "") + "\n")
 
 
+_JUNCTION_KEYS = {"matches", "tracklets_i", "tracklets_j"}
+
+
+def read_sidecar(path, kind: type = dict):
+    """The JSON sidecar ``path``, which must hold a ``kind`` (dict or list);
+    MalformedContainer when it is not JSON or holds something else."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as e:
+        raise MalformedContainer(f"{path.name} is not valid JSON: {e}") from e
+    if not isinstance(data, kind):
+        raise MalformedContainer(f"{path.name} does not hold a JSON {kind.__name__}")
+    return data
+
+
+def read_matches(path) -> list[dict]:
+    """The junction records of ``matches.json``; MalformedContainer unless
+    each is an object with ``matches``, ``tracklets_i`` and ``tracklets_j``."""
+    junctions = read_sidecar(path, list)
+    for k, junction in enumerate(junctions):
+        if not (isinstance(junction, dict) and _JUNCTION_KEYS <= junction.keys()):
+            raise MalformedContainer(f"{Path(path).name}: junction record {k} is incomplete")
+    return junctions
+
+
 def write_fusion_outputs(fused: FusedScene, directory) -> None:
     """Transforms, reports, trajectories, and association dumps."""
     directory = Path(directory)
@@ -522,14 +545,18 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     return dataclasses.asdict(spec)
 
 
-def load_scene_spec(path) -> SceneSpec:
+def _read_spec(path: Path, error: type[Exception]) -> SceneSpec:
+    """The scene spec in the JSON file ``path``; ``error`` when the file
+    cannot be read, is not JSON, or holds no object or no valid spec."""
     try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError as e:
-        raise InvalidSpec(f"scene spec not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise InvalidSpec(f"scene spec is not valid JSON: {e}") from e
-    try:
+        data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return SceneSpec.from_dict(data)
-    except TypeError as e:
-        raise InvalidSpec(f"bad scene spec: {e}") from e
+    except (OSError, AttributeError, KeyError, TypeError, ValueError, InvalidSpec) as e:
+        raise error(f"bad scene spec {path}: {e}") from e
+
+
+def load_scene_spec(path) -> SceneSpec:
+    """Read a scene spec file; any fault in it raises InvalidSpec."""
+    return _read_spec(Path(path), InvalidSpec)

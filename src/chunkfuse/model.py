@@ -250,7 +250,6 @@ class TrackletSet:
     ``conf[k]`` the matching confidences.
     """
 
-    source_chunk: int
     frames: tuple[int, ...]
     pixels: np.ndarray
     positions: np.ndarray
@@ -283,7 +282,7 @@ class TrackletSet:
         return len(self.pixels)
 
     def transformed(self, T: SimilarityTransform) -> "TrackletSet":
-        return TrackletSet(self.source_chunk, self.frames, self.pixels, T.apply(self.positions), self.conf)
+        return TrackletSet(self.frames, self.pixels, T.apply(self.positions), self.conf)
 
 
 def seed_tracks(points, stride: int = 1) -> np.ndarray:
@@ -352,17 +351,33 @@ class TrackTable(Mapping):
         return len(self.tracks)
 
 
+# The JSON values each field type of PipelineConfig takes; JSON true and
+# false are Python bools, which are ints too, so bools are told apart first.
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}
+
+
+def _fits_json_type(annotation: str, value) -> bool:
+    """Whether a decoded JSON value fits a field annotated ``annotation``
+    ("int", "float", "bool", optionally with "| None")."""
+    base, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if isinstance(value, bool):
+        return base == "bool"
+    return isinstance(value, _JSON_TYPES[base])
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All thresholds and weights of the cross-chunk pipeline.
 
     Length thresholds expressed in world units (``gamma_stat``, ``gamma_p``,
     ``min_displacement``) may be left as None, in which case they are
-    resolved per chunk pair from the scene scale: ``gamma_stat`` becomes
-    ``gamma_stat_frac`` times the pair's median camera-to-point distance,
-    ``gamma_p`` becomes ``gamma_p_factor`` times the mean per-frame dynamic
-    displacement, and ``min_displacement`` inherits the resolved
-    ``gamma_stat``.
+    resolved per chunk pair: ``gamma_stat`` becomes ``gamma_stat_frac``
+    times each chunk's own median camera-to-point distance over the
+    overlap, ``gamma_p`` becomes ``gamma_p_factor`` times the mean
+    per-frame dynamic displacement, and ``min_displacement`` inherits each
+    chunk's own resolved ``gamma_stat``.
     """
 
     chunk_length: int = 16
@@ -380,7 +395,6 @@ class PipelineConfig:
     cost_max: float = 1.0
     lambda_cam: float = 1.0
     lambda_sm: float = 1.0
-    boundary_window: int | None = None
     min_displacement: float | None = None
     seed_stride: int = 2
     min_static_anchors: int = 50
@@ -424,8 +438,6 @@ class PipelineConfig:
                 raise InvalidConfig(f"{name} must be >= 0, got {value}")
         if self.lambda_traj + self.lambda_vel + self.lambda_dir <= 0:
             raise InvalidConfig("lambda_traj + lambda_vel + lambda_dir must be > 0")
-        if self.boundary_window is not None and self.boundary_window < 1:
-            raise InvalidConfig(f"boundary_window must be >= 1, got {self.boundary_window}")
         if self.min_static_anchors < 3:
             raise InvalidConfig("min_static_anchors must be >= 3")
         if self.min_dynamic_matches < 1:
@@ -433,16 +445,17 @@ class PipelineConfig:
         if self.association_rounds < 1:
             raise InvalidConfig("association_rounds must be >= 1")
 
-    @property
-    def boundary_half_width(self) -> int:
-        return self.boundary_window if self.boundary_window is not None else self.overlap
-
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """A config from decoded JSON. An unknown key, or a value whose
+        JSON type does not fit its field, raises InvalidConfig."""
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _fits_json_type(types[name], value):
+                raise InvalidConfig(f"{name} must be {types[name]}, got {value!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:

@@ -27,17 +27,14 @@ class OverlapAbstraction:
     own gauge against that chunk's own scale). Dynamic supports pass
     confidence but fail rigidity. Pixels failing confidence belong to
     neither set. ``scene_scale`` and ``gamma_stat`` refer to chunk i, whose
-    gauge is the pair's working frame; the ``_j`` fields are chunk j's own.
+    gauge is the pair's working frame; ``gamma_stat_j`` is chunk j's own.
     """
 
     static_mask: np.ndarray
     dynamic_mask: np.ndarray
-    mean_conf_i: np.ndarray
-    mean_conf_j: np.ndarray
     gamma_stat: float
     scene_scale: float
     gamma_stat_j: float
-    scene_scale_j: float
 
     def __post_init__(self):
         if (self.static_mask & self.dynamic_mask).any():
@@ -59,16 +56,6 @@ def _median_distance(points: np.ndarray, confidence: np.ndarray, centers: np.nda
         kept = d.ravel()
     kept = kept[np.isfinite(kept)]
     return float(np.median(kept)) if kept.size else 1.0
-
-
-def chunk_scene_scale(chunk, frames) -> float:
-    """Median camera-to-point distance of one chunk over the given frames,
-    in that chunk's own gauge."""
-    preds = [chunk.frame(f) for f in frames]
-    pts = np.stack([p.points for p in preds])
-    cnf = np.stack([p.confidence for p in preds])
-    centers = np.stack([p.pose.center for p in preds])
-    return _median_distance(pts, cnf, centers)
 
 
 def _max_pairwise_displacement(points: np.ndarray) -> np.ndarray:
@@ -93,11 +80,14 @@ def resolve_gamma_stat(cfg: PipelineConfig, scene_scale: float) -> float:
 
 
 def select_anchors(overlap: OverlapView, cfg: PipelineConfig) -> OverlapAbstraction:
-    """Split overlap pixels into static anchors and dynamic supports."""
+    """Split overlap pixels into static anchors and dynamic supports; the one
+    place each chunk's scene scale and rigidity threshold are resolved."""
     if len(overlap) < 2:
         raise ValueError("anchor selection needs an overlap of at least 2 frames")
-    pts_i, cnf_i, pts_j, cnf_j = overlap.stacked()
-    c_i, c_j = overlap.centers()
+    pts_i, cnf_i = overlap.points_i, overlap.conf_i
+    pts_j, cnf_j = overlap.points_j, overlap.conf_j
+    c_i = np.stack([p.center for p in overlap.poses_i])
+    c_j = np.stack([p.center for p in overlap.poses_j])
     scale_i = _median_distance(pts_i, cnf_i, c_i)
     scale_j = _median_distance(pts_j, cnf_j, c_j)
     gamma_i = resolve_gamma_stat(cfg, scale_i)
@@ -117,12 +107,9 @@ def select_anchors(overlap: OverlapView, cfg: PipelineConfig) -> OverlapAbstract
     return OverlapAbstraction(
         static_mask=static_mask,
         dynamic_mask=dynamic_mask,
-        mean_conf_i=mean_i,
-        mean_conf_j=mean_j,
         gamma_stat=gamma_i,
         scene_scale=scale_i,
         gamma_stat_j=gamma_j,
-        scene_scale_j=scale_j,
     )
 
 
@@ -188,6 +175,17 @@ def _weighted_moments(src, dst, weights):
     return mu_src, mu_dst, cov, src_cov, var_src
 
 
+def nearest_rotation(M: np.ndarray):
+    """The rotation nearest to the 3x3 matrix ``M``, with the singular
+    values ``D`` of ``M`` and the signs ``S`` that keep det(R) = +1: the
+    smallest singular direction flips when det(U Vt) < 0."""
+    U, D, Vt = np.linalg.svd(M)
+    S = np.ones(3)
+    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
+        S[-1] = -1.0
+    return (U * S) @ Vt, D, S
+
+
 def _rotation_from_cov(cov: np.ndarray, src_cov: np.ndarray):
     # Rank check on the weighted source covariance: collinear or coincident
     # sources leave the rotation under-determined.
@@ -196,12 +194,7 @@ def _rotation_from_cov(cov: np.ndarray, src_cov: np.ndarray):
         raise DegenerateConfiguration(
             "weighted source covariance has rank < 2 (collinear or coincident points)"
         )
-    U, D, Vt = np.linalg.svd(cov)
-    S = np.ones(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        S[-1] = -1.0
-    R = (U * S) @ Vt
-    return R, D, S
+    return nearest_rotation(cov)
 
 
 def solve_weighted_similarity(src, dst, weights) -> SimilarityTransform:
@@ -235,7 +228,6 @@ class RegistrationReport:
     """Summary of one pairwise static registration attempt."""
 
     anchor_count: int
-    correspondence_count: int
     residual_rms: float
     scene_scale: float
 
@@ -255,11 +247,10 @@ def static_correspondences(overlap: OverlapView, abstraction: OverlapAbstraction
 
     Weights are the per-sample geometric mean sqrt(c_i * c_j).
     """
-    pts_i, cnf_i, pts_j, cnf_j = overlap.stacked()
     mask = abstraction.static_mask
-    src = pts_j[:, mask, :].reshape(-1, 3)
-    dst = pts_i[:, mask, :].reshape(-1, 3)
-    w = np.sqrt(cnf_i[:, mask] * cnf_j[:, mask]).ravel()
+    src = overlap.points_j[:, mask, :].reshape(-1, 3)
+    dst = overlap.points_i[:, mask, :].reshape(-1, 3)
+    w = np.sqrt(overlap.conf_i[:, mask] * overlap.conf_j[:, mask]).ravel()
     return src, dst, w
 
 
@@ -277,7 +268,6 @@ def register_pair(
     T = solve_weighted_similarity(src, dst, w)
     report = RegistrationReport(
         anchor_count=abstraction.num_static,
-        correspondence_count=int((w > 0).sum()),
         residual_rms=registration_residual_rms(T, src, dst, w),
         scene_scale=abstraction.scene_scale,
     )

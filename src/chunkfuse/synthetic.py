@@ -440,9 +440,6 @@ class GroundTruth:
     def trajectory_table(self, stride: int = 1) -> TrackTable:
         return TrackTable(seed_tracks(self.points, stride), self.grid_shape, stride)
 
-    def centers(self) -> np.ndarray:
-        return np.stack([p.center for p in self.poses])
-
 
 def _object_offsets(spec: SceneSpec) -> np.ndarray:
     if not spec.objects:

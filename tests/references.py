@@ -6,8 +6,10 @@ replaced whole-array expressions by column-wise, in-place passes, and
 ``association.assign`` replaced two ``np.unique`` calls per connected
 component by one ordering of all kept vertices. ``metrics.junction_prf``
 replaced the same-pixel association score that ``chunkfuse evaluate``
-built inline. The functions here are the replaced code, so the tests can
-check that every output bit stayed the same.
+built inline. ``association.build_tracklets`` takes the rigidity
+threshold ``select_anchors`` resolved, where it re-derived it from the
+chunk's own scene scale. The functions here are the replaced code, so the
+tests can check that every output bit stayed the same.
 """
 
 import numpy as np
@@ -17,8 +19,8 @@ from scipy.sparse.csgraph import connected_components
 
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
-from chunkfuse.model import SimilarityTransform
-from chunkfuse.registration import RANK_TOL
+from chunkfuse.model import SimilarityTransform, TrackletSet, finite3, norm3
+from chunkfuse.registration import RANK_TOL, _median_distance
 
 
 def same_bits(a, b) -> bool:
@@ -185,3 +187,46 @@ def same_pixel_prf(junctions) -> tuple[float, float, float]:
     recall = correct / actual if actual else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
+
+
+def chunk_scene_scale(chunk, frames) -> float:
+    """Median camera-to-point distance of one chunk over the given frames,
+    in that chunk's own gauge."""
+    preds = [chunk.frame(f) for f in frames]
+    pts = np.stack([p.points for p in preds])
+    cnf = np.stack([p.confidence for p in preds])
+    centers = np.stack([p.pose.center for p in preds])
+    return _median_distance(pts, cnf, centers)
+
+
+def build_tracklets(chunk, overlap_frames, dynamic_mask, cfg) -> TrackletSet:
+    """Tracklets of one chunk over the overlap, with the minimum net
+    displacement taken from ``min_displacement``, else ``gamma_stat``, else
+    ``gamma_stat_frac`` times the chunk's own scene scale, and positions
+    mapped by the identity gauge, as the fuse passed it."""
+    frames = sorted(set(int(f) for f in overlap_frames))
+    if cfg.min_displacement is not None:
+        min_disp = cfg.min_displacement
+    elif cfg.gamma_stat is not None:
+        min_disp = cfg.gamma_stat
+    else:
+        min_disp = cfg.gamma_stat_frac * chunk_scene_scale(chunk, frames)
+
+    rows, cols = np.nonzero(dynamic_mask)
+    stride = cfg.seed_stride
+    keep = (rows % stride == 0) & (cols % stride == 0)
+    rows, cols = rows[keep], cols[keep]
+
+    preds = [chunk.frame(f) for f in frames]
+    pos = np.stack([p.points[rows, cols] for p in preds], axis=1)
+    cnf = np.stack([p.confidence[rows, cols] for p in preds], axis=1)
+    with np.errstate(invalid="ignore"):
+        disp = norm3(pos[:, -1] - pos[:, 0])
+    keep = (cnf.mean(axis=1) > cfg.gamma_c) & finite3(pos).all(axis=1)
+    keep &= disp >= min_disp
+    return TrackletSet(
+        frames=tuple(frames),
+        pixels=np.stack([rows[keep], cols[keep]], axis=1),
+        positions=SimilarityTransform.identity().apply(pos[keep]),
+        conf=cnf[keep],
+    )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,17 +17,19 @@ from chunkfuse.association import (
 from chunkfuse.association import VEL_EPS
 from chunkfuse.chunking import slice_overlap
 from chunkfuse.model import PipelineConfig, SimilarityTransform, TrackletSet
-from chunkfuse.registration import OverlapAbstraction, select_anchors
+from chunkfuse.registration import select_anchors
+from chunkfuse.synthetic import emit_chunks, generate
 from conftest import make_chunk, random_rotation
+from scenes import ablation_config, ablation_spec, association_config, association_spec
 
 
-def tracklets(positions, frames=None, chunk=0):
+def tracklets(positions, frames=None):
     """A set from an (N, T, 3) stack; tracklet k seeds at pixel (k, 0)."""
     positions = np.asarray(positions, dtype=float).reshape(-1, *np.shape(positions)[-2:])
     n, t = positions.shape[:2]
     frames = tuple(range(t)) if frames is None else tuple(frames)
     pixels = np.stack([np.arange(n), np.zeros(n, dtype=int)], axis=1)
-    return TrackletSet(chunk, frames, pixels, positions, np.ones((n, t)))
+    return TrackletSet(frames, pixels, positions, np.ones((n, t)))
 
 
 def reference_pair_cost(pa, pb, frames, cfg, scene_scale):
@@ -49,7 +53,7 @@ def reference_pair_cost(pa, pb, frames, cfg, scene_scale):
 
 def single_cost(pa, pb, cfg, scene_scale, frames=None):
     """Batched cost of one tracklet pair, None when rejected."""
-    (c,) = pair_cost(tracklets([pa], frames), tracklets([pb], frames, chunk=1),
+    (c,) = pair_cost(tracklets([pa], frames), tracklets([pb], frames),
                      np.array([[0, 0]]), cfg, scene_scale)
     return None if c == np.inf else float(c)
 
@@ -112,27 +116,18 @@ def brute_force_match(costs, n_i, n_j, cost_max):
     )
 
 
-class TestBuildTracklets:
-    def _abstraction(self, dynamic, scene_scale=5.0, gamma_stat=0.1):
-        H, W = dynamic.shape
-        return OverlapAbstraction(
-            static_mask=np.zeros((H, W), dtype=bool),
-            dynamic_mask=dynamic,
-            mean_conf_i=np.ones((H, W)),
-            mean_conf_j=np.ones((H, W)),
-            gamma_stat=gamma_stat,
-            scene_scale=scene_scale,
-            gamma_stat_j=gamma_stat,
-            scene_scale_j=scene_scale,
-        )
+def stacked(chunk):
+    """(frames, points, confidences) of a whole chunk, stacked as in an overlap."""
+    return (tuple(chunk.frame_range()), np.stack([fp.points for fp in chunk.frames]),
+            np.stack([fp.confidence for fp in chunk.frames]))
 
+
+class TestBuildTracklets:
     def test_static_chunk_yields_nothing(self, rng):
         pts = np.broadcast_to(rng.normal(size=(8, 8, 3)), (4, 8, 8, 3)).copy()
-        chunk = make_chunk(pts)
         dyn = np.ones((8, 8), dtype=bool)  # even if flagged dynamic...
         cfg = PipelineConfig(gamma_stat=0.1, seed_stride=1)
-        out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg,
-                              SimilarityTransform.identity())
+        out = build_tracklets(*stacked(make_chunk(pts)), dyn, 0.1, cfg)
         assert len(out) == 0  # ...the displacement filter drops motionless pixels
 
     def test_moving_block_tracked(self, rng):
@@ -141,12 +136,10 @@ class TestBuildTracklets:
         block = (slice(2, 5), slice(3, 6))
         for t in range(4):
             pts[t][block] += v * t
-        chunk = make_chunk(pts)
         dyn = np.zeros((8, 8), dtype=bool)
         dyn[block] = True
         cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.5, seed_stride=1)
-        out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg,
-                              SimilarityTransform.identity())
+        out = build_tracklets(*stacked(make_chunk(pts)), dyn, 0.1, cfg)
         assert pair_set(out.pixels) == {(r, c) for r in range(2, 5) for c in range(3, 6)}
         assert out.frames == (0, 1, 2, 3)
         steps = np.diff(out.positions, axis=1)
@@ -159,23 +152,68 @@ class TestBuildTracklets:
         chunk = make_chunk(pts, confidence=np.zeros((4, 6, 6)))
         dyn = np.ones((6, 6), dtype=bool)
         cfg = PipelineConfig(gamma_stat=0.1, seed_stride=1)
-        out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg,
-                              SimilarityTransform.identity())
+        out = build_tracklets(*stacked(chunk), dyn, 0.1, cfg)
         assert len(out) == 0
 
-    def test_gauge_applied_and_stride(self, rng):
+    def test_stride_and_raw_positions(self, rng):
         pts = np.broadcast_to(rng.normal(size=(6, 6, 3)), (4, 6, 6, 3)).copy()
         for t in range(4):
             pts[t] += np.array([0.5 * t, 0, 0])
-        chunk = make_chunk(pts)
         dyn = np.ones((6, 6), dtype=bool)
-        gauge = SimilarityTransform(2.0, random_rotation(rng), rng.normal(size=3))
         cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.5, seed_stride=2)
-        out = build_tracklets(chunk, range(4), self._abstraction(dyn), cfg, gauge)
+        out = build_tracklets(*stacked(make_chunk(pts)), dyn, 0.1, cfg)
         assert pair_set(out.pixels) == {(r, c) for r in range(0, 6, 2) for c in range(0, 6, 2)}
-        raw = pts[:, 0, 0, :]
+        # positions stay in the chunk's own gauge
         got = out.positions[out.pixels.tolist().index([0, 0])]
-        assert np.abs(got - gauge.apply(raw)).max() < 1e-12
+        assert np.array_equal(got, pts[:, 0, 0, :])
+
+    def test_min_displacement_else_gamma_stat(self, rng):
+        # net displacement 0.3 per pixel: kept below the threshold, dropped above
+        pts = np.broadcast_to(rng.normal(size=(4, 4, 3)), (4, 4, 4, 3)).copy()
+        for t in range(4):
+            pts[t] += np.array([0.1 * t, 0, 0])
+        args = (*stacked(make_chunk(pts)), np.ones((4, 4), dtype=bool))
+        cfg = PipelineConfig(seed_stride=1)
+        assert len(build_tracklets(*args, 0.25, cfg)) == 16
+        assert len(build_tracklets(*args, 0.35, cfg)) == 0
+        cfg = PipelineConfig(seed_stride=1, min_displacement=0.35)
+        assert len(build_tracklets(*args, 0.25, cfg)) == 0
+
+
+@pytest.fixture(scope="module")
+def recipe_junctions():
+    """Every junction of ``ablation_spec(0)`` and ``association_spec(0)``
+    with ``min_displacement`` unset, once with ``gamma_stat`` resolved per
+    chunk and once set: (cfg, chunk i, chunk j) triples."""
+    junctions = []
+    for spec, config in ((ablation_spec(0), ablation_config()),
+                         (association_spec(0), association_config())):
+        chunks = list(emit_chunks(generate(spec), config, spec).chunks)
+        for gamma_stat in (None, 0.3):
+            cfg = dataclasses.replace(config, min_displacement=None, gamma_stat=gamma_stat)
+            junctions += [(cfg, a, b) for a, b in zip(chunks, chunks[1:])]
+    return junctions
+
+
+def test_build_tracklets_matches_chunk_scale_reference(recipe_junctions):
+    """The thresholds ``select_anchors`` resolves give the tracklets the
+    per-chunk scene-scale fallback chain gave, bit for bit."""
+    sizes = []
+    for cfg, a, b in recipe_junctions:
+        overlap = slice_overlap(a, b)
+        ab = select_anchors(overlap, cfg)
+        sides = ((a, overlap.points_i, overlap.conf_i, ab.gamma_stat),
+                 (b, overlap.points_j, overlap.conf_j, ab.gamma_stat_j))
+        for chunk, points, conf, gamma_stat in sides:
+            got = build_tracklets(overlap.frames, points, conf, ab.dynamic_mask, gamma_stat, cfg)
+            want = ref.build_tracklets(chunk, overlap.frames, ab.dynamic_mask, cfg)
+            assert got.frames == want.frames
+            assert np.array_equal(got.pixels, want.pixels)
+            assert ref.same_bits(got.positions, want.positions)
+            assert ref.same_bits(got.conf, want.conf)
+            assert got.positions.flags.c_contiguous and got.conf.flags.c_contiguous
+            sizes.append(len(got))
+    assert len(sizes) == 2 * 2 * (10 + 4) and min(sizes) > 0
 
 
 class TestPairCost:
@@ -202,7 +240,7 @@ class TestPairCost:
 
     def test_frames_must_match(self):
         ti = tracklets([np.zeros((2, 3))], frames=(0, 1))
-        tj = tracklets([[[0, 0, 0], [1, 0, 0]]], frames=(4, 5), chunk=1)
+        tj = tracklets([[[0, 0, 0], [1, 0, 0]]], frames=(4, 5))
         with pytest.raises(ValueError):
             pair_cost(ti, tj, np.array([[0, 0]]), self.CFG, scene_scale=1.0)
 
@@ -268,7 +306,7 @@ class TestPairCost:
         pos_i = rng.normal(size=(n_i, 1, 3)) + np.cumsum(steps, axis=1)
         # set j: noisy copies of set i's tracklets, so many pairs survive
         pos_j = pos_i[rng.integers(0, n_i, n_j)] + rng.normal(scale=0.05, size=(n_j, t, 3))
-        ti, tj = tracklets(pos_i, frames), tracklets(pos_j, frames, chunk=1)
+        ti, tj = tracklets(pos_i, frames), tracklets(pos_j, frames)
         # caps low enough that both rejections fire on part of the pairs
         cfg = PipelineConfig(traj_cap=float(rng.uniform(0.05, 1.0)),
                              dir_cap=float(rng.uniform(0.05, 0.6)),
@@ -285,42 +323,41 @@ class TestPairCost:
 
 
 class TestGateCandidates:
-    CFG = PipelineConfig()
-
-    def _tracklets(self, terminals, chunk=0):
+    def _tracklets(self, terminals):
         terms = np.asarray(terminals, dtype=float).reshape(-1, 3)
-        return tracklets(np.stack([terms - [0.5, 0, 0], terms], axis=1), chunk=chunk)
+        return tracklets(np.stack([terms - [0.5, 0, 0], terms], axis=1))
 
     def test_coincident_all_pairs(self):
         ti = self._tracklets([[0, 0, 0]] * 3)
-        tj = self._tracklets([[0, 0, 0]] * 4, chunk=1)
-        pairs = gate_candidates(ti, tj, self.CFG, gamma_p=1.0)
+        tj = self._tracklets([[0, 0, 0]] * 4)
+        pairs = gate_candidates(ti, tj, PipelineConfig(gamma_p=1.0))
         assert pair_set(pairs) == {(a, b) for a in range(3) for b in range(4)}
 
     def test_two_clusters(self):
         gamma_p = 0.4
         ti = self._tracklets([[0, 0, 0], [0.1, 0, 0], [10 * gamma_p, 0, 0]])
-        tj = self._tracklets([[0.05, 0, 0], [10 * gamma_p + 0.05, 0, 0]], chunk=1)
-        pairs = gate_candidates(ti, tj, self.CFG, gamma_p=gamma_p)
+        tj = self._tracklets([[0.05, 0, 0], [10 * gamma_p + 0.05, 0, 0]])
+        pairs = gate_candidates(ti, tj, PipelineConfig(gamma_p=gamma_p))
         assert pairs.tolist() == [[0, 0], [1, 0], [2, 1]]
 
     def test_empty_side(self):
         ti = self._tracklets([[0, 0, 0]])
-        none = self._tracklets(np.empty((0, 3)), chunk=1)
-        assert len(gate_candidates(ti, none, self.CFG, gamma_p=1.0)) == 0
-        assert len(gate_candidates(none, ti, self.CFG, gamma_p=1.0)) == 0
+        none = self._tracklets(np.empty((0, 3)))
+        cfg = PipelineConfig(gamma_p=1.0)
+        assert len(gate_candidates(ti, none, cfg)) == 0
+        assert len(gate_candidates(none, ti, cfg)) == 0
 
     def test_adaptive_radius(self):
         cfg = PipelineConfig(gamma_p_factor=3.0)
         ti = self._tracklets([[0, 0, 0]])  # single step of 0.5
-        tj = self._tracklets([[1.2, 0, 0]], chunk=1)
+        tj = self._tracklets([[1.2, 0, 0]])
         assert resolve_gamma_p(ti, tj, cfg) == pytest.approx(1.5)
         assert gate_candidates(ti, tj, cfg).tolist() == [[0, 0]]
 
     def test_radius_is_strict(self):
         ti = self._tracklets([[0, 0, 0]])
-        tj = self._tracklets([[0.5, 0, 0], [0.25, 0, 0]], chunk=1)
-        assert gate_candidates(ti, tj, self.CFG, gamma_p=0.5).tolist() == [[0, 1]]
+        tj = self._tracklets([[0.5, 0, 0], [0.25, 0, 0]])
+        assert gate_candidates(ti, tj, PipelineConfig(gamma_p=0.5)).tolist() == [[0, 1]]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -331,7 +368,7 @@ class TestGateCandidates:
         terms_i = rng.integers(-3, 4, size=(n_i, 3)) * 0.25
         terms_j = rng.integers(-3, 4, size=(n_j, 3)) * 0.25
         terms_j[: n_j // 2] += rng.normal(scale=0.1, size=(n_j // 2, 3))
-        ti, tj = self._tracklets(terms_i), self._tracklets(terms_j, chunk=1)
+        ti, tj = self._tracklets(terms_i), self._tracklets(terms_j)
         radius = float(rng.choice([0.25, 0.5, rng.uniform(0.05, 1.0)]))
         brute = [
             [a, b]
@@ -339,7 +376,7 @@ class TestGateCandidates:
             for b in range(n_j)
             if np.linalg.norm(terms_i[a] - terms_j[b]) < radius
         ]
-        assert gate_candidates(ti, tj, self.CFG, gamma_p=radius).tolist() == brute
+        assert gate_candidates(ti, tj, PipelineConfig(gamma_p=radius)).tolist() == brute
 
 
 class TestAssign:
@@ -422,8 +459,10 @@ class TestEndToEndAssociation:
         cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.3, seed_stride=1)
         overlap = slice_overlap(a, b)
         ab = select_anchors(overlap, cfg)
-        ti = build_tracklets(a, overlap.frames, ab, cfg, SimilarityTransform.identity())
-        tj = build_tracklets(b, overlap.frames, ab, cfg, SimilarityTransform.identity())
+        ti = build_tracklets(overlap.frames, overlap.points_i, overlap.conf_i, ab.dynamic_mask,
+                             ab.gamma_stat, cfg)
+        tj = build_tracklets(overlap.frames, overlap.points_j, overlap.conf_j, ab.dynamic_mask,
+                             ab.gamma_stat_j, cfg)
         candidates = gate_candidates(ti, tj, cfg)
         costs = pair_cost(ti, tj, candidates, cfg, ab.scene_scale)
         ms = assign(candidates, costs, len(ti), len(tj), cfg)

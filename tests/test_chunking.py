@@ -98,8 +98,23 @@ class TestSliceOverlap:
         a, b = self._chunks((0, 15), (12, 27))
         ov = slice_overlap(a, b)
         assert ov.frames == (12, 13, 14, 15)
-        assert [p.frame_index for p in ov.preds_i] == [12, 13, 14, 15]
-        assert [p.frame_index for p in ov.preds_j] == [12, 13, 14, 15]
+        for points, conf, poses in ((ov.points_i, ov.conf_i, ov.poses_i),
+                                    (ov.points_j, ov.conf_j, ov.poses_j)):
+            assert points.shape == (4, 2, 2, 3) and conf.shape == (4, 2, 2) and len(poses) == 4
+
+    def test_stacks_each_chunks_own_frames(self, rng):
+        pts = rng.normal(size=(16, 3, 2, 3))
+        a = make_chunk(pts[:10], chunk_id=0)
+        b = make_chunk(2.0 * pts[6:], confidence=np.full((10, 3, 2), 0.5), chunk_id=1,
+                       start_frame=6, centers=np.arange(30.0).reshape(10, 3))
+        ov = slice_overlap(a, b)
+        assert ov.frames == (6, 7, 8, 9)
+        assert np.array_equal(ov.points_i, pts[6:10])
+        assert np.array_equal(ov.conf_i, np.ones((4, 3, 2)))
+        assert np.array_equal(ov.points_j, 2.0 * pts[6:10])
+        assert np.array_equal(ov.conf_j, np.full((4, 3, 2), 0.5))
+        assert [p.center.tolist() for p in ov.poses_j] == np.arange(12.0).reshape(4, 3).tolist()
+        assert all(p is a.frame(f).pose for p, f in zip(ov.poses_i, ov.frames))
 
     def test_identical_chunks_full_range(self):
         a, b = self._chunks((0, 7), (0, 7))

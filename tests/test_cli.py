@@ -171,6 +171,48 @@ def test_unknown_config_key_exit_2(workspace):
                  "--out", str(root / "y")]) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"gamma_c": "0.5"},
+    {"gamma_c": None},
+    {"seed_stride": 2.0},
+    {"refine_scale": 1},
+    {"association_rounds": True},
+], ids=["str-for-float", "null-for-float", "float-for-int", "int-for-bool", "bool-for-int"])
+def test_config_value_type_exit_2(workspace, config, capsys):
+    root, data, out, _ = workspace
+    bad = root / "typed.json"
+    bad.write_text(json.dumps(config))
+    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(bad),
+                 "--out", str(root / "typed")]) == 2
+    assert next(iter(config)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"camera": []}', '"x"', "[]"],
+                         ids=["camera-not-object", "string", "list"])
+def test_bad_scene_spec_exit_2(tmp_path, capsys, text):
+    spec = tmp_path / "scene.json"
+    spec.write_text(text)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert "bad scene spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, metrics", [
+    ("fuse_info.json", "{nope", "ate"),
+    ("fuse_info.json", "[]", "ate"),
+    ("matches.json", "{nope", "assoc"),
+    ("matches.json", '{"matches": []}', "assoc"),
+    ("matches.json", '[{"chunk_i": 0, "chunk_j": 1, "matches": [], "tracklets_i": []}]', "assoc"),
+], ids=["info-not-json", "info-not-object", "matches-not-json", "matches-not-list",
+        "junction-without-tracklets_j"])
+def test_malformed_sidecar_exit_3(workspace, tmp_path, capsys, name, text, metrics):
+    root, data, out, _ = workspace
+    broken = tmp_path / "fused"
+    shutil.copytree(out, broken)
+    (broken / name).write_text(text)
+    assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", metrics]) == 3
+    assert "malformed container" in capsys.readouterr().err
+
+
 def test_malformed_container_exit_3(workspace, tmp_path):
     root, data, out, cfg_path = workspace
     broken = tmp_path / "chunks"

@@ -29,17 +29,17 @@ from conftest import make_chunk, random_rotation
 from scenes import identity_span_spec
 
 
-def tracklets(positions, frames, chunk=0):
+def tracklets(positions, frames):
     """A set from an (N, T, 3) stack; row k seeds at pixel (k, 0)."""
     positions = np.asarray(positions, dtype=float).reshape(-1, len(frames), 3)
     n = len(positions)
     pixels = np.stack([np.arange(n), np.zeros(n, dtype=int)], axis=1)
-    return TrackletSet(chunk, tuple(frames), pixels, positions, np.ones((n, len(frames))))
+    return TrackletSet(tuple(frames), pixels, positions, np.ones((n, len(frames))))
 
 
-def tracklet(positions, frames, chunk=0):
+def tracklet(positions, frames):
     """A one-row set."""
-    return tracklets([positions], frames, chunk)
+    return tracklets([positions], frames)
 
 
 NO_TRACKS = tracklets(np.empty((0, 4, 3)), range(4))
@@ -114,7 +114,7 @@ class TestReconstructBoundary:
     def test_consistent_constant_inputs_fixed_point(self):
         pos = np.tile(np.array([1.0, -2.0, 3.0]), (10, 1))
         d_a = tracklet(pos[:7], range(0, 7))
-        d_b = tracklet(pos[2:], range(2, 10), chunk=1)
+        d_b = tracklet(pos[2:], range(2, 10))
         for lam in (0.0, 0.3, 1.0, 10.0):
             cfg = PipelineConfig(lambda_sm=lam)
             out = reconstruct_boundary(d_a, d_b, range(2, 7), cfg)
@@ -125,7 +125,7 @@ class TestReconstructBoundary:
         pa = np.cumsum(rng.normal(size=(8, 3)), axis=0)
         pb = pa + rng.normal(scale=0.3, size=(8, 3))
         d_a = tracklet(pa, frames)
-        d_b = tracklet(pb, frames, chunk=1)
+        d_b = tracklet(pb, frames)
         cfg = PipelineConfig(lambda_sm=1e-12)  # config requires > 0; solver path hits Thomas
         out = reconstruct_boundary(d_a, d_b, frames, cfg)
         alpha, beta = blend_weights(8)
@@ -139,7 +139,7 @@ class TestReconstructBoundary:
         pa = np.tile(np.array([0.0, 0.0, 0.0]), (9, 1))
         pb = np.tile(np.array([delta, 0.0, 0.0]), (12, 1))
         d_a = tracklet(pa, frames_a)
-        d_b = tracklet(pb, frames_b, chunk=1)
+        d_b = tracklet(pb, frames_b)
         window = range(3, 9)  # |B| = 6
         cfg = PipelineConfig(lambda_sm=1.0)
         out = reconstruct_boundary(d_a, d_b, window, cfg)
@@ -158,7 +158,7 @@ class TestReconstructBoundary:
             pa = np.cumsum(rng.normal(size=(len(frames_a), 3)), axis=0)
             pb = np.cumsum(rng.normal(size=(len(frames_b), 3)), axis=0)
             d_a = tracklet(pa, frames_a)
-            d_b = tracklet(pb, frames_b, chunk=1)
+            d_b = tracklet(pb, frames_b)
             window = range(start, start + n_b)
             lam = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
             cfg = PipelineConfig(lambda_sm=lam) if lam > 0 else PipelineConfig(lambda_sm=1e-300)
@@ -173,7 +173,7 @@ class TestReconstructBoundary:
         pa = rng.normal(size=(6, 3))
         pb = rng.normal(size=(6, 3))
         d_a = tracklet(pa, frames)
-        d_b = tracklet(pb, frames, chunk=1)
+        d_b = tracklet(pb, frames)
         out = reconstruct_boundary(d_a, d_b, frames, PipelineConfig(lambda_sm=1e-300))
         lo = np.minimum(pa, pb) - 1e-9
         hi = np.maximum(pa, pb) + 1e-9
@@ -266,7 +266,7 @@ class TestRefineTransform:
         vel = rng.normal(size=(n_tracks, 1, 3)) * 0.2
         world = base + np.arange(len(frames), dtype=float)[:, None] * vel
         matches = MatchSet(tuple((k, k, 0.0) for k in range(n_tracks)), (), ())
-        return matches, tracklets(world, frames), tracklets(T_star.apply(world), frames, chunk=1)
+        return matches, tracklets(world, frames), tracklets(T_star.apply(world), frames)
 
     def test_rigid_injected_gauge_recovered(self, rng):
         T_star = SimilarityTransform(1.0, random_rotation(rng), rng.normal(size=3))
@@ -351,7 +351,7 @@ class TestRefineTransform:
 
 class TestChooseTransform:
     def _static(self, T, anchors=100, rms=1e-6, scale=5.0):
-        return (T, RegistrationReport(anchors, anchors * 4, rms, scale))
+        return (T, RegistrationReport(anchors, rms, scale))
 
     def test_prefers_refined_with_enough_matches(self, rng):
         A = SimilarityTransform(1.0, np.eye(3), np.array([1.0, 0, 0]))
@@ -515,7 +515,7 @@ class TestBoundaryHoles:
         fused = fuse_sequence(chunks, HOLE_CFG)
         tr = self._trajectory_from(fused, (chunk_j, b, pixel))
         junction = chunks[0].end_frame
-        bw = HOLE_CFG.boundary_half_width
+        bw = HOLE_CFG.overlap
         assert tr.frames[0] <= junction - bw + 1 and tr.frames[-1] >= junction + bw
         assert np.isfinite(tr.positions).all()
 

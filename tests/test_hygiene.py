@@ -1,6 +1,7 @@
-"""Import hygiene of the package: every module imports at module level only
-and uses each name it imports. ``__future__`` imports and the re-exports
-of ``__init__.py`` are exempt."""
+"""Hygiene of the package: every module imports at module level only and
+uses each name it imports, and every dataclass field is read somewhere.
+``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
+and so are the dataclasses written out whole, field by field."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,14 @@ import pytest
 import chunkfuse
 
 MODULES = sorted(Path(chunkfuse.__file__).parent.glob("*.py"))
+
+# Written out whole through ``dataclasses.fields`` or ``asdict``: the
+# ``report.json`` records, the config echoed to ``fuse_info.json`` and the
+# scene spec with its nested specs. ``EmittedChunks`` is a public result.
+WRITTEN_WHOLE = {
+    "PairReport", "PipelineConfig", "SceneSpec", "BackgroundSpec", "CameraSpec",
+    "GaugeSpec", "ObjectSpec", "TrajectorySpec", "EmittedChunks",
+}
 
 
 def nested_imports(tree: ast.Module) -> list[int]:
@@ -35,6 +44,40 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(imported - used)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(trees: list[ast.Module], exempt=frozenset()) -> list[str]:
+    """``Class.field`` of every dataclass field declared in ``trees`` that
+    no expression there reads as an attribute, classes in ``exempt`` aside."""
+    declared = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name not in exempt:
+                declared += [
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
+
+
+def test_dataclass_fields_are_read():
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    assert unread_fields(trees, WRITTEN_WHOLE) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert nested_imports(ast.parse(path.read_text())) == []
@@ -57,3 +100,20 @@ def test_checks_catch_what_they_look_for():
     )
     assert nested_imports(tree) == [5]
     assert unused_imports(tree) == ["alias", "os"]
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    used: int\n"
+        "    stored: int\n"
+        "    LIMIT = 3\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    kept: int\n"
+        "class C:\n"
+        "    plain: int\n"
+        "def f(a, b):\n"
+        "    a.stored = b.kept\n"
+        "    return a.used\n"
+    )
+    assert unread_fields([tree]) == ["A.stored"]
+    assert unread_fields([tree], exempt={"A"}) == []

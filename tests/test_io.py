@@ -269,9 +269,9 @@ def written_sidecars(fused: FusedScene, directory: Path) -> dict[str, bytes]:
     return {name: (directory / name).read_bytes() for name in reference_sidecars(fused)}
 
 
-def tracklet_set(chunk: int, pixels, frames=(2, 3)) -> TrackletSet:
+def tracklet_set(pixels, frames=(2, 3)) -> TrackletSet:
     n = len(pixels)
-    return TrackletSet(chunk, frames, np.reshape(pixels, (n, 2)),
+    return TrackletSet(frames, np.reshape(pixels, (n, 2)),
                        np.linspace(-1.0, 1.0, n * len(frames) * 3).reshape(n, len(frames), 3),
                        np.full((n, len(frames)), 0.5))
 
@@ -310,12 +310,12 @@ class TestSidecarBytes:
 
     def test_junctions_without_matches_or_tracklets(self, tmp_path):
         fused = scene(match_sets=[
-            (0, 1, MatchSet((), (), ()), tracklet_set(0, []), tracklet_set(1, [])),
-            (1, 2, MatchSet((), (0,), (0, 1)), tracklet_set(1, [(4, 5)]),
-             tracklet_set(2, [(6, 7), (8, 9)])),
-            (2, 3, MatchSet((), (), (0,)), tracklet_set(2, []), tracklet_set(3, [(1, 1)])),
+            (0, 1, MatchSet((), (), ()), tracklet_set([]), tracklet_set([])),
+            (1, 2, MatchSet((), (0,), (0, 1)), tracklet_set([(4, 5)]),
+             tracklet_set([(6, 7), (8, 9)])),
+            (2, 3, MatchSet((), (), (0,)), tracklet_set([]), tracklet_set([(1, 1)])),
             (3, 4, MatchSet(((1, 0, 0.30000000000000004), (0, 1, np.float64(1e-17))), (), ()),
-             tracklet_set(3, [(0, 2), (2, 4)]), tracklet_set(4, [(3, 1), (5, 0)])),
+             tracklet_set([(0, 2), (2, 4)]), tracklet_set([(3, 1), (5, 0)])),
         ])
         assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
 
@@ -331,7 +331,7 @@ class TestSidecarBytes:
 
     def test_non_finite_cost_rejected(self, tmp_path):
         fused = scene(match_sets=[(0, 1, MatchSet(((0, 0, float("inf")),), (), ()),
-                                   tracklet_set(0, [(0, 0)]), tracklet_set(1, [(0, 0)]))])
+                                   tracklet_set([(0, 0)]), tracklet_set([(0, 0)]))])
         with pytest.raises(ValueError, match="finite"):
             cio.write_fusion_outputs(fused, tmp_path)
 

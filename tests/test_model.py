@@ -198,7 +198,7 @@ class TestTrackletSet:
     @staticmethod
     def _set(frames, n=2, positions=None):
         positions = np.zeros((n, len(frames), 3)) if positions is None else positions
-        return TrackletSet(0, frames, np.zeros((n, 2), dtype=int), positions,
+        return TrackletSet(frames, np.zeros((n, 2), dtype=int), positions,
                            np.ones((n, len(frames))))
 
     def test_requires_two_frames(self):
@@ -216,9 +216,9 @@ class TestTrackletSet:
         with pytest.raises(ValueError):
             self._set((0, 1), positions=np.zeros((2, 3, 3)))
         with pytest.raises(ValueError):
-            TrackletSet(0, (0, 1), np.zeros((2, 2), dtype=int), np.zeros((2, 2, 3)), np.ones((3, 2)))
+            TrackletSet((0, 1), np.zeros((2, 2), dtype=int), np.zeros((2, 2, 3)), np.ones((3, 2)))
         with pytest.raises(ValueError):
-            TrackletSet(0, (0, 1), np.zeros(4, dtype=int), np.zeros((2, 2, 3)), np.ones((2, 2)))
+            TrackletSet((0, 1), np.zeros(4, dtype=int), np.zeros((2, 2, 3)), np.ones((2, 2)))
 
     def test_transformed(self, rng):
         t = self._set((0, 1), n=3, positions=rng.normal(size=(3, 2, 3)))
@@ -353,7 +353,6 @@ class TestPipelineConfig:
     def test_defaults_valid(self):
         cfg = PipelineConfig()
         assert cfg.chunk_length == 16 and cfg.overlap == 4
-        assert cfg.boundary_half_width == cfg.overlap
 
     def test_overlap_bounds(self):
         with pytest.raises(InvalidConfig):
@@ -378,6 +377,16 @@ class TestPipelineConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidConfig):
             PipelineConfig.from_dict({"chunk_len": 16})
+
+    def test_from_dict_checks_json_types(self):
+        cfg = PipelineConfig.from_dict({"gamma_c": 1, "gamma_stat": None, "refine_scale": True,
+                                        "seed_stride": 3, "lambda_sm": 0.5})
+        assert cfg.gamma_c == 1 and cfg.refine_scale is True and cfg.seed_stride == 3
+        for bad in ({"gamma_c": "0.5"}, {"gamma_c": None}, {"gamma_c": True},
+                    {"seed_stride": 2.0}, {"seed_stride": False}, {"refine_scale": 1},
+                    {"refine_scale": None}, {"gamma_stat": "0.1"}, {"overlap": [4]}):
+            with pytest.raises(InvalidConfig, match=next(iter(bad))):
+                PipelineConfig.from_dict(bad)
 
     def test_from_dict_roundtrip(self):
         cfg = PipelineConfig(overlap=5, lambda_sm=0.25)
