@@ -109,7 +109,7 @@ def _cmd_evaluate(args) -> int:
     info_path = pred_dir.parent / "fuse_info.json"
     variant = "pred"
     if info_path.is_file():
-        variant = cio.read_sidecar(info_path).get("ablation", "pred")
+        variant = cio.read_json(info_path).get("ablation", "pred")
 
     result: dict[str, object] = {"variant": variant}
     pred_poses = [fp.pose for fp in fused.frames]
@@ -136,7 +136,7 @@ def _cmd_evaluate(args) -> int:
             raise KeyMismatch(f"no matches.json under {pred_dir.parent} (fused with association?)")
         if fused.grid_shape != gt.grid_shape:
             raise KeyMismatch(f"prediction grid {fused.grid_shape} but ground truth has {gt.grid_shape}")
-        junctions = cio.read_matches(matches_path)
+        junctions = cio.read_matches(matches_path, gt.grid_shape)
         H, W = gt.grid_shape
         # point level: generate binds each pixel to one surface point, so a
         # pixel identifies its point

@@ -8,6 +8,13 @@ row exactly 0,0,0,1). Ground-truth containers (kind ``ground_truth``)
 carry ``points``, ``poses``, ``object_ids`` [H][W] and ``visible``
 [T][H][W], plus the generating ``scene_spec.json``.
 
+Every JSON file is read by :func:`read_json`, which raises the error its
+caller names for a file that cannot be read, is not JSON or holds the wrong
+top-level type. Configs, scene specs and manifest fields are decoded by
+:func:`~chunkfuse.model.from_json`, which refuses an unknown key and any
+value its field's annotation does not admit: a fraction or a bool for an
+int, NaN or Infinity for a float, a list of the wrong length for a tuple.
+
 ``read_chunk`` and ``read_ground_truth`` share one loader. It raises
 :class:`MalformedContainer` for a manifest that is missing or not a JSON
 object, an unknown format version, a kind other than the one asked for, a
@@ -16,8 +23,10 @@ array of the wrong shape, dtype, byte order or byte count, and a pose whose
 last row is not exactly 0,0,0,1 or whose rotation is not orthonormal. A
 chunk's frames must also pass :class:`FramePrediction`'s checks, and a
 ground truth's ``scene_spec.json`` must be a valid scene spec.
-:func:`read_sidecar` and :func:`read_matches` raise it for a sidecar that
-is not JSON or not of the expected shape.
+:func:`read_matches` and :func:`read_fused_trajectories` raise it for
+records of ``matches.json`` and ``trajectories_meta.json`` that are not of
+the shape below: integer ids and pixels, pixels on the grid, match ids that
+name tracklets of their junction, finite match costs.
 
 Sidecar files
 -------------
@@ -57,7 +66,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidSpec, MalformedContainer
 from .fusion import FusedScene, Trajectory
-from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform
+from .model import Chunk, FramePrediction, PipelineConfig, Pose, SimilarityTransform, from_json
 from .synthetic import GroundTruth, SceneSpec
 
 FORMAT_VERSION = 1
@@ -126,21 +135,20 @@ def _read_array(directory: Path, entry: dict) -> np.ndarray:
     return data.astype(np.float64)
 
 
-def _load_manifest(directory: Path) -> dict:
-    directory = Path(directory)
-    path = directory / MANIFEST_NAME
-    if not path.is_file():
-        raise MalformedContainer(f"no {MANIFEST_NAME} in {directory}")
+def read_json(path, error: type[Exception] = MalformedContainer, kind: type = dict):
+    """The JSON value in the file ``path``, which must be a ``kind`` (dict
+    or list); ``error`` when the file cannot be read, is not JSON or holds
+    another type."""
+    path = Path(path)
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise MalformedContainer(f"manifest is not valid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise MalformedContainer("manifest is not a JSON object")
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise MalformedContainer(f"unknown format_version {version!r}, expected {FORMAT_VERSION}")
-    return manifest
+        data = json.loads(path.read_text())
+    except OSError as e:
+        raise error(f"cannot read {path}: {e.strerror}") from e
+    except ValueError as e:
+        raise error(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(data, kind):
+        raise error(f"{path} holds a JSON {type(data).__name__}, not a {kind.__name__}")
+    return data
 
 
 def _array_map(manifest: dict) -> dict[str, dict]:
@@ -150,18 +158,12 @@ def _array_map(manifest: dict) -> dict[str, dict]:
     return {e.get("name"): e for e in entries}
 
 
-def _field(manifest: dict, key: str, cast=int, default=None):
-    """Manifest field ``key`` converted by ``cast``; absent, ``default``."""
+def _field(manifest: dict, key: str, tp: type = int, default=None):
+    """Manifest field ``key`` decoded as a ``tp``; absent, ``default``."""
     value = manifest.get(key, default)
     if value is None:
         raise MalformedContainer(f"manifest missing field {key!r}")
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as e:
-        raise MalformedContainer(f"manifest field {key!r}: {e}") from e
-
-
-_LAST_POSE_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+    return from_json(tp, value, MalformedContainer, f"manifest field {key!r}")
 
 
 def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
@@ -171,7 +173,10 @@ def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
     array must have the shape the frame range and grid give it, and each
     pose a last row of exactly (0, 0, 0, 1) and an orthonormal rotation.
     """
-    manifest = _load_manifest(directory)
+    manifest = read_json(directory / MANIFEST_NAME)
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise MalformedContainer(f"unknown format_version {version!r}, expected {FORMAT_VERSION}")
     if manifest.get("kind") != kind:
         raise MalformedContainer(f"expected a {kind} container, got kind={manifest.get('kind')!r}")
     for key in ("chunk_id", "start_frame", "end_frame", "height", "width"):
@@ -199,10 +204,8 @@ def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
         data[name] = _read_array(directory, entries[name])
     poses = []
     for k, m in enumerate(data.pop("poses")):
-        if np.abs(m[3] - _LAST_POSE_ROW).max() > 0:
-            raise MalformedContainer(f"pose {k}: last row must be exactly (0, 0, 0, 1)")
         try:
-            poses.append(Pose(m[:3, :3], m[:3, 3], _tol=POSE_STORAGE_TOL))
+            poses.append(Pose.from_matrix(m, tol=POSE_STORAGE_TOL))
         except ValueError as e:
             raise MalformedContainer(f"frame {start + k}: {e}") from e
     return manifest, data, poses
@@ -291,9 +294,7 @@ class StreamingFrameWriter:
             self._grid = fp.grid_shape
         self._files["points"].write(np.ascontiguousarray(fp.points, dtype="<f4").tobytes())
         self._files["confidence"].write(np.ascontiguousarray(fp.confidence, dtype="<f4").tobytes())
-        m = fp.pose.matrix()
-        m[3, :] = _LAST_POSE_ROW
-        self._files["poses"].write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+        self._files["poses"].write(np.ascontiguousarray(fp.pose.matrix(), dtype="<f4").tobytes())
         self._count += 1
 
     def finish(self) -> None:
@@ -336,7 +337,7 @@ def read_ground_truth(directory) -> GroundTruth:
     manifest, data, poses = _read_container(directory, "ground_truth",
                                             ("points", "poses", "object_ids", "visible"))
     spec_path = directory / "scene_spec.json"
-    spec = _read_spec(spec_path, MalformedContainer) if spec_path.is_file() else None
+    spec = load_scene_spec(spec_path, MalformedContainer) if spec_path.is_file() else None
     return GroundTruth(
         spec=spec,
         points=data["points"],
@@ -372,7 +373,7 @@ def write_gauges(gauges: list[SimilarityTransform], path) -> None:
 
 
 def read_gauges(path) -> list[SimilarityTransform]:
-    return [_transform_from_dict(d) for d in json.loads(Path(path).read_text())]
+    return [_transform_from_dict(d) for d in read_json(path, kind=list)]
 
 
 def write_trajectories(trajectories: list[Trajectory], path) -> None:
@@ -404,20 +405,41 @@ def read_trajectories(path) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out
 
 
+def _int_rows(rows, width: int, where: str) -> np.ndarray:
+    """The JSON list ``rows`` of ``width`` integers each as an (n, width)
+    array; MalformedContainer when it holds anything else."""
+    if not isinstance(rows, list):
+        raise MalformedContainer(f"{where} must be a list")
+    try:
+        arr = np.array(rows) if rows else np.empty((0, width), dtype=np.int64)
+    except ValueError as e:  # rows of different lengths
+        raise MalformedContainer(f"{where}: {e}") from e
+    if arr.shape != (len(rows), width) or arr.dtype.kind != "i":
+        raise MalformedContainer(f"{where}: each record must be {width} integers")
+    return arr
+
+
 def read_fused_trajectories(directory) -> list[Trajectory]:
     """The trajectories of a fuse output directory, rebuilt from
     ``trajectories.txt`` and ``trajectories_meta.json``; one the meta file
-    does not list has no sources."""
+    does not list has no sources. MalformedContainer unless each meta
+    entry is an object whose ``sources`` are ``[chunk, tracklet, row,
+    col]`` integer records."""
     directory = Path(directory)
+    sources = {}
+    for key, entry in read_json(directory / "trajectories_meta.json").items():
+        where = f"trajectories_meta.json entry {key!r}"
+        if not isinstance(entry, dict):
+            raise MalformedContainer(f"{where} must be an object")
+        rows = _int_rows(entry.get("sources", []), 4, f"{where} sources").tolist()
+        sources[key] = tuple((c, t, (r, col)) for c, t, r, col in rows)
     try:
-        meta = json.loads((directory / "trajectories_meta.json").read_text())
         return [
             Trajectory(
                 trajectory_id=tid,
                 frames=tuple(frames.tolist()),
                 positions=positions,
-                sources=tuple((c, t, (r, col)) for c, t, r, col
-                              in meta.get(str(tid), {}).get("sources", [])),
+                sources=sources.get(str(tid), ()),
             )
             for tid, frames, positions in read_trajectories(directory / "trajectories.txt")
         ]
@@ -482,26 +504,33 @@ def write_matches(match_sets, path) -> None:
 _JUNCTION_KEYS = {"matches", "tracklets_i", "tracklets_j"}
 
 
-def read_sidecar(path, kind: type = dict):
-    """The JSON sidecar ``path``, which must hold a ``kind`` (dict or list);
-    MalformedContainer when it is not JSON or holds something else."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except ValueError as e:
-        raise MalformedContainer(f"{path.name} is not valid JSON: {e}") from e
-    if not isinstance(data, kind):
-        raise MalformedContainer(f"{path.name} does not hold a JSON {kind.__name__}")
-    return data
-
-
-def read_matches(path) -> list[dict]:
-    """The junction records of ``matches.json``; MalformedContainer unless
-    each is an object with ``matches``, ``tracklets_i`` and ``tracklets_j``."""
-    junctions = read_sidecar(path, list)
+def read_matches(path, grid_shape: tuple[int, int]) -> list[dict]:
+    """The junction records of ``matches.json``. MalformedContainer unless
+    each is an object with ``matches``, ``tracklets_i`` and ``tracklets_j``,
+    each tracklet is ``[id, row, col]`` integers with its pixel on the
+    ``grid_shape`` grid, and each match is a list that starts with the ids
+    of a tracklet on each side of its junction and a finite cost."""
+    H, W = grid_shape
+    junctions = read_json(path, kind=list)
     for k, junction in enumerate(junctions):
+        where = f"{Path(path).name} junction {k}"
         if not (isinstance(junction, dict) and _JUNCTION_KEYS <= junction.keys()):
-            raise MalformedContainer(f"{Path(path).name}: junction record {k} is incomplete")
+            raise MalformedContainer(f"{where}: record is incomplete")
+        ids = {}
+        for side in ("tracklets_i", "tracklets_j"):
+            ids[side], rows, cols = _int_rows(junction[side], 3, f"{where} {side}").T
+            if not ((0 <= rows) & (rows < H) & (0 <= cols) & (cols < W)).all():
+                raise MalformedContainer(f"{where}: a pixel of {side} lies off the {H}x{W} grid")
+        matches = junction["matches"]
+        if not (isinstance(matches, list)
+                and all(isinstance(m, list) and len(m) >= 3 for m in matches)):
+            raise MalformedContainer(f"{where}: each match must be a list [a, b, cost, ...]")
+        a, b = _int_rows([m[:2] for m in matches], 2, f"{where} matches").T
+        if not (np.isin(a, ids["tracklets_i"]).all() and np.isin(b, ids["tracklets_j"]).all()):
+            raise MalformedContainer(f"{where}: a match names no tracklet of its junction")
+        costs = np.array([m[2] for m in matches])
+        if costs.dtype.kind not in "if" or not np.isfinite(costs).all():
+            raise MalformedContainer(f"{where}: match costs must be finite numbers")
     return junctions
 
 
@@ -529,34 +558,18 @@ def write_fusion_outputs(fused: FusedScene, directory) -> None:
 
 def load_pipeline_config(path) -> PipelineConfig:
     """Read a pipeline config; unspecified fields take the documented
-    defaults, unknown keys are an error."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError as e:
-        raise InvalidConfig(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise InvalidConfig(f"config file is not valid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise InvalidConfig("config file must hold a JSON object")
-    return PipelineConfig.from_dict(data)
+    defaults, unknown keys and ill-typed values are an error."""
+    return PipelineConfig.from_dict(read_json(path, InvalidConfig))
 
 
 def spec_to_dict(spec: SceneSpec) -> dict:
     return dataclasses.asdict(spec)
 
 
-def _read_spec(path: Path, error: type[Exception]) -> SceneSpec:
+def load_scene_spec(path, error: type[Exception] = InvalidSpec) -> SceneSpec:
     """The scene spec in the JSON file ``path``; ``error`` when the file
     cannot be read, is not JSON, or holds no object or no valid spec."""
     try:
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        return SceneSpec.from_dict(data)
-    except (OSError, AttributeError, KeyError, TypeError, ValueError, InvalidSpec) as e:
+        return from_json(SceneSpec, read_json(path, InvalidSpec), InvalidSpec)
+    except InvalidSpec as e:
         raise error(f"bad scene spec {path}: {e}") from e
-
-
-def load_scene_spec(path) -> SceneSpec:
-    """Read a scene spec file; any fault in it raises InvalidSpec."""
-    return _read_spec(Path(path), InvalidSpec)

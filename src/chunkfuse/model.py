@@ -8,9 +8,13 @@ read-only), so they can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import product
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -351,20 +355,63 @@ class TrackTable(Mapping):
         return len(self.tracks)
 
 
-# The JSON values each field type of PipelineConfig takes; JSON true and
-# false are Python bools, which are ints too, so bools are told apart first.
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}
+def _is_int(v) -> bool:
+    # JSON true and false decode to bools, which are ints too
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _fits_json_type(annotation: str, value) -> bool:
-    """Whether a decoded JSON value fits a field annotated ``annotation``
-    ("int", "float", "bool", optionally with "| None")."""
-    base, _, optional = annotation.partition(" | ")
-    if value is None:
-        return optional == "None"
-    if isinstance(value, bool):
-        return base == "bool"
-    return isinstance(value, _JSON_TYPES[base])
+_SCALAR_FITS = {
+    bool: lambda v: isinstance(v, bool),
+    int: _is_int,
+    float: lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+    str: lambda v: isinstance(v, str),
+}
+
+
+@cache
+def _field_types(cls) -> dict[str, object]:
+    """The resolved annotation of each field of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def from_json(tp, value, error: type[Exception], where: str | None = None):
+    """``value``, decoded from JSON, as a ``tp``; ``error`` naming the
+    dotted field path ``where`` (by default ``tp``'s name) if ``tp`` does
+    not admit it.
+
+    ``bool`` takes true or false, ``int`` an integer that is not a bool,
+    ``float`` a finite number, kept as given, and ``str`` a string; ``X |
+    None`` also takes null. ``tuple[X, ...]`` takes a list of X and
+    ``tuple[X, Y]`` a list of that length. A dataclass takes an object of
+    its fields, each decoded the same way; an absent field takes its default.
+    """
+    where = where or tp.__name__
+    if tp in _SCALAR_FITS:
+        if not _SCALAR_FITS[tp](value):
+            raise error(f"{where} must be {tp.__name__}, got {value!r}")
+        return value
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise error(f"{where} must be an object, got {value!r}")
+        types = _field_types(tp)
+        unknown = value.keys() - types.keys()
+        if unknown:
+            raise error(f"{where}: unknown keys {sorted(unknown)}")
+        return tp(**{k: from_json(types[k], v, error, f"{where}.{k}") for k, v in value.items()})
+    args = get_args(tp)
+    if isinstance(tp, UnionType):  # X | None, the one union the data model uses
+        return None if value is None else from_json(args[0], value, error, where)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise error(f"{where} must be a list, got {value!r}")
+        if args[1:] == (...,):
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise error(f"{where} must have {len(args)} entries, got {len(value)}")
+        return tuple(from_json(t, v, error, f"{where}[{k}]")
+                     for k, (t, v) in enumerate(zip(args, value)))
+    raise TypeError(f"{where}: no JSON decoding for {tp!r}")
 
 
 @dataclass(frozen=True)
@@ -424,7 +471,7 @@ class PipelineConfig:
             if value is not None:
                 positive[name] = value
         for name, value in positive.items():
-            if value <= 0:
+            if not value > 0:
                 raise InvalidConfig(f"{name} must be > 0, got {value}")
         weights = {
             "lambda_traj": self.lambda_traj,
@@ -434,9 +481,9 @@ class PipelineConfig:
             "lambda_sm": self.lambda_sm,
         }
         for name, value in weights.items():
-            if value < 0:
+            if not value >= 0:
                 raise InvalidConfig(f"{name} must be >= 0, got {value}")
-        if self.lambda_traj + self.lambda_vel + self.lambda_dir <= 0:
+        if not self.lambda_traj + self.lambda_vel + self.lambda_dir > 0:
             raise InvalidConfig("lambda_traj + lambda_vel + lambda_dir must be > 0")
         if self.min_static_anchors < 3:
             raise InvalidConfig("min_static_anchors must be >= 3")
@@ -447,16 +494,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        """A config from decoded JSON. An unknown key, or a value whose
-        JSON type does not fit its field, raises InvalidConfig."""
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(types)
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        for name, value in data.items():
-            if not _fits_json_type(types[name], value):
-                raise InvalidConfig(f"{name} must be {types[name]}, got {value!r}")
-        return cls(**data)
+        """A config from decoded JSON by :func:`from_json`: InvalidConfig for
+        an unknown key or a value its field's annotation does not admit.
+        Int fields take integers, not true or false; float fields finite
+        numbers, an integer kept as one; ``refine_scale`` true or false;
+        ``| None`` fields also null."""
+        return from_json(cls, data, InvalidConfig)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -114,10 +114,7 @@ class ObjectSpec:
     def __post_init__(self):
         if self.shape not in ("sphere", "box"):
             raise InvalidSpec(f"unknown object shape {self.shape!r}")
-        size = self.size
-        if isinstance(size, (int, float)):
-            size = (float(size),) * 3
-        object.__setattr__(self, "size", tuple(float(s) for s in size))
+        object.__setattr__(self, "size", tuple(float(s) for s in self.size))
         if min(self.size) <= 0:
             raise InvalidSpec("object size must be positive")
 
@@ -217,49 +214,6 @@ class SceneSpec:
                 raise InvalidSpec(f"static_window {self.static_window} outside the grid")
         if self.noise_sigma < 0 or self.pose_noise < 0:
             raise InvalidSpec("noise levels must be non-negative")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SceneSpec":
-        data = dict(data)
-        if "background" in data:
-            bg = dict(data["background"])
-            if "phase" in bg:
-                bg["phase"] = tuple(bg["phase"])
-            data["background"] = BackgroundSpec(**bg)
-        if "camera" in data:
-            data["camera"] = CameraSpec(**{
-                k: tuple(v) if isinstance(v, list) else v for k, v in data["camera"].items()
-            })
-        if "gauge" in data:
-            g = dict(data["gauge"])
-            if "scale_range" in g:
-                g["scale_range"] = tuple(g["scale_range"])
-            data["gauge"] = GaugeSpec(**g)
-        if data.get("static_window") is not None:
-            data["static_window"] = tuple(data["static_window"])
-        if "objects" in data:
-            objs = []
-            for o in data["objects"]:
-                o = dict(o)
-                if "trajectory" in o:
-                    tr = dict(o["trajectory"])
-                    for key in ("velocity",):
-                        if key in tr:
-                            tr[key] = tuple(tr[key])
-                    if "times" in tr:
-                        tr["times"] = tuple(tr["times"])
-                    if "points" in tr:
-                        tr["points"] = tuple(tuple(p) for p in tr["points"])
-                    o["trajectory"] = TrajectorySpec(**tr)
-                if "position" in o:
-                    o["position"] = tuple(o["position"])
-                if "size" in o and isinstance(o["size"], list):
-                    o["size"] = tuple(o["size"])
-                if o.get("visible_ranges") is not None:
-                    o["visible_ranges"] = tuple(tuple(r) for r in o["visible_ranges"])
-                objs.append(ObjectSpec(**o))
-            data["objects"] = tuple(objs)
-        return cls(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -213,6 +214,67 @@ def test_malformed_sidecar_exit_3(workspace, tmp_path, capsys, name, text, metri
     assert "malformed container" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ('{"num_frames": 32.5}', "SceneSpec.num_frames"),
+    ('{"height": 24.0}', "SceneSpec.height"),
+    ('{"background": {"phase": [0.4]}}', "SceneSpec.background.phase"),
+    ('{"objects": [{"position": [0, 0]}]}', "SceneSpec.objects[0].position"),
+    ('{"objects": [{"trajectory": {"velocity": [1, 2]}}]}',
+     "SceneSpec.objects[0].trajectory.velocity"),
+    ('{"camera": {"start": [0, 0]}}', "SceneSpec.camera.start"),
+    ('{"objects": [{"visible_ranges": [[0]]}]}', "SceneSpec.objects[0].visible_ranges[0]"),
+    ('{"objects": [{"size": 0.4}]}', "SceneSpec.objects[0].size"),
+    ('{"noise_sigma": NaN}', "SceneSpec.noise_sigma"),
+], ids=["float-frames", "float-height", "short-phase", "short-position", "short-velocity",
+        "short-camera-start", "short-visible-range", "scalar-size", "nan-noise"])
+def test_ill_typed_scene_spec_exit_2(tmp_path, capsys, text, where):
+    spec = tmp_path / "scene.json"
+    spec.write_text(text)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad scene spec" in err and where in err
+
+
+@pytest.mark.parametrize("text", ['{"gamma_c": NaN}', '{"lambda_sm": NaN}', '{"traj_cap": Infinity}'],
+                         ids=["nan-gamma_c", "nan-lambda_sm", "inf-traj_cap"])
+def test_nonfinite_config_exit_2(workspace, capsys, text):
+    root, data, out, _ = workspace
+    bad = root / "nonfinite.json"
+    bad.write_text(text)
+    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(bad),
+                 "--out", str(root / "nonfinite")]) == 2
+    assert f"PipelineConfig.{json.loads(text).popitem()[0]}" in capsys.readouterr().err
+
+
+def _junctions(matches=(), tracklets_i=([0, 0, 0],), tracklets_j=([0, 0, 0],)) -> str:
+    return json.dumps([{"chunk_i": 0, "chunk_j": 1, "matches": list(matches),
+                        "tracklets_i": list(tracklets_i), "tracklets_j": list(tracklets_j)}])
+
+
+@pytest.mark.parametrize("name, text, metrics", [
+    ("matches.json", _junctions(tracklets_i=[[0, 1]]), "assoc"),
+    ("matches.json", _junctions(tracklets_i=[[0, 99, 99]]), "assoc"),
+    ("matches.json", _junctions(tracklets_j=[[0, -1, -1]]), "assoc"),
+    ("matches.json", _junctions(tracklets_j=[[0, 1.5, 2]]), "assoc"),
+    ("matches.json", _junctions(matches=[[0]]), "assoc"),
+    ("matches.json", _junctions(matches=[[0, 5, 0.1, [0, 0], [0, 0]]]), "assoc"),
+    ("matches.json", _junctions(matches=[[0, 0, math.nan, [0, 0], [0, 0]]]), "assoc"),
+    ("matches.json", _junctions(matches=[[0, 0, "0.1", [0, 0], [0, 0]]]), "assoc"),
+    ("trajectories_meta.json", "[]", "epe"),
+    ("trajectories_meta.json", '{"0": []}', "epe"),
+    ("trajectories_meta.json", '{"0": {"sources": [[0, 1, 2.5, 3]]}}', "epe"),
+], ids=["short-tracklet", "tracklet-off-grid", "tracklet-negative-pixel", "tracklet-float-pixel",
+        "short-match", "match-unknown-id", "nan-cost", "string-cost", "meta-list",
+        "meta-entry-list", "meta-float-pixel"])
+def test_malformed_records_exit_3(workspace, tmp_path, capsys, name, text, metrics):
+    root, data, out, _ = workspace
+    broken = tmp_path / "fused"
+    shutil.copytree(out, broken)
+    (broken / name).write_text(text)
+    assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", metrics]) == 3
+    assert "malformed container" in capsys.readouterr().err
+
+
 def test_malformed_container_exit_3(workspace, tmp_path):
     root, data, out, cfg_path = workspace
     broken = tmp_path / "chunks"
@@ -284,6 +346,26 @@ def test_malformed_ground_truth_exit_3(workspace, tmp_path, capsys, corrupt):
     corrupt(broken / "gt")
     assert main(["evaluate", "--pred", str(out), "--gt", str(broken), "--metrics", "ate"]) == 3
     assert "malformed container" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("scene_spec.json", "num_frames", 28.0),
+    ("scene_spec.json", "camera", {"start": [0, 0]}),
+    (cio.MANIFEST_NAME, "chunk_id", 0.7),
+    (cio.MANIFEST_NAME, "height", "12"),
+    (cio.MANIFEST_NAME, "end_frame", 27.9),
+    (cio.MANIFEST_NAME, "scene_scale", math.nan),
+], ids=["spec-float-frames", "spec-short-camera-start", "float-chunk_id", "string-height",
+        "float-end_frame", "nan-scene_scale"])
+def test_ill_typed_ground_truth_exit_3(workspace, tmp_path, capsys, name, key, value):
+    root, data, out, _ = workspace
+    broken = tmp_path / "data"
+    shutil.copytree(data / "gt", broken / "gt")
+    path = broken / "gt" / name
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    assert main(["evaluate", "--pred", str(out), "--gt", str(broken), "--metrics", "ate"]) == 3
+    err = capsys.readouterr().err
+    assert "malformed container" in err and key in err
 
 
 @pytest.fixture(scope="module")

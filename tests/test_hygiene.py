@@ -1,5 +1,6 @@
 """Hygiene of the package: every module imports at module level only and
-uses each name it imports, and every dataclass field is read somewhere.
+uses each name it imports, every dataclass field is read somewhere, and
+JSON text is parsed only by ``io.read_json``.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
 and so are the dataclasses written out whole, field by field."""
 
@@ -73,6 +74,31 @@ def unread_fields(trees: list[ast.Module], exempt=frozenset()) -> list[str]:
     return sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
 
 
+def json_loads_owners(tree: ast.Module) -> list[str]:
+    """For each ``json.loads`` call in ``tree``, the name of the function it
+    is made in, or ``<module>`` outside any function."""
+    owners = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "loads"
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_json_is_parsed_only_by_read_json():
+    owners = {path.name: json_loads_owners(ast.parse(path.read_text())) for path in MODULES}
+    assert {name: found for name, found in owners.items() if found} == {"io.py": ["read_json"]}
+
+
 def test_dataclass_fields_are_read():
     trees = [ast.parse(path.read_text()) for path in MODULES]
     assert unread_fields(trees, WRITTEN_WHOLE) == []
@@ -117,3 +143,15 @@ def test_checks_catch_what_they_look_for():
     )
     assert unread_fields([tree]) == ["A.stored"]
     assert unread_fields([tree], exempt={"A"}) == []
+    tree = ast.parse(
+        "import json\n"
+        "CONFIG = json.loads('{}')\n"
+        "def read_json(text):\n"
+        "    return json.loads(text)\n"
+        "class Reader:\n"
+        "    def load(self, text):\n"
+        "        return [json.loads(t) for t in text]\n"
+        "def other(text):\n"
+        "    return loads(text), json.dumps(text)\n"
+    )
+    assert json_loads_owners(tree) == ["<module>", "read_json", "load"]

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -18,8 +20,21 @@ from chunkfuse.model import (
     TrackletSet,
 )
 from chunkfuse.synthetic import SceneSpec, emit_chunks, generate
+import scenes
 from conftest import random_rotation
 from scenes import gauge_recovery_spec
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+SPEC_RECIPES = {
+    "gauge_recovery": scenes.gauge_recovery_spec,
+    "end_to_end": scenes.end_to_end_spec,
+    "ablation": lambda: scenes.ablation_spec(0),
+    "dynamic_overlap": lambda: scenes.dynamic_overlap_spec(0),
+    "association": lambda: scenes.association_spec(0),
+    "identity_span": scenes.identity_span_spec,
+    "identity_span_ranges": lambda: scenes.identity_span_spec(((0, 20), (40, 63))),
+}
 
 
 def random_chunk(rng, chunk_id=0, start=0, T=4, H=6, W=5) -> Chunk:
@@ -411,6 +426,18 @@ class TestConfigFiles:
         p.write_text(json.dumps({"n_frames": 4}))
         with pytest.raises(InvalidSpec):
             cio.load_scene_spec(p)
+
+    @pytest.mark.parametrize("recipe", [*SPEC_RECIPES, "bench:assoc-dense", "bench:long-stream"])
+    def test_recipe_specs_roundtrip(self, tmp_path, monkeypatch, recipe):
+        if recipe.startswith("bench:"):
+            monkeypatch.syspath_prepend(str(BENCH))
+            monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+            spec = importlib.import_module("workloads").WORKLOADS[recipe[6:]].spec(0)
+        else:
+            spec = SPEC_RECIPES[recipe]()
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps(cio.spec_to_dict(spec)))
+        assert cio.load_scene_spec(p) == spec
 
 
 class TestStreaming:

@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from chunkfuse.model import (
     TrackletSet,
     TrackTable,
     finite3,
+    from_json,
     norm3,
     seed_tracks,
 )
@@ -374,6 +378,12 @@ class TestPipelineConfig:
         with pytest.raises(InvalidConfig):
             PipelineConfig(gamma_stat=-1.0)
 
+    @pytest.mark.parametrize("name", ["gamma_c", "gamma_stat", "traj_cap", "lambda_sm",
+                                      "lambda_traj"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(InvalidConfig, match=name):
+            PipelineConfig(**{name: math.nan})
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidConfig):
             PipelineConfig.from_dict({"chunk_len": 16})
@@ -392,3 +402,67 @@ class TestPipelineConfig:
         cfg = PipelineConfig(overlap=5, lambda_sm=0.25)
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+
+@dataclass(frozen=True)
+class Inner:
+    x: float = 0.0
+
+
+@dataclass(frozen=True)
+class Outer:
+    flag: bool = False
+    n: int = 0
+    x: float = 0.0
+    name: str = ""
+    maybe: float | None = 1.0
+    many: tuple[int, ...] = ()
+    pair: tuple[float, str] = (0.0, "")
+    inner: Inner = field(default_factory=Inner)
+    inners: tuple[Inner, ...] = ()
+
+
+class TestFromJson:
+    def test_each_form_accepted(self):
+        got = from_json(Outer, {
+            "flag": True, "n": -3, "x": 2, "name": "a", "maybe": None, "many": [1, 2, 3],
+            "pair": [0.5, "b"], "inner": {"x": 1.5}, "inners": [{}, {"x": 2}],
+        }, ValueError)
+        assert got == Outer(True, -3, 2, "a", None, (1, 2, 3), (0.5, "b"), Inner(1.5),
+                            (Inner(), Inner(2)))
+        assert type(got.x) is int  # a float field keeps an integer as given
+        assert from_json(Outer, {"maybe": 0.25, "many": []}, ValueError) == Outer(maybe=0.25)
+        assert from_json(Outer, {}, ValueError) == Outer()
+        assert from_json(Outer, {"x": 10**400}, ValueError).x == 10**400
+
+    @pytest.mark.parametrize("data, where", [
+        ({"flag": 1}, "Outer.flag"),
+        ({"flag": None}, "Outer.flag"),
+        ({"n": 2.0}, "Outer.n"),
+        ({"n": True}, "Outer.n"),
+        ({"n": "2"}, "Outer.n"),
+        ({"x": False}, "Outer.x"),
+        ({"x": "1.5"}, "Outer.x"),
+        ({"x": None}, "Outer.x"),
+        ({"x": math.nan}, "Outer.x"),
+        ({"x": math.inf}, "Outer.x"),
+        ({"x": -math.inf}, "Outer.x"),
+        ({"maybe": math.nan}, "Outer.maybe"),
+        ({"name": 3}, "Outer.name"),
+        ({"many": [1, 2.5]}, r"Outer.many\[1\]"),
+        ({"many": 1}, "Outer.many"),
+        ({"many": {"0": 1}}, "Outer.many"),
+        ({"pair": [0.5]}, "Outer.pair"),
+        ({"pair": [0.5, "b", "c"]}, "Outer.pair"),
+        ({"pair": ["b", 0.5]}, r"Outer.pair\[0\]"),
+        ({"inner": []}, "Outer.inner"),
+        ({"inner": {"x": math.nan}}, r"Outer.inner.x"),
+        ({"inners": [{}, {"x": "1"}]}, r"Outer.inners\[1\].x"),
+        ({"inners": [{}, {"y": 1}]}, r"Outer.inners\[1\]: unknown keys \['y'\]"),
+        ({"inner": {"x": 1, "z": 2}}, r"Outer.inner: unknown keys \['z'\]"),
+        ({"nope": 1}, r"Outer: unknown keys \['nope'\]"),
+        ([], "Outer must be an object"),
+    ])
+    def test_mismatch_names_field_path(self, data, where):
+        with pytest.raises(InvalidConfig, match=f"^{where}"):
+            from_json(Outer, data, InvalidConfig)
