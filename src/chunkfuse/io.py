@@ -19,10 +19,12 @@ int, NaN or Infinity for a float, a list of the wrong length for a tuple.
 :class:`MalformedContainer` for a manifest that is missing or not a JSON
 object, an unknown format version, a kind other than the one asked for, a
 missing or non-integer frame range, chunk id or grid, a missing array, an
-array of the wrong shape, dtype, byte order or byte count, and a pose whose
-last row is not exactly 0,0,0,1 or whose rotation is not orthonormal. A
-chunk's frames must also pass :class:`FramePrediction`'s checks, and a
-ground truth's ``scene_spec.json`` must be a valid scene spec.
+array whose shape is not a list of ints or not the expected one, an array
+of the wrong dtype, byte order or byte count, and a pose whose last row is
+not exactly 0,0,0,1, whose rotation is not orthonormal or whose
+translation is not finite. A chunk's frames must also pass
+:class:`FramePrediction`'s checks, and a ground truth's
+``scene_spec.json`` must be a valid scene spec.
 :func:`read_matches` and :func:`read_fused_trajectories` raise it for
 records of ``matches.json`` and ``trajectories_meta.json`` that are not of
 the shape below: integer ids and pixels, pixels on the grid, match ids that
@@ -112,8 +114,8 @@ def _write_manifest(directory: Path, kind: str, chunk_id: int, start: int, end: 
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1) + "\n")
 
 
-def _read_array(directory: Path, entry: dict) -> np.ndarray:
-    for key in ("name", "dtype", "shape", "path", "byte_order"):
+def _read_array(directory: Path, entry: dict, shape: list[int]) -> np.ndarray:
+    for key in ("name", "dtype", "path", "byte_order"):
         if key not in entry:
             raise MalformedContainer(f"array entry missing field {key!r}: {entry}")
     name = entry["name"]
@@ -124,7 +126,6 @@ def _read_array(directory: Path, entry: dict) -> np.ndarray:
     path = directory / entry["path"]
     if not path.is_file():
         raise MalformedContainer(f"array {name!r}: missing file {entry['path']!r}")
-    shape = tuple(int(s) for s in entry["shape"])
     expected = int(np.prod(shape)) * 4
     actual = path.stat().st_size
     if actual != expected:
@@ -170,8 +171,9 @@ def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
     """The manifest, the arrays ``names`` and the poses of a ``kind`` container.
 
     The manifest's frame range, chunk id and grid come back as ints. Each
-    array must have the shape the frame range and grid give it, and each
-    pose a last row of exactly (0, 0, 0, 1) and an orthonormal rotation.
+    array must have the shape the frame range and grid give it, as a list
+    of ints, and each pose a last row of exactly (0, 0, 0, 1), an
+    orthonormal rotation and a finite translation.
     """
     manifest = read_json(directory / MANIFEST_NAME)
     version = manifest.get("format_version")
@@ -198,10 +200,11 @@ def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
     for name in names:
         if name not in entries:
             raise MalformedContainer(f"manifest missing required array {name!r}")
-        got = entries[name].get("shape")
+        got = list(from_json(tuple[int, ...], entries[name].get("shape"), MalformedContainer,
+                             f"array {name!r} shape"))
         if got != shapes[name]:
             raise MalformedContainer(f"array {name!r}: shape {got} does not match {shapes[name]}")
-        data[name] = _read_array(directory, entries[name])
+        data[name] = _read_array(directory, entries[name], got)
     poses = []
     for k, m in enumerate(data.pop("poses")):
         try:

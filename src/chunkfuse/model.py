@@ -48,12 +48,13 @@ def finite3(x: np.ndarray) -> np.ndarray:
 
 
 def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> None:
-    """Raise ValueError unless R is orthonormal with det +1 within tol."""
+    """Raise ValueError unless R is orthonormal with det +1 within tol
+    (a NaN entry fails both tests)."""
     err = np.abs(R.T @ R - np.eye(3)).max()
-    if err > tol:
+    if not err <= tol:
         raise ValueError(f"rotation not orthonormal (max deviation {err:.3e} > {tol:.0e})")
     det = np.linalg.det(R)
-    if abs(det - 1.0) > max(tol, 1e-8):
+    if not abs(det - 1.0) <= max(tol, 1e-8):
         raise ValueError(f"rotation determinant {det:.12f} != +1")
 
 
@@ -73,6 +74,8 @@ class Pose:
         object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
         check_rotation(self.rotation, self._tol)
+        if not np.isfinite(self.translation).all():
+            raise ValueError(f"pose translation {self.translation} is not finite")
 
     @property
     def center(self) -> np.ndarray:

@@ -15,10 +15,16 @@ evaluated, since no sign change can happen outside it. A point is visible
 in a frame when it is in view and nothing lies on its ray more than a
 small tolerance before it. That is an any-hit test up to a known
 distance, so the bisection stops once every ray's bracket lies wholly
-before or beyond that distance. Objects are cast only against the rays that pass
-within their bounding spheres. None of these shortcuts changes a per-ray
-result: ``generate`` gives the same bits as scanning every step, bisecting
-to the end and casting every object against every ray.
+before or beyond that distance, and a ray that cannot meet the wall
+before it skips the scan altogether: the wall's slope is at most
+``|amplitude| * |frequency|``, so along a ray that climbs faster than that
+(by a 0.1% margin) ``g = z - height`` only rises, and if ``g`` is still
+below ``-1e-9 * (|distance| + |amplitude|)`` at the distance, it is below
+zero everywhere before it. Objects are cast only against the rays that
+pass within their bounding spheres. None of these shortcuts changes a
+visibility decision or a bound point: ``generate`` gives the same bits as
+scanning every step, bisecting to the end and casting every object
+against every ray.
 """
 
 from __future__ import annotations
@@ -283,6 +289,20 @@ def _ray_box(origin, dirs, center, half):
 
 _SCAN_STEPS = 96
 _BISECTIONS = 60
+_SLOPE_MARGIN = 1.001
+_CLEAR_MARGIN = 1e-9
+
+
+def _wall_free(origin, d, bg: BackgroundSpec, lim):
+    """Masks over the rays ``d`` (unit, (N, 3)): ``rises``, where ``g = z -
+    height`` strictly increases along the ray, and ``clear``, where it also
+    lies below ``-_CLEAR_MARGIN * (|distance| + |amplitude|)`` at ``lim``."""
+    slope = _SLOPE_MARGIN * abs(bg.amplitude) * abs(bg.frequency)
+    rises = d[:, 2] > slope * np.hypot(d[:, 0], d[:, 1])
+    p = origin + lim[:, None] * d
+    below = p[:, 2] - bg.height(p[:, 0], p[:, 1]) < -_CLEAR_MARGIN * (
+        abs(bg.distance) + abs(bg.amplitude))
+    return rises, rises & below
 
 
 def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
@@ -309,11 +329,31 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     root, but is not the root itself. The rays bisect in lockstep: they
     usually all decide at the same step, and gathering the undecided ones
     each step cost more than the steps it saved.
+
+    With ``limit``, a ray that ``_wall_free`` certifies returns ``inf``
+    without a scan. The height's gradient, ``amplitude * frequency *
+    (-cos a cos b, sin a sin b)``, is at most ``|amplitude| * |frequency|``
+    long, so along a ray with ``d_z > 1.001 * |amplitude| * |frequency| *
+    |d_xy|`` ``g`` strictly increases; the 0.1% covers rounding in the test
+    itself. If the computed ``g`` at ``origin + limit * d`` is also below
+    ``-1e-9 * (|distance| + |amplitude|)``, a margin many orders above the
+    few ulps by which a computed ``g`` strays from the exact one, then the
+    computed ``g`` is negative at every point up to ``limit``, and every
+    point where it is positive lies a margin's worth of ``g`` beyond it.
+    The full scan can then only bracket a sign change whose upper end lies
+    past ``limit``, and after its bisections the bracket is far narrower
+    than that gap, so its root is ``inf`` or ``>= limit``: the same
+    decision as the ``inf`` returned. Without ``limit`` (the frame-0
+    binding cast) the root itself is wanted, and every ray is scanned.
     """
     flat = dirs.reshape(-1, 3)
     s_out = np.full(len(flat), np.inf)
     idx = np.nonzero(flat[:, 2] > 1e-12)[0]
     d = flat[idx]
+    if limit is not None:
+        lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[idx]
+        keep = ~_wall_free(origin, d, bg, lim)[1]
+        idx, d, lim = idx[keep], d[keep], lim[keep]
     oz = origin[2]
     s_flat = (bg.distance + abs(bg.amplitude) + 1.0 - oz) / d[:, 2]
     cap = np.broadcast_to(np.asarray(s_cap, dtype=np.float64), dirs.shape[:-1]).ravel()[idx]
@@ -356,7 +396,7 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     dd = d[rows]
 
     if limit is not None:
-        lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[idx[rows]]
+        lim = lim[rows]
     for _ in range(_BISECTIONS):
         if limit is not None and not ((flo < lim) & (lim <= fhi)).any():
             break
@@ -405,14 +445,17 @@ def _near_bounds(origin, dirs, centers, radii):
     """(N, M) mask: ray n passes within bounding sphere m.
 
     The test is on the squared distance from each center to each ray's
-    line, the quantity ``_ray_sphere`` also tests. The spheres are
-    inflated by 0.1% and by a rounding allowance, so no ray that hits an
-    object is dropped.
+    line, the quantity ``_ray_sphere`` also tests, written as the squared
+    projection of the center on the ray against ``dist2`` less the bound,
+    so the (N, M) product is squared in place. The spheres are inflated by
+    0.1% and by a rounding allowance, so no ray that hits an object is
+    dropped.
     """
     rel = centers - origin
     dist2 = (rel**2).sum(axis=1)
-    miss2 = dist2 - (dirs @ rel.T) ** 2
-    return miss2 <= (1.001 * radii) ** 2 + 1e-12 * dist2
+    along2 = dirs @ rel.T
+    np.square(along2, out=along2)
+    return along2 >= dist2 - ((1.001 * radii) ** 2 + 1e-12 * dist2)
 
 
 def _cast_all(origin, dirs, spec: SceneSpec, offsets_t: np.ndarray, s_cap=np.inf, limit=None):
@@ -474,14 +517,12 @@ def generate(spec: SceneSpec) -> GroundTruth:
         raise InvalidSpec("some pixels hit no surface; widen the background or narrow the fov")
     bound = o0 + s0[..., None] * dirs0
 
-    points = np.empty((spec.num_frames, spec.height, spec.width, 3))
-    for t in range(spec.num_frames):
-        disp = np.zeros((spec.height, spec.width, 3))
-        for m in range(len(spec.objects)):
-            mask = owner == m
-            if mask.any():
-                disp[mask] = offsets[m, t]
-        points[t] = bound + disp
+    # Each pixel moves with its owner's offsets; row -1 of the padded
+    # offsets is zero, for the wall.
+    padded = np.zeros((spec.num_frames, len(spec.objects) + 1, 3))
+    padded[:, :-1] = offsets.transpose(1, 0, 2)
+    points = np.take(padded, owner, axis=1)
+    points += bound
 
     cam_centers = positions
     dists = norm3(points - cam_centers[:, None, None, :])

@@ -154,6 +154,27 @@ class TestMalformedContainers:
         with pytest.raises(MalformedContainer):
             cio.read_chunk(written)
 
+    @pytest.mark.parametrize("entry,value", [((0, 1, 2), np.nan), ((1, 0, 3), np.inf),
+                                             ((0, 2, 3), -np.inf)])
+    def test_nonfinite_pose_rejected(self, written, entry, value):
+        data = np.fromfile(written / "poses.bin", dtype="<f4").reshape(-1, 4, 4)
+        data[entry] = value
+        data.tofile(written / "poses.bin")
+        with pytest.raises(MalformedContainer, match=f"frame {entry[0]}"):
+            cio.read_chunk(written)
+
+    @pytest.mark.parametrize("shape", [[4.0, 6, 5, 3], [4, 6, 5, True], [4, 6, 5, "3"], None])
+    def test_shape_entries_must_be_ints(self, written, shape):
+        m = self._manifest(written)
+        entry = next(e for e in m["arrays"] if e["name"] == "points")
+        if shape is None:
+            del entry["shape"]
+        else:
+            entry["shape"] = shape
+        self._write(written, m)
+        with pytest.raises(MalformedContainer, match="'points' shape"):
+            cio.read_chunk(written)
+
     def test_missing_required_array_entry(self, written):
         m = self._manifest(written)
         m["arrays"] = [e for e in m["arrays"] if e["name"] != "points"]

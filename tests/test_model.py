@@ -124,6 +124,20 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 1.001, np.zeros(3))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+    def test_rejects_nan_rotation(self, entry):
+        R = np.eye(3)
+        R[entry] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            Pose(R, np.zeros(3))
+        with pytest.raises(ValueError, match="orthonormal"):
+            SimilarityTransform(1.0, R, np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_translation(self, value):
+        with pytest.raises(ValueError, match="translation"):
+            Pose(np.eye(3), np.array([0.0, value, 1.0]))
+
     def test_matrix_roundtrip(self, rng):
         p = Pose(random_rotation(rng), rng.normal(size=3))
         q = Pose.from_matrix(p.matrix())

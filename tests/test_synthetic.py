@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +20,11 @@ from chunkfuse.synthetic import (
     _ray_background,
     _ray_box,
     _ray_sphere,
+    _wall_free,
     emit_chunks,
     generate,
 )
+from scenes import association_spec
 
 
 def static_camera():
@@ -358,7 +361,31 @@ PARITY_SCENES = {
         camera=CameraSpec(kind="orbit", target=(0, 0, 4.0), start=(0.3, 0.1, -1.2),
                           rate=0.03, bob=0.05)),
     "grazing_wall": grazing_wall_spec(),
+    # objects orbit into and behind the wall: some visibility rays rise
+    # steeply enough for the certificate but meet the wall before the point
+    "association": dataclasses.replace(association_spec(0), height=16, width=16),
 }
+
+
+def visibility_certificates(spec, monkeypatch):
+    """``_wall_free``'s (rises, clear) masks over every ray of the
+    visibility casts ``generate`` makes for ``spec``, concatenated."""
+    masks = []
+    cast = synthetic._ray_background
+
+    def spy(origin, dirs, bg, s_cap, limit=None):
+        if limit is not None:
+            flat = dirs.reshape(-1, 3)
+            towards = flat[:, 2] > 1e-12
+            lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[towards]
+            masks.append(_wall_free(origin, flat[towards], bg, lim))
+        return cast(origin, dirs, bg, s_cap, limit)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(synthetic, "_ray_background", spy)
+        generate(spec)
+    rises, clear = (np.concatenate(m) for m in zip(*masks))
+    return rises, clear
 
 
 class TestReferenceParity:
@@ -373,6 +400,15 @@ class TestReferenceParity:
         assert got.scene_scale == want.scene_scale
         assert all(p.matrix().tobytes() == q.matrix().tobytes()
                    for p, q in zip(got.poses, want.poses))
+
+    def test_scenes_reach_both_uncertified_branches(self, monkeypatch):
+        # The byte checks above cover a ray refused for its slope and one
+        # that rises steeply but meets the wall before its limit.
+        rises, _ = visibility_certificates(PARITY_SCENES["grazing_wall"], monkeypatch)
+        assert (~rises).any()
+        rises, clear = visibility_certificates(PARITY_SCENES["association"], monkeypatch)
+        assert (rises & ~clear).any()
+        assert clear.mean() > 0.9
 
     def test_grazing_wall_hides_its_own_points(self):
         gt = generate(grazing_wall_spec())
@@ -431,3 +467,37 @@ def test_cull_keeps_every_hit(seed, shape, inside, half, span):
         s = _ray_box(origin, dirs, center, tuple(half))
     near = _near_bounds(origin, dirs, center[None], np.array([radius]))[:, 0]
     assert near[np.isfinite(s)].all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.one_of(st.just(0.0), st.floats(-1.5, -0.01), st.floats(0.01, 1.5)),
+    frequency=st.floats(-4.0, 4.0),
+    distance=st.floats(2.0, 12.0),
+    capped=st.booleans(),
+)
+def test_certified_rays_meet_no_wall_before_limit(seed, amplitude, frequency, distance, capped):
+    rng = np.random.default_rng(seed)
+    bg = BackgroundSpec(distance=distance, amplitude=amplitude, frequency=frequency,
+                        phase=tuple(rng.uniform(-math.pi, math.pi, size=2)))
+    origin = np.array([*rng.uniform(-3.0, 3.0, size=2),
+                       distance - abs(amplitude) - rng.uniform(0.05, 6.0)])
+    # half the rays look nearly straight at the wall, so many pass the
+    # slope test; the rest point anywhere, some away from the wall
+    n = 200
+    tilt = rng.normal(size=(n // 2, 2)) * rng.uniform(0.0, 0.3, size=(n // 2, 1))
+    dirs = _unit(np.concatenate([np.column_stack([tilt, np.ones(n // 2)]),
+                                 rng.normal(size=(n // 2, 3))]))
+    # limits before, at and past each ray's hit (or a random distance)
+    rough = reference_ray_background(origin, dirs, bg, np.inf)
+    base = np.where(np.isfinite(rough), rough, rng.uniform(0.5, 30.0, size=n))
+    limit = base * rng.choice([0.3, 0.9, 0.999999, 1.0, 1.000001, 1.2, 3.0], size=n)
+    s_cap = limit * (1.0 + 2e-6) if capped else np.inf
+    root = reference_ray_background(origin, dirs, bg, s_cap)
+
+    towards = dirs[:, 2] > 1e-12
+    _, clear = _wall_free(origin, dirs[towards], bg, limit[towards])
+    assert (root[towards][clear] >= limit[towards][clear]).all()
+    got = _ray_background(origin, dirs, bg, s_cap, limit)
+    assert np.array_equal(got >= limit, root >= limit)
