@@ -63,15 +63,17 @@ def _stack(chunk: Chunk, frames) -> tuple[np.ndarray, np.ndarray, tuple[Pose, ..
 
 
 def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
-    """Shared frame indices and stacked predictions of two adjacent chunks."""
+    """Shared frame indices and stacked predictions of two adjacent chunks,
+    which must share at least the two frames anchor selection needs."""
     if chunk_i.grid_shape != chunk_j.grid_shape:
         raise ValueError(f"chunk grids differ: {chunk_i.grid_shape} vs {chunk_j.grid_shape}")
     lo = max(chunk_i.start_frame, chunk_j.start_frame)
     hi = min(chunk_i.end_frame, chunk_j.end_frame)
-    if hi < lo:
+    if hi - lo < 1:
         raise NoOverlap(
             f"chunks [{chunk_i.start_frame}, {chunk_i.end_frame}] and "
-            f"[{chunk_j.start_frame}, {chunk_j.end_frame}] do not intersect"
+            f"[{chunk_j.start_frame}, {chunk_j.end_frame}] share fewer than 2 frames "
+            f"({max(hi - lo + 1, 0)})"
         )
     frames = tuple(range(lo, hi + 1))
     return OverlapView(frames, *_stack(chunk_i, frames), *_stack(chunk_j, frames))

@@ -12,8 +12,10 @@ counts pooled over all junctions:
   ``assoc_obj_f1``: a match is correct when both seed pixels carry the
   same ground-truth object id.
 
-Exit codes: 0 success, 2 invalid config or scene spec, 3 malformed
-container, 4 evaluation key mismatch.
+Exit codes: 0 success; 2 invalid config, scene spec or ``evaluate``
+flag; 3 malformed container, or consecutive chunks that share fewer than
+two frames (a chunk missing from the stream, or a one-frame overlap); 4
+evaluation key mismatch.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import io as cio
 from .chunking import slice_overlap
-from .errors import InvalidConfig, InvalidSpec, KeyMismatch, MalformedContainer
+from .errors import InvalidConfig, InvalidSpec, KeyMismatch, MalformedContainer, NoOverlap
 from .fusion import ABLATION_MODES, fuse_sequence
 from .metrics import (
     align_trajectories,
@@ -96,6 +98,9 @@ def _cmd_evaluate(args) -> int:
     unknown = set(wanted) - {"epe", "ate", "rpe", "assoc"}
     if unknown:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
+    for flag, value in (("--epe-stride", args.epe_stride), ("--rpe-delta", args.rpe_delta)):
+        if value < 1:
+            raise InvalidConfig(f"{flag} must be >= 1, got {value}")
     pred_dir = _resolve_container(Path(args.pred), "fused")
     gt_dir = _resolve_container(Path(args.gt), "gt")
     fused = cio.read_chunk(pred_dir)
@@ -116,6 +121,9 @@ def _cmd_evaluate(args) -> int:
     if "ate" in wanted:
         result["ate"] = ate(pred_poses, gt.poses)
     if "rpe" in wanted:
+        if args.rpe_delta >= len(fused.frames):
+            raise InvalidConfig(f"--rpe-delta must be below the {len(fused.frames)} "
+                                f"fused frames, got {args.rpe_delta}")
         # aligning away the monocular gauge first keeps RPE scale-free
         T = align_trajectories(pred_poses, gt.poses)
         aligned = [T.apply_pose(p) for p in pred_poses]
@@ -222,6 +230,9 @@ def main(argv=None) -> int:
         return 2
     except MalformedContainer as e:
         print(f"error: malformed container: {e}", file=sys.stderr)
+        return 3
+    except NoOverlap as e:
+        print(f"error: broken chunk stream: {e}", file=sys.stderr)
         return 3
     except KeyMismatch as e:
         print(f"error: {e}", file=sys.stderr)

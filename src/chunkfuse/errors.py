@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline.
 
-The CLI maps these onto exit codes: InvalidConfig -> 2,
-MalformedContainer -> 3, KeyMismatch -> 4.
+The CLI maps these onto exit codes: InvalidConfig -> 2, InvalidSpec -> 2,
+MalformedContainer -> 3, NoOverlap -> 3 (a gap in a chunk stream, or
+consecutive chunks that share one frame), KeyMismatch -> 4.
 """
 
 
@@ -18,7 +19,7 @@ class InvalidSpec(ChunkFuseError):
 
 
 class NoOverlap(ChunkFuseError):
-    """Two chunks share no frame indices."""
+    """Two adjacent chunks share fewer than two frame indices."""
 
 
 class NotEnoughPoints(ChunkFuseError):

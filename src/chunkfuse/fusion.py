@@ -34,7 +34,7 @@ from .model import (
     norm3,
 )
 from .registration import (
-    RegistrationReport,
+    OverlapAbstraction,
     nearest_rotation,
     register_pair,
     select_anchors,
@@ -43,6 +43,13 @@ from .registration import (
 )
 
 ABLATION_MODES = ("base", "overlap", "full")
+
+# The fallback tiers' thresholds: a static registration is trusted with at
+# least MIN_STATIC_ANCHORS anchors and a residual RMS within STATIC_RMS_CAP
+# scene scales, a refined transform with at least MIN_DYNAMIC_MATCHES matches.
+MIN_STATIC_ANCHORS = 50
+STATIC_RMS_CAP = 0.1
+MIN_DYNAMIC_MATCHES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -135,33 +142,37 @@ def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose]) -> Sim
     return SimilarityTransform(s, R, t)
 
 
-@dataclass(frozen=True)
-class RefinedResult:
-    transform: SimilarityTransform
-    match_count: int
-
-
-def static_accepted(report: RegistrationReport, cfg: PipelineConfig) -> bool:
-    """Whether a static registration is trusted: enough anchors, and a
-    residual within ``static_rms_cap`` scene scales."""
-    return (
-        report.anchor_count >= cfg.min_static_anchors
-        and report.residual_rms <= cfg.static_rms_cap * report.scene_scale
-    )
-
-
 def choose_transform(
-    static_result: tuple[SimilarityTransform, RegistrationReport] | None,
-    refined_result: RefinedResult | None,
+    ablation: str,
+    abstraction: OverlapAbstraction,
+    static: tuple[SimilarityTransform, float] | None,
+    refined: SimilarityTransform | None,
+    num_matches: int,
     poses_i: Sequence[Pose],
     poses_j: Sequence[Pose],
-    cfg: PipelineConfig,
 ) -> tuple[SimilarityTransform, str]:
-    """Fallback hierarchy: dynamic-refined, static-anchor, pose-only."""
-    if refined_result is not None and refined_result.match_count >= cfg.min_dynamic_matches:
-        return refined_result.transform, "refined"
-    if static_result is not None and static_accepted(static_result[1], cfg):
-        return static_result[0], "static"
+    """The pair transform of one junction under ``ablation``, and its tier.
+
+    ``static`` is the static registration's transform and residual RMS,
+    ``refined`` the last association round's transform, backed by
+    ``num_matches`` matches; either is None when it was not solved.
+
+    - ``base``: the identity, tier ``base``, whatever the inputs.
+    - ``overlap`` isolates static-aware registration, with no dynamic
+      feedback and no pose fallback: the trusted static transform
+      (``static``), else the identity (``identity``).
+    - ``full`` falls back from refined (``refined``) to trusted static
+      (``static``) to the alignment of the camera centres (``pose``).
+    """
+    if ablation == "base":
+        return SimilarityTransform.identity(), "base"
+    if ablation == "full" and refined is not None and num_matches >= MIN_DYNAMIC_MATCHES:
+        return refined, "refined"
+    if (static is not None and abstraction.num_static >= MIN_STATIC_ANCHORS
+            and static[1] <= STATIC_RMS_CAP * abstraction.scene_scale):
+        return static[0], "static"
+    if ablation == "overlap":
+        return SimilarityTransform.identity(), "identity"
     return pose_only_transform(poses_i, poses_j), "pose"
 
 
@@ -462,19 +473,19 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
     abstraction = select_anchors(overlap, cfg)
     poses_i, poses_j = overlap.poses_i, overlap.poses_j
 
-    static_result = None
+    static = None
     if ablation != "base":
         try:
-            static_result = register_pair(overlap, abstraction, cfg)
+            static = register_pair(overlap, abstraction)
         except (NotEnoughPoints, DegenerateConfiguration):
-            static_result = None
+            pass
 
-    raw_i = raw_j = None
+    raw_i = raw_j = refined = None
     match_set = MatchSet((), (), ())
-    refined = None
     num_candidates = 0
     if ablation == "full":
-        T_assoc = static_result[0] if static_result else pose_only_transform(poses_i, poses_j)
+        # the static transform seeds association even when its tier is not trusted
+        T_assoc = static[0] if static else pose_only_transform(poses_i, poses_j)
         raw_i = build_tracklets(overlap.frames, overlap.points_i, overlap.conf_i,
                                 abstraction.dynamic_mask, abstraction.gamma_stat, cfg)
         raw_j = build_tracklets(overlap.frames, overlap.points_j, overlap.conf_j,
@@ -490,29 +501,17 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
             num_candidates = len(candidates)
             costs = pair_cost(raw_i, aligned_j, candidates, cfg, abstraction.scene_scale)
             match_set = assign(candidates, costs, len(raw_i), len(raw_j), cfg)
+            refined = None
             if len(match_set) == 0:
-                refined = None
                 break
             try:
-                refined = RefinedResult(
-                    refine_transform(match_set, raw_i, raw_j, poses_i, poses_j, T_assoc, cfg),
-                    len(match_set),
-                )
+                refined = refine_transform(match_set, raw_i, raw_j, poses_i, poses_j, T_assoc, cfg)
             except NotEnoughPoints:
-                refined = None
                 break
-            T_assoc = refined.transform
+            T_assoc = refined
 
-    if ablation == "base":
-        T_pair, tier = SimilarityTransform.identity(), "base"
-    elif ablation == "overlap":
-        # isolates the contribution of static-aware overlap registration:
-        # no dynamic feedback, no pose fallback
-        T_pair, tier = SimilarityTransform.identity(), "identity"
-        if static_result is not None and static_accepted(static_result[1], cfg):
-            T_pair, tier = static_result[0], "static"
-    else:
-        T_pair, tier = choose_transform(static_result, refined, poses_i, poses_j, cfg)
+    T_pair, tier = choose_transform(ablation, abstraction, static, refined, len(match_set),
+                                    poses_i, poses_j)
 
     report = PairReport(
         chunk_i=prev.chunk_id,
@@ -524,7 +523,7 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
         num_tracklets_j=len(raw_j) if raw_j is not None else 0,
         num_candidates=num_candidates,
         num_matches=len(match_set),
-        static_rms=static_result[1].residual_rms if static_result else None,
+        static_rms=static[1] if static else None,
         pair_transform=T_pair,
     )
     return report, match_set, raw_i, raw_j

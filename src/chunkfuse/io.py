@@ -38,7 +38,12 @@ Sidecar files
 - ``transforms.json``: per chunk, the similarity into the first chunk's
   gauge, ``{"scale", "rotation" (9 values, row-major), "translation"}``.
 - ``report.json``: per junction, the tier taken, the stage counts, the
-  static residual and the pair transform.
+  static residual and the pair transform. The tier, as
+  :func:`~chunkfuse.fusion.choose_transform` decides it, is ``base`` (the
+  identity; ``base`` only), ``identity`` (no trusted static registration;
+  ``overlap`` only), ``static`` (the static registration; ``overlap`` and
+  ``full``), ``refined`` (re-solved on the matched tracks; ``full`` only)
+  or ``pose`` (the camera centres aligned; ``full`` only).
 - ``matches.json``: per junction, ``{"chunk_i", "chunk_j", "matches",
   "tracklets_i", "tracklets_j"}``. A match is ``[a, b, cost, [row, col] of
   a, [row, col] of b]``, a tracklet ``[id, row, col]``.

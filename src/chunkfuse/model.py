@@ -447,9 +447,6 @@ class PipelineConfig:
     lambda_sm: float = 1.0
     min_displacement: float | None = None
     seed_stride: int = 2
-    min_static_anchors: int = 50
-    min_dynamic_matches: int = 8
-    static_rms_cap: float = 0.1
     refine_scale: bool = False
     association_rounds: int = 2
 
@@ -466,7 +463,6 @@ class PipelineConfig:
             "traj_cap": self.traj_cap,
             "dir_cap": self.dir_cap,
             "cost_max": self.cost_max,
-            "static_rms_cap": self.static_rms_cap,
             "seed_stride": self.seed_stride,
         }
         for name in ("gamma_stat", "gamma_p", "min_displacement"):
@@ -488,10 +484,6 @@ class PipelineConfig:
                 raise InvalidConfig(f"{name} must be >= 0, got {value}")
         if not self.lambda_traj + self.lambda_vel + self.lambda_dir > 0:
             raise InvalidConfig("lambda_traj + lambda_vel + lambda_dir must be > 0")
-        if self.min_static_anchors < 3:
-            raise InvalidConfig("min_static_anchors must be >= 3")
-        if self.min_dynamic_matches < 1:
-            raise InvalidConfig("min_dynamic_matches must be >= 1")
         if self.association_rounds < 1:
             raise InvalidConfig("association_rounds must be >= 1")
 

@@ -223,15 +223,6 @@ def solve_weighted_rigid(src, dst, weights, scale: float = 1.0) -> SimilarityTra
     return SimilarityTransform(scale, R, t)
 
 
-@dataclass(frozen=True)
-class RegistrationReport:
-    """Summary of one pairwise static registration attempt."""
-
-    anchor_count: int
-    residual_rms: float
-    scene_scale: float
-
-
 def registration_residual_rms(
     T: SimilarityTransform, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
 ) -> float:
@@ -255,9 +246,10 @@ def static_correspondences(overlap: OverlapView, abstraction: OverlapAbstraction
 
 
 def register_pair(
-    overlap: OverlapView, abstraction: OverlapAbstraction, cfg: PipelineConfig
-) -> tuple[SimilarityTransform, RegistrationReport]:
-    """Confidence-weighted similarity registration on the static anchors.
+    overlap: OverlapView, abstraction: OverlapAbstraction
+) -> tuple[SimilarityTransform, float]:
+    """Confidence-weighted similarity registration on the static anchors:
+    the transform and its weighted residual RMS on those anchors.
 
     Maps chunk j's gauge into chunk i's. Dynamic supports are excluded
     entirely, so corrupt them as you like: the result cannot change.
@@ -266,9 +258,4 @@ def register_pair(
     """
     src, dst, w = static_correspondences(overlap, abstraction)
     T = solve_weighted_similarity(src, dst, w)
-    report = RegistrationReport(
-        anchor_count=abstraction.num_static,
-        residual_rms=registration_residual_rms(T, src, dst, w),
-        scene_scale=abstraction.scene_scale,
-    )
-    return T, report
+    return T, registration_residual_rms(T, src, dst, w)

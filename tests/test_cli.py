@@ -141,6 +141,21 @@ def test_evaluate_unknown_metric_is_config_error(workspace):
                  "--metrics", "nope"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--epe-stride", "0"],
+    ["--epe-stride", "-1"],
+    ["--rpe-delta", "0"],
+    ["--rpe-delta", "28"],
+    ["--rpe-delta", "50"],
+], ids=["stride-0", "stride-negative", "delta-0", "delta-frames", "delta-past-frames"])
+def test_evaluate_bad_flag_exit_2(workspace, capsys, flags):
+    """The workspace's fused scene has 28 frames."""
+    root, data, out, _ = workspace
+    assert main(["evaluate", "--pred", str(out), "--gt", str(data),
+                 "--metrics", "epe,ate,rpe", *flags]) == 2
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_ablation_flag_produces_variants(workspace):
     root, data, out, cfg_path = workspace
     for mode in ("base", "overlap"):
@@ -164,12 +179,16 @@ def test_invalid_config_exit_2(workspace):
     assert code == 2
 
 
-def test_unknown_config_key_exit_2(workspace):
+def test_unknown_config_key_exit_2(workspace, capsys):
     root, data, out, _ = workspace
     bad = root / "typo.json"
-    bad.write_text(json.dumps({"chunk_legnth": 8}))
-    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(bad),
-                 "--out", str(root / "y")]) == 2
+    # a typo, and the fallback tiers' thresholds, constants of ``fusion``
+    for key, value in (("chunk_legnth", 8), ("min_static_anchors", 50),
+                       ("min_dynamic_matches", 8), ("static_rms_cap", 0.1)):
+        bad.write_text(json.dumps({key: value}))
+        assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(bad),
+                     "--out", str(root / "y")]) == 2
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", [
@@ -284,6 +303,38 @@ def test_malformed_container_exit_3(workspace, tmp_path):
     code = main(["fuse", "--chunks", str(broken), "--config", str(cfg_path),
                  "--out", str(tmp_path / "z")])
     assert code == 3
+
+
+def _broken_stream_exit_3(chunks: Path, cfg_path: Path, out: Path, capsys, ranges: str):
+    for command in (["fuse", "--chunks", str(chunks), "--config", str(cfg_path), "--out", str(out)],
+                    ["inspect", "--chunks", str(chunks)]):
+        assert main(command) == 3
+        assert ranges in capsys.readouterr().err
+
+
+def test_chunk_gap_exit_3(workspace, tmp_path, capsys):
+    """Without chunk 1, chunks [0, 7] and [8, 15] follow each other."""
+    root, data, out, cfg_path = workspace
+    gap = tmp_path / "chunks"
+    shutil.copytree(data / "chunks", gap)
+    shutil.rmtree(gap / "chunk_0001")
+    _broken_stream_exit_3(gap, cfg_path, tmp_path / "out", capsys, "[0, 7] and [8, 15]")
+
+
+def test_one_frame_overlap_exit_3(workspace, tmp_path, capsys):
+    """Chunk 0 of an 8-frame plan next to chunk 1 of a 9-frame one, both
+    with a 2-frame overlap: [0, 7] and [7, 15] share one frame."""
+    root, data, out, cfg_path = workspace
+    stream = tmp_path / "chunks"
+    stream.mkdir()
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps(cio.spec_to_dict(gauge_recovery_spec(num_frames=16, grid=12))))
+    for length, name in (("8", "chunk_0000"), ("9", "chunk_0001")):
+        run = tmp_path / f"len{length}"
+        assert main(["generate", "--spec", str(spec), "--out", str(run),
+                     "--chunk-length", length, "--overlap", "2"]) == 0
+        shutil.copytree(run / "chunks" / name, stream / name)
+    _broken_stream_exit_3(stream, cfg_path, tmp_path / "out", capsys, "[0, 7] and [7, 15]")
 
 
 def test_key_mismatch_exit_4(workspace, tmp_path):

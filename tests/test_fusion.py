@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import NotEnoughPoints, WindowTooShort
 from chunkfuse.fusion import (
-    RefinedResult,
+    MIN_DYNAMIC_MATCHES,
+    MIN_STATIC_ANCHORS,
     blend_weights,
     choose_transform,
     fuse_sequence,
@@ -23,10 +24,10 @@ from chunkfuse.model import (
     SimilarityTransform,
     TrackletSet,
 )
-from chunkfuse.registration import RegistrationReport
+from chunkfuse.registration import OverlapAbstraction
 from chunkfuse.synthetic import emit_chunks, generate
 from conftest import make_chunk, random_rotation
-from scenes import identity_span_spec
+from scenes import ablation_config, ablation_spec, dynamic_overlap_spec, identity_span_spec
 
 
 def tracklets(positions, frames):
@@ -349,45 +350,97 @@ class TestRefineTransform:
         assert loss(T_ref) <= loss(T_static) + 1e-12
 
 
+def _is_identity(T: SimilarityTransform) -> bool:
+    return (T.scale == 1.0 and np.array_equal(T.rotation, np.eye(3))
+            and not T.translation.any())
+
+
 class TestChooseTransform:
-    def _static(self, T, anchors=100, rms=1e-6, scale=5.0):
-        return (T, RegistrationReport(anchors, rms, scale))
+    A = SimilarityTransform(1.0, np.eye(3), np.array([1.0, 0, 0]))
+    B = SimilarityTransform(1.0, np.eye(3), np.array([2.0, 0, 0]))
+
+    @staticmethod
+    def _abstraction(anchors=100, scale=5.0):
+        static = np.arange(anchors + 10) < anchors
+        return OverlapAbstraction(static, np.zeros_like(static), 0.05, scale, 0.05)
 
     def test_prefers_refined_with_enough_matches(self, rng):
-        A = SimilarityTransform(1.0, np.eye(3), np.array([1.0, 0, 0]))
-        B = SimilarityTransform(1.0, np.eye(3), np.array([2.0, 0, 0]))
         poses = _overlap_poses(rng)
-        cfg = PipelineConfig(min_dynamic_matches=8)
-        T, tier = choose_transform(self._static(A), RefinedResult(B, 10), poses, poses, cfg)
-        assert tier == "refined" and np.array_equal(T.translation, B.translation)
+        T, tier = choose_transform("full", self._abstraction(), (self.A, 1e-6), self.B,
+                                   MIN_DYNAMIC_MATCHES, poses, poses)
+        assert tier == "refined" and np.array_equal(T.translation, self.B.translation)
 
     def test_too_few_matches_falls_to_static(self, rng):
-        A = SimilarityTransform(1.0, np.eye(3), np.array([1.0, 0, 0]))
-        B = SimilarityTransform(1.0, np.eye(3), np.array([2.0, 0, 0]))
         poses = _overlap_poses(rng)
-        cfg = PipelineConfig(min_dynamic_matches=8)
-        T, tier = choose_transform(self._static(A), RefinedResult(B, 3), poses, poses, cfg)
-        assert tier == "static" and np.array_equal(T.translation, A.translation)
+        T, tier = choose_transform("full", self._abstraction(), (self.A, 1e-6), self.B,
+                                   MIN_DYNAMIC_MATCHES - 1, poses, poses)
+        assert tier == "static" and np.array_equal(T.translation, self.A.translation)
 
     def test_weak_static_falls_to_pose(self, rng):
-        A = SimilarityTransform.identity()
         T_star = SimilarityTransform(1.3, random_rotation(rng), rng.normal(size=3))
         poses_i = _overlap_poses(rng)
         poses_j = [T_star.apply_pose(p) for p in poses_i]
-        cfg = PipelineConfig(min_static_anchors=50)
-        T, tier = choose_transform(self._static(A, anchors=10), None, poses_i, poses_j, cfg)
+        weak = self._abstraction(anchors=MIN_STATIC_ANCHORS - 1)
+        T, tier = choose_transform("full", weak, (SimilarityTransform.identity(), 1e-6), None, 0,
+                                   poses_i, poses_j)
         assert tier == "pose"
         inv = T_star.invert()
         assert np.linalg.norm(T.rotation - inv.rotation) < 1e-9
         assert abs(T.scale - inv.scale) < 1e-9
 
     def test_high_residual_falls_to_pose(self, rng):
-        A = SimilarityTransform.identity()
         poses = _overlap_poses(rng)
-        cfg = PipelineConfig()
-        _, tier = choose_transform(self._static(A, anchors=100, rms=10.0, scale=5.0),
-                                   None, poses, poses, cfg)
+        _, tier = choose_transform("full", self._abstraction(anchors=100, scale=5.0),
+                                   (SimilarityTransform.identity(), 10.0), None, 0, poses, poses)
         assert tier == "pose"
+
+    def test_overlap_never_takes_pose(self, rng):
+        """``overlap`` takes the trusted static transform, never the refined
+        one, and the identity where ``full`` would fall back to pose."""
+        poses = _overlap_poses(rng)
+        T, tier = choose_transform("overlap", self._abstraction(), (self.A, 1e-6), self.B,
+                                   MIN_DYNAMIC_MATCHES, poses, poses)
+        assert tier == "static" and np.array_equal(T.translation, self.A.translation)
+        untrusted = [
+            (self._abstraction(), None),
+            (self._abstraction(anchors=MIN_STATIC_ANCHORS - 1), (self.A, 1e-6)),
+            (self._abstraction(scale=5.0), (self.A, 10.0)),
+        ]
+        for abstraction, static in untrusted:
+            T, tier = choose_transform("overlap", abstraction, static, self.B,
+                                       MIN_DYNAMIC_MATCHES, poses, poses)
+            assert tier == "identity" and _is_identity(T)
+
+    def test_base_ignores_every_input(self, rng):
+        poses = _overlap_poses(rng)
+        for args in ((None, None, None, 0, None, None),
+                     (self._abstraction(), (self.A, 1e-6), self.B, MIN_DYNAMIC_MATCHES,
+                      poses, poses)):
+            T, tier = choose_transform("base", *args)
+            assert tier == "base" and _is_identity(T)
+
+
+RECIPE_TIERS = {
+    "ablation_spec(0)": (ablation_spec, {"base": "base", "overlap": "static", "full": "refined"}),
+    "dynamic_overlap_spec(0)": (dynamic_overlap_spec,
+                                {"base": "base", "overlap": "identity", "full": "refined"}),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_TIERS))
+def test_recipe_junction_tiers(recipe):
+    """The tier each ablation takes at every junction of a frozen recipe:
+    ``dynamic_overlap_spec`` has no trusted static anchors, so ``overlap``
+    leaves its chunks unaligned."""
+    make_spec, tiers = RECIPE_TIERS[recipe]
+    spec, cfg = make_spec(0), ablation_config()
+    chunks = list(emit_chunks(generate(spec), cfg, spec).chunks)
+    for ablation, tier in tiers.items():
+        reports = fuse_sequence(chunks, cfg, ablation=ablation).reports
+        assert len(reports) == len(chunks) - 1
+        assert [r.tier for r in reports] == [tier] * len(reports), ablation
+        if tier in ("base", "identity"):
+            assert all(_is_identity(r.pair_transform) for r in reports)
 
 
 class TestPoseOnly:

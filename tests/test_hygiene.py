@@ -1,15 +1,18 @@
 """Hygiene of the package: every module imports at module level only and
-uses each name it imports, every dataclass field is read somewhere, and
-JSON text is parsed only by ``io.read_json``.
+uses each name it imports, every dataclass field is read somewhere, every
+config field is read outside ``model.py``, and JSON text is parsed only by
+``io.read_json``.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
 and so are the dataclasses written out whole, field by field."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import chunkfuse
+from chunkfuse.model import PipelineConfig
 
 MODULES = sorted(Path(chunkfuse.__file__).parent.glob("*.py"))
 
@@ -65,13 +68,18 @@ def unread_fields(trees: list[ast.Module], exempt=frozenset()) -> list[str]:
                     for stmt in node.body
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                 ]
-    read = {
+    read = attributes_read(trees)
+    return sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
+
+
+def attributes_read(trees: list[ast.Module]) -> set[str]:
+    """Every name that an expression in ``trees`` reads as an attribute."""
+    return {
         node.attr
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
 
 
 def json_loads_owners(tree: ast.Module) -> list[str]:
@@ -102,6 +110,13 @@ def test_json_is_parsed_only_by_read_json():
 def test_dataclass_fields_are_read():
     trees = [ast.parse(path.read_text()) for path in MODULES]
     assert unread_fields(trees, WRITTEN_WHOLE) == []
+
+
+def test_config_fields_are_read_outside_model():
+    """A knob that only its own validation and ``to_dict`` read in
+    ``model.py`` changes nothing the pipeline does."""
+    read = attributes_read([ast.parse(p.read_text()) for p in MODULES if p.name != "model.py"])
+    assert [f.name for f in fields(PipelineConfig) if f.name not in read] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

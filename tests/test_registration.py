@@ -266,19 +266,19 @@ class TestRegisterPair:
         overlap = slice_overlap(a, b)
         cfg = PipelineConfig(gamma_stat=0.1)
         ab = select_anchors(overlap, cfg)
-        T, report = register_pair(overlap, ab, cfg)
+        T, rms = register_pair(overlap, ab)
         inv = T_star.invert()
         assert np.linalg.norm(T.rotation - inv.rotation) < 1e-9
         assert abs(T.scale - inv.scale) < 1e-9
         assert np.linalg.norm(T.translation - inv.translation) < 1e-9
-        assert report.anchor_count == 144
-        assert report.residual_rms < 1e-9
+        assert ab.num_static == 144
+        assert rms < 1e-9
 
     def test_identical_chunks_identity(self, rng):
         a, b = self._pair(rng)
         overlap = slice_overlap(a, b)
         cfg = PipelineConfig(gamma_stat=0.1)
-        T, _ = register_pair(overlap, select_anchors(overlap, cfg), cfg)
+        T, _ = register_pair(overlap, select_anchors(overlap, cfg))
         assert abs(T.scale - 1.0) < 1e-12
         assert np.abs(T.rotation - np.eye(3)).max() < 1e-12
         assert np.abs(T.translation).max() < 1e-12
@@ -294,7 +294,7 @@ class TestRegisterPair:
         ab = select_anchors(overlap, cfg)
         assert ab.num_static == 0
         with pytest.raises(NotEnoughPoints):
-            register_pair(overlap, ab, cfg)
+            register_pair(overlap, ab)
 
     def test_dynamic_supports_never_affect_result(self, rng):
         gamma_stat = 0.1
@@ -308,7 +308,7 @@ class TestRegisterPair:
         overlap = slice_overlap(a, b)
         cfg = PipelineConfig(gamma_stat=gamma_stat)
         ab = select_anchors(overlap, cfg)
-        T1, _ = register_pair(overlap, ab, cfg)
+        T1, _ = register_pair(overlap, ab)
 
         corrupted = pts.copy()
         corrupted[:, block[0], block[1], :] += rng.normal(scale=100.0, size=(4, 5, 5, 3))
@@ -317,7 +317,7 @@ class TestRegisterPair:
         overlap2 = slice_overlap(a2, b2)
         ab2 = select_anchors(overlap2, cfg)
         assert np.array_equal(ab2.dynamic_mask, ab.dynamic_mask)
-        T2, _ = register_pair(overlap2, ab2, cfg)
+        T2, _ = register_pair(overlap2, ab2)
         assert np.array_equal(T1.rotation, T2.rotation)
         assert T1.scale == T2.scale
         assert np.array_equal(T1.translation, T2.translation)
@@ -332,5 +332,5 @@ class TestRegisterPair:
         ab = select_anchors(overlap, cfg)
         src, dst, w = static_correspondences(overlap, ab)
         assert np.allclose(w.reshape(4, -1), np.sqrt(conf * conf * 0.9).reshape(4, -1), atol=1e-12)
-        T, _ = register_pair(overlap, ab, cfg)
+        T, _ = register_pair(overlap, ab)
         assert registration_residual_rms(T, src, dst, w) < 1e-12
