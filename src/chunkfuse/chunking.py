@@ -1,4 +1,8 @@
-"""Partition a frame sequence into overlapping chunks and slice overlaps."""
+"""Partition a frame sequence into overlapping chunks and slice overlaps.
+
+A chunk is one checked stack with per-frame views (:class:`~chunkfuse.model.Chunk`),
+so the overlap of two chunks is a slice of each stack, with no copy.
+"""
 
 from __future__ import annotations
 
@@ -39,8 +43,9 @@ def plan_chunks(num_frames: int, chunk_length: int, overlap: int) -> list[tuple[
 
 @dataclass(frozen=True)
 class OverlapView:
-    """Both chunks' predictions over their shared frames, stacked once:
-    points (T, H, W, 3), confidences (T, H, W) and the T poses of each."""
+    """Both chunks' predictions over their shared frames: points (T, H, W,
+    3), confidences (T, H, W) and the T poses of each, read-only slices of
+    the chunks' stacks."""
 
     frames: tuple[int, ...]
     points_i: np.ndarray
@@ -54,17 +59,9 @@ class OverlapView:
         return len(self.frames)
 
 
-def _stack(chunk: Chunk, frames) -> tuple[np.ndarray, np.ndarray, tuple[Pose, ...]]:
-    """Points, confidences and poses of ``chunk`` over ``frames``."""
-    preds = [chunk.frame(f) for f in frames]
-    points = np.stack([p.points for p in preds])
-    conf = np.stack([p.confidence for p in preds])
-    return points, conf, tuple(p.pose for p in preds)
-
-
 def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
-    """Shared frame indices and stacked predictions of two adjacent chunks,
-    which must share at least the two frames anchor selection needs."""
+    """Shared frame indices and the predictions of two adjacent chunks over
+    them, which must be at least the two frames anchor selection needs."""
     if chunk_i.grid_shape != chunk_j.grid_shape:
         raise ValueError(f"chunk grids differ: {chunk_i.grid_shape} vs {chunk_j.grid_shape}")
     lo = max(chunk_i.start_frame, chunk_j.start_frame)
@@ -75,5 +72,8 @@ def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
             f"[{chunk_j.start_frame}, {chunk_j.end_frame}] share fewer than 2 frames "
             f"({max(hi - lo + 1, 0)})"
         )
-    frames = tuple(range(lo, hi + 1))
-    return OverlapView(frames, *_stack(chunk_i, frames), *_stack(chunk_j, frames))
+    i = slice(lo - chunk_i.start_frame, hi - chunk_i.start_frame + 1)
+    j = slice(lo - chunk_j.start_frame, hi - chunk_j.start_frame + 1)
+    return OverlapView(tuple(range(lo, hi + 1)),
+                       chunk_i.points[i], chunk_i.confidence[i], chunk_i.poses[i],
+                       chunk_j.points[j], chunk_j.confidence[j], chunk_j.poses[j])

@@ -12,6 +12,9 @@ counts pooled over all junctions:
   ``assoc_obj_f1``: a match is correct when both seed pixels carry the
   same ground-truth object id.
 
+``fuse`` writes its outputs beside ``--out`` and moves them in only when
+the fuse succeeds, so a failed fuse leaves an earlier output as it was.
+
 Exit codes: 0 success; 2 invalid config, scene spec or ``evaluate``
 flag; 3 malformed container, or consecutive chunks that share fewer than
 two frames (a chunk missing from the stream, or a one-frame overlap); 4
@@ -23,7 +26,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -67,16 +73,33 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _move_into(src: Path, dst: Path) -> None:
+    """Move every entry of ``src`` into ``dst``, replacing what it names there."""
+    dst.mkdir(exist_ok=True)
+    for entry in src.iterdir():
+        target = dst / entry.name
+        if target.is_dir():
+            shutil.rmtree(target)
+        os.replace(entry, target)
+
+
 def _cmd_fuse(args) -> int:
     cfg = cio.load_pipeline_config(args.config)
     out = Path(args.out)
-    writer = cio.StreamingFrameWriter(out / "fused")
-    fused = fuse_sequence(cio.iter_chunks(args.chunks), cfg, ablation=args.ablation, frame_sink=writer)
-    writer.finish()
-    cio.write_fusion_outputs(fused, out)
-    (out / "fuse_info.json").write_text(
-        json.dumps({"ablation": args.ablation, "config": cfg.to_dict()}, indent=1) + "\n"
-    )
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        with cio.StreamingFrameWriter(staging / "fused") as writer:
+            fused = fuse_sequence(cio.iter_chunks(args.chunks), cfg, ablation=args.ablation,
+                                  frame_sink=writer)
+            writer.finish()
+        cio.write_fusion_outputs(fused, staging)
+        (staging / "fuse_info.json").write_text(
+            json.dumps({"ablation": args.ablation, "config": cfg.to_dict()}, indent=1) + "\n"
+        )
+        _move_into(staging, out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     tiers = ",".join(r.tier for r in fused.reports) or "-"
     print(
         f"fused {fused.num_frames} frames across {len(fused.chunk_transforms)} chunks "
@@ -117,7 +140,7 @@ def _cmd_evaluate(args) -> int:
         variant = cio.read_json(info_path).get("ablation", "pred")
 
     result: dict[str, object] = {"variant": variant}
-    pred_poses = [fp.pose for fp in fused.frames]
+    pred_poses = fused.poses
     if "ate" in wanted:
         result["ate"] = ate(pred_poses, gt.poses)
     if "rpe" in wanted:

@@ -348,11 +348,13 @@ class _TrajectoryBuilder:
 def _pixel_tracks(chunk: Chunk, pixels: np.ndarray, gauge: SimilarityTransform) -> TrackletSet:
     """Whole-chunk tracks of the given pixels, mapped by ``gauge``."""
     rows, cols = pixels[:, 0], pixels[:, 1]
+    # (N, T, ...) in C order: ``apply`` rounds a C-ordered operand as it always has
+    tracks = np.ascontiguousarray(chunk.points[:, rows, cols].swapaxes(0, 1))
     return TrackletSet(
         frames=tuple(chunk.frame_range()),
         pixels=pixels,
-        positions=gauge.apply(np.stack([fp.points[rows, cols] for fp in chunk.frames], axis=1)),
-        conf=np.stack([fp.confidence[rows, cols] for fp in chunk.frames], axis=1),
+        positions=gauge.apply(tracks),
+        conf=np.ascontiguousarray(chunk.confidence[:, rows, cols].T),
     )
 
 
@@ -442,11 +444,10 @@ class PairReport:
 
 @dataclass
 class FusedScene:
-    """Globally aligned frames, transforms, and long-range trajectories,
-    all expressed in the first chunk's gauge."""
+    """Chunk transforms and long-range trajectories, all expressed in the
+    first chunk's gauge; the fused frames went to the frame sink."""
 
     num_frames: int
-    frames: list[FramePrediction]
     chunk_transforms: list[SimilarityTransform]
     trajectories: list[Trajectory]
     reports: list[PairReport]
@@ -466,9 +467,7 @@ def _map_frame(fp: FramePrediction, G: SimilarityTransform) -> FramePrediction:
 
 def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
     """Register and associate one junction under ``ablation``: its report,
-    the match set, and both raw tracklet sets (None unless "full"). The
-    stacked overlap lives only as long as this call, so it is freed before
-    the next chunk is read."""
+    the match set, and both raw tracklet sets (None unless "full")."""
     overlap = slice_overlap(prev, cur)
     abstraction = select_anchors(overlap, cfg)
     poses_i, poses_j = overlap.poses_i, overlap.poses_j
@@ -490,8 +489,6 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
                                 abstraction.dynamic_mask, abstraction.gamma_stat, cfg)
         raw_j = build_tracklets(overlap.frames, overlap.points_j, overlap.conf_j,
                                 abstraction.dynamic_mask, abstraction.gamma_stat_j, cfg)
-        # association, the fuse's memory peak, does not need the stacked overlap
-        del overlap
         # associate, refine, then re-associate in the improved gauge: the
         # first alignment may be off by more than a seed spacing, which
         # skews the one-to-one matching
@@ -533,14 +530,15 @@ def fuse_sequence(
     chunks: Iterable[Chunk],
     cfg: PipelineConfig,
     ablation: str = "full",
-    frame_sink: Callable[[FramePrediction], None] | None = None,
+    *,
+    frame_sink: Callable[[FramePrediction], None],
 ) -> FusedScene:
     """Register, associate, and fuse a stream of chunks.
 
     Keeps at most two chunk payloads resident: the previous and the
-    incoming one. Fused frames are either accumulated on the result or
-    handed to ``frame_sink`` as soon as they are final (overlap frames
-    belong to the earlier chunk, so a frame is final once emitted).
+    incoming one. Each fused frame is handed to ``frame_sink`` as soon as
+    it is final (overlap frames belong to the earlier chunk, so a frame is
+    final once emitted).
     Per-pair registration failures never abort; the tier hierarchy always
     produces a transform.
     """
@@ -552,14 +550,6 @@ def fuse_sequence(
     except StopIteration:
         raise ValueError("fuse_sequence needs at least one chunk") from None
 
-    collected: list[FramePrediction] = []
-
-    def emit(fp: FramePrediction):
-        if frame_sink is not None:
-            frame_sink(fp)
-        else:
-            collected.append(fp)
-
     identity = SimilarityTransform.identity()
     transforms = [identity]
     reports: list[PairReport] = []
@@ -567,7 +557,7 @@ def fuse_sequence(
     stitcher = _Stitcher()
 
     for fp in prev.frames:
-        emit(_map_frame(fp, identity))
+        frame_sink(_map_frame(fp, identity))
 
     for cur in it:
         G_prev = transforms[-1]
@@ -582,13 +572,11 @@ def fuse_sequence(
 
         for fp in cur.frames:
             if fp.frame_index > prev.end_frame:
-                emit(_map_frame(fp, G_cur))
+                frame_sink(_map_frame(fp, G_cur))
         prev = cur
 
-    num_frames = prev.end_frame + 1
     return FusedScene(
-        num_frames=num_frames,
-        frames=collected,
+        num_frames=prev.end_frame + 1,
         chunk_transforms=transforms,
         trajectories=stitcher.finish(),
         reports=reports,

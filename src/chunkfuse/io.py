@@ -22,8 +22,9 @@ missing or non-integer frame range, chunk id or grid, a missing array, an
 array whose shape is not a list of ints or not the expected one, an array
 of the wrong dtype, byte order or byte count, and a pose whose last row is
 not exactly 0,0,0,1, whose rotation is not orthonormal or whose
-translation is not finite. A chunk's frames must also pass
-:class:`FramePrediction`'s checks, and a ground truth's
+translation is not finite. A chunk is read as one stack and must also
+pass :class:`~chunkfuse.model.Chunk`'s checks, which name the first bad
+frame; its ``frames`` are per-frame views of that stack. A ground truth's
 ``scene_spec.json`` must be a valid scene spec.
 :func:`read_matches` and :func:`read_fused_trajectories` raise it for
 records of ``matches.json`` and ``trajectories_meta.json`` that are not of
@@ -234,27 +235,9 @@ def read_chunk(directory) -> Chunk:
     """Read and re-validate a chunk container; byte-exact round-trip."""
     manifest, data, poses = _read_container(Path(directory), "chunk",
                                             ("points", "confidence", "poses"))
-    start = manifest["start_frame"]
-    frames = []
-    for k, pose in enumerate(poses):
-        try:
-            frames.append(
-                FramePrediction(
-                    points=data["points"][k],
-                    confidence=data["confidence"][k],
-                    pose=pose,
-                    frame_index=start + k,
-                )
-            )
-        except ValueError as e:
-            raise MalformedContainer(f"frame {start + k}: {e}") from e
     try:
-        return Chunk(
-            chunk_id=manifest["chunk_id"],
-            start_frame=start,
-            end_frame=manifest["end_frame"],
-            frames=tuple(frames),
-        )
+        return Chunk(manifest["chunk_id"], manifest["start_frame"], data["points"],
+                     data["confidence"], tuple(poses))
     except ValueError as e:
         raise MalformedContainer(str(e)) from e
 
@@ -281,7 +264,8 @@ class StreamingFrameWriter:
     Appends each frame's arrays to the binary files immediately, so the
     fusion stage never holds more than its two resident chunks;
     :meth:`finish` writes the manifest, under ``chunk_id`` (0 for fused
-    output).
+    output). Used in a ``with`` block, it closes its files however the
+    block ends.
     """
 
     def __init__(self, directory, chunk_id: int = 0):
@@ -305,9 +289,18 @@ class StreamingFrameWriter:
         self._files["poses"].write(np.ascontiguousarray(fp.pose.matrix(), dtype="<f4").tobytes())
         self._count += 1
 
-    def finish(self) -> None:
+    def __enter__(self) -> "StreamingFrameWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
         for f in self._files.values():
             f.close()
+
+    def finish(self) -> None:
+        self.close()
         if self._count == 0 or self._grid is None or self._start is None:
             raise ValueError("no frames were written")
         H, W = self._grid

@@ -28,7 +28,7 @@ import numpy as np
 from .association import MatchSet
 from .errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
 from .model import Pose, SimilarityTransform, TrackTable, finite3, norm3, seed_tracks
-from .registration import solve_weighted_rigid, solve_weighted_similarity
+from .registration import solve_weighted_similarity
 
 
 def rotation_angle_deg(R: np.ndarray) -> float:
@@ -41,10 +41,9 @@ def _centers(poses: Sequence[Pose]) -> np.ndarray:
     return np.stack([p.center for p in poses])
 
 
-def align_trajectories(
-    pred: Sequence[Pose], gt: Sequence[Pose], mode: str = "similarity"
-) -> SimilarityTransform:
-    """Least-squares alignment of predicted camera centers onto ground truth.
+def align_trajectories(pred: Sequence[Pose], gt: Sequence[Pose]) -> SimilarityTransform:
+    """Least-squares similarity (Sim(3)) alignment of predicted camera
+    centers onto ground truth, the gauge freedom of a monocular prediction.
 
     Falls back to a translation-only alignment when the centers are
     collinear or coincident.
@@ -53,22 +52,17 @@ def align_trajectories(
         raise ValueError(f"pose lists differ in length: {len(pred)} vs {len(gt)}")
     if len(pred) < 3:
         raise NotEnoughPoints("alignment needs at least 3 poses")
-    if mode not in ("similarity", "rigid"):
-        raise ValueError(f"mode must be 'similarity' or 'rigid', got {mode!r}")
     src = _centers(pred)
     dst = _centers(gt)
-    w = np.ones(len(src))
     try:
-        if mode == "similarity":
-            return solve_weighted_similarity(src, dst, w)
-        return solve_weighted_rigid(src, dst, w)
+        return solve_weighted_similarity(src, dst, np.ones(len(src)))
     except DegenerateConfiguration:
         return SimilarityTransform(1.0, np.eye(3), dst.mean(axis=0) - src.mean(axis=0))
 
 
-def ate(pred: Sequence[Pose], gt: Sequence[Pose], mode: str = "similarity") -> float:
-    """RMS camera-center distance after gauge alignment."""
-    T = align_trajectories(pred, gt, mode)
+def ate(pred: Sequence[Pose], gt: Sequence[Pose]) -> float:
+    """RMS camera-center distance after Sim(3) gauge alignment."""
+    T = align_trajectories(pred, gt)
     err = norm3(T.apply(_centers(pred)) - _centers(gt))
     return float(np.sqrt((err**2).mean()))
 

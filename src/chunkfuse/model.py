@@ -2,8 +2,12 @@
 transforms, tracklet sets, seed-pixel track tables, and the pipeline
 configuration.
 
-All types are immutable value objects after construction (arrays are made
-read-only), so they can be shared freely between threads.
+A chunk is one checked (T, H, W, 3) pointmap stack with its (T, H, W)
+confidences and T poses; its frames are read-only views of the stacks.
+
+All types but :class:`FramePrediction`, a plain record, are immutable value
+objects after construction (arrays are made read-only), so they can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -171,40 +175,18 @@ class SimilarityTransform:
 
 @dataclass(frozen=True)
 class FramePrediction:
-    """One frame of a chunk-local reconstruction.
+    """One frame of a chunk-local reconstruction: an (H, W, 3) pointmap in
+    the chunk gauge, its (H, W) confidences and the camera pose.
 
-    ``points`` is an HxWx3 grid of 3D positions in the chunk gauge;
-    ``confidence`` is an HxW grid in [0, 1]. Out-of-range confidence is
-    rejected, never clamped. Non-finite points are allowed only where
-    confidence is exactly zero.
+    A plain record with no checks or copies: every frame the library makes
+    is a view of a checked :class:`Chunk`, or such a view mapped by a
+    fitted transform.
     """
 
     points: np.ndarray
     confidence: np.ndarray
     pose: Pose
     frame_index: int
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        conf = np.asarray(self.confidence, dtype=np.float64)
-        if pts.ndim != 3 or pts.shape[2] != 3:
-            raise ValueError(f"points must be (H, W, 3), got {pts.shape}")
-        if conf.shape != pts.shape[:2]:
-            raise ValueError(
-                f"confidence shape {conf.shape} does not match points grid {pts.shape[:2]}"
-            )
-        if conf.min() < 0.0 or conf.max() > 1.0:
-            raise ValueError("confidence values must lie in [0, 1]")
-        bad = ~finite3(pts) & (conf > 0.0)
-        if bad.any():
-            raise ValueError("non-finite points are only permitted where confidence == 0")
-        pts = pts.copy()
-        conf = conf.copy()
-        pts.setflags(write=False)
-        conf.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "confidence", conf)
-        object.__setattr__(self, "frame_index", int(self.frame_index))
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -213,36 +195,62 @@ class FramePrediction:
 
 @dataclass(frozen=True)
 class Chunk:
-    """A contiguous window of frames in one chunk-local gauge."""
+    """A contiguous window of frames in one chunk-local gauge, held as one
+    checked stack: ``points`` (T, H, W, 3), ``confidence`` (T, H, W) and
+    one pose per frame.
+
+    Both arrays are copied and made read-only once. Confidence must lie in
+    [0, 1]; out-of-range (or NaN) confidence is rejected, never clamped.
+    Non-finite points are allowed only where confidence is exactly zero.
+    An error names the first frame that fails a check. ``frames`` gives
+    read-only per-frame views of the stacks, with no copy and no second
+    check.
+    """
 
     chunk_id: int
     start_frame: int
-    end_frame: int
-    frames: tuple[FramePrediction, ...]
+    points: np.ndarray
+    confidence: np.ndarray
+    poses: tuple[Pose, ...]
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        object.__setattr__(self, "frames", frames)
-        n = self.end_frame - self.start_frame + 1
-        if len(frames) != n:
-            raise ValueError(
-                f"chunk [{self.start_frame}, {self.end_frame}] needs {n} frames, got {len(frames)}"
-            )
-        for offset, fp in enumerate(frames):
-            if fp.frame_index != self.start_frame + offset:
-                raise ValueError("frame indices must be consecutive and match the chunk range")
-        shapes = {fp.grid_shape for fp in frames}
-        if len(shapes) > 1:
-            raise ValueError(f"all frames must share the same grid, got {shapes}")
+        pts = np.array(self.points, dtype=np.float64, order="C")
+        conf = np.array(self.confidence, dtype=np.float64, order="C")
+        poses = tuple(self.poses)
+        if pts.ndim != 4 or pts.shape[3] != 3 or len(pts) == 0:
+            raise ValueError(f"points must be (T, H, W, 3) with T >= 1, got {pts.shape}")
+        if conf.shape != pts.shape[:3]:
+            raise ValueError(f"confidence shape {conf.shape} does not match points {pts.shape[:3]}")
+        if len(poses) != len(pts):
+            raise ValueError(f"need one pose per frame: {len(pts)} frames, {len(poses)} poses")
+        for bad, what in (
+            (~((conf >= 0.0) & (conf <= 1.0)), "confidence values must lie in [0, 1]"),
+            (~finite3(pts) & (conf > 0.0),
+             "non-finite points are only permitted where confidence == 0"),
+        ):
+            if bad.any():
+                first = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+                raise ValueError(f"frame {self.start_frame + first}: {what}")
+        pts.setflags(write=False)
+        conf.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "confidence", conf)
+        object.__setattr__(self, "poses", poses)
+
+    @property
+    def end_frame(self) -> int:
+        return self.start_frame + len(self.points) - 1
 
     @property
     def grid_shape(self) -> tuple[int, int]:
-        return self.frames[0].grid_shape
+        return self.points.shape[1:3]
 
-    def frame(self, frame_index: int) -> FramePrediction:
-        if not self.start_frame <= frame_index <= self.end_frame:
-            raise IndexError(f"frame {frame_index} outside chunk [{self.start_frame}, {self.end_frame}]")
-        return self.frames[frame_index - self.start_frame]
+    @cached_property
+    def frames(self) -> tuple[FramePrediction, ...]:
+        return tuple(
+            FramePrediction(p, c, pose, self.start_frame + k)
+            for k, (p, c, pose) in enumerate(zip(self.points, self.confidence, self.poses))
+        )
 
     def frame_range(self) -> range:
         return range(self.start_frame, self.end_frame + 1)

@@ -39,7 +39,6 @@ from .chunking import plan_chunks
 from .errors import InvalidSpec
 from .model import (
     Chunk,
-    FramePrediction,
     PipelineConfig,
     Pose,
     SimilarityTransform,
@@ -654,23 +653,12 @@ def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> Emitte
                 conf[:, static_mask] = noise_rng.uniform(
                     *CORRUPT_CONF, size=(n, int(static_mask.sum()))
                 )
-            frames = []
-            for off in range(n):
-                pose = g.apply_pose(gt.poses[start + off])
-                if spec.pose_noise > 0:
-                    jitter = noise_rng.normal(
-                        0.0, spec.pose_noise * gt.scene_scale * g.scale, size=3
-                    )
-                    pose = Pose(pose.rotation, pose.translation + jitter)
-                frames.append(
-                    FramePrediction(
-                        points=pts[off],
-                        confidence=conf[off],
-                        pose=pose,
-                        frame_index=start + off,
-                    )
-                )
-            yield Chunk(chunk_id=k, start_frame=start, end_frame=end, frames=tuple(frames))
+            poses = [g.apply_pose(pose) for pose in gt.poses[start : end + 1]]
+            if spec.pose_noise > 0:
+                sigma_pose = spec.pose_noise * gt.scene_scale * g.scale
+                poses = [Pose(p.rotation, p.translation + noise_rng.normal(0.0, sigma_pose, size=3))
+                         for p in poses]
+            yield Chunk(k, start, pts, conf, tuple(poses))
 
     return EmittedChunks(plan=plan, gauges=gauges, chunks=stream())
 

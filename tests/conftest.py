@@ -6,7 +6,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import numpy as np
 import pytest
 
-from chunkfuse.model import Chunk, FramePrediction, Pose
+from chunkfuse.model import Chunk, Pose
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -38,24 +38,13 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def make_chunk(points, confidence=None, chunk_id=0, start_frame=0, centers=None) -> Chunk:
     """Chunk from a (T, H, W, 3) array, identity-ish poses by default."""
-    points = np.asarray(points, dtype=float)
-    T, H, W, _ = points.shape
+    T = len(points)
     if confidence is None:
-        confidence = np.ones((T, H, W))
-    confidence = np.asarray(confidence, dtype=float)
-    frames = []
-    for t in range(T):
-        center = np.array([0.0, 0.0, -1.0]) if centers is None else np.asarray(centers[t], float)
-        frames.append(
-            FramePrediction(
-                points=points[t],
-                confidence=confidence[t],
-                pose=Pose(np.eye(3), center),
-                frame_index=start_frame + t,
-            )
-        )
-    return Chunk(chunk_id=chunk_id, start_frame=start_frame,
-                 end_frame=start_frame + T - 1, frames=tuple(frames))
+        confidence = np.ones(np.shape(points)[:3])
+    if centers is None:
+        centers = [[0.0, 0.0, -1.0]] * T
+    return Chunk(chunk_id, start_frame, points, confidence,
+                 tuple(Pose(np.eye(3), c) for c in centers))
 
 
 @pytest.fixture

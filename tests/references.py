@@ -192,7 +192,7 @@ def same_pixel_prf(junctions) -> tuple[float, float, float]:
 def chunk_scene_scale(chunk, frames) -> float:
     """Median camera-to-point distance of one chunk over the given frames,
     in that chunk's own gauge."""
-    preds = [chunk.frame(f) for f in frames]
+    preds = [chunk.frames[f - chunk.start_frame] for f in frames]
     pts = np.stack([p.points for p in preds])
     cnf = np.stack([p.confidence for p in preds])
     centers = np.stack([p.pose.center for p in preds])
@@ -217,7 +217,7 @@ def build_tracklets(chunk, overlap_frames, dynamic_mask, cfg) -> TrackletSet:
     keep = (rows % stride == 0) & (cols % stride == 0)
     rows, cols = rows[keep], cols[keep]
 
-    preds = [chunk.frame(f) for f in frames]
+    preds = [chunk.frames[f - chunk.start_frame] for f in frames]
     pos = np.stack([p.points[rows, cols] for p in preds], axis=1)
     cnf = np.stack([p.confidence[rows, cols] for p in preds], axis=1)
     with np.errstate(invalid="ignore"):

@@ -118,8 +118,7 @@ def brute_force_match(costs, n_i, n_j, cost_max):
 
 def stacked(chunk):
     """(frames, points, confidences) of a whole chunk, stacked as in an overlap."""
-    return (tuple(chunk.frame_range()), np.stack([fp.points for fp in chunk.frames]),
-            np.stack([fp.confidence for fp in chunk.frames]))
+    return tuple(chunk.frame_range()), chunk.points, chunk.confidence
 
 
 class TestBuildTracklets:

@@ -114,7 +114,9 @@ class TestSliceOverlap:
         assert np.array_equal(ov.points_j, 2.0 * pts[6:10])
         assert np.array_equal(ov.conf_j, np.full((4, 3, 2), 0.5))
         assert [p.center.tolist() for p in ov.poses_j] == np.arange(12.0).reshape(4, 3).tolist()
-        assert all(p is a.frame(f).pose for p, f in zip(ov.poses_i, ov.frames))
+        assert ov.poses_i == a.poses[6:10]
+        # an overlap is a slice of each chunk's stack, not a copy
+        assert np.shares_memory(ov.points_i, a.points) and np.shares_memory(ov.conf_j, b.confidence)
 
     def test_identical_chunks_full_range(self):
         a, b = self._chunks((0, 7), (0, 7))

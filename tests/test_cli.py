@@ -312,13 +312,49 @@ def _broken_stream_exit_3(chunks: Path, cfg_path: Path, out: Path, capsys, range
         assert ranges in capsys.readouterr().err
 
 
-def test_chunk_gap_exit_3(workspace, tmp_path, capsys):
-    """Without chunk 1, chunks [0, 7] and [8, 15] follow each other."""
-    root, data, out, cfg_path = workspace
+def _gap_stream(data: Path, tmp_path: Path) -> Path:
+    """The workspace's chunks without chunk 1: the fuse fails at its first junction."""
     gap = tmp_path / "chunks"
     shutil.copytree(data / "chunks", gap)
     shutil.rmtree(gap / "chunk_0001")
-    _broken_stream_exit_3(gap, cfg_path, tmp_path / "out", capsys, "[0, 7] and [8, 15]")
+    return gap
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_chunk_gap_exit_3(workspace, tmp_path, capsys):
+    """Without chunk 1, chunks [0, 7] and [8, 15] follow each other."""
+    root, data, out, cfg_path = workspace
+    _broken_stream_exit_3(_gap_stream(data, tmp_path), cfg_path, tmp_path / "out", capsys,
+                          "[0, 7] and [8, 15]")
+
+
+def test_failed_fuse_leaves_no_output(workspace, tmp_path):
+    root, data, out, cfg_path = workspace
+    runs = tmp_path / "runs"
+    fresh = runs / "out"
+    assert main(["fuse", "--chunks", str(_gap_stream(data, tmp_path)), "--config", str(cfg_path),
+                 "--out", str(fresh)]) == 3
+    assert not (fresh / "fused").exists()
+    assert list(runs.iterdir()) == []  # nothing staged is left beside it either
+
+
+def test_failed_refuse_keeps_earlier_output(workspace, tmp_path):
+    root, data, out, cfg_path = workspace
+    kept = tmp_path / "out"
+    shutil.copytree(out, kept)
+    before = _tree_bytes(kept)
+    assert (kept / "fused" / "points.bin").is_file()
+    assert main(["fuse", "--chunks", str(_gap_stream(data, tmp_path)), "--config", str(cfg_path),
+                 "--out", str(kept)]) == 3
+    assert _tree_bytes(kept) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks", "out"]
+    # a successful re-fuse replaces the outputs in place, with the same bytes
+    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(cfg_path),
+                 "--out", str(kept)]) == 0
+    assert _tree_bytes(kept) == before
 
 
 def test_one_frame_overlap_exit_3(workspace, tmp_path, capsys):

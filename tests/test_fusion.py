@@ -18,7 +18,6 @@ from chunkfuse.fusion import (
 )
 from chunkfuse.model import (
     Chunk,
-    FramePrediction,
     PipelineConfig,
     Pose,
     SimilarityTransform,
@@ -436,7 +435,7 @@ def test_recipe_junction_tiers(recipe):
     spec, cfg = make_spec(0), ablation_config()
     chunks = list(emit_chunks(generate(spec), cfg, spec).chunks)
     for ablation, tier in tiers.items():
-        reports = fuse_sequence(chunks, cfg, ablation=ablation).reports
+        reports = fuse_sequence(chunks, cfg, ablation=ablation, frame_sink=[].append).reports
         assert len(reports) == len(chunks) - 1
         assert [r.tier for r in reports] == [tier] * len(reports), ablation
         if tier in ("base", "identity"):
@@ -476,26 +475,22 @@ class TestFuseSequence:
         start = 0
         for k, g in enumerate(gauges):
             end = min(start + L - 1, num - 1)
-            frames = []
-            for f in range(start, end + 1):
-                frames.append(FramePrediction(
-                    points=g.apply(pts[f]),
-                    confidence=np.ones((grid, grid)),
-                    pose=g.apply_pose(Pose(np.eye(3), centers[f])),
-                    frame_index=f,
-                ))
-            chunks.append(Chunk(k, start, end, tuple(frames)))
+            poses = tuple(g.apply_pose(Pose(np.eye(3), c)) for c in centers[start:end + 1])
+            chunks.append(Chunk(k, start, g.apply(pts[start:end + 1]),
+                                np.ones((end - start + 1, grid, grid)), poses))
             start = end - O + 1
         return chunks
 
     def test_single_chunk_identity(self, rng):
         chunk = make_chunk(rng.normal(size=(5, 4, 4, 3)))
-        fused = fuse_sequence([chunk], PipelineConfig(chunk_length=16, overlap=4))
-        assert len(fused.frames) == 5
+        frames = []
+        fused = fuse_sequence([chunk], PipelineConfig(chunk_length=16, overlap=4),
+                              frame_sink=frames.append)
+        assert len(frames) == 5
         assert len(fused.chunk_transforms) == 1
         assert fused.chunk_transforms[0].scale == 1.0
         assert fused.trajectories == []
-        for got, want in zip(fused.frames, chunk.frames):
+        for got, want in zip(frames, chunk.frames):
             assert np.array_equal(got.points, want.points)
 
     def test_injected_gauges_recovered_over_three_chunks(self, rng):
@@ -506,7 +501,7 @@ class TestFuseSequence:
         ]
         chunks = self._static_chunks(rng, gauges)
         cfg = PipelineConfig(chunk_length=8, overlap=4, gamma_stat=0.1)
-        fused = fuse_sequence(chunks, cfg)
+        fused = fuse_sequence(chunks, cfg, frame_sink=[].append)
         for k, G in enumerate(fused.chunk_transforms):
             expect = gauges[k].invert()
             assert np.abs(G.rotation - expect.rotation).max() < 1e-9
@@ -517,7 +512,7 @@ class TestFuseSequence:
     def test_ablation_flag_validated(self, rng):
         chunk = make_chunk(rng.normal(size=(5, 4, 4, 3)))
         with pytest.raises(ValueError):
-            fuse_sequence([chunk], PipelineConfig(), ablation="everything")
+            fuse_sequence([chunk], PipelineConfig(), ablation="everything", frame_sink=[].append)
 
     def test_frame_sink_streams_everything(self, rng):
         gauges = [SimilarityTransform.identity(),
@@ -526,7 +521,7 @@ class TestFuseSequence:
         seen = []
         fused = fuse_sequence(chunks, PipelineConfig(chunk_length=8, overlap=4, gamma_stat=0.1),
                               frame_sink=seen.append)
-        assert fused.frames == []
+        assert len(fused.chunk_transforms) == 2
         assert [fp.frame_index for fp in seen] == list(range(12))
 
 
@@ -541,19 +536,16 @@ def chunks_with_hole():
     tracklet id and pixel."""
     spec = identity_span_spec()
     chunks = list(emit_chunks(generate(spec), HOLE_CFG, spec).chunks)
-    _, chunk_j, match_set, _, tracks_j = fuse_sequence(chunks, HOLE_CFG).match_sets[0]
+    _, chunk_j, match_set, _, tracks_j = fuse_sequence(chunks, HOLE_CFG, frame_sink=[].append).match_sets[0]
     b = match_set.matches[0][1]
     pixel = tuple(tracks_j.pixels[b].tolist())
     cur = chunks[1]
     assert cur.chunk_id == chunk_j
     frame = chunks[0].end_frame + 1
-    fp = cur.frame(frame)
-    points, conf = fp.points.copy(), fp.confidence.copy()
-    points[pixel] = np.nan
-    conf[pixel] = 0.0
-    frames = list(cur.frames)
-    frames[frame - cur.start_frame] = FramePrediction(points, conf, fp.pose, frame)
-    chunks[1] = Chunk(cur.chunk_id, cur.start_frame, cur.end_frame, tuple(frames))
+    points, conf = cur.points.copy(), cur.confidence.copy()
+    points[(frame - cur.start_frame, *pixel)] = np.nan
+    conf[(frame - cur.start_frame, *pixel)] = 0.0
+    chunks[1] = Chunk(cur.chunk_id, cur.start_frame, points, conf, cur.poses)
     return chunks, chunk_j, b, pixel
 
 
@@ -565,7 +557,7 @@ class TestBoundaryHoles:
 
     def test_hole_after_junction_is_filled(self, chunks_with_hole):
         chunks, chunk_j, b, pixel = chunks_with_hole
-        fused = fuse_sequence(chunks, HOLE_CFG)
+        fused = fuse_sequence(chunks, HOLE_CFG, frame_sink=[].append)
         tr = self._trajectory_from(fused, (chunk_j, b, pixel))
         junction = chunks[0].end_frame
         bw = HOLE_CFG.overlap
@@ -574,7 +566,8 @@ class TestBoundaryHoles:
 
     def test_hole_without_smoothness_leaves_match_unstitched(self, chunks_with_hole):
         chunks, chunk_j, b, pixel = chunks_with_hole
-        fused = fuse_sequence(chunks, PipelineConfig(**{**HOLE_CFG.to_dict(), "lambda_sm": 0.0}))
+        fused = fuse_sequence(chunks, PipelineConfig(**{**HOLE_CFG.to_dict(), "lambda_sm": 0.0}),
+                              frame_sink=[].append)
         tr = self._trajectory_from(fused, (chunk_j, b, pixel))
         assert tr.sources[0] == (chunk_j, b, pixel)
         assert tr.frames[0] == chunks[1].start_frame

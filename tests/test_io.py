@@ -13,7 +13,6 @@ from chunkfuse.errors import InvalidConfig, InvalidSpec, MalformedContainer
 from chunkfuse.fusion import ABLATION_MODES, FusedScene, Trajectory, fuse_sequence
 from chunkfuse.model import (
     Chunk,
-    FramePrediction,
     PipelineConfig,
     Pose,
     SimilarityTransform,
@@ -38,17 +37,10 @@ SPEC_RECIPES = {
 
 
 def random_chunk(rng, chunk_id=0, start=0, T=4, H=6, W=5) -> Chunk:
-    frames = []
-    for t in range(T):
-        frames.append(
-            FramePrediction(
-                points=rng.normal(size=(H, W, 3)),
-                confidence=rng.uniform(0.0, 1.0, size=(H, W)),
-                pose=Pose(random_rotation(rng), rng.normal(size=3)),
-                frame_index=start + t,
-            )
-        )
-    return Chunk(chunk_id, start, start + T - 1, tuple(frames))
+    draws = [(rng.normal(size=(H, W, 3)), rng.uniform(0.0, 1.0, size=(H, W)),
+              Pose(random_rotation(rng), rng.normal(size=3))) for _ in range(T)]
+    points, confidence, poses = zip(*draws)
+    return Chunk(chunk_id, start, np.stack(points), np.stack(confidence), poses)
 
 
 def container_bytes(path: Path) -> dict[str, bytes]:
@@ -162,6 +154,20 @@ class TestMalformedContainers:
         data.tofile(written / "poses.bin")
         with pytest.raises(MalformedContainer, match=f"frame {entry[0]}"):
             cio.read_chunk(written)
+
+    @pytest.mark.parametrize("array,frame,value,message", [
+        ("confidence", 11, 1.5, "frame 11: confidence values must lie in"),
+        ("points", 12, np.nan, "frame 12: non-finite points"),
+    ])
+    def test_bad_frame_named(self, rng, tmp_path, array, frame, value, message):
+        chunk = random_chunk(rng, start=10)
+        cio.write_chunk(chunk, tmp_path)
+        data = np.fromfile(tmp_path / f"{array}.bin", dtype="<f4").reshape(4, -1)
+        data[frame - 10, 7] = value  # points: a coordinate of pixel 2
+        assert chunk.confidence[frame - 10].ravel()[2] > 0.0
+        data.tofile(tmp_path / f"{array}.bin")
+        with pytest.raises(MalformedContainer, match=message):
+            cio.read_chunk(tmp_path)
 
     @pytest.mark.parametrize("shape", [[4.0, 6, 5, 3], [4, 6, 5, True], [4, 6, 5, "3"], None])
     def test_shape_entries_must_be_ints(self, written, shape):
@@ -313,7 +319,7 @@ def tracklet_set(pixels, frames=(2, 3)) -> TrackletSet:
 
 
 def scene(trajectories=(), match_sets=()) -> FusedScene:
-    return FusedScene(num_frames=4, frames=[], chunk_transforms=[SimilarityTransform.identity()],
+    return FusedScene(num_frames=4, chunk_transforms=[SimilarityTransform.identity()],
                       trajectories=list(trajectories), reports=[], match_sets=list(match_sets))
 
 
@@ -322,7 +328,8 @@ def fused_ablations():
     spec = gauge_recovery_spec(num_frames=28, grid=12)
     cfg = PipelineConfig(chunk_length=8, overlap=4, seed_stride=1, min_displacement=0.05)
     gt = generate(spec)
-    return {ablation: fuse_sequence(emit_chunks(gt, cfg, spec).chunks, cfg, ablation=ablation)
+    return {ablation: fuse_sequence(emit_chunks(gt, cfg, spec).chunks, cfg, ablation=ablation,
+                                    frame_sink=[].append)
             for ablation in ABLATION_MODES}
 
 
@@ -466,13 +473,14 @@ class TestStreaming:
         spec = gauge_recovery_spec(num_frames=20, grid=10)
         gt = generate(spec)
         cfg = PipelineConfig(chunk_length=8, overlap=4, gamma_stat_frac=0.05)
-        fused = fuse_sequence(emit_chunks(gt, cfg, spec).chunks, cfg)
+        frames = []
+        fuse_sequence(emit_chunks(gt, cfg, spec).chunks, cfg, frame_sink=frames.append)
         writer = cio.StreamingFrameWriter(tmp_path / "fused")
         fuse_sequence(emit_chunks(gt, cfg, spec).chunks, cfg, frame_sink=writer)
         writer.finish()
         again = cio.read_chunk(tmp_path / "fused")
         assert len(again.frames) == 20
-        for a, b in zip(fused.frames, again.frames):
+        for a, b in zip(frames, again.frames):
             assert np.abs(a.points - b.points).max() < 1e-4
 
     def test_lazy_reader_keeps_two_chunks_resident(self, rng, tmp_path):

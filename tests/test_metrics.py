@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,10 +85,12 @@ class TestAte:
         pred_centers = gt_centers + np.array([offset, -offset, offset, -offset])
         gt = [Pose(np.eye(3), c) for c in gt_centers]
         pred = [Pose(np.eye(3), c) for c in pred_centers]
-        # the symmetric perturbation defeats similarity alignment entirely:
-        # direct formula gives rms of the per-pose 0.2 offsets
-        value = ate(pred, gt, mode="rigid")
-        assert value == pytest.approx(0.2, rel=1e-6)
+        # centred, the prediction is (+-0.5, +-0.5, +-0.2) and uncorrelated
+        # with z, so Sim(3) keeps R = I and shrinks by s = 0.5 / 0.54 = 25/27:
+        # per pose the error is (1/27, 1/27) in x, y and 5/27 in z, so
+        # ATE^2 = (1 + 1 + 25) / 27^2 = 1/27
+        value = ate(pred, gt)
+        assert value == pytest.approx(1.0 / math.sqrt(27.0), rel=1e-12)
 
     def test_similarity_invariance(self, rng):
         gt = random_poses(rng)

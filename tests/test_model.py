@@ -11,7 +11,6 @@ import references as ref
 from chunkfuse.errors import InvalidConfig
 from chunkfuse.model import (
     Chunk,
-    FramePrediction,
     PipelineConfig,
     Pose,
     SimilarityTransform,
@@ -151,65 +150,64 @@ class TestPose:
             Pose.from_matrix(m)
 
 
-class TestFramePrediction:
-    def _make(self, conf):
-        return FramePrediction(
-            points=np.zeros((2, 2, 3)),
-            confidence=conf,
-            pose=Pose(np.eye(3), np.zeros(3)),
-            frame_index=0,
-        )
+class TestChunk:
+    @staticmethod
+    def _make(conf, points=None, start=0):
+        conf = np.asarray(conf, dtype=float)
+        points = np.zeros(conf.shape[:1] + (2, 2, 3)) if points is None else points
+        return Chunk(0, start, points, conf, (Pose(np.eye(3), np.zeros(3)),) * len(points))
 
     def test_out_of_range_confidence_rejected_not_clamped(self):
-        with pytest.raises(ValueError):
-            self._make(np.full((2, 2), 1.5))
-        with pytest.raises(ValueError):
-            self._make(np.full((2, 2), -0.1))
+        for bad in (1.5, -0.1, np.nan):
+            conf = np.ones((3, 2, 2))
+            conf[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="frame 6: confidence"):
+                self._make(conf, start=5)
+        conf = np.ones((3, 2, 2))
+        conf[2] = 0.25
+        assert self._make(conf).confidence[2, 1, 1] == 0.25
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            self._make(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="confidence shape"):
+            self._make(np.ones((2, 3, 2)), points=np.zeros((2, 2, 2, 3)))
+        with pytest.raises(ValueError, match="points must be"):
+            self._make(np.ones((2, 2, 2)), points=np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match="one pose per frame"):
+            Chunk(0, 0, np.zeros((2, 2, 2, 3)), np.ones((2, 2, 2)), (Pose(np.eye(3), np.zeros(3)),))
 
     def test_nonfinite_points_only_at_zero_confidence(self):
-        pts = np.zeros((2, 2, 3))
-        pts[0, 0, 0] = np.nan
-        conf = np.ones((2, 2))
-        with pytest.raises(ValueError):
-            FramePrediction(points=pts, confidence=conf,
-                            pose=Pose(np.eye(3), np.zeros(3)), frame_index=0)
-        conf[0, 0] = 0.0
-        fp = FramePrediction(points=pts, confidence=conf,
-                             pose=Pose(np.eye(3), np.zeros(3)), frame_index=0)
-        assert fp.grid_shape == (2, 2)
+        pts = np.zeros((3, 2, 2, 3))
+        pts[2, 0, 0, 0] = np.nan
+        conf = np.ones((3, 2, 2))
+        with pytest.raises(ValueError, match="frame 12: non-finite"):
+            self._make(conf, points=pts, start=10)
+        conf[2, 0, 0] = 0.0
+        chunk = self._make(conf, points=pts, start=10)
+        assert chunk.grid_shape == (2, 2) and chunk.end_frame == 12
 
     def test_immutable_arrays(self):
-        fp = self._make(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            fp.points[0, 0, 0] = 1.0
+        conf = np.ones((2, 2, 2))
+        chunk = self._make(conf)
+        conf[0, 0, 0] = 0.5  # the chunk holds its own copy
+        assert chunk.confidence[0, 0, 0] == 1.0
+        for arr in (chunk.points, chunk.confidence, chunk.frames[1].points):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
 
-
-class TestChunk:
-    def _frame(self, idx):
-        return FramePrediction(
-            points=np.zeros((2, 2, 3)),
-            confidence=np.ones((2, 2)),
-            pose=Pose(np.eye(3), np.zeros(3)),
-            frame_index=idx,
-        )
-
-    def test_frame_count_must_match_range(self):
-        with pytest.raises(ValueError):
-            Chunk(0, 0, 2, (self._frame(0), self._frame(1)))
-
-    def test_indices_must_be_consecutive(self):
-        with pytest.raises(ValueError):
-            Chunk(0, 0, 1, (self._frame(0), self._frame(2)))
+    def test_frames_are_views_of_the_stack(self, rng):
+        chunk = self._make(rng.uniform(size=(3, 2, 2)), points=rng.normal(size=(3, 2, 2, 3)))
+        for k, fp in enumerate(chunk.frames):
+            assert np.shares_memory(fp.points, chunk.points)
+            assert np.shares_memory(fp.confidence, chunk.confidence)
+            assert not fp.points.flags.writeable
+            assert np.array_equal(fp.points, chunk.points[k])
+        assert chunk.frames is chunk.frames  # built once
 
     def test_lookup(self):
-        c = Chunk(0, 5, 7, tuple(self._frame(i) for i in (5, 6, 7)))
-        assert c.frame(6).frame_index == 6
-        with pytest.raises(IndexError):
-            c.frame(8)
+        c = self._make(np.ones((3, 2, 2)), start=5)
+        assert c.end_frame == 7 and c.frame_range() == range(5, 8)
+        assert [fp.frame_index for fp in c.frames] == [5, 6, 7]
+        assert c.frames[1].pose is c.poses[1]
 
 
 class TestTrackletSet:
