@@ -121,6 +121,14 @@ def _write_manifest(directory: Path, kind: str, chunk_id: int, start: int, end: 
 
 
 def _read_array(directory: Path, entry: dict, shape: list[int]) -> np.ndarray:
+    """The array of ``entry`` as stored: float32, ``shape``.
+
+    Its owner widens it to float64 once, in the copy it keeps anyway:
+    :class:`~chunkfuse.model.Chunk` copies its stacks as float64,
+    :func:`read_ground_truth` takes ``astype`` of the points and
+    :meth:`~chunkfuse.model.Pose.from_matrix` of each pose. Widening
+    float32 is exact, so no value depends on where it happens.
+    """
     for key in ("name", "dtype", "path", "byte_order"):
         if key not in entry:
             raise MalformedContainer(f"array entry missing field {key!r}: {entry}")
@@ -138,8 +146,7 @@ def _read_array(directory: Path, entry: dict, shape: list[int]) -> np.ndarray:
         raise MalformedContainer(
             f"array {name!r}: file {entry['path']!r} has {actual} bytes, expected {expected}"
         )
-    data = np.fromfile(path, dtype="<f4").reshape(shape)
-    return data.astype(np.float64)
+    return np.fromfile(path, dtype="<f4").reshape(shape)
 
 
 def read_json(path, error: type[Exception] = MalformedContainer, kind: type = dict):
@@ -341,7 +348,7 @@ def read_ground_truth(directory) -> GroundTruth:
     spec = load_scene_spec(spec_path, MalformedContainer) if spec_path.is_file() else None
     return GroundTruth(
         spec=spec,
-        points=data["points"],
+        points=data["points"].astype(np.float64),
         poses=poses,
         object_ids=data["object_ids"].astype(np.int32),
         visible=data["visible"] > 0.5,

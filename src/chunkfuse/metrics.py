@@ -5,10 +5,12 @@ point level (``junction_prf``).
 Dense EPE compares two trajectory tables, mappings from seed pixel (r, c)
 to a (T, 3) track. ``build_fused_table`` and ``GroundTruth.trajectory_table``
 return a :class:`~chunkfuse.model.TrackTable`: one read-only (N, T, 3)
-array with the seeds in sorted (row-major) order, so ``dense_epe`` takes
-its (N*T, 3) samples by a reshape. Any other mapping, such as a dict of a
-subset of seeds or of tracks of different lengths, is concatenated key by
-key in sorted order, which gives the same samples in the same order.
+array with the seeds in sorted (row-major) order. The array may be a
+strided view: the ground truth's, at stride 1, is a view of its (T, H, W,
+3) points. ``dense_epe`` reads both arrays as they are, in that order,
+without a copy. Any other mapping, such as a dict of a subset of seeds or
+of tracks of different lengths, is concatenated key by key in sorted
+order, which gives the same samples in the same order.
 
 The EPE is the same to the last bit whichever way the samples arrive, and
 the same as whole-array numpy expressions would give: the column-wise
@@ -27,7 +29,7 @@ import numpy as np
 
 from .association import MatchSet
 from .errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
-from .model import Pose, SimilarityTransform, TrackTable, finite3, norm3, seed_tracks
+from .model import Pose, SimilarityTransform, TrackTable, finite3, norm3
 from .registration import solve_weighted_similarity
 
 
@@ -93,15 +95,15 @@ TrajectoryTable = Mapping[tuple[int, int], np.ndarray]
 
 
 def _stack_tables(pred: TrajectoryTable, gt: TrajectoryTable):
-    """(M, 3) predicted and ground-truth samples over the sorted keys,
-    frame by frame, with the rows that are non-finite in either dropped.
+    """Predicted and ground-truth samples over the sorted keys, frame by
+    frame, with the rows that are non-finite in either dropped.
 
-    Two :class:`TrackTable` over the same seeds give their samples by a
-    reshape; any other pair of tables is concatenated key by key.
+    Two :class:`TrackTable` over the same seeds hand over their (N, T, 3)
+    ``tracks`` as they are, views included; any other pair of tables, or
+    a pair with holes, gives (M, 3) copies.
     """
     if isinstance(pred, TrackTable) and isinstance(gt, TrackTable) and pred.same_keys(gt):
-        p = pred.tracks.reshape(-1, 3)
-        g = gt.tracks.reshape(-1, 3)
+        p, g = pred.tracks, gt.tracks
     else:
         if set(pred.keys()) != set(gt.keys()):
             missing = set(gt.keys()) - set(pred.keys())
@@ -126,17 +128,26 @@ def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) ->
     By default one global similarity alignment of the predicted scene onto
     the ground truth absorbs the monocular gauge freedom first; pass
     ``align=False`` to score raw coordinates.
+
+    Two :class:`~chunkfuse.model.TrackTable` without holes are read in
+    place; beyond the two moment buffers of the solve, the one array
+    allocated is the residual, aligned, subtracted and normed in place.
     """
     p, g = _stack_tables(pred, gt)
-    if len(p) == 0:
+    if p.size == 0:
         raise NotEnoughPoints("no finite trajectory samples to compare")
     if align:
-        T = solve_weighted_similarity(p, g, np.ones(len(p)))
-        d = T.apply(p)
-        d -= g
+        T = solve_weighted_similarity(p, g, np.broadcast_to(1.0, p.shape[:-1]))
+        d = T.apply(p.reshape(-1, 3))
+        np.subtract(d.reshape(p.shape), g, out=d.reshape(p.shape))
     else:
-        d = p - g
-    return float(norm3(d).mean())
+        d = (p - g).reshape(-1, 3)
+    # norm3, in place: (x0 * x0 + x1 * x1) + x2 * x2 into column 0
+    np.multiply(d, d, out=d)
+    r = d[:, 0]
+    r += d[:, 1]
+    r += d[:, 2]
+    return float(np.sqrt(r, out=r).mean())
 
 
 def object_level_prf(
@@ -191,10 +202,15 @@ def build_fused_table(fused, stride: int = 1) -> TrackTable:
     Per-pixel pointmap tracks, overridden by the associated long-range
     trajectories where one is rooted at the seed pixel; where several are
     rooted at the same pixel, the later one wins on the frames they share.
+    The (N, T, 3) tracks are allocated once and filled frame by frame.
     """
-    points = np.stack([fp.points for fp in fused.frames])
-    tracks = seed_tracks(points, stride)
-    table = TrackTable(tracks, points.shape[1:3], stride)
+    H, W = fused.frames[0].points.shape[:2]
+    rows, cols = range(0, H, stride), range(0, W, stride)
+    tracks = np.empty((len(rows) * len(cols), len(fused.frames), 3))
+    grid = tracks.reshape(len(rows), len(cols), len(fused.frames), 3)
+    for t, fp in enumerate(fused.frames):
+        grid[:, :, t] = fp.points[::stride, ::stride]
+    table = TrackTable(tracks, (H, W), stride)
     rooted = [
         (table.row(tr.sources[0][2]), tr)
         for tr in getattr(fused, "trajectories", [])

@@ -143,9 +143,16 @@ class SimilarityTransform:
 
         Computes ``scale * (x @ rotation.T) + translation`` with the same
         bits, scaling and translating the product in place, the translation
-        column by column.
+        column by column. A stack of (k, 3) arrays is multiplied as one
+        (n, 3) product, which rounds as the stacked product does and skips
+        one small product per leading row, unless k is 1: numpy multiplies
+        a single row by gemv, which rounds unlike gemm.
         """
-        out = np.asarray(x, dtype=np.float64) @ self.rotation.T
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim > 2 and x.shape[-2] > 1:
+            out = (x.reshape(-1, 3) @ self.rotation.T).reshape(x.shape)
+        else:
+            out = x @ self.rotation.T
         out *= self.scale
         for j in range(3):
             out[..., j] += self.translation[j]
@@ -193,6 +200,14 @@ class FramePrediction:
         return self.points.shape[:2]
 
 
+def _require_frames(ok: np.ndarray, start: int, what: str) -> None:
+    """ValueError naming the first frame of the (T, ...) mask ``ok`` that
+    holds a False; frame 0 is frame ``start``."""
+    if not ok.all():
+        first = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        raise ValueError(f"frame {start + first}: {what}")
+
+
 @dataclass(frozen=True)
 class Chunk:
     """A contiguous window of frames in one chunk-local gauge, held as one
@@ -223,14 +238,17 @@ class Chunk:
             raise ValueError(f"confidence shape {conf.shape} does not match points {pts.shape[:3]}")
         if len(poses) != len(pts):
             raise ValueError(f"need one pose per frame: {len(pts)} frames, {len(poses)} poses")
-        for bad, what in (
-            (~((conf >= 0.0) & (conf <= 1.0)), "confidence values must lie in [0, 1]"),
-            (~finite3(pts) & (conf > 0.0),
-             "non-finite points are only permitted where confidence == 0"),
-        ):
-            if bad.any():
-                first = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
-                raise ValueError(f"frame {self.start_frame + first}: {what}")
+        # one mask at a time, built in place, so the checks add little to
+        # the peak of the copies
+        ok = conf >= 0.0
+        ok &= conf <= 1.0
+        _require_frames(ok, self.start_frame, "confidence values must lie in [0, 1]")
+        ok = np.isfinite(pts[..., 0])
+        ok &= np.isfinite(pts[..., 1])
+        ok &= np.isfinite(pts[..., 2])
+        ok |= conf == 0.0
+        _require_frames(ok, self.start_frame,
+                        "non-finite points are only permitted where confidence == 0")
         pts.setflags(write=False)
         conf.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -305,17 +323,12 @@ def seed_tracks(points, stride: int = 1) -> np.ndarray:
 
     The seeds are the pixels whose row and column are multiples of
     ``stride``, in row-major order: row k is the track of the k-th key of
-    the :class:`TrackTable` over the same grid and stride.
+    the :class:`TrackTable` over the same grid and stride. At stride 1 the
+    result is a strided view of ``points``; a larger stride copies the
+    seeds once.
     """
     points = np.asarray(points, dtype=np.float64)
-    T, H, W, _ = points.shape
-    grid = points[:, 0:H:stride, 0:W:stride]
-    tracks = np.empty(grid.shape[1:3] + (T, 3))
-    # one strided copy per coordinate; a copy of whole (3,) points runs a
-    # 3-wide inner loop per pixel and frame
-    for j in range(3):
-        tracks[..., j] = grid[..., j].transpose(1, 2, 0)
-    return tracks.reshape(-1, T, 3)
+    return points[:, ::stride, ::stride].transpose(1, 2, 0, 3).reshape(-1, len(points), 3)
 
 
 class TrackTable(Mapping):
@@ -325,7 +338,10 @@ class TrackTable(Mapping):
     multiples of ``stride``. One (N, T, 3) array ``tracks`` holds their
     tracks in sorted (row-major) key order, which is also the order keys
     iterate in, so ``tracks.reshape(-1, 3)`` lists the samples exactly as
-    concatenating ``table[k]`` over the sorted keys would.
+    concatenating ``table[k]`` over the sorted keys would. ``tracks`` may
+    be a strided view of the array it is given, such as
+    :func:`seed_tracks` of a (T, H, W, 3) stack; the table keeps a
+    read-only view of it and copies nothing.
     """
 
     def __init__(self, tracks, grid_shape: tuple[int, int], stride: int = 1):

@@ -126,51 +126,63 @@ def _column_sum(x: np.ndarray) -> float:
 def _weighted_moments(src, dst, weights):
     """Weighted centroids and second moments of a correspondence set.
 
-    Returns ``(mu_src, mu_dst, cov, src_cov, var_src)`` with the bits of
-    the array expressions, for row-major inputs (every caller passes them):
+    ``src`` and ``dst`` are (..., 3) arrays of one shape, strided views
+    included, and ``weights`` holds one weight per point (a broadcast array
+    included); the points are taken in row-major order, as ``x.reshape(-1,
+    3)`` would list them. Returns ``(mu_src, mu_dst, cov, src_cov,
+    var_src)`` with the bits of the array expressions on those (n, 3) rows:
 
         mu = (w[:, None] * x).sum(axis=0) / wsum
         cov = (dst_c * w[:, None]).T @ src_c / wsum
         src_cov = (src_c * w[:, None]).T @ src_c / wsum
         var_src = (w * (src_c**2).sum(axis=1)).sum() / wsum
 
-    Centring and weighting run column by column into two (N, 3) buffers,
-    and both products keep the operand layouts of those expressions, on
+    The solve allocates two contiguous (n, 3) buffers, the gemm operands:
+    the centred sources and the weighted centred targets. Each column is
+    read once per pass (``x[..., j]``); its weighted sum runs in the buffer
+    column that the centring then overwrites, and the squares for
+    ``var_src`` go into the weighted buffer once both products are done.
+    Both products keep the operand layouts of the expressions above, on
     which BLAS rounding depends.
     """
-    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if not (len(src) == len(dst) == len(w)):
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if src.shape != dst.shape or src.shape[-1:] != (3,) or w.size != src.size // 3:
         raise ValueError("src, dst and weights must have the same length")
+    w = w.reshape(src.shape[:-1])
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
-    keep = w > 0
-    if not keep.all():
+    if not (w > 0).all():  # no mask is held through the solve unless one is needed
+        keep = w > 0
         src, dst, w = src[keep], dst[keep], w[keep]
-    if len(src) < 3:
-        raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {len(src)}")
+    if w.size < 3:
+        raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {w.size}")
     wsum = w.sum()
-    n = len(src)
-    src_c = np.empty((n, 3))
-    weighted = np.empty((n, 3))
-    col = np.empty(n)
+    src_c = np.empty((w.size, 3))
+    weighted = np.empty((w.size, 3))
+    # column j of each buffer in the inputs' leading shape: its stride is
+    # uniform, so the reshape is a view to write through
+    src_cols = [src_c[:, j].reshape(w.shape) for j in range(3)]
+    weighted_cols = [weighted[:, j].reshape(w.shape) for j in range(3)]
     mu_src = np.empty(3)
     mu_dst = np.empty(3)
     for j in range(3):
-        mu_src[j] = _column_sum(np.multiply(w, src[:, j], out=col)) / wsum
-        mu_dst[j] = _column_sum(np.multiply(w, dst[:, j], out=col)) / wsum
-        np.subtract(src[:, j], mu_src[j], out=src_c[:, j])
-        np.subtract(dst[:, j], mu_dst[j], out=weighted[:, j])
-        weighted[:, j] *= w
+        np.multiply(w, src[..., j], out=src_cols[j])
+        mu_src[j] = _column_sum(src_c[:, j]) / wsum
+        np.multiply(w, dst[..., j], out=weighted_cols[j])
+        mu_dst[j] = _column_sum(weighted[:, j]) / wsum
+        np.subtract(src[..., j], mu_src[j], out=src_cols[j])
+        np.subtract(dst[..., j], mu_dst[j], out=weighted_cols[j])
+        weighted_cols[j] *= w
     cov = weighted.T @ src_c / wsum
     for j in range(3):
-        np.multiply(src_c[:, j], w, out=weighted[:, j])
+        np.multiply(src_cols[j], w, out=weighted_cols[j])
     src_cov = weighted.T @ src_c / wsum
-    sq = src_c[:, 0] * src_c[:, 0]
-    sq += np.multiply(src_c[:, 1], src_c[:, 1], out=col)
-    sq += np.multiply(src_c[:, 2], src_c[:, 2], out=col)
-    sq *= w
+    sq = np.multiply(src_c, src_c, out=weighted)[:, 0]
+    sq += weighted[:, 1]
+    sq += weighted[:, 2]
+    weighted_cols[0] *= w
     var_src = float(sq.sum() / wsum)
     return mu_src, mu_dst, cov, src_cov, var_src
 

@@ -431,6 +431,8 @@ class GroundTruth:
         return self.points.shape[1:3]
 
     def trajectory_table(self, stride: int = 1) -> TrackTable:
+        """The seed-pixel tracks of ``points``; at stride 1 a read-only view
+        of ``points``, with no copy."""
         return TrackTable(seed_tracks(self.points, stride), self.grid_shape, stride)
 
 

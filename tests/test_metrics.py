@@ -21,7 +21,8 @@ from chunkfuse.metrics import (
     rotation_angle_deg,
     rpe,
 )
-from chunkfuse.model import Pose, SimilarityTransform
+from chunkfuse.model import Pose, SimilarityTransform, TrackTable, seed_tracks
+from chunkfuse.registration import solve_weighted_similarity
 from chunkfuse.synthetic import GroundTruth
 from conftest import random_rotation, rot_z
 
@@ -277,6 +278,76 @@ class TestDenseTables:
         gt = {(0, k): rng.normal(size=(2 + k, 3)) for k in range(5)}
         pred = {k: v + rng.normal(scale=0.01, size=v.shape) for k, v in gt.items()}
         assert dense_epe(pred, gt) == ref.dense_epe(pred, gt)
+
+
+@st.composite
+def track_stacks(draw):
+    """Predicted and true (T, H, W, 3) stacks a gauge apart, over wide
+    magnitudes, with holes in either, and one non-negative weight per
+    sample, zeros included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, H, W = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    mag = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    gt = rng.normal(size=(T, H, W, 3)) * mag + rng.normal(size=3) * 10 * mag
+    gauge = SimilarityTransform(float(rng.uniform(0.5, 2.0)), random_rotation(rng), rng.normal(size=3))
+    pred = gauge.apply(gt + rng.normal(scale=0.01 * mag, size=gt.shape))
+    for points in (pred, gt):
+        for _ in range(draw(st.integers(0, 2))):
+            points[rng.integers(T), rng.integers(H), rng.integers(W), rng.integers(3)] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+    weights = np.where(rng.random(T * H * W) < 0.3, 0.0, rng.uniform(0.0, 2.0, T * H * W))
+    return pred, gt, weights
+
+
+def _solve_outcome(solve, src, dst, weights):
+    """A similarity as (scale, rotation, translation) values, or the type of
+    the error the solve raised."""
+    try:
+        with np.errstate(all="ignore"):
+            T = solve(src, dst, weights)
+    except (NotEnoughPoints, DegenerateConfiguration, np.linalg.LinAlgError, ValueError) as e:
+        return type(e)
+    return np.concatenate([[T.scale], T.rotation.ravel(), T.translation])
+
+
+class TestStridedSolve:
+    """The solve and the EPE read strided (N, T, 3) views, with broadcast
+    unit weights, to the bits they give on contiguous (n, 3) copies."""
+
+    @given(track_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_strided_views(self, stacks):
+        pred, gt, _ = stacks
+        # the ground truth's table layout: views of the transposed stacks
+        p, g = seed_tracks(pred), seed_tracks(gt)
+        assert np.shares_memory(p, pred) and np.shares_memory(g, gt)
+        flat_p, flat_g = (np.ascontiguousarray(a).reshape(-1, 3) for a in (p, g))
+        assert _same(
+            _solve_outcome(solve_weighted_similarity, p, g, np.broadcast_to(1.0, p.shape[:-1])),
+            _solve_outcome(ref.solve_weighted_similarity, flat_p, flat_g, np.ones(len(flat_p))),
+        )
+        grid = pred.shape[1:3]
+        for align in (True, False):
+            expected = _epe_outcome(ref.dense_epe, ref.trajectory_table(pred),
+                                    ref.trajectory_table(gt), align)
+            got = _epe_outcome(dense_epe, TrackTable(p, grid), TrackTable(g, grid), align)
+            assert _same(got, expected)
+
+    @given(track_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_rows(self, stacks):
+        pred, gt, weights = stacks
+        src, dst = pred.reshape(-1, 3), gt.reshape(-1, 3)
+        assert _same(_solve_outcome(solve_weighted_similarity, src, dst, weights),
+                     _solve_outcome(ref.solve_weighted_similarity, src, dst, weights))
+        # contiguous tables, the fused table's layout
+        grid = pred.shape[1:3]
+        p, g = (np.ascontiguousarray(seed_tracks(a)) for a in (pred, gt))
+        for align in (True, False):
+            expected = _epe_outcome(ref.dense_epe, ref.trajectory_table(pred),
+                                    ref.trajectory_table(gt), align)
+            assert _same(_epe_outcome(dense_epe, TrackTable(p, grid), TrackTable(g, grid), align),
+                         expected)
 
 
 def junction(matches, pixels_i, pixels_j):

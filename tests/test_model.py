@@ -307,7 +307,27 @@ class TestApplyMatchesReference:
         with np.errstate(all="ignore"):
             assert ref.same_bits(T.apply(x), ref.apply(T, x))
 
-    @pytest.mark.parametrize("shape", [(3,), (5000, 3), (300, 16, 3), (120, 120, 3), (3, 40, 40, 3)])
+    @given(
+        st.lists(st.integers(1, 6), min_size=2, max_size=3).map(tuple),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["contiguous", "swapped", "sliced"]),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stacks(self, lead, seed, layout, scale):
+        # stacks of every leading shape, single rows included, go through
+        # the one (n, 3) product or the stacked one with the stacked bits
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=lead + (3,)) * scale
+        if layout == "swapped":
+            x = np.swapaxes(x, 0, -2)
+        elif layout == "sliced":
+            x = x[..., ::2, :]
+        T = random_transform(rng)
+        assert ref.same_bits(T.apply(x), ref.apply(T, x))
+
+    @pytest.mark.parametrize("shape", [(3,), (5000, 3), (300, 16, 3), (120, 120, 3), (3, 40, 40, 3),
+                                       (700, 1, 3), (16, 120, 120, 3)])
     def test_realistic_shapes(self, rng, shape):
         T = random_transform(rng)
         x = rng.normal(size=shape) * 50
