@@ -20,8 +20,11 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .model import PipelineConfig, TrackletSet, finite3, norm3
+from .registration import GAMMA_C
 
 VEL_EPS = 1e-9
+# gamma_p: the gating radius is this many mean per-frame dynamic steps
+GAMMA_P_FACTOR = 3.0
 # cKDTree's ball test is inclusive and works on squared distances; the
 # query is widened by this factor so the strict test below decides alone
 _BALL_SLACK = 1.0 + 1e-9
@@ -67,7 +70,7 @@ def build_tracklets(
     predictions over the overlap ``frames``, in its own gauge. One
     candidate per dynamic-support pixel sampled at ``seed_stride``, in
     row-major pixel order. Candidates with mean confidence at or below
-    gamma_c, with a non-finite position, or with net displacement below the
+    GAMMA_C, with a non-finite position, or with net displacement below the
     minimum are dropped: ``cfg.min_displacement``, or else ``gamma_stat``,
     the rigidity threshold :func:`select_anchors` resolved against this
     chunk's own scale, so the gate is gauge-free.
@@ -84,7 +87,7 @@ def build_tracklets(
     with np.errstate(invalid="ignore"):
         # net displacement over the window; robust to noise, unlike path length
         disp = norm3(pos[:, -1] - pos[:, 0])
-    keep = (cnf.mean(axis=1) > cfg.gamma_c) & finite3(pos).all(axis=1)
+    keep = (cnf.mean(axis=1) > GAMMA_C) & finite3(pos).all(axis=1)
     keep &= disp >= min_disp
     return TrackletSet(
         frames=frames,
@@ -104,11 +107,12 @@ def pair_cost(
     """Multi-cue association cost of every candidate pair; inf where the
     pair is rejected.
 
-    cost = lambda_traj * L_traj + lambda_vel * L_vel + lambda_dir * L_dir
+    cost = L_traj + lambda_vel * L_vel + lambda_dir * L_dir
     with L_traj the mean 3D discrepancy normalized by the pair's scene
     scale, L_vel the symmetric speed-magnitude mismatch, and L_dir the mean
-    (1 - cos angle) / 2 between finite-difference velocities. Pairs whose
-    L_traj or L_dir exceed the configured caps are rejected.
+    (1 - cos angle) / 2 between finite-difference velocities. L_traj has
+    unit weight: dividing the weights and ``cost_max`` by one factor keeps
+    every match. Pairs whose L_traj or L_dir exceed the caps are rejected.
     """
     if tracklets_i.frames != tracklets_j.frames:
         raise ValueError("pair costs need both tracklet sets over the same frames")
@@ -127,40 +131,33 @@ def pair_cost(
     cos = np.clip((va * vb).sum(axis=-1) / (sa * sb + VEL_EPS**2), -1.0, 1.0)
     l_dir = ((1.0 - cos) / 2.0).mean(axis=-1)
 
-    cost = cfg.lambda_traj * l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
+    cost = l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
     return np.where((l_traj > cfg.traj_cap) | (l_dir > cfg.dir_cap), np.inf, cost)
 
 
-def resolve_gamma_p(
-    tracklets_i: TrackletSet, tracklets_j: TrackletSet, cfg: PipelineConfig
-) -> float:
-    """Gating radius: 3x the mean per-frame dynamic displacement by default."""
-    if cfg.gamma_p is not None:
-        return cfg.gamma_p
+def resolve_gamma_p(tracklets_i: TrackletSet, tracklets_j: TrackletSet) -> float:
+    """Gating radius gamma_p: :data:`GAMMA_P_FACTOR` times the mean
+    per-frame step of the tracklets of both sets, in the gauge they are
+    given in; 0 when both are empty."""
     steps = np.concatenate([
         norm3(np.diff(t.positions, axis=1)).mean(axis=-1)
         for t in (tracklets_i, tracklets_j)
     ])
     if not steps.size:
         return 0.0
-    return cfg.gamma_p_factor * float(np.mean(steps))
+    return GAMMA_P_FACTOR * float(np.mean(steps))
 
 
-def gate_candidates(
-    tracklets_i: TrackletSet,
-    tracklets_j: TrackletSet,
-    cfg: PipelineConfig,
-) -> np.ndarray:
-    """Candidate id pairs whose terminal positions lie within gamma_p.
+def gate_candidates(tracklets_i: TrackletSet, tracklets_j: TrackletSet, radius: float) -> np.ndarray:
+    """Candidate id pairs whose terminal positions lie closer than
+    ``radius``, the gating radius gamma_p (see :func:`resolve_gamma_p`).
 
     Terminal = position at the last overlap frame. A k-d tree over set j's
     terminals keeps this near-linear in the tracklet count; the distance
-    test is strict. Pairs come sorted by (a, b).
+    test is strict, so a radius of 0 or less gates nothing. Pairs come
+    sorted by (a, b).
     """
-    if not len(tracklets_i) or not len(tracklets_j):
-        return _no_pairs()
-    radius = resolve_gamma_p(tracklets_i, tracklets_j, cfg)
-    if radius <= 0:
+    if not len(tracklets_i) or not len(tracklets_j) or radius <= 0:
         return _no_pairs()
 
     terms_i = tracklets_i.positions[:, -1]

@@ -61,19 +61,20 @@ class OverlapView:
 
 def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
     """Shared frame indices and the predictions of two adjacent chunks over
-    them, which must be at least the two frames anchor selection needs."""
+    them. NoOverlap unless ``chunk_j`` follows ``chunk_i`` as in
+    :func:`plan_chunks`: same grid, later start and end, and at least the
+    two shared frames anchor selection needs."""
+    ranges = (f"chunks [{chunk_i.start_frame}, {chunk_i.end_frame}] and "
+              f"[{chunk_j.start_frame}, {chunk_j.end_frame}]")
     if chunk_i.grid_shape != chunk_j.grid_shape:
-        raise ValueError(f"chunk grids differ: {chunk_i.grid_shape} vs {chunk_j.grid_shape}")
-    lo = max(chunk_i.start_frame, chunk_j.start_frame)
-    hi = min(chunk_i.end_frame, chunk_j.end_frame)
+        raise NoOverlap(f"{ranges}: chunk grids differ: {chunk_i.grid_shape} vs {chunk_j.grid_shape}")
+    if not (chunk_j.start_frame > chunk_i.start_frame and chunk_j.end_frame > chunk_i.end_frame):
+        raise NoOverlap(f"{ranges}: the second chunk must start and end after the first")
+    lo, hi = chunk_j.start_frame, chunk_i.end_frame
     if hi - lo < 1:
-        raise NoOverlap(
-            f"chunks [{chunk_i.start_frame}, {chunk_i.end_frame}] and "
-            f"[{chunk_j.start_frame}, {chunk_j.end_frame}] share fewer than 2 frames "
-            f"({max(hi - lo + 1, 0)})"
-        )
+        raise NoOverlap(f"{ranges} share fewer than 2 frames ({max(hi - lo + 1, 0)})")
     i = slice(lo - chunk_i.start_frame, hi - chunk_i.start_frame + 1)
-    j = slice(lo - chunk_j.start_frame, hi - chunk_j.start_frame + 1)
+    j = slice(0, hi - lo + 1)
     return OverlapView(tuple(range(lo, hi + 1)),
                        chunk_i.points[i], chunk_i.confidence[i], chunk_i.poses[i],
                        chunk_j.points[j], chunk_j.confidence[j], chunk_j.poses[j])

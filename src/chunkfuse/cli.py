@@ -16,9 +16,9 @@ counts pooled over all junctions:
 the fuse succeeds, so a failed fuse leaves an earlier output as it was.
 
 Exit codes: 0 success; 2 invalid config, scene spec or ``evaluate``
-flag; 3 malformed container, or consecutive chunks that share fewer than
-two frames (a chunk missing from the stream, or a one-frame overlap); 4
-evaluation key mismatch.
+flag; 3 malformed container, or a broken chunk stream (see ``NoOverlap``:
+a missing chunk, a one-frame overlap, another grid, or a chunk that does
+not advance); 4 evaluation key mismatch.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Exception types shared across the pipeline.
 
 The CLI maps these onto exit codes: InvalidConfig -> 2, InvalidSpec -> 2,
-MalformedContainer -> 3, NoOverlap -> 3 (a gap in a chunk stream, or
-consecutive chunks that share one frame), KeyMismatch -> 4.
+MalformedContainer -> 3, NoOverlap -> 3 (a broken chunk stream),
+KeyMismatch -> 4.
 """
 
 
@@ -19,7 +19,8 @@ class InvalidSpec(ChunkFuseError):
 
 
 class NoOverlap(ChunkFuseError):
-    """Two adjacent chunks share fewer than two frame indices."""
+    """Two adjacent chunks of a stream share fewer than two frames, lie on
+    different grids, or the second does not start and end after the first."""
 
 
 class NotEnoughPoints(ChunkFuseError):

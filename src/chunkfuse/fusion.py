@@ -20,6 +20,7 @@ from .association import (
     build_tracklets,
     gate_candidates,
     pair_cost,
+    resolve_gamma_p,
 )
 from .chunking import slice_overlap
 from .errors import DegenerateConfiguration, NotEnoughPoints, WindowTooShort
@@ -394,9 +395,10 @@ class _Stitcher:
         window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
         pairs = match_set.pairs()
         rows_a, rows_b = pairs[:, 0], pairs[:, 1]
+        tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)
+        tracks_j = _pixel_tracks(cur, raw_j.pixels, G_cur)
         # each row runs from prev's first frame to cur's last
-        rebuilt = reconstruct_boundary(_pixel_tracks(prev, raw_i.pixels[rows_a], G_prev),
-                                       _pixel_tracks(cur, raw_j.pixels[rows_b], G_cur), window, cfg)
+        rebuilt = reconstruct_boundary(tracks_i.take(rows_a), tracks_j.take(rows_b), window, cfg)
         tail = rebuilt.positions[:, window[0] - prev.start_frame:]
         stitched = finite3(tail[:, : len(window)]).all(axis=1)
 
@@ -412,8 +414,6 @@ class _Stitcher:
             builder.sources.append((cur.chunk_id, b, pixel_b))
             new_open[pixel_b] = builder
 
-        tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)
-        tracks_j = _pixel_tracks(cur, raw_j.pixels, G_cur)
         for a in sorted([*match_set.unmatched_i, *rows_a[~stitched].tolist()]):
             if self.open.pop(tuple(raw_i.pixels[a].tolist()), None) is None:
                 self._start(prev, tracks_i, a, a)
@@ -445,13 +445,15 @@ class PairReport:
 @dataclass
 class FusedScene:
     """Chunk transforms and long-range trajectories, all expressed in the
-    first chunk's gauge; the fused frames went to the frame sink."""
+    first chunk's gauge; the fused frames went to the frame sink. A
+    ``full`` fuse keeps (chunk i, chunk j, matches, pixels i, pixels j) per
+    junction in ``match_sets``, row k of each (N, 2) pixels being tracklet k."""
 
     num_frames: int
     chunk_transforms: list[SimilarityTransform]
     trajectories: list[Trajectory]
     reports: list[PairReport]
-    match_sets: list[tuple[int, int, MatchSet, TrackletSet, TrackletSet]] = field(
+    match_sets: list[tuple[int, int, MatchSet, np.ndarray, np.ndarray]] = field(
         default_factory=list
     )
 
@@ -494,7 +496,7 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
         # skews the one-to-one matching
         for _ in range(cfg.association_rounds):
             aligned_j = raw_j.transformed(T_assoc)
-            candidates = gate_candidates(raw_i, aligned_j, cfg)
+            candidates = gate_candidates(raw_i, aligned_j, resolve_gamma_p(raw_i, aligned_j))
             num_candidates = len(candidates)
             costs = pair_cost(raw_i, aligned_j, candidates, cfg, abstraction.scene_scale)
             match_set = assign(candidates, costs, len(raw_i), len(raw_j), cfg)
@@ -553,7 +555,7 @@ def fuse_sequence(
     identity = SimilarityTransform.identity()
     transforms = [identity]
     reports: list[PairReport] = []
-    match_dumps: list[tuple[int, int, MatchSet, TrackletSet, TrackletSet]] = []
+    match_dumps: list[tuple[int, int, MatchSet, np.ndarray, np.ndarray]] = []
     stitcher = _Stitcher()
 
     for fp in prev.frames:
@@ -567,7 +569,7 @@ def fuse_sequence(
         reports.append(report)
 
         if ablation == "full":
-            match_dumps.append((prev.chunk_id, cur.chunk_id, match_set, raw_i, raw_j))
+            match_dumps.append((prev.chunk_id, cur.chunk_id, match_set, raw_i.pixels, raw_j.pixels))
             stitcher.junction(prev, cur, G_prev, G_cur, raw_i, raw_j, match_set, cfg)
 
         for fp in cur.frames:

@@ -491,11 +491,12 @@ def write_trajectory_meta(trajectories: list[Trajectory], path) -> None:
 
 
 def write_matches(match_sets, path) -> None:
-    """One record per junction: its matches with costs and pixels, and the
-    (id, row, col) of every tracklet on each side."""
+    """One record per junction of ``FusedScene.match_sets``: its matches
+    with costs and pixels, and the (id, row, col) of every tracklet on each
+    side."""
     junctions = []
-    for chunk_i, chunk_j, match_set, tr_i, tr_j in match_sets:
-        pix_i, pix_j = tr_i.pixels.tolist(), tr_j.pixels.tolist()
+    for chunk_i, chunk_j, match_set, pixels_i, pixels_j in match_sets:
+        pix_i, pix_j = pixels_i.tolist(), pixels_j.tolist()
         if not all(math.isfinite(c) for _, _, c in match_set.matches):
             raise ValueError(f"junction {chunk_i}-{chunk_j}: match costs must be finite")
         matches = [_MATCH_ROW % (a, b, float.__repr__(c), *pix_i[a], *pix_j[b])

@@ -317,6 +317,10 @@ class TrackletSet:
     def transformed(self, T: SimilarityTransform) -> "TrackletSet":
         return TrackletSet(self.frames, self.pixels, T.apply(self.positions), self.conf)
 
+    def take(self, rows) -> "TrackletSet":
+        """The tracklets of ``rows``, in that order."""
+        return TrackletSet(self.frames, self.pixels[rows], self.positions[rows], self.conf[rows])
+
 
 def seed_tracks(points, stride: int = 1) -> np.ndarray:
     """(N, T, 3) tracks of the seed pixels of a (T, H, W, 3) pointmap stack.
@@ -445,23 +449,18 @@ def from_json(tp, value, error: type[Exception], where: str | None = None):
 class PipelineConfig:
     """All thresholds and weights of the cross-chunk pipeline.
 
-    Length thresholds expressed in world units (``gamma_stat``, ``gamma_p``,
-    ``min_displacement``) may be left as None, in which case they are
-    resolved per chunk pair: ``gamma_stat`` becomes ``gamma_stat_frac``
-    times each chunk's own median camera-to-point distance over the
-    overlap, ``gamma_p`` becomes ``gamma_p_factor`` times the mean
-    per-frame dynamic displacement, and ``min_displacement`` inherits each
-    chunk's own resolved ``gamma_stat``.
+    Each chunk pair resolves the rigidity threshold gamma_stat of each
+    chunk as ``gamma_stat_frac`` times that chunk's own median
+    camera-to-point distance over the overlap; ``min_displacement``, when
+    None, is that gamma_stat. The confidence cut gamma_c
+    (``registration.GAMMA_C``), the gating radius gamma_p
+    (``association.resolve_gamma_p``) and the unit weight of the cost's
+    trajectory term are constants, not knobs.
     """
 
     chunk_length: int = 16
     overlap: int = 4
-    gamma_c: float = 0.5
-    gamma_stat: float | None = None
     gamma_stat_frac: float = 0.01
-    gamma_p: float | None = None
-    gamma_p_factor: float = 3.0
-    lambda_traj: float = 1.0
     lambda_vel: float = 0.5
     lambda_dir: float = 0.5
     traj_cap: float = 0.05
@@ -481,23 +480,18 @@ class PipelineConfig:
                 f"chunk_length={self.chunk_length}"
             )
         positive = {
-            "gamma_c": self.gamma_c,
             "gamma_stat_frac": self.gamma_stat_frac,
-            "gamma_p_factor": self.gamma_p_factor,
             "traj_cap": self.traj_cap,
             "dir_cap": self.dir_cap,
             "cost_max": self.cost_max,
             "seed_stride": self.seed_stride,
         }
-        for name in ("gamma_stat", "gamma_p", "min_displacement"):
-            value = getattr(self, name)
-            if value is not None:
-                positive[name] = value
+        if self.min_displacement is not None:
+            positive["min_displacement"] = self.min_displacement
         for name, value in positive.items():
             if not value > 0:
                 raise InvalidConfig(f"{name} must be > 0, got {value}")
         weights = {
-            "lambda_traj": self.lambda_traj,
             "lambda_vel": self.lambda_vel,
             "lambda_dir": self.lambda_dir,
             "lambda_cam": self.lambda_cam,
@@ -506,8 +500,6 @@ class PipelineConfig:
         for name, value in weights.items():
             if not value >= 0:
                 raise InvalidConfig(f"{name} must be >= 0, got {value}")
-        if not self.lambda_traj + self.lambda_vel + self.lambda_dir > 0:
-            raise InvalidConfig("lambda_traj + lambda_vel + lambda_dir must be > 0")
         if self.association_rounds < 1:
             raise InvalidConfig("association_rounds must be >= 1")
 

@@ -15,6 +15,9 @@ from .errors import DegenerateConfiguration, NotEnoughPoints
 from .model import PipelineConfig, SimilarityTransform, norm3
 
 RANK_TOL = 1e-12
+# gamma_c: a pixel takes part in registration and association only with a
+# mean confidence over the overlap above this, in both chunks
+GAMMA_C = 0.5
 
 
 @dataclass(frozen=True)
@@ -22,12 +25,12 @@ class OverlapAbstraction:
     """Static anchors and dynamic supports of one overlap.
 
     Static anchors pass the confidence test (mean over the overlap above
-    gamma_c in both chunks) and the rigidity test (max pairwise temporal
-    displacement below the rigidity threshold, evaluated in each chunk's
-    own gauge against that chunk's own scale). Dynamic supports pass
-    confidence but fail rigidity. Pixels failing confidence belong to
-    neither set. ``scene_scale`` and ``gamma_stat`` refer to chunk i, whose
-    gauge is the pair's working frame; ``gamma_stat_j`` is chunk j's own.
+    GAMMA_C in both chunks) and the rigidity test (max pairwise temporal
+    displacement below the chunk's gamma_stat, ``gamma_stat_frac`` times
+    its own scale, in its own gauge). Dynamic supports pass confidence but
+    fail rigidity. Pixels failing confidence belong to neither set.
+    ``scene_scale`` and ``gamma_stat`` refer to chunk i, whose gauge is the
+    pair's working frame; ``gamma_stat_j`` is chunk j's own.
     """
 
     static_mask: np.ndarray
@@ -73,12 +76,6 @@ def _max_pairwise_displacement(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def resolve_gamma_stat(cfg: PipelineConfig, scene_scale: float) -> float:
-    if cfg.gamma_stat is not None:
-        return cfg.gamma_stat
-    return cfg.gamma_stat_frac * scene_scale
-
-
 def select_anchors(overlap: OverlapView, cfg: PipelineConfig) -> OverlapAbstraction:
     """Split overlap pixels into static anchors and dynamic supports; the one
     place each chunk's scene scale and rigidity threshold are resolved."""
@@ -90,12 +87,12 @@ def select_anchors(overlap: OverlapView, cfg: PipelineConfig) -> OverlapAbstract
     c_j = np.stack([p.center for p in overlap.poses_j])
     scale_i = _median_distance(pts_i, cnf_i, c_i)
     scale_j = _median_distance(pts_j, cnf_j, c_j)
-    gamma_i = resolve_gamma_stat(cfg, scale_i)
-    gamma_j = resolve_gamma_stat(cfg, scale_j)
+    gamma_i = cfg.gamma_stat_frac * scale_i
+    gamma_j = cfg.gamma_stat_frac * scale_j
 
     mean_i = cnf_i.mean(axis=0)
     mean_j = cnf_j.mean(axis=0)
-    confident = (mean_i > cfg.gamma_c) & (mean_j > cfg.gamma_c)
+    confident = (mean_i > GAMMA_C) & (mean_j > GAMMA_C)
 
     with np.errstate(invalid="ignore"):
         disp_i = _max_pairwise_displacement(pts_i)

@@ -6,6 +6,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 import numpy as np
 import pytest
 
+import references as ref
+from chunkfuse.chunking import OverlapView
 from chunkfuse.model import Chunk, Pose
 
 
@@ -45,6 +47,25 @@ def make_chunk(points, confidence=None, chunk_id=0, start_frame=0, centers=None)
         centers = [[0.0, 0.0, -1.0]] * T
     return Chunk(chunk_id, start_frame, points, confidence,
                  tuple(Pose(np.eye(3), c) for c in centers))
+
+
+def whole_overlap(a: Chunk, b: Chunk) -> OverlapView:
+    """The overlap of two chunks over the same frames, all of them shared.
+
+    ``slice_overlap`` rejects such a pair, since its second chunk does not
+    advance; tests of the stages after it build their overlap with this.
+    """
+    assert a.frame_range() == b.frame_range() and a.grid_shape == b.grid_shape
+    return OverlapView(tuple(a.frame_range()), a.points, a.confidence, a.poses,
+                       b.points, b.confidence, b.poses)
+
+
+def frac_for(gamma_stat: float, chunk: Chunk, frames=None) -> float:
+    """The ``gamma_stat_frac`` at which ``select_anchors`` resolves the
+    rigidity threshold of ``chunk`` over ``frames`` (all of its frames by
+    default) to ``gamma_stat``, up to rounding."""
+    frames = chunk.frame_range() if frames is None else frames
+    return gamma_stat / ref.chunk_scene_scale(chunk, frames)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
 from chunkfuse.model import SimilarityTransform, TrackletSet, finite3, norm3
-from chunkfuse.registration import RANK_TOL, _median_distance
+from chunkfuse.registration import GAMMA_C, RANK_TOL, _median_distance
 
 
 def same_bits(a, b) -> bool:
@@ -201,14 +201,12 @@ def chunk_scene_scale(chunk, frames) -> float:
 
 def build_tracklets(chunk, overlap_frames, dynamic_mask, cfg) -> TrackletSet:
     """Tracklets of one chunk over the overlap, with the minimum net
-    displacement taken from ``min_displacement``, else ``gamma_stat``, else
-    ``gamma_stat_frac`` times the chunk's own scene scale, and positions
-    mapped by the identity gauge, as the fuse passed it."""
+    displacement taken from ``min_displacement``, else ``gamma_stat_frac``
+    times the chunk's own scene scale, and positions mapped by the identity
+    gauge, as the fuse passed it."""
     frames = sorted(set(int(f) for f in overlap_frames))
     if cfg.min_displacement is not None:
         min_disp = cfg.min_displacement
-    elif cfg.gamma_stat is not None:
-        min_disp = cfg.gamma_stat
     else:
         min_disp = cfg.gamma_stat_frac * chunk_scene_scale(chunk, frames)
 
@@ -222,7 +220,7 @@ def build_tracklets(chunk, overlap_frames, dynamic_mask, cfg) -> TrackletSet:
     cnf = np.stack([p.confidence[rows, cols] for p in preds], axis=1)
     with np.errstate(invalid="ignore"):
         disp = norm3(pos[:, -1] - pos[:, 0])
-    keep = (cnf.mean(axis=1) > cfg.gamma_c) & finite3(pos).all(axis=1)
+    keep = (cnf.mean(axis=1) > GAMMA_C) & finite3(pos).all(axis=1)
     keep &= disp >= min_disp
     return TrackletSet(
         frames=tuple(frames),

@@ -19,7 +19,7 @@ from chunkfuse.chunking import slice_overlap
 from chunkfuse.model import PipelineConfig, SimilarityTransform, TrackletSet
 from chunkfuse.registration import select_anchors
 from chunkfuse.synthetic import emit_chunks, generate
-from conftest import make_chunk, random_rotation
+from conftest import frac_for, make_chunk, random_rotation, whole_overlap
 from scenes import ablation_config, ablation_spec, association_config, association_spec
 
 
@@ -48,7 +48,7 @@ def reference_pair_cost(pa, pb, frames, cfg, scene_scale):
     l_dir = float(((1.0 - cos) / 2.0).mean())
     if l_dir > cfg.dir_cap:
         return None
-    return cfg.lambda_traj * l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
+    return l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
 
 
 def single_cost(pa, pb, cfg, scene_scale, frames=None):
@@ -125,7 +125,7 @@ class TestBuildTracklets:
     def test_static_chunk_yields_nothing(self, rng):
         pts = np.broadcast_to(rng.normal(size=(8, 8, 3)), (4, 8, 8, 3)).copy()
         dyn = np.ones((8, 8), dtype=bool)  # even if flagged dynamic...
-        cfg = PipelineConfig(gamma_stat=0.1, seed_stride=1)
+        cfg = PipelineConfig(seed_stride=1)
         out = build_tracklets(*stacked(make_chunk(pts)), dyn, 0.1, cfg)
         assert len(out) == 0  # ...the displacement filter drops motionless pixels
 
@@ -137,7 +137,7 @@ class TestBuildTracklets:
             pts[t][block] += v * t
         dyn = np.zeros((8, 8), dtype=bool)
         dyn[block] = True
-        cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.5, seed_stride=1)
+        cfg = PipelineConfig(min_displacement=0.5, seed_stride=1)
         out = build_tracklets(*stacked(make_chunk(pts)), dyn, 0.1, cfg)
         assert pair_set(out.pixels) == {(r, c) for r in range(2, 5) for c in range(3, 6)}
         assert out.frames == (0, 1, 2, 3)
@@ -150,7 +150,7 @@ class TestBuildTracklets:
             pts[t] += np.array([0.5 * t, 0, 0])
         chunk = make_chunk(pts, confidence=np.zeros((4, 6, 6)))
         dyn = np.ones((6, 6), dtype=bool)
-        cfg = PipelineConfig(gamma_stat=0.1, seed_stride=1)
+        cfg = PipelineConfig(seed_stride=1)
         out = build_tracklets(*stacked(chunk), dyn, 0.1, cfg)
         assert len(out) == 0
 
@@ -159,7 +159,7 @@ class TestBuildTracklets:
         for t in range(4):
             pts[t] += np.array([0.5 * t, 0, 0])
         dyn = np.ones((6, 6), dtype=bool)
-        cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.5, seed_stride=2)
+        cfg = PipelineConfig(min_displacement=0.5, seed_stride=2)
         out = build_tracklets(*stacked(make_chunk(pts)), dyn, 0.1, cfg)
         assert pair_set(out.pixels) == {(r, c) for r in range(0, 6, 2) for c in range(0, 6, 2)}
         # positions stay in the chunk's own gauge
@@ -182,14 +182,15 @@ class TestBuildTracklets:
 @pytest.fixture(scope="module")
 def recipe_junctions():
     """Every junction of ``ablation_spec(0)`` and ``association_spec(0)``
-    with ``min_displacement`` unset, once with ``gamma_stat`` resolved per
-    chunk and once set: (cfg, chunk i, chunk j) triples."""
+    with ``min_displacement`` unset, once with the recipe's
+    ``gamma_stat_frac`` and once with 0.04: (cfg, chunk i, chunk j)
+    triples."""
     junctions = []
     for spec, config in ((ablation_spec(0), ablation_config()),
                          (association_spec(0), association_config())):
         chunks = list(emit_chunks(generate(spec), config, spec).chunks)
-        for gamma_stat in (None, 0.3):
-            cfg = dataclasses.replace(config, min_displacement=None, gamma_stat=gamma_stat)
+        for frac in (config.gamma_stat_frac, 0.04):
+            cfg = dataclasses.replace(config, min_displacement=None, gamma_stat_frac=frac)
             junctions += [(cfg, a, b) for a, b in zip(chunks, chunks[1:])]
     return junctions
 
@@ -234,7 +235,7 @@ class TestPairCost:
         path = np.array([k * v for k in range(4)])
         scene_scale = 6.0
         cost = single_cost(path, path + delta, self.CFG, scene_scale)
-        expected = self.CFG.lambda_traj * np.linalg.norm(delta) / scene_scale
+        expected = np.linalg.norm(delta) / scene_scale
         assert cost == pytest.approx(expected, abs=1e-15)
 
     def test_frames_must_match(self):
@@ -329,34 +330,34 @@ class TestGateCandidates:
     def test_coincident_all_pairs(self):
         ti = self._tracklets([[0, 0, 0]] * 3)
         tj = self._tracklets([[0, 0, 0]] * 4)
-        pairs = gate_candidates(ti, tj, PipelineConfig(gamma_p=1.0))
+        pairs = gate_candidates(ti, tj, 1.0)
         assert pair_set(pairs) == {(a, b) for a in range(3) for b in range(4)}
 
     def test_two_clusters(self):
         gamma_p = 0.4
         ti = self._tracklets([[0, 0, 0], [0.1, 0, 0], [10 * gamma_p, 0, 0]])
         tj = self._tracklets([[0.05, 0, 0], [10 * gamma_p + 0.05, 0, 0]])
-        pairs = gate_candidates(ti, tj, PipelineConfig(gamma_p=gamma_p))
+        pairs = gate_candidates(ti, tj, gamma_p)
         assert pairs.tolist() == [[0, 0], [1, 0], [2, 1]]
 
     def test_empty_side(self):
         ti = self._tracklets([[0, 0, 0]])
         none = self._tracklets(np.empty((0, 3)))
-        cfg = PipelineConfig(gamma_p=1.0)
-        assert len(gate_candidates(ti, none, cfg)) == 0
-        assert len(gate_candidates(none, ti, cfg)) == 0
+        assert len(gate_candidates(ti, none, 1.0)) == 0
+        assert len(gate_candidates(none, ti, 1.0)) == 0
+        assert resolve_gamma_p(none, none) == 0.0
 
     def test_adaptive_radius(self):
-        cfg = PipelineConfig(gamma_p_factor=3.0)
         ti = self._tracklets([[0, 0, 0]])  # single step of 0.5
         tj = self._tracklets([[1.2, 0, 0]])
-        assert resolve_gamma_p(ti, tj, cfg) == pytest.approx(1.5)
-        assert gate_candidates(ti, tj, cfg).tolist() == [[0, 0]]
+        assert resolve_gamma_p(ti, tj) == pytest.approx(1.5)
+        assert gate_candidates(ti, tj, resolve_gamma_p(ti, tj)).tolist() == [[0, 0]]
 
     def test_radius_is_strict(self):
         ti = self._tracklets([[0, 0, 0]])
         tj = self._tracklets([[0.5, 0, 0], [0.25, 0, 0]])
-        assert gate_candidates(ti, tj, PipelineConfig(gamma_p=0.5)).tolist() == [[0, 1]]
+        assert gate_candidates(ti, tj, 0.5).tolist() == [[0, 1]]
+        assert len(gate_candidates(ti, tj, 0.0)) == 0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -375,7 +376,7 @@ class TestGateCandidates:
             for b in range(n_j)
             if np.linalg.norm(terms_i[a] - terms_j[b]) < radius
         ]
-        assert gate_candidates(ti, tj, PipelineConfig(gamma_p=radius)).tolist() == brute
+        assert gate_candidates(ti, tj, radius).tolist() == brute
 
 
 class TestAssign:
@@ -455,14 +456,15 @@ class TestEndToEndAssociation:
             pts[t][block] += v * t
         a = make_chunk(pts, chunk_id=0)
         b = make_chunk(pts, chunk_id=1)
-        cfg = PipelineConfig(gamma_stat=0.1, min_displacement=0.3, seed_stride=1)
-        overlap = slice_overlap(a, b)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(0.1, a), min_displacement=0.3, seed_stride=1)
+        overlap = whole_overlap(a, b)
         ab = select_anchors(overlap, cfg)
+        assert ab.gamma_stat == pytest.approx(0.1)
         ti = build_tracklets(overlap.frames, overlap.points_i, overlap.conf_i, ab.dynamic_mask,
                              ab.gamma_stat, cfg)
         tj = build_tracklets(overlap.frames, overlap.points_j, overlap.conf_j, ab.dynamic_mask,
                              ab.gamma_stat_j, cfg)
-        candidates = gate_candidates(ti, tj, cfg)
+        candidates = gate_candidates(ti, tj, resolve_gamma_p(ti, tj))
         costs = pair_cost(ti, tj, candidates, cfg, ab.scene_scale)
         ms = assign(candidates, costs, len(ti), len(tj), cfg)
         assert len(ms) == 9

@@ -118,10 +118,14 @@ class TestSliceOverlap:
         # an overlap is a slice of each chunk's stack, not a copy
         assert np.shares_memory(ov.points_i, a.points) and np.shares_memory(ov.conf_j, b.confidence)
 
-    def test_identical_chunks_full_range(self):
-        a, b = self._chunks((0, 7), (0, 7))
-        ov = slice_overlap(a, b)
-        assert ov.frames == tuple(range(8))
+    @pytest.mark.parametrize("r1, r2", [((0, 7), (0, 7)), ((3, 8), (0, 5)), ((0, 7), (2, 5)),
+                                        ((0, 7), (0, 9)), ((0, 7), (4, 7))],
+                             ids=["identical", "starts-before", "nested", "same-start", "same-end"])
+    def test_chunk_that_does_not_advance_raises(self, r1, r2):
+        # plan_chunks starts and ends each chunk after its predecessor
+        a, b = self._chunks(r1, r2)
+        with pytest.raises(NoOverlap, match=rf"\[{r1[0]}, {r1[1]}\] and \[{r2[0]}, {r2[1]}\]"):
+            slice_overlap(a, b)
 
     def test_disjoint_raises(self):
         a, b = self._chunks((0, 15), (20, 35))
@@ -131,5 +135,5 @@ class TestSliceOverlap:
     def test_mismatched_grids_raise(self):
         a = make_chunk(np.zeros((8, 2, 2, 3)), chunk_id=0)
         b = make_chunk(np.zeros((8, 2, 3, 3)), chunk_id=1, start_frame=4)
-        with pytest.raises(ValueError, match="grids differ"):
+        with pytest.raises(NoOverlap, match=r"\[0, 7\] and \[4, 11\]: chunk grids differ"):
             slice_overlap(a, b)

@@ -13,6 +13,7 @@ import references as ref
 from chunkfuse import io as cio
 from chunkfuse.cli import main
 from chunkfuse.metrics import build_fused_table, dense_epe
+from conftest import make_chunk
 from scenes import ablation_config, ablation_spec, gauge_recovery_spec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -182,9 +183,12 @@ def test_invalid_config_exit_2(workspace):
 def test_unknown_config_key_exit_2(workspace, capsys):
     root, data, out, _ = workspace
     bad = root / "typo.json"
-    # a typo, and the fallback tiers' thresholds, constants of ``fusion``
+    # a typo, the fallback tiers' thresholds, constants of ``fusion``, and
+    # the knobs that became constants or per-chunk derivations
     for key, value in (("chunk_legnth", 8), ("min_static_anchors", 50),
-                       ("min_dynamic_matches", 8), ("static_rms_cap", 0.1)):
+                       ("min_dynamic_matches", 8), ("static_rms_cap", 0.1),
+                       ("gamma_c", 0.5), ("gamma_stat", 0.1), ("gamma_p", 0.2),
+                       ("gamma_p_factor", 3.0), ("lambda_traj", 1.0)):
         bad.write_text(json.dumps({key: value}))
         assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(bad),
                      "--out", str(root / "y")]) == 2
@@ -192,8 +196,8 @@ def test_unknown_config_key_exit_2(workspace, capsys):
 
 
 @pytest.mark.parametrize("config", [
-    {"gamma_c": "0.5"},
-    {"gamma_c": None},
+    {"gamma_stat_frac": "0.5"},
+    {"gamma_stat_frac": None},
     {"seed_stride": 2.0},
     {"refine_scale": 1},
     {"association_rounds": True},
@@ -254,8 +258,9 @@ def test_ill_typed_scene_spec_exit_2(tmp_path, capsys, text, where):
     assert "bad scene spec" in err and where in err
 
 
-@pytest.mark.parametrize("text", ['{"gamma_c": NaN}', '{"lambda_sm": NaN}', '{"traj_cap": Infinity}'],
-                         ids=["nan-gamma_c", "nan-lambda_sm", "inf-traj_cap"])
+@pytest.mark.parametrize("text", ['{"gamma_stat_frac": NaN}', '{"lambda_sm": NaN}',
+                                  '{"traj_cap": Infinity}'],
+                         ids=["nan-gamma_stat_frac", "nan-lambda_sm", "inf-traj_cap"])
 def test_nonfinite_config_exit_2(workspace, capsys, text):
     root, data, out, _ = workspace
     bad = root / "nonfinite.json"
@@ -371,6 +376,47 @@ def test_one_frame_overlap_exit_3(workspace, tmp_path, capsys):
                      "--chunk-length", length, "--overlap", "2"]) == 0
         shutil.copytree(run / "chunks" / name, stream / name)
     _broken_stream_exit_3(stream, cfg_path, tmp_path / "out", capsys, "[0, 7] and [7, 15]")
+
+
+def _write_stream(root: Path, shapes) -> Path:
+    """A stream of chunks (start frame, frames, height, width) of a static
+    plane in front of the camera, one per entry in that order."""
+    stream = root / "chunks"
+    for k, (start, frames, height, width) in enumerate(shapes):
+        plane = np.stack(np.meshgrid(np.linspace(-1, 1, width), np.linspace(-1, 1, height)), -1)
+        points = np.broadcast_to(np.concatenate([plane, np.full((height, width, 1), 4.0)], -1),
+                                 (frames, height, width, 3))
+        cio.write_chunk(make_chunk(points, chunk_id=k, start_frame=start),
+                        stream / f"chunk_{k:04d}")
+    return stream
+
+
+def test_mismatched_grids_exit_3(workspace, tmp_path, capsys):
+    """An 8x8 chunk followed by an 8x9 one breaks the stream."""
+    root, data, out, cfg_path = workspace
+    stream = _write_stream(tmp_path, [(0, 8, 8, 8), (4, 8, 8, 9)])
+    _broken_stream_exit_3(stream, cfg_path, tmp_path / "out", capsys,
+                          "[0, 7] and [4, 11]: chunk grids differ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ablation", ["base", "overlap", "full"])
+@pytest.mark.parametrize("shapes, ranges", [
+    ([(3, 6, 8, 8), (0, 6, 8, 8)], "[3, 8] and [0, 5]"),
+    ([(0, 8, 8, 8), (2, 4, 8, 8)], "[0, 7] and [2, 5]"),
+], ids=["starts-before", "nested"])
+def test_chunk_that_does_not_advance_exit_3(workspace, tmp_path, capsys, ablation, shapes, ranges):
+    """Each chunk of a stream starts and ends after its predecessor, as
+    ``plan_chunks`` lays them out; a chunk that does not breaks the stream."""
+    root, data, out, cfg_path = workspace
+    stream = _write_stream(tmp_path, shapes)
+    fresh = tmp_path / "runs" / "out"
+    assert main(["fuse", "--chunks", str(stream), "--config", str(cfg_path), "--out", str(fresh),
+                 "--ablation", ablation]) == 3
+    err = capsys.readouterr().err
+    assert "broken chunk stream" in err and ranges in err
+    assert not (fresh / "fused").exists()
+    assert list((tmp_path / "runs").iterdir()) == []
 
 
 def test_key_mismatch_exit_4(workspace, tmp_path):

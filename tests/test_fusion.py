@@ -25,7 +25,7 @@ from chunkfuse.model import (
 )
 from chunkfuse.registration import OverlapAbstraction
 from chunkfuse.synthetic import emit_chunks, generate
-from conftest import make_chunk, random_rotation
+from conftest import frac_for, make_chunk, random_rotation
 from scenes import ablation_config, ablation_spec, dynamic_overlap_spec, identity_span_spec
 
 
@@ -500,7 +500,9 @@ class TestFuseSequence:
             for _ in range(2)
         ]
         chunks = self._static_chunks(rng, gauges)
-        cfg = PipelineConfig(chunk_length=8, overlap=4, gamma_stat=0.1)
+        # a threshold of 0.1 in chunk 0 at the first junction, scaled with each gauge
+        cfg = PipelineConfig(chunk_length=8, overlap=4,
+                             gamma_stat_frac=frac_for(0.1, chunks[0], range(4, 8)))
         fused = fuse_sequence(chunks, cfg, frame_sink=[].append)
         for k, G in enumerate(fused.chunk_transforms):
             expect = gauges[k].invert()
@@ -519,8 +521,9 @@ class TestFuseSequence:
                   SimilarityTransform(1.2, random_rotation(rng), rng.normal(size=3))]
         chunks = self._static_chunks(rng, gauges)
         seen = []
-        fused = fuse_sequence(chunks, PipelineConfig(chunk_length=8, overlap=4, gamma_stat=0.1),
-                              frame_sink=seen.append)
+        cfg = PipelineConfig(chunk_length=8, overlap=4,
+                             gamma_stat_frac=frac_for(0.1, chunks[0], range(4, 8)))
+        fused = fuse_sequence(chunks, cfg, frame_sink=seen.append)
         assert len(fused.chunk_transforms) == 2
         assert [fp.frame_index for fp in seen] == list(range(12))
 
@@ -536,9 +539,9 @@ def chunks_with_hole():
     tracklet id and pixel."""
     spec = identity_span_spec()
     chunks = list(emit_chunks(generate(spec), HOLE_CFG, spec).chunks)
-    _, chunk_j, match_set, _, tracks_j = fuse_sequence(chunks, HOLE_CFG, frame_sink=[].append).match_sets[0]
+    _, chunk_j, match_set, _, pixels_j = fuse_sequence(chunks, HOLE_CFG, frame_sink=[].append).match_sets[0]
     b = match_set.matches[0][1]
-    pixel = tuple(tracks_j.pixels[b].tolist())
+    pixel = tuple(pixels_j[b].tolist())
     cur = chunks[1]
     assert cur.chunk_id == chunk_j
     frame = chunks[0].end_frame + 1

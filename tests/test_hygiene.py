@@ -1,7 +1,7 @@
 """Hygiene of the package: every module imports at module level only and
 uses each name it imports, every dataclass field is read somewhere, every
-config field is read outside ``model.py``, and JSON text is parsed only by
-``io.read_json``.
+config field is read outside ``model.py`` and set by a recipe config, and
+JSON text is parsed only by ``io.read_json``.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
 and so are the dataclasses written out whole, field by field."""
 
@@ -15,6 +15,7 @@ import chunkfuse
 from chunkfuse.model import PipelineConfig
 
 MODULES = sorted(Path(chunkfuse.__file__).parent.glob("*.py"))
+SCENES = Path(__file__).with_name("scenes.py")
 
 # Written out whole through ``dataclasses.fields`` or ``asdict``: the
 # ``report.json`` records, the config echoed to ``fuse_info.json`` and the
@@ -119,6 +120,24 @@ def test_config_fields_are_read_outside_model():
     assert [f.name for f in fields(PipelineConfig) if f.name not in read] == []
 
 
+def keywords_of_calls(tree: ast.Module, callee: str) -> set[str]:
+    """The keyword names passed to every call of the name ``callee``."""
+    return {
+        kw.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee
+        for kw in node.keywords
+        if kw.arg is not None
+    }
+
+
+def test_config_fields_are_set_by_a_recipe():
+    """A knob that no recipe config sets runs only at its default, so a
+    constant beside its use serves as well."""
+    named = keywords_of_calls(ast.parse(SCENES.read_text()), "PipelineConfig")
+    assert [f.name for f in fields(PipelineConfig) if f.name not in named] == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert nested_imports(ast.parse(path.read_text())) == []
@@ -170,3 +189,5 @@ def test_checks_catch_what_they_look_for():
         "    return loads(text), json.dumps(text)\n"
     )
     assert json_loads_owners(tree) == ["<module>", "read_json", "load"]
+    tree = ast.parse("A(x=1, **rest)\nB(y=2)\nm.A(z=3)\nA(w=4)\n")
+    assert keywords_of_calls(tree, "A") == {"x", "w"}

@@ -16,7 +16,6 @@ from chunkfuse.model import (
     PipelineConfig,
     Pose,
     SimilarityTransform,
-    TrackletSet,
 )
 from chunkfuse.synthetic import SceneSpec, emit_chunks, generate
 import scenes
@@ -288,8 +287,8 @@ def reference_sidecars(fused: FusedScene) -> dict[str, bytes]:
         for tr in fused.trajectories
     }
     dumps = []
-    for chunk_i, chunk_j, match_set, tr_i, tr_j in fused.match_sets:
-        pix_i, pix_j = tr_i.pixels.tolist(), tr_j.pixels.tolist()
+    for chunk_i, chunk_j, match_set, pixels_i, pixels_j in fused.match_sets:
+        pix_i, pix_j = pixels_i.tolist(), pixels_j.tolist()
         dumps.append(
             {
                 "chunk_i": chunk_i,
@@ -311,11 +310,9 @@ def written_sidecars(fused: FusedScene, directory: Path) -> dict[str, bytes]:
     return {name: (directory / name).read_bytes() for name in reference_sidecars(fused)}
 
 
-def tracklet_set(pixels, frames=(2, 3)) -> TrackletSet:
-    n = len(pixels)
-    return TrackletSet(frames, np.reshape(pixels, (n, 2)),
-                       np.linspace(-1.0, 1.0, n * len(frames) * 3).reshape(n, len(frames), 3),
-                       np.full((n, len(frames)), 0.5))
+def pixels(rows) -> np.ndarray:
+    """The (N, 2) seed pixels of one side's tracklets, as a fuse keeps them."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def scene(trajectories=(), match_sets=()) -> FusedScene:
@@ -353,12 +350,12 @@ class TestSidecarBytes:
 
     def test_junctions_without_matches_or_tracklets(self, tmp_path):
         fused = scene(match_sets=[
-            (0, 1, MatchSet((), (), ()), tracklet_set([]), tracklet_set([])),
-            (1, 2, MatchSet((), (0,), (0, 1)), tracklet_set([(4, 5)]),
-             tracklet_set([(6, 7), (8, 9)])),
-            (2, 3, MatchSet((), (), (0,)), tracklet_set([]), tracklet_set([(1, 1)])),
+            (0, 1, MatchSet((), (), ()), pixels([]), pixels([])),
+            (1, 2, MatchSet((), (0,), (0, 1)), pixels([(4, 5)]),
+             pixels([(6, 7), (8, 9)])),
+            (2, 3, MatchSet((), (), (0,)), pixels([]), pixels([(1, 1)])),
             (3, 4, MatchSet(((1, 0, 0.30000000000000004), (0, 1, np.float64(1e-17))), (), ()),
-             tracklet_set([(0, 2), (2, 4)]), tracklet_set([(3, 1), (5, 0)])),
+             pixels([(0, 2), (2, 4)]), pixels([(3, 1), (5, 0)])),
         ])
         assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
 
@@ -374,7 +371,7 @@ class TestSidecarBytes:
 
     def test_non_finite_cost_rejected(self, tmp_path):
         fused = scene(match_sets=[(0, 1, MatchSet(((0, 0, float("inf")),), (), ()),
-                                   tracklet_set([(0, 0)]), tracklet_set([(0, 0)]))])
+                                   pixels([(0, 0)]), pixels([(0, 0)]))])
         with pytest.raises(ValueError, match="finite"):
             cio.write_fusion_outputs(fused, tmp_path)
 
@@ -424,8 +421,7 @@ class TestConfigFiles:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"chunk_length": 8, "overlap": 3}))
         cfg = cio.load_pipeline_config(p)
-        assert cfg.chunk_length == 8 and cfg.overlap == 3
-        assert cfg.gamma_c == 0.5
+        assert cfg == PipelineConfig(chunk_length=8, overlap=3)
 
     def test_unknown_key_is_error(self, tmp_path):
         p = tmp_path / "cfg.json"

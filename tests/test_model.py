@@ -396,22 +396,18 @@ class TestPipelineConfig:
         with pytest.raises(InvalidConfig):
             PipelineConfig(chunk_length=16, overlap=16)
 
-    def test_weights_must_not_all_vanish(self):
-        with pytest.raises(InvalidConfig):
-            PipelineConfig(lambda_traj=0.0, lambda_vel=0.0, lambda_dir=0.0)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidConfig):
             PipelineConfig(lambda_vel=-0.1)
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(InvalidConfig):
-            PipelineConfig(gamma_c=0.0)
+            PipelineConfig(gamma_stat_frac=0.0)
         with pytest.raises(InvalidConfig):
-            PipelineConfig(gamma_stat=-1.0)
+            PipelineConfig(min_displacement=-1.0)
 
-    @pytest.mark.parametrize("name", ["gamma_c", "gamma_stat", "traj_cap", "lambda_sm",
-                                      "lambda_traj"])
+    @pytest.mark.parametrize("name", ["gamma_stat_frac", "min_displacement", "traj_cap",
+                                      "lambda_sm", "lambda_vel"])
     def test_nan_rejected(self, name):
         with pytest.raises(InvalidConfig, match=name):
             PipelineConfig(**{name: math.nan})
@@ -421,12 +417,12 @@ class TestPipelineConfig:
             PipelineConfig.from_dict({"chunk_len": 16})
 
     def test_from_dict_checks_json_types(self):
-        cfg = PipelineConfig.from_dict({"gamma_c": 1, "gamma_stat": None, "refine_scale": True,
-                                        "seed_stride": 3, "lambda_sm": 0.5})
-        assert cfg.gamma_c == 1 and cfg.refine_scale is True and cfg.seed_stride == 3
-        for bad in ({"gamma_c": "0.5"}, {"gamma_c": None}, {"gamma_c": True},
+        cfg = PipelineConfig.from_dict({"cost_max": 1, "min_displacement": None,
+                                        "refine_scale": True, "seed_stride": 3, "lambda_sm": 0.5})
+        assert cfg.cost_max == 1 and cfg.refine_scale is True and cfg.seed_stride == 3
+        for bad in ({"cost_max": "0.5"}, {"cost_max": None}, {"cost_max": True},
                     {"seed_stride": 2.0}, {"seed_stride": False}, {"refine_scale": 1},
-                    {"refine_scale": None}, {"gamma_stat": "0.1"}, {"overlap": [4]}):
+                    {"refine_scale": None}, {"min_displacement": "0.1"}, {"overlap": [4]}):
             with pytest.raises(InvalidConfig, match=next(iter(bad))):
                 PipelineConfig.from_dict(bad)
 

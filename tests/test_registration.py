@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
-from chunkfuse.chunking import slice_overlap
 from chunkfuse.errors import DegenerateConfiguration, NotEnoughPoints
 from chunkfuse.model import PipelineConfig, SimilarityTransform
 from chunkfuse.registration import (
@@ -16,7 +15,7 @@ from chunkfuse.registration import (
     solve_weighted_similarity,
     static_correspondences,
 )
-from conftest import make_chunk, random_rotation, rot_y
+from conftest import frac_for, make_chunk, random_rotation, rot_y, whole_overlap
 
 
 def weighted_loss(T, src, dst, w):
@@ -222,8 +221,8 @@ class TestSelectAnchors:
         pts = _static_scene(rng)
         a = make_chunk(pts, chunk_id=0)
         b = make_chunk(pts, chunk_id=1)
-        cfg = PipelineConfig(gamma_stat=0.1)
-        ab = select_anchors(slice_overlap(a, b), cfg)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(0.1, a))
+        ab = select_anchors(whole_overlap(a, b), cfg)
         assert ab.static_mask.all()
         assert not ab.dynamic_mask.any()
 
@@ -235,8 +234,9 @@ class TestSelectAnchors:
             pts[t][block] += np.array([5 * gamma_stat * t, 0.0, 0.0])
         a = make_chunk(pts, chunk_id=0)
         b = make_chunk(pts, chunk_id=1)
-        cfg = PipelineConfig(gamma_stat=gamma_stat)
-        ab = select_anchors(slice_overlap(a, b), cfg)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(gamma_stat, a))
+        ab = select_anchors(whole_overlap(a, b), cfg)
+        assert ab.gamma_stat == ab.gamma_stat_j == pytest.approx(gamma_stat)
         expected = np.zeros((16, 16), dtype=bool)
         expected[block] = True
         assert np.array_equal(ab.dynamic_mask, expected)
@@ -247,7 +247,7 @@ class TestSelectAnchors:
         conf = np.zeros((4, 16, 16))
         a = make_chunk(pts, conf, chunk_id=0)
         b = make_chunk(pts, conf, chunk_id=1)
-        ab = select_anchors(slice_overlap(a, b), PipelineConfig(gamma_stat=0.1))
+        ab = select_anchors(whole_overlap(a, b), PipelineConfig(gamma_stat_frac=frac_for(0.1, a)))
         assert not ab.static_mask.any()
         assert not ab.dynamic_mask.any()
 
@@ -263,8 +263,8 @@ class TestRegisterPair:
     def test_injected_gauge_recovered(self, rng):
         T_star = SimilarityTransform(1.4, random_rotation(rng), rng.normal(size=3))
         a, b = self._pair(rng, gauge=T_star)
-        overlap = slice_overlap(a, b)
-        cfg = PipelineConfig(gamma_stat=0.1)
+        overlap = whole_overlap(a, b)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(0.1, a))
         ab = select_anchors(overlap, cfg)
         T, rms = register_pair(overlap, ab)
         inv = T_star.invert()
@@ -276,8 +276,8 @@ class TestRegisterPair:
 
     def test_identical_chunks_identity(self, rng):
         a, b = self._pair(rng)
-        overlap = slice_overlap(a, b)
-        cfg = PipelineConfig(gamma_stat=0.1)
+        overlap = whole_overlap(a, b)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(0.1, a))
         T, _ = register_pair(overlap, select_anchors(overlap, cfg))
         assert abs(T.scale - 1.0) < 1e-12
         assert np.abs(T.rotation - np.eye(3)).max() < 1e-12
@@ -289,9 +289,10 @@ class TestRegisterPair:
             pts[t] += np.array([t * 1.0, 0.0, 0.0])  # everything moves
         a = make_chunk(pts, chunk_id=0)
         b = make_chunk(pts, chunk_id=1)
-        overlap = slice_overlap(a, b)
-        cfg = PipelineConfig(gamma_stat=0.1)
+        overlap = whole_overlap(a, b)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(0.1, a))
         ab = select_anchors(overlap, cfg)
+        assert ab.gamma_stat == pytest.approx(0.1)
         assert ab.num_static == 0
         with pytest.raises(NotEnoughPoints):
             register_pair(overlap, ab)
@@ -305,16 +306,17 @@ class TestRegisterPair:
         gauge = SimilarityTransform(0.9, random_rotation(rng), rng.normal(size=3))
         a = make_chunk(pts, chunk_id=0)
         b = make_chunk(gauge.apply(pts), chunk_id=1)
-        overlap = slice_overlap(a, b)
-        cfg = PipelineConfig(gamma_stat=gamma_stat)
+        overlap = whole_overlap(a, b)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(gamma_stat, a))
         ab = select_anchors(overlap, cfg)
+        assert ab.gamma_stat == pytest.approx(gamma_stat)
         T1, _ = register_pair(overlap, ab)
 
         corrupted = pts.copy()
         corrupted[:, block[0], block[1], :] += rng.normal(scale=100.0, size=(4, 5, 5, 3))
         a2 = make_chunk(corrupted, chunk_id=0)
         b2 = make_chunk(gauge.apply(pts), chunk_id=1)
-        overlap2 = slice_overlap(a2, b2)
+        overlap2 = whole_overlap(a2, b2)
         ab2 = select_anchors(overlap2, cfg)
         assert np.array_equal(ab2.dynamic_mask, ab.dynamic_mask)
         T2, _ = register_pair(overlap2, ab2)
@@ -327,8 +329,8 @@ class TestRegisterPair:
         conf = rng.uniform(0.6, 1.0, size=(4, 6, 6))
         a = make_chunk(pts, conf, chunk_id=0)
         b = make_chunk(pts, conf * 0.9, chunk_id=1)
-        overlap = slice_overlap(a, b)
-        cfg = PipelineConfig(gamma_stat=0.1)
+        overlap = whole_overlap(a, b)
+        cfg = PipelineConfig(gamma_stat_frac=frac_for(0.1, a))
         ab = select_anchors(overlap, cfg)
         src, dst, w = static_correspondences(overlap, ab)
         assert np.allclose(w.reshape(4, -1), np.sqrt(conf * conf * 0.9).reshape(4, -1), atol=1e-12)
