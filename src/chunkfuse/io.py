@@ -21,8 +21,10 @@ object, an unknown format version, a kind other than the one asked for, a
 missing or non-integer frame range, chunk id or grid, a missing array, an
 array whose shape is not a list of ints or not the expected one, an array
 of the wrong dtype, byte order or byte count, and a pose whose last row is
-not exactly 0,0,0,1, whose rotation is not orthonormal or whose
-translation is not finite. A chunk is read as one stack and must also
+not exactly 0,0,0,1 (a NaN is not), whose rotation is not orthonormal
+with det +1 or whose translation is not finite. The poses are checked
+once, as one stack, and the error names the first bad frame; they are
+read-only views of that stack. A chunk is read as one stack and must also
 pass :class:`~chunkfuse.model.Chunk`'s checks, which name the first bad
 frame; its ``frames`` are per-frame views of that stack. A ground truth's
 ``scene_spec.json`` must be a valid scene spec.
@@ -126,7 +128,7 @@ def _read_array(directory: Path, entry: dict, shape: list[int]) -> np.ndarray:
     Its owner widens it to float64 once, in the copy it keeps anyway:
     :class:`~chunkfuse.model.Chunk` copies its stacks as float64,
     :func:`read_ground_truth` takes ``astype`` of the points and
-    :meth:`~chunkfuse.model.Pose.from_matrix` of each pose. Widening
+    :meth:`~chunkfuse.model.Pose.from_matrices` of the pose stack. Widening
     float32 is exact, so no value depends on where it happens.
     """
     for key in ("name", "dtype", "path", "byte_order"):
@@ -187,6 +189,9 @@ def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
     array must have the shape the frame range and grid give it, as a list
     of ints, and each pose a last row of exactly (0, 0, 0, 1), an
     orthonormal rotation and a finite translation.
+    :meth:`~chunkfuse.model.Pose.from_matrices` checks the pose stack once
+    and names the first bad frame; the poses are read-only views of its
+    rotation and translation stacks.
     """
     manifest = read_json(directory / MANIFEST_NAME)
     version = manifest.get("format_version")
@@ -218,12 +223,10 @@ def _read_container(directory: Path, kind: str, names: tuple[str, ...]):
         if got != shapes[name]:
             raise MalformedContainer(f"array {name!r}: shape {got} does not match {shapes[name]}")
         data[name] = _read_array(directory, entries[name], got)
-    poses = []
-    for k, m in enumerate(data.pop("poses")):
-        try:
-            poses.append(Pose.from_matrix(m, tol=POSE_STORAGE_TOL))
-        except ValueError as e:
-            raise MalformedContainer(f"frame {start + k}: {e}") from e
+    try:
+        poses = Pose.from_matrices(data.pop("poses"), POSE_STORAGE_TOL, start)
+    except ValueError as e:
+        raise MalformedContainer(str(e)) from e
     return manifest, data, poses
 
 
@@ -349,7 +352,7 @@ def read_ground_truth(directory) -> GroundTruth:
     return GroundTruth(
         spec=spec,
         points=data["points"].astype(np.float64),
-        poses=poses,
+        poses=list(poses),
         object_ids=data["object_ids"].astype(np.int32),
         visible=data["visible"] > 0.5,
         scene_scale=_field(manifest, "scene_scale", float, 1.0),

@@ -18,6 +18,14 @@ kernels in ``registration`` and ``SimilarityTransform.apply`` perform the
 same float operations in the same order (sequential axis-0 sums, ``(a + b)
 + c`` over a length-3 axis, unchanged BLAS operand layouts), only with
 fewer passes and temporaries.
+
+The pose metrics read a pose sequence as one (n, 3, 3) rotation stack and
+one (n, 3) translation stack. ``rpe`` forms every inverse, relative motion
+and error motion as a whole-stack product and checks each derived
+rotation stack once, at the tolerance a per-pose ``Pose`` would have had.
+A stacked ``matmul`` rounds as the per-pose product does only when each
+operand keeps its per-pose layout, so an inverse's translation multiplies
+by the transposed view and a composition by the contiguous copy.
 """
 
 from __future__ import annotations
@@ -29,14 +37,24 @@ import numpy as np
 
 from .association import MatchSet
 from .errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
-from .model import Pose, SimilarityTransform, TrackTable, finite3, norm3
+from .model import (
+    Pose,
+    SimilarityTransform,
+    TrackTable,
+    check_poses,
+    finite3,
+    norm3,
+    stack_poses,
+)
 from .registration import solve_weighted_similarity
 
 
-def rotation_angle_deg(R: np.ndarray) -> float:
-    """Rotation angle, with the arccos argument clamped against drift."""
-    arg = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.degrees(np.arccos(arg)))
+def rotation_angle_deg(R: np.ndarray):
+    """Rotation angle in degrees of a (3, 3) rotation, or of each of an
+    (n, 3, 3) stack, with the arccos argument clamped against drift. The
+    trace is summed as ``np.trace`` sums it, ``(R00 + R11) + R22``."""
+    trace = R[..., 0, 0] + R[..., 1, 1] + R[..., 2, 2]
+    return np.degrees(np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0)))
 
 
 def _centers(poses: Sequence[Pose]) -> np.ndarray:
@@ -69,11 +87,42 @@ def ate(pred: Sequence[Pose], gt: Sequence[Pose]) -> float:
     return float(np.sqrt((err**2).mean()))
 
 
+def _checked(R: np.ndarray, t: np.ndarray, tol: np.ndarray):
+    """A derived pose stack, checked as :class:`Pose` checks each pose."""
+    check_poses(R, t, tol)
+    return R, t, tol
+
+
+def _inverse(R: np.ndarray, t: np.ndarray, tol: np.ndarray):
+    """Each pose's inverse, stacked. The rotation is the contiguous copy of
+    the transpose that a ``Pose`` stores; the translation ``-Rt @ t``
+    multiplies the transposed views, as one pose's product does."""
+    Rt = R.transpose(0, 2, 1)
+    t_inv = (-Rt @ t[..., None])[..., 0]
+    return _checked(np.ascontiguousarray(Rt), t_inv, np.maximum(tol, 1e-8))
+
+
+def _compose(a, b):
+    """Each pose of ``a`` composed with the one of ``b`` at the same index,
+    stacked: ``b`` applied first, then ``a``."""
+    (Ra, ta, tol_a), (Rb, tb, tol_b) = a, b
+    tol = np.maximum(np.maximum(tol_a, tol_b), 1e-8)
+    return _checked(Ra @ Rb, (Ra @ tb[..., None])[..., 0] + ta, tol)
+
+
 def rpe(pred: Sequence[Pose], gt: Sequence[Pose], delta: int = 1) -> tuple[float, float]:
     """Relative pose error over all index pairs (t, t + delta).
 
     Returns (translation RMS, rotation RMS in degrees) of the error motion
-    inv(rel_gt) @ rel_pred.
+    inv(rel_gt) @ rel_pred, where rel = inv(pose[t]) @ pose[t + delta].
+
+    The inverses and products are formed over whole stacks, and each
+    derived rotation stack is checked once at the tolerance its per-pose
+    :class:`Pose` would have, ``max(tol_a, tol_b, 1e-8)``; a derived
+    rotation that fails raises ValueError. Every stacked product has the
+    operand layouts the per-pose product had, so the figures keep its bits:
+    an inverse's translation multiplies by the transposed view, a
+    composition by the contiguous copy of the transpose.
     """
     if len(pred) != len(gt):
         raise ValueError(f"pose lists differ in length: {len(pred)} vs {len(gt)}")
@@ -81,13 +130,18 @@ def rpe(pred: Sequence[Pose], gt: Sequence[Pose], delta: int = 1) -> tuple[float
         raise ValueError(f"delta must be >= 1, got {delta}")
     if len(pred) <= delta:
         raise NotEnoughPoints(f"need more than delta={delta} poses, got {len(pred)}")
-    trans_sq, rot_sq = [], []
-    for t in range(len(pred) - delta):
-        rel_pred = pred[t].inverse().compose(pred[t + delta])
-        rel_gt = gt[t].inverse().compose(gt[t + delta])
-        err = rel_gt.inverse().compose(rel_pred)
-        trans_sq.append((err.translation**2).sum())
-        rot_sq.append(rotation_angle_deg(err.rotation) ** 2)
+
+    def relative(poses):
+        R, t, tol = stack_poses(poses)
+        return _compose(_inverse(R[:-delta], t[:-delta], tol[:-delta]),
+                        (R[delta:], t[delta:], tol[delta:]))
+
+    rel_gt = relative(gt)
+    R, t, _ = _compose(_inverse(*rel_gt), relative(pred))
+    trans_sq = t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1] + t[:, 2] * t[:, 2]
+    # squared as Python floats: x ** 2 there is libm's pow, which rounds
+    # unlike x * x in about one case in a thousand
+    rot_sq = [a**2 for a in rotation_angle_deg(R).tolist()]
     return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(rot_sq)))
 
 

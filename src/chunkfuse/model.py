@@ -4,6 +4,10 @@ configuration.
 
 A chunk is one checked (T, H, W, 3) pointmap stack with its (T, H, W)
 confidences and T poses; its frames are read-only views of the stacks.
+Poses read as a sequence are checked the same way: ``Pose.from_matrices``
+and :func:`check_rotation` check an (n, 3, 3) rotation stack in one pass,
+with the verdict and the first failing index that checking one matrix at
+a time would give, and the poses are read-only views of the stacks.
 
 All types but :class:`FramePrediction`, a plain record, are immutable value
 objects after construction (arrays are made read-only), so they can be
@@ -46,20 +50,78 @@ def norm3(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
 
 
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of a small vector is finite; for a 3-vector
+    several times faster than ``np.isfinite(v).all()``."""
+    return all(map(math.isfinite, v.tolist()))
+
+
 def finite3(x: np.ndarray) -> np.ndarray:
     """``np.isfinite(x).all(axis=-1)`` of an (..., 3) array, column by column."""
     return np.isfinite(x[..., 0]) & np.isfinite(x[..., 1]) & np.isfinite(x[..., 2])
 
 
-def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> None:
+def _not_orthonormal(err, tol) -> str:
+    return f"rotation not orthonormal (max deviation {err:.3e} > {tol:.0e})"
+
+
+def _not_unit_det(det) -> str:
+    return f"rotation determinant {det:.12f} != +1"
+
+
+def _raise_first(checks, start: int) -> None:
+    """Raise ValueError for the first index k that fails any of
+    ``checks``, ``(ok, message)`` pairs of an (n,) mask and a function of
+    k in the order one pose runs them: ``frame {start + k}: {message(k)}``
+    of the first check k fails, the error checking one pose at a time
+    would raise."""
+    k = min((int(np.argmin(ok)) for ok, _ in checks if not ok.all()), default=None)
+    if k is not None:
+        message = next(message for ok, message in checks if not ok[k])
+        raise ValueError(f"frame {start + k}: {message(k)}")
+
+
+def _rotation_checks(R: np.ndarray, tol) -> list:
+    """The two checks of :func:`check_rotation` over an (n, 3, 3) stack,
+    for :func:`_raise_first`. Each product ``R[k].T @ R[k]`` and each
+    determinant is the one numpy forms for that matrix alone."""
+    with np.errstate(invalid="ignore"):  # a non-finite matrix fails, without a warning
+        err = np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)).max(axis=(1, 2))
+        det = np.linalg.det(R)
+    tol = np.broadcast_to(tol, err.shape)
+    return [
+        (err <= tol, lambda k: _not_orthonormal(err[k], tol[k])),
+        (np.abs(det - 1.0) <= np.maximum(tol, 1e-8), lambda k: _not_unit_det(det[k])),
+    ]
+
+
+def check_rotation(R: np.ndarray, tol=ROTATION_TOL, start: int = 0) -> None:
     """Raise ValueError unless R is orthonormal with det +1 within tol
-    (a NaN entry fails both tests)."""
+    (a NaN entry fails both tests); the determinant's bound is at least
+    1e-8.
+
+    R is one (3, 3) matrix or an (n, 3, 3) stack. A stack is checked in
+    one pass, with ``tol`` a scalar or one tolerance per matrix, and gives
+    the verdict of checking each matrix alone; the error names the first
+    failing matrix as ``frame {start + k}``.
+    """
+    if R.ndim == 3:
+        _raise_first(_rotation_checks(R, tol), start)
+        return
     err = np.abs(R.T @ R - np.eye(3)).max()
     if not err <= tol:
-        raise ValueError(f"rotation not orthonormal (max deviation {err:.3e} > {tol:.0e})")
+        raise ValueError(_not_orthonormal(err, tol))
     det = np.linalg.det(R)
     if not abs(det - 1.0) <= max(tol, 1e-8):
-        raise ValueError(f"rotation determinant {det:.12f} != +1")
+        raise ValueError(_not_unit_det(det))
+
+
+_LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_BAD_LAST_ROW = "pose matrix last row must be exactly (0, 0, 0, 1)"
+
+
+def _not_finite(translation) -> str:
+    return f"pose translation {translation} is not finite"
 
 
 @dataclass(frozen=True)
@@ -68,6 +130,10 @@ class Pose:
 
     ``translation`` is therefore the camera center in world coordinates.
     World-to-camera inputs must be inverted before construction.
+
+    ``rotation`` and ``translation`` are read-only, C-contiguous float64
+    arrays: copies checked on construction, or, from :meth:`from_matrices`,
+    views of one rotation stack and one translation stack checked once.
     """
 
     rotation: np.ndarray
@@ -78,8 +144,8 @@ class Pose:
         object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
         check_rotation(self.rotation, self._tol)
-        if not np.isfinite(self.translation).all():
-            raise ValueError(f"pose translation {self.translation} is not finite")
+        if not _finite(self.translation):
+            raise ValueError(_not_finite(self.translation))
 
     @property
     def center(self) -> np.ndarray:
@@ -97,28 +163,70 @@ class Pose:
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"pose matrix must be 4x4, got {m.shape}")
-        if np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > 0:
-            raise ValueError("pose matrix last row must be exactly (0, 0, 0, 1)")
+        if not (m[3] == _LAST_ROW).all():
+            raise ValueError(_BAD_LAST_ROW)
         return cls(m[:3, :3], m[:3, 3], _tol=tol)
 
-    def inverse(self) -> "Pose":
-        Rt = self.rotation.T
-        return Pose(Rt, -Rt @ self.translation, _tol=max(self._tol, 1e-8))
+    @classmethod
+    def from_matrices(cls, m, tol: float = ROTATION_TOL, start: int = 0) -> tuple["Pose", ...]:
+        """The poses of an (n, 4, 4) stack of homogeneous matrices, checked once.
 
-    def compose(self, other: "Pose") -> "Pose":
-        """Pose equivalent to applying ``other`` first, then ``self``."""
-        return Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-            _tol=max(self._tol, other._tol, 1e-8),
-        )
+        Every matrix passes what :meth:`from_matrix` checks: a last row of
+        exactly (0, 0, 0, 1), the rotation check at ``tol`` and a finite
+        translation. The error names the first failing matrix as ``frame
+        {start + k}``, with the first check it fails. The poses are
+        read-only views of one (n, 3, 3) rotation stack and one (n, 3)
+        translation stack, each a C-contiguous float64 copy, so every pose
+        holds the values and layout its own :meth:`from_matrix` would.
+        """
+        m = np.asarray(m, dtype=np.float64)
+        if m.ndim != 3 or m.shape[1:] != (4, 4):
+            raise ValueError(f"pose matrices must be (n, 4, 4), got {m.shape}")
+        rotations = np.ascontiguousarray(m[:, :3, :3])
+        translations = np.ascontiguousarray(m[:, :3, 3])
+        last_row_ok = (m[:, 3] == _LAST_ROW).all(axis=1)
+        _raise_first([(last_row_ok, lambda k: _BAD_LAST_ROW),
+                      *_pose_checks(rotations, translations, tol)], start)
+        rotations.setflags(write=False)
+        translations.setflags(write=False)
+        poses = []
+        for R, t in zip(rotations, translations):
+            pose = object.__new__(cls)
+            vars(pose).update(rotation=R, translation=t, _tol=tol)  # checked above
+            poses.append(pose)
+        return tuple(poses)
+
+
+def _pose_checks(R: np.ndarray, t: np.ndarray, tol) -> list:
+    """The checks :class:`Pose` runs, over (n, 3, 3) rotation and (n, 3)
+    translation stacks, for :func:`_raise_first`."""
+    return [*_rotation_checks(R, tol), (finite3(t), lambda k: _not_finite(t[k]))]
+
+
+def check_poses(R: np.ndarray, t: np.ndarray, tol=ROTATION_TOL, start: int = 0) -> None:
+    """Raise ValueError unless each pose of the (n, 3, 3) rotation and
+    (n, 3) translation stacks passes the checks of :class:`Pose`, at
+    ``tol``, a scalar or one tolerance per pose; the error names the first
+    failing pose as ``frame {start + k}``."""
+    _raise_first(_pose_checks(R, t, tol), start)
+
+
+def stack_poses(poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, 3, 3) rotations, (n, 3) translations and (n,) check
+    tolerances of ``poses``, the arrays as C-contiguous copies."""
+    # one concatenate, reshaped, is a few times faster than np.stack
+    return (np.concatenate([p.rotation for p in poses]).reshape(-1, 3, 3),
+            np.concatenate([p.translation for p in poses]).reshape(-1, 3),
+            np.array([p._tol for p in poses]))
 
 
 @dataclass(frozen=True)
 class SimilarityTransform:
     """x -> scale * rotation @ x + translation.
 
-    Closed under composition and inversion; see :meth:`compose` and
+    The scale must be positive and finite, the rotation pass
+    :func:`check_rotation` at 1e-8 and the translation be finite. Closed
+    under composition and inversion; see :meth:`compose` and
     :meth:`invert`.
     """
 
@@ -133,6 +241,8 @@ class SimilarityTransform:
         object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
         check_rotation(self.rotation, 1e-8)
+        if not _finite(self.translation):
+            raise ValueError(f"translation {self.translation} is not finite")
 
     @classmethod
     def identity(cls) -> "SimilarityTransform":

@@ -26,6 +26,28 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
 
 
+POSE_FAULTS = ("last row", "NaN last row", "scaled rotation", "reflection", "translation")
+
+
+def corrupt_pose(m: np.ndarray, fault: str) -> str:
+    """Write ``fault``, one of ``POSE_FAULTS``, into the 4x4 pose matrix
+    ``m`` in place; returns a pattern of the error that rejects it."""
+    if fault == "last row":
+        m[3, 0] = 1e-6
+        return "last row"
+    if fault == "NaN last row":
+        m[3, 1] = np.nan
+        return "last row"
+    if fault == "scaled rotation":
+        m[:3, :3] *= 1.01
+        return "orthonormal"
+    if fault == "reflection":  # orthonormal, det -1
+        m[:3, 0] *= -1.0
+        return "determinant"
+    m[1, 3] = np.inf
+    return "translation"
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)

@@ -8,8 +8,11 @@ component by one ordering of all kept vertices. ``metrics.junction_prf``
 replaced the same-pixel association score that ``chunkfuse evaluate``
 built inline. ``association.build_tracklets`` takes the rigidity
 threshold ``select_anchors`` resolved, where it re-derived it from the
-chunk's own scene scale. The functions here are the replaced code, so the
-tests can check that every output bit stayed the same.
+chunk's own scene scale. ``metrics.rpe`` replaced a loop of per-pose
+inverses and compositions, each a checked ``Pose``, by stacked products,
+and ``metrics.rotation_angle_deg`` takes a stack.
+The functions here are the replaced code, so the tests can check that
+every output bit stayed the same.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
-from chunkfuse.model import SimilarityTransform, TrackletSet, finite3, norm3
+from chunkfuse.model import Pose, SimilarityTransform, TrackletSet, finite3, norm3
 from chunkfuse.registration import GAMMA_C, RANK_TOL, _median_distance
 
 
@@ -36,6 +39,39 @@ def same_bits(a, b) -> bool:
 def apply(T: SimilarityTransform, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return T.scale * (x @ T.rotation.T) + T.translation
+
+
+def inverse(p: Pose) -> Pose:
+    Rt = p.rotation.T
+    return Pose(Rt, -Rt @ p.translation, _tol=max(p._tol, 1e-8))
+
+
+def compose(a: Pose, b: Pose) -> Pose:
+    """Pose equivalent to applying ``b`` first, then ``a``."""
+    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation,
+                _tol=max(a._tol, b._tol, 1e-8))
+
+
+def rotation_angle_deg(R) -> float:
+    arg = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    return float(np.degrees(np.arccos(arg)))
+
+
+def rpe(pred, gt, delta: int = 1) -> tuple[float, float]:
+    if len(pred) != len(gt):
+        raise ValueError(f"pose lists differ in length: {len(pred)} vs {len(gt)}")
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1, got {delta}")
+    if len(pred) <= delta:
+        raise NotEnoughPoints(f"need more than delta={delta} poses, got {len(pred)}")
+    trans_sq, rot_sq = [], []
+    for t in range(len(pred) - delta):
+        rel_pred = compose(inverse(pred[t]), pred[t + delta])
+        rel_gt = compose(inverse(gt[t]), gt[t + delta])
+        err = compose(inverse(rel_gt), rel_pred)
+        trans_sq.append((err.translation**2).sum())
+        rot_sq.append(rotation_angle_deg(err.rotation) ** 2)
+    return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(rot_sq)))
 
 
 def weighted_moments(src, dst, weights):

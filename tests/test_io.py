@@ -19,7 +19,7 @@ from chunkfuse.model import (
 )
 from chunkfuse.synthetic import SceneSpec, emit_chunks, generate
 import scenes
-from conftest import random_rotation
+from conftest import POSE_FAULTS, corrupt_pose, random_rotation
 from scenes import gauge_recovery_spec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -137,6 +137,35 @@ class TestMalformedContainers:
         data.tofile(written / "poses.bin")
         with pytest.raises(MalformedContainer, match="last row"):
             cio.read_chunk(written)
+
+    @pytest.mark.parametrize("fault", POSE_FAULTS)
+    def test_pose_fault_names_its_frame(self, rng, tmp_path, fault):
+        cio.write_chunk(random_chunk(rng, start=10), tmp_path)
+        data = np.fromfile(tmp_path / "poses.bin", dtype="<f4").reshape(-1, 4, 4)
+        message = corrupt_pose(data[2], fault)
+        data[3, :3, :3] *= 3.0  # a later fault is not the one named
+        data.tofile(tmp_path / "poses.bin")
+        with pytest.raises(MalformedContainer, match=f"^frame 12: .*{message}"):
+            cio.read_chunk(tmp_path)
+
+    def test_ground_truth_nan_last_row_rejected(self, tmp_path):
+        cio.write_ground_truth(generate(gauge_recovery_spec(num_frames=6, grid=8)), tmp_path)
+        data = np.fromfile(tmp_path / "poses.bin", dtype="<f4").reshape(-1, 4, 4)
+        data[4, 3, 2] = np.nan
+        data.tofile(tmp_path / "poses.bin")
+        with pytest.raises(MalformedContainer, match="^frame 4: .*last row"):
+            cio.read_ground_truth(tmp_path)
+
+    def test_poses_are_views_of_one_stack(self, written):
+        poses = cio.read_chunk(written).poses
+        rotations, translations = poses[0].rotation.base, poses[0].translation.base
+        assert rotations.shape == (len(poses), 3, 3) and translations.shape == (len(poses), 3)
+        for p in poses:
+            for a, stack in ((p.rotation, rotations), (p.translation, translations)):
+                assert np.shares_memory(a, stack)
+                assert not a.flags.writeable and a.flags.c_contiguous
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
 
     def test_garbage_rotation_rejected(self, written):
         data = np.fromfile(written / "poses.bin", dtype="<f4").reshape(-1, 4, 4)

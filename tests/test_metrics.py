@@ -21,6 +21,7 @@ from chunkfuse.metrics import (
     rotation_angle_deg,
     rpe,
 )
+from chunkfuse.io import POSE_STORAGE_TOL
 from chunkfuse.model import Pose, SimilarityTransform, TrackTable, seed_tracks
 from chunkfuse.registration import solve_weighted_similarity
 from chunkfuse.synthetic import GroundTruth
@@ -121,6 +122,33 @@ class TestRpe:
         poses = [Pose(np.eye(3), np.zeros(3))]
         with pytest.raises(NotEnoughPoints):
             rpe(poses, poses, 1)
+
+    @staticmethod
+    def _random_poses(rng, n):
+        """Random poses, each at the default tolerance or, at random, written
+        as float32 and read back at the container's tolerance."""
+        poses = [Pose(random_rotation(rng), rng.normal(scale=2.0, size=3)) for _ in range(n)]
+        stored = Pose.from_matrices(np.stack([p.matrix() for p in poses]).astype(np.float32),
+                                    POSE_STORAGE_TOL)
+        return [q if rng.random() < 0.5 else p for p, q in zip(poses, stored)]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 36))
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_same_bits_as_per_pose(self, seed, delta, extra):
+        rng = np.random.default_rng(seed)
+        n = delta + 1 + extra
+        pred, gt = self._random_poses(rng, n), self._random_poses(rng, n)
+        got, want = rpe(pred, gt, delta), ref.rpe(pred, gt, delta)
+        assert ref.same_bits(got, want), (got, want)
+
+    def test_derived_rotation_checked_at_its_tolerance(self, rng):
+        # each pose passes at the storage tolerance, but the relative
+        # motion of two such poses deviates about twice as far, past it
+        poses = [Pose(random_rotation(rng) * (1.0 + 3e-5), rng.normal(size=3), _tol=POSE_STORAGE_TOL)
+                 for _ in range(6)]
+        for f in (rpe, ref.rpe):
+            with pytest.raises(ValueError, match="orthonormal"):
+                f(poses, poses, 2)
 
     def test_rotation_angle_clamped(self):
         R = np.eye(3) * (1 + 1e-12)

@@ -16,12 +16,13 @@ from chunkfuse.model import (
     SimilarityTransform,
     TrackletSet,
     TrackTable,
+    check_rotation,
     finite3,
     from_json,
     norm3,
     seed_tracks,
 )
-from conftest import random_rotation, rot_z
+from conftest import POSE_FAULTS, corrupt_pose, random_rotation, rot_z
 
 
 def random_transform(rng) -> SimilarityTransform:
@@ -107,6 +108,48 @@ class TestTransformValidation:
         with pytest.raises(ValueError):
             SimilarityTransform(1.0, R, np.zeros(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_translation(self, value):
+        with pytest.raises(ValueError, match="translation"):
+            SimilarityTransform(1.0, np.eye(3), [value, 0.0, 0.0])
+
+
+class TestCheckRotation:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_verdict_is_each_matrix_alone(self, seed, n):
+        # scaled, sheared and reflected rotations near the tolerances: the
+        # stack fails exactly when some matrix alone fails, and names the
+        # first such matrix with its own message
+        rng = np.random.default_rng(seed)
+        R = np.stack([random_rotation(rng) for _ in range(n)])
+        R *= 1.0 + rng.choice([0.0, 1e-10, 4e-10, 3e-5, 6e-5], size=(n, 1, 1))
+        R[:, 0, 1] += rng.choice([0.0, 1e-10, 5e-5], size=n)
+        R[rng.random(n) < 0.1, :, 0] *= -1.0
+        tol = rng.choice([1e-9, 1e-4], size=n)
+        messages = []
+        for k in range(n):
+            try:
+                check_rotation(R[k], tol[k])
+            except ValueError as e:
+                messages.append(f"frame {5 + k}: {e}")
+        if messages:
+            with pytest.raises(ValueError) as info:
+                check_rotation(R, tol, start=5)
+            assert str(info.value) == messages[0]
+        else:
+            check_rotation(R, tol, start=5)
+
+    def test_stack_tolerance_per_matrix(self):
+        R = np.stack([np.eye(3)] * 4)
+        R[2] *= 1.0 + 1e-6
+        check_rotation(R, np.array([1e-9, 1e-9, 1e-5, 1e-9]))
+        with pytest.raises(ValueError, match="^frame 2: rotation not orthonormal"):
+            check_rotation(R, 1e-9)
+        R[3, :, 0] *= -1.0
+        with pytest.raises(ValueError, match="^frame 3: rotation determinant"):
+            check_rotation(R, np.array([1e-9, 1e-9, 1e-5, 1e-9]))
+
 
 class TestPose:
     def test_center_is_translation(self):
@@ -114,8 +157,9 @@ class TestPose:
         assert np.array_equal(p.center, [1.0, 2.0, 3.0])
 
     def test_inverse_compose(self, rng):
+        # the per-pose arithmetic the stacked RPE is checked against
         p = Pose(random_rotation(rng), rng.normal(size=3))
-        q = p.compose(p.inverse())
+        q = ref.compose(p, ref.inverse(p))
         assert np.abs(q.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(q.translation).max() < 1e-9
 
@@ -148,6 +192,34 @@ class TestPose:
         m[3, 0] = 1e-12
         with pytest.raises(ValueError):
             Pose.from_matrix(m)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_from_matrix_rejects_nan_last_row(self, j):
+        m = np.eye(4)
+        m[3, j] = np.nan
+        with pytest.raises(ValueError, match="last row"):
+            Pose.from_matrix(m)
+
+    def test_from_matrices_views_with_the_bits_of_from_matrix(self, rng):
+        m = np.stack([Pose(random_rotation(rng), rng.normal(size=3)).matrix()
+                      for _ in range(5)]).astype(np.float32)
+        poses = Pose.from_matrices(m, tol=1e-4)
+        for p, mk in zip(poses, m):
+            q = Pose.from_matrix(mk, tol=1e-4)
+            for a, b in ((p.rotation, q.rotation), (p.translation, q.translation)):
+                assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+                assert a.flags.c_contiguous and not a.flags.writeable
+            assert p._tol == q._tol == 1e-4
+            assert np.shares_memory(p.rotation, poses[0].rotation.base)
+            assert np.shares_memory(p.translation, poses[0].translation.base)
+
+    @pytest.mark.parametrize("fault", POSE_FAULTS)
+    def test_from_matrices_names_first_bad_frame(self, fault):
+        m = np.stack([np.eye(4)] * 6)
+        message = corrupt_pose(m[3], fault)
+        m[5, :3, :3] *= 2.0  # a later fault is not the one named
+        with pytest.raises(ValueError, match=f"^frame 13: .*{message}"):
+            Pose.from_matrices(m, start=10)
 
 
 class TestChunk:
