@@ -2,10 +2,10 @@
 and identity-preserving one-to-one assignment.
 
 Each chunk side of a junction is one :class:`TrackletSet`: dense arrays
-over the shared overlap frames, where a tracklet's id is its row. Gating,
-costs and assignment work on whole sets at once: candidates are an
-(K, 2) array of (row in set i, row in set j) pairs, and costs are a
-matching (K,) array.
+over the consecutive shared overlap frames, where a tracklet's id is its
+row. Gating, costs and assignment work on whole sets at once: candidates
+are an (K, 2) array of (row in set i, row in set j) pairs, and costs are
+a matching (K,) array.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _no_pairs() -> np.ndarray:
 
 
 def build_tracklets(
-    frames: tuple[int, ...],
+    start_frame: int,
     points: np.ndarray,
     conf: np.ndarray,
     dynamic_mask: np.ndarray,
@@ -67,7 +67,8 @@ def build_tracklets(
     """Per-pixel candidate tracklets of one chunk over the overlap.
 
     ``points`` (T, H, W, 3) and ``conf`` (T, H, W) are the chunk's
-    predictions over the overlap ``frames``, in its own gauge. One
+    predictions over the T overlap frames from ``start_frame`` on, in its
+    own gauge. One
     candidate per dynamic-support pixel sampled at ``seed_stride``, in
     row-major pixel order. Candidates with mean confidence at or below
     GAMMA_C, with a non-finite position, or with net displacement below the
@@ -90,7 +91,7 @@ def build_tracklets(
     keep = (cnf.mean(axis=1) > GAMMA_C) & finite3(pos).all(axis=1)
     keep &= disp >= min_disp
     return TrackletSet(
-        frames=frames,
+        start_frame=start_frame,
         pixels=np.stack([rows[keep], cols[keep]], axis=1),
         positions=pos[keep],
         conf=cnf[keep],
@@ -110,7 +111,9 @@ def pair_cost(
     cost = L_traj + lambda_vel * L_vel + lambda_dir * L_dir
     with L_traj the mean 3D discrepancy normalized by the pair's scene
     scale, L_vel the symmetric speed-magnitude mismatch, and L_dir the mean
-    (1 - cos angle) / 2 between finite-difference velocities. L_traj has
+    (1 - cos angle) / 2 between velocities. Both sets span the same
+    consecutive frames, so a velocity is the step from one frame to the
+    next. L_traj has
     unit weight: dividing the weights and ``cost_max`` by one factor keeps
     every match. Pairs whose L_traj or L_dir exceed the caps are rejected.
     """
@@ -118,12 +121,11 @@ def pair_cost(
         raise ValueError("pair costs need both tracklet sets over the same frames")
     pa = tracklets_i.positions[candidates[:, 0]]
     pb = tracklets_j.positions[candidates[:, 1]]
-    dt = np.diff(np.asarray(tracklets_i.frames, dtype=np.float64))[:, None]
 
     l_traj = norm3(pa - pb).mean(axis=-1) / scene_scale
 
-    va = np.diff(pa, axis=1) / dt
-    vb = np.diff(pb, axis=1) / dt
+    va = np.diff(pa, axis=1)
+    vb = np.diff(pb, axis=1)
     sa = norm3(va)
     sb = norm3(vb)
     l_vel = (np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean(axis=-1)

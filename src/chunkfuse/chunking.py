@@ -41,13 +41,13 @@ def plan_chunks(num_frames: int, chunk_length: int, overlap: int) -> list[tuple[
     return plan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapView:
-    """Both chunks' predictions over their shared frames: points (T, H, W,
-    3), confidences (T, H, W) and the T poses of each, read-only slices of
-    the chunks' stacks."""
+    """Both chunks' predictions over their shared frames, the consecutive
+    ``frames``: points (T, H, W, 3), confidences (T, H, W) and the T poses
+    of each, read-only slices of the chunks' stacks."""
 
-    frames: tuple[int, ...]
+    frames: range
     points_i: np.ndarray
     conf_i: np.ndarray
     poses_i: tuple[Pose, ...]
@@ -75,6 +75,6 @@ def slice_overlap(chunk_i: Chunk, chunk_j: Chunk) -> OverlapView:
         raise NoOverlap(f"{ranges} share fewer than 2 frames ({max(hi - lo + 1, 0)})")
     i = slice(lo - chunk_i.start_frame, hi - chunk_i.start_frame + 1)
     j = slice(0, hi - lo + 1)
-    return OverlapView(tuple(range(lo, hi + 1)),
+    return OverlapView(range(lo, hi + 1),
                        chunk_i.points[i], chunk_i.confidence[i], chunk_i.poses[i],
                        chunk_j.points[j], chunk_j.confidence[j], chunk_j.poses[j])

@@ -212,28 +212,33 @@ def blend_weights(num: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha, 1.0 - alpha
 
 
-def _frame_data(tracks: TrackletSet, frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions and confidences of ``tracks`` at ``frames``, with a
-    (N, len(frames)) mask of where they are given and finite; positions are
-    zero and confidences zero-filled where the set lacks the frame."""
-    col = {f: k for k, f in enumerate(tracks.frames)}
-    present = np.array([f in col for f in frames])
-    idx = [col.get(f, 0) for f in frames]
-    pos = tracks.positions[:, idx]
-    has = present & finite3(pos)
-    pos = np.where(has[..., None], pos, 0.0)
-    conf = np.where(present, tracks.conf[:, idx], 0.0)
+def _window_data(tracks: TrackletSet, window: range):
+    """Positions and confidences of ``tracks`` over the frames of
+    ``window``, with a (N, len(window)) mask of where a position is given
+    and finite; positions and confidences are zero elsewhere."""
+    frames = tracks.frames
+    lo = max(window.start, frames.start)
+    hi = max(lo, min(window.stop, frames.stop))
+    into = slice(lo - window.start, hi - window.start)
+    src = slice(lo - frames.start, hi - frames.start)
+    pos = np.full((len(tracks), len(window), 3), np.nan)
+    pos[:, into] = tracks.positions[:, src]
+    conf = np.zeros(pos.shape[:2])
+    conf[:, into] = tracks.conf[:, src]
+    has = finite3(pos)
+    pos[~has] = 0.0
     return pos, conf, has
 
 
 def reconstruct_boundary(
     d_a: TrackletSet,
     d_b_aligned: TrackletSet,
-    window_frames,
+    window: range,
     cfg: PipelineConfig,
 ) -> TrackletSet:
-    """Continuity reconstruction over a short window around the junction,
-    for every row pair (d_a[k], d_b_aligned[k]) at once.
+    """Continuity reconstruction over ``window``, a range of consecutive
+    frames around the junction, for every row pair (d_a[k],
+    d_b_aligned[k]) at once.
 
     Minimizes, per row and coordinate,
       sum_t alpha_t ||x_t - a_t||^2 + beta_t ||x_t - b_t||^2
@@ -245,20 +250,22 @@ def reconstruct_boundary(
     confidence 0, so the smoothness chain fills it in. With lambda_sm == 0
     nothing fills such a frame, and it comes back NaN. The chain is
     anchored to the fixed neighbors just outside the window when the
-    sources extend there. Outside the window, positions are copied
-    verbatim: d_a's frames before it and d_b_aligned's frames after it.
+    sources extend there. The result runs from d_a's first frame to
+    d_b_aligned's last: d_a's frames before the window and d_b_aligned's
+    after it are copied verbatim, so the window must start within d_a or
+    just after it, and end within d_b_aligned or just before it.
     """
-    frames = sorted(set(int(f) for f in window_frames))
-    if len(frames) < 2:
-        raise WindowTooShort(f"boundary window needs >= 2 frames, got {len(frames)}")
-    if any(b - a != 1 for a, b in zip(frames, frames[1:])):
-        raise ValueError("boundary window frames must be consecutive")
+    if len(window) < 2:
+        raise WindowTooShort(f"boundary window needs >= 2 frames, got {len(window)}")
+    fa, fb = d_a.frames, d_b_aligned.frames
+    if not (fa.start <= window.start <= fa.stop and fb.start <= window.stop <= fb.stop):
+        raise ValueError(f"boundary window {window} leaves a gap to sources over {fa} and {fb}")
     if len(d_a) != len(d_b_aligned):
         raise ValueError("boundary sources must pair up row by row")
-    m = len(frames)
+    m = len(window)
 
-    A, ca, has_a = _frame_data(d_a, frames)
-    B, cb, has_b = _frame_data(d_b_aligned, frames)
+    A, ca, has_a = _window_data(d_a, window)
+    B, cb, has_b = _window_data(d_b_aligned, window)
     ramp_a, ramp_b = blend_weights(m)
     alpha = np.where(has_a, np.where(has_b, ramp_a, 1.0), 0.0)
     beta = np.where(has_b, np.where(has_a, ramp_b, 1.0), 0.0)
@@ -269,8 +276,8 @@ def reconstruct_boundary(
     diag[:, -1] -= lam
     rhs = alpha[..., None] * A + beta[..., None] * B
 
-    anchor_a, _, has_prev = _frame_data(d_a, [frames[0] - 1])
-    anchor_b, _, has_next = _frame_data(d_b_aligned, [frames[-1] + 1])
+    anchor_a, _, has_prev = _window_data(d_a, range(window.start - 1, window.start))
+    anchor_b, _, has_next = _window_data(d_b_aligned, range(window.stop, window.stop + 1))
     has_prev, has_next = has_prev[:, 0], has_next[:, 0]
     diag[has_prev, 0] += lam
     rhs[has_prev, 0] += lam * anchor_a[has_prev, 0]
@@ -286,11 +293,10 @@ def reconstruct_boundary(
     w = alpha + beta
     conf = np.divide(alpha * ca + beta * cb, w, out=np.zeros_like(w), where=w > 0)
 
-    before = [k for k, f in enumerate(d_a.frames) if f < frames[0]]
-    after = [k for k, f in enumerate(d_b_aligned.frames) if f > frames[-1]]
+    before = slice(window.start - fa.start)
+    after = slice(window.stop - fb.start, None)
     return TrackletSet(
-        frames=tuple(d_a.frames[k] for k in before) + tuple(frames)
-        + tuple(d_b_aligned.frames[k] for k in after),
+        start_frame=fa.start,
         pixels=d_a.pixels,
         positions=np.concatenate(
             [d_a.positions[:, before], x, d_b_aligned.positions[:, after]], axis=1
@@ -303,7 +309,7 @@ def reconstruct_boundary(
 # Sequence-level fusion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A long-range trajectory stitched from associated tracklets."""
 
@@ -352,7 +358,7 @@ def _pixel_tracks(chunk: Chunk, pixels: np.ndarray, gauge: SimilarityTransform) 
     # (N, T, ...) in C order: ``apply`` rounds a C-ordered operand as it always has
     tracks = np.ascontiguousarray(chunk.points[:, rows, cols].swapaxes(0, 1))
     return TrackletSet(
-        frames=tuple(chunk.frame_range()),
+        start_frame=chunk.start_frame,
         pixels=pixels,
         positions=gauge.apply(tracks),
         conf=np.ascontiguousarray(chunk.confidence[:, rows, cols].T),
@@ -487,9 +493,9 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
     if ablation == "full":
         # the static transform seeds association even when its tier is not trusted
         T_assoc = static[0] if static else pose_only_transform(poses_i, poses_j)
-        raw_i = build_tracklets(overlap.frames, overlap.points_i, overlap.conf_i,
+        raw_i = build_tracklets(overlap.frames.start, overlap.points_i, overlap.conf_i,
                                 abstraction.dynamic_mask, abstraction.gamma_stat, cfg)
-        raw_j = build_tracklets(overlap.frames, overlap.points_j, overlap.conf_j,
+        raw_j = build_tracklets(overlap.frames.start, overlap.points_j, overlap.conf_j,
                                 abstraction.dynamic_mask, abstraction.gamma_stat_j, cfg)
         # associate, refine, then re-associate in the improved gauge: the
         # first alignment may be off by more than a seed spacing, which

@@ -30,8 +30,10 @@ frame; its ``frames`` are per-frame views of that stack. A ground truth's
 ``scene_spec.json`` must be a valid scene spec.
 :func:`read_matches` and :func:`read_fused_trajectories` raise it for
 records of ``matches.json`` and ``trajectories_meta.json`` that are not of
-the shape below: integer ids and pixels, pixels on the grid, match ids that
-name tracklets of their junction, finite match costs.
+the shape below: integer ids and pixels, pixels on the grid, tracklet ids
+unique on each side, match ids that name tracklets of their junction and
+are matched once, finite match costs; :func:`read_trajectories` for a
+record whose frames are not integers.
 
 Sidecar files
 -------------
@@ -402,17 +404,24 @@ def write_trajectories(trajectories: list[Trajectory], path) -> None:
 
 
 def read_trajectories(path) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Parsed trajectory records: (id, frames, positions)."""
+    """Parsed trajectory records: (id, int64 frames, (n, 3) positions).
+    MalformedContainer for a record that is not an integer id followed by
+    (frame, x, y, z) groups with integer frames."""
     out = []
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
         tokens = line.split()
-        if (len(tokens) - 1) % 4 != 0:
-            raise MalformedContainer(f"bad trajectory record: {line[:60]}...")
-        tid = int(tokens[0])
-        rest = np.asarray(tokens[1:], dtype=np.float64).reshape(-1, 4)
-        out.append((tid, rest[:, 0].astype(int), rest[:, 1:]))
+        try:
+            if (len(tokens) - 1) % 4 != 0:
+                raise ValueError("not an id and (frame, x, y, z) groups")
+            tid = int(tokens[0])
+            frames = np.asarray(tokens[1::4], dtype=np.int64)
+            del tokens[1::4]
+            positions = np.asarray(tokens[1:], dtype=np.float64).reshape(-1, 3)
+        except (ValueError, OverflowError) as e:
+            raise MalformedContainer(f"bad trajectory record {line[:60]}...: {e}") from e
+        out.append((tid, frames, positions))
     return out
 
 
@@ -520,8 +529,9 @@ def read_matches(path, grid_shape: tuple[int, int]) -> list[dict]:
     """The junction records of ``matches.json``. MalformedContainer unless
     each is an object with ``matches``, ``tracklets_i`` and ``tracklets_j``,
     each tracklet is ``[id, row, col]`` integers with its pixel on the
-    ``grid_shape`` grid, and each match is a list that starts with the ids
-    of a tracklet on each side of its junction and a finite cost."""
+    ``grid_shape`` grid and an id no other tracklet on its side has, and
+    each match is a list that starts with the ids of a tracklet on each
+    side of its junction and a finite cost, no id matched twice."""
     H, W = grid_shape
     junctions = read_json(path, kind=list)
     for k, junction in enumerate(junctions):
@@ -533,6 +543,8 @@ def read_matches(path, grid_shape: tuple[int, int]) -> list[dict]:
             ids[side], rows, cols = _int_rows(junction[side], 3, f"{where} {side}").T
             if not ((0 <= rows) & (rows < H) & (0 <= cols) & (cols < W)).all():
                 raise MalformedContainer(f"{where}: a pixel of {side} lies off the {H}x{W} grid")
+            if len(np.unique(ids[side])) != len(ids[side]):
+                raise MalformedContainer(f"{where}: a tracklet id repeats in {side}")
         matches = junction["matches"]
         if not (isinstance(matches, list)
                 and all(isinstance(m, list) and len(m) >= 3 for m in matches)):
@@ -540,6 +552,8 @@ def read_matches(path, grid_shape: tuple[int, int]) -> list[dict]:
         a, b = _int_rows([m[:2] for m in matches], 2, f"{where} matches").T
         if not (np.isin(a, ids["tracklets_i"]).all() and np.isin(b, ids["tracklets_j"]).all()):
             raise MalformedContainer(f"{where}: a match names no tracklet of its junction")
+        if len(np.unique(a)) != len(a) or len(np.unique(b)) != len(b):
+            raise MalformedContainer(f"{where}: matches are not one-to-one")
         costs = np.array([m[2] for m in matches])
         if costs.dtype.kind not in "if" or not np.isfinite(costs).all():
             raise MalformedContainer(f"{where}: match costs must be finite numbers")

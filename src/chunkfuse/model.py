@@ -9,9 +9,10 @@ and :func:`check_rotation` check an (n, 3, 3) rotation stack in one pass,
 with the verdict and the first failing index that checking one matrix at
 a time would give, and the poses are read-only views of the stacks.
 
-All types but :class:`FramePrediction`, a plain record, are immutable value
-objects after construction (arrays are made read-only), so they can be
-shared freely between threads.
+All types but :class:`FramePrediction`, a plain record, are immutable
+after construction (arrays are made read-only), so they can be shared
+freely between threads. Those that hold arrays compare and hash by
+identity.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _not_finite(translation) -> str:
     return f"pose translation {translation} is not finite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Camera pose, camera-to-world convention.
 
@@ -138,7 +139,7 @@ class Pose:
 
     rotation: np.ndarray
     translation: np.ndarray
-    _tol: float = field(default=ROTATION_TOL, repr=False, compare=False)
+    _tol: float = field(default=ROTATION_TOL, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
@@ -220,7 +221,7 @@ def stack_poses(poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([p._tol for p in poses]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityTransform:
     """x -> scale * rotation @ x + translation.
 
@@ -290,7 +291,7 @@ class SimilarityTransform:
         return SimilarityTransform(inv_s, Rt, -inv_s * (Rt @ self.translation))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePrediction:
     """One frame of a chunk-local reconstruction: an (H, W, 3) pointmap in
     the chunk gauge, its (H, W) confidences and the camera pose.
@@ -318,7 +319,7 @@ def _require_frames(ok: np.ndarray, start: int, what: str) -> None:
         raise ValueError(f"frame {start + first}: {what}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chunk:
     """A contiguous window of frames in one chunk-local gauge, held as one
     checked stack: ``points`` (T, H, W, 3), ``confidence`` (T, H, W) and
@@ -384,39 +385,36 @@ class Chunk:
         return range(self.start_frame, self.end_frame + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackletSet:
-    """Per-pixel 3D trajectory segments of one chunk over shared frames.
+    """Per-pixel 3D trajectory segments of one chunk over consecutive
+    frames, the T frames of :attr:`frames` from ``start_frame`` on.
 
     Row k is the tracklet with id k: ``pixels[k]`` is its seed pixel
-    (row, col), ``positions[k]`` its (T, 3) positions over ``frames`` and
-    ``conf[k]`` the matching confidences.
+    (row, col), ``positions[k]`` its (T, 3) positions, one per frame, and
+    ``conf[k]`` the matching confidences. T is at least 2.
     """
 
-    frames: tuple[int, ...]
+    start_frame: int
     pixels: np.ndarray
     positions: np.ndarray
     conf: np.ndarray
 
     def __post_init__(self):
-        frames = tuple(int(f) for f in self.frames)
-        if len(frames) < 2:
-            raise ValueError("tracklets need at least 2 frames to support velocities")
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("tracklet frames must be strictly increasing without duplicates")
         pixels = np.array(self.pixels, dtype=np.int64)
         if pixels.ndim != 2 or pixels.shape[1] != 2:
             raise ValueError(f"pixels must be (N, 2), got {pixels.shape}")
         n = len(pixels)
         pos = np.array(self.positions, dtype=np.float64)
         conf = np.array(self.conf, dtype=np.float64)
-        if pos.shape != (n, len(frames), 3):
-            raise ValueError(f"positions must be {(n, len(frames), 3)}, got {pos.shape}")
-        if conf.shape != (n, len(frames)):
-            raise ValueError(f"conf must be {(n, len(frames))}, got {conf.shape}")
+        if pos.ndim != 3 or pos.shape[0] != n or pos.shape[2] != 3:
+            raise ValueError(f"positions must be ({n}, T, 3), got {pos.shape}")
+        if pos.shape[1] < 2:
+            raise ValueError("tracklets need at least 2 frames to support velocities")
+        if conf.shape != pos.shape[:2]:
+            raise ValueError(f"conf must be {pos.shape[:2]}, got {conf.shape}")
         for arr in (pixels, pos, conf):
             arr.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "conf", conf)
@@ -424,12 +422,17 @@ class TrackletSet:
     def __len__(self) -> int:
         return len(self.pixels)
 
+    @property
+    def frames(self) -> range:
+        return range(self.start_frame, self.start_frame + self.positions.shape[1])
+
     def transformed(self, T: SimilarityTransform) -> "TrackletSet":
-        return TrackletSet(self.frames, self.pixels, T.apply(self.positions), self.conf)
+        return TrackletSet(self.start_frame, self.pixels, T.apply(self.positions), self.conf)
 
     def take(self, rows) -> "TrackletSet":
         """The tracklets of ``rows``, in that order."""
-        return TrackletSet(self.frames, self.pixels[rows], self.positions[rows], self.conf[rows])
+        return TrackletSet(self.start_frame, self.pixels[rows], self.positions[rows],
+                           self.conf[rows])
 
 
 def seed_tracks(points, stride: int = 1) -> np.ndarray:

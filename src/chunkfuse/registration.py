@@ -20,7 +20,7 @@ RANK_TOL = 1e-12
 GAMMA_C = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapAbstraction:
     """Static anchors and dynamic supports of one overlap.
 

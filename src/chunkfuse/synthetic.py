@@ -2,11 +2,12 @@
 
 Replaces the frozen neural local predictor: generates tracked per-pixel
 pointmaps, camera poses, visibility, and per-chunk local predictions with
-controllable gauges, noise, and confidence corruption. Pointmaps are
-ray-cast against analytic surfaces (bumped wall, spheres, boxes); each
-pixel is bound to the nearest surface point along its first-frame ray and
-tracked through time, so per-pixel point tracks are exact physical
-trajectories.
+controllable gauges, point noise, and suppressed wall confidence. The
+ground truth is a function of the spec alone; only the chunk emission
+draws random numbers, from the spec's seed. Pointmaps are ray-cast
+against analytic surfaces (bumped wall, spheres, boxes); each pixel is
+bound to the nearest surface point along its first-frame ray and tracked
+through time, so per-pixel point tracks are exact physical trajectories.
 
 The wall has no closed-form hit, so each ray is sampled on a fixed grid
 until the height function changes sign and the bracket is bisected. Only
@@ -50,6 +51,7 @@ from .model import (
 VISIBLE_CONF = (0.7, 1.0)
 HIDDEN_CONF = (0.0, 0.05)
 CORRUPT_CONF = (0.0, 0.02)
+FOV_DEG = 55.0  # horizontal field of view of every camera
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +82,6 @@ class TrajectorySpec:
     angular_rate: float = 0.1
     phase: float = 0.0
     plane: str = "xy"
-    times: tuple[float, ...] = ()
-    points: tuple[tuple[float, float, float], ...] = ()
 
     def offsets(self, num_frames: int) -> np.ndarray:
         """Displacement from the frame-0 position, (num_frames, 3)."""
@@ -98,13 +98,6 @@ class TrajectorySpec:
             out[:, i] = self.radius * (np.cos(ang) - math.cos(self.phase))
             out[:, j] = self.radius * (np.sin(ang) - math.sin(self.phase))
             return out
-        if self.kind == "piecewise":
-            if len(self.times) < 2 or len(self.times) != len(self.points):
-                raise InvalidSpec("piecewise trajectory needs matching times and points, >= 2")
-            times = np.asarray(self.times, dtype=np.float64)
-            pts = np.asarray(self.points, dtype=np.float64)
-            out = np.stack([np.interp(t, times, pts[:, k]) for k in range(3)], axis=1)
-            return out - out[0]
         raise InvalidSpec(f"unknown trajectory kind {self.kind!r}")
 
 
@@ -138,10 +131,8 @@ class CameraSpec:
     bob: float = 0.0
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     accel: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    step: float = 0.02
-    fov_deg: float = 55.0
 
-    def positions(self, num_frames: int, rng: np.random.Generator) -> np.ndarray:
+    def positions(self, num_frames: int) -> np.ndarray:
         t = np.arange(num_frames, dtype=np.float64)
         start = np.asarray(self.start, dtype=np.float64)
         target = np.asarray(self.target, dtype=np.float64)
@@ -161,10 +152,6 @@ class CameraSpec:
             v = np.asarray(self.velocity, dtype=np.float64)
             a = np.asarray(self.accel, dtype=np.float64)
             return start + t[:, None] * v + 0.5 * t[:, None] ** 2 * a
-        if self.kind == "random_walk":
-            steps = rng.uniform(-self.step, self.step, size=(num_frames, 3))
-            steps[0] = 0.0
-            return start + np.cumsum(steps, axis=0)
         raise InvalidSpec(f"unknown camera kind {self.kind!r}")
 
 
@@ -194,10 +181,8 @@ class SceneSpec:
     objects: tuple[ObjectSpec, ...] = ()
     camera: CameraSpec = field(default_factory=CameraSpec)
     noise_sigma: float = 0.0
-    corruption_rate: float = 0.0
     static_corruption: float = 0.0
     static_window: tuple[int, int, int, int] | None = None
-    pose_noise: float = 0.0
     gauge: GaugeSpec = field(default_factory=GaugeSpec)
 
     def __post_init__(self):
@@ -206,10 +191,6 @@ class SceneSpec:
             raise InvalidSpec("num_frames must be >= 1")
         if self.height < 2 or self.width < 2:
             raise InvalidSpec("grid must be at least 2x2")
-        if not 10.0 <= self.camera.fov_deg <= 130.0:
-            raise InvalidSpec("camera fov must be within [10, 130] degrees")
-        if not 0.0 <= self.corruption_rate <= 1.0:
-            raise InvalidSpec("corruption_rate must lie in [0, 1]")
         if not 0.0 <= self.static_corruption <= 1.0:
             raise InvalidSpec("static_corruption must lie in [0, 1]")
         if self.static_window is not None:
@@ -217,8 +198,8 @@ class SceneSpec:
             r0, r1, c0, c1 = self.static_window
             if not (0 <= r0 < r1 <= self.height and 0 <= c0 < c1 <= self.width):
                 raise InvalidSpec(f"static_window {self.static_window} outside the grid")
-        if self.noise_sigma < 0 or self.pose_noise < 0:
-            raise InvalidSpec("noise levels must be non-negative")
+        if self.noise_sigma < 0:
+            raise InvalidSpec("noise_sigma must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +222,14 @@ def _look_at_rotation(position: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.stack([right, down, forward], axis=1)
 
 
-def _pixel_directions(height: int, width: int, fov_deg: float) -> np.ndarray:
+def _focal(width: int) -> float:
+    """Focal length in pixels of a ``width``-pixel image at :data:`FOV_DEG`."""
+    return 0.5 * (width - 1) / math.tan(math.radians(FOV_DEG) / 2.0)
+
+
+def _pixel_directions(height: int, width: int) -> np.ndarray:
     """Unit ray directions in the camera frame, (H, W, 3), z forward."""
-    focal = 0.5 * (width - 1) / math.tan(math.radians(fov_deg) / 2.0)
+    focal = _focal(width)
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     r, c = np.mgrid[0:height, 0:width]
     d = np.stack([(c - cx) / focal, (r - cy) / focal, np.ones_like(c, dtype=np.float64)], axis=-1)
@@ -492,16 +478,14 @@ def _cast_all(origin, dirs, spec: SceneSpec, offsets_t: np.ndarray, s_cap=np.inf
 
 
 def generate(spec: SceneSpec) -> GroundTruth:
-    """Deterministic ground truth: same spec and seed, same bits."""
+    """Ground truth of ``spec``, a function of the spec alone: no random
+    numbers are drawn, and the seed is left to :func:`emit_chunks`."""
     if not spec.objects and spec.background.amplitude == 0.0 and spec.camera.kind == "dolly" \
             and spec.camera.velocity == (0.0, 0.0, 0.0) and spec.camera.accel == (0.0, 0.0, 0.0):
         # A featureless static wall with a static camera carries no scene
         # content at all; treat as an authoring error.
         raise InvalidSpec("scene is empty: no objects and no background relief or camera motion")
-    ss = np.random.SeedSequence(spec.seed)
-    cam_rng = np.random.default_rng(ss.spawn(1)[0])
-
-    positions = spec.camera.positions(spec.num_frames, cam_rng)
+    positions = spec.camera.positions(spec.num_frames)
     target = np.asarray(spec.camera.target, dtype=np.float64)
     wall_limit = spec.background.distance - abs(spec.background.amplitude)
     if (positions[:, 2] >= wall_limit - 0.25).any():
@@ -509,7 +493,7 @@ def generate(spec: SceneSpec) -> GroundTruth:
     poses = [Pose(_look_at_rotation(p, target), p) for p in positions]
 
     offsets = _object_offsets(spec)
-    dirs_cam = _pixel_directions(spec.height, spec.width, spec.camera.fov_deg)
+    dirs_cam = _pixel_directions(spec.height, spec.width)
     R0 = poses[0].rotation
     dirs0 = dirs_cam @ R0.T
     o0 = positions[0]
@@ -531,7 +515,7 @@ def generate(spec: SceneSpec) -> GroundTruth:
     tol = 1e-6 * scene_scale
 
     visible = np.zeros((spec.num_frames, spec.height, spec.width), dtype=bool)
-    focal = 0.5 * (spec.width - 1) / math.tan(math.radians(spec.camera.fov_deg) / 2.0)
+    focal = _focal(spec.width)
     cy, cx = (spec.height - 1) / 2.0, (spec.width - 1) / 2.0
     for t in range(spec.num_frames):
         o = positions[t]
@@ -599,13 +583,14 @@ def _random_gauge(rng: np.random.Generator, gauge: GaugeSpec, scene_scale: float
 def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> EmittedChunks:
     """Local predictions per planned chunk, in randomized chunk gauges.
 
-    Gaussian point noise and camera-center noise are applied in the chunk
-    gauge (scaled by the gauge scale, so they stay a fixed fraction of the
-    scene scale as seen by that chunk); a per-chunk random pixel fraction
-    has its confidence corrupted to near zero. ``static_corruption``
-    additionally suppresses a fixed background pixel subset in every chunk,
-    mimicking a textureless wall the local predictor never trusts. The
-    sampled gauges are returned alongside for evaluation.
+    Gaussian point noise is applied in the chunk gauge (scaled by the gauge
+    scale, so it stays a fixed fraction of the scene scale as seen by that
+    chunk); camera poses are exact. ``static_corruption`` suppresses the
+    confidence of a fixed background pixel subset in every chunk, outside
+    ``static_window``, mimicking a textureless wall the local predictor
+    never trusts. Gauges, noise and the suppressed subset come from
+    ``spec.seed``. The sampled gauges are returned alongside for
+    evaluation.
     """
     plan = plan_chunks(gt.num_frames, cfg.chunk_length, cfg.overlap)
     ss = np.random.SeedSequence(spec.seed)
@@ -629,7 +614,6 @@ def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> Emitte
             static_mask[bg_rows[pick], bg_cols[pick]] = True
 
     def stream() -> Iterator[Chunk]:
-        H, W = gt.grid_shape
         for k, (start, end) in enumerate(plan):
             g = gauges[k]
             n = end - start + 1
@@ -643,24 +627,12 @@ def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> Emitte
                 noise_rng.uniform(*VISIBLE_CONF, size=vis.shape),
                 noise_rng.uniform(*HIDDEN_CONF, size=vis.shape),
             )
-            if spec.corruption_rate > 0:
-                flat = noise_rng.permutation(H * W)
-                count = int(round(spec.corruption_rate * H * W))
-                if count:
-                    sel = np.zeros(H * W, dtype=bool)
-                    sel[flat[:count]] = True
-                    sel = sel.reshape(H, W)
-                    conf[:, sel] = noise_rng.uniform(*CORRUPT_CONF, size=(n, int(sel.sum())))
             if static_mask.any():
                 conf[:, static_mask] = noise_rng.uniform(
                     *CORRUPT_CONF, size=(n, int(static_mask.sum()))
                 )
-            poses = [g.apply_pose(pose) for pose in gt.poses[start : end + 1]]
-            if spec.pose_noise > 0:
-                sigma_pose = spec.pose_noise * gt.scene_scale * g.scale
-                poses = [Pose(p.rotation, p.translation + noise_rng.normal(0.0, sigma_pose, size=3))
-                         for p in poses]
-            yield Chunk(k, start, pts, conf, tuple(poses))
+            poses = tuple(g.apply_pose(pose) for pose in gt.poses[start : end + 1])
+            yield Chunk(k, start, pts, conf, poses)
 
     return EmittedChunks(plan=plan, gauges=gauges, chunks=stream())
 

@@ -78,7 +78,7 @@ def whole_overlap(a: Chunk, b: Chunk) -> OverlapView:
     advance; tests of the stages after it build their overlap with this.
     """
     assert a.frame_range() == b.frame_range() and a.grid_shape == b.grid_shape
-    return OverlapView(tuple(a.frame_range()), a.points, a.confidence, a.poses,
+    return OverlapView(a.frame_range(), a.points, a.confidence, a.poses,
                        b.points, b.confidence, b.poses)
 
 

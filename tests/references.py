@@ -259,7 +259,7 @@ def build_tracklets(chunk, overlap_frames, dynamic_mask, cfg) -> TrackletSet:
     keep = (cnf.mean(axis=1) > GAMMA_C) & finite3(pos).all(axis=1)
     keep &= disp >= min_disp
     return TrackletSet(
-        frames=tuple(frames),
+        start_frame=frames[0],
         pixels=np.stack([rows[keep], cols[keep]], axis=1),
         positions=SimilarityTransform.identity().apply(pos[keep]),
         conf=cnf[keep],

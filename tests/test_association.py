@@ -23,24 +23,23 @@ from conftest import frac_for, make_chunk, random_rotation, whole_overlap
 from scenes import ablation_config, ablation_spec, association_config, association_spec
 
 
-def tracklets(positions, frames=None):
-    """A set from an (N, T, 3) stack; tracklet k seeds at pixel (k, 0)."""
+def tracklets(positions, start=0):
+    """A set from an (N, T, 3) stack over frames ``start``...; tracklet k
+    seeds at pixel (k, 0)."""
     positions = np.asarray(positions, dtype=float).reshape(-1, *np.shape(positions)[-2:])
     n, t = positions.shape[:2]
-    frames = tuple(range(t)) if frames is None else tuple(frames)
     pixels = np.stack([np.arange(n), np.zeros(n, dtype=int)], axis=1)
-    return TrackletSet(frames, pixels, positions, np.ones((n, t)))
+    return TrackletSet(start, pixels, positions, np.ones((n, t)))
 
 
-def reference_pair_cost(pa, pb, frames, cfg, scene_scale):
-    """The per-pair cost formula, one (T, 3) tracklet pair at a time; None
-    when the pair is rejected."""
-    dt = np.diff(np.asarray(frames, dtype=np.float64))
+def reference_pair_cost(pa, pb, cfg, scene_scale):
+    """The per-pair cost formula, one (T, 3) tracklet pair over consecutive
+    frames at a time; None when the pair is rejected."""
     l_traj = float(np.linalg.norm(pa - pb, axis=1).mean()) / scene_scale
     if l_traj > cfg.traj_cap:
         return None
-    va = np.diff(pa, axis=0) / dt[:, None]
-    vb = np.diff(pb, axis=0) / dt[:, None]
+    va = np.diff(pa, axis=0)
+    vb = np.diff(pb, axis=0)
     sa = np.linalg.norm(va, axis=1)
     sb = np.linalg.norm(vb, axis=1)
     l_vel = float((np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean())
@@ -51,9 +50,9 @@ def reference_pair_cost(pa, pb, frames, cfg, scene_scale):
     return l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
 
 
-def single_cost(pa, pb, cfg, scene_scale, frames=None):
+def single_cost(pa, pb, cfg, scene_scale):
     """Batched cost of one tracklet pair, None when rejected."""
-    (c,) = pair_cost(tracklets([pa], frames), tracklets([pb], frames),
+    (c,) = pair_cost(tracklets([pa]), tracklets([pb]),
                      np.array([[0, 0]]), cfg, scene_scale)
     return None if c == np.inf else float(c)
 
@@ -117,8 +116,8 @@ def brute_force_match(costs, n_i, n_j, cost_max):
 
 
 def stacked(chunk):
-    """(frames, points, confidences) of a whole chunk, stacked as in an overlap."""
-    return tuple(chunk.frame_range()), chunk.points, chunk.confidence
+    """(start frame, points, confidences) of a whole chunk, stacked as in an overlap."""
+    return chunk.start_frame, chunk.points, chunk.confidence
 
 
 class TestBuildTracklets:
@@ -140,7 +139,7 @@ class TestBuildTracklets:
         cfg = PipelineConfig(min_displacement=0.5, seed_stride=1)
         out = build_tracklets(*stacked(make_chunk(pts)), dyn, 0.1, cfg)
         assert pair_set(out.pixels) == {(r, c) for r in range(2, 5) for c in range(3, 6)}
-        assert out.frames == (0, 1, 2, 3)
+        assert out.frames == range(4)
         steps = np.diff(out.positions, axis=1)
         assert np.abs(steps - v).max() < 1e-12
 
@@ -205,7 +204,8 @@ def test_build_tracklets_matches_chunk_scale_reference(recipe_junctions):
         sides = ((a, overlap.points_i, overlap.conf_i, ab.gamma_stat),
                  (b, overlap.points_j, overlap.conf_j, ab.gamma_stat_j))
         for chunk, points, conf, gamma_stat in sides:
-            got = build_tracklets(overlap.frames, points, conf, ab.dynamic_mask, gamma_stat, cfg)
+            got = build_tracklets(overlap.frames.start, points, conf, ab.dynamic_mask,
+                                  gamma_stat, cfg)
             want = ref.build_tracklets(chunk, overlap.frames, ab.dynamic_mask, cfg)
             assert got.frames == want.frames
             assert np.array_equal(got.pixels, want.pixels)
@@ -239,8 +239,8 @@ class TestPairCost:
         assert cost == pytest.approx(expected, abs=1e-15)
 
     def test_frames_must_match(self):
-        ti = tracklets([np.zeros((2, 3))], frames=(0, 1))
-        tj = tracklets([[[0, 0, 0], [1, 0, 0]]], frames=(4, 5))
+        ti = tracklets([np.zeros((2, 3))], start=0)
+        tj = tracklets([[[0, 0, 0], [1, 0, 0]]], start=4)
         with pytest.raises(ValueError):
             pair_cost(ti, tj, np.array([[0, 0]]), self.CFG, scene_scale=1.0)
 
@@ -300,13 +300,12 @@ class TestPairCost:
         rng = np.random.default_rng(seed)
         n_i, n_j, t = (int(v) for v in rng.integers([1, 1, 2], [12, 12, 10]))
         start = int(rng.integers(0, 50))
-        frames = tuple(start + np.cumsum(rng.integers(1, 3, size=t)))
 
         steps = rng.normal(scale=rng.uniform(0.01, 0.3), size=(n_i, t, 3))
         pos_i = rng.normal(size=(n_i, 1, 3)) + np.cumsum(steps, axis=1)
         # set j: noisy copies of set i's tracklets, so many pairs survive
         pos_j = pos_i[rng.integers(0, n_i, n_j)] + rng.normal(scale=0.05, size=(n_j, t, 3))
-        ti, tj = tracklets(pos_i, frames), tracklets(pos_j, frames)
+        ti, tj = tracklets(pos_i, start), tracklets(pos_j, start)
         # caps low enough that both rejections fire on part of the pairs
         cfg = PipelineConfig(traj_cap=float(rng.uniform(0.05, 1.0)),
                              dir_cap=float(rng.uniform(0.05, 0.6)),
@@ -315,7 +314,7 @@ class TestPairCost:
         candidates = np.array([(a, b) for a in range(n_i) for b in range(n_j)])
         costs = pair_cost(ti, tj, candidates, cfg, scene_scale)
         for (a, b), c in zip(candidates, costs):
-            ref = reference_pair_cost(ti.positions[a], tj.positions[b], frames, cfg, scene_scale)
+            ref = reference_pair_cost(ti.positions[a], tj.positions[b], cfg, scene_scale)
             if ref is None:
                 assert c == np.inf
             else:
@@ -460,9 +459,10 @@ class TestEndToEndAssociation:
         overlap = whole_overlap(a, b)
         ab = select_anchors(overlap, cfg)
         assert ab.gamma_stat == pytest.approx(0.1)
-        ti = build_tracklets(overlap.frames, overlap.points_i, overlap.conf_i, ab.dynamic_mask,
+        start = overlap.frames.start
+        ti = build_tracklets(start, overlap.points_i, overlap.conf_i, ab.dynamic_mask,
                              ab.gamma_stat, cfg)
-        tj = build_tracklets(overlap.frames, overlap.points_j, overlap.conf_j, ab.dynamic_mask,
+        tj = build_tracklets(start, overlap.points_j, overlap.conf_j, ab.dynamic_mask,
                              ab.gamma_stat_j, cfg)
         candidates = gate_candidates(ti, tj, resolve_gamma_p(ti, tj))
         costs = pair_cost(ti, tj, candidates, cfg, ab.scene_scale)

@@ -97,7 +97,7 @@ class TestSliceOverlap:
     def test_adjacent_interval_intersection(self):
         a, b = self._chunks((0, 15), (12, 27))
         ov = slice_overlap(a, b)
-        assert ov.frames == (12, 13, 14, 15)
+        assert ov.frames == range(12, 16)
         for points, conf, poses in ((ov.points_i, ov.conf_i, ov.poses_i),
                                     (ov.points_j, ov.conf_j, ov.poses_j)):
             assert points.shape == (4, 2, 2, 3) and conf.shape == (4, 2, 2) and len(poses) == 4
@@ -108,7 +108,7 @@ class TestSliceOverlap:
         b = make_chunk(2.0 * pts[6:], confidence=np.full((10, 3, 2), 0.5), chunk_id=1,
                        start_frame=6, centers=np.arange(30.0).reshape(10, 3))
         ov = slice_overlap(a, b)
-        assert ov.frames == (6, 7, 8, 9)
+        assert ov.frames == range(6, 10)
         assert np.array_equal(ov.points_i, pts[6:10])
         assert np.array_equal(ov.conf_i, np.ones((4, 3, 2)))
         assert np.array_equal(ov.points_j, 2.0 * pts[6:10])

@@ -258,6 +258,19 @@ def test_ill_typed_scene_spec_exit_2(tmp_path, capsys, text, where):
     assert "bad scene spec" in err and where in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ('{"pose_noise": 0.01}', "unknown keys ['pose_noise']"),
+    ('{"camera": {"fov_deg": 60.0}}', "unknown keys ['fov_deg']"),
+    ('{"camera": {"kind": "random_walk"}}', "unknown camera kind 'random_walk'"),
+    ('{"objects": [{"trajectory": {"kind": "piecewise"}}]}', "unknown trajectory kind 'piecewise'"),
+], ids=["pose-noise", "fov-deg", "random-walk-camera", "piecewise-trajectory"])
+def test_removed_spec_feature_exit_2(tmp_path, capsys, text, where):
+    spec = tmp_path / "scene.json"
+    spec.write_text(text)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert where in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ['{"gamma_stat_frac": NaN}', '{"lambda_sm": NaN}',
                                   '{"traj_cap": Infinity}'],
                          ids=["nan-gamma_stat_frac", "nan-lambda_sm", "inf-traj_cap"])
@@ -287,9 +300,11 @@ def _junctions(matches=(), tracklets_i=([0, 0, 0],), tracklets_j=([0, 0, 0],)) -
     ("trajectories_meta.json", "[]", "epe"),
     ("trajectories_meta.json", '{"0": []}', "epe"),
     ("trajectories_meta.json", '{"0": {"sources": [[0, 1, 2.5, 3]]}}', "epe"),
+    ("trajectories.txt", "0 0.7 0.0 0.0 0.0\n", "epe"),
+    ("trajectories.txt", "0 1e0 0.0 0.0 0.0\n", "epe"),
 ], ids=["short-tracklet", "tracklet-off-grid", "tracklet-negative-pixel", "tracklet-float-pixel",
         "short-match", "match-unknown-id", "nan-cost", "string-cost", "meta-list",
-        "meta-entry-list", "meta-float-pixel"])
+        "meta-entry-list", "meta-float-pixel", "fractional-frame", "float-frame"])
 def test_malformed_records_exit_3(workspace, tmp_path, capsys, name, text, metrics):
     root, data, out, _ = workspace
     broken = tmp_path / "fused"
@@ -456,6 +471,23 @@ def _unknown_spec_key(gt_dir: Path):
     spec = json.loads((gt_dir / "scene_spec.json").read_text())
     spec["num_frmaes"] = 3
     (gt_dir / "scene_spec.json").write_text(json.dumps(spec))
+
+
+@pytest.mark.parametrize("text, reason", [
+    (_junctions(matches=[[0, 0, 0.1, [0, 0], [0, 0]]] * 2), "not one-to-one"),
+    (_junctions(matches=[[0, 0, 0.1, [0, 0], [0, 0]], [1, 0, 0.2, [0, 1], [0, 0]]],
+                tracklets_i=[[0, 0, 0], [1, 0, 1]]), "not one-to-one"),
+    (_junctions(tracklets_i=[[0, 0, 0], [0, 1, 1]]), "repeats in tracklets_i"),
+    (_junctions(tracklets_j=[[0, 0, 0], [0, 1, 1]]), "repeats in tracklets_j"),
+], ids=["doubled-match", "shared-partner", "repeated-id-i", "repeated-id-j"])
+def test_matches_must_be_one_to_one_exit_3(workspace, tmp_path, capsys, text, reason):
+    root, data, out, _ = workspace
+    broken = tmp_path / "fused"
+    shutil.copytree(out, broken)
+    (broken / "matches.json").write_text(text)
+    assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", "assoc"]) == 3
+    err = capsys.readouterr().err
+    assert "malformed container" in err and "junction 0" in err and reason in err
 
 
 def _skewed_pose(gt_dir: Path):

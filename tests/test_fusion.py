@@ -29,12 +29,12 @@ from conftest import frac_for, make_chunk, random_rotation
 from scenes import ablation_config, ablation_spec, dynamic_overlap_spec, identity_span_spec
 
 
-def tracklets(positions, frames):
-    """A set from an (N, T, 3) stack; row k seeds at pixel (k, 0)."""
+def tracklets(positions, frames: range):
+    """A set from an (N, T, 3) stack over ``frames``; row k seeds at pixel (k, 0)."""
     positions = np.asarray(positions, dtype=float).reshape(-1, len(frames), 3)
     n = len(positions)
     pixels = np.stack([np.arange(n), np.zeros(n, dtype=int)], axis=1)
-    return TrackletSet(tuple(frames), pixels, positions, np.ones((n, len(frames))))
+    return TrackletSet(frames.start, pixels, positions, np.ones((n, len(frames))))
 
 
 def tracklet(positions, frames):
@@ -121,7 +121,7 @@ class TestReconstructBoundary:
             assert np.abs(out.positions[0] - pos[: len(out.frames)]).max() < 1e-12
 
     def test_lambda_zero_closed_form(self, rng):
-        frames = list(range(8))
+        frames = range(8)
         pa = np.cumsum(rng.normal(size=(8, 3)), axis=0)
         pb = pa + rng.normal(scale=0.3, size=(8, 3))
         d_a = tracklet(pa, frames)
@@ -169,7 +169,7 @@ class TestReconstructBoundary:
             assert np.abs(out.positions[0][sel] - oracle).max() < 1e-9
 
     def test_monotone_blending_bound(self, rng):
-        frames = list(range(6))
+        frames = range(6)
         pa = rng.normal(size=(6, 3))
         pb = rng.normal(size=(6, 3))
         d_a = tracklet(pa, frames)
@@ -184,7 +184,19 @@ class TestReconstructBoundary:
         d_a = tracklet(pos, range(4))
         d_b = tracklet(pos, range(4))
         with pytest.raises(WindowTooShort):
-            reconstruct_boundary(d_a, d_b, [2], PipelineConfig())
+            reconstruct_boundary(d_a, d_b, range(2, 3), PipelineConfig())
+
+    @pytest.mark.parametrize("frames_a, frames_b, window", [
+        (range(3, 8), range(3, 12), range(2, 6)),  # d_a starts inside the window
+        (range(0, 3), range(3, 12), range(4, 8)),  # d_a ends a frame before it
+        (range(0, 8), range(6, 9), range(5, 10)),  # d_b ends inside the window
+        (range(0, 8), range(10, 14), range(5, 9)),  # d_b starts a frame after it
+    ])
+    def test_window_leaving_a_gap_rejected(self, frames_a, frames_b, window):
+        d_a = tracklet(np.zeros((len(frames_a), 3)), frames_a)
+        d_b = tracklet(np.zeros((len(frames_b), 3)), frames_b)
+        with pytest.raises(ValueError, match="gap"):
+            reconstruct_boundary(d_a, d_b, window, PipelineConfig())
 
     def test_verbatim_outside_window(self, rng):
         pa = np.cumsum(rng.normal(size=(8, 3)), axis=0)
@@ -261,7 +273,7 @@ def _overlap_poses(rng, n=4, collinear=False):
 
 
 class TestRefineTransform:
-    def _matched_tracklets(self, rng, T_star, n_tracks=6, frames=(0, 1, 2, 3)):
+    def _matched_tracklets(self, rng, T_star, n_tracks=6, frames=range(4)):
         base = rng.normal(size=(n_tracks, 1, 3)) * 2
         vel = rng.normal(size=(n_tracks, 1, 3)) * 0.2
         world = base + np.arange(len(frames), dtype=float)[:, None] * vel

@@ -1,7 +1,9 @@
 """Hygiene of the package: every module imports at module level only and
 uses each name it imports, every dataclass field is read somewhere, every
-config field is read outside ``model.py`` and set by a recipe config, and
-JSON text is parsed only by ``io.read_json``.
+config field is read outside ``model.py`` and set by a recipe config, every
+scene spec field is set by a recipe, every frozen dataclass that holds an
+array compares by identity, and JSON text is parsed only by
+``io.read_json``.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
 and so are the dataclasses written out whole, field by field."""
 
@@ -13,6 +15,14 @@ import pytest
 
 import chunkfuse
 from chunkfuse.model import PipelineConfig
+from chunkfuse.synthetic import (
+    BackgroundSpec,
+    CameraSpec,
+    GaugeSpec,
+    ObjectSpec,
+    SceneSpec,
+    TrajectorySpec,
+)
 
 MODULES = sorted(Path(chunkfuse.__file__).parent.glob("*.py"))
 SCENES = Path(__file__).with_name("scenes.py")
@@ -49,12 +59,37 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(imported - used)
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
         if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+            return dec
+    return None
+
+
+def _decorator_flags(dec: ast.expr) -> dict[str, object]:
+    """The constant keyword arguments of a ``@dataclass(...)`` decorator."""
+    if not isinstance(dec, ast.Call):
+        return {}
+    return {kw.arg: kw.value.value for kw in dec.keywords if isinstance(kw.value, ast.Constant)}
+
+
+def frozen_array_holders_with_eq(tree: ast.Module) -> list[str]:
+    """Frozen dataclasses with a field annotated ``np.ndarray`` that do not
+    declare ``eq=False``: their generated ``==`` compares arrays, which
+    raises, and their ``hash`` hashes arrays, which raises too."""
+    found = []
+    for node in ast.walk(tree):
+        dec = _dataclass_decorator(node) if isinstance(node, ast.ClassDef) else None
+        if dec is None or not _decorator_flags(dec).get("frozen"):
+            continue
+        holds_array = any(
+            isinstance(stmt, ast.AnnAssign) and ast.unparse(stmt.annotation) == "np.ndarray"
+            for stmt in node.body
+        )
+        if holds_array and _decorator_flags(dec).get("eq", True) is not False:
+            found.append(node.name)
+    return found
 
 
 def unread_fields(trees: list[ast.Module], exempt=frozenset()) -> list[str]:
@@ -63,7 +98,8 @@ def unread_fields(trees: list[ast.Module], exempt=frozenset()) -> list[str]:
     declared = []
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name not in exempt:
+            if (isinstance(node, ast.ClassDef) and _dataclass_decorator(node)
+                    and node.name not in exempt):
                 declared += [
                     (node.name, stmt.target.id)
                     for stmt in node.body
@@ -138,6 +174,30 @@ def test_config_fields_are_set_by_a_recipe():
     assert [f.name for f in fields(PipelineConfig) if f.name not in named] == []
 
 
+# Varied by the visibility certificate's hypothesis test in
+# ``test_synthetic.py``, which draws walls no recipe needs.
+SPEC_FIELDS_EXEMPT = {"BackgroundSpec.frequency", "BackgroundSpec.phase"}
+
+
+def test_spec_fields_are_set_by_a_recipe():
+    """A scene feature that no recipe sets runs only at its default, so the
+    code behind any other value is never exercised by a workload."""
+    tree = ast.parse(SCENES.read_text())
+    unset = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (SceneSpec, BackgroundSpec, CameraSpec, TrajectorySpec, ObjectSpec, GaugeSpec)
+        for f in fields(cls)
+        if f.name not in keywords_of_calls(tree, cls.__name__)
+    ]
+    assert sorted(set(unset) - SPEC_FIELDS_EXEMPT) == []
+
+
+def test_frozen_array_holders_compare_by_identity():
+    found = {path.name: frozen_array_holders_with_eq(ast.parse(path.read_text()))
+             for path in MODULES}
+    assert {name: classes for name, classes in found.items() if classes} == {}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert nested_imports(ast.parse(path.read_text())) == []
@@ -191,3 +251,21 @@ def test_checks_catch_what_they_look_for():
     assert json_loads_owners(tree) == ["<module>", "read_json", "load"]
     tree = ast.parse("A(x=1, **rest)\nB(y=2)\nm.A(z=3)\nA(w=4)\n")
     assert keywords_of_calls(tree, "A") == {"x", "w"}
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    a: np.ndarray\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class B:\n"
+        "    b: np.ndarray\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    c: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    d: int\n"
+        "@dataclass(frozen=True, eq=True)\n"
+        "class E:\n"
+        "    e: np.ndarray\n"
+    )
+    assert frozen_array_holders_with_eq(tree) == ["A", "E"]

@@ -11,6 +11,7 @@ import references as ref
 from chunkfuse.errors import InvalidConfig
 from chunkfuse.model import (
     Chunk,
+    FramePrediction,
     PipelineConfig,
     Pose,
     SimilarityTransform,
@@ -22,7 +23,7 @@ from chunkfuse.model import (
     norm3,
     seed_tracks,
 )
-from conftest import POSE_FAULTS, corrupt_pose, random_rotation, rot_z
+from conftest import POSE_FAULTS, corrupt_pose, make_chunk, random_rotation, rot_z
 
 
 def random_transform(rng) -> SimilarityTransform:
@@ -284,37 +285,47 @@ class TestChunk:
 
 class TestTrackletSet:
     @staticmethod
-    def _set(frames, n=2, positions=None):
-        positions = np.zeros((n, len(frames), 3)) if positions is None else positions
-        return TrackletSet(frames, np.zeros((n, 2), dtype=int), positions,
-                           np.ones((n, len(frames))))
+    def _set(num_frames, n=2, positions=None, start=0):
+        positions = np.zeros((n, num_frames, 3)) if positions is None else positions
+        return TrackletSet(start, np.zeros((n, 2), dtype=int), positions,
+                           np.ones((n, num_frames)))
 
     def test_requires_two_frames(self):
         with pytest.raises(ValueError):
-            self._set((3,))
+            self._set(1)
 
-    def test_requires_strictly_increasing_frames(self):
-        with pytest.raises(ValueError):
-            self._set((3, 3))
-        with pytest.raises(ValueError):
-            self._set((4, 3))
+    def test_frames_run_from_the_start_frame(self):
+        assert self._set(4, start=7).frames == range(7, 11)
 
     def test_array_shapes_checked_once_per_set(self):
-        self._set((0, 1), n=0)
+        self._set(2, n=0)
         with pytest.raises(ValueError):
-            self._set((0, 1), positions=np.zeros((2, 3, 3)))
+            self._set(2, positions=np.zeros((2, 3, 3)))
         with pytest.raises(ValueError):
-            TrackletSet((0, 1), np.zeros((2, 2), dtype=int), np.zeros((2, 2, 3)), np.ones((3, 2)))
+            TrackletSet(0, np.zeros((2, 2), dtype=int), np.zeros((2, 2, 3)), np.ones((3, 2)))
         with pytest.raises(ValueError):
-            TrackletSet((0, 1), np.zeros(4, dtype=int), np.zeros((2, 2, 3)), np.ones((2, 2)))
+            TrackletSet(0, np.zeros(4, dtype=int), np.zeros((2, 2, 3)), np.ones((2, 2)))
 
     def test_transformed(self, rng):
-        t = self._set((0, 1), n=3, positions=rng.normal(size=(3, 2, 3)))
+        t = self._set(2, n=3, positions=rng.normal(size=(3, 2, 3)), start=5)
         T = random_transform(rng)
         moved = t.transformed(T)
         assert np.array_equal(moved.positions, T.apply(t.positions))
         assert moved.frames == t.frames and np.array_equal(moved.pixels, t.pixels)
         assert len(moved) == 3
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    pose = Pose(np.eye(3), np.zeros(3))
+    chunk = make_chunk(np.zeros((2, 2, 2, 3)))
+    for make in (lambda: Pose(np.eye(3), np.zeros(3)),
+                 SimilarityTransform.identity,
+                 lambda: FramePrediction(np.zeros((2, 2, 3)), np.ones((2, 2)), pose, 0),
+                 lambda: Chunk(0, 0, chunk.points, chunk.confidence, chunk.poses),
+                 lambda: TrackletSet(0, np.zeros((1, 2)), np.zeros((1, 2, 3)), np.ones((1, 2)))):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 # values where a different summation order or overflow handling would show
