@@ -156,7 +156,7 @@ def _cmd_evaluate(args) -> int:
         out_dir = pred_dir.parent
         have_tracks = all((out_dir / name).is_file()
                           for name in ("trajectories.txt", "trajectories_meta.json"))
-        trajectories = cio.read_fused_trajectories(out_dir) if have_tracks else []
+        trajectories = cio.read_fused_trajectories(out_dir, len(fused.frames)) if have_tracks else []
         pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories),
                                        stride=args.epe_stride)
         gt_table = gt.trajectory_table(stride=args.epe_stride)

@@ -95,20 +95,13 @@ def refine_transform(
             track_w[residual > 5.0 * med] = 0.0
         mean_track_w = float(track_w[track_w > 0].mean()) if (track_w > 0).any() else 1.0
     else:
-        src = np.zeros((0, 3))
-        dst = np.zeros((0, 3))
-        track_w = np.zeros(0)
-        mean_track_w = 1.0
+        src = dst = np.zeros((0, 3))
+        track_w, mean_track_w = np.zeros(0), 1.0
 
-    if cfg.lambda_cam > 0:
-        cam_src = np.stack([p.center for p in poses_j])
-        cam_dst = np.stack([p.center for p in poses_i])
-        cam_w = np.full(len(cam_src), cfg.lambda_cam * mean_track_w)
-        src = np.concatenate([src, cam_src])
-        dst = np.concatenate([dst, cam_dst])
-        weights = np.concatenate([track_w, cam_w])
-    else:
-        weights = track_w
+    # at lambda_cam 0 the centres carry zero weight, which the solve drops
+    src = np.concatenate([src, np.stack([p.center for p in poses_j])])
+    dst = np.concatenate([dst, np.stack([p.center for p in poses_i])])
+    weights = np.concatenate([track_w, np.full(len(poses_j), cfg.lambda_cam * mean_track_w)])
 
     if (weights > 0).sum() < 3:
         raise NotEnoughPoints("refinement needs >= 3 positive-weight correspondences")
@@ -329,29 +322,6 @@ class Trajectory:
             raise ValueError(f"positions must be {(len(frames), 3)}, got {pos.shape}")
 
 
-class _TrajectoryBuilder:
-    """Positions over consecutive frames from ``start``, and the
-    (chunk, tracklet id, pixel) sources they were stitched from."""
-
-    def __init__(self, traj_id: int, start: int, positions: np.ndarray, source):
-        self.traj_id = traj_id
-        self.start = start
-        self.positions = positions
-        self.sources = [source]
-
-    def write_from(self, frame: int, positions: np.ndarray):
-        """Replace everything from ``frame`` on by ``positions``."""
-        self.positions = np.concatenate([self.positions[: frame - self.start], positions])
-
-    def finish(self) -> Trajectory:
-        return Trajectory(
-            trajectory_id=self.traj_id,
-            frames=tuple(range(self.start, self.start + len(self.positions))),
-            positions=self.positions,
-            sources=tuple(self.sources),
-        )
-
-
 def _pixel_tracks(chunk: Chunk, pixels: np.ndarray, gauge: SimilarityTransform) -> TrackletSet:
     """Whole-chunk tracks of the given pixels, mapped by ``gauge``."""
     rows, cols = pixels[:, 0], pixels[:, 1]
@@ -366,25 +336,26 @@ def _pixel_tracks(chunk: Chunk, pixels: np.ndarray, gauge: SimilarityTransform) 
 
 
 class _Stitcher:
-    """Grows long-range trajectories junction by junction.
+    """Grows long-range trajectories junction by junction: trajectory ``t``
+    runs over consecutive frames from ``starts[t]``, holds ``positions[t]``
+    and was stitched from the (chunk, tracklet id, pixel) ``sources[t]``.
+    It stays open while the pixel of its newest tracklet is matched again at
+    the next junction; ``open`` holds the open ids at the newest chunk's
+    pixels, -1 where none is open."""
 
-    A trajectory stays open while the pixel of its newest tracklet is
-    matched again at the next junction; ``open`` maps those pixels of the
-    newest chunk to their builders.
-    """
+    def __init__(self, grid_shape: tuple[int, int]):
+        self.starts: list[int] = []
+        self.positions: list[np.ndarray] = []
+        self.sources: list[list[tuple[int, int, tuple[int, int]]]] = []
+        self.open = np.full(grid_shape, -1)
 
-    def __init__(self):
-        self.builders: list[_TrajectoryBuilder] = []
-        self.open: dict[tuple[int, int], _TrajectoryBuilder] = {}
-
-    def _start(self, chunk: Chunk, tracks: TrackletSet, row: int, tracklet_id: int):
-        """A new trajectory from row ``row`` of ``tracks``, which start with
-        ``chunk``; its first source is tracklet ``tracklet_id`` of ``chunk``."""
-        pixel = tuple(tracks.pixels[row].tolist())
-        builder = _TrajectoryBuilder(len(self.builders), chunk.start_frame,
-                                     tracks.positions[row], (chunk.chunk_id, tracklet_id, pixel))
-        self.builders.append(builder)
-        return builder
+    def _start(self, chunk: Chunk, tracks: TrackletSet, rows: np.ndarray) -> np.ndarray:
+        """Ids of new trajectories from ``rows`` of ``tracks``, tracklets of ``chunk``."""
+        self.starts += [chunk.start_frame] * len(rows)
+        self.positions += list(tracks.positions[rows])
+        self.sources += [[(chunk.chunk_id, row, tuple(pixel))]
+                         for row, pixel in zip(rows.tolist(), tracks.pixels[rows].tolist())]
+        return np.arange(len(self.starts) - len(rows), len(self.starts))
 
     def junction(self, prev: Chunk, cur: Chunk, G_prev: SimilarityTransform,
                  G_cur: SimilarityTransform, raw_i: TrackletSet, raw_j: TrackletSet,
@@ -394,13 +365,13 @@ class _Stitcher:
         Every match shares the window [junction - bw + 1, junction + bw],
         with half width bw = ``cfg.overlap``, clipped to the two chunks, and
         all are reconstructed in one solve. A match whose window cannot be
-        reconstructed is handled as two unmatched tracklets.
+        reconstructed is handled as two unmatched tracklets. New ids go to
+        the stitched matches not open yet, in match order, then to the rest
+        of ``raw_i`` not open yet and of ``raw_j``, each in row order.
         """
-        bw = cfg.overlap
-        junction = prev.end_frame
+        junction, bw = prev.end_frame, cfg.overlap
         window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
-        pairs = match_set.pairs()
-        rows_a, rows_b = pairs[:, 0], pairs[:, 1]
+        rows_a, rows_b = match_set.pairs().T
         tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)
         tracks_j = _pixel_tracks(cur, raw_j.pixels, G_cur)
         # each row runs from prev's first frame to cur's last
@@ -408,27 +379,24 @@ class _Stitcher:
         tail = rebuilt.positions[:, window[0] - prev.start_frame:]
         stitched = finite3(tail[:, : len(window)]).all(axis=1)
 
-        new_open: dict[tuple[int, int], _TrajectoryBuilder] = {}
-        for k in np.flatnonzero(stitched).tolist():
-            a, b = int(rows_a[k]), int(rows_b[k])
-            builder = self.open.pop(tuple(raw_i.pixels[a].tolist()), None)
-            if builder is None:
-                builder = self._start(prev, rebuilt, k, a)
-            else:
-                builder.write_from(window[0], tail[k])
-            pixel_b = tuple(raw_j.pixels[b].tolist())
-            builder.sources.append((cur.chunk_id, b, pixel_b))
-            new_open[pixel_b] = builder
-
-        for a in sorted([*match_set.unmatched_i, *rows_a[~stitched].tolist()]):
-            if self.open.pop(tuple(raw_i.pixels[a].tolist()), None) is None:
-                self._start(prev, tracks_i, a, a)
-        for b in sorted([*match_set.unmatched_j, *rows_b[~stitched].tolist()]):
-            new_open[tuple(raw_j.pixels[b].tolist())] = self._start(cur, tracks_j, b, b)
-        self.open = new_open
+        open_i = self.open[tuple(raw_i.pixels.T)]
+        a, b = rows_a[stitched], rows_b[stitched]
+        lone_i = np.sort(np.concatenate([np.asarray(match_set.unmatched_i, np.intp), rows_a[~stitched]]))
+        lone_j = np.sort(np.concatenate([np.asarray(match_set.unmatched_j, np.intp), rows_b[~stitched]]))
+        ids = open_i[a]
+        # a new stitched trajectory starts as its track in prev, which rebuilt repeats up to the window
+        ids[ids < 0] = self._start(prev, tracks_i, a[ids < 0])
+        self._start(prev, tracks_i, lone_i[open_i[lone_i] < 0])
+        for t, pos, row, pixel in zip(ids.tolist(), tail[stitched], b.tolist(), raw_j.pixels[b].tolist()):
+            self.positions[t] = np.concatenate([self.positions[t][: window[0] - self.starts[t]], pos])
+            self.sources[t].append((cur.chunk_id, row, tuple(pixel)))
+        self.open.fill(-1)
+        self.open[tuple(raw_j.pixels[b].T)] = ids
+        self.open[tuple(raw_j.pixels[lone_j].T)] = self._start(cur, tracks_j, lone_j)
 
     def finish(self) -> list[Trajectory]:
-        return [b.finish() for b in self.builders]
+        return [Trajectory(t, tuple(range(start, start + len(pos))), pos, tuple(src))
+                for t, (start, pos, src) in enumerate(zip(self.starts, self.positions, self.sources))]
 
 
 @dataclass(frozen=True)
@@ -451,9 +419,11 @@ class PairReport:
 @dataclass
 class FusedScene:
     """Chunk transforms and long-range trajectories, all expressed in the
-    first chunk's gauge; the fused frames went to the frame sink. A
-    ``full`` fuse keeps (chunk i, chunk j, matches, pixels i, pixels j) per
-    junction in ``match_sets``, row k of each (N, 2) pixels being tracklet k."""
+    first chunk's gauge; the fused frames went to the frame sink. Trajectory
+    ids are given in creation order, junction by junction, so start frames
+    never decrease with id. A ``full`` fuse keeps (chunk i, chunk j,
+    matches, pixels i, pixels j) per junction in ``match_sets``, row k of
+    each (N, 2) pixels being tracklet k."""
 
     num_frames: int
     chunk_transforms: list[SimilarityTransform]
@@ -562,7 +532,7 @@ def fuse_sequence(
     transforms = [identity]
     reports: list[PairReport] = []
     match_dumps: list[tuple[int, int, MatchSet, np.ndarray, np.ndarray]] = []
-    stitcher = _Stitcher()
+    stitcher = _Stitcher(prev.grid_shape)
 
     for fp in prev.frames:
         frame_sink(_map_frame(fp, identity))

@@ -33,7 +33,8 @@ records of ``matches.json`` and ``trajectories_meta.json`` that are not of
 the shape below: integer ids and pixels, pixels on the grid, tracklet ids
 unique on each side, match ids that name tracklets of their junction and
 are matched once, finite match costs; :func:`read_trajectories` for a
-record whose frames are not integers.
+record whose frames are not integers, and :func:`read_fused_trajectories`
+also for a frame outside the fused frame range.
 
 Sidecar files
 -------------
@@ -439,12 +440,13 @@ def _int_rows(rows, width: int, where: str) -> np.ndarray:
     return arr
 
 
-def read_fused_trajectories(directory) -> list[Trajectory]:
-    """The trajectories of a fuse output directory, rebuilt from
-    ``trajectories.txt`` and ``trajectories_meta.json``; one the meta file
-    does not list has no sources. MalformedContainer unless each meta
-    entry is an object whose ``sources`` are ``[chunk, tracklet, row,
-    col]`` integer records."""
+def read_fused_trajectories(directory, num_frames: int) -> list[Trajectory]:
+    """The trajectories of a fuse output directory of ``num_frames`` fused
+    frames, rebuilt from ``trajectories.txt`` and ``trajectories_meta.json``;
+    one the meta file does not list has no sources. MalformedContainer
+    unless each meta entry is an object whose ``sources`` are ``[chunk,
+    tracklet, row, col]`` integer records and every frame lies in
+    ``[0, num_frames)``."""
     directory = Path(directory)
     sources = {}
     for key, entry in read_json(directory / "trajectories_meta.json").items():
@@ -453,6 +455,10 @@ def read_fused_trajectories(directory) -> list[Trajectory]:
             raise MalformedContainer(f"{where} must be an object")
         rows = _int_rows(entry.get("sources", []), 4, f"{where} sources").tolist()
         sources[key] = tuple((c, t, (r, col)) for c, t, r, col in rows)
+    records = read_trajectories(directory / "trajectories.txt")
+    for tid, frames, _ in records:
+        if len(frames) and (frames.min() < 0 or frames.max() >= num_frames):
+            raise MalformedContainer(f"trajectory {tid} has frames outside [0, {num_frames})")
     try:
         return [
             Trajectory(
@@ -461,7 +467,7 @@ def read_fused_trajectories(directory) -> list[Trajectory]:
                 positions=positions,
                 sources=sources.get(str(tid), ()),
             )
-            for tid, frames, positions in read_trajectories(directory / "trajectories.txt")
+            for tid, frames, positions in records
         ]
     except ValueError as e:
         raise MalformedContainer(f"bad trajectory files in {directory}: {e}") from e

@@ -255,7 +255,11 @@ def build_fused_table(fused, stride: int = 1) -> TrackTable:
 
     Per-pixel pointmap tracks, overridden by the associated long-range
     trajectories where one is rooted at the seed pixel; where several are
-    rooted at the same pixel, the later one wins on the frames they share.
+    rooted at the same pixel, the later one in ``fused.trajectories`` wins
+    on the frames they share. A fuse lists them in id order, and gives ids
+    in creation order, junction by junction, so start frames never
+    decrease with id: the later one is the one with the later start frame,
+    then the higher id.
     The (N, T, 3) tracks are allocated once and filled frame by frame.
     """
     H, W = fused.frames[0].points.shape[:2]

@@ -10,7 +10,9 @@ built inline. ``association.build_tracklets`` takes the rigidity
 threshold ``select_anchors`` resolved, where it re-derived it from the
 chunk's own scene scale. ``metrics.rpe`` replaced a loop of per-pose
 inverses and compositions, each a checked ``Pose``, by stacked products,
-and ``metrics.rotation_angle_deg`` takes a stack.
+and ``metrics.rotation_angle_deg`` takes a stack. ``fusion._Stitcher``
+replaced per-trajectory builders keyed by pixel tuples by lists indexed
+by trajectory id and a grid of the open ids.
 The functions here are the replaced code, so the tests can check that
 every output bit stayed the same.
 """
@@ -22,7 +24,16 @@ from scipy.sparse.csgraph import connected_components
 
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
-from chunkfuse.model import Pose, SimilarityTransform, TrackletSet, finite3, norm3
+from chunkfuse.fusion import Trajectory, _pixel_tracks, reconstruct_boundary
+from chunkfuse.model import (
+    Chunk,
+    PipelineConfig,
+    Pose,
+    SimilarityTransform,
+    TrackletSet,
+    finite3,
+    norm3,
+)
 from chunkfuse.registration import GAMMA_C, RANK_TOL, _median_distance
 
 
@@ -264,3 +275,92 @@ def build_tracklets(chunk, overlap_frames, dynamic_mask, cfg) -> TrackletSet:
         positions=SimilarityTransform.identity().apply(pos[keep]),
         conf=cnf[keep],
     )
+
+
+class TrajectoryBuilder:
+    """Positions over consecutive frames from ``start``, and the
+    (chunk, tracklet id, pixel) sources they were stitched from."""
+
+    def __init__(self, traj_id: int, start: int, positions: np.ndarray, source):
+        self.traj_id = traj_id
+        self.start = start
+        self.positions = positions
+        self.sources = [source]
+
+    def write_from(self, frame: int, positions: np.ndarray):
+        """Replace everything from ``frame`` on by ``positions``."""
+        self.positions = np.concatenate([self.positions[: frame - self.start], positions])
+
+    def finish(self) -> Trajectory:
+        return Trajectory(
+            trajectory_id=self.traj_id,
+            frames=tuple(range(self.start, self.start + len(self.positions))),
+            positions=self.positions,
+            sources=tuple(self.sources),
+        )
+
+
+class Stitcher:
+    """Grows long-range trajectories junction by junction.
+
+    A trajectory stays open while the pixel of its newest tracklet is
+    matched again at the next junction; ``open`` maps those pixels of the
+    newest chunk to their builders.
+    """
+
+    def __init__(self):
+        self.builders: list[TrajectoryBuilder] = []
+        self.open: dict[tuple[int, int], TrajectoryBuilder] = {}
+
+    def _start(self, chunk: Chunk, tracks: TrackletSet, row: int, tracklet_id: int):
+        """A new trajectory from row ``row`` of ``tracks``, which start with
+        ``chunk``; its first source is tracklet ``tracklet_id`` of ``chunk``."""
+        pixel = tuple(tracks.pixels[row].tolist())
+        builder = TrajectoryBuilder(len(self.builders), chunk.start_frame,
+                                    tracks.positions[row], (chunk.chunk_id, tracklet_id, pixel))
+        self.builders.append(builder)
+        return builder
+
+    def junction(self, prev: Chunk, cur: Chunk, G_prev: SimilarityTransform,
+                 G_cur: SimilarityTransform, raw_i: TrackletSet, raw_j: TrackletSet,
+                 match_set: MatchSet, cfg: PipelineConfig):
+        """Stitch the matches of one junction across its boundary window.
+
+        Every match shares the window [junction - bw + 1, junction + bw],
+        with half width bw = ``cfg.overlap``, clipped to the two chunks, and
+        all are reconstructed in one solve. A match whose window cannot be
+        reconstructed is handled as two unmatched tracklets.
+        """
+        bw = cfg.overlap
+        junction = prev.end_frame
+        window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
+        pairs = match_set.pairs()
+        rows_a, rows_b = pairs[:, 0], pairs[:, 1]
+        tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)
+        tracks_j = _pixel_tracks(cur, raw_j.pixels, G_cur)
+        # each row runs from prev's first frame to cur's last
+        rebuilt = reconstruct_boundary(tracks_i.take(rows_a), tracks_j.take(rows_b), window, cfg)
+        tail = rebuilt.positions[:, window[0] - prev.start_frame:]
+        stitched = finite3(tail[:, : len(window)]).all(axis=1)
+
+        new_open: dict[tuple[int, int], TrajectoryBuilder] = {}
+        for k in np.flatnonzero(stitched).tolist():
+            a, b = int(rows_a[k]), int(rows_b[k])
+            builder = self.open.pop(tuple(raw_i.pixels[a].tolist()), None)
+            if builder is None:
+                builder = self._start(prev, rebuilt, k, a)
+            else:
+                builder.write_from(window[0], tail[k])
+            pixel_b = tuple(raw_j.pixels[b].tolist())
+            builder.sources.append((cur.chunk_id, b, pixel_b))
+            new_open[pixel_b] = builder
+
+        for a in sorted([*match_set.unmatched_i, *rows_a[~stitched].tolist()]):
+            if self.open.pop(tuple(raw_i.pixels[a].tolist()), None) is None:
+                self._start(prev, tracks_i, a, a)
+        for b in sorted([*match_set.unmatched_j, *rows_b[~stitched].tolist()]):
+            new_open[tuple(raw_j.pixels[b].tolist())] = self._start(cur, tracks_j, b, b)
+        self.open = new_open
+
+    def finish(self) -> list[Trajectory]:
+        return [b.finish() for b in self.builders]

@@ -122,8 +122,8 @@ def test_evaluate_epe_matches_reference_table(workspace, capsys, stride):
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_dense_tables_match_dict_tables(workspace, stride):
     root, data, out, _ = workspace
-    fused = SimpleNamespace(frames=cio.read_chunk(out / "fused").frames,
-                            trajectories=cio.read_fused_trajectories(out))
+    frames = cio.read_chunk(out / "fused").frames
+    fused = SimpleNamespace(frames=frames, trajectories=cio.read_fused_trajectories(out, len(frames)))
     gt = cio.read_ground_truth(data / "gt")
     pred, truth = build_fused_table(fused, stride), gt.trajectory_table(stride)
     pred_dict, truth_dict = ref.build_fused_table(fused, stride), ref.trajectory_table(gt.points, stride)
@@ -302,9 +302,12 @@ def _junctions(matches=(), tracklets_i=([0, 0, 0],), tracklets_j=([0, 0, 0],)) -
     ("trajectories_meta.json", '{"0": {"sources": [[0, 1, 2.5, 3]]}}', "epe"),
     ("trajectories.txt", "0 0.7 0.0 0.0 0.0\n", "epe"),
     ("trajectories.txt", "0 1e0 0.0 0.0 0.0\n", "epe"),
+    ("trajectories.txt", "0 -1 0.0 0.0 0.0\n", "epe"),
+    ("trajectories.txt", "0 999 0.0 0.0 0.0\n", "epe"),
 ], ids=["short-tracklet", "tracklet-off-grid", "tracklet-negative-pixel", "tracklet-float-pixel",
         "short-match", "match-unknown-id", "nan-cost", "string-cost", "meta-list",
-        "meta-entry-list", "meta-float-pixel", "fractional-frame", "float-frame"])
+        "meta-entry-list", "meta-float-pixel", "fractional-frame", "float-frame",
+        "negative-frame", "frame-past-end"])
 def test_malformed_records_exit_3(workspace, tmp_path, capsys, name, text, metrics):
     root, data, out, _ = workspace
     broken = tmp_path / "fused"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunkfuse import fusion
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import NotEnoughPoints, WindowTooShort
 from chunkfuse.fusion import (
@@ -25,8 +26,17 @@ from chunkfuse.model import (
 )
 from chunkfuse.registration import OverlapAbstraction
 from chunkfuse.synthetic import emit_chunks, generate
+import references as ref
 from conftest import frac_for, make_chunk, random_rotation
-from scenes import ablation_config, ablation_spec, dynamic_overlap_spec, identity_span_spec
+from scenes import (
+    ablation_config,
+    ablation_spec,
+    association_config,
+    association_spec,
+    dynamic_overlap_spec,
+    gauge_recovery_spec,
+    identity_span_spec,
+)
 
 
 def tracklets(positions, frames: range):
@@ -586,3 +596,44 @@ class TestBoundaryHoles:
         tr = self._trajectory_from(fused, (chunk_j, b, pixel))
         assert tr.sources[0] == (chunk_j, b, pixel)
         assert tr.frames[0] == chunks[1].start_frame
+
+
+def assert_stitched_like_reference(chunks, cfg, monkeypatch):
+    """A ``full`` fuse's trajectories equal the reference stitcher's in
+    ids, frames, sources and position bytes; ids count up from 0 and start
+    frames never decrease with id."""
+    got = fuse_sequence(chunks, cfg, "full", frame_sink=[].append).trajectories
+    with monkeypatch.context() as mp:
+        mp.setattr(fusion, "_Stitcher", lambda grid_shape: ref.Stitcher())
+        want = fuse_sequence(chunks, cfg, "full", frame_sink=[].append).trajectories
+    assert ([(t.trajectory_id, t.frames, t.sources) for t in got]
+            == [(t.trajectory_id, t.frames, t.sources) for t in want])
+    assert [t.positions.tobytes() for t in got] == [t.positions.tobytes() for t in want]
+    assert [t.trajectory_id for t in got] == list(range(len(got)))
+    starts = [t.frames[0] for t in got]
+    assert starts == sorted(starts)
+
+
+STITCH_RECIPES = {
+    "ablation_spec(0)": (lambda: ablation_spec(0), ablation_config),
+    "association_spec(0)": (lambda: association_spec(0), association_config),
+    "dynamic_overlap_spec(0)": (lambda: dynamic_overlap_spec(0), ablation_config),
+    "gauge_recovery_spec()": (gauge_recovery_spec, lambda: PipelineConfig(
+        chunk_length=8, overlap=4, seed_stride=1, min_displacement=0.05)),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(STITCH_RECIPES))
+def test_stitcher_matches_reference(recipe, monkeypatch):
+    make_spec, make_cfg = STITCH_RECIPES[recipe]
+    spec, cfg = make_spec(), make_cfg()
+    chunks = list(emit_chunks(generate(spec), cfg, spec).chunks)
+    assert_stitched_like_reference(chunks, cfg, monkeypatch)
+
+
+@pytest.mark.parametrize("lambda_sm", [HOLE_CFG.lambda_sm, 0.0], ids=["HOLE_CFG", "lambda_sm=0"])
+def test_stitcher_matches_reference_across_a_hole(chunks_with_hole, lambda_sm, monkeypatch):
+    """At ``lambda_sm`` 0 the match across the hole is left unstitched."""
+    chunks = chunks_with_hole[0]
+    cfg = PipelineConfig(**{**HOLE_CFG.to_dict(), "lambda_sm": lambda_sm})
+    assert_stitched_like_reference(chunks, cfg, monkeypatch)

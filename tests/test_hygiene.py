@@ -2,8 +2,8 @@
 uses each name it imports, every dataclass field is read somewhere, every
 config field is read outside ``model.py`` and set by a recipe config, every
 scene spec field is set by a recipe, every frozen dataclass that holds an
-array compares by identity, and JSON text is parsed only by
-``io.read_json``.
+array compares by identity, JSON text is parsed only by ``io.read_json``,
+and every source file parses as Python 3.10.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
 and so are the dataclasses written out whole, field by field."""
 
@@ -26,6 +26,9 @@ from chunkfuse.synthetic import (
 
 MODULES = sorted(Path(chunkfuse.__file__).parent.glob("*.py"))
 SCENES = Path(__file__).with_name("scenes.py")
+ROOT = Path(__file__).resolve().parent.parent
+# the oldest Python that pyproject.toml's requires-python admits
+OLDEST_PYTHON = (3, 10)
 
 # Written out whole through ``dataclasses.fields`` or ``asdict``: the
 # ``report.json`` records, the config echoed to ``fuse_info.json`` and the
@@ -198,6 +201,29 @@ def test_frozen_array_holders_compare_by_identity():
     assert {name: classes for name, classes in found.items() if classes} == {}
 
 
+def newer_syntax(paths) -> dict[Path, str]:
+    """The syntax error of each file that does not parse under the grammar
+    of ``OLDEST_PYTHON``."""
+    found = {}
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST_PYTHON)
+        except SyntaxError as e:
+            found[path] = str(e)
+    return found
+
+
+def test_sources_parse_as_oldest_python():
+    """Every ``.py`` file under ``src/``, ``tests/`` and ``bench/`` parses
+    with the grammar of the oldest supported Python. This checks grammar
+    only (``ast.parse(..., feature_version=...)``): a standard-library name
+    that the oldest Python lacks, such as ``datetime.UTC``, still passes.
+    The files are only read."""
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) > len(MODULES)
+    assert newer_syntax(paths) == {}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert nested_imports(ast.parse(path.read_text())) == []
@@ -209,7 +235,7 @@ def test_imported_names_are_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
 
-def test_checks_catch_what_they_look_for():
+def test_checks_catch_what_they_look_for(tmp_path):
     tree = ast.parse(
         "from __future__ import annotations\n"
         "import os.path\n"
@@ -269,3 +295,8 @@ def test_checks_catch_what_they_look_for():
         "    e: np.ndarray\n"
     )
     assert frozen_array_holders_with_eq(tree) == ["A", "E"]
+    newer = tmp_path / "newer.py"
+    newer.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    older = tmp_path / "older.py"
+    older.write_text("match x:\n    case 1:\n        pass\n")
+    assert list(newer_syntax([newer, older])) == [newer]

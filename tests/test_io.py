@@ -277,7 +277,7 @@ class TestSidecars:
         ]
         cio.write_trajectories(trajectories, tmp_path / "trajectories.txt")
         cio.write_trajectory_meta(trajectories, tmp_path / "trajectories_meta.json")
-        again = cio.read_fused_trajectories(tmp_path)
+        again = cio.read_fused_trajectories(tmp_path, 8)
         for a, b in zip(trajectories, again, strict=True):
             assert (a.trajectory_id, a.frames, a.sources) == (b.trajectory_id, b.frames, b.sources)
             assert np.array_equal(a.positions, b.positions)
@@ -286,10 +286,12 @@ class TestSidecars:
         (tmp_path / "trajectories_meta.json").write_text("{}\n")
         (tmp_path / "trajectories.txt").write_text("0 3 0.0 0.0 0.0 5 1.0 1.0 1.0\n")
         with pytest.raises(MalformedContainer, match="contiguous"):
-            cio.read_fused_trajectories(tmp_path)
+            cio.read_fused_trajectories(tmp_path, 8)
+        with pytest.raises(MalformedContainer, match=r"outside \[0, 5\)"):
+            cio.read_fused_trajectories(tmp_path, 5)
         (tmp_path / "trajectories_meta.json").write_text("{not json")
         with pytest.raises(MalformedContainer):
-            cio.read_fused_trajectories(tmp_path)
+            cio.read_fused_trajectories(tmp_path, 8)
 
     def test_trajectory_checks_frames_and_shape(self):
         with pytest.raises(ValueError, match="contiguous"):
