@@ -248,8 +248,10 @@ def test_malformed_sidecar_exit_3(workspace, tmp_path, capsys, name, text, metri
     ('{"objects": [{"visible_ranges": [[0]]}]}', "SceneSpec.objects[0].visible_ranges[0]"),
     ('{"objects": [{"size": 0.4}]}', "SceneSpec.objects[0].size"),
     ('{"noise_sigma": NaN}', "SceneSpec.noise_sigma"),
+    ('{"objects": [{"visible_ranges": [[5, 2]]}]}', "visible range (5, 2)"),
 ], ids=["float-frames", "float-height", "short-phase", "short-position", "short-velocity",
-        "short-camera-start", "short-visible-range", "scalar-size", "nan-noise"])
+        "short-camera-start", "short-visible-range", "scalar-size", "nan-noise",
+        "reversed-visible-range"])
 def test_ill_typed_scene_spec_exit_2(tmp_path, capsys, text, where):
     spec = tmp_path / "scene.json"
     spec.write_text(text)

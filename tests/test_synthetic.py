@@ -16,11 +16,10 @@ from chunkfuse.synthetic import (
     ObjectSpec,
     SceneSpec,
     TrajectorySpec,
+    _look_at_rotations,
     _near_bounds,
     _pixel_directions,
     _ray_background,
-    _ray_box,
-    _ray_sphere,
     _wall_free,
     emit_chunks,
     generate,
@@ -244,9 +243,11 @@ class TestEmitChunks:
 
 # ---------------------------------------------------------------------------
 # Reference casts: the full 96-step wall scan with 60 bisections on every
-# ray, and every object cast against every ray. ``generate`` must give the
-# same bits with its band-limited scan, culled object casts and any-hit
-# visibility test.
+# ray, and every object cast against every ray, one object after another,
+# by frozen one-object sphere and box casts, so the batched arithmetic is
+# checked against fixed code rather than against itself. ``generate`` must
+# give the same bits with its band-limited scan, culled and batched object
+# casts and any-hit visibility test.
 
 
 def reference_ray_background(origin, dirs, bg, s_cap):
@@ -294,15 +295,51 @@ def reference_ray_background(origin, dirs, bg, s_cap):
     return s_out.reshape(dirs.shape[:-1])
 
 
+def reference_ray_sphere(origin, dirs, center, radius):
+    oc = origin - center
+    b = (dirs * oc).sum(axis=-1)
+    disc = b**2 - ((oc**2).sum() - radius**2)
+    s = np.full(dirs.shape[:-1], np.inf)
+    hit = disc >= 0
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    near = -b - root
+    far = -b + root
+    s = np.where(hit & (near > 1e-9), near, s)
+    s = np.where(hit & (near <= 1e-9) & (far > 1e-9), far, s)
+    return s
+
+
+def reference_ray_box(origin, dirs, center, half):
+    lo = center - np.asarray(half)
+    hi = center + np.asarray(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t0 = (lo - origin) * inv
+        t1 = (hi - origin) * inv
+    tmin = np.minimum(t0, t1)
+    tmax = np.maximum(t0, t1)
+    # rays parallel to a slab: inside -> (-inf, inf), outside -> miss
+    par = np.abs(dirs) < 1e-15
+    inside = (origin >= lo) & (origin <= hi)
+    tmin = np.where(par, np.where(inside, -np.inf, np.inf), tmin)
+    tmax = np.where(par, np.where(inside, np.inf, -np.inf), tmax)
+    enter = tmin.max(axis=-1)
+    exit_ = tmax.min(axis=-1)
+    s = np.full(dirs.shape[:-1], np.inf)
+    hit = (enter <= exit_) & (exit_ > 1e-9)
+    near = np.where(enter > 1e-9, enter, exit_)
+    return np.where(hit, near, s)
+
+
 def reference_cast_all(origin, dirs, spec, offsets_t, s_cap=np.inf, limit=None):
     best_s = reference_ray_background(origin, dirs, spec.background, s_cap)
     best_id = np.where(np.isfinite(best_s), -1, -2)
     for m, obj in enumerate(spec.objects):
         center = np.asarray(obj.position) + offsets_t[m]
         if obj.shape == "sphere":
-            s = _ray_sphere(origin, dirs, center, obj.size[0])
+            s = reference_ray_sphere(origin, dirs, center, obj.size[0])
         else:
-            s = _ray_box(origin, dirs, center, obj.size)
+            s = reference_ray_box(origin, dirs, center, obj.size)
         closer = s < best_s
         best_s = np.where(closer, s, best_s)
         best_id = np.where(closer, m, best_id)
@@ -454,9 +491,9 @@ def test_cull_keeps_every_hit(seed, shape, inside, half, span):
     aims = center + rng.normal(size=(300, 3)) * radius
     dirs = np.concatenate([_unit(aims - origin), _unit(rng.normal(size=(100, 3)))])
     if shape == "sphere":
-        s = _ray_sphere(origin, dirs, center, radius)
+        s = reference_ray_sphere(origin, dirs, center, radius)
     else:
-        s = _ray_box(origin, dirs, center, tuple(half))
+        s = reference_ray_box(origin, dirs, center, tuple(half))
     near = _near_bounds(origin, dirs, center[None], np.array([radius]))[:, 0]
     assert near[np.isfinite(s)].all()
 
@@ -493,3 +530,129 @@ def test_certified_rays_meet_no_wall_before_limit(seed, amplitude, frequency, di
     assert (root[towards][clear] >= limit[towards][clear]).all()
     got = _ray_background(origin, dirs, bg, s_cap, limit)
     assert np.array_equal(got >= limit, root >= limit)
+
+
+def random_object(rng):
+    position = tuple(rng.uniform([-1.5, -1.5, 1.0], [1.5, 1.5, 5.0]))
+    if rng.random() < 0.5:
+        return ObjectSpec(shape="sphere", size=(rng.uniform(0.1, 0.6),) * 3, position=position)
+    return ObjectSpec(shape="box", size=tuple(rng.uniform(0.05, 0.6, size=3)), position=position)
+
+
+def bounding_radius(obj):
+    return obj.size[0] if obj.shape == "sphere" else math.hypot(*obj.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num=st.integers(1, 6),
+    twin=st.booleans(),
+    inside=st.booleans(),
+    capped=st.booleans(),
+)
+def test_batched_cast_matches_per_object_loop(seed, num, twin, inside, capped):
+    # Mixed spheres and boxes, maybe one object twice at the same place,
+    # before or after itself (a tie the lower index must win), the camera maybe inside one
+    # object's bounding sphere, and rays along the axes and with one
+    # component zeroed, parallel to box slabs.
+    rng = np.random.default_rng(seed)
+    objects = [random_object(rng) for _ in range(num)]
+    offsets = rng.normal(size=(num, 3)) * 0.1
+    if twin:
+        k, at = int(rng.integers(num)), int(rng.integers(num + 1))
+        objects.insert(at, objects[k])
+        offsets = np.insert(offsets, at, offsets[k], axis=0)
+    spec = SceneSpec(objects=tuple(objects))
+    centers = np.array([obj.position for obj in objects]) + offsets
+    radii = np.array([bounding_radius(obj) for obj in objects])
+    if inside:
+        k = int(rng.integers(len(objects)))
+        origin = centers[k] + _unit(rng.normal(size=3)) * radii[k] * rng.uniform(0.0, 0.999)
+    else:
+        origin = rng.uniform([-1.0, -1.0, -2.0], [1.0, 1.0, 0.5])
+    aimed = rng.integers(len(objects), size=200)
+    aims = centers[aimed] + rng.normal(size=(200, 3)) * radii[aimed, None]
+    dirs = aims - origin
+    dirs[:40, 0] = 0.0
+    dirs[40:80, 1] = 0.0
+    dirs = _unit(np.concatenate([dirs, np.eye(3), -np.eye(3), rng.normal(size=(60, 3))]))
+    s_cap = rng.uniform(0.5, 10.0, size=len(dirs)) if capped else np.inf
+    got_s, got_id = synthetic._cast_all(origin, dirs, spec, offsets, s_cap)
+    want_s, want_id = reference_cast_all(origin, dirs, spec, offsets, s_cap)
+    assert got_s.tobytes() == want_s.tobytes()
+    assert np.array_equal(got_id, want_id)
+
+
+def test_coincident_objects_go_to_the_lower_index():
+    ball = sphere(position=(0.1, -0.2, 3.0), size=0.8)
+    spec = SceneSpec(objects=(ball, ball))
+    dirs = _pixel_directions(24, 24).reshape(-1, 3)
+    s, owner = synthetic._cast_all(np.zeros(3), dirs, spec, np.zeros((2, 3)))
+    assert (owner == 0).any()
+    assert np.isin(owner, (0, -1)).all()
+
+
+def reference_look_at_rotation(position, target):
+    forward = target - position
+    norm = np.linalg.norm(forward)
+    if norm < 1e-12:
+        raise InvalidSpec("camera position coincides with its target")
+    forward = forward / norm
+    up_hint = np.array([0.0, 1.0, 0.0])
+    right = np.cross(up_hint, forward)
+    if np.linalg.norm(right) < 1e-9:
+        up_hint = np.array([0.0, 0.0, 1.0])
+        right = np.cross(up_hint, forward)
+    right /= np.linalg.norm(right)
+    down = np.cross(forward, right)
+    return np.stack([right, down, forward], axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), span=st.floats(0.01, 50.0))
+def test_stacked_look_at_matches_per_frame(seed, span):
+    # every third camera straight above or below the target, where the
+    # right vector falls back to the z up hint
+    rng = np.random.default_rng(seed)
+    target = rng.normal(size=3)
+    positions = target + rng.normal(size=(30, 3)) * span
+    positions[::3, [0, 2]] = target[[0, 2]]
+    want = np.stack([reference_look_at_rotation(p, target) for p in positions])
+    assert _look_at_rotations(positions, target).tobytes() == want.tobytes()
+
+
+def test_camera_on_its_target_rejected():
+    cam = CameraSpec(kind="dolly", start=(0.0, 0.0, -1.0), target=(0.0, 0.0, 1.0),
+                     velocity=(0.0, 0.0, 0.5))
+    with pytest.raises(InvalidSpec, match="coincides"):
+        generate(SceneSpec(num_frames=8, height=8, width=8, camera=cam))
+
+
+@pytest.mark.parametrize("size", [(math.nan,) * 3, (0.4, math.nan, 0.4), (0.4, 0.4, 0.0)],
+                         ids=["nan", "nan-second", "zero-third"])
+def test_object_size_must_be_positive(size):
+    with pytest.raises(InvalidSpec, match="size"):
+        ObjectSpec(shape="box", size=size)
+
+
+@pytest.mark.parametrize("ranges", [((5, 2),), ((0, 3), (-1, 4)), ((0, math.nan),)],
+                         ids=["reversed", "negative", "nan"])
+def test_bad_visible_range_rejected(ranges):
+    with pytest.raises(InvalidSpec, match="visible range"):
+        ObjectSpec(visible_ranges=ranges)
+
+
+def test_single_frame_visible_range_accepted():
+    assert ObjectSpec(visible_ranges=((3, 3),)).forced_visible(3)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(scale_range=(math.nan, 1.0)),
+    dict(scale_range=(1.0, math.nan)),
+    dict(rotation_max=math.nan),
+    dict(translation_max=math.nan),
+], ids=["nan-lo", "nan-hi", "nan-rotation", "nan-translation"])
+def test_gauge_bounds_reject_nan(kw):
+    with pytest.raises(InvalidSpec):
+        GaugeSpec(**kw)
