@@ -4,8 +4,9 @@ configuration.
 
 A chunk is one checked (T, H, W, 3) pointmap stack with its (T, H, W)
 confidences and T poses; its frames are read-only views of the stacks.
-Poses read as a sequence are checked the same way: ``Pose.from_matrices``
-and :func:`check_rotation` check an (n, 3, 3) rotation stack in one pass,
+Poses read or mapped as a sequence are checked the same way:
+``Pose.from_matrices``, ``SimilarityTransform.apply_poses`` and
+:func:`check_rotation` check an (n, 3, 3) rotation stack in one pass,
 with the verdict and the first failing index that checking one matrix at
 a time would give, and the poses are read-only views of the stacks.
 
@@ -133,8 +134,9 @@ class Pose:
     World-to-camera inputs must be inverted before construction.
 
     ``rotation`` and ``translation`` are read-only, C-contiguous float64
-    arrays: copies checked on construction, or, from :meth:`from_matrices`,
-    views of one rotation stack and one translation stack checked once.
+    arrays: copies checked on construction, or, from :meth:`from_matrices`
+    and :meth:`SimilarityTransform.apply_poses`, views of one rotation
+    stack and one translation stack checked once.
     """
 
     rotation: np.ndarray
@@ -188,14 +190,21 @@ class Pose:
         last_row_ok = (m[:, 3] == _LAST_ROW).all(axis=1)
         _raise_first([(last_row_ok, lambda k: _BAD_LAST_ROW),
                       *_pose_checks(rotations, translations, tol)], start)
-        rotations.setflags(write=False)
-        translations.setflags(write=False)
-        poses = []
-        for R, t in zip(rotations, translations):
-            pose = object.__new__(cls)
-            vars(pose).update(rotation=R, translation=t, _tol=tol)  # checked above
-            poses.append(pose)
-        return tuple(poses)
+        return _checked_poses(rotations, translations, [tol] * len(m))
+
+
+def _checked_poses(rotations, translations, tols) -> tuple[Pose, ...]:
+    """Poses that are read-only views of the C-contiguous (n, 3, 3)
+    rotation and (n, 3) translation stacks, which already passed the
+    checks of :class:`Pose` at ``tols``, one per pose."""
+    rotations.setflags(write=False)
+    translations.setflags(write=False)
+    poses = []
+    for R, t, tol in zip(rotations, translations, tols):
+        pose = object.__new__(Pose)
+        vars(pose).update(rotation=R, translation=t, _tol=tol)
+        poses.append(pose)
+    return tuple(poses)
 
 
 def _pose_checks(R: np.ndarray, t: np.ndarray, tol) -> list:
@@ -276,6 +285,23 @@ class SimilarityTransform:
             self.apply(pose.translation),
             _tol=max(1e-8, pose._tol),
         )
+
+    def apply_poses(self, poses) -> tuple[Pose, ...]:
+        """:meth:`apply_pose` of each of ``poses``, with the same bits, as
+        stacked products checked once; the error names the first failing
+        pose as ``frame {k}``. The poses are read-only views of one
+        rotation and one translation stack. Each translation is mapped as
+        a (1, 3) row, by the product :meth:`apply` forms for one pose.
+        """
+        poses = tuple(poses)
+        if not poses:
+            return ()
+        R, t, tols = stack_poses(poses)
+        R = self.rotation @ R
+        t = self.apply(t[:, None]).reshape(-1, 3)
+        tols = np.maximum(tols, 1e-8)
+        check_poses(R, t, tols)
+        return _checked_poses(R, t, tols.tolist())
 
     def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
         """Transform equivalent to applying ``other`` first, then ``self``."""

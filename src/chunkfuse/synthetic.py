@@ -25,10 +25,12 @@ zero everywhere before it. The objects are cast in one batched pass over
 the (ray, object) pairs whose ray passes within the object's bounding
 sphere. A ray's nearest object is the lowest-index one at its least
 distance, and it hides the wall only when strictly nearer, as when the
-objects are cast one after another. None of these shortcuts changes a
-visibility decision or a bound point: ``generate`` gives the same bits as
-scanning every step, bisecting to the end and casting every object
-against every ray in index order.
+objects are cast one after another. Visibility is cast for blocks of
+consecutive frames at once; every per-ray step is elementwise, so each
+frame of a block gets the decisions of a cast of its own. None of these
+shortcuts changes a visibility decision or a bound point: ``generate``
+gives the same bits as scanning every step, bisecting to the end, casting
+every object against every ray in index order and each frame alone.
 """
 
 from __future__ import annotations
@@ -253,9 +255,16 @@ def _pixel_directions(height: int, width: int) -> np.ndarray:
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
+def _origins_at(origin, sel):
+    """The origins of the rays ``sel``: one (3,) origin serves every ray,
+    an (N, 3) stack holds one per ray."""
+    return origin if origin.ndim == 1 else origin[sel]
+
+
 def _ray_sphere(origin, dirs, center, radius_sq):
-    """First hit of each ray (N, 3) with its sphere: ``center`` (3,) or one
-    per ray, ``radius_sq`` the squared radius, a scalar or one per ray."""
+    """First hit of each ray (N, 3) with its sphere: ``origin`` and
+    ``center`` (3,) or one per ray, ``radius_sq`` the squared radius, a
+    scalar or one per ray."""
     oc = origin - center
     b = (dirs * oc).sum(axis=-1)
     disc = b**2 - ((oc**2).sum(axis=-1) - radius_sq)
@@ -270,8 +279,8 @@ def _ray_sphere(origin, dirs, center, radius_sq):
 
 
 def _ray_box(origin, dirs, center, half):
-    """First hit of each ray (N, 3) with its axis-aligned box: ``center``
-    and half-extents ``half``, (3,) or one per ray."""
+    """First hit of each ray (N, 3) with its axis-aligned box: ``origin``,
+    ``center`` and half-extents ``half``, (3,) or one per ray."""
     lo = center - np.asarray(half)
     hi = center + np.asarray(half)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -300,9 +309,10 @@ _CLEAR_MARGIN = 1e-9
 
 
 def _wall_free(origin, d, bg: BackgroundSpec, lim):
-    """Masks over the rays ``d`` (unit, (N, 3)): ``rises``, where ``g = z -
-    height`` strictly increases along the ray, and ``clear``, where it also
-    lies below ``-_CLEAR_MARGIN * (|distance| + |amplitude|)`` at ``lim``."""
+    """Masks over the rays ``d`` (unit, (N, 3)) from ``origin`` ((3,) or one
+    per ray): ``rises``, where ``g = z - height`` strictly increases along
+    the ray, and ``clear``, where it also lies below ``-_CLEAR_MARGIN *
+    (|distance| + |amplitude|)`` at ``lim``."""
     slope = _SLOPE_MARGIN * abs(bg.amplitude) * abs(bg.frequency)
     rises = d[:, 2] > slope * np.hypot(d[:, 0], d[:, 1])
     p = origin + lim[:, None] * d
@@ -314,10 +324,12 @@ def _wall_free(origin, d, bg: BackgroundSpec, lim):
 def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     """First intersection with the bumped wall along each ray, inf on a miss.
 
-    A ray is sampled at ``_SCAN_STEPS`` equal steps up to ``s_cap`` or
-    ``s_flat``, whichever is nearer, where ``s_flat`` reaches past the
-    wall's highest point. The first step at which ``g = z - height`` turns
-    positive brackets the hit, which is then bisected ``_BISECTIONS`` times.
+    ``origin`` is one (3,) origin for every ray of ``dirs`` (..., 3), or an
+    (N, 3) stack of one per ray, in the order of ``dirs``' rays. A ray is
+    sampled at ``_SCAN_STEPS`` equal steps up to ``s_cap`` or ``s_flat``,
+    whichever is nearer, where ``s_flat`` reaches past the wall's highest
+    point. The first step at which ``g = z - height`` turns positive
+    brackets the hit, which is then bisected ``_BISECTIONS`` times.
 
     Only the band of steps near the wall is evaluated. The height is
     ``distance - amplitude * sin * cos`` with ``|sin * cos| <= 1``, and
@@ -326,15 +338,22 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     lies above ``distance + |amplitude|``. A ray's z does not decrease from
     one step to the next, so every sign change lies between the last step
     below the band and the first step above it, and scanning those steps
-    finds the same bracket as scanning the whole grid.
+    finds the same bracket as scanning the whole grid. Each ray is scanned
+    over its own band only: the (ray, step) pairs are laid out flat, so a
+    wide or fallback band pads no other ray.
+
+    The bisection stops early once a step changes no ray's bracket: that
+    state is a fixed point, so the remaining steps would return the same
+    bits. A NaN bracket never compares equal and runs every step.
 
     ``limit`` (per ray) asks only whether the hit lies before it. The
     bisection then stops as soon as every ray's bracket lies wholly on one
     side of its limit. Each bracket holds the brackets of all later steps,
     so the returned midpoint is on the same side of ``limit`` as the full
-    root, but is not the root itself. The rays bisect in lockstep: they
-    usually all decide at the same step, and gathering the undecided ones
-    each step cost more than the steps it saved.
+    root, but is not the root itself; which midpoint depends on the other
+    rays of the call. The rays bisect in lockstep: they usually all decide
+    at the same step, and gathering the undecided ones each step cost more
+    than the steps it saved.
 
     With ``limit``, a ray that ``_wall_free`` certifies returns ``inf``
     without a scan. The height's gradient, ``amplitude * frequency *
@@ -353,22 +372,25 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     binding cast) the root itself is wanted, and every ray is scanned.
     """
     flat = dirs.reshape(-1, 3)
+    if origin.ndim > 1:
+        origin = origin.reshape(-1, 3)
     s_out = np.full(len(flat), np.inf)
     idx = np.nonzero(flat[:, 2] > 1e-12)[0]
     d = flat[idx]
+    o = _origins_at(origin, idx)
     if limit is not None:
         lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[idx]
-        keep = ~_wall_free(origin, d, bg, lim)[1]
-        idx, d, lim = idx[keep], d[keep], lim[keep]
-    oz = origin[2]
+        keep = ~_wall_free(o, d, bg, lim)[1]
+        idx, d, lim, o = idx[keep], d[keep], lim[keep], _origins_at(o, keep)
+    oz = o[..., 2]
     s_flat = (bg.distance + abs(bg.amplitude) + 1.0 - oz) / d[:, 2]
     cap = np.broadcast_to(np.asarray(s_cap, dtype=np.float64), dirs.shape[:-1]).ravel()[idx]
     s_hi = np.minimum(s_flat, np.where(np.isfinite(cap), cap, s_flat))
     s_hi = np.maximum(s_hi, 1e-9)
     grid = np.linspace(0.0, 1.0, _SCAN_STEPS + 1)
 
-    def g(s, dd):
-        p = origin + s[..., None] * dd
+    def g(s, dd, oo):
+        p = oo + s[..., None] * dd
         return p[..., 2] - bg.height(p[..., 0], p[..., 1])
 
     # z of the sample at step k, computed as g computes it
@@ -389,17 +411,21 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     rows = np.nonzero(last > first)[0]
     if not rows.size:
         return s_out.reshape(dirs.shape[:-1])
-    width = int((last[rows] - first[rows]).max()) + 1
-    steps = np.minimum(first[rows, None] + np.arange(width), _SCAN_STEPS)
-    s = grid[steps] * s_hi[rows, None]
-    val = g(s, d[rows, None, :])
-    cross = (val[:, :-1] <= 0) & (val[:, 1:] > 0)
-    hit = np.nonzero(cross.any(axis=1))[0]
-    at = cross[hit].argmax(axis=1)
-    flo = s[hit, at]
-    fhi = s[hit, at + 1]
-    rows = rows[hit]
+    # one (ray, step) pair per step of each ray's band, ray by ray
+    count = last[rows] - first[rows] + 1
+    ray = np.repeat(rows, count)
+    steps = np.arange(len(ray)) + np.repeat(first[rows] - (np.cumsum(count) - count), count)
+    s = grid[steps] * s_hi[ray]
+    val = g(s, d[ray], _origins_at(o, ray))
+    cross = (val[:-1] <= 0) & (val[1:] > 0) & (ray[:-1] == ray[1:])
+    at = np.flatnonzero(cross)
+    # each ray's first crossing
+    at = at[np.flatnonzero(np.diff(ray[at], prepend=-1))]
+    flo = s[at]
+    fhi = s[at + 1]
+    rows = ray[at]
     dd = d[rows]
+    oo = _origins_at(o, rows)
 
     if limit is not None:
         lim = lim[rows]
@@ -407,9 +433,11 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
         if limit is not None and not ((flo < lim) & (lim <= fhi)).any():
             break
         mid = 0.5 * (flo + fhi)
-        neg = g(mid, dd) <= 0
-        flo = np.where(neg, mid, flo)
-        fhi = np.where(neg, fhi, mid)
+        neg = g(mid, dd, oo) <= 0
+        lo, hi = np.where(neg, mid, flo), np.where(neg, fhi, mid)
+        if np.array_equal(lo, flo) and np.array_equal(hi, fhi):
+            break
+        flo, fhi = lo, hi
     s_out[idx[rows]] = 0.5 * (flo + fhi)
     return s_out.reshape(dirs.shape[:-1])
 
@@ -450,39 +478,50 @@ def _object_offsets(spec: SceneSpec) -> np.ndarray:
 
 
 def _near_bounds(origin, dirs, centers, radii):
-    """(N, M) mask: ray n passes within bounding sphere m.
+    """(..., N, M) mask: ray n passes within bounding sphere m.
 
-    The test is on the squared distance from each center to each ray's
-    line, the quantity ``_ray_sphere`` also tests, written as the squared
-    projection of the center on the ray against ``dist2`` less the bound,
-    so the (N, M) product is squared in place. The spheres are inflated by
-    0.1% and by a rounding allowance, so no ray that hits an object is
-    dropped.
+    The rays ``dirs`` (..., N, 3) leave ``origin`` (..., 3), and ``centers``
+    (..., M, 3) are the spheres' centres. Each leading index, such as a
+    frame, has its own (N, 3) @ (3, M) product. The test is on the squared
+    distance from each center to each ray's line, the quantity
+    ``_ray_sphere`` also tests, written as the squared projection of the
+    center on the ray against ``dist2`` less the bound, so the (N, M)
+    product is squared in place. The spheres are inflated by 0.1% and by a
+    rounding allowance, so no ray that hits an object is dropped.
     """
-    rel = centers - origin
-    dist2 = (rel**2).sum(axis=1)
-    along2 = dirs @ rel.T
+    rel = centers - origin[..., None, :]
+    dist2 = (rel**2).sum(axis=-1)[..., None, :]
+    along2 = dirs @ rel.swapaxes(-1, -2)
     np.square(along2, out=along2)
     return along2 >= dist2 - ((1.001 * radii) ** 2 + 1e-12 * dist2)
 
 
-def _cast_all(origin, dirs, spec: SceneSpec, offsets_t: np.ndarray, s_cap=np.inf, limit=None):
-    """Nearest hit over background and all objects: (s, owner id).
+def _cast_all(origins, dirs, spec: SceneSpec, centers, s_cap=np.inf, limit=None):
+    """Nearest hit over background and all objects: (s, owner id), shaped
+    like ``dirs[..., 0]``.
 
-    Owner is -1 for the background, the object index otherwise, and -2
-    where nothing is hit. The objects are cast in one batched pass over the
-    (ray, object) pairs whose ray passes within the object's slightly
-    inflated bounding sphere; the other pairs cannot hit. Each ray's
-    nearest object is the lowest-index one at its least ``s``, and it
-    replaces the wall only where its ``s`` is strictly less. ``limit`` is
-    passed to the wall scan, so where it is given, ``s`` is exact for
-    objects but only on the right side of ``limit`` for the wall.
+    The rays ``dirs`` (F, ..., 3) of a block of F frames are cast in one
+    pass, frame f's from ``origins[f]`` against the objects at
+    ``centers[f]`` (F, M, 3); ``s_cap`` and ``limit`` are scalars or one
+    per ray. Every per-ray step is elementwise, so a ray gets the bits it
+    would get cast in a block of its own frame. Owner is -1 for the
+    background, the object index otherwise, and -2 where nothing is hit.
+    The objects are cast in one batched pass over the (ray, object) pairs
+    whose ray passes within the object's slightly inflated bounding sphere;
+    the other pairs cannot hit. Each ray's nearest object is the
+    lowest-index one at its least ``s``, and it replaces the wall only
+    where its ``s`` is strictly less. ``limit`` is passed to the wall scan,
+    so where it is given, ``s`` is exact for objects but only on the right
+    side of ``limit`` for the wall.
     """
-    best_s = _ray_background(origin, dirs, spec.background, s_cap, limit).ravel()
+    frames = len(origins)
+    flat = dirs.reshape(frames, -1, 3)
+    n = flat.shape[1]
+    # one frame's rays share its origin; a block's carry one each
+    ray_origin = origins[0] if frames == 1 else np.repeat(origins, n, axis=0)
+    best_s = _ray_background(ray_origin, dirs, spec.background, s_cap, limit).ravel()
     best_id = np.where(np.isfinite(best_s), -1, -2)
     if spec.objects:
-        flat = dirs.reshape(-1, 3)
-        centers = np.array([obj.position for obj in spec.objects], dtype=np.float64) + offsets_t
         sizes = np.array([obj.size for obj in spec.objects])
         spheres = np.array([obj.shape == "sphere" for obj in spec.objects])
         radii = np.array([obj.size[0] if obj.shape == "sphere" else math.hypot(*obj.size)
@@ -491,14 +530,18 @@ def _cast_all(origin, dirs, spec: SceneSpec, offsets_t: np.ndarray, s_cap=np.inf
         # square rounds about one radius in a thousand differently
         radius_sq = np.array([obj.size[0] ** 2 for obj in spec.objects])
         # the pairs, row-major; a flat index is ten times faster than 2-D nonzero
-        near = _near_bounds(origin, flat, centers, radii)
+        near = _near_bounds(origins, flat, centers, radii)
         rows, objs = np.divmod(np.flatnonzero(near), len(spec.objects))
+        frame = rows // n
+        o = _origins_at(ray_origin, rows)
+        ctr = centers[frame, objs]
+        rays = flat.reshape(-1, 3)[rows]
         s = np.empty(len(rows))
         ball = spheres[objs]
-        s[ball] = _ray_sphere(origin, flat[rows[ball]], centers[objs[ball]],
+        s[ball] = _ray_sphere(_origins_at(o, ball), rays[ball], ctr[ball],
                               radius_sq[objs[ball]])
         box = ~ball
-        s[box] = _ray_box(origin, flat[rows[box]], centers[objs[box]], sizes[objs[box]])
+        s[box] = _ray_box(_origins_at(o, box), rays[box], ctr[box], sizes[objs[box]])
         # each ray's first pair by (s, object index)
         order = np.lexsort((objs, s, rows))
         rows, objs, s = rows[order], objs[order], s[order]
@@ -511,9 +554,25 @@ def _cast_all(origin, dirs, spec: SceneSpec, offsets_t: np.ndarray, s_cap=np.inf
     return best_s.reshape(shape), best_id.reshape(shape)
 
 
+# Largest number of (ray, object) pairs one visibility cast may hold; a
+# block of frames is cast together while its pairs stay within it. On a
+# long-stream scene (1,024 rays, 21 objects) that is 12 frames a block.
+# There generate's tracemalloc peak, 8.8 MB, is still set by the scene
+# scale's median, as frame by frame (8.7 MB); with 2**19 it is 12.0 MB and
+# with 2**20 20.2 MB. A 120 x 120 frame with 50 objects already exceeds it
+# and is cast alone.
+_PAIR_BUDGET = 2**18
+
+
 def generate(spec: SceneSpec) -> GroundTruth:
     """Ground truth of ``spec``, a function of the spec alone: no random
-    numbers are drawn, and the seed is left to :func:`emit_chunks`."""
+    numbers are drawn, and the seed is left to :func:`emit_chunks`.
+
+    Each pixel is bound by one cast of frame 0's rays. Visibility is then
+    cast for blocks of consecutive frames, as many as keep a block's
+    (ray, object) pairs within ``_PAIR_BUDGET`` (one at least). A block
+    gives every frame the decisions a cast of that frame alone gives.
+    """
     if not spec.objects and spec.background.amplitude == 0.0 and spec.camera.kind == "dolly" \
             and spec.camera.velocity == (0.0, 0.0, 0.0) and spec.camera.accel == (0.0, 0.0, 0.0):
         # A featureless static wall with a static camera carries no scene
@@ -529,13 +588,18 @@ def generate(spec: SceneSpec) -> GroundTruth:
     rig[:, :3, 3] = positions
     rig[:, 3, 3] = 1.0
     poses = list(Pose.from_matrices(rig))
+    rotations = np.ascontiguousarray(rig[:, :3, :3])
 
     offsets = _object_offsets(spec)
+    # each object's centre in each frame, (T, M, 3)
+    centers = np.array([obj.position for obj in spec.objects], dtype=np.float64).reshape(-1, 3) \
+        + offsets.transpose(1, 0, 2)
     dirs_cam = _pixel_directions(spec.height, spec.width)
     R0 = poses[0].rotation
     dirs0 = dirs_cam @ R0.T
     o0 = positions[0]
-    s0, owner = _cast_all(o0, dirs0, spec, offsets[:, 0] if spec.objects else offsets[:, :0])
+    s0, owner = _cast_all(positions[:1], dirs0[None], spec, centers[:1])
+    s0, owner = s0[0], owner[0]
     if not np.isfinite(s0).all():
         raise InvalidSpec("some pixels hit no surface; widen the background or narrow the fov")
     bound = o0 + s0[..., None] * dirs0
@@ -547,34 +611,33 @@ def generate(spec: SceneSpec) -> GroundTruth:
     points = np.take(padded, owner, axis=1)
     points += bound
 
-    cam_centers = positions
-    dists = norm3(points - cam_centers[:, None, None, :])
-    scene_scale = float(np.median(dists))
+    scene_scale = float(np.median(norm3(points - positions[:, None, None, :])))
     tol = 1e-6 * scene_scale
 
-    visible = np.zeros((spec.num_frames, spec.height, spec.width), dtype=bool)
+    visible = np.empty((spec.num_frames, spec.height, spec.width), dtype=bool)
     focal = _focal(spec.width)
     cy, cx = (spec.height - 1) / 2.0, (spec.width - 1) / 2.0
-    for t in range(spec.num_frames):
-        o = positions[t]
-        R = poses[t].rotation
-        rel = (points[t] - o) @ R
+    block = max(1, _PAIR_BUDGET // (spec.height * spec.width * max(len(spec.objects), 1)))
+    for t in range(0, spec.num_frames, block):
+        b = slice(t, t + block)
+        o = positions[b]
+        ray = points[b] - o[:, None, None]
+        # one (W, 3) @ (3, 3) product per image row, as frame by frame
+        rel = ray @ rotations[b, None]
         z = rel[..., 2]
         in_front = z > 1e-6
         with np.errstate(divide="ignore", invalid="ignore"):
             u = cx + focal * rel[..., 0] / z
             v = cy + focal * rel[..., 1] / z
         in_frame = in_front & (u >= -0.5) & (u <= spec.width - 0.5) & (v >= -0.5) & (v <= spec.height - 0.5)
-        dist = norm3(points[t] - o)
-        rays = (points[t] - o) / np.maximum(dist, 1e-12)[..., None]
-        s_hit, _ = _cast_all(o, rays, spec, offsets[:, t] if spec.objects else offsets[:, :0],
-                             s_cap=dist + tol, limit=dist - tol)
-        unoccluded = s_hit >= dist - tol
-        vis = in_frame & unoccluded
-        for m, obj in enumerate(spec.objects):
+        dist = norm3(ray)
+        ray /= np.maximum(dist, 1e-12)[..., None]
+        s_hit, _ = _cast_all(o, ray, spec, centers[b], s_cap=dist + tol, limit=dist - tol)
+        visible[b] = in_frame & (s_hit >= dist - tol)
+    for m, obj in enumerate(spec.objects):
+        for t in range(spec.num_frames):
             if not obj.forced_visible(t):
-                vis &= owner != m
-        visible[t] = vis
+                visible[t] &= owner != m
 
     return GroundTruth(
         spec=spec,
@@ -669,7 +732,7 @@ def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> Emitte
                 conf[:, static_mask] = noise_rng.uniform(
                     *CORRUPT_CONF, size=(n, int(static_mask.sum()))
                 )
-            poses = tuple(g.apply_pose(pose) for pose in gt.poses[start : end + 1])
+            poses = g.apply_poses(gt.poses[start : end + 1])
             yield Chunk(k, start, pts, conf, poses)
 
     return EmittedChunks(plan=plan, gauges=gauges, chunks=stream())

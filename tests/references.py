@@ -12,7 +12,8 @@ chunk's own scene scale. ``metrics.rpe`` replaced a loop of per-pose
 inverses and compositions, each a checked ``Pose``, by stacked products,
 and ``metrics.rotation_angle_deg`` takes a stack. ``fusion._Stitcher``
 replaced per-trajectory builders keyed by pixel tuples by lists indexed
-by trajectory id and a grid of the open ids.
+by trajectory id and a grid of the open ids. ``synthetic.generate`` casts
+visibility for blocks of frames, where it cast one frame at a time.
 The functions here are the replaced code, so the tests can check that
 every output bit stayed the same.
 """
@@ -23,7 +24,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from chunkfuse.association import MatchSet
-from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
+from chunkfuse.errors import DegenerateConfiguration, InvalidSpec, KeyMismatch, NotEnoughPoints
 from chunkfuse.fusion import Trajectory, _pixel_tracks, reconstruct_boundary
 from chunkfuse.model import (
     Chunk,
@@ -35,6 +36,14 @@ from chunkfuse.model import (
     norm3,
 )
 from chunkfuse.registration import GAMMA_C, RANK_TOL, _median_distance
+from chunkfuse.synthetic import (
+    GroundTruth,
+    _cast_all,
+    _focal,
+    _look_at_rotations,
+    _object_offsets,
+    _pixel_directions,
+)
 
 
 def same_bits(a, b) -> bool:
@@ -364,3 +373,86 @@ class Stitcher:
 
     def finish(self) -> list[Trajectory]:
         return [b.finish() for b in self.builders]
+
+
+def cast_frame(o, dirs, spec, offsets_t, s_cap=np.inf, limit=None):
+    """The cast of one frame's rays ``dirs`` from ``o``, with the objects
+    at ``offsets_t`` from their positions, as a block of one frame."""
+    centers = np.array([obj.position for obj in spec.objects], dtype=np.float64).reshape(-1, 3) + offsets_t
+    s, owner = _cast_all(o[None], dirs[None], spec, centers.reshape(1, -1, 3),
+                         np.asarray(s_cap)[None], None if limit is None else limit[None])
+    return s[0], owner[0]
+
+
+def generate(spec):
+    """``synthetic.generate`` with one visibility cast per frame."""
+    if not spec.objects and spec.background.amplitude == 0.0 and spec.camera.kind == "dolly" \
+            and spec.camera.velocity == (0.0, 0.0, 0.0) and spec.camera.accel == (0.0, 0.0, 0.0):
+        # A featureless static wall with a static camera carries no scene
+        # content at all; treat as an authoring error.
+        raise InvalidSpec("scene is empty: no objects and no background relief or camera motion")
+    positions = spec.camera.positions(spec.num_frames)
+    target = np.asarray(spec.camera.target, dtype=np.float64)
+    wall_limit = spec.background.distance - abs(spec.background.amplitude)
+    if (positions[:, 2] >= wall_limit - 0.25).any():
+        raise InvalidSpec("camera path runs into the background wall")
+    rig = np.zeros((spec.num_frames, 4, 4))
+    rig[:, :3, :3] = _look_at_rotations(positions, target)
+    rig[:, :3, 3] = positions
+    rig[:, 3, 3] = 1.0
+    poses = list(Pose.from_matrices(rig))
+
+    offsets = _object_offsets(spec)
+    dirs_cam = _pixel_directions(spec.height, spec.width)
+    R0 = poses[0].rotation
+    dirs0 = dirs_cam @ R0.T
+    o0 = positions[0]
+    s0, owner = cast_frame(o0, dirs0, spec, offsets[:, 0] if spec.objects else offsets[:, :0])
+    if not np.isfinite(s0).all():
+        raise InvalidSpec("some pixels hit no surface; widen the background or narrow the fov")
+    bound = o0 + s0[..., None] * dirs0
+
+    # Each pixel moves with its owner's offsets; row -1 of the padded
+    # offsets is zero, for the wall.
+    padded = np.zeros((spec.num_frames, len(spec.objects) + 1, 3))
+    padded[:, :-1] = offsets.transpose(1, 0, 2)
+    points = np.take(padded, owner, axis=1)
+    points += bound
+
+    cam_centers = positions
+    dists = norm3(points - cam_centers[:, None, None, :])
+    scene_scale = float(np.median(dists))
+    tol = 1e-6 * scene_scale
+
+    visible = np.zeros((spec.num_frames, spec.height, spec.width), dtype=bool)
+    focal = _focal(spec.width)
+    cy, cx = (spec.height - 1) / 2.0, (spec.width - 1) / 2.0
+    for t in range(spec.num_frames):
+        o = positions[t]
+        R = poses[t].rotation
+        rel = (points[t] - o) @ R
+        z = rel[..., 2]
+        in_front = z > 1e-6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = cx + focal * rel[..., 0] / z
+            v = cy + focal * rel[..., 1] / z
+        in_frame = in_front & (u >= -0.5) & (u <= spec.width - 0.5) & (v >= -0.5) & (v <= spec.height - 0.5)
+        dist = norm3(points[t] - o)
+        rays = (points[t] - o) / np.maximum(dist, 1e-12)[..., None]
+        s_hit, _ = cast_frame(o, rays, spec, offsets[:, t] if spec.objects else offsets[:, :0],
+                              s_cap=dist + tol, limit=dist - tol)
+        unoccluded = s_hit >= dist - tol
+        vis = in_frame & unoccluded
+        for m, obj in enumerate(spec.objects):
+            if not obj.forced_visible(t):
+                vis &= owner != m
+        visible[t] = vis
+
+    return GroundTruth(
+        spec=spec,
+        points=points,
+        poses=poses,
+        object_ids=owner.astype(np.int32),
+        visible=visible,
+        scene_scale=scene_scale,
+    )

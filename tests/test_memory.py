@@ -1,4 +1,5 @@
-"""Memory bounds of the evaluate path, in units of the arrays involved.
+"""Memory bounds of the evaluate path, in units of the arrays involved,
+and of the synthetic oracle against its per-frame reference.
 
 Each bound is measured with ``tracemalloc``, which sees numpy's array
 buffers, as the peak allocated above what was live when the step began.
@@ -15,8 +16,9 @@ import references as ref
 from chunkfuse import io as cio
 from chunkfuse.fusion import Trajectory
 from chunkfuse.metrics import build_fused_table, dense_epe
-from chunkfuse.synthetic import GroundTruth
+from chunkfuse.synthetic import GroundTruth, generate
 from conftest import make_chunk
+from scenes import ablation_spec
 
 T, H, W = 8, 64, 64
 
@@ -80,3 +82,12 @@ def test_dense_epe_allocates_the_two_gemm_operands(rng):
     for align in (True, False):
         _, peak = traced_peak(dense_epe, pred, gt_table, align)
         assert peak <= 2.4 * gt.points.nbytes
+
+
+def test_generate_blocks_hold_no_more_than_frame_by_frame():
+    # a long-stream shape: 128 frames of 32 x 32 and 21 objects, cast in
+    # blocks of 12 frames
+    spec = ablation_spec(0)
+    _, peak = traced_peak(generate, spec)
+    _, per_frame = traced_peak(ref.generate, spec)
+    assert peak <= 1.05 * per_frame

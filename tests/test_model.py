@@ -418,6 +418,38 @@ class TestApplyMatchesReference:
         assert ref.same_bits(T.apply(x.tolist()), ref.apply(T, x))
 
 
+class TestApplyPoses:
+    """``apply_poses`` maps a stack of poses with the bits of ``apply_pose``
+    on each, checked once."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_apply_pose(self, seed, n, span):
+        rng = np.random.default_rng(seed)
+        T = SimilarityTransform(float(rng.uniform(0.1, 10.0)), random_rotation(rng),
+                                rng.normal(size=3) * span)
+        poses = [Pose(random_rotation(rng), rng.normal(size=3) * span,
+                      _tol=float(rng.choice([1e-12, 1e-9, 1e-6])))
+                 for _ in range(n)]
+        got = T.apply_poses(poses)
+        assert len(got) == n
+        for p, q in zip(got, (T.apply_pose(pose) for pose in poses)):
+            for a, b in ((p.rotation, q.rotation), (p.translation, q.translation)):
+                assert a.tobytes() == b.tobytes()
+                assert a.flags.c_contiguous and not a.flags.writeable
+            assert p._tol == q._tol
+            assert np.shares_memory(p.rotation, got[0].rotation.base)
+
+    def test_no_poses(self):
+        assert random_transform(np.random.default_rng(0)).apply_poses([]) == ()
+
+    def test_names_the_first_bad_pose(self):
+        T = SimilarityTransform(10.0, np.eye(3), np.zeros(3))
+        poses = [Pose(np.eye(3), np.array([x, 0.0, 0.0])) for x in (1.0, 2.0, 1e308, 1e308)]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^frame 2: pose translation"):
+            T.apply_poses(poses)
+
+
 class TestTrackTable:
     def _table(self, rng, T=3, H=5, W=4, stride=2):
         points = rng.normal(size=(T, H, W, 3))

@@ -24,7 +24,15 @@ from chunkfuse.synthetic import (
     emit_chunks,
     generate,
 )
-from scenes import association_spec
+import references as ref
+from scenes import (
+    ablation_spec,
+    association_spec,
+    dynamic_overlap_spec,
+    end_to_end_spec,
+    gauge_recovery_spec,
+    identity_span_spec,
+)
 
 
 def static_camera():
@@ -331,11 +339,11 @@ def reference_ray_box(origin, dirs, center, half):
     return np.where(hit, near, s)
 
 
-def reference_cast_all(origin, dirs, spec, offsets_t, s_cap=np.inf, limit=None):
+def reference_cast_all(origin, dirs, spec, centers_t, s_cap=np.inf, limit=None):
     best_s = reference_ray_background(origin, dirs, spec.background, s_cap)
     best_id = np.where(np.isfinite(best_s), -1, -2)
     for m, obj in enumerate(spec.objects):
-        center = np.asarray(obj.position) + offsets_t[m]
+        center = centers_t[m]
         if obj.shape == "sphere":
             s = reference_ray_sphere(origin, dirs, center, obj.size[0])
         else:
@@ -346,9 +354,17 @@ def reference_cast_all(origin, dirs, spec, offsets_t, s_cap=np.inf, limit=None):
     return best_s, best_id
 
 
+def reference_block_cast(origins, dirs, spec, centers, s_cap=np.inf, limit=None):
+    """``reference_cast_all`` of each frame of a block, stacked."""
+    s_cap = np.broadcast_to(s_cap, dirs.shape[:-1])
+    casts = [reference_cast_all(o, d, spec, c, cap)
+             for o, d, c, cap in zip(origins, dirs, centers, s_cap)]
+    return tuple(np.stack(x) for x in zip(*casts))
+
+
 def reference_generate(spec, monkeypatch):
     with monkeypatch.context() as mp:
-        mp.setattr(synthetic, "_cast_all", reference_cast_all)
+        mp.setattr(synthetic, "_cast_all", reference_block_cast)
         return generate(spec)
 
 
@@ -407,7 +423,8 @@ def visibility_certificates(spec, monkeypatch):
             flat = dirs.reshape(-1, 3)
             towards = flat[:, 2] > 1e-12
             lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[towards]
-            masks.append(_wall_free(origin, flat[towards], bg, lim))
+            o = origin if origin.ndim == 1 else origin.reshape(-1, 3)[towards]
+            masks.append(_wall_free(o, flat[towards], bg, lim))
         return cast(origin, dirs, bg, s_cap, limit)
 
     with monkeypatch.context() as mp:
@@ -417,18 +434,21 @@ def visibility_certificates(spec, monkeypatch):
     return rises, clear
 
 
+def assert_same_truth(got, want):
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.visible.tobytes() == want.visible.tobytes()
+    assert got.object_ids.tobytes() == want.object_ids.tobytes()
+    assert got.scene_scale == want.scene_scale
+    assert len(got.poses) == len(want.poses)
+    assert all(p.matrix().tobytes() == q.matrix().tobytes()
+               for p, q in zip(got.poses, want.poses))
+
+
 class TestReferenceParity:
     @pytest.mark.parametrize("name", sorted(PARITY_SCENES))
     def test_generate_matches_reference_bytes(self, name, monkeypatch):
         spec = PARITY_SCENES[name]
-        got = generate(spec)
-        want = reference_generate(spec, monkeypatch)
-        assert got.points.tobytes() == want.points.tobytes()
-        assert got.visible.tobytes() == want.visible.tobytes()
-        assert got.object_ids.tobytes() == want.object_ids.tobytes()
-        assert got.scene_scale == want.scene_scale
-        assert all(p.matrix().tobytes() == q.matrix().tobytes()
-                   for p, q in zip(got.poses, want.poses))
+        assert_same_truth(generate(spec), reference_generate(spec, monkeypatch))
 
     def test_scenes_reach_both_uncertified_branches(self, monkeypatch):
         # The byte checks above cover a ray refused for its slope and one
@@ -464,6 +484,58 @@ class TestReferenceParity:
             got = _ray_background(o, rays, spec.background, cap, limit)
             assert np.array_equal(got >= limit, root >= limit)
         assert np.array_equal(_ray_background(o, rays, spec.background, cap), root)
+
+
+def wall_only_spec():
+    """128 frames of 32 x 32 and no objects, from an orbiting camera."""
+    return SceneSpec(num_frames=128, height=32, width=32, seed=0,
+                     camera=CameraSpec(kind="orbit", target=(0, 0, 4.0), start=(0.3, 0.1, -1.2),
+                                       rate=0.01, bob=0.05))
+
+
+BLOCK_SCENES = {
+    **{f"parity-{name}": (lambda spec=spec: spec) for name, spec in PARITY_SCENES.items()},
+    "ablation": lambda: ablation_spec(0),
+    "association": lambda: association_spec(0),
+    "dynamic_overlap": lambda: dynamic_overlap_spec(0),
+    "end_to_end": end_to_end_spec,
+    "gauge_recovery": gauge_recovery_spec,
+    "identity_span": identity_span_spec,
+    "wall_only": wall_only_spec,
+}
+
+
+def generate_in_blocks(spec, monkeypatch, budget):
+    """``generate(spec)`` at pair budget ``budget``, and the number of
+    frames in each visibility cast it made."""
+    frames = []
+    cast = synthetic._cast_all
+
+    def spy(origins, *args, **kwargs):
+        frames.append(len(origins))
+        return cast(origins, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(synthetic, "_PAIR_BUDGET", budget)
+        mp.setattr(synthetic, "_cast_all", spy)
+        gt = generate(spec)
+    return gt, frames[1:]  # the first is the frame-0 binding cast
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SCENES))
+def test_generate_matches_per_frame_reference(name, monkeypatch):
+    # blocks of one frame, of a size that does not divide the frame count
+    # (the last block is short), and of every frame at once
+    spec = BLOCK_SCENES[name]()
+    want = ref.generate(spec)
+    n = spec.num_frames
+    pairs = spec.height * spec.width * max(len(spec.objects), 1)
+    uneven = next(k for k in (3, 4, 5, 7) if n % k)
+    for block in (1, uneven, n):
+        got, frames = generate_in_blocks(spec, monkeypatch, block * pairs)
+        assert frames == [min(block, n - t) for t in range(0, n, block)]
+        assert_same_truth(got, want)
+    assert_same_truth(generate(spec), want)
 
 
 def _unit(v):
@@ -532,6 +604,27 @@ def test_certified_rays_meet_no_wall_before_limit(seed, amplitude, frequency, di
     assert np.array_equal(got >= limit, root >= limit)
 
 
+def test_per_ray_origins_match_one_cast_per_origin():
+    # Rays from their own origins get the bits of a cast from each origin
+    # alone, also where the flat scan puts a ray that starts within the
+    # wall's relief, mostly past the wall, right after one whose cap stops
+    # it short of the wall.
+    bg = BackgroundSpec()
+    rng = np.random.default_rng(0)
+    n = 200
+    origins = np.column_stack([rng.uniform(-2.0, 2.0, size=(n, 2)), rng.uniform(-2.0, 4.0, size=n)])
+    origins[1::4, 2] = bg.distance + 0.5 * bg.amplitude
+    dirs = _unit(np.column_stack([rng.normal(size=(n, 2)) * 0.3, np.ones(n)]))
+    s_cap = rng.uniform(0.5, 12.0, size=n)
+    want = np.array([reference_ray_background(o, d[None], bg, cap)[0]
+                     for o, d, cap in zip(origins, dirs, s_cap)])
+    assert np.isfinite(want).any() and not np.isfinite(want).all()
+    assert _ray_background(origins, dirs, bg, s_cap).tobytes() == want.tobytes()
+    limit = s_cap * rng.uniform(0.5, 1.0, size=n)
+    got = _ray_background(origins, dirs, bg, s_cap, limit)
+    assert np.array_equal(got >= limit, want >= limit)
+
+
 def random_object(rng):
     position = tuple(rng.uniform([-1.5, -1.5, 1.0], [1.5, 1.5, 5.0]))
     if rng.random() < 0.5:
@@ -555,7 +648,9 @@ def test_batched_cast_matches_per_object_loop(seed, num, twin, inside, capped):
     # Mixed spheres and boxes, maybe one object twice at the same place,
     # before or after itself (a tie the lower index must win), the camera maybe inside one
     # object's bounding sphere, and rays along the axes and with one
-    # component zeroed, parallel to box slabs.
+    # component zeroed, parallel to box slabs. The rays are cast as a block
+    # of two frames, the second from another origin with every object
+    # moved, and each frame must match its own per-object loop.
     rng = np.random.default_rng(seed)
     objects = [random_object(rng) for _ in range(num)]
     offsets = rng.normal(size=(num, 3)) * 0.1
@@ -577,18 +672,23 @@ def test_batched_cast_matches_per_object_loop(seed, num, twin, inside, capped):
     dirs[:40, 0] = 0.0
     dirs[40:80, 1] = 0.0
     dirs = _unit(np.concatenate([dirs, np.eye(3), -np.eye(3), rng.normal(size=(60, 3))]))
-    s_cap = rng.uniform(0.5, 10.0, size=len(dirs)) if capped else np.inf
-    got_s, got_id = synthetic._cast_all(origin, dirs, spec, offsets, s_cap)
-    want_s, want_id = reference_cast_all(origin, dirs, spec, offsets, s_cap)
-    assert got_s.tobytes() == want_s.tobytes()
-    assert np.array_equal(got_id, want_id)
+    origins = np.stack([origin, rng.uniform([-1.0, -1.0, -2.0], [1.0, 1.0, 0.5])])
+    block = np.stack([centers, centers + rng.normal(size=3) * 0.1])
+    s_cap = rng.uniform(0.5, 10.0, size=(2, len(dirs))) if capped else np.inf
+    got_s, got_id = synthetic._cast_all(origins, np.stack([dirs, dirs]), spec, block, s_cap)
+    for f in range(2):
+        want_s, want_id = reference_cast_all(origins[f], dirs, spec, block[f],
+                                             s_cap[f] if capped else s_cap)
+        assert got_s[f].tobytes() == want_s.tobytes()
+        assert np.array_equal(got_id[f], want_id)
 
 
 def test_coincident_objects_go_to_the_lower_index():
     ball = sphere(position=(0.1, -0.2, 3.0), size=0.8)
     spec = SceneSpec(objects=(ball, ball))
     dirs = _pixel_directions(24, 24).reshape(-1, 3)
-    s, owner = synthetic._cast_all(np.zeros(3), dirs, spec, np.zeros((2, 3)))
+    s, owner = synthetic._cast_all(np.zeros((1, 3)), dirs[None], spec,
+                                   np.array([[ball.position] * 2]))
     assert (owner == 0).any()
     assert np.isin(owner, (0, -1)).all()
 
