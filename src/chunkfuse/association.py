@@ -6,6 +6,11 @@ over the consecutive shared overlap frames, where a tracklet's id is its
 row. Gating, costs and assignment work on whole sets at once: candidates
 are an (K, 2) array of (row in set i, row in set j) pairs, and costs are
 a matching (K,) array.
+
+Assignment splits the kept candidates into the connected components of
+their bipartite graph, found by min-label propagation over the edges, so
+each component is labelled by its smallest vertex. A component of one
+edge is matched outright; every other one is solved on its own.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .model import PipelineConfig, TrackletSet, finite3, norm3
@@ -119,15 +122,19 @@ def pair_cost(
     """
     if tracklets_i.frames != tracklets_j.frames:
         raise ValueError("pair costs need both tracklet sets over the same frames")
-    pa = tracklets_i.positions[candidates[:, 0]]
-    pb = tracklets_j.positions[candidates[:, 1]]
+    # np.take gathers rows several times faster than fancy indexing
+    ca, cb = np.ascontiguousarray(candidates.T)
+    pa = np.take(tracklets_i.positions, ca, axis=0)
+    pb = np.take(tracklets_j.positions, cb, axis=0)
 
     l_traj = norm3(pa - pb).mean(axis=-1) / scene_scale
 
-    va = np.diff(pa, axis=1)
-    vb = np.diff(pb, axis=1)
-    sa = norm3(va)
-    sb = norm3(vb)
+    # each set's velocities and speeds once, gathered per candidate: the
+    # same elementwise bits as forming them pair by pair
+    vel_i = np.diff(tracklets_i.positions, axis=1)
+    vel_j = np.diff(tracklets_j.positions, axis=1)
+    va, vb = np.take(vel_i, ca, axis=0), np.take(vel_j, cb, axis=0)
+    sa, sb = np.take(norm3(vel_i), ca, axis=0), np.take(norm3(vel_j), cb, axis=0)
     l_vel = (np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean(axis=-1)
 
     cos = np.clip((va * vb).sum(axis=-1) / (sa * sb + VEL_EPS**2), -1.0, 1.0)
@@ -172,6 +179,32 @@ def gate_candidates(tracklets_i: TrackletSet, tracklets_j: TrackletSet, radius: 
     return np.stack([a[near], b[near]], axis=1)
 
 
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Component label of each of ``n`` vertices in the undirected graph of
+    the edges (u[k], v[k]): the smallest vertex of its component.
+
+    Min-label propagation with pointer jumping. Every vertex points at a
+    root no larger than itself. Each round hooks every root to the smallest
+    root across its edges into other trees, then jumps pointers until each
+    vertex points at its root; rounds go on while an edge joins two trees.
+    Labelled by their smallest vertex, components sort the way
+    ``scipy.sparse.csgraph.connected_components`` numbers them.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        lu, lv = lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
 def assign(
     candidates: np.ndarray,
     costs: np.ndarray,
@@ -186,8 +219,14 @@ def assign(
     ``cost_max``, so any tracklet may remain unmatched; candidates above
     ``cost_max`` (or rejected, non-finite) are discarded up front, which
     keeps every reported match at or below the threshold. Deterministic
-    given the input. Solved per connected component of the candidate graph
-    with the Hungarian method.
+    given the input.
+
+    Solved per connected component of the kept candidates (see
+    :func:`_components`). A component of one edge is matched outright: its
+    padded 2x2 problem costs c <= ``cost_max`` matched against
+    2 ``cost_max`` unmatched, and ``cost_max`` > 0. Every other component
+    is solved with the Hungarian method over its rows and columns in id
+    order, which fixes how ties break.
     """
     pairs = np.asarray(candidates, dtype=np.intp).reshape(-1, 2)
     costs = np.asarray(costs, dtype=np.float64)
@@ -197,37 +236,44 @@ def assign(
     matched: list[tuple[int, int, float]] = []
     if len(a):
         n = n_i + n_j
-        graph = coo_matrix((np.ones(len(a)), (a, n_i + b)), shape=(n, n))
-        _, label = connected_components(graph, directed=False)
-        # Every vertex with a kept candidate, ordered by component, then by
-        # id, which puts a component's rows (ids < n_i) before its columns.
-        # Its rank within its (component, side) group is its local index.
-        used = np.zeros(n, dtype=bool)
-        used[a] = used[n_i + b] = True
-        vert = np.flatnonzero(used)
-        vert = vert[np.argsort(label[vert], kind="stable")]
-        first = np.flatnonzero(np.diff(2 * label[vert] + (vert >= n_i), prepend=-1))
-        size = np.diff(first, append=len(vert))
-        local = np.empty(n, dtype=np.intp)
-        local[vert] = np.arange(len(vert)) - np.repeat(first, size)
-        ra_all, cb_all = local[a], local[n_i + b]
+        label = _components(a, n_i + b, n)
         comp = label[a]
         order = np.argsort(comp, kind="stable")
-        groups = zip(
-            np.split(order, np.flatnonzero(np.diff(comp[order])) + 1),
-            first[0::2], size[0::2], first[1::2], size[1::2],
-        )
-        for edges, r0, nr, c0, nc in groups:
-            rows, cols = vert[r0:r0 + nr], vert[c0:c0 + nc] - n_i
-            M = np.full((nr + nc, nc + nr), np.inf)
-            M[ra_all[edges], cb_all[edges]] = c[edges]
-            M[np.arange(nr), nc + np.arange(nr)] = cfg.cost_max
-            M[nr + np.arange(nc), np.arange(nc)] = cfg.cost_max
-            M[nr:, nc:] = 0.0
-            rr, cc = linear_sum_assignment(M)
-            real = (rr < nr) & (cc < nc)
-            rr, cc = rr[real], cc[real]
-            matched += zip(rows[rr].tolist(), cols[cc].tolist(), M[rr, cc].tolist())
+        starts = np.flatnonzero(np.diff(comp[order], prepend=-1))
+        count = np.diff(starts, append=len(order))
+        lone = order[starts[count == 1]]
+        matched += zip(a[lone].tolist(), b[lone].tolist(), c[lone].tolist())
+        big = count > 1
+        edges = order[np.repeat(big, count)]
+        if len(edges):
+            # Every vertex of a larger component, ordered by component,
+            # then by id, which puts a component's rows (ids < n_i) before
+            # its columns. Its rank within its (component, side) group is
+            # its local index.
+            used = np.zeros(n, dtype=bool)
+            used[a[edges]] = used[n_i + b[edges]] = True
+            vert = np.flatnonzero(used)
+            vert = vert[np.argsort(label[vert], kind="stable")]
+            first = np.flatnonzero(np.diff(2 * label[vert] + (vert >= n_i), prepend=-1))
+            size = np.diff(first, append=len(vert))
+            local = np.empty(n, dtype=np.intp)
+            local[vert] = np.arange(len(vert)) - np.repeat(first, size)
+            ra_all, cb_all = local[a], local[n_i + b]
+            groups = zip(
+                np.split(edges, np.cumsum(count[big])[:-1]),
+                first[0::2], size[0::2], first[1::2], size[1::2],
+            )
+            for group, r0, nr, c0, nc in groups:
+                rows, cols = vert[r0:r0 + nr], vert[c0:c0 + nc] - n_i
+                M = np.full((nr + nc, nc + nr), np.inf)
+                M[ra_all[group], cb_all[group]] = c[group]
+                M[np.arange(nr), nc + np.arange(nr)] = cfg.cost_max
+                M[nr + np.arange(nc), np.arange(nc)] = cfg.cost_max
+                M[nr:, nc:] = 0.0
+                rr, cc = linear_sum_assignment(M)
+                real = (rr < nr) & (cc < nc)
+                rr, cc = rr[real], cc[real]
+                matched += zip(rows[rr].tolist(), cols[cc].tolist(), M[rr, cc].tolist())
     matched.sort()
     taken_i = np.zeros(n_i, dtype=bool)
     taken_j = np.zeros(n_j, dtype=bool)

@@ -149,7 +149,7 @@ def _cmd_evaluate(args) -> int:
                                 f"fused frames, got {args.rpe_delta}")
         # aligning away the monocular gauge first keeps RPE scale-free
         T = align_trajectories(pred_poses, gt.poses)
-        aligned = [T.apply_pose(p) for p in pred_poses]
+        aligned = T.apply_poses(pred_poses)
         result["rpe_trans"], result["rpe_rot"] = rpe(aligned, gt.poses, delta=args.rpe_delta)
         result["rpe_delta"] = args.rpe_delta
     if "epe" in wanted:

@@ -434,13 +434,17 @@ class FusedScene:
     )
 
 
-def _map_frame(fp: FramePrediction, G: SimilarityTransform) -> FramePrediction:
-    return FramePrediction(
-        points=G.apply(fp.points),
-        confidence=fp.confidence,
-        pose=G.apply_pose(fp.pose),
-        frame_index=fp.frame_index,
-    )
+def _emit_frames(chunk: Chunk, first: int, G: SimilarityTransform,
+                 frame_sink: Callable[[FramePrediction], None]) -> None:
+    """Hand the frames of ``chunk`` from frame ``first`` on, mapped by
+    ``G``, to ``frame_sink``: views of one mapped point stack and one
+    mapped pose stack. ``G.apply`` rounds each row of the stack as it
+    rounds the row of one frame alone, so every frame keeps its bits."""
+    k = first - chunk.start_frame
+    points = G.apply(chunk.points[k:])
+    poses = G.apply_poses(chunk.poses[k:])
+    for t, (p, c, pose) in enumerate(zip(points, chunk.confidence[k:], poses), start=first):
+        frame_sink(FramePrediction(points=p, confidence=c, pose=pose, frame_index=t))
 
 
 def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
@@ -514,9 +518,10 @@ def fuse_sequence(
     """Register, associate, and fuse a stream of chunks.
 
     Keeps at most two chunk payloads resident: the previous and the
-    incoming one. Each fused frame is handed to ``frame_sink`` as soon as
-    it is final (overlap frames belong to the earlier chunk, so a frame is
-    final once emitted).
+    incoming one. Each chunk's new frames (overlap frames belong to the
+    earlier chunk) are mapped into the first chunk's gauge as one stack
+    once its transform is known, and handed to ``frame_sink`` one frame
+    at a time; only that one chunk's mapped stack is held meanwhile.
     Per-pair registration failures never abort; the tier hierarchy always
     produces a transform.
     """
@@ -534,8 +539,7 @@ def fuse_sequence(
     match_dumps: list[tuple[int, int, MatchSet, np.ndarray, np.ndarray]] = []
     stitcher = _Stitcher(prev.grid_shape)
 
-    for fp in prev.frames:
-        frame_sink(_map_frame(fp, identity))
+    _emit_frames(prev, prev.start_frame, identity, frame_sink)
 
     for cur in it:
         G_prev = transforms[-1]
@@ -548,9 +552,7 @@ def fuse_sequence(
             match_dumps.append((prev.chunk_id, cur.chunk_id, match_set, raw_i.pixels, raw_j.pixels))
             stitcher.junction(prev, cur, G_prev, G_cur, raw_i, raw_j, match_set, cfg)
 
-        for fp in cur.frames:
-            if fp.frame_index > prev.end_frame:
-                frame_sink(_map_frame(fp, G_cur))
+        _emit_frames(cur, prev.end_frame + 1, G_cur, frame_sink)
         prev = cur
 
     return FusedScene(

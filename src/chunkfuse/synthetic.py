@@ -557,10 +557,9 @@ def _cast_all(origins, dirs, spec: SceneSpec, centers, s_cap=np.inf, limit=None)
 # Largest number of (ray, object) pairs one visibility cast may hold; a
 # block of frames is cast together while its pairs stay within it. On a
 # long-stream scene (1,024 rays, 21 objects) that is 12 frames a block.
-# There generate's tracemalloc peak, 8.8 MB, is still set by the scene
-# scale's median, as frame by frame (8.7 MB); with 2**19 it is 12.0 MB and
-# with 2**20 20.2 MB. A 120 x 120 frame with 50 objects already exceeds it
-# and is cast alone.
+# There generate's tracemalloc peak, 7.9 MB, is set by the block casts;
+# with 2**19 it is 12.0 MB and with 2**20 20.2 MB. A 120 x 120 frame with
+# 50 objects already exceeds it and is cast alone.
 _PAIR_BUDGET = 2**18
 
 
@@ -611,13 +610,21 @@ def generate(spec: SceneSpec) -> GroundTruth:
     points = np.take(padded, owner, axis=1)
     points += bound
 
-    scene_scale = float(np.median(norm3(points - positions[:, None, None, :])))
+    block = max(1, _PAIR_BUDGET // (spec.height * spec.width * max(len(spec.objects), 1)))
+    # the median camera-to-point distance, its distances formed block by
+    # block into one (T, H, W) buffer rather than from a (T, H, W, 3)
+    # difference; the median of the same values has the same bits
+    dist = np.empty(points.shape[:3])
+    for t in range(0, spec.num_frames, block):
+        b = slice(t, t + block)
+        dist[b] = norm3(points[b] - positions[b, None, None])
+    scene_scale = float(np.median(dist, overwrite_input=True))
+    del dist
     tol = 1e-6 * scene_scale
 
     visible = np.empty((spec.num_frames, spec.height, spec.width), dtype=bool)
     focal = _focal(spec.width)
     cy, cx = (spec.height - 1) / 2.0, (spec.width - 1) / 2.0
-    block = max(1, _PAIR_BUDGET // (spec.height * spec.width * max(len(spec.objects), 1)))
     for t in range(0, spec.num_frames, block):
         b = slice(t, t + block)
         o = positions[b]

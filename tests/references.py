@@ -14,6 +14,9 @@ and ``metrics.rotation_angle_deg`` takes a stack. ``fusion._Stitcher``
 replaced per-trajectory builders keyed by pixel tuples by lists indexed
 by trajectory id and a grid of the open ids. ``synthetic.generate`` casts
 visibility for blocks of frames, where it cast one frame at a time.
+``association.pair_cost`` gathers each set's velocities and speeds, where
+it formed them per candidate pair, and ``fusion.fuse_sequence`` maps each
+chunk's frames as one stack, where it mapped them one frame at a time.
 The functions here are the replaced code, so the tests can check that
 every output bit stayed the same.
 """
@@ -23,11 +26,12 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from chunkfuse.association import MatchSet
+from chunkfuse.association import VEL_EPS, MatchSet
 from chunkfuse.errors import DegenerateConfiguration, InvalidSpec, KeyMismatch, NotEnoughPoints
 from chunkfuse.fusion import Trajectory, _pixel_tracks, reconstruct_boundary
 from chunkfuse.model import (
     Chunk,
+    FramePrediction,
     PipelineConfig,
     Pose,
     SimilarityTransform,
@@ -220,6 +224,36 @@ def assign(candidates, costs, n_i: int, n_j: int, cfg) -> MatchSet:
         matches=tuple(matched),
         unmatched_i=tuple(np.flatnonzero(~taken_i).tolist()),
         unmatched_j=tuple(np.flatnonzero(~taken_j).tolist()),
+    )
+
+
+def pair_cost(tracklets_i, tracklets_j, candidates, cfg, scene_scale) -> np.ndarray:
+    if tracklets_i.frames != tracklets_j.frames:
+        raise ValueError("pair costs need both tracklet sets over the same frames")
+    pa = tracklets_i.positions[candidates[:, 0]]
+    pb = tracklets_j.positions[candidates[:, 1]]
+
+    l_traj = norm3(pa - pb).mean(axis=-1) / scene_scale
+
+    va = np.diff(pa, axis=1)
+    vb = np.diff(pb, axis=1)
+    sa = norm3(va)
+    sb = norm3(vb)
+    l_vel = (np.abs(sa - sb) / (sa + sb + VEL_EPS)).mean(axis=-1)
+
+    cos = np.clip((va * vb).sum(axis=-1) / (sa * sb + VEL_EPS**2), -1.0, 1.0)
+    l_dir = ((1.0 - cos) / 2.0).mean(axis=-1)
+
+    cost = l_traj + cfg.lambda_vel * l_vel + cfg.lambda_dir * l_dir
+    return np.where((l_traj > cfg.traj_cap) | (l_dir > cfg.dir_cap), np.inf, cost)
+
+
+def map_frame(fp: FramePrediction, G: SimilarityTransform) -> FramePrediction:
+    return FramePrediction(
+        points=G.apply(fp.points),
+        confidence=fp.confidence,
+        pose=G.apply_pose(fp.pose),
+        frame_index=fp.frame_index,
     )
 
 

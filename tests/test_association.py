@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import references as ref
 from chunkfuse.association import (
@@ -14,7 +16,7 @@ from chunkfuse.association import (
     pair_cost,
     resolve_gamma_p,
 )
-from chunkfuse.association import VEL_EPS
+from chunkfuse.association import VEL_EPS, _components
 from chunkfuse.chunking import slice_overlap
 from chunkfuse.model import PipelineConfig, SimilarityTransform, TrackletSet
 from chunkfuse.registration import select_anchors
@@ -320,6 +322,37 @@ class TestPairCost:
             else:
                 assert c == ref  # bit for bit, not approximately
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_pair_gather_reference_bitwise(self, seed):
+        # positions on a coarse lattice give zero and repeated steps and
+        # exact ties; a few non-finite entries and repeated, unordered
+        # candidates cover what a caller may pass
+        rng = np.random.default_rng(seed)
+        n_i, n_j = (int(v) for v in rng.integers(0, 15, size=2))
+        t = int(rng.integers(2, 10))
+        coarse = bool(rng.integers(2))
+        pos = [rng.integers(-2, 3, size=(n, t, 3)) * 0.5 if coarse
+               else rng.normal(size=(n, 1, 3)) + np.cumsum(rng.normal(scale=0.2, size=(n, t, 3)), axis=1)
+               for n in (n_i, n_j)]
+        for p in pos:
+            bad = rng.random(p.shape) < 0.01
+            p[bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
+        ti, tj = tracklets(pos[0], 3), tracklets(pos[1], 3)
+        k = int(rng.integers(0, 60)) if n_i and n_j else 0
+        a, b = rng.integers(0, max(n_i, 1), k), rng.integers(0, max(n_j, 1), k)
+        # half the time a strided view, as a column slice of a wider array
+        candidates = np.stack([a, b], axis=1) if rng.integers(2) else np.stack([a, a, b], axis=1)[:, ::2]
+        cfg = PipelineConfig(traj_cap=float(rng.uniform(0.05, 2.0)),
+                             dir_cap=float(rng.uniform(0.05, 1.0)),
+                             lambda_vel=float(rng.uniform(0, 2)),
+                             lambda_dir=float(rng.uniform(0, 2)))
+        scene_scale = float(rng.uniform(0.5, 5.0))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = pair_cost(ti, tj, candidates, cfg, scene_scale)
+            want = ref.pair_cost(ti, tj, candidates, cfg, scene_scale)
+        assert ref.same_bits(got, want)
+
 
 class TestGateCandidates:
     def _tracklets(self, terminals):
@@ -443,6 +476,70 @@ class TestAssign:
         candidates, costs = candidates[order], costs[order]
         expected = ref.assign(candidates, costs, n_i, n_j, self.CFG)
         assert assign(candidates, costs, n_i, n_j, self.CFG) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(0, 120))
+    @settings(max_examples=100, deadline=None)
+    def test_components_labelled_by_smallest_vertex(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        u, v = rng.integers(0, n, size=(2, k))
+        graph = coo_matrix((np.ones(k), (u, v)), shape=(n, n))
+        _, scipy_label = connected_components(graph, directed=False)
+        smallest = np.full(scipy_label.max() + 1, n)
+        np.minimum.at(smallest, scipy_label, np.arange(n))
+        assert (np.diff(smallest) > 0).all()  # scipy numbers them by smallest vertex
+        assert _components(u, v, n).tolist() == smallest[scipy_label].tolist()
+
+    @pytest.mark.parametrize("cost_max", [1.0, 0.25])
+    def test_single_edge_components_equal_reference(self, cost_max):
+        # every component one edge, at cost 0, inside and exactly at cost_max
+        cfg = PipelineConfig(cost_max=cost_max)
+        costs = np.array([0.0, cost_max, 0.5 * cost_max, cost_max, 0.0, 0.1 * cost_max])
+        candidates = np.array([[5, 0], [0, 3], [2, 2], [7, 6], [1, 1], [4, 5]])
+        ms = assign(candidates, costs, 9, 7, cfg)
+        assert ms == ref.assign(candidates, costs, 9, 7, cfg)
+        assert ms.matches == tuple(sorted(zip(candidates[:, 0].tolist(), candidates[:, 1].tolist(),
+                                              costs.tolist())))
+        assert ms.unmatched_i == (3, 6, 8) and ms.unmatched_j == (4,)
+
+    def test_single_edge_at_cost_max_and_zero(self):
+        cfg = PipelineConfig(cost_max=0.6)
+        for c in (0.0, 0.6):
+            ms = assign(np.array([[0, 0]]), np.array([c]), 1, 1, cfg)
+            assert ms == ref.assign(np.array([[0, 0]]), np.array([c]), 1, 1, cfg)
+            assert ms.matches == ((0, 0, c),)
+        # just above cost_max the edge is dropped, so the tracklets stay apart
+        over = np.nextafter(0.6, 1.0)
+        assert assign(np.array([[0, 0]]), np.array([over]), 1, 1, cfg).matches == ()
+
+    def test_mixed_single_edge_and_larger_components(self, rng):
+        cfg = PipelineConfig(cost_max=1.0)
+        for _ in range(40):
+            n_i, n_j = 30, 30
+            # a few larger blocks among many one-edge pairs, ids shuffled
+            pairs = [(a, a) for a in range(10, 30)]
+            pairs += [(a, b) for a in range(0, 4) for b in range(0, 3)]
+            pairs += [(a, b) for a in range(5, 8) for b in range(6, 10) if rng.random() < 0.7]
+            perm_i, perm_j = rng.permutation(n_i), rng.permutation(n_j)
+            candidates = np.array([(perm_i[a], perm_j[b]) for a, b in pairs])
+            candidates = candidates[rng.permutation(len(candidates))]
+            costs = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, np.inf], len(candidates))
+            assert assign(candidates, costs, n_i, n_j, cfg) == ref.assign(candidates, costs, n_i, n_j, cfg)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_long_path_component_equals_reference(self, rng, reverse):
+        # one ~200-vertex path, rows and columns alternating, the worst case
+        # for labelling by propagation; ties left to the local order
+        cfg = PipelineConfig(cost_max=1.0)
+        n = 100
+        a = np.concatenate([np.arange(n), np.arange(1, n)])
+        b = np.concatenate([np.arange(n), np.arange(n - 1)])
+        if reverse:  # the path's ids run the other way along it
+            a, b = n - 1 - a, n - 1 - b
+        candidates = np.stack([a, b], axis=1)[rng.permutation(2 * n - 1)]
+        costs = rng.choice([0.25, 0.5, 0.75], len(candidates))
+        assert assign(candidates, costs, n, n, cfg) == ref.assign(candidates, costs, n, n, cfg)
+        label = _components(candidates[:, 0], n + candidates[:, 1], 2 * n)
+        assert (label == 0).all()
 
 
 class TestEndToEndAssociation:

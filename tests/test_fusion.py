@@ -34,6 +34,7 @@ from scenes import (
     association_config,
     association_spec,
     dynamic_overlap_spec,
+    end_to_end_spec,
     gauge_recovery_spec,
     identity_span_spec,
 )
@@ -614,12 +615,12 @@ def assert_stitched_like_reference(chunks, cfg, monkeypatch):
     assert starts == sorted(starts)
 
 
+GAUGE_RECOVERY_CFG = PipelineConfig(chunk_length=8, overlap=4, seed_stride=1, min_displacement=0.05)
 STITCH_RECIPES = {
     "ablation_spec(0)": (lambda: ablation_spec(0), ablation_config),
     "association_spec(0)": (lambda: association_spec(0), association_config),
     "dynamic_overlap_spec(0)": (lambda: dynamic_overlap_spec(0), ablation_config),
-    "gauge_recovery_spec()": (gauge_recovery_spec, lambda: PipelineConfig(
-        chunk_length=8, overlap=4, seed_stride=1, min_displacement=0.05)),
+    "gauge_recovery_spec()": (gauge_recovery_spec, lambda: GAUGE_RECOVERY_CFG),
 }
 
 
@@ -637,3 +638,36 @@ def test_stitcher_matches_reference_across_a_hole(chunks_with_hole, lambda_sm, m
     chunks = chunks_with_hole[0]
     cfg = PipelineConfig(**{**HOLE_CFG.to_dict(), "lambda_sm": lambda_sm})
     assert_stitched_like_reference(chunks, cfg, monkeypatch)
+
+
+FRAME_RECIPES = {
+    "ablation_spec(0)": (lambda: ablation_spec(0), ablation_config()),
+    "association_spec(0)": (lambda: association_spec(0), association_config()),
+    "dynamic_overlap_spec(0)": (lambda: dynamic_overlap_spec(0), ablation_config()),
+    "end_to_end_spec()": (end_to_end_spec, ablation_config()),
+    "gauge_recovery_spec()": (gauge_recovery_spec, GAUGE_RECOVERY_CFG),
+    "identity_span_spec()": (identity_span_spec, ablation_config()),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(FRAME_RECIPES))
+def test_fused_frames_match_per_frame_mapping(recipe):
+    """Every frame the sink receives has the bytes of mapping that frame
+    alone by its chunk's transform, under every ablation."""
+    make_spec, cfg = FRAME_RECIPES[recipe]
+    spec = make_spec()
+    chunks = list(emit_chunks(generate(spec), cfg, spec).chunks)
+    for ablation in ("base", "overlap", "full"):
+        got = []
+        fused = fuse_sequence(chunks, cfg, ablation, frame_sink=got.append)
+        want = [ref.map_frame(fp, G)
+                for k, (chunk, G) in enumerate(zip(chunks, fused.chunk_transforms))
+                for fp in chunk.frames if k == 0 or fp.frame_index > chunks[k - 1].end_frame]
+        assert [fp.frame_index for fp in got] == list(range(fused.num_frames)), ablation
+        assert [fp.frame_index for fp in want] == list(range(fused.num_frames)), ablation
+        for g, w in zip(got, want):
+            assert g.points.tobytes() == w.points.tobytes(), (ablation, g.frame_index)
+            assert g.confidence.tobytes() == w.confidence.tobytes()
+            assert g.pose.rotation.tobytes() == w.pose.rotation.tobytes()
+            assert g.pose.translation.tobytes() == w.pose.translation.tobytes()
+            assert g.pose._tol == w.pose._tol

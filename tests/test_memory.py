@@ -91,3 +91,12 @@ def test_generate_blocks_hold_no_more_than_frame_by_frame():
     _, peak = traced_peak(generate, spec)
     _, per_frame = traced_peak(ref.generate, spec)
     assert peak <= 1.05 * per_frame
+
+
+def test_generate_scene_scale_takes_no_point_difference():
+    # measured 7.87 MB, 2.50 points stacks (128 x 32 x 32 x 3 float64), set
+    # by the block casts; forming the scene scale's distances from one
+    # (T, H, W, 3) difference peaked at 8.79 MB, 2.79 stacks
+    spec = ablation_spec(0)
+    gt, peak = traced_peak(generate, spec)
+    assert peak <= 2.6 * gt.points.nbytes
