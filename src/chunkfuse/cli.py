@@ -154,9 +154,11 @@ def _cmd_evaluate(args) -> int:
         result["rpe_delta"] = args.rpe_delta
     if "epe" in wanted:
         out_dir = pred_dir.parent
-        have_tracks = all((out_dir / name).is_file()
-                          for name in ("trajectories.txt", "trajectories_meta.json"))
-        trajectories = cio.read_fused_trajectories(out_dir, len(fused.frames)) if have_tracks else []
+        # a bare chunk container has no trajectory files; a fuse output has all
+        missing = [name for name in cio.TRAJECTORY_FILES if not (out_dir / name).is_file()]
+        if missing and len(missing) < len(cio.TRAJECTORY_FILES):
+            raise MalformedContainer(f"{out_dir} has trajectory files but no {', '.join(missing)}")
+        trajectories = [] if missing else cio.read_fused_trajectories(out_dir, len(fused.frames))
         pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories),
                                        stride=args.epe_stride)
         gt_table = gt.trajectory_table(stride=args.epe_stride)

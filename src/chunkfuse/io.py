@@ -32,9 +32,11 @@ frame; its ``frames`` are per-frame views of that stack. A ground truth's
 records of ``matches.json`` and ``trajectories_meta.json`` that are not of
 the shape below: integer ids and pixels, pixels on the grid, tracklet ids
 unique on each side, match ids that name tracklets of their junction and
-are matched once, finite match costs; :func:`read_trajectories` for a
-record whose frames are not integers, and :func:`read_fused_trajectories`
-also for a frame outside the fused frame range.
+are matched once, finite match costs; :func:`read_trajectories` for an
+index line that is not three integers, a negative length, and a missing
+positions sidecar or one of the wrong byte count, and
+:func:`read_fused_trajectories` also for a frame outside the fused frame
+range.
 
 Sidecar files
 -------------
@@ -53,8 +55,15 @@ Sidecar files
 - ``matches.json``: per junction, ``{"chunk_i", "chunk_j", "matches",
   "tracklets_i", "tracklets_j"}``. A match is ``[a, b, cost, [row, col] of
   a, [row, col] of b]``, a tracklet ``[id, row, col]``.
-- ``trajectories.txt``: one trajectory per line, its id and then
-  ``frame x y z`` for every frame, coordinates as ``repr`` of the float.
+- ``trajectories.txt``: the index, one trajectory per line, ``id
+  start_frame num_frames``; a trajectory runs over consecutive frames from
+  its start (0 when it has none).
+- ``trajectories.bin``: the positions of every trajectory, concatenated in
+  index order, as raw little-endian float64 of shape (sum of num_frames,
+  3), row-major. The positions are binary because they must keep the
+  fuse's bits, and because writing and parsing every coordinate as decimal
+  text (``repr``) was the largest stage of a dense fuse and a large part
+  of its evaluation; no decimal format is much cheaper.
 - ``trajectories_meta.json``: ``{"<id>": {"sources": [[chunk, tracklet,
   row, col], ...]}}``, the tracklets each trajectory was stitched from.
 
@@ -71,7 +80,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -85,6 +93,8 @@ from .synthetic import GroundTruth, SceneSpec
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 POSE_STORAGE_TOL = 1e-4
+# what a fuse writes of its trajectories: the index, its positions and their sources
+TRAJECTORY_FILES = ("trajectories.txt", "trajectories.bin", "trajectories_meta.json")
 
 
 # ---------------------------------------------------------------------------
@@ -391,38 +401,58 @@ def read_gauges(path) -> list[SimilarityTransform]:
 
 
 def write_trajectories(trajectories: list[Trajectory], path) -> None:
-    """One trajectory per line: id, then flattened (frame, x, y, z) tuples."""
+    """The index ``path``, one ``id start_frame num_frames`` line per
+    trajectory (start 0 when it has no frames), and beside it the sidecar
+    ``path`` with suffix ``.bin``: every position in the same order as raw
+    little-endian float64, (sum of num_frames, 3), row-major."""
+    path = Path(path)
+    lines = ["%d %d %d\n" % (tr.trajectory_id, tr.frames[0] if tr.frames else 0, len(tr.frames))
+             for tr in trajectories]
+    path.write_text("".join(lines))
     positions = [tr.positions for tr in trajectories] or [np.empty((0, 3))]
-    coords = map(repr, np.concatenate(positions).ravel().tolist())
-    # zip over one iterator three times groups the coordinates by point
-    points = map("%s %s %s".__mod__, zip(coords, coords, coords))
-    lines = []
-    for tr in trajectories:
-        parts = [str(tr.trajectory_id)]
-        parts += map("%d %s".__mod__, zip(tr.frames, islice(points, len(tr.frames))))
-        lines.append(" ".join(parts))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    np.concatenate(positions).astype("<f8", copy=False).tofile(path.with_suffix(".bin"))
 
 
 def read_trajectories(path) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Parsed trajectory records: (id, int64 frames, (n, 3) positions).
-    MalformedContainer for a record that is not an integer id followed by
-    (frame, x, y, z) groups with integer frames."""
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
+    """Trajectory records (id, int64 frames, (n, 3) float64 positions) of
+    the index ``path`` and its sidecar, as :func:`write_trajectories`
+    writes them; the positions are views of one array read from the
+    sidecar. MalformedContainer for an index line that is not three
+    integers, a negative length, a missing sidecar or one whose byte count
+    is not 24 times the summed lengths."""
+    path = Path(path)
+    rows = []
+    for line in path.read_text().splitlines():
         tokens = line.split()
+        if not tokens:
+            continue
         try:
-            if (len(tokens) - 1) % 4 != 0:
-                raise ValueError("not an id and (frame, x, y, z) groups")
-            tid = int(tokens[0])
-            frames = np.asarray(tokens[1::4], dtype=np.int64)
-            del tokens[1::4]
-            positions = np.asarray(tokens[1:], dtype=np.float64).reshape(-1, 3)
-        except (ValueError, OverflowError) as e:
-            raise MalformedContainer(f"bad trajectory record {line[:60]}...: {e}") from e
-        out.append((tid, frames, positions))
+            if len(tokens) != 3:
+                raise ValueError("not an id, a start frame and a length")
+            tid, start, length = map(int, tokens)
+            if length < 0:
+                raise ValueError("negative length")
+            rows.append((tid, start, length))
+        except ValueError as e:
+            raise MalformedContainer(f"bad trajectory record {line[:60]!r}: {e}") from e
+    sidecar = path.with_suffix(".bin")
+    if not sidecar.is_file():
+        raise MalformedContainer(f"missing trajectory positions {sidecar.name!r}")
+    total = sum(length for _, _, length in rows)
+    size = sidecar.stat().st_size
+    if size != 24 * total:
+        raise MalformedContainer(
+            f"{sidecar.name!r} has {size} bytes, expected {24 * total} for {total} positions"
+        )
+    positions = np.fromfile(sidecar, dtype="<f8").reshape(total, 3)
+    out, offset = [], 0
+    try:
+        for tid, start, length in rows:
+            frames = np.arange(start, start + length, dtype=np.int64)
+            out.append((tid, frames, positions[offset: offset + length]))
+            offset += length
+    except OverflowError as e:
+        raise MalformedContainer(f"trajectory {tid}: frames past the int64 range") from e
     return out
 
 
@@ -442,8 +472,8 @@ def _int_rows(rows, width: int, where: str) -> np.ndarray:
 
 def read_fused_trajectories(directory, num_frames: int) -> list[Trajectory]:
     """The trajectories of a fuse output directory of ``num_frames`` fused
-    frames, rebuilt from ``trajectories.txt`` and ``trajectories_meta.json``;
-    one the meta file does not list has no sources. MalformedContainer
+    frames, rebuilt from the ``TRAJECTORY_FILES``; one the meta file does
+    not list has no sources. MalformedContainer
     unless each meta entry is an object whose ``sources`` are ``[chunk,
     tracklet, row, col]`` integer records and every frame lies in
     ``[0, num_frames)``."""

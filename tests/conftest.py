@@ -8,7 +8,10 @@ import pytest
 
 import references as ref
 from chunkfuse.chunking import OverlapView
-from chunkfuse.model import Chunk, Pose
+from chunkfuse.fusion import fuse_sequence
+from chunkfuse.model import Chunk, PipelineConfig, Pose
+from chunkfuse.synthetic import emit_chunks, generate
+from scenes import identity_span_spec
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -93,3 +96,27 @@ def frac_for(gamma_stat: float, chunk: Chunk, frames=None) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+HOLE_CFG = PipelineConfig(chunk_length=16, overlap=4, seed_stride=1)
+
+
+@pytest.fixture(scope="module")
+def chunks_with_hole():
+    """``identity_span_spec`` chunks with one legal hole: the point of a
+    pixel matched at the first junction is NaN, at confidence 0, in the
+    frame just after the junction. Returns the chunks, the hole's chunk id,
+    tracklet id and pixel."""
+    spec = identity_span_spec()
+    chunks = list(emit_chunks(generate(spec), HOLE_CFG, spec).chunks)
+    _, chunk_j, match_set, _, pixels_j = fuse_sequence(chunks, HOLE_CFG, frame_sink=[].append).match_sets[0]
+    b = match_set.matches[0][1]
+    pixel = tuple(pixels_j[b].tolist())
+    cur = chunks[1]
+    assert cur.chunk_id == chunk_j
+    frame = chunks[0].end_frame + 1
+    points, conf = cur.points.copy(), cur.confidence.copy()
+    points[(frame - cur.start_frame, *pixel)] = np.nan
+    conf[(frame - cur.start_frame, *pixel)] = 0.0
+    chunks[1] = Chunk(cur.chunk_id, cur.start_frame, points, conf, cur.poses)
+    return chunks, chunk_j, b, pixel

@@ -17,9 +17,14 @@ visibility for blocks of frames, where it cast one frame at a time.
 ``association.pair_cost`` gathers each set's velocities and speeds, where
 it formed them per candidate pair, and ``fusion.fuse_sequence`` maps each
 chunk's frames as one stack, where it mapped them one frame at a time.
-The functions here are the replaced code, so the tests can check that
-every output bit stayed the same.
+``io.write_trajectories`` writes an index of start frames and lengths and
+a float64 positions sidecar, where it wrote every coordinate as decimal
+text after its frame. The functions here are the replaced code, so the
+tests can check that every output bit stayed the same.
 """
+
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,7 +32,13 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from chunkfuse.association import VEL_EPS, MatchSet
-from chunkfuse.errors import DegenerateConfiguration, InvalidSpec, KeyMismatch, NotEnoughPoints
+from chunkfuse.errors import (
+    DegenerateConfiguration,
+    InvalidSpec,
+    KeyMismatch,
+    MalformedContainer,
+    NotEnoughPoints,
+)
 from chunkfuse.fusion import Trajectory, _pixel_tracks, reconstruct_boundary
 from chunkfuse.model import (
     Chunk,
@@ -490,3 +501,39 @@ def generate(spec):
         visible=visible,
         scene_scale=scene_scale,
     )
+
+
+def write_trajectories(trajectories: list[Trajectory], path) -> None:
+    """One trajectory per line: id, then flattened (frame, x, y, z) tuples."""
+    positions = [tr.positions for tr in trajectories] or [np.empty((0, 3))]
+    coords = map(repr, np.concatenate(positions).ravel().tolist())
+    # zip over one iterator three times groups the coordinates by point
+    points = map("%s %s %s".__mod__, zip(coords, coords, coords))
+    lines = []
+    for tr in trajectories:
+        parts = [str(tr.trajectory_id)]
+        parts += map("%d %s".__mod__, zip(tr.frames, islice(points, len(tr.frames))))
+        lines.append(" ".join(parts))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def read_trajectories(path) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Parsed trajectory records: (id, int64 frames, (n, 3) positions).
+    MalformedContainer for a record that is not an integer id followed by
+    (frame, x, y, z) groups with integer frames."""
+    out = []
+    for line in Path(path).read_text().splitlines():
+        if not line.strip():
+            continue
+        tokens = line.split()
+        try:
+            if (len(tokens) - 1) % 4 != 0:
+                raise ValueError("not an id and (frame, x, y, z) groups")
+            tid = int(tokens[0])
+            frames = np.asarray(tokens[1::4], dtype=np.int64)
+            del tokens[1::4]
+            positions = np.asarray(tokens[1:], dtype=np.float64).reshape(-1, 3)
+        except (ValueError, OverflowError) as e:
+            raise MalformedContainer(f"bad trajectory record {line[:60]}...: {e}") from e
+        out.append((tid, frames, positions))
+    return out

@@ -51,7 +51,7 @@ def test_generate_layout(workspace):
 
 def test_fuse_outputs(workspace):
     root, data, out, _ = workspace
-    for name in ("transforms.json", "report.json", "trajectories.txt",
+    for name in ("transforms.json", "report.json", "trajectories.txt", "trajectories.bin",
                  "trajectories_meta.json", "matches.json", "fuse_info.json"):
         assert (out / name).is_file(), name
     fused = cio.read_chunk(out / "fused")
@@ -290,33 +290,71 @@ def _junctions(matches=(), tracklets_i=([0, 0, 0],), tracklets_j=([0, 0, 0],)) -
                         "tracklets_i": list(tracklets_i), "tracklets_j": list(tracklets_j)}])
 
 
-@pytest.mark.parametrize("name, text, metrics", [
-    ("matches.json", _junctions(tracklets_i=[[0, 1]]), "assoc"),
-    ("matches.json", _junctions(tracklets_i=[[0, 99, 99]]), "assoc"),
-    ("matches.json", _junctions(tracklets_j=[[0, -1, -1]]), "assoc"),
-    ("matches.json", _junctions(tracklets_j=[[0, 1.5, 2]]), "assoc"),
-    ("matches.json", _junctions(matches=[[0]]), "assoc"),
-    ("matches.json", _junctions(matches=[[0, 5, 0.1, [0, 0], [0, 0]]]), "assoc"),
-    ("matches.json", _junctions(matches=[[0, 0, math.nan, [0, 0], [0, 0]]]), "assoc"),
-    ("matches.json", _junctions(matches=[[0, 0, "0.1", [0, 0], [0, 0]]]), "assoc"),
-    ("trajectories_meta.json", "[]", "epe"),
-    ("trajectories_meta.json", '{"0": []}', "epe"),
-    ("trajectories_meta.json", '{"0": {"sources": [[0, 1, 2.5, 3]]}}', "epe"),
-    ("trajectories.txt", "0 0.7 0.0 0.0 0.0\n", "epe"),
-    ("trajectories.txt", "0 1e0 0.0 0.0 0.0\n", "epe"),
-    ("trajectories.txt", "0 -1 0.0 0.0 0.0\n", "epe"),
-    ("trajectories.txt", "0 999 0.0 0.0 0.0\n", "epe"),
+def _trajectory_files(index: str, floats: int) -> dict:
+    """A trajectory index and a positions sidecar of ``floats`` zeros."""
+    return {"trajectories.txt": index, "trajectories.bin": bytes(8 * floats)}
+
+
+@pytest.mark.parametrize("files, metrics", [
+    ({"matches.json": _junctions(tracklets_i=[[0, 1]])}, "assoc"),
+    ({"matches.json": _junctions(tracklets_i=[[0, 99, 99]])}, "assoc"),
+    ({"matches.json": _junctions(tracklets_j=[[0, -1, -1]])}, "assoc"),
+    ({"matches.json": _junctions(tracklets_j=[[0, 1.5, 2]])}, "assoc"),
+    ({"matches.json": _junctions(matches=[[0]])}, "assoc"),
+    ({"matches.json": _junctions(matches=[[0, 5, 0.1, [0, 0], [0, 0]]])}, "assoc"),
+    ({"matches.json": _junctions(matches=[[0, 0, math.nan, [0, 0], [0, 0]]])}, "assoc"),
+    ({"matches.json": _junctions(matches=[[0, 0, "0.1", [0, 0], [0, 0]]])}, "assoc"),
+    ({"trajectories_meta.json": "[]"}, "epe"),
+    ({"trajectories_meta.json": '{"0": []}'}, "epe"),
+    ({"trajectories_meta.json": '{"0": {"sources": [[0, 1, 2.5, 3]]}}'}, "epe"),
+    (_trajectory_files("0 0.7 1\n", 3), "epe"),
+    (_trajectory_files("0 1e0 1\n", 3), "epe"),
+    (_trajectory_files("0 -1 1\n", 3), "epe"),
+    (_trajectory_files("0 27 2\n", 6), "epe"),
+    (_trajectory_files("0 0 -1\n", 0), "epe"),
+    (_trajectory_files("0 0\n", 0), "epe"),
+    (_trajectory_files("0 0 1 1\n", 3), "epe"),
+    (_trajectory_files("0 0 2\n", 5), "epe"),
+    (_trajectory_files("0 0 2\n", 7), "epe"),
 ], ids=["short-tracklet", "tracklet-off-grid", "tracklet-negative-pixel", "tracklet-float-pixel",
         "short-match", "match-unknown-id", "nan-cost", "string-cost", "meta-list",
         "meta-entry-list", "meta-float-pixel", "fractional-frame", "float-frame",
-        "negative-frame", "frame-past-end"])
-def test_malformed_records_exit_3(workspace, tmp_path, capsys, name, text, metrics):
+        "negative-frame", "frame-past-end", "negative-length", "two-tokens", "four-tokens",
+        "sidecar-float-short", "sidecar-float-long"])
+def test_malformed_records_exit_3(workspace, tmp_path, capsys, files, metrics):
     root, data, out, _ = workspace
     broken = tmp_path / "fused"
     shutil.copytree(out, broken)
-    (broken / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (broken / name).write_bytes(content)
+        else:
+            (broken / name).write_text(content)
     assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", metrics]) == 3
     assert "malformed container" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", cio.TRAJECTORY_FILES)
+def test_missing_trajectory_file_exit_3(workspace, tmp_path, capsys, name):
+    """A fuse output scored without one of its trajectory files would
+    silently lose its stitched trajectories."""
+    root, data, out, _ = workspace
+    broken = tmp_path / "fused"
+    shutil.copytree(out, broken)
+    (broken / name).unlink()
+    assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", "epe"]) == 3
+    assert f"no {name}" in capsys.readouterr().err
+
+
+def test_evaluate_without_trajectory_files(workspace, tmp_path, capsys):
+    """Without any trajectory file, EPE scores the fused frames' pixel tracks."""
+    root, data, out, _ = workspace
+    bare = tmp_path / "fused"
+    shutil.copytree(out / "fused", bare / "fused")
+    assert main(["evaluate", "--pred", str(bare), "--gt", str(data), "--metrics", "epe"]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    table = reference_pred_table(out, cio.read_chunk(out / "fused"), 1, trajectories=False)
+    assert report["epe"] == dense_epe(table, cio.read_ground_truth(data / "gt").trajectory_table())
 
 
 def test_malformed_container_exit_3(workspace, tmp_path):
@@ -375,6 +413,7 @@ def test_failed_refuse_keeps_earlier_output(workspace, tmp_path):
     assert main(["fuse", "--chunks", str(_gap_stream(data, tmp_path)), "--config", str(cfg_path),
                  "--out", str(kept)]) == 3
     assert _tree_bytes(kept) == before
+    assert before["trajectories.bin"] == (out / "trajectories.bin").read_bytes() != b""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks", "out"]
     # a successful re-fuse replaces the outputs in place, with the same bytes
     assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(cfg_path),

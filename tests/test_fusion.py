@@ -27,7 +27,7 @@ from chunkfuse.model import (
 from chunkfuse.registration import OverlapAbstraction
 from chunkfuse.synthetic import emit_chunks, generate
 import references as ref
-from conftest import frac_for, make_chunk, random_rotation
+from conftest import HOLE_CFG, frac_for, make_chunk, random_rotation
 from scenes import (
     ablation_config,
     ablation_spec,
@@ -549,30 +549,6 @@ class TestFuseSequence:
         fused = fuse_sequence(chunks, cfg, frame_sink=seen.append)
         assert len(fused.chunk_transforms) == 2
         assert [fp.frame_index for fp in seen] == list(range(12))
-
-
-HOLE_CFG = PipelineConfig(chunk_length=16, overlap=4, seed_stride=1)
-
-
-@pytest.fixture(scope="module")
-def chunks_with_hole():
-    """``identity_span_spec`` chunks with one legal hole: the point of a
-    pixel matched at the first junction is NaN, at confidence 0, in the
-    frame just after the junction. Returns the chunks, the hole's chunk id,
-    tracklet id and pixel."""
-    spec = identity_span_spec()
-    chunks = list(emit_chunks(generate(spec), HOLE_CFG, spec).chunks)
-    _, chunk_j, match_set, _, pixels_j = fuse_sequence(chunks, HOLE_CFG, frame_sink=[].append).match_sets[0]
-    b = match_set.matches[0][1]
-    pixel = tuple(pixels_j[b].tolist())
-    cur = chunks[1]
-    assert cur.chunk_id == chunk_j
-    frame = chunks[0].end_frame + 1
-    points, conf = cur.points.copy(), cur.confidence.copy()
-    points[(frame - cur.start_frame, *pixel)] = np.nan
-    conf[(frame - cur.start_frame, *pixel)] = 0.0
-    chunks[1] = Chunk(cur.chunk_id, cur.start_frame, points, conf, cur.poses)
-    return chunks, chunk_j, b, pixel
 
 
 class TestBoundaryHoles:

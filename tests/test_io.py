@@ -1,11 +1,16 @@
 import importlib
 import json
+import math
+import re
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chunkfuse import io as cio
 from chunkfuse.association import MatchSet
@@ -19,7 +24,8 @@ from chunkfuse.model import (
 )
 from chunkfuse.synthetic import SceneSpec, emit_chunks, generate
 import scenes
-from conftest import POSE_FAULTS, corrupt_pose, random_rotation
+import references as ref
+from conftest import HOLE_CFG, POSE_FAULTS, corrupt_pose, random_rotation
 from scenes import gauge_recovery_spec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -284,14 +290,30 @@ class TestSidecars:
 
     def test_malformed_fused_trajectories(self, tmp_path):
         (tmp_path / "trajectories_meta.json").write_text("{}\n")
-        (tmp_path / "trajectories.txt").write_text("0 3 0.0 0.0 0.0 5 1.0 1.0 1.0\n")
-        with pytest.raises(MalformedContainer, match="contiguous"):
+        (tmp_path / "trajectories.txt").write_text("0 3 3\n")
+        np.zeros((2, 3)).tofile(tmp_path / "trajectories.bin")
+        with pytest.raises(MalformedContainer, match="48 bytes, expected 72"):
             cio.read_fused_trajectories(tmp_path, 8)
+        np.zeros((3, 3)).tofile(tmp_path / "trajectories.bin")
         with pytest.raises(MalformedContainer, match=r"outside \[0, 5\)"):
             cio.read_fused_trajectories(tmp_path, 5)
         (tmp_path / "trajectories_meta.json").write_text("{not json")
         with pytest.raises(MalformedContainer):
             cio.read_fused_trajectories(tmp_path, 8)
+
+    @pytest.mark.parametrize("index, floats, pattern", [
+        ("0 0 1\n", None, "missing trajectory positions 't.bin'"),
+        ("", 3, "24 bytes, expected 0"),
+        ("0 9223372036854775807 2\n", 6, "frames past the int64 range"),
+        ("0 0 2\n1 0 -1\n", 3, "negative length"),
+    ], ids=["missing-sidecar", "sidecar-past-empty-index", "frames-past-int64",
+            "negative-length-within-sidecar"])
+    def test_malformed_index_or_sidecar(self, tmp_path, index, floats, pattern):
+        (tmp_path / "t.txt").write_text(index)
+        if floats is not None:
+            np.zeros(floats).tofile(tmp_path / "t.bin")
+        with pytest.raises(MalformedContainer, match=re.escape(pattern)):
+            cio.read_trajectories(tmp_path / "t.txt")
 
     def test_trajectory_checks_frames_and_shape(self):
         with pytest.raises(ValueError, match="contiguous"):
@@ -302,15 +324,9 @@ class TestSidecars:
 
 
 def reference_sidecars(fused: FusedScene) -> dict[str, bytes]:
-    """``trajectories.txt``, ``trajectories_meta.json`` and ``matches.json``
-    as the json.dumps(indent=1) writer wrote them, kept as the reference
-    for the template writers."""
-    lines = []
-    for tr in fused.trajectories:
-        parts = [str(tr.trajectory_id)]
-        for f, (x, y, z) in zip(tr.frames, tr.positions.tolist()):
-            parts.append(f"{f} {x!r} {y!r} {z!r}")
-        lines.append(" ".join(parts))
+    """``trajectories_meta.json`` and ``matches.json`` as the
+    json.dumps(indent=1) writer wrote them, kept as the reference for the
+    template writers."""
     meta = {
         str(tr.trajectory_id): {
             "sources": [[int(c), int(t), int(px[0]), int(px[1])] for c, t, px in tr.sources]
@@ -330,15 +346,33 @@ def reference_sidecars(fused: FusedScene) -> dict[str, bytes]:
             }
         )
     return {
-        "trajectories.txt": ("\n".join(lines) + ("\n" if lines else "")).encode(),
         "trajectories_meta.json": (json.dumps(meta, indent=1) + "\n").encode(),
         "matches.json": (json.dumps(dumps, indent=1) + "\n").encode(),
     }
 
 
 def written_sidecars(fused: FusedScene, directory: Path) -> dict[str, bytes]:
+    """The JSON sidecars of ``write_fusion_outputs``, after checking that
+    its trajectory files read back as the records of the text writer."""
     cio.write_fusion_outputs(fused, directory)
+    assert_reference_records(fused.trajectories, directory / "trajectories.txt")
     return {name: (directory / name).read_bytes() for name in reference_sidecars(fused)}
+
+
+def assert_same_records(got, want):
+    """Trajectory records equal in ids, int64 frames and position bytes."""
+    assert [(tid, frames.dtype, frames.tolist()) for tid, frames, _ in got] == \
+        [(tid, np.dtype(np.int64), frames.tolist()) for tid, frames, _ in want]
+    assert [(p.dtype, p.shape, p.tobytes()) for _, _, p in got] == \
+        [(np.dtype(np.float64), p.shape, p.tobytes()) for _, _, p in want]
+
+
+def assert_reference_records(trajectories, index: Path):
+    """The records read back from the trajectory files at ``index`` equal
+    those the text reader parses from the text writer's file."""
+    text = index.with_name("reference.txt")
+    ref.write_trajectories(trajectories, text)
+    assert_same_records(cio.read_trajectories(index), ref.read_trajectories(text))
 
 
 def pixels(rows) -> np.ndarray:
@@ -376,8 +410,9 @@ class TestSidecarBytes:
         fused = scene()
         got = written_sidecars(fused, tmp_path)
         assert got == reference_sidecars(fused)
-        assert got == {"trajectories.txt": b"", "trajectories_meta.json": b"{}\n",
-                       "matches.json": b"[]\n"}
+        assert got == {"trajectories_meta.json": b"{}\n", "matches.json": b"[]\n"}
+        assert (tmp_path / "trajectories.txt").read_bytes() == b""
+        assert (tmp_path / "trajectories.bin").read_bytes() == b""
 
     def test_junctions_without_matches_or_tracklets(self, tmp_path):
         fused = scene(match_sets=[
@@ -400,11 +435,80 @@ class TestSidecarBytes:
         ])
         assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
 
+    def test_trajectory_files(self, tmp_path):
+        fused = scene(trajectories=[
+            Trajectory(3, (5, 6), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ()),
+            Trajectory(1, (), np.zeros((0, 3)), ()),
+            Trajectory(8, (0,), [[-0.0, 0.5, 7.0]], ()),
+        ])
+        cio.write_fusion_outputs(fused, tmp_path)
+        assert (tmp_path / "trajectories.txt").read_text() == "3 5 2\n1 0 0\n8 0 1\n"
+        assert (tmp_path / "trajectories.bin").read_bytes() == np.array(
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -0.0, 0.5, 7.0], dtype="<f8").tobytes()
+
     def test_non_finite_cost_rejected(self, tmp_path):
         fused = scene(match_sets=[(0, 1, MatchSet(((0, 0, float("inf")),), (), ()),
                                    pixels([(0, 0)]), pixels([(0, 0)]))])
         with pytest.raises(ValueError, match="finite"):
             cio.write_fusion_outputs(fused, tmp_path)
+
+
+SAME_BITS_RECIPES = {
+    "ablation_spec(0)": (lambda: scenes.ablation_spec(0), scenes.ablation_config),
+    "association_spec(0)": (lambda: scenes.association_spec(0), scenes.association_config),
+    "dynamic_overlap_spec(0)": (lambda: scenes.dynamic_overlap_spec(0), scenes.ablation_config),
+}
+
+
+@pytest.fixture(scope="module")
+def recipe_chunks():
+    """The emitted chunks and config of each same-bits recipe, made once."""
+    out = {}
+    for name, (make_spec, make_cfg) in SAME_BITS_RECIPES.items():
+        spec, cfg = make_spec(), make_cfg()
+        out[name] = list(emit_chunks(generate(spec), cfg, spec).chunks), cfg
+    return out
+
+
+class TestTrajectoryFiles:
+    """The index and the positions sidecar read back as the records the
+    text writer's file parsed to, with every position's bytes."""
+
+    @pytest.mark.parametrize("ablation", ABLATION_MODES)
+    @pytest.mark.parametrize("recipe", sorted(SAME_BITS_RECIPES))
+    def test_fused_recipes(self, recipe_chunks, recipe, ablation, tmp_path):
+        chunks, cfg = recipe_chunks[recipe]
+        fused = fuse_sequence(chunks, cfg, ablation, frame_sink=[].append)
+        cio.write_fusion_outputs(fused, tmp_path)
+        assert_reference_records(fused.trajectories, tmp_path / "trajectories.txt")
+        if ablation == "full":
+            assert any(len(tr.sources) > 1 for tr in fused.trajectories)
+
+    def test_hole_without_smoothness(self, chunks_with_hole, tmp_path):
+        cfg = PipelineConfig(**{**HOLE_CFG.to_dict(), "lambda_sm": 0.0})
+        fused = fuse_sequence(chunks_with_hole[0], cfg, "full", frame_sink=[].append)
+        cio.write_fusion_outputs(fused, tmp_path)
+        assert_reference_records(fused.trajectories, tmp_path / "trajectories.txt")
+        assert any(np.isnan(tr.positions).any() for tr in fused.trajectories)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3).flatmap(lambda n: st.tuples(
+        st.integers(-2**40, 2**40), st.integers(-2**40, 2**40),
+        st.lists(st.floats(width=64), min_size=3 * n, max_size=3 * n))), max_size=6))
+    @example([])
+    @example([(0, 0, []), (1, 9, [1.0, -2.0, 3.0])])
+    @example([(4, 2, [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-308]),
+              (5, 0, [-math.nan, 0.0, 1e-310])])
+    def test_round_trip(self, records):
+        trajectories = [Trajectory(tid, tuple(range(start, start + len(coords) // 3)),
+                                   np.reshape(coords, (-1, 3)), ())
+                        for tid, start, coords in records]
+        with tempfile.TemporaryDirectory() as directory:
+            index = Path(directory) / "trajectories.txt"
+            cio.write_trajectories(trajectories, index)
+            got = cio.read_trajectories(index)
+        assert_same_records(got, [(tr.trajectory_id, np.array(tr.frames, dtype=np.int64),
+                                   tr.positions) for tr in trajectories])
 
 
 class TestManifests:
