@@ -94,9 +94,7 @@ def _cmd_fuse(args) -> int:
                                   frame_sink=writer)
             writer.finish()
         cio.write_fusion_outputs(fused, staging)
-        (staging / "fuse_info.json").write_text(
-            json.dumps({"ablation": args.ablation, "config": cfg.to_dict()}, indent=1) + "\n"
-        )
+        cio.write_json(staging / "fuse_info.json", {"ablation": args.ablation, "config": cfg.to_dict()})
         _move_into(staging, out)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -180,8 +178,7 @@ def _cmd_evaluate(args) -> int:
 
     print(format_metrics_table([result]))
     print(json.dumps(result))
-    out_path = pred_dir.parent / "metrics.json"
-    out_path.write_text(json.dumps(result, indent=1) + "\n")
+    cio.write_json(pred_dir.parent / "metrics.json", result)
     return 0
 
 

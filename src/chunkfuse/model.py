@@ -6,7 +6,7 @@ A chunk is one checked (T, H, W, 3) pointmap stack with its (T, H, W)
 confidences and T poses; its frames are read-only views of the stacks.
 Poses read or mapped as a sequence are checked the same way:
 ``Pose.from_matrices``, ``SimilarityTransform.apply_poses`` and
-:func:`check_rotation` check an (n, 3, 3) rotation stack in one pass,
+:func:`check_poses` check an (n, 3, 3) rotation stack in one pass,
 with the verdict and the first failing index that checking one matrix at
 a time would give, and the poses are read-only views of the stacks.
 
@@ -97,19 +97,10 @@ def _rotation_checks(R: np.ndarray, tol) -> list:
     ]
 
 
-def check_rotation(R: np.ndarray, tol=ROTATION_TOL, start: int = 0) -> None:
-    """Raise ValueError unless R is orthonormal with det +1 within tol
-    (a NaN entry fails both tests); the determinant's bound is at least
-    1e-8.
-
-    R is one (3, 3) matrix or an (n, 3, 3) stack. A stack is checked in
-    one pass, with ``tol`` a scalar or one tolerance per matrix, and gives
-    the verdict of checking each matrix alone; the error names the first
-    failing matrix as ``frame {start + k}``.
-    """
-    if R.ndim == 3:
-        _raise_first(_rotation_checks(R, tol), start)
-        return
+def check_rotation(R: np.ndarray, tol=ROTATION_TOL) -> None:
+    """Raise ValueError unless the (3, 3) matrix R is orthonormal with det
+    +1 within tol (a NaN entry fails both tests); the determinant's bound
+    is at least 1e-8. :func:`check_poses` checks a stack."""
     err = np.abs(R.T @ R - np.eye(3)).max()
     if not err <= tol:
         raise ValueError(_not_orthonormal(err, tol))
@@ -406,9 +397,6 @@ class Chunk:
             FramePrediction(p, c, pose, self.start_frame + k)
             for k, (p, c, pose) in enumerate(zip(self.points, self.confidence, self.poses))
         )
-
-    def frame_range(self) -> range:
-        return range(self.start_frame, self.end_frame + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,8 +80,9 @@ def whole_overlap(a: Chunk, b: Chunk) -> OverlapView:
     ``slice_overlap`` rejects such a pair, since its second chunk does not
     advance; tests of the stages after it build their overlap with this.
     """
-    assert a.frame_range() == b.frame_range() and a.grid_shape == b.grid_shape
-    return OverlapView(a.frame_range(), a.points, a.confidence, a.poses,
+    frames = range(a.start_frame, a.end_frame + 1)
+    assert frames == range(b.start_frame, b.end_frame + 1) and a.grid_shape == b.grid_shape
+    return OverlapView(frames, a.points, a.confidence, a.poses,
                        b.points, b.confidence, b.poses)
 
 
@@ -89,7 +90,7 @@ def frac_for(gamma_stat: float, chunk: Chunk, frames=None) -> float:
     """The ``gamma_stat_frac`` at which ``select_anchors`` resolves the
     rigidity threshold of ``chunk`` over ``frames`` (all of its frames by
     default) to ``gamma_stat``, up to rounding."""
-    frames = chunk.frame_range() if frames is None else frames
+    frames = range(chunk.start_frame, chunk.end_frame + 1) if frames is None else frames
     return gamma_stat / ref.chunk_scene_scale(chunk, frames)
 
 

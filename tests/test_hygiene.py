@@ -2,8 +2,9 @@
 uses each name it imports, every dataclass field is read somewhere, every
 config field is read outside ``model.py`` and set by a recipe config, every
 scene spec field is set by a recipe, every frozen dataclass that holds an
-array compares by identity, JSON text is parsed only by ``io.read_json``,
-and every source file parses as Python 3.10.
+array compares by identity, JSON text is parsed only by ``io.read_json``
+and written to files only by ``io.write_json``, and every source file
+parses as Python 3.10.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
 and so are the dataclasses written out whole, field by field."""
 
@@ -122,9 +123,10 @@ def attributes_read(trees: list[ast.Module]) -> set[str]:
     }
 
 
-def json_loads_owners(tree: ast.Module) -> list[str]:
-    """For each ``json.loads`` call in ``tree``, the name of the function it
-    is made in, or ``<module>`` outside any function."""
+def json_owners(tree: ast.Module, *attrs: str) -> list[str]:
+    """For each call of ``json.<attr>`` in ``tree``, ``attr`` one of
+    ``attrs``, the name of the function it is made in, or ``<module>``
+    outside any function."""
     owners = []
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -133,7 +135,7 @@ def json_loads_owners(tree: ast.Module) -> list[str]:
                 visit(child, child.name)
                 continue
             func = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and func.attr == "loads"
+            if (isinstance(func, ast.Attribute) and func.attr in attrs
                     and isinstance(func.value, ast.Name) and func.value.id == "json"):
                 owners.append(owner)
             visit(child, owner)
@@ -143,8 +145,17 @@ def json_loads_owners(tree: ast.Module) -> list[str]:
 
 
 def test_json_is_parsed_only_by_read_json():
-    owners = {path.name: json_loads_owners(ast.parse(path.read_text())) for path in MODULES}
+    owners = {path.name: json_owners(ast.parse(path.read_text()), "load", "loads")
+              for path in MODULES}
     assert {name: found for name, found in owners.items() if found} == {"io.py": ["read_json"]}
+
+
+def test_json_is_written_only_by_write_json():
+    """The CLI's one other encoder prints ``evaluate``'s JSON line."""
+    owners = {path.name: json_owners(ast.parse(path.read_text()), "dump", "dumps")
+              for path in MODULES}
+    assert {name: found for name, found in owners.items() if found} == \
+        {"io.py": ["write_json"], "cli.py": ["_cmd_evaluate"]}
 
 
 def test_dataclass_fields_are_read():
@@ -273,8 +284,13 @@ def test_checks_catch_what_they_look_for(tmp_path):
         "        return [json.loads(t) for t in text]\n"
         "def other(text):\n"
         "    return loads(text), json.dumps(text)\n"
+        "def write(obj, f):\n"
+        "    json.dump(obj, f)\n"
+        "    return json.load(f), dumps(obj)\n"
     )
-    assert json_loads_owners(tree) == ["<module>", "read_json", "load"]
+    assert json_owners(tree, "loads") == ["<module>", "read_json", "load"]
+    assert json_owners(tree, "load", "loads") == ["<module>", "read_json", "load", "write"]
+    assert json_owners(tree, "dump", "dumps") == ["other", "write"]
     tree = ast.parse("A(x=1, **rest)\nB(y=2)\nm.A(z=3)\nA(w=4)\n")
     assert keywords_of_calls(tree, "A") == {"x", "w"}
     tree = ast.parse(

@@ -324,9 +324,9 @@ class TestSidecars:
 
 
 def reference_sidecars(fused: FusedScene) -> dict[str, bytes]:
-    """``trajectories_meta.json`` and ``matches.json`` as the
-    json.dumps(indent=1) writer wrote them, kept as the reference for the
-    template writers."""
+    """``trajectories_meta.json`` and ``matches.json`` as
+    ``json.dumps(indent=1)`` writes them from plain lists and dicts, kept
+    as the reference for the values of the sidecar writers."""
     meta = {
         str(tr.trajectory_id): {
             "sources": [[int(c), int(t), int(px[0]), int(px[1])] for c, t, px in tr.sources]
@@ -353,10 +353,24 @@ def reference_sidecars(fused: FusedScene) -> dict[str, bytes]:
 
 def written_sidecars(fused: FusedScene, directory: Path) -> dict[str, bytes]:
     """The JSON sidecars of ``write_fusion_outputs``, after checking that
-    its trajectory files read back as the records of the text writer."""
+    its trajectory files read back as the records of the text writer, that
+    both sidecars load to the reference's values, and that every JSON file
+    it writes is the encoding of its own value: compact for the two
+    sidecars, indented by one for the rest."""
     cio.write_fusion_outputs(fused, directory)
     assert_reference_records(fused.trajectories, directory / "trajectories.txt")
-    return {name: (directory / name).read_bytes() for name in reference_sidecars(fused)}
+    reference = reference_sidecars(fused)
+    written = {name: (directory / name).read_bytes() for name in reference}
+    assert {name: json.loads(text) for name, text in written.items()} == \
+        {name: json.loads(text) for name, text in reference.items()}
+    paths = sorted(directory.glob("*.json"))
+    assert [p.name for p in paths] == \
+        ["matches.json", "report.json", "trajectories_meta.json", "transforms.json"]
+    for path in paths:
+        text = path.read_text()
+        indent = None if path.name in reference else 1
+        assert text == json.dumps(json.loads(text), indent=indent) + "\n", path.name
+    return written
 
 
 def assert_same_records(got, want):
@@ -396,7 +410,8 @@ def fused_ablations():
 
 
 class TestSidecarBytes:
-    """The template writers give the bytes of the json.dumps writer."""
+    """The sidecar writers give the reference writer's values, and every
+    JSON file of a fuse is laid out as ``write_json`` lays it out."""
 
     @pytest.mark.parametrize("ablation", ABLATION_MODES)
     def test_fused_scene(self, fused_ablations, ablation, tmp_path):
@@ -404,13 +419,12 @@ class TestSidecarBytes:
         if ablation == "full":
             assert sum(len(m[2]) for m in fused.match_sets) > 0
             assert any(len(tr.sources) > 1 for tr in fused.trajectories)
-        assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
+        written_sidecars(fused, tmp_path)
 
     def test_no_match_sets_and_no_trajectories(self, tmp_path):
         fused = scene()
-        got = written_sidecars(fused, tmp_path)
-        assert got == reference_sidecars(fused)
-        assert got == {"trajectories_meta.json": b"{}\n", "matches.json": b"[]\n"}
+        assert written_sidecars(fused, tmp_path) == \
+            {"trajectories_meta.json": b"{}\n", "matches.json": b"[]\n"}
         assert (tmp_path / "trajectories.txt").read_bytes() == b""
         assert (tmp_path / "trajectories.bin").read_bytes() == b""
 
@@ -423,7 +437,7 @@ class TestSidecarBytes:
             (3, 4, MatchSet(((1, 0, 0.30000000000000004), (0, 1, np.float64(1e-17))), (), ()),
              pixels([(0, 2), (2, 4)]), pixels([(3, 1), (5, 0)])),
         ])
-        assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
+        written_sidecars(fused, tmp_path)
 
     def test_trajectory_edge_cases(self, tmp_path):
         fused = scene(trajectories=[
@@ -433,7 +447,7 @@ class TestSidecarBytes:
             Trajectory(2, (), np.zeros((0, 3)), ()),
             Trajectory(12, (3, 4), np.ones((2, 3)), ((2, 0, (9, 9)),)),
         ])
-        assert written_sidecars(fused, tmp_path) == reference_sidecars(fused)
+        written_sidecars(fused, tmp_path)
 
     def test_trajectory_files(self, tmp_path):
         fused = scene(trajectories=[
@@ -447,10 +461,11 @@ class TestSidecarBytes:
             [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -0.0, 0.5, 7.0], dtype="<f8").tobytes()
 
     def test_non_finite_cost_rejected(self, tmp_path):
-        fused = scene(match_sets=[(0, 1, MatchSet(((0, 0, float("inf")),), (), ()),
-                                   pixels([(0, 0)]), pixels([(0, 0)]))])
-        with pytest.raises(ValueError, match="finite"):
-            cio.write_fusion_outputs(fused, tmp_path)
+        for cost in (math.inf, -math.inf, math.nan):
+            fused = scene(match_sets=[(0, 1, MatchSet(((0, 0, cost),), (), ()),
+                                       pixels([(0, 0)]), pixels([(0, 0)]))])
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cio.write_fusion_outputs(fused, tmp_path)
 
 
 SAME_BITS_RECIPES = {
@@ -479,16 +494,14 @@ class TestTrajectoryFiles:
     def test_fused_recipes(self, recipe_chunks, recipe, ablation, tmp_path):
         chunks, cfg = recipe_chunks[recipe]
         fused = fuse_sequence(chunks, cfg, ablation, frame_sink=[].append)
-        cio.write_fusion_outputs(fused, tmp_path)
-        assert_reference_records(fused.trajectories, tmp_path / "trajectories.txt")
+        written_sidecars(fused, tmp_path)
         if ablation == "full":
             assert any(len(tr.sources) > 1 for tr in fused.trajectories)
 
     def test_hole_without_smoothness(self, chunks_with_hole, tmp_path):
         cfg = PipelineConfig(**{**HOLE_CFG.to_dict(), "lambda_sm": 0.0})
         fused = fuse_sequence(chunks_with_hole[0], cfg, "full", frame_sink=[].append)
-        cio.write_fusion_outputs(fused, tmp_path)
-        assert_reference_records(fused.trajectories, tmp_path / "trajectories.txt")
+        written_sidecars(fused, tmp_path)
         assert any(np.isnan(tr.positions).any() for tr in fused.trajectories)
 
     @settings(max_examples=60, deadline=None)
@@ -613,6 +626,27 @@ class TestStreaming:
         assert len(again.frames) == 20
         for a, b in zip(frames, again.frames):
             assert np.abs(a.points - b.points).max() < 1e-4
+
+    def test_frame_gap_rejected(self, rng, tmp_path):
+        frames = random_chunk(rng, start=3).frames
+        with cio.StreamingFrameWriter(tmp_path / "out") as writer:
+            writer(frames[0])
+            with pytest.raises(ValueError, match="^frame 5: expected frame 4$"):
+                writer(frames[2])
+            writer(frames[1])  # the rejected frame wrote nothing
+            writer.finish()
+        again = cio.read_chunk(tmp_path / "out")
+        assert [fp.frame_index for fp in again.frames] == [3, 4]
+        assert np.array_equal(again.points[1], frames[1].points.astype(np.float32))
+
+    def test_grid_change_rejected(self, rng, tmp_path):
+        first = random_chunk(rng, start=3).frames[0]
+        other = random_chunk(rng, start=3, H=7).frames[1]
+        with cio.StreamingFrameWriter(tmp_path / "out") as writer:
+            writer(first)
+            with pytest.raises(ValueError, match=r"^frame 4: grid \(7, 5\) differs from the "
+                                                 r"first frame's \(6, 5\)$"):
+                writer(other)
 
     def test_lazy_reader_keeps_two_chunks_resident(self, rng, tmp_path):
         for k in range(10):

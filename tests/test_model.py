@@ -17,6 +17,7 @@ from chunkfuse.model import (
     SimilarityTransform,
     TrackletSet,
     TrackTable,
+    check_poses,
     check_rotation,
     finite3,
     from_json,
@@ -136,20 +137,20 @@ class TestCheckRotation:
                 messages.append(f"frame {5 + k}: {e}")
         if messages:
             with pytest.raises(ValueError) as info:
-                check_rotation(R, tol, start=5)
+                check_poses(R, np.zeros((n, 3)), tol, start=5)
             assert str(info.value) == messages[0]
         else:
-            check_rotation(R, tol, start=5)
+            check_poses(R, np.zeros((n, 3)), tol, start=5)
 
     def test_stack_tolerance_per_matrix(self):
         R = np.stack([np.eye(3)] * 4)
         R[2] *= 1.0 + 1e-6
-        check_rotation(R, np.array([1e-9, 1e-9, 1e-5, 1e-9]))
+        check_poses(R, np.zeros((4, 3)), np.array([1e-9, 1e-9, 1e-5, 1e-9]))
         with pytest.raises(ValueError, match="^frame 2: rotation not orthonormal"):
-            check_rotation(R, 1e-9)
+            check_poses(R, np.zeros((4, 3)), 1e-9)
         R[3, :, 0] *= -1.0
         with pytest.raises(ValueError, match="^frame 3: rotation determinant"):
-            check_rotation(R, np.array([1e-9, 1e-9, 1e-5, 1e-9]))
+            check_poses(R, np.zeros((4, 3)), np.array([1e-9, 1e-9, 1e-5, 1e-9]))
 
 
 class TestPose:
@@ -278,7 +279,7 @@ class TestChunk:
 
     def test_lookup(self):
         c = self._make(np.ones((3, 2, 2)), start=5)
-        assert c.end_frame == 7 and c.frame_range() == range(5, 8)
+        assert (c.start_frame, c.end_frame) == (5, 7)
         assert [fp.frame_index for fp in c.frames] == [5, 6, 7]
         assert c.frames[1].pose is c.poses[1]
 
