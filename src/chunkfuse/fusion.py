@@ -120,7 +120,7 @@ def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose]) -> Sim
     c_i = np.stack([p.center for p in poses_i])
     c_j = np.stack([p.center for p in poses_j])
     try:
-        return solve_weighted_similarity(c_j, c_i, np.ones(len(c_j)))
+        return solve_weighted_similarity(c_j, c_i, None)
     except (DegenerateConfiguration, NotEnoughPoints):
         pass
     M = np.zeros((3, 3))

@@ -10,8 +10,10 @@ carry ``points``, ``poses``, ``object_ids`` [H][W] and ``visible``
 
 Every JSON file is read by :func:`read_json`, which raises the error its
 caller names for a file that cannot be read, is not JSON or holds the wrong
-top-level type, and written by :func:`write_json`, which refuses NaN and
-Infinity. Configs, scene specs and manifest fields are decoded by
+top-level type, and encoded by :func:`json_text`, which refuses NaN and
+Infinity and names the refused file: :func:`write_json` writes one such
+text, and :func:`write_fusion_outputs` encodes all its documents before it
+writes any file. Configs, scene specs and manifest fields are decoded by
 :func:`~chunkfuse.model.from_json`, which refuses an unknown key and any
 value its field's annotation does not admit: a fraction or a bool for an
 int, NaN or Infinity for a float, a list of the wrong length for a tuple.
@@ -162,10 +164,20 @@ def _read_array(directory: Path, entry: dict, shape: list[int]) -> np.ndarray:
     return np.fromfile(path, dtype="<f4").reshape(shape)
 
 
+def json_text(obj, indent: int | None, name: str) -> str:
+    """``json.dumps(obj, indent=indent)`` and a newline; ValueError naming
+    the document ``name`` for a NaN or infinite float, which is not JSON."""
+    try:
+        return json.dumps(obj, indent=indent, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+
+
 def write_json(path, obj, indent: int | None = 1) -> None:
-    """Write ``json.dumps(obj, indent=indent)`` and a newline to the file
-    ``path``; ValueError for a NaN or infinite float, which is not JSON."""
-    Path(path).write_text(json.dumps(obj, indent=indent, allow_nan=False) + "\n")
+    """Write :func:`json_text` of ``obj`` to the file ``path``; ValueError
+    naming ``path``, before anything is written, for a NaN or infinite
+    float."""
+    Path(path).write_text(json_text(obj, indent, str(path)))
 
 
 def read_json(path, error: type[Exception] = MalformedContainer, kind: type = dict):
@@ -514,17 +526,16 @@ def read_fused_trajectories(directory, num_frames: int) -> list[Trajectory]:
         raise MalformedContainer(f"bad trajectory files in {directory}: {e}") from e
 
 
-def write_trajectory_meta(trajectories: list[Trajectory], path) -> None:
+def _trajectory_meta(trajectories: list[Trajectory]) -> dict:
     # through a dict, so a repeated id keeps its first place and last value
-    meta = {tr.trajectory_id: {"sources": [[c, t, *px] for c, t, px in tr.sources]}
+    return {tr.trajectory_id: {"sources": [[c, t, *px] for c, t, px in tr.sources]}
             for tr in trajectories}
-    write_json(path, meta, indent=None)
 
 
-def write_matches(match_sets, path) -> None:
+def _junction_records(match_sets) -> list[dict]:
     """One record per junction of ``FusedScene.match_sets``: its matches
     with costs and pixels, and the (id, row, col) of every tracklet on each
-    side."""
+    side, as ``matches.json`` holds them."""
     junctions = []
     for chunk_i, chunk_j, match_set, pixels_i, pixels_j in match_sets:
         pix_i, pix_j = pixels_i.tolist(), pixels_j.tolist()
@@ -535,7 +546,7 @@ def write_matches(match_sets, path) -> None:
             "tracklets_i": [[k, *px] for k, px in enumerate(pix_i)],
             "tracklets_j": [[k, *px] for k, px in enumerate(pix_j)],
         })
-    write_json(path, junctions, indent=None)
+    return junctions
 
 
 _JUNCTION_KEYS = {"matches", "tracklets_i", "tracklets_j"}
@@ -577,19 +588,29 @@ def read_matches(path, grid_shape: tuple[int, int]) -> list[dict]:
 
 
 def write_fusion_outputs(fused: FusedScene, directory) -> None:
-    """Transforms, reports, trajectories, and association dumps."""
+    """Transforms, reports, trajectories, and association dumps.
+
+    Every JSON document is encoded before any file is written, so one that
+    is refused (a NaN or infinite value) raises ValueError naming its file
+    and leaves ``directory`` as it was.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_json(directory / "transforms.json", [_transform_to_dict(T) for T in fused.chunk_transforms])
     report = []
     for r in fused.reports:
         record = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
         record["pair_transform"] = _transform_to_dict(r.pair_transform)
         report.append(record)
-    write_json(directory / "report.json", report)
+    documents = {
+        "transforms.json": ([_transform_to_dict(T) for T in fused.chunk_transforms], 1),
+        "report.json": (report, 1),
+        "trajectories_meta.json": (_trajectory_meta(fused.trajectories), None),
+        "matches.json": (_junction_records(fused.match_sets), None),
+    }
+    texts = {name: json_text(obj, indent, name) for name, (obj, indent) in documents.items()}
+    directory.mkdir(parents=True, exist_ok=True)
     write_trajectories(fused.trajectories, directory / "trajectories.txt")
-    write_trajectory_meta(fused.trajectories, directory / "trajectories_meta.json")
-    write_matches(fused.match_sets, directory / "matches.json")
+    for name, text in texts.items():
+        (directory / name).write_text(text)
 
 
 # ---------------------------------------------------------------------------

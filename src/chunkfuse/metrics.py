@@ -17,7 +17,15 @@ the same as whole-array numpy expressions would give: the column-wise
 kernels in ``registration`` and ``SimilarityTransform.apply`` perform the
 same float operations in the same order (sequential axis-0 sums, ``(a + b)
 + c`` over a length-3 axis, unchanged BLAS operand layouts), only with
-fewer passes and temporaries.
+fewer passes and temporaries. The solve takes unit weights as
+``weights=None``, which skips every multiply by 1.0 and keeps the bits;
+its two gemm operands stay (n, 3) rows, since gemm rounds a planar (3, n)
+operand differently at some sizes. No finiteness pass comes first: the
+centroid sums (the mean, unaligned) are finite only when every sample is,
+and a non-finite one sends the tables through the masked path that drops
+the samples non-finite in either. The residual is formed in the solve's
+freed centred-source buffer, through ``SimilarityTransform.apply``'s
+``out``.
 
 The pose metrics read a pose sequence as one (n, 3, 3) rotation stack and
 one (n, 3) translation stack. ``rpe`` forms every inverse, relative motion
@@ -30,6 +38,7 @@ by the transposed view and a composition by the contiguous copy.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Mapping, Sequence
 
@@ -46,7 +55,11 @@ from .model import (
     norm3,
     stack_poses,
 )
-from .registration import solve_weighted_similarity
+from .registration import solve_finite_similarity, solve_weighted_similarity
+
+# the bytes of table rows build_fused_table fills frame by frame at a time:
+# a block this size stays in a per-core second-level cache of 2 MiB or more
+_FILL_BLOCK_BYTES = 2 << 20
 
 
 def rotation_angle_deg(R: np.ndarray):
@@ -75,7 +88,7 @@ def align_trajectories(pred: Sequence[Pose], gt: Sequence[Pose]) -> SimilarityTr
     src = _centers(pred)
     dst = _centers(gt)
     try:
-        return solve_weighted_similarity(src, dst, np.ones(len(src)))
+        return solve_weighted_similarity(src, dst, None)
     except DegenerateConfiguration:
         return SimilarityTransform(1.0, np.eye(3), dst.mean(axis=0) - src.mean(axis=0))
 
@@ -150,11 +163,11 @@ TrajectoryTable = Mapping[tuple[int, int], np.ndarray]
 
 def _stack_tables(pred: TrajectoryTable, gt: TrajectoryTable):
     """Predicted and ground-truth samples over the sorted keys, frame by
-    frame, with the rows that are non-finite in either dropped.
+    frame, holes included.
 
     Two :class:`TrackTable` over the same seeds hand over their (N, T, 3)
-    ``tracks`` as they are, views included; any other pair of tables, or
-    a pair with holes, gives (M, 3) copies.
+    ``tracks`` as they are, views included; any other pair of tables gives
+    (M, 3) copies.
     """
     if isinstance(pred, TrackTable) and isinstance(gt, TrackTable) and pred.same_keys(gt):
         p, g = pred.tracks, gt.tracks
@@ -170,38 +183,56 @@ def _stack_tables(pred: TrajectoryTable, gt: TrajectoryTable):
         g = np.concatenate([np.asarray(gt[k], dtype=np.float64) for k in keys])
     if p.shape != g.shape:
         raise KeyMismatch(f"trajectory tables disagree on shapes: {p.shape} vs {g.shape}")
-    ok = finite3(p) & finite3(g)
-    if ok.all():
-        return p, g
-    return p[ok], g[ok]
+    return p, g
+
+
+def _mean_error(p: np.ndarray, g: np.ndarray, align: bool, finite: bool):
+    """Mean distance of the (..., 3) samples ``p`` (aligned onto ``g``
+    first) from ``g``. Unless every sample is known to be ``finite``, None
+    when a sum is not finite, which it is whenever some sample is not."""
+    if p.size == 0:
+        raise NotEnoughPoints("no finite trajectory samples to compare")
+    if not align:
+        d = (p - g).reshape(-1, 3)
+    elif finite:
+        d = solve_weighted_similarity(p, g, None).apply(p.reshape(-1, 3))
+    else:
+        solved = solve_finite_similarity(p, g)
+        if solved is None:
+            return None
+        T, free = solved
+        d = T.apply(p.reshape(-1, 3), out=free)
+    if align:
+        np.subtract(d.reshape(p.shape), g, out=d.reshape(p.shape))
+    # norm3, in place: (x0 * x0 + x1 * x1) + x2 * x2 into column 0
+    np.multiply(d, d, out=d)
+    r = d[:, 0]
+    r += d[:, 1]
+    r += d[:, 2]
+    epe = float(np.sqrt(r, out=r).mean())
+    return epe if finite or math.isfinite(epe) else None
 
 
 def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) -> float:
-    """Mean 3D distance over all tracked points and frames.
+    """Mean 3D distance over all tracked points and frames, over the samples
+    finite in both tables.
 
     By default one global similarity alignment of the predicted scene onto
     the ground truth absorbs the monocular gauge freedom first; pass
     ``align=False`` to score raw coordinates.
 
     Two :class:`~chunkfuse.model.TrackTable` without holes are read in
-    place; beyond the two moment buffers of the solve, the one array
-    allocated is the residual, aligned, subtracted and normed in place.
+    place, with no finiteness pass; the only arrays the size of the tables
+    are the solve's two buffers, one of which then holds the residual (the
+    difference itself, unaligned). A table with a hole takes the masked
+    path (see the module docstring).
     """
     p, g = _stack_tables(pred, gt)
-    if p.size == 0:
-        raise NotEnoughPoints("no finite trajectory samples to compare")
-    if align:
-        T = solve_weighted_similarity(p, g, np.broadcast_to(1.0, p.shape[:-1]))
-        d = T.apply(p.reshape(-1, 3))
-        np.subtract(d.reshape(p.shape), g, out=d.reshape(p.shape))
-    else:
-        d = (p - g).reshape(-1, 3)
-    # norm3, in place: (x0 * x0 + x1 * x1) + x2 * x2 into column 0
-    np.multiply(d, d, out=d)
-    r = d[:, 0]
-    r += d[:, 1]
-    r += d[:, 2]
-    return float(np.sqrt(r, out=r).mean())
+    epe = _mean_error(p, g, align, finite=False)
+    if epe is None:
+        ok = finite3(p) & finite3(g)
+        epe = _mean_error(p[ok], g[ok], align, finite=True)
+    return epe
 
 
 def object_level_prf(
@@ -259,28 +290,39 @@ def build_fused_table(fused, stride: int = 1) -> TrackTable:
     on the frames they share. A fuse lists them in id order, and gives ids
     in creation order, junction by junction, so start frames never
     decrease with id: the later one is the one with the later start frame,
-    then the higher id.
-    The (N, T, 3) tracks are allocated once and filled frame by frame.
+    then the higher id. Each trajectory's frames are one increasing range,
+    as :class:`~chunkfuse.fusion.Trajectory` requires.
+
+    The (N, T, 3) tracks are allocated once and filled by blocks of about
+    ``_FILL_BLOCK_BYTES`` of pixel rows, frame by frame within a block: a
+    frame's samples lie one track apart, so a block small enough to stay in
+    cache is written to memory once, where whole-table passes would fetch
+    every line of the table once per few frames.
     """
     H, W = fused.frames[0].points.shape[:2]
     rows, cols = range(0, H, stride), range(0, W, stride)
     tracks = np.empty((len(rows) * len(cols), len(fused.frames), 3))
     grid = tracks.reshape(len(rows), len(cols), len(fused.frames), 3)
-    for t, fp in enumerate(fused.frames):
-        grid[:, :, t] = fp.points[::stride, ::stride]
-    table = TrackTable(tracks, (H, W), stride)
-    rooted = [
-        (table.row(tr.sources[0][2]), tr)
-        for tr in getattr(fused, "trajectories", [])
-        if tr.sources and tr.sources[0][2] in table
-    ]
+    block = max(1, _FILL_BLOCK_BYTES // max(grid[0].nbytes, 1))
+    for r0 in range(0, len(rows), block):
+        pixel_rows = slice(r0 * stride, (r0 + block) * stride, stride)
+        for t, fp in enumerate(fused.frames):
+            grid[r0:r0 + block, :, t] = fp.points[pixel_rows, ::stride]
+    rooted = [tr for tr in getattr(fused, "trajectories", []) if tr.sources]
+    roots = np.array([tr.sources[0][2] for tr in rooted], dtype=np.intp).reshape(-1, 2)
+    on_grid = ((roots % stride == 0) & (roots >= 0) & (roots < (H, W))).all(axis=1)
+    rooted = [tr for tr, on in zip(rooted, on_grid.tolist()) if on]
     if rooted:
-        # one scatter into the array the table is a read-only view of; numpy
-        # assigns repeated indices in order, so the last write wins
-        rows = np.repeat([k for k, _ in rooted], [len(tr.frames) for _, tr in rooted])
-        frames = np.concatenate([np.asarray(tr.frames, dtype=np.intp) for _, tr in rooted])
-        tracks[rows, frames] = np.concatenate([tr.positions for _, tr in rooted])
-    return table
+        keys = roots[on_grid] // stride
+        lengths = np.array([len(tr.frames) for tr in rooted], dtype=np.intp)
+        starts = np.array([tr.frames[0] if tr.frames else 0 for tr in rooted], dtype=np.intp)
+        # one scatter into every (row, frame) of the rooted trajectories;
+        # numpy assigns repeated indices in order, so the last write wins
+        at = np.repeat(keys[:, 0] * len(cols) + keys[:, 1], lengths)
+        first = np.cumsum(lengths) - lengths  # each one's first sample in the concatenation
+        frames = np.arange(len(at)) + np.repeat(starts - first, lengths)
+        tracks[at, frames] = np.concatenate([tr.positions for tr in rooted])
+    return TrackTable(tracks, (H, W), stride)
 
 
 def format_metrics_table(rows: list[dict[str, object]]) -> str:

@@ -249,7 +249,7 @@ class SimilarityTransform:
     def identity(cls) -> "SimilarityTransform":
         return cls(1.0, np.eye(3), np.zeros(3))
 
-    def apply(self, x) -> np.ndarray:
+    def apply(self, x, out=None) -> np.ndarray:
         """Apply to a 3-vector or an (..., 3) array of points.
 
         Computes ``scale * (x @ rotation.T) + translation`` with the same
@@ -257,13 +257,17 @@ class SimilarityTransform:
         column by column. A stack of (k, 3) arrays is multiplied as one
         (n, 3) product, which rounds as the stacked product does and skips
         one small product per leading row, unless k is 1: numpy multiplies
-        a single row by gemv, which rounds unlike gemm.
+        a single row by gemv, which rounds unlike gemm. ``out``, a
+        C-contiguous float64 array of ``x``'s shape that does not overlap
+        ``x``, takes the result in place of a new array; the product writes
+        into it as into its own result, so the bits are the same.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim > 2 and x.shape[-2] > 1:
-            out = (x.reshape(-1, 3) @ self.rotation.T).reshape(x.shape)
+            rows = None if out is None else out.reshape(-1, 3)
+            out = np.matmul(x.reshape(-1, 3), self.rotation.T, out=rows).reshape(x.shape)
         else:
-            out = x @ self.rotation.T
+            out = np.matmul(x, self.rotation.T, out=out)
         out *= self.scale
         for j in range(3):
             out[..., j] += self.translation[j]
@@ -489,13 +493,6 @@ class TrackTable(Mapping):
     def same_keys(self, other: "TrackTable") -> bool:
         return self.rows == other.rows and self.cols == other.cols
 
-    def row(self, key) -> int:
-        """Row of ``tracks`` that holds the track of seed ``key``."""
-        if key not in self:
-            raise KeyError(key)
-        r, c = key
-        return self.rows.index(r) * len(self.cols) + self.cols.index(c)
-
     def __contains__(self, key) -> bool:
         try:
             r, c = key
@@ -504,7 +501,11 @@ class TrackTable(Mapping):
         return r in self.rows and c in self.cols
 
     def __getitem__(self, key) -> np.ndarray:
-        return self.tracks[self.row(key)]
+        if key not in self:
+            raise KeyError(key)
+        r, c = key
+        # a key in the table equals an int on the grid, which int() gives back
+        return self.tracks[int(r) // self.rows.step * len(self.cols) + int(c) // self.cols.step]
 
     def __iter__(self):
         return product(self.rows, self.cols)

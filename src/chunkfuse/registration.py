@@ -120,14 +120,100 @@ def _column_sum(x: np.ndarray) -> float:
     return 0.0 + np.add.accumulate(x, out=x)[-1]
 
 
+def _unit_column_sum(x: np.ndarray, j: int, buf: np.ndarray) -> float:
+    """:func:`_column_sum` of column ``j`` of the (..., 3) array ``x``, its
+    points in row-major order; column ``j`` of the (n, 3) ``buf`` takes the
+    running sums. A C-contiguous ``x`` is summed straight from its flat
+    column; any other layout is copied into the buffer column first."""
+    col = buf[:, j]
+    if x.flags.c_contiguous:
+        return 0.0 + np.add.accumulate(x.reshape(-1, 3)[:, j], out=col)[-1]
+    # the buffer column in x's leading shape: its stride is uniform, so the
+    # reshape is a view to write through
+    np.copyto(col.reshape(x.shape[:-1]), x[..., j])
+    return _column_sum(col)
+
+
+def _centroids(src, dst, weights):
+    """The first half of :func:`_weighted_moments`: its checked inputs,
+    their weights (None for unit weights) and weight sum, the two centroids
+    and the two (n, 3) gemm buffers, not yet filled."""
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    if src.shape != dst.shape or src.shape[-1:] != (3,):
+        raise ValueError("src, dst and weights must have the same length")
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.size != src.size // 3:
+            raise ValueError("src, dst and weights must have the same length")
+        w = w.reshape(src.shape[:-1])
+        if (w < 0).any():
+            raise ValueError("weights must be non-negative")
+        if not (w > 0).all():  # no mask is held through the solve unless one is needed
+            keep = w > 0
+            src, dst, w = src[keep], dst[keep], w[keep]
+    n = src.size // 3
+    if n < 3:
+        raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {n}")
+    # a sum of ones is exact, so n is the bits of w.sum() for unit weights
+    wsum = float(n) if w is None else w.sum()
+    src_c = np.empty((n, 3))
+    weighted = np.empty((n, 3))
+    mu_src = np.empty(3)
+    mu_dst = np.empty(3)
+    for j in range(3):
+        if w is None:
+            mu_src[j] = _unit_column_sum(src, j, src_c) / wsum
+            mu_dst[j] = _unit_column_sum(dst, j, weighted) / wsum
+        else:
+            np.multiply(w, src[..., j], out=src_c[:, j].reshape(w.shape))
+            mu_src[j] = _column_sum(src_c[:, j]) / wsum
+            np.multiply(w, dst[..., j], out=weighted[:, j].reshape(w.shape))
+            mu_dst[j] = _column_sum(weighted[:, j]) / wsum
+    return src, dst, w, wsum, mu_src, mu_dst, src_c, weighted
+
+
+def _second_moments(src, dst, w, wsum, mu_src, mu_dst, src_c, weighted):
+    """The second half of :func:`_weighted_moments`, on what
+    :func:`_centroids` returned: ``(cov, src_cov, var_src)``, with the
+    centred sources left in ``src_c``."""
+    # column j of each buffer in the inputs' leading shape: its stride is
+    # uniform, so the reshape is a view to write through
+    shape = src.shape[:-1]
+    src_cols = [src_c[:, j].reshape(shape) for j in range(3)]
+    weighted_cols = [weighted[:, j].reshape(shape) for j in range(3)]
+    for j in range(3):
+        np.subtract(src[..., j], mu_src[j], out=src_cols[j])
+        np.subtract(dst[..., j], mu_dst[j], out=weighted_cols[j])
+        if w is not None:
+            weighted_cols[j] *= w
+    cov = weighted.T @ src_c / wsum
+    if w is None:
+        # a copy, not src_c itself: numpy would take a product of an array
+        # with its own transpose by syrk, which rounds unlike gemm
+        np.copyto(weighted, src_c)
+    else:
+        for j in range(3):
+            np.multiply(src_cols[j], w, out=weighted_cols[j])
+    src_cov = weighted.T @ src_c / wsum
+    sq = np.multiply(src_c, src_c, out=weighted)[:, 0]
+    sq += weighted[:, 1]
+    sq += weighted[:, 2]
+    if w is not None:
+        weighted_cols[0] *= w
+    return cov, src_cov, float(sq.sum() / wsum)
+
+
 def _weighted_moments(src, dst, weights):
     """Weighted centroids and second moments of a correspondence set.
 
     ``src`` and ``dst`` are (..., 3) arrays of one shape, strided views
     included, and ``weights`` holds one weight per point (a broadcast array
-    included); the points are taken in row-major order, as ``x.reshape(-1,
-    3)`` would list them. Returns ``(mu_src, mu_dst, cov, src_cov,
-    var_src)`` with the bits of the array expressions on those (n, 3) rows:
+    included), or is None for unit weights; the points are taken in
+    row-major order, as ``x.reshape(-1, 3)`` would list them. Returns
+    ``(mu_src, mu_dst, cov, src_cov, var_src)`` with the bits of the array
+    expressions on those (n, 3) rows:
 
         mu = (w[:, None] * x).sum(axis=0) / wsum
         cov = (dst_c * w[:, None]).T @ src_c / wsum
@@ -139,49 +225,16 @@ def _weighted_moments(src, dst, weights):
     read once per pass (``x[..., j]``); its weighted sum runs in the buffer
     column that the centring then overwrites, and the squares for
     ``var_src`` go into the weighted buffer once both products are done.
-    Both products keep the operand layouts of the expressions above, on
-    which BLAS rounding depends.
+
+    ``None`` gives the bits of ``np.ones`` weights without a multiply by
+    1.0, which is exact: a C-contiguous input is summed straight from its
+    flat column, and the second product's left operand is a copy of the
+    centred sources. Both products keep the (n, 3) operands and layouts of
+    the expressions above, on which BLAS rounding depends: a planar (3, n)
+    operand rounds differently at some sizes.
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if src.shape != dst.shape or src.shape[-1:] != (3,) or w.size != src.size // 3:
-        raise ValueError("src, dst and weights must have the same length")
-    w = w.reshape(src.shape[:-1])
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    if not (w > 0).all():  # no mask is held through the solve unless one is needed
-        keep = w > 0
-        src, dst, w = src[keep], dst[keep], w[keep]
-    if w.size < 3:
-        raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {w.size}")
-    wsum = w.sum()
-    src_c = np.empty((w.size, 3))
-    weighted = np.empty((w.size, 3))
-    # column j of each buffer in the inputs' leading shape: its stride is
-    # uniform, so the reshape is a view to write through
-    src_cols = [src_c[:, j].reshape(w.shape) for j in range(3)]
-    weighted_cols = [weighted[:, j].reshape(w.shape) for j in range(3)]
-    mu_src = np.empty(3)
-    mu_dst = np.empty(3)
-    for j in range(3):
-        np.multiply(w, src[..., j], out=src_cols[j])
-        mu_src[j] = _column_sum(src_c[:, j]) / wsum
-        np.multiply(w, dst[..., j], out=weighted_cols[j])
-        mu_dst[j] = _column_sum(weighted[:, j]) / wsum
-        np.subtract(src[..., j], mu_src[j], out=src_cols[j])
-        np.subtract(dst[..., j], mu_dst[j], out=weighted_cols[j])
-        weighted_cols[j] *= w
-    cov = weighted.T @ src_c / wsum
-    for j in range(3):
-        np.multiply(src_cols[j], w, out=weighted_cols[j])
-    src_cov = weighted.T @ src_c / wsum
-    sq = np.multiply(src_c, src_c, out=weighted)[:, 0]
-    sq += weighted[:, 1]
-    sq += weighted[:, 2]
-    weighted_cols[0] *= w
-    var_src = float(sq.sum() / wsum)
-    return mu_src, mu_dst, cov, src_cov, var_src
+    c = _centroids(src, dst, weights)
+    return (c[4], c[5], *_second_moments(*c))
 
 
 def nearest_rotation(M: np.ndarray):
@@ -206,6 +259,14 @@ def _rotation_from_cov(cov: np.ndarray, src_cov: np.ndarray):
     return nearest_rotation(cov)
 
 
+def _similarity(mu_src, mu_dst, cov, src_cov, var_src) -> SimilarityTransform:
+    R, D, S = _rotation_from_cov(cov, src_cov)
+    scale = float((D * S).sum() / var_src)
+    if scale <= 0 or not np.isfinite(scale):
+        raise DegenerateConfiguration(f"non-positive recovered scale {scale}")
+    return SimilarityTransform(scale, R, mu_dst - scale * (R @ mu_src))
+
+
 def solve_weighted_similarity(src, dst, weights) -> SimilarityTransform:
     """Global minimizer of sum w_i ||s R src_i + t - dst_i||^2.
 
@@ -213,14 +274,24 @@ def solve_weighted_similarity(src, dst, weights) -> SimilarityTransform:
     SVD with determinant correction (the smallest singular direction flips
     sign when det(U Vt) < 0), scale from the corrected singular-value trace
     over the weighted source variance, translation from the centroids.
+    ``weights=None`` means unit weights.
     """
-    mu_src, mu_dst, cov, src_cov, var_src = _weighted_moments(src, dst, weights)
-    R, D, S = _rotation_from_cov(cov, src_cov)
-    scale = float((D * S).sum() / var_src)
-    if scale <= 0 or not np.isfinite(scale):
-        raise DegenerateConfiguration(f"non-positive recovered scale {scale}")
-    t = mu_dst - scale * (R @ mu_src)
-    return SimilarityTransform(scale, R, t)
+    return _similarity(*_weighted_moments(src, dst, weights))
+
+
+def solve_finite_similarity(src, dst):
+    """``solve_weighted_similarity(src, dst, None)`` and the (n, 3) buffer
+    the sources were centred in, free for the caller to reuse.
+
+    None, before any centring, when a centroid is not finite: that is so
+    whenever some point is not, since a sum with a non-finite term is not
+    finite (and when a sum overflows).
+    """
+    c = _centroids(src, dst, None)
+    mu_src, mu_dst = c[4], c[5]
+    if not (np.isfinite(mu_src).all() and np.isfinite(mu_dst).all()):
+        return None
+    return _similarity(mu_src, mu_dst, *_second_moments(*c)), c[6]
 
 
 def solve_weighted_rigid(src, dst, weights, scale: float = 1.0) -> SimilarityTransform:

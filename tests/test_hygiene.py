@@ -3,7 +3,7 @@ uses each name it imports, every dataclass field is read somewhere, every
 config field is read outside ``model.py`` and set by a recipe config, every
 scene spec field is set by a recipe, every frozen dataclass that holds an
 array compares by identity, JSON text is parsed only by ``io.read_json``
-and written to files only by ``io.write_json``, and every source file
+and encoded for files only by ``io.json_text``, and every source file
 parses as Python 3.10.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt,
 and so are the dataclasses written out whole, field by field."""
@@ -151,11 +151,14 @@ def test_json_is_parsed_only_by_read_json():
 
 
 def test_json_is_written_only_by_write_json():
-    """The CLI's one other encoder prints ``evaluate``'s JSON line."""
+    """``io.json_text`` is the one encoder of JSON files: ``write_json``
+    writes its text, and ``write_fusion_outputs`` encodes every document
+    with it before writing any. The CLI's one other encoder prints
+    ``evaluate``'s JSON line."""
     owners = {path.name: json_owners(ast.parse(path.read_text()), "dump", "dumps")
               for path in MODULES}
     assert {name: found for name, found in owners.items() if found} == \
-        {"io.py": ["write_json"], "cli.py": ["_cmd_evaluate"]}
+        {"io.py": ["json_text"], "cli.py": ["_cmd_evaluate"]}
 
 
 def test_dataclass_fields_are_read():

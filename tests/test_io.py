@@ -281,8 +281,7 @@ class TestSidecars:
                        ((0, 1, (2, 3)), (1, 4, (2, 3)))),
             Trajectory(9, (4,), rng.normal(size=(1, 3)), ()),
         ]
-        cio.write_trajectories(trajectories, tmp_path / "trajectories.txt")
-        cio.write_trajectory_meta(trajectories, tmp_path / "trajectories_meta.json")
+        cio.write_fusion_outputs(scene(trajectories=trajectories), tmp_path)
         again = cio.read_fused_trajectories(tmp_path, 8)
         for a, b in zip(trajectories, again, strict=True):
             assert (a.trajectory_id, a.frames, a.sources) == (b.trajectory_id, b.frames, b.sources)
@@ -466,6 +465,23 @@ class TestSidecarBytes:
                                        pixels([(0, 0)]), pixels([(0, 0)]))])
             with pytest.raises(ValueError, match="not JSON compliant"):
                 cio.write_fusion_outputs(fused, tmp_path)
+
+    def test_refused_document_writes_nothing(self, tmp_path):
+        refused = scene(
+            trajectories=[Trajectory(0, (1, 2), np.ones((2, 3)), ((0, 0, (0, 0)),))],
+            match_sets=[(0, 1, MatchSet(((0, 0, math.inf),), (), ()),
+                         pixels([(0, 0)]), pixels([(0, 0)]))],
+        )
+        with pytest.raises(ValueError, match="matches.json"):
+            cio.write_fusion_outputs(refused, tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+        # an earlier fuse's outputs stay as they were, every file of them
+        cio.write_fusion_outputs(scene(), tmp_path / "old")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+        assert len(before) == 6
+        with pytest.raises(ValueError, match="matches.json"):
+            cio.write_fusion_outputs(refused, tmp_path / "old")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
 
 
 SAME_BITS_RECIPES = {

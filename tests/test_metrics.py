@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
+from chunkfuse import metrics
 from chunkfuse.association import MatchSet
 from chunkfuse.errors import DegenerateConfiguration, KeyMismatch, NotEnoughPoints
 from chunkfuse.fusion import Trajectory
@@ -290,6 +291,32 @@ class TestDenseTables:
         assert _same(_epe_outcome(dense_epe, pred, gt, align), expected)
         assert _same(_epe_outcome(dense_epe, pred_dict, gt_dict, align), expected)
         assert _same(_epe_outcome(dense_epe, pred, gt_dict, align), expected)
+
+    @pytest.mark.parametrize("block_bytes", [1, 500, 2 << 20])
+    def test_fused_table_roots(self, rng, monkeypatch, block_bytes):
+        """The root cases a fuse can give, filled one pixel row, a few
+        rows or the whole table at a time."""
+        monkeypatch.setattr(metrics, "_FILL_BLOCK_BYTES", block_bytes)
+        T, H, W = 5, 7, 8
+        pred = rng.normal(size=(T, H, W, 3))
+        frames = [SimpleNamespace(points=pred[t]) for t in range(T)]
+
+        def rooted(tid, span, root):
+            return Trajectory(tid, tuple(span), rng.normal(size=(len(span), 3)), ((0, tid, root),))
+
+        cases = [
+            [rooted(0, range(0, 3), (2, 2)), rooted(1, range(1, 5), (2, 2))],  # one pixel
+            [rooted(0, range(1, 4), (1, 2)), rooted(1, range(2, 4), (3, 3))],  # off a stride grid
+            [rooted(0, (), (2, 2)), rooted(1, range(0, 2), (0, 0))],  # no frames
+            [rooted(0, range(0, 3), (H, 0)), rooted(1, range(2, 4), (-2, 0)),
+             rooted(2, range(1, 3), (0, W))],  # no root on the grid
+        ]
+        for trajectories in cases:
+            fused = SimpleNamespace(frames=frames, trajectories=trajectories)
+            for stride in (1, 2, 3):
+                dense, expected = build_fused_table(fused, stride), ref.build_fused_table(fused, stride)
+                assert list(dense) == list(expected)
+                assert all(ref.same_bits(dense[k], track) for k, track in expected.items())
 
     def test_mismatched_dense_tables(self, rng):
         points = rng.normal(size=(4, 6, 6, 3))

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 import references as ref
 from chunkfuse.errors import DegenerateConfiguration, NotEnoughPoints
-from chunkfuse.model import PipelineConfig, SimilarityTransform
+from chunkfuse.model import PipelineConfig, SimilarityTransform, seed_tracks
 from chunkfuse.registration import (
     _weighted_moments,
     register_pair,
     registration_residual_rms,
     select_anchors,
+    solve_finite_similarity,
     solve_weighted_rigid,
     solve_weighted_similarity,
     static_correspondences,
@@ -208,7 +209,104 @@ class TestMomentsMatchReference:
         dst = np.random.default_rng(0).normal(size=(20, 3))
         expected = src.sum(axis=0) / 20
         assert src[:, 0].sum() / 20 != expected[0]
-        assert ref.same_bits(_weighted_moments(src, dst, np.ones(20))[0], expected)
+        for weights in (np.ones(20), None):
+            assert ref.same_bits(_weighted_moments(src, dst, weights)[0], expected)
+            # a contiguous table is summed from its flat column, a view by copy
+            table = np.ascontiguousarray(src.reshape(4, 5, 3))
+            assert ref.same_bits(_weighted_moments(table, dst.reshape(4, 5, 3), weights)[0], expected)
+            view = table.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+            assert not view.flags.c_contiguous
+            assert ref.same_bits(_weighted_moments(view, dst.reshape(4, 5, 3), weights)[0], expected)
+
+
+def _correspondence(rng, shape, mag=1.0):
+    src = rng.normal(size=shape + (3,)) * mag + rng.normal(size=3) * 10 * mag
+    dst = 1.3 * src @ random_rotation(rng).T + rng.normal(size=3) + rng.normal(size=src.shape) * 0.01 * mag
+    return src, dst
+
+
+def _in_layout(src, dst, layout):
+    """``(T, H, W, 3)`` stacks as the solve reads them: ``rows`` (n, 3),
+    a contiguous (N, T, 3) ``table`` or a ``strided`` seed_tracks view."""
+    if layout == "rows":
+        return src.reshape(-1, 3), dst.reshape(-1, 3)
+    if layout == "table":
+        return np.ascontiguousarray(seed_tracks(src)), np.ascontiguousarray(seed_tracks(dst))
+    return seed_tracks(src), seed_tracks(dst)
+
+
+@st.composite
+def unit_weight_cases(draw):
+    """Correspondences of 1 to about 4,600 points in each layout the
+    solve reads, over wide magnitudes, sometimes with a hole."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    src, dst = _correspondence(rng, shape, draw(st.sampled_from([1e-3, 1.0, 1e4])))
+    if draw(st.booleans()):
+        (src, dst)[rng.integers(2)][tuple(rng.integers(shape + (3,)))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return _in_layout(src, dst, draw(st.sampled_from(["rows", "table", "strided"])))
+
+
+def _moments_outcome(src, dst, weights):
+    try:
+        with np.errstate(all="ignore"):
+            return _weighted_moments(src, dst, weights)
+    except (ValueError, NotEnoughPoints) as e:
+        return type(e)
+
+
+class TestUnitWeights:
+    """``weights=None`` is ``np.ones`` weights, bit for bit."""
+
+    @given(unit_weight_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_none_is_ones(self, case):
+        src, dst = case
+        ones = np.ones(src.shape[:-1])
+        got, expected = _moments_outcome(src, dst, None), _moments_outcome(src, dst, ones)
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            assert all(ref.same_bits(a, b) for a, b in zip(got, expected, strict=True))
+        assert _same_outcome(_outcome(solve_weighted_similarity, src, dst, None),
+                             _outcome(solve_weighted_similarity, src, dst, ones))
+
+    @pytest.mark.parametrize("layout", ["rows", "table", "strided"])
+    @pytest.mark.parametrize("shape", [(10, 10, 10), (23, 61, 76)])  # n = 1,000 and 106,628
+    def test_sizes_where_operand_layout_matters(self, rng, layout, shape):
+        src, dst = _in_layout(*_correspondence(rng, shape), layout)
+        got = _weighted_moments(src, dst, None)
+        expected = _weighted_moments(src, dst, np.ones(src.shape[:-1]))
+        assert all(ref.same_bits(a, b) for a, b in zip(got, expected, strict=True))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (2, 3), (1, 2, 3), (2, 1, 1, 3)])
+    def test_fewer_than_three_points(self, shape):
+        src = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        with pytest.raises(NotEnoughPoints):
+            _weighted_moments(src, src + 1.0, None)
+        with pytest.raises(NotEnoughPoints):
+            solve_finite_similarity(src, src + 1.0)
+
+    @given(unit_weight_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_finite_solve(self, case):
+        """None exactly when some point is not finite; else the unit-weight
+        solve, with the (n, 3) buffer the sources were centred in."""
+        src, dst = case
+        expected = _outcome(solve_weighted_similarity, src, dst, None)
+        with np.errstate(all="ignore"):
+            try:
+                got = solve_finite_similarity(src, dst)
+            except (NotEnoughPoints, DegenerateConfiguration, np.linalg.LinAlgError) as e:
+                assert expected is type(e)
+                return
+        if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+            assert got is None
+            return
+        T, free = got
+        assert _same_outcome((T.scale, T.rotation, T.translation), expected)
+        assert free.shape == (src.size // 3, 3) and free.flags.c_contiguous
 
 
 def _static_scene(rng, grid=16, frames=4):
