@@ -15,10 +15,12 @@ counts pooled over all junctions:
 ``fuse`` writes its outputs beside ``--out`` and moves them in only when
 the fuse succeeds, so a failed fuse leaves an earlier output as it was.
 
-Exit codes: 0 success; 2 invalid config, scene spec or ``evaluate``
-flag; 3 malformed container, or a broken chunk stream (see ``NoOverlap``:
-a missing chunk, a one-frame overlap, another grid, or a chunk that does
-not advance); 4 evaluation key mismatch.
+Exit codes: 0 success; 2 invalid config, scene spec or flag (among them a
+``fuse --out`` on a path through a file, and ATE or RPE on fewer than 3
+fused frames, which their alignment needs); 3 malformed container, or a
+broken chunk stream (see ``NoOverlap``: a missing chunk, a one-frame
+overlap, another grid, or a chunk that does not advance); 4 evaluation key
+mismatch.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ def _move_into(src: Path, dst: Path) -> None:
 def _cmd_fuse(args) -> int:
     cfg = cio.load_pipeline_config(args.config)
     out = Path(args.out)
+    for d in (out, *out.parents):
+        if d.exists() and not d.is_dir():
+            raise InvalidConfig(f"--out {out}: {d} is not a directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
@@ -119,9 +124,8 @@ def _cmd_evaluate(args) -> int:
     unknown = set(wanted) - {"epe", "ate", "rpe", "assoc"}
     if unknown:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
-    for flag, value in (("--epe-stride", args.epe_stride), ("--rpe-delta", args.rpe_delta)):
-        if value < 1:
-            raise InvalidConfig(f"{flag} must be >= 1, got {value}")
+    if args.rpe_delta < 1:
+        raise InvalidConfig(f"--rpe-delta must be >= 1, got {args.rpe_delta}")
     pred_dir = _resolve_container(Path(args.pred), "fused")
     gt_dir = _resolve_container(Path(args.gt), "gt")
     fused = cio.read_chunk(pred_dir)
@@ -136,6 +140,11 @@ def _cmd_evaluate(args) -> int:
     variant = "pred"
     if info_path.is_file():
         variant = cio.read_json(info_path).get("ablation", "pred")
+
+    for metric in ("ate", "rpe"):
+        # both align the camera centres first, which takes three of them
+        if metric in wanted and len(fused.frames) < 3:
+            raise InvalidConfig(f"{metric} needs at least 3 fused frames, got {len(fused.frames)}")
 
     result: dict[str, object] = {"variant": variant}
     pred_poses = fused.poses
@@ -156,11 +165,10 @@ def _cmd_evaluate(args) -> int:
         missing = [name for name in cio.TRAJECTORY_FILES if not (out_dir / name).is_file()]
         if missing and len(missing) < len(cio.TRAJECTORY_FILES):
             raise MalformedContainer(f"{out_dir} has trajectory files but no {', '.join(missing)}")
-        trajectories = [] if missing else cio.read_fused_trajectories(out_dir, len(fused.frames))
-        pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories),
-                                       stride=args.epe_stride)
-        gt_table = gt.trajectory_table(stride=args.epe_stride)
-        result["epe"] = dense_epe(pred_table, gt_table, align=not args.no_align)
+        trajectories = [] if missing else cio.read_fused_trajectories(out_dir, len(fused.frames),
+                                                                      fused.grid_shape)
+        pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories))
+        result["epe"] = dense_epe(pred_table, gt.trajectory_table(), align=not args.no_align)
     if "assoc" in wanted:
         matches_path = pred_dir.parent / "matches.json"
         if not matches_path.is_file():
@@ -231,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pred", required=True, help="fuse output directory")
     e.add_argument("--gt", required=True, help="generate output directory")
     e.add_argument("--metrics", default="epe,ate,rpe", help="comma list: epe,ate,rpe,assoc")
-    e.add_argument("--rpe-delta", type=int, default=1)
-    e.add_argument("--epe-stride", type=int, default=1, help="seed-pixel stride for the EPE table")
+    e.add_argument("--rpe-delta", type=int, default=1, help="frame step of the RPE pairs")
     e.add_argument("--no-align", action="store_true", help="skip the global gauge alignment")
     e.set_defaults(func=_cmd_evaluate)
 

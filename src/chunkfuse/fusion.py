@@ -4,7 +4,10 @@ continuity reconstruction, and sequence-level fusion.
 
 Matched tracklets travel as row-aligned :class:`TrackletSet` pairs, so the
 refinement, the boundary reconstruction and the trajectory stitching of a
-junction each run once over all of its matches.
+junction each run once over all of its matches. The boundary reconstruction
+returns only the positions of the window it solves; the stitcher joins them
+to each trajectory's frames before the window and to its track in the next
+chunk after it.
 """
 
 from __future__ import annotations
@@ -206,21 +209,17 @@ def blend_weights(num: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _window_data(tracks: TrackletSet, window: range):
-    """Positions and confidences of ``tracks`` over the frames of
-    ``window``, with a (N, len(window)) mask of where a position is given
-    and finite; positions and confidences are zero elsewhere."""
+    """Positions of ``tracks`` over the frames of ``window``, with a (N,
+    len(window)) mask of where a position is given and finite; positions
+    are zero elsewhere."""
     frames = tracks.frames
     lo = max(window.start, frames.start)
     hi = max(lo, min(window.stop, frames.stop))
-    into = slice(lo - window.start, hi - window.start)
-    src = slice(lo - frames.start, hi - frames.start)
     pos = np.full((len(tracks), len(window), 3), np.nan)
-    pos[:, into] = tracks.positions[:, src]
-    conf = np.zeros(pos.shape[:2])
-    conf[:, into] = tracks.conf[:, src]
+    pos[:, lo - window.start:hi - window.start] = tracks.positions[:, lo - frames.start:hi - frames.start]
     has = finite3(pos)
     pos[~has] = 0.0
-    return pos, conf, has
+    return pos, has
 
 
 def reconstruct_boundary(
@@ -228,10 +227,10 @@ def reconstruct_boundary(
     d_b_aligned: TrackletSet,
     window: range,
     cfg: PipelineConfig,
-) -> TrackletSet:
+) -> np.ndarray:
     """Continuity reconstruction over ``window``, a range of consecutive
     frames around the junction, for every row pair (d_a[k],
-    d_b_aligned[k]) at once.
+    d_b_aligned[k]) at once: the (N, len(window), 3) positions.
 
     Minimizes, per row and coordinate,
       sum_t alpha_t ||x_t - a_t||^2 + beta_t ||x_t - b_t||^2
@@ -239,14 +238,12 @@ def reconstruct_boundary(
     a symmetric tridiagonal quadratic solved exactly by one batched Thomas
     solve. alpha/beta follow a cos^2 ramp across the window; where only one
     source covers a frame with a finite position it receives the full unit
-    data weight, and a frame neither covers gets zero data weight and
-    confidence 0, so the smoothness chain fills it in. With lambda_sm == 0
-    nothing fills such a frame, and it comes back NaN. The chain is
-    anchored to the fixed neighbors just outside the window when the
-    sources extend there. The result runs from d_a's first frame to
-    d_b_aligned's last: d_a's frames before the window and d_b_aligned's
-    after it are copied verbatim, so the window must start within d_a or
-    just after it, and end within d_b_aligned or just before it.
+    data weight, and a frame neither covers gets zero data weight, so the
+    smoothness chain fills it in. With lambda_sm == 0 nothing fills such a
+    frame, and it comes back NaN. The chain is anchored to the fixed
+    neighbors just outside the window when the sources extend there. The
+    window must start within d_a or just after it, and end within
+    d_b_aligned or just before it.
     """
     if len(window) < 2:
         raise WindowTooShort(f"boundary window needs >= 2 frames, got {len(window)}")
@@ -257,8 +254,8 @@ def reconstruct_boundary(
         raise ValueError("boundary sources must pair up row by row")
     m = len(window)
 
-    A, ca, has_a = _window_data(d_a, window)
-    B, cb, has_b = _window_data(d_b_aligned, window)
+    A, has_a = _window_data(d_a, window)
+    B, has_b = _window_data(d_b_aligned, window)
     ramp_a, ramp_b = blend_weights(m)
     alpha = np.where(has_a, np.where(has_b, ramp_a, 1.0), 0.0)
     beta = np.where(has_b, np.where(has_a, ramp_b, 1.0), 0.0)
@@ -269,8 +266,8 @@ def reconstruct_boundary(
     diag[:, -1] -= lam
     rhs = alpha[..., None] * A + beta[..., None] * B
 
-    anchor_a, _, has_prev = _window_data(d_a, range(window.start - 1, window.start))
-    anchor_b, _, has_next = _window_data(d_b_aligned, range(window.stop, window.stop + 1))
+    anchor_a, has_prev = _window_data(d_a, range(window.start - 1, window.start))
+    anchor_b, has_next = _window_data(d_b_aligned, range(window.stop, window.stop + 1))
     has_prev, has_next = has_prev[:, 0], has_next[:, 0]
     diag[has_prev, 0] += lam
     rhs[has_prev, 0] += lam * anchor_a[has_prev, 0]
@@ -279,23 +276,9 @@ def reconstruct_boundary(
 
     if lam > 0:
         off = np.full(m - 1, -lam)
-        x = solve_tridiagonal(off, diag.T[..., None], off, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = rhs / diag[..., None]
-    w = alpha + beta
-    conf = np.divide(alpha * ca + beta * cb, w, out=np.zeros_like(w), where=w > 0)
-
-    before = slice(window.start - fa.start)
-    after = slice(window.stop - fb.start, None)
-    return TrackletSet(
-        start_frame=fa.start,
-        pixels=d_a.pixels,
-        positions=np.concatenate(
-            [d_a.positions[:, before], x, d_b_aligned.positions[:, after]], axis=1
-        ),
-        conf=np.concatenate([d_a.conf[:, before], conf, d_b_aligned.conf[:, after]], axis=1),
-    )
+        return solve_tridiagonal(off, diag.T[..., None], off, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rhs / diag[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -364,31 +347,33 @@ class _Stitcher:
 
         Every match shares the window [junction - bw + 1, junction + bw],
         with half width bw = ``cfg.overlap``, clipped to the two chunks, and
-        all are reconstructed in one solve. A match whose window cannot be
-        reconstructed is handled as two unmatched tracklets. New ids go to
-        the stitched matches not open yet, in match order, then to the rest
-        of ``raw_i`` not open yet and of ``raw_j``, each in row order.
+        all are reconstructed in one solve. A stitched trajectory keeps its
+        frames before the window, takes the reconstructed window, and goes
+        on with its track in ``cur`` after it. A match whose window cannot
+        be reconstructed is handled as two unmatched tracklets. New ids go
+        to the stitched matches not open yet, in match order, then to the
+        rest of ``raw_i`` not open yet and of ``raw_j``, each in row order.
         """
         junction, bw = prev.end_frame, cfg.overlap
         window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
         rows_a, rows_b = match_set.pairs().T
         tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)
         tracks_j = _pixel_tracks(cur, raw_j.pixels, G_cur)
-        # each row runs from prev's first frame to cur's last
-        rebuilt = reconstruct_boundary(tracks_i.take(rows_a), tracks_j.take(rows_b), window, cfg)
-        tail = rebuilt.positions[:, window[0] - prev.start_frame:]
-        stitched = finite3(tail[:, : len(window)]).all(axis=1)
+        x = reconstruct_boundary(tracks_i.take(rows_a), tracks_j.take(rows_b), window, cfg)
+        stitched = finite3(x).all(axis=1)
 
         open_i = self.open[tuple(raw_i.pixels.T)]
         a, b = rows_a[stitched], rows_b[stitched]
         lone_i = np.sort(np.concatenate([np.asarray(match_set.unmatched_i, np.intp), rows_a[~stitched]]))
         lone_j = np.sort(np.concatenate([np.asarray(match_set.unmatched_j, np.intp), rows_b[~stitched]]))
         ids = open_i[a]
-        # a new stitched trajectory starts as its track in prev, which rebuilt repeats up to the window
+        # a new stitched trajectory starts as its track in prev, whose frames before the window it keeps
         ids[ids < 0] = self._start(prev, tracks_i, a[ids < 0])
         self._start(prev, tracks_i, lone_i[open_i[lone_i] < 0])
-        for t, pos, row, pixel in zip(ids.tolist(), tail[stitched], b.tolist(), raw_j.pixels[b].tolist()):
-            self.positions[t] = np.concatenate([self.positions[t][: window[0] - self.starts[t]], pos])
+        after = tracks_j.positions[:, window.stop - cur.start_frame:]
+        for t, pos, row, pixel in zip(ids.tolist(), x[stitched], b.tolist(), raw_j.pixels[b].tolist()):
+            kept = self.positions[t][: window[0] - self.starts[t]]
+            self.positions[t] = np.concatenate([kept, pos, after[row]])
             self.sources[t].append((cur.chunk_id, row, tuple(pixel)))
         self.open.fill(-1)
         self.open[tuple(raw_j.pixels[b].T)] = ids

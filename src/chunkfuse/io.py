@@ -493,21 +493,24 @@ def _int_rows(rows, width: int, where: str) -> np.ndarray:
     return arr
 
 
-def read_fused_trajectories(directory, num_frames: int) -> list[Trajectory]:
+def read_fused_trajectories(directory, num_frames: int, grid_shape: tuple[int, int]) -> list[Trajectory]:
     """The trajectories of a fuse output directory of ``num_frames`` fused
-    frames, rebuilt from the ``TRAJECTORY_FILES``; one the meta file does
-    not list has no sources. MalformedContainer
-    unless each meta entry is an object whose ``sources`` are ``[chunk,
-    tracklet, row, col]`` integer records and every frame lies in
-    ``[0, num_frames)``."""
+    frames on a ``grid_shape`` grid, rebuilt from the
+    ``TRAJECTORY_FILES``; one the meta file does not list has no sources.
+    MalformedContainer unless each meta entry is an object whose
+    ``sources`` are ``[chunk, tracklet, row, col]`` integer records with
+    every pixel on the grid, and every frame lies in ``[0, num_frames)``."""
     directory = Path(directory)
+    H, W = grid_shape
     sources = {}
     for key, entry in read_json(directory / "trajectories_meta.json").items():
         where = f"trajectories_meta.json entry {key!r}"
         if not isinstance(entry, dict):
             raise MalformedContainer(f"{where} must be an object")
-        rows = _int_rows(entry.get("sources", []), 4, f"{where} sources").tolist()
-        sources[key] = tuple((c, t, (r, col)) for c, t, r, col in rows)
+        rows = _int_rows(entry.get("sources", []), 4, f"{where} sources")
+        if not ((0 <= rows[:, 2]) & (rows[:, 2] < H) & (0 <= rows[:, 3]) & (rows[:, 3] < W)).all():
+            raise MalformedContainer(f"trajectory {key}: a source pixel lies off the {H}x{W} grid")
+        sources[key] = tuple((c, t, (r, col)) for c, t, r, col in rows.tolist())
     records = read_trajectories(directory / "trajectories.txt")
     for tid, frames, _ in records:
         if len(frames) and (frames.min() < 0 or frames.max() >= num_frames):

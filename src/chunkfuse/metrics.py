@@ -5,9 +5,9 @@ point level (``junction_prf``).
 Dense EPE compares two trajectory tables, mappings from seed pixel (r, c)
 to a (T, 3) track. ``build_fused_table`` and ``GroundTruth.trajectory_table``
 return a :class:`~chunkfuse.model.TrackTable`: one read-only (N, T, 3)
-array with the seeds in sorted (row-major) order. The array may be a
-strided view: the ground truth's, at stride 1, is a view of its (T, H, W,
-3) points. ``dense_epe`` reads both arrays as they are, in that order,
+array with every pixel of the grid in sorted (row-major) order. The array
+may be a strided view: the ground truth's is a view of its (T, H, W, 3)
+points. ``dense_epe`` reads both arrays as they are, in that order,
 without a copy. Any other mapping, such as a dict of a subset of seeds or
 of tracks of different lengths, is concatenated key by key in sorted
 order, which gives the same samples in the same order.
@@ -281,17 +281,18 @@ def junction_prf(junctions: Sequence[Mapping], labels: np.ndarray) -> tuple[floa
     return object_level_prf(MatchSet(tuple(matches), (), ()), labels_i, labels_j)
 
 
-def build_fused_table(fused, stride: int = 1) -> TrackTable:
-    """Trajectory table of a fused scene, keyed by seed pixel.
+def build_fused_table(fused) -> TrackTable:
+    """Trajectory table of a fused scene, keyed by pixel.
 
     Per-pixel pointmap tracks, overridden by the associated long-range
-    trajectories where one is rooted at the seed pixel; where several are
+    trajectories where one is rooted at the pixel; where several are
     rooted at the same pixel, the later one in ``fused.trajectories`` wins
     on the frames they share. A fuse lists them in id order, and gives ids
     in creation order, junction by junction, so start frames never
     decrease with id: the later one is the one with the later start frame,
     then the higher id. Each trajectory's frames are one increasing range,
-    as :class:`~chunkfuse.fusion.Trajectory` requires.
+    as :class:`~chunkfuse.fusion.Trajectory` requires. A trajectory rooted
+    off the grid is ignored (``io.read_fused_trajectories`` refuses one).
 
     The (N, T, 3) tracks are allocated once and filled by blocks of about
     ``_FILL_BLOCK_BYTES`` of pixel rows, frame by frame within a block: a
@@ -300,29 +301,27 @@ def build_fused_table(fused, stride: int = 1) -> TrackTable:
     every line of the table once per few frames.
     """
     H, W = fused.frames[0].points.shape[:2]
-    rows, cols = range(0, H, stride), range(0, W, stride)
-    tracks = np.empty((len(rows) * len(cols), len(fused.frames), 3))
-    grid = tracks.reshape(len(rows), len(cols), len(fused.frames), 3)
+    tracks = np.empty((H * W, len(fused.frames), 3))
+    grid = tracks.reshape(H, W, len(fused.frames), 3)
     block = max(1, _FILL_BLOCK_BYTES // max(grid[0].nbytes, 1))
-    for r0 in range(0, len(rows), block):
-        pixel_rows = slice(r0 * stride, (r0 + block) * stride, stride)
+    for r0 in range(0, H, block):
         for t, fp in enumerate(fused.frames):
-            grid[r0:r0 + block, :, t] = fp.points[pixel_rows, ::stride]
+            grid[r0:r0 + block, :, t] = fp.points[r0:r0 + block]
     rooted = [tr for tr in getattr(fused, "trajectories", []) if tr.sources]
     roots = np.array([tr.sources[0][2] for tr in rooted], dtype=np.intp).reshape(-1, 2)
-    on_grid = ((roots % stride == 0) & (roots >= 0) & (roots < (H, W))).all(axis=1)
+    on_grid = ((roots >= 0) & (roots < (H, W))).all(axis=1)
     rooted = [tr for tr, on in zip(rooted, on_grid.tolist()) if on]
     if rooted:
-        keys = roots[on_grid] // stride
+        keys = roots[on_grid]
         lengths = np.array([len(tr.frames) for tr in rooted], dtype=np.intp)
         starts = np.array([tr.frames[0] if tr.frames else 0 for tr in rooted], dtype=np.intp)
         # one scatter into every (row, frame) of the rooted trajectories;
         # numpy assigns repeated indices in order, so the last write wins
-        at = np.repeat(keys[:, 0] * len(cols) + keys[:, 1], lengths)
+        at = np.repeat(keys[:, 0] * W + keys[:, 1], lengths)
         first = np.cumsum(lengths) - lengths  # each one's first sample in the concatenation
         frames = np.arange(len(at)) + np.repeat(starts - first, lengths)
         tracks[at, frames] = np.concatenate([tr.positions for tr in rooted])
-    return TrackTable(tracks, (H, W), stride)
+    return TrackTable(tracks, (H, W))
 
 
 def format_metrics_table(rows: list[dict[str, object]]) -> str:

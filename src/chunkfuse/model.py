@@ -19,6 +19,7 @@ identity.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
@@ -453,40 +454,35 @@ class TrackletSet:
                            self.conf[rows])
 
 
-def seed_tracks(points, stride: int = 1) -> np.ndarray:
-    """(N, T, 3) tracks of the seed pixels of a (T, H, W, 3) pointmap stack.
-
-    The seeds are the pixels whose row and column are multiples of
-    ``stride``, in row-major order: row k is the track of the k-th key of
-    the :class:`TrackTable` over the same grid and stride. At stride 1 the
-    result is a strided view of ``points``; a larger stride copies the
-    seeds once.
+def seed_tracks(points) -> np.ndarray:
+    """(N, T, 3) tracks of every pixel of a (T, H, W, 3) pointmap stack, in
+    row-major order: row k is the track of the k-th key of the
+    :class:`TrackTable` over the same grid. The result is a strided view of
+    ``points``, with no copy.
     """
     points = np.asarray(points, dtype=np.float64)
-    return points[:, ::stride, ::stride].transpose(1, 2, 0, 3).reshape(-1, len(points), 3)
+    return points.transpose(1, 2, 0, 3).reshape(-1, len(points), 3)
 
 
 class TrackTable(Mapping):
     """Read-only mapping from seed pixel ``(r, c)`` to its (T, 3) track.
 
-    The keys are the pixels of an (H, W) grid whose row and column are
-    multiples of ``stride``. One (N, T, 3) array ``tracks`` holds their
-    tracks in sorted (row-major) key order, which is also the order keys
-    iterate in, so ``tracks.reshape(-1, 3)`` lists the samples exactly as
-    concatenating ``table[k]`` over the sorted keys would. ``tracks`` may
-    be a strided view of the array it is given, such as
-    :func:`seed_tracks` of a (T, H, W, 3) stack; the table keeps a
-    read-only view of it and copies nothing.
+    The keys are every pixel of an (H, W) grid. One (N, T, 3) array
+    ``tracks`` holds their tracks in sorted (row-major) key order, which is
+    also the order keys iterate in, so ``tracks.reshape(-1, 3)`` lists the
+    samples exactly as concatenating ``table[k]`` over the sorted keys
+    would. ``tracks`` may be a strided view of the array it is given, such
+    as :func:`seed_tracks` of a (T, H, W, 3) stack; the table keeps a
+    read-only view of it and copies nothing. A key is a pair of integers,
+    Python's or numpy's; anything else is not a key.
     """
 
-    def __init__(self, tracks, grid_shape: tuple[int, int], stride: int = 1):
+    def __init__(self, tracks, grid_shape: tuple[int, int]):
         H, W = grid_shape
-        self.rows = range(0, H, stride)
-        self.cols = range(0, W, stride)
+        self.rows, self.cols = range(H), range(W)
         tracks = np.asarray(tracks, dtype=np.float64)
-        n = len(self.rows) * len(self.cols)
-        if tracks.ndim != 3 or tracks.shape[0] != n or tracks.shape[2] != 3:
-            raise ValueError(f"tracks must be ({n}, T, 3), got {tracks.shape}")
+        if tracks.ndim != 3 or tracks.shape[0] != H * W or tracks.shape[2] != 3:
+            raise ValueError(f"tracks must be ({H * W}, T, 3), got {tracks.shape}")
         self.tracks = tracks.view()
         self.tracks.setflags(write=False)
 
@@ -495,7 +491,8 @@ class TrackTable(Mapping):
 
     def __contains__(self, key) -> bool:
         try:
-            r, c = key
+            # a range finds an int in constant time, a numpy integer by a scan
+            r, c = map(operator.index, key)
         except (TypeError, ValueError):
             return False
         return r in self.rows and c in self.cols
@@ -503,9 +500,8 @@ class TrackTable(Mapping):
     def __getitem__(self, key) -> np.ndarray:
         if key not in self:
             raise KeyError(key)
-        r, c = key
-        # a key in the table equals an int on the grid, which int() gives back
-        return self.tracks[int(r) // self.rows.step * len(self.cols) + int(c) // self.cols.step]
+        r, c = map(operator.index, key)
+        return self.tracks[r * len(self.cols) + c]
 
     def __iter__(self):
         return product(self.rows, self.cols)

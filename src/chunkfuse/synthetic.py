@@ -465,10 +465,10 @@ class GroundTruth:
     def grid_shape(self) -> tuple[int, int]:
         return self.points.shape[1:3]
 
-    def trajectory_table(self, stride: int = 1) -> TrackTable:
-        """The seed-pixel tracks of ``points``; at stride 1 a read-only view
-        of ``points``, with no copy."""
-        return TrackTable(seed_tracks(self.points, stride), self.grid_shape, stride)
+    def trajectory_table(self) -> TrackTable:
+        """The track of every pixel of ``points``: a read-only view of
+        ``points``, with no copy."""
+        return TrackTable(seed_tracks(self.points), self.grid_shape)
 
 
 def _object_offsets(spec: SceneSpec) -> np.ndarray:

@@ -19,7 +19,9 @@ it formed them per candidate pair, and ``fusion.fuse_sequence`` maps each
 chunk's frames as one stack, where it mapped them one frame at a time.
 ``io.write_trajectories`` writes an index of start frames and lengths and
 a float64 positions sidecar, where it wrote every coordinate as decimal
-text after its frame. The functions here are the replaced code, so the
+text after its frame. ``fusion.reconstruct_boundary`` returns the window
+it solves, where it returned a tracklet set over the whole span of both
+sources, with blended confidences. The functions here are the replaced code, so the
 tests can check that every output bit stayed the same.
 """
 
@@ -38,8 +40,9 @@ from chunkfuse.errors import (
     KeyMismatch,
     MalformedContainer,
     NotEnoughPoints,
+    WindowTooShort,
 )
-from chunkfuse.fusion import Trajectory, _pixel_tracks, reconstruct_boundary
+from chunkfuse.fusion import Trajectory, _pixel_tracks, blend_weights, solve_tridiagonal
 from chunkfuse.model import (
     Chunk,
     FramePrediction,
@@ -160,15 +163,15 @@ def solve_weighted_rigid(src, dst, weights, scale: float = 1.0) -> SimilarityTra
     return SimilarityTransform(scale, R, mu_dst - R @ mu_src)
 
 
-def trajectory_table(points, stride: int = 1) -> dict:
+def trajectory_table(points) -> dict:
     """``GroundTruth.trajectory_table`` over a (T, H, W, 3) stack."""
     _, H, W, _ = points.shape
-    return {(r, c): points[:, r, c, :] for r in range(0, H, stride) for c in range(0, W, stride)}
+    return {(r, c): points[:, r, c, :] for r in range(H) for c in range(W)}
 
 
-def build_fused_table(fused, stride: int = 1) -> dict:
+def build_fused_table(fused) -> dict:
     points = np.stack([fp.points for fp in fused.frames])
-    table = trajectory_table(points, stride)
+    table = trajectory_table(points)
     for tr in getattr(fused, "trajectories", []):
         if not tr.sources:
             continue
@@ -328,6 +331,99 @@ def build_tracklets(chunk, overlap_frames, dynamic_mask, cfg) -> TrackletSet:
         pixels=np.stack([rows[keep], cols[keep]], axis=1),
         positions=SimilarityTransform.identity().apply(pos[keep]),
         conf=cnf[keep],
+    )
+
+
+def window_data(tracks: TrackletSet, window: range):
+    """Positions and confidences of ``tracks`` over the frames of
+    ``window``, with a (N, len(window)) mask of where a position is given
+    and finite; positions and confidences are zero elsewhere."""
+    frames = tracks.frames
+    lo = max(window.start, frames.start)
+    hi = max(lo, min(window.stop, frames.stop))
+    into = slice(lo - window.start, hi - window.start)
+    src = slice(lo - frames.start, hi - frames.start)
+    pos = np.full((len(tracks), len(window), 3), np.nan)
+    pos[:, into] = tracks.positions[:, src]
+    conf = np.zeros(pos.shape[:2])
+    conf[:, into] = tracks.conf[:, src]
+    has = finite3(pos)
+    pos[~has] = 0.0
+    return pos, conf, has
+
+
+def reconstruct_boundary(
+    d_a: TrackletSet,
+    d_b_aligned: TrackletSet,
+    window: range,
+    cfg: PipelineConfig,
+) -> TrackletSet:
+    """Continuity reconstruction over ``window``, a range of consecutive
+    frames around the junction, for every row pair (d_a[k],
+    d_b_aligned[k]) at once.
+
+    Minimizes, per row and coordinate,
+      sum_t alpha_t ||x_t - a_t||^2 + beta_t ||x_t - b_t||^2
+      + lambda_sm * sum ||x_t - x_{t-1}||^2,
+    a symmetric tridiagonal quadratic solved exactly by one batched Thomas
+    solve. alpha/beta follow a cos^2 ramp across the window; where only one
+    source covers a frame with a finite position it receives the full unit
+    data weight, and a frame neither covers gets zero data weight and
+    confidence 0, so the smoothness chain fills it in. With lambda_sm == 0
+    nothing fills such a frame, and it comes back NaN. The chain is
+    anchored to the fixed neighbors just outside the window when the
+    sources extend there. The result runs from d_a's first frame to
+    d_b_aligned's last: d_a's frames before the window and d_b_aligned's
+    after it are copied verbatim, so the window must start within d_a or
+    just after it, and end within d_b_aligned or just before it.
+    """
+    if len(window) < 2:
+        raise WindowTooShort(f"boundary window needs >= 2 frames, got {len(window)}")
+    fa, fb = d_a.frames, d_b_aligned.frames
+    if not (fa.start <= window.start <= fa.stop and fb.start <= window.stop <= fb.stop):
+        raise ValueError(f"boundary window {window} leaves a gap to sources over {fa} and {fb}")
+    if len(d_a) != len(d_b_aligned):
+        raise ValueError("boundary sources must pair up row by row")
+    m = len(window)
+
+    A, ca, has_a = window_data(d_a, window)
+    B, cb, has_b = window_data(d_b_aligned, window)
+    ramp_a, ramp_b = blend_weights(m)
+    alpha = np.where(has_a, np.where(has_b, ramp_a, 1.0), 0.0)
+    beta = np.where(has_b, np.where(has_a, ramp_b, 1.0), 0.0)
+
+    lam = cfg.lambda_sm
+    diag = alpha + beta + lam * 2.0
+    diag[:, 0] -= lam
+    diag[:, -1] -= lam
+    rhs = alpha[..., None] * A + beta[..., None] * B
+
+    anchor_a, _, has_prev = window_data(d_a, range(window.start - 1, window.start))
+    anchor_b, _, has_next = window_data(d_b_aligned, range(window.stop, window.stop + 1))
+    has_prev, has_next = has_prev[:, 0], has_next[:, 0]
+    diag[has_prev, 0] += lam
+    rhs[has_prev, 0] += lam * anchor_a[has_prev, 0]
+    diag[has_next, -1] += lam
+    rhs[has_next, -1] += lam * anchor_b[has_next, 0]
+
+    if lam > 0:
+        off = np.full(m - 1, -lam)
+        x = solve_tridiagonal(off, diag.T[..., None], off, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = rhs / diag[..., None]
+    w = alpha + beta
+    conf = np.divide(alpha * ca + beta * cb, w, out=np.zeros_like(w), where=w > 0)
+
+    before = slice(window.start - fa.start)
+    after = slice(window.stop - fb.start, None)
+    return TrackletSet(
+        start_frame=fa.start,
+        pixels=d_a.pixels,
+        positions=np.concatenate(
+            [d_a.positions[:, before], x, d_b_aligned.positions[:, after]], axis=1
+        ),
+        conf=np.concatenate([d_a.conf[:, before], conf, d_b_aligned.conf[:, after]], axis=1),
     )
 
 

@@ -80,13 +80,13 @@ def test_evaluate_all_metrics(workspace, capsys):
     assert (out / "metrics.json").is_file()
 
 
-def reference_pred_table(out, fused, stride: int, trajectories: bool = True):
+def reference_pred_table(out, fused, trajectories: bool = True):
     """The EPE table the CLI built before it used ``build_fused_table``."""
     points = np.stack([fp.points for fp in fused.frames])
     table = {
         (r, c): points[:, r, c, :]
-        for r in range(0, points.shape[1], stride)
-        for c in range(0, points.shape[2], stride)
+        for r in range(points.shape[1])
+        for c in range(points.shape[2])
     }
     if not trajectories:
         return table
@@ -103,30 +103,29 @@ def reference_pred_table(out, fused, stride: int, trajectories: bool = True):
     return table
 
 
-@pytest.mark.parametrize("stride", [None, 1, 2])
-def test_evaluate_epe_matches_reference_table(workspace, capsys, stride):
+@pytest.mark.parametrize("flag", [None, "--no-align"])
+def test_evaluate_epe_matches_reference_table(workspace, capsys, flag):
     root, data, out, _ = workspace
-    flag = [] if stride is None else ["--epe-stride", str(stride)]
-    assert main(["evaluate", "--pred", str(out), "--gt", str(data), "--metrics", "epe", *flag]) == 0
+    flags = [] if flag is None else [flag]
+    assert main(["evaluate", "--pred", str(out), "--gt", str(data), "--metrics", "epe", *flags]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    stride = stride or 1
     fused = cio.read_chunk(out / "fused")
-    table = reference_pred_table(out, fused, stride)
+    table = reference_pred_table(out, fused)
     # stitched trajectories override some pixel tracks, so the override is exercised
-    plain = reference_pred_table(out, fused, stride, trajectories=False)
+    plain = reference_pred_table(out, fused, trajectories=False)
     assert any(not np.array_equal(table[k], plain[k]) for k in table)
     gt = cio.read_ground_truth(data / "gt")
-    assert report["epe"] == dense_epe(table, gt.trajectory_table(stride=stride))
+    assert report["epe"] == dense_epe(table, gt.trajectory_table(), align=flag is None)
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
-def test_dense_tables_match_dict_tables(workspace, stride):
+def test_dense_tables_match_dict_tables(workspace):
     root, data, out, _ = workspace
     frames = cio.read_chunk(out / "fused").frames
-    fused = SimpleNamespace(frames=frames, trajectories=cio.read_fused_trajectories(out, len(frames)))
+    trajectories = cio.read_fused_trajectories(out, len(frames), frames[0].points.shape[:2])
+    fused = SimpleNamespace(frames=frames, trajectories=trajectories)
     gt = cio.read_ground_truth(data / "gt")
-    pred, truth = build_fused_table(fused, stride), gt.trajectory_table(stride)
-    pred_dict, truth_dict = ref.build_fused_table(fused, stride), ref.trajectory_table(gt.points, stride)
+    pred, truth = build_fused_table(fused), gt.trajectory_table()
+    pred_dict, truth_dict = ref.build_fused_table(fused), ref.trajectory_table(gt.points)
     assert list(pred) == list(pred_dict) and list(truth) == list(truth_dict)
     assert all(pred[k].tobytes() == pred_dict[k].tobytes() for k in pred_dict)
     assert all(truth[k].tobytes() == truth_dict[k].tobytes() for k in truth_dict)
@@ -142,18 +141,28 @@ def test_evaluate_unknown_metric_is_config_error(workspace):
                  "--metrics", "nope"]) == 2
 
 
+def exit_code(argv) -> int:
+    """``main``'s exit code, also where argparse exits on a bad command line."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 @pytest.mark.parametrize("flags", [
     ["--epe-stride", "0"],
     ["--epe-stride", "-1"],
+    ["--epe-stride", "1"],
     ["--rpe-delta", "0"],
     ["--rpe-delta", "28"],
     ["--rpe-delta", "50"],
-], ids=["stride-0", "stride-negative", "delta-0", "delta-frames", "delta-past-frames"])
+], ids=["stride-0", "stride-negative", "stride-gone", "delta-0", "delta-frames", "delta-past-frames"])
 def test_evaluate_bad_flag_exit_2(workspace, capsys, flags):
-    """The workspace's fused scene has 28 frames."""
+    """The workspace's fused scene has 28 frames. Every pixel is a seed of
+    the EPE table, so ``--epe-stride`` is no option at all."""
     root, data, out, _ = workspace
-    assert main(["evaluate", "--pred", str(out), "--gt", str(data),
-                 "--metrics", "epe,ate,rpe", *flags]) == 2
+    assert exit_code(["evaluate", "--pred", str(out), "--gt", str(data),
+                      "--metrics", "epe,ate,rpe", *flags]) == 2
     assert flags[0] in capsys.readouterr().err
 
 
@@ -307,6 +316,8 @@ def _trajectory_files(index: str, floats: int) -> dict:
     ({"trajectories_meta.json": "[]"}, "epe"),
     ({"trajectories_meta.json": '{"0": []}'}, "epe"),
     ({"trajectories_meta.json": '{"0": {"sources": [[0, 1, 2.5, 3]]}}'}, "epe"),
+    ({"trajectories_meta.json": '{"0": {"sources": [[0, 1, 999, 3]]}}'}, "epe"),
+    ({"trajectories_meta.json": '{"0": {"sources": [[0, 1, 3, -1]]}}'}, "epe"),
     (_trajectory_files("0 0.7 1\n", 3), "epe"),
     (_trajectory_files("0 1e0 1\n", 3), "epe"),
     (_trajectory_files("0 -1 1\n", 3), "epe"),
@@ -318,9 +329,9 @@ def _trajectory_files(index: str, floats: int) -> dict:
     (_trajectory_files("0 0 2\n", 7), "epe"),
 ], ids=["short-tracklet", "tracklet-off-grid", "tracklet-negative-pixel", "tracklet-float-pixel",
         "short-match", "match-unknown-id", "nan-cost", "string-cost", "meta-list",
-        "meta-entry-list", "meta-float-pixel", "fractional-frame", "float-frame",
-        "negative-frame", "frame-past-end", "negative-length", "two-tokens", "four-tokens",
-        "sidecar-float-short", "sidecar-float-long"])
+        "meta-entry-list", "meta-float-pixel", "meta-root-off-grid", "meta-root-negative",
+        "fractional-frame", "float-frame", "negative-frame", "frame-past-end", "negative-length",
+        "two-tokens", "four-tokens", "sidecar-float-short", "sidecar-float-long"])
 def test_malformed_records_exit_3(workspace, tmp_path, capsys, files, metrics):
     root, data, out, _ = workspace
     broken = tmp_path / "fused"
@@ -332,6 +343,50 @@ def test_malformed_records_exit_3(workspace, tmp_path, capsys, files, metrics):
             (broken / name).write_text(content)
     assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", metrics]) == 3
     assert "malformed container" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_frames(tmp_path_factory):
+    """Ground truth and a fuse output of two frames."""
+    root = tmp_path_factory.mktemp("two")
+    spec_path, cfg_path = root / "scene.json", root / "config.json"
+    spec_path.write_text(json.dumps(cio.spec_to_dict(gauge_recovery_spec(num_frames=2, grid=8))))
+    cfg_path.write_text(json.dumps({"chunk_length": 8, "overlap": 4}))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(root / "data")]) == 0
+    assert main(["fuse", "--chunks", str(root / "data" / "chunks"), "--config", str(cfg_path),
+                 "--out", str(root / "out")]) == 0
+    return root / "data", root / "out"
+
+
+@pytest.mark.parametrize("metrics, named", [
+    (None, "ate"), ("ate", "ate"), ("rpe", "rpe"), ("epe,rpe", "rpe"),
+])
+def test_pose_metrics_on_two_frames_exit_2(two_frames, capsys, metrics, named):
+    """ATE and RPE align three camera centres or more first."""
+    data, out = two_frames
+    flags = [] if metrics is None else ["--metrics", metrics]
+    assert main(["evaluate", "--pred", str(out), "--gt", str(data), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named} needs at least 3 fused frames, got 2\n"
+
+
+def test_epe_on_two_frames(two_frames, capsys):
+    data, out = two_frames
+    assert main(["evaluate", "--pred", str(out), "--gt", str(data), "--metrics", "epe"]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["epe"] < 5e-4
+
+
+@pytest.mark.parametrize("where", ["out", "parent"])
+def test_fuse_out_through_a_file_exit_2(workspace, tmp_path, capsys, where):
+    root, data, out, cfg_path = workspace
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    dest = blocker if where == "out" else blocker / "out"
+    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(cfg_path),
+                 "--out", str(dest)]) == 2
+    assert capsys.readouterr().err == f"error: --out {dest}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 @pytest.mark.parametrize("name", cio.TRAJECTORY_FILES)
@@ -353,7 +408,7 @@ def test_evaluate_without_trajectory_files(workspace, tmp_path, capsys):
     shutil.copytree(out / "fused", bare / "fused")
     assert main(["evaluate", "--pred", str(bare), "--gt", str(data), "--metrics", "epe"]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    table = reference_pred_table(out, cio.read_chunk(out / "fused"), 1, trajectories=False)
+    table = reference_pred_table(out, cio.read_chunk(out / "fused"), trajectories=False)
     assert report["epe"] == dense_epe(table, cio.read_ground_truth(data / "gt").trajectory_table())
 
 

@@ -56,6 +56,17 @@ def tracklet(positions, frames):
 NO_TRACKS = tracklets(np.empty((0, 4, 3)), range(4))
 
 
+def assert_same_window(d_a, d_b, window, cfg):
+    """The reconstruction over ``window``, checked bit for bit against the
+    window of the whole-span reference."""
+    out = reconstruct_boundary(d_a, d_b, window, cfg)
+    full = ref.reconstruct_boundary(d_a, d_b, window, cfg)
+    expected = full.positions[:, window.start - full.start_frame:window.stop - full.start_frame]
+    assert out.shape == (len(d_a), len(window), 3)
+    assert out.tobytes() == expected.tobytes()
+    return out
+
+
 def dense_boundary_oracle(d_a, d_b, frames, cfg):
     """Independent dense solve of the boundary objective.
 
@@ -129,7 +140,8 @@ class TestReconstructBoundary:
         for lam in (0.0, 0.3, 1.0, 10.0):
             cfg = PipelineConfig(lambda_sm=lam)
             out = reconstruct_boundary(d_a, d_b, range(2, 7), cfg)
-            assert np.abs(out.positions[0] - pos[: len(out.frames)]).max() < 1e-12
+            assert out.shape == (1, 5, 3)
+            assert np.abs(out[0] - pos[2:7]).max() < 1e-12
 
     def test_lambda_zero_closed_form(self, rng):
         frames = range(8)
@@ -141,7 +153,9 @@ class TestReconstructBoundary:
         out = reconstruct_boundary(d_a, d_b, frames, cfg)
         alpha, beta = blend_weights(8)
         expect = (alpha[:, None] * pa + beta[:, None] * pb) / (alpha + beta)[:, None]
-        assert np.abs(out.positions[0] - expect).max() < 1e-9
+        assert np.abs(out[0] - expect).max() < 1e-9
+        for lam in (1e-12, 0.0):
+            assert_same_window(d_a, d_b, frames, PipelineConfig(lambda_sm=lam))
 
     def test_step_discontinuity_dense_oracle_and_damping(self):
         delta = 0.8
@@ -155,9 +169,10 @@ class TestReconstructBoundary:
         cfg = PipelineConfig(lambda_sm=1.0)
         out = reconstruct_boundary(d_a, d_b, window, cfg)
         oracle = dense_boundary_oracle(d_a, d_b, window, cfg)
-        sel = [k for k, f in enumerate(out.frames) if 3 <= f <= 8]
-        assert np.abs(out.positions[0][sel] - oracle).max() < 1e-9
-        jumps = np.linalg.norm(np.diff(out.positions[0], axis=0), axis=1)
+        assert np.abs(out[0] - oracle).max() < 1e-9
+        # the stitched track: d_a before the window, d_b after it
+        track = np.concatenate([pa[:3], out[0], pb[9 - 3:]])
+        jumps = np.linalg.norm(np.diff(track, axis=0), axis=1)
         assert jumps.max() < delta
 
     def test_dense_oracle_random_windows(self, rng):
@@ -173,11 +188,10 @@ class TestReconstructBoundary:
             window = range(start, start + n_b)
             lam = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
             cfg = PipelineConfig(lambda_sm=lam) if lam > 0 else PipelineConfig(lambda_sm=1e-300)
-            out = reconstruct_boundary(d_a, d_b, window, cfg)
+            out = assert_same_window(d_a, d_b, window, cfg)
             cfg_oracle = PipelineConfig(lambda_sm=lam) if lam > 0 else cfg
             oracle = dense_boundary_oracle(d_a, d_b, window, cfg_oracle)
-            sel = [k for k, f in enumerate(out.frames) if window[0] <= f <= window[-1]]
-            assert np.abs(out.positions[0][sel] - oracle).max() < 1e-9
+            assert np.abs(out[0] - oracle).max() < 1e-9
 
     def test_monotone_blending_bound(self, rng):
         frames = range(6)
@@ -188,7 +202,7 @@ class TestReconstructBoundary:
         out = reconstruct_boundary(d_a, d_b, frames, PipelineConfig(lambda_sm=1e-300))
         lo = np.minimum(pa, pb) - 1e-9
         hi = np.maximum(pa, pb) + 1e-9
-        assert (out.positions[0] >= lo).all() and (out.positions[0] <= hi).all()
+        assert (out[0] >= lo).all() and (out[0] <= hi).all()
 
     def test_window_too_short(self):
         pos = np.zeros((4, 3))
@@ -209,17 +223,11 @@ class TestReconstructBoundary:
         with pytest.raises(ValueError, match="gap"):
             reconstruct_boundary(d_a, d_b, window, PipelineConfig())
 
-    def test_verbatim_outside_window(self, rng):
-        pa = np.cumsum(rng.normal(size=(8, 3)), axis=0)
-        pb = np.cumsum(rng.normal(size=(8, 3)), axis=0)
-        d_a = tracklet(pa, range(8))
-        d_b = tracklet(pb, range(4, 12))
-        out = reconstruct_boundary(d_a, d_b, range(5, 9), PipelineConfig(lambda_sm=2.0))
-        pos = {f: p for f, p in zip(out.frames, out.positions[0])}
-        for f in range(0, 5):
-            assert np.array_equal(pos[f], pa[f])
-        for f in range(9, 12):
-            assert np.array_equal(pos[f], pb[f - 4])
+    def test_rows_not_paired_rejected(self):
+        d_a = tracklets(np.zeros((2, 6, 3)), range(6))
+        d_b = tracklet(np.zeros((6, 3)), range(2, 8))
+        with pytest.raises(ValueError, match="row by row"):
+            reconstruct_boundary(d_a, d_b, range(3, 6), PipelineConfig())
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -236,13 +244,12 @@ class TestReconstructBoundary:
         pb[rng.random(pb.shape[:2]) < 0.2] = np.nan
         window = range(start, start + m)
         cfg = PipelineConfig(lambda_sm=float(rng.choice([0.0, 0.1, 1.0, 10.0])))
-        both = reconstruct_boundary(tracklets(pa, frames_a), tracklets(pb, frames_b), window, cfg)
+        both = assert_same_window(tracklets(pa, frames_a), tracklets(pb, frames_b), window, cfg)
         for k in range(n):
             one = reconstruct_boundary(tracklet(pa[k], frames_a), tracklet(pb[k], frames_b),
                                        window, cfg)
-            assert one.frames == both.frames
-            assert np.array_equal(one.positions[0], both.positions[k], equal_nan=True)
-            assert np.array_equal(one.conf[0], both.conf[k])
+            assert one.shape == (1, m, 3)
+            assert np.array_equal(one[0], both[k], equal_nan=True)
 
     def test_uncovered_frame_filled_by_smoothness(self, rng):
         pa = np.cumsum(rng.normal(size=(6, 3)), axis=0)
@@ -251,27 +258,25 @@ class TestReconstructBoundary:
         d_a = tracklet(pa, range(0, 6))
         d_b = tracklet(pb, range(3, 10))
         window = range(3, 9)
-        out = reconstruct_boundary(d_a, d_b, window, self.CFG)
-        sel = [k for k, f in enumerate(out.frames) if 3 <= f <= 8]
-        assert np.isfinite(out.positions[0][sel]).all()
+        out = assert_same_window(d_a, d_b, window, self.CFG)
+        assert np.isfinite(out).all()
         oracle = dense_boundary_oracle(d_a, d_b, window, self.CFG)
-        assert np.abs(out.positions[0][sel] - oracle).max() < 1e-9
-        assert out.conf[0][out.frames.index(6)] == 0.0
+        assert np.abs(out[0] - oracle).max() < 1e-9
         # the filled frame sits on the chain between its neighbors
-        x5, x6, x7 = (out.positions[0][out.frames.index(f)] for f in (5, 6, 7))
+        x5, x6, x7 = (out[0][window.index(f)] for f in (5, 6, 7))
         assert np.abs(x6 - (x5 + x7) / 2).max() < 1e-12
 
     def test_uncovered_frame_without_smoothness_is_nan(self, rng):
         pa = rng.normal(size=(2, 6, 3))
         pb = rng.normal(size=(2, 7, 3))
         pb[1, 3] = np.nan
-        out = reconstruct_boundary(tracklets(pa, range(0, 6)), tracklets(pb, range(3, 10)),
-                                   range(3, 9), PipelineConfig(lambda_sm=0.0))
-        sel = [k for k, f in enumerate(out.frames) if 3 <= f <= 8]
-        assert np.isfinite(out.positions[0][sel]).all()
-        hole = out.frames.index(6)
-        assert np.isnan(out.positions[1][hole]).all()
-        assert np.isfinite(np.delete(out.positions[1], hole, axis=0)).all()
+        window = range(3, 9)
+        out = assert_same_window(tracklets(pa, range(0, 6)), tracklets(pb, range(3, 10)),
+                                 window, PipelineConfig(lambda_sm=0.0))
+        assert np.isfinite(out[0]).all()
+        hole = window.index(6)
+        assert np.isnan(out[1][hole]).all()
+        assert np.isfinite(np.delete(out[1], hole, axis=0)).all()
 
 
 def _overlap_poses(rng, n=4, collinear=False):

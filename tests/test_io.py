@@ -282,7 +282,7 @@ class TestSidecars:
             Trajectory(9, (4,), rng.normal(size=(1, 3)), ()),
         ]
         cio.write_fusion_outputs(scene(trajectories=trajectories), tmp_path)
-        again = cio.read_fused_trajectories(tmp_path, 8)
+        again = cio.read_fused_trajectories(tmp_path, 8, (6, 6))
         for a, b in zip(trajectories, again, strict=True):
             assert (a.trajectory_id, a.frames, a.sources) == (b.trajectory_id, b.frames, b.sources)
             assert np.array_equal(a.positions, b.positions)
@@ -292,13 +292,29 @@ class TestSidecars:
         (tmp_path / "trajectories.txt").write_text("0 3 3\n")
         np.zeros((2, 3)).tofile(tmp_path / "trajectories.bin")
         with pytest.raises(MalformedContainer, match="48 bytes, expected 72"):
-            cio.read_fused_trajectories(tmp_path, 8)
+            cio.read_fused_trajectories(tmp_path, 8, (6, 6))
         np.zeros((3, 3)).tofile(tmp_path / "trajectories.bin")
         with pytest.raises(MalformedContainer, match=r"outside \[0, 5\)"):
-            cio.read_fused_trajectories(tmp_path, 5)
+            cio.read_fused_trajectories(tmp_path, 5, (6, 6))
         (tmp_path / "trajectories_meta.json").write_text("{not json")
         with pytest.raises(MalformedContainer):
-            cio.read_fused_trajectories(tmp_path, 8)
+            cio.read_fused_trajectories(tmp_path, 8, (6, 6))
+
+    @pytest.mark.parametrize("sources", [
+        ((0, 2, (6, 0)),),
+        ((0, 2, (0, 6)),),
+        ((0, 2, (-1, 0)),),
+        ((0, 2, (999, 3)),),
+        ((0, 2, (0, 0)), (1, 0, (0, -1))),
+    ], ids=["row-past", "col-past", "row-negative", "row-999", "later-source"])
+    def test_fused_trajectory_off_grid_rejected(self, rng, tmp_path, sources):
+        trajectories = [
+            Trajectory(3, (0, 1), rng.normal(size=(2, 3)), ((0, 1, (5, 5)),)),
+            Trajectory(7, (2,), rng.normal(size=(1, 3)), sources),
+        ]
+        cio.write_fusion_outputs(scene(trajectories=trajectories), tmp_path)
+        with pytest.raises(MalformedContainer, match="^trajectory 7: a source pixel lies off the 6x6 grid$"):
+            cio.read_fused_trajectories(tmp_path, 8, (6, 6))
 
     @pytest.mark.parametrize("index, floats, pattern", [
         ("0 0 1\n", None, "missing trajectory positions 't.bin'"),

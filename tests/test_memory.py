@@ -63,11 +63,9 @@ def test_ground_truth_table_is_a_view(rng):
     table = gt.trajectory_table()
     assert np.shares_memory(table.tracks, gt.points)
     assert not table.tracks.flags.writeable
-    for stride in (2, 3):
-        expected = ref.trajectory_table(gt.points, stride)
-        table = gt.trajectory_table(stride)
-        assert list(table) == list(expected)
-        assert all(ref.same_bits(table[k], track) for k, track in expected.items())
+    expected = ref.trajectory_table(gt.points)
+    assert list(table) == list(expected)
+    assert all(ref.same_bits(table[k], track) for k, track in expected.items())
 
 
 def test_fused_table_allocated_once(rng):

@@ -221,9 +221,8 @@ class TestDenseEpe:
 
 @st.composite
 def fused_scenes(draw):
-    """A small fused scene, its ground truth and an EPE stride, with holes
-    in either and trajectories whose roots repeat, miss the stride grid or
-    lie off the grid."""
+    """A small fused scene and its ground truth, with holes in either and
+    trajectories whose roots repeat or lie off the grid."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T, H, W = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
     gt = np.cumsum(rng.normal(size=(T, H, W, 3)), axis=0)
@@ -248,7 +247,7 @@ def fused_scenes(draw):
     )
     truth = GroundTruth(spec=None, points=gt, poses=[], object_ids=np.full((H, W), -1),
                         visible=np.ones((T, H, W), dtype=bool), scene_scale=1.0)
-    return fused, truth, draw(st.integers(1, 3))
+    return fused, truth
 
 
 def _epe_outcome(epe, pred, gt, align):
@@ -272,10 +271,10 @@ class TestDenseTables:
     @given(fused_scenes())
     @settings(max_examples=200, deadline=None)
     def test_tables_match_dicts(self, scene):
-        fused, truth, stride = scene
+        fused, truth = scene
         for dense, expected in (
-            (build_fused_table(fused, stride), ref.build_fused_table(fused, stride)),
-            (truth.trajectory_table(stride), ref.trajectory_table(truth.points, stride)),
+            (build_fused_table(fused), ref.build_fused_table(fused)),
+            (truth.trajectory_table(), ref.trajectory_table(truth.points)),
         ):
             assert list(dense) == list(expected)
             for k, track in expected.items():
@@ -284,9 +283,9 @@ class TestDenseTables:
     @given(fused_scenes(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_dense_epe_matches_dicts(self, scene, align):
-        fused, truth, stride = scene
-        pred, gt = build_fused_table(fused, stride), truth.trajectory_table(stride)
-        pred_dict, gt_dict = ref.build_fused_table(fused, stride), ref.trajectory_table(truth.points, stride)
+        fused, truth = scene
+        pred, gt = build_fused_table(fused), truth.trajectory_table()
+        pred_dict, gt_dict = ref.build_fused_table(fused), ref.trajectory_table(truth.points)
         expected = _epe_outcome(ref.dense_epe, pred_dict, gt_dict, align)
         assert _same(_epe_outcome(dense_epe, pred, gt, align), expected)
         assert _same(_epe_outcome(dense_epe, pred_dict, gt_dict, align), expected)
@@ -306,28 +305,30 @@ class TestDenseTables:
 
         cases = [
             [rooted(0, range(0, 3), (2, 2)), rooted(1, range(1, 5), (2, 2))],  # one pixel
-            [rooted(0, range(1, 4), (1, 2)), rooted(1, range(2, 4), (3, 3))],  # off a stride grid
+            [rooted(0, range(1, 4), (1, 2)), rooted(1, range(2, 4), (3, 3))],  # two pixels
             [rooted(0, (), (2, 2)), rooted(1, range(0, 2), (0, 0))],  # no frames
             [rooted(0, range(0, 3), (H, 0)), rooted(1, range(2, 4), (-2, 0)),
              rooted(2, range(1, 3), (0, W))],  # no root on the grid
         ]
         for trajectories in cases:
             fused = SimpleNamespace(frames=frames, trajectories=trajectories)
-            for stride in (1, 2, 3):
-                dense, expected = build_fused_table(fused, stride), ref.build_fused_table(fused, stride)
-                assert list(dense) == list(expected)
-                assert all(ref.same_bits(dense[k], track) for k, track in expected.items())
+            dense, expected = build_fused_table(fused), ref.build_fused_table(fused)
+            assert list(dense) == list(expected)
+            assert all(ref.same_bits(dense[k], track) for k, track in expected.items())
 
     def test_mismatched_dense_tables(self, rng):
         points = rng.normal(size=(4, 6, 6, 3))
         truth = GroundTruth(spec=None, points=points, poses=[], object_ids=np.full((6, 6), -1),
                             visible=np.ones((4, 6, 6), dtype=bool), scene_scale=1.0)
+        narrower = GroundTruth(spec=None, points=points[:, :, :5], poses=[],
+                               object_ids=truth.object_ids[:, :5], visible=truth.visible[:, :, :5],
+                               scene_scale=1.0)
         with pytest.raises(KeyMismatch, match="seed pixels"):
-            dense_epe(truth.trajectory_table(1), truth.trajectory_table(2))
+            dense_epe(truth.trajectory_table(), narrower.trajectory_table())
         shorter = GroundTruth(spec=None, points=points[:3], poses=[], object_ids=truth.object_ids,
                               visible=truth.visible[:3], scene_scale=1.0)
         with pytest.raises(KeyMismatch, match="shapes"):
-            dense_epe(truth.trajectory_table(2), shorter.trajectory_table(2))
+            dense_epe(truth.trajectory_table(), shorter.trajectory_table())
 
     def test_ragged_dict_tables_still_concatenate(self, rng):
         gt = {(0, k): rng.normal(size=(2 + k, 3)) for k in range(5)}

@@ -452,28 +452,30 @@ class TestApplyPoses:
 
 
 class TestTrackTable:
-    def _table(self, rng, T=3, H=5, W=4, stride=2):
+    def _table(self, rng, T=3, H=5, W=4):
         points = rng.normal(size=(T, H, W, 3))
-        return points, TrackTable(seed_tracks(points, stride), (H, W), stride)
+        return points, TrackTable(seed_tracks(points), (H, W))
 
-    @pytest.mark.parametrize("stride", [1, 2, 3, 7])
-    def test_matches_per_pixel_dict(self, rng, stride):
-        points, table = self._table(rng, stride=stride)
-        expected = ref.trajectory_table(points, stride)
-        assert list(table) == list(expected) == sorted(expected)
-        assert len(table) == len(expected)
-        for k, track in expected.items():
-            assert k in table and table[k].tobytes() == track.tobytes()
-        # the samples of all keys, in key order, are the array's rows
-        assert table.tracks.reshape(-1, 3).tobytes() == np.concatenate(list(expected.values())).tobytes()
+    def test_matches_per_pixel_dict(self, rng):
+        for H, W in [(5, 4), (3, 2), (2, 2), (1, 1)]:
+            points, table = self._table(rng, H=H, W=W)
+            expected = ref.trajectory_table(points)
+            assert list(table) == list(expected) == sorted(expected)
+            assert len(table) == len(expected) == H * W
+            for k, track in expected.items():
+                assert k in table and table[k].tobytes() == track.tobytes()
+            # the samples of all keys, in key order, are the array's rows
+            assert table.tracks.reshape(-1, 3).tobytes() == np.concatenate(list(expected.values())).tobytes()
+            assert np.shares_memory(table.tracks, points)
 
     def test_non_seed_keys_missing(self, rng):
-        _, table = self._table(rng, stride=2)
-        for key in [(1, 0), (0, 1), (6, 0), (0, 4), (-2, 0), (0,), "ab", None, (0, 0, 0)]:
+        _, table = self._table(rng)
+        for key in [(5, 0), (0, 4), (-1, 0), (0, -1), (-2, 0), (np.int64(5), 0), (0,), "ab", None,
+                    (0, 0, 0), (1.0, 2), (0, "0")]:
             assert key not in table
             with pytest.raises(KeyError):
                 table[key]
-        assert table.get((1, 1)) is None and table.get((2, 2)) is not None
+        assert table.get((5, 1)) is None and table.get((4, 3)) is not None
 
     def test_read_only(self, rng):
         _, table = self._table(rng)
@@ -484,21 +486,24 @@ class TestTrackTable:
 
     def test_numpy_index_keys_match_python_ints(self, rng):
         _, table = self._table(rng)
-        assert np.int64(2) in table.rows
-        assert table[(np.int64(2), np.int64(2))].tobytes() == table[(2, 2)].tobytes()
+        for r, c in table:
+            for key in [(np.int64(r), np.int64(c)), (np.int32(r), c), (r, np.uint8(c)),
+                        tuple(np.array([r, c]))]:
+                assert key in table
+                assert table[key].tobytes() == table[(r, c)].tobytes()
 
     def test_same_keys(self, rng):
-        _, a = self._table(rng, H=5, stride=2)
-        _, b = self._table(rng, H=6, stride=2)  # rows 0, 2, 4 either way
-        _, c = self._table(rng, H=7, stride=2)
+        _, a = self._table(rng, H=5)
+        _, b = self._table(rng, H=5)
+        _, c = self._table(rng, H=6)
         assert a.same_keys(b) and set(a) == set(b)
         assert not a.same_keys(c) and set(a) != set(c)
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            TrackTable(np.zeros((5, 2, 3)), (3, 3), 2)
+            TrackTable(np.zeros((5, 2, 3)), (3, 3))
         with pytest.raises(ValueError):
-            TrackTable(np.zeros((4, 2, 2)), (3, 3), 2)
+            TrackTable(np.zeros((9, 2, 2)), (3, 3))
 
 
 class TestPipelineConfig:
