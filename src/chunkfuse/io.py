@@ -496,8 +496,8 @@ def _int_rows(rows, width: int, where: str) -> np.ndarray:
 def read_fused_trajectories(directory, num_frames: int, grid_shape: tuple[int, int]) -> list[Trajectory]:
     """The trajectories of a fuse output directory of ``num_frames`` fused
     frames on a ``grid_shape`` grid, rebuilt from the
-    ``TRAJECTORY_FILES``; one the meta file does not list has no sources.
-    MalformedContainer unless each meta entry is an object whose
+    ``TRAJECTORY_FILES``. MalformedContainer unless the meta file lists
+    exactly the ids of the index, each entry is an object whose
     ``sources`` are ``[chunk, tracklet, row, col]`` integer records with
     every pixel on the grid, and every frame lies in ``[0, num_frames)``."""
     directory = Path(directory)
@@ -512,16 +512,25 @@ def read_fused_trajectories(directory, num_frames: int, grid_shape: tuple[int, i
             raise MalformedContainer(f"trajectory {key}: a source pixel lies off the {H}x{W} grid")
         sources[key] = tuple((c, t, (r, col)) for c, t, r, col in rows.tolist())
     records = read_trajectories(directory / "trajectories.txt")
+    indexed = set()
     for tid, frames, _ in records:
         if len(frames) and (frames.min() < 0 or frames.max() >= num_frames):
             raise MalformedContainer(f"trajectory {tid} has frames outside [0, {num_frames})")
+        if str(tid) not in sources:
+            raise MalformedContainer(f"trajectories_meta.json does not list trajectory {tid}")
+        indexed.add(str(tid))
+    unindexed = sources.keys() - indexed
+    if unindexed:
+        raise MalformedContainer(
+            f"trajectories_meta.json entry {min(unindexed)!r} names no indexed trajectory"
+        )
     try:
         return [
             Trajectory(
                 trajectory_id=tid,
                 frames=tuple(frames.tolist()),
                 positions=positions,
-                sources=sources.get(str(tid), ()),
+                sources=sources[str(tid)],
             )
             for tid, frames, positions in records
         ]

@@ -3,29 +3,48 @@ end-point error, and association precision/recall at the object and the
 point level (``junction_prf``).
 
 Dense EPE compares two trajectory tables, mappings from seed pixel (r, c)
-to a (T, 3) track. ``build_fused_table`` and ``GroundTruth.trajectory_table``
-return a :class:`~chunkfuse.model.TrackTable`: one read-only (N, T, 3)
-array with every pixel of the grid in sorted (row-major) order. The array
-may be a strided view: the ground truth's is a view of its (T, H, W, 3)
-points. ``dense_epe`` reads both arrays as they are, in that order,
-without a copy. Any other mapping, such as a dict of a subset of seeds or
-of tracks of different lengths, is concatenated key by key in sorted
-order, which gives the same samples in the same order.
+to a (T, 3) track. It reads the samples of both in one frame-major order:
+frame 0 of every track over the sorted keys, then frame 1, and so on.
+``build_fused_table`` and ``GroundTruth.trajectory_table`` return a
+:class:`~chunkfuse.model.TrackTable` over one (T, H, W, 3) stack, whose
+samples lie in memory in that order, so ``dense_epe`` reads both in
+place. A side that is not frame-major is copied into that order once: a
+dict whose tracks all have one length (a subset of the seeds, say) or a
+table over pixel-major (N, T, 3) tracks. When a dict's tracks differ in
+length, both sides are read key by key in sorted order instead. The
+samples and their order do not depend on how a table arrives, so dict,
+table and mixed inputs give the same EPE to the last bit.
 
-The EPE is the same to the last bit whichever way the samples arrive, and
-the same as whole-array numpy expressions would give: the column-wise
-kernels in ``registration`` and ``SimilarityTransform.apply`` perform the
-same float operations in the same order (sequential axis-0 sums, ``(a + b)
-+ c`` over a length-3 axis, unchanged BLAS operand layouts), only with
-fewer passes and temporaries. The solve takes unit weights as
-``weights=None``, which skips every multiply by 1.0 and keeps the bits;
-its two gemm operands stay (n, 3) rows, since gemm rounds a planar (3, n)
-operand differently at some sizes. No finiteness pass comes first: the
-centroid sums (the mean, unaligned) are finite only when every sample is,
-and a non-finite one sends the tables through the masked path that drops
-the samples non-finite in either. The residual is formed in the solve's
-freed centred-source buffer, through ``SimilarityTransform.apply``'s
-``out``.
+The alignment is a unit-weight similarity solve in two streaming passes
+over blocks of ``_BLOCK_ROWS`` samples:
+
+1. Each sample is shifted by the first sample of its table, and each block
+   gives the sums of its first and second moments as one (7, 4) product,
+   ``[a, 1, b].T @ [a, 1]``. The block sums are added in order and centred
+   once (``registration.similarity_from_moments`` solves them). The shift
+   keeps the centring from cancelling: a shifted sample has the size of
+   the spread, not of the tables' offset from the origin.
+2. Each block forms its residuals in the shifted frame, ``[a, 1] @ [s R^T;
+   t] - b``, and sums their norms; the block sums are added in order.
+
+No array the size of the tables is formed, and no finiteness pass comes
+first: the moments, or without ``align`` the sum of the norms, are not
+finite when some sample is not (or when a sum overflows), and then the
+tables go through the masked path, which drops the samples non-finite in
+either table and solves again. Fewer than 3 samples raise
+NotEnoughPoints, and a source covariance of rank < 2 raises
+DegenerateConfiguration, as in ``solve_weighted_similarity``.
+
+The EPE's bits depend on the sample order, the block size and how BLAS
+rounds each block's small products; they are the same with BLAS on one
+thread or two. They are not the bits of the whole-array solve over (n, 3)
+operands that this solve replaced: the moments are other sums taken in
+another order. The two agree within 2^6 u (kappa L + log2(n + 1) EPE),
+with u = 2^-53, L the largest term a residual is formed from, kappa the
+condition number of the predicted samples and n their count;
+``tests/references.py`` keeps the old solve and derives the bound. On the
+benchmark's scenes they differ in the last bits at most, and in about a
+third of them not at all.
 
 The pose metrics read a pose sequence as one (n, 3, 3) rotation stack and
 one (n, 3) translation stack. ``rpe`` forms every inverse, relative motion
@@ -53,13 +72,15 @@ from .model import (
     check_poses,
     finite3,
     norm3,
+    seed_tracks,
     stack_poses,
 )
-from .registration import solve_finite_similarity, solve_weighted_similarity
+from .registration import similarity_from_moments, solve_weighted_similarity
 
-# the bytes of table rows build_fused_table fills frame by frame at a time:
-# a block this size stays in a per-core second-level cache of 2 MiB or more
-_FILL_BLOCK_BYTES = 2 << 20
+# the samples the dense EPE's solve reads at a time, in each of its two
+# passes: a (rows, 7) float64 block of 224 KiB, which stays in a per-core
+# second-level cache
+_BLOCK_ROWS = 1 << 12
 
 
 def rotation_angle_deg(R: np.ndarray):
@@ -161,16 +182,30 @@ def rpe(pred: Sequence[Pose], gt: Sequence[Pose], delta: int = 1) -> tuple[float
 TrajectoryTable = Mapping[tuple[int, int], np.ndarray]
 
 
-def _stack_tables(pred: TrajectoryTable, gt: TrajectoryTable):
-    """Predicted and ground-truth samples over the sorted keys, frame by
-    frame, holes included.
+def _tracks(table: TrajectoryTable, keys):
+    """The tracks of ``table`` as one frame-major (T, N, 3) array, a view
+    for a :class:`TrackTable`, or, when its tracks are not all of one
+    (T, 3) shape, as a list in ``keys`` order."""
+    if isinstance(table, TrackTable):
+        return table.tracks.transpose(1, 0, 2)
+    tracks = [np.asarray(table[k], dtype=np.float64) for k in keys]
+    shapes = {t.shape for t in tracks}
+    if len(shapes) == 1 and len(tracks[0].shape) == 2 and tracks[0].shape[1] == 3:
+        return np.stack(tracks, axis=1)
+    return tracks
 
-    Two :class:`TrackTable` over the same seeds hand over their (N, T, 3)
-    ``tracks`` as they are, views included; any other pair of tables gives
-    (M, 3) copies.
+
+def _samples(pred: TrajectoryTable, gt: TrajectoryTable):
+    """Predicted and ground-truth samples over the sorted keys as two
+    (n, 3) arrays, holes included: frame-major when the tracks of both
+    tables all have one length, else key by key.
+
+    A frame-major side that lies in memory in that order, such as a
+    :class:`TrackTable` over a (T, H, W, 3) stack, is a view; any other
+    side is copied once.
     """
     if isinstance(pred, TrackTable) and isinstance(gt, TrackTable) and pred.same_keys(gt):
-        p, g = pred.tracks, gt.tracks
+        keys = None
     else:
         if set(pred.keys()) != set(gt.keys()):
             missing = set(gt.keys()) - set(pred.keys())
@@ -179,37 +214,90 @@ def _stack_tables(pred: TrajectoryTable, gt: TrajectoryTable):
                 f"trajectory tables disagree on seed pixels ({len(missing)} missing, {len(extra)} extra)"
             )
         keys = sorted(pred.keys())
-        p = np.concatenate([np.asarray(pred[k], dtype=np.float64) for k in keys])
-        g = np.concatenate([np.asarray(gt[k], dtype=np.float64) for k in keys])
+    p, g = _tracks(pred, keys), _tracks(gt, keys)
+    if isinstance(p, list) or isinstance(g, list):
+        p, g = (np.concatenate(t) if isinstance(t, list) else t.transpose(1, 0, 2).reshape(-1, 3)
+                for t in (p, g))
     if p.shape != g.shape:
         raise KeyMismatch(f"trajectory tables disagree on shapes: {p.shape} vs {g.shape}")
-    return p, g
+    if p.ndim < 2 or p.shape[-1] != 3:
+        raise ValueError(f"tracks must be (T, 3) arrays, got samples of shape {p.shape}")
+    return p.reshape(-1, 3), g.reshape(-1, 3)
 
 
-def _mean_error(p: np.ndarray, g: np.ndarray, align: bool, finite: bool):
-    """Mean distance of the (..., 3) samples ``p`` (aligned onto ``g``
-    first) from ``g``. Unless every sample is known to be ``finite``, None
-    when a sum is not finite, which it is whenever some sample is not."""
-    if p.size == 0:
-        raise NotEnoughPoints("no finite trajectory samples to compare")
-    if not align:
-        d = (p - g).reshape(-1, 3)
-    elif finite:
-        d = solve_weighted_similarity(p, g, None).apply(p.reshape(-1, 3))
-    else:
-        solved = solve_finite_similarity(p, g)
-        if solved is None:
-            return None
-        T, free = solved
-        d = T.apply(p.reshape(-1, 3), out=free)
-    if align:
-        np.subtract(d.reshape(p.shape), g, out=d.reshape(p.shape))
-    # norm3, in place: (x0 * x0 + x1 * x1) + x2 * x2 into column 0
+def _shifted_blocks(p: np.ndarray, g: np.ndarray):
+    """The samples of the (n, 3) arrays ``p`` and ``g``, each less its
+    first sample, ``_BLOCK_ROWS`` at a time: the (m, 7) block
+    ``[p - p[0], 1, g - g[0]]`` in Fortran order, so every column is
+    contiguous. One buffer serves every block."""
+    X = np.empty((_BLOCK_ROWS, 7), order="F")
+    X[:, 3] = 1.0
+    p0, g0 = p[0][:, None], g[0][:, None]
+    for i in range(0, len(p), _BLOCK_ROWS):
+        pb, gb = p[i:i + _BLOCK_ROWS], g[i:i + _BLOCK_ROWS]
+        x = X[:len(pb)]
+        # the transposes are (3, m) views, so each row is one column of x
+        np.subtract(pb.T, p0, out=x[:, :3].T)
+        np.subtract(gb.T, g0, out=x[:, 4:].T)
+        yield x
+
+
+def _streamed_similarity(p: np.ndarray, g: np.ndarray, finite: bool):
+    """The solve's first pass: the unit-weight similarity that takes each
+    sample of ``p`` less ``p[0]`` onto the one of ``g`` less ``g[0]``, from
+    the block sums of the first and second moments of the shifted samples.
+    Unless every sample is known to be ``finite``, None when a moment is
+    not."""
+    n = len(p)
+    if n < 3:
+        raise NotEnoughPoints(f"need >= 3 samples to align, got {n}")
+    # [a, 1, b].T @ [a, 1]: sum a a^T and sum a in the first three rows,
+    # sum b a^T and sum b in the last three
+    m = np.zeros((7, 4))
+    for x in _shifted_blocks(p, g):
+        m += x.T @ x[:, :4]
+    if not (finite or np.isfinite(m).all()):
+        return None
+    mu_a, mu_b = m[:3, 3] / n, m[4:, 3] / n
+    src_cov = m[:3, :3] / n - np.outer(mu_a, mu_a)
+    cov = m[4:, :3] / n - np.outer(mu_b, mu_a)
+    return similarity_from_moments(mu_a, mu_b, cov, src_cov, float(np.trace(src_cov)))
+
+
+def _norm_sum(d: np.ndarray) -> float:
+    """The sum of the row norms of the (m, 3) array ``d``, which it
+    overwrites: ``norm3``'s ``(x0 * x0 + x1 * x1) + x2 * x2``, in column 0."""
     np.multiply(d, d, out=d)
     r = d[:, 0]
     r += d[:, 1]
     r += d[:, 2]
-    epe = float(np.sqrt(r, out=r).mean())
+    return float(np.sqrt(r, out=r).sum())
+
+
+def _mean_error(p: np.ndarray, g: np.ndarray, align: bool, finite: bool):
+    """Mean distance of the (n, 3) samples ``p`` (aligned onto ``g``
+    first) from ``g``. Unless every sample is known to be ``finite``, None
+    when a sum is not finite, which it is whenever some sample is not."""
+    n = len(p)
+    if n == 0:
+        raise NotEnoughPoints("no finite trajectory samples to compare")
+    total = 0.0
+    # each block's residuals, in Fortran order: every column contiguous
+    e = np.empty((_BLOCK_ROWS, 3), order="F")
+    if align:
+        T = _streamed_similarity(p, g, finite)
+        if T is None:
+            return None
+        # the second pass: [a, 1] @ [s R^T; t] - b, in the shifted frame
+        M = np.concatenate([T.scale * T.rotation.T, T.translation[None]])
+        for x in _shifted_blocks(p, g):
+            d = np.matmul(x[:, :4], M, out=e[:len(x)])
+            total += _norm_sum(np.subtract(d, x[:, 4:], out=d))
+    else:
+        for i in range(0, n, _BLOCK_ROWS):
+            pb = p[i:i + _BLOCK_ROWS]
+            total += _norm_sum(np.subtract(pb, g[i:i + _BLOCK_ROWS], out=e[:len(pb)]))
+    epe = total / n
     return epe if finite or math.isfinite(epe) else None
 
 
@@ -221,13 +309,16 @@ def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) ->
     the ground truth absorbs the monocular gauge freedom first; pass
     ``align=False`` to score raw coordinates.
 
-    Two :class:`~chunkfuse.model.TrackTable` without holes are read in
-    place, with no finiteness pass; the only arrays the size of the tables
-    are the solve's two buffers, one of which then holds the residual (the
-    difference itself, unaligned). A table with a hole takes the masked
-    path (see the module docstring).
+    The samples are read in one frame-major order (see the module
+    docstring). Two frame-major :class:`~chunkfuse.model.TrackTable`
+    without holes are read in place, in two streaming passes, with no
+    finiteness pass and no array the size of the tables. A dict whose
+    tracks all have one length, or a pixel-major table, is copied into
+    that order first; a dict of tracks of different lengths is read key by
+    key. Dict, table and mixed inputs give the same bits. A table with a
+    hole takes the masked path.
     """
-    p, g = _stack_tables(pred, gt)
+    p, g = _samples(pred, gt)
     epe = _mean_error(p, g, align, finite=False)
     if epe is None:
         ok = finite3(p) & finite3(g)
@@ -294,19 +385,14 @@ def build_fused_table(fused) -> TrackTable:
     as :class:`~chunkfuse.fusion.Trajectory` requires. A trajectory rooted
     off the grid is ignored (``io.read_fused_trajectories`` refuses one).
 
-    The (N, T, 3) tracks are allocated once and filled by blocks of about
-    ``_FILL_BLOCK_BYTES`` of pixel rows, frame by frame within a block: a
-    frame's samples lie one track apart, so a block small enough to stay in
-    cache is written to memory once, where whole-table passes would fetch
-    every line of the table once per few frames.
+    The table is frame-major: its tracks are :func:`~chunkfuse.model.seed_tracks`
+    of one (T, H, W, 3) copy of the fused frames' points, the one array
+    the size of the table it allocates, and the trajectories are scattered
+    through that view.
     """
-    H, W = fused.frames[0].points.shape[:2]
-    tracks = np.empty((H * W, len(fused.frames), 3))
-    grid = tracks.reshape(H, W, len(fused.frames), 3)
-    block = max(1, _FILL_BLOCK_BYTES // max(grid[0].nbytes, 1))
-    for r0 in range(0, H, block):
-        for t, fp in enumerate(fused.frames):
-            grid[r0:r0 + block, :, t] = fp.points[r0:r0 + block]
+    points = np.stack([fp.points for fp in fused.frames])
+    H, W = points.shape[1:3]
+    tracks = seed_tracks(points)
     rooted = [tr for tr in getattr(fused, "trajectories", []) if tr.sources]
     roots = np.array([tr.sources[0][2] for tr in rooted], dtype=np.intp).reshape(-1, 2)
     on_grid = ((roots >= 0) & (roots < (H, W))).all(axis=1)

@@ -250,7 +250,7 @@ class SimilarityTransform:
     def identity(cls) -> "SimilarityTransform":
         return cls(1.0, np.eye(3), np.zeros(3))
 
-    def apply(self, x, out=None) -> np.ndarray:
+    def apply(self, x) -> np.ndarray:
         """Apply to a 3-vector or an (..., 3) array of points.
 
         Computes ``scale * (x @ rotation.T) + translation`` with the same
@@ -258,17 +258,13 @@ class SimilarityTransform:
         column by column. A stack of (k, 3) arrays is multiplied as one
         (n, 3) product, which rounds as the stacked product does and skips
         one small product per leading row, unless k is 1: numpy multiplies
-        a single row by gemv, which rounds unlike gemm. ``out``, a
-        C-contiguous float64 array of ``x``'s shape that does not overlap
-        ``x``, takes the result in place of a new array; the product writes
-        into it as into its own result, so the bits are the same.
+        a single row by gemv, which rounds unlike gemm.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim > 2 and x.shape[-2] > 1:
-            rows = None if out is None else out.reshape(-1, 3)
-            out = np.matmul(x.reshape(-1, 3), self.rotation.T, out=rows).reshape(x.shape)
+            out = (x.reshape(-1, 3) @ self.rotation.T).reshape(x.shape)
         else:
-            out = np.matmul(x, self.rotation.T, out=out)
+            out = x @ self.rotation.T
         out *= self.scale
         for j in range(3):
             out[..., j] += self.translation[j]
@@ -469,12 +465,15 @@ class TrackTable(Mapping):
 
     The keys are every pixel of an (H, W) grid. One (N, T, 3) array
     ``tracks`` holds their tracks in sorted (row-major) key order, which is
-    also the order keys iterate in, so ``tracks.reshape(-1, 3)`` lists the
-    samples exactly as concatenating ``table[k]`` over the sorted keys
-    would. ``tracks`` may be a strided view of the array it is given, such
-    as :func:`seed_tracks` of a (T, H, W, 3) stack; the table keeps a
-    read-only view of it and copies nothing. A key is a pair of integers,
-    Python's or numpy's; anything else is not a key.
+    also the order keys iterate in: ``tracks[:, t]`` is frame t of every
+    track, key by key. ``tracks`` may be a strided view of the array it is
+    given; the table keeps a read-only view of it and copies nothing. A
+    table over :func:`seed_tracks` of a C-contiguous (T, H, W, 3) stack, as
+    ``GroundTruth.trajectory_table`` and ``metrics.build_fused_table``
+    build, is frame-major: ``tracks.transpose(1, 0, 2)`` is a C-contiguous
+    (T, N, 3) view of the stack, which ``metrics.dense_epe`` reads in
+    place. A key is a pair of integers, Python's or numpy's; anything else
+    is not a key.
     """
 
     def __init__(self, tracks, grid_shape: tuple[int, int]):

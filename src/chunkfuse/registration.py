@@ -134,10 +134,34 @@ def _unit_column_sum(x: np.ndarray, j: int, buf: np.ndarray) -> float:
     return _column_sum(col)
 
 
-def _centroids(src, dst, weights):
-    """The first half of :func:`_weighted_moments`: its checked inputs,
-    their weights (None for unit weights) and weight sum, the two centroids
-    and the two (n, 3) gemm buffers, not yet filled."""
+def _weighted_moments(src, dst, weights):
+    """Weighted centroids and second moments of a correspondence set.
+
+    ``src`` and ``dst`` are (..., 3) arrays of one shape, strided views
+    included, and ``weights`` holds one weight per point (a broadcast array
+    included), or is None for unit weights; the points are taken in
+    row-major order, as ``x.reshape(-1, 3)`` would list them. Returns
+    ``(mu_src, mu_dst, cov, src_cov, var_src)`` with the bits of the array
+    expressions on those (n, 3) rows:
+
+        mu = (w[:, None] * x).sum(axis=0) / wsum
+        cov = (dst_c * w[:, None]).T @ src_c / wsum
+        src_cov = (src_c * w[:, None]).T @ src_c / wsum
+        var_src = (w * (src_c**2).sum(axis=1)).sum() / wsum
+
+    The solve allocates two contiguous (n, 3) buffers, the gemm operands:
+    the centred sources and the weighted centred targets. Each column is
+    read once per pass (``x[..., j]``); its weighted sum runs in the buffer
+    column that the centring then overwrites, and the squares for
+    ``var_src`` go into the weighted buffer once both products are done.
+
+    ``None`` gives the bits of ``np.ones`` weights without a multiply by
+    1.0, which is exact: a C-contiguous input is summed straight from its
+    flat column, and the second product's left operand is a copy of the
+    centred sources. Both products keep the (n, 3) operands and layouts of
+    the expressions above, on which BLAS rounding depends: a planar (3, n)
+    operand rounds differently at some sizes.
+    """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.shape[-1:] != (3,):
@@ -171,13 +195,7 @@ def _centroids(src, dst, weights):
             mu_src[j] = _column_sum(src_c[:, j]) / wsum
             np.multiply(w, dst[..., j], out=weighted[:, j].reshape(w.shape))
             mu_dst[j] = _column_sum(weighted[:, j]) / wsum
-    return src, dst, w, wsum, mu_src, mu_dst, src_c, weighted
 
-
-def _second_moments(src, dst, w, wsum, mu_src, mu_dst, src_c, weighted):
-    """The second half of :func:`_weighted_moments`, on what
-    :func:`_centroids` returned: ``(cov, src_cov, var_src)``, with the
-    centred sources left in ``src_c``."""
     # column j of each buffer in the inputs' leading shape: its stride is
     # uniform, so the reshape is a view to write through
     shape = src.shape[:-1]
@@ -202,39 +220,7 @@ def _second_moments(src, dst, w, wsum, mu_src, mu_dst, src_c, weighted):
     sq += weighted[:, 2]
     if w is not None:
         weighted_cols[0] *= w
-    return cov, src_cov, float(sq.sum() / wsum)
-
-
-def _weighted_moments(src, dst, weights):
-    """Weighted centroids and second moments of a correspondence set.
-
-    ``src`` and ``dst`` are (..., 3) arrays of one shape, strided views
-    included, and ``weights`` holds one weight per point (a broadcast array
-    included), or is None for unit weights; the points are taken in
-    row-major order, as ``x.reshape(-1, 3)`` would list them. Returns
-    ``(mu_src, mu_dst, cov, src_cov, var_src)`` with the bits of the array
-    expressions on those (n, 3) rows:
-
-        mu = (w[:, None] * x).sum(axis=0) / wsum
-        cov = (dst_c * w[:, None]).T @ src_c / wsum
-        src_cov = (src_c * w[:, None]).T @ src_c / wsum
-        var_src = (w * (src_c**2).sum(axis=1)).sum() / wsum
-
-    The solve allocates two contiguous (n, 3) buffers, the gemm operands:
-    the centred sources and the weighted centred targets. Each column is
-    read once per pass (``x[..., j]``); its weighted sum runs in the buffer
-    column that the centring then overwrites, and the squares for
-    ``var_src`` go into the weighted buffer once both products are done.
-
-    ``None`` gives the bits of ``np.ones`` weights without a multiply by
-    1.0, which is exact: a C-contiguous input is summed straight from its
-    flat column, and the second product's left operand is a copy of the
-    centred sources. Both products keep the (n, 3) operands and layouts of
-    the expressions above, on which BLAS rounding depends: a planar (3, n)
-    operand rounds differently at some sizes.
-    """
-    c = _centroids(src, dst, weights)
-    return (c[4], c[5], *_second_moments(*c))
+    return mu_src, mu_dst, cov, src_cov, float(sq.sum() / wsum)
 
 
 def nearest_rotation(M: np.ndarray):
@@ -259,7 +245,10 @@ def _rotation_from_cov(cov: np.ndarray, src_cov: np.ndarray):
     return nearest_rotation(cov)
 
 
-def _similarity(mu_src, mu_dst, cov, src_cov, var_src) -> SimilarityTransform:
+def similarity_from_moments(mu_src, mu_dst, cov, src_cov, var_src) -> SimilarityTransform:
+    """The closed-form similarity of the moments :func:`_weighted_moments`
+    returns: DegenerateConfiguration for a source covariance of rank < 2
+    or a scale that is not positive and finite."""
     R, D, S = _rotation_from_cov(cov, src_cov)
     scale = float((D * S).sum() / var_src)
     if scale <= 0 or not np.isfinite(scale):
@@ -276,22 +265,7 @@ def solve_weighted_similarity(src, dst, weights) -> SimilarityTransform:
     over the weighted source variance, translation from the centroids.
     ``weights=None`` means unit weights.
     """
-    return _similarity(*_weighted_moments(src, dst, weights))
-
-
-def solve_finite_similarity(src, dst):
-    """``solve_weighted_similarity(src, dst, None)`` and the (n, 3) buffer
-    the sources were centred in, free for the caller to reuse.
-
-    None, before any centring, when a centroid is not finite: that is so
-    whenever some point is not, since a sum with a non-finite term is not
-    finite (and when a sum overflows).
-    """
-    c = _centroids(src, dst, None)
-    mu_src, mu_dst = c[4], c[5]
-    if not (np.isfinite(mu_src).all() and np.isfinite(mu_dst).all()):
-        return None
-    return _similarity(mu_src, mu_dst, *_second_moments(*c)), c[6]
+    return similarity_from_moments(*_weighted_moments(src, dst, weights))
 
 
 def solve_weighted_rigid(src, dst, weights, scale: float = 1.0) -> SimilarityTransform:

@@ -130,9 +130,11 @@ def test_dense_tables_match_dict_tables(workspace):
     assert all(pred[k].tobytes() == pred_dict[k].tobytes() for k in pred_dict)
     assert all(truth[k].tobytes() == truth_dict[k].tobytes() for k in truth_dict)
     for align in (True, False):
-        expected = ref.dense_epe(pred_dict, truth_dict, align=align)
+        expected = ref.streamed_dense_epe(pred_dict, truth_dict, align=align)
         assert dense_epe(pred, truth, align=align) == expected
         assert dense_epe(pred_dict, truth_dict, align=align) == expected
+        old = ref.dense_epe(pred_dict, truth_dict, align=align)
+        assert abs(expected - old) <= ref.dense_epe_tolerance(pred_dict, truth_dict, align, old)
 
 
 def test_evaluate_unknown_metric_is_config_error(workspace):
@@ -342,6 +344,23 @@ def test_malformed_records_exit_3(workspace, tmp_path, capsys, files, metrics):
         else:
             (broken / name).write_text(content)
     assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", metrics]) == 3
+    assert "malformed container" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", ["unlisted", "unindexed"])
+def test_meta_must_list_the_indexed_trajectories_exit_3(workspace, tmp_path, capsys, change):
+    """A trajectory without its meta entry, or an entry without its
+    trajectory, is refused rather than scored without its sources."""
+    root, data, out, _ = workspace
+    broken = tmp_path / "fused"
+    shutil.copytree(out, broken)
+    meta = json.loads((broken / "trajectories_meta.json").read_text())
+    if change == "unlisted":
+        del meta["0"]
+    else:
+        meta[str(len(meta) + 7)] = meta["0"]
+    (broken / "trajectories_meta.json").write_text(json.dumps(meta))
+    assert main(["evaluate", "--pred", str(broken), "--gt", str(data), "--metrics", "epe"]) == 3
     assert "malformed container" in capsys.readouterr().err
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -176,11 +180,15 @@ class TestDenseEpe:
         holed_pred[(2, 0)][5] = np.nan
         holed_gt[(4, 0)] = gt[(4, 0)].copy()
         holed_gt[(4, 0)][7, 1] = np.inf
-        # the same samples with the holes left out, in the same order
-        kept_pred, kept_gt = dict(pred), dict(gt)
-        for key, row in (((2, 0), 5), ((4, 0), 7)):
-            kept_pred[key] = np.delete(pred[key], row, axis=0)
-            kept_gt[key] = np.delete(gt[key], row, axis=0)
+        # the same samples with the holes left out, in the same frame-major
+        # order, as tracks of one sample each, keyed in that order
+        keys = sorted(gt)
+        kept = np.ones((12, len(keys)), dtype=bool)
+        kept[5, keys.index((2, 0))] = kept[7, keys.index((4, 0))] = False
+        kept_pred, kept_gt = (
+            {(i, 0): sample[None] for i, sample in enumerate(np.stack([t[k] for k in keys], axis=1)[kept])}
+            for t in (pred, gt)
+        )
         for align in (True, False):
             assert dense_epe(holed_pred, holed_gt, align=align) == dense_epe(kept_pred, kept_gt, align=align)
 
@@ -265,6 +273,20 @@ def _same(a, b) -> bool:
     return ref.same_bits(a, b)
 
 
+def _check_epe(tables, dicts, align):
+    """Each (pred, gt) pair of ``tables`` gives the bits and errors of the
+    frozen streaming EPE on the per-pixel ``dicts``, and the whole-array
+    solve's EPE on them within its stated tolerance."""
+    expected = _epe_outcome(ref.streamed_dense_epe, *dicts, align)
+    for pred, gt in tables:
+        assert _same(_epe_outcome(dense_epe, pred, gt, align), expected)
+    old = _epe_outcome(ref.dense_epe, *dicts, align)
+    if isinstance(old, type) or isinstance(expected, type):
+        assert expected is old
+    else:
+        assert abs(expected - old) <= ref.dense_epe_tolerance(*dicts, align, old)
+
+
 class TestDenseTables:
     """Dense seed-pixel tables against the per-pixel dicts they replaced."""
 
@@ -283,19 +305,21 @@ class TestDenseTables:
     @given(fused_scenes(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_dense_epe_matches_dicts(self, scene, align):
+        """Tables, dicts, both mixed and pixel-major tables give the bits
+        and errors of the frozen streaming EPE, and the whole-array solve's
+        EPE within its stated tolerance."""
         fused, truth = scene
         pred, gt = build_fused_table(fused), truth.trajectory_table()
         pred_dict, gt_dict = ref.build_fused_table(fused), ref.trajectory_table(truth.points)
-        expected = _epe_outcome(ref.dense_epe, pred_dict, gt_dict, align)
-        assert _same(_epe_outcome(dense_epe, pred, gt, align), expected)
-        assert _same(_epe_outcome(dense_epe, pred_dict, gt_dict, align), expected)
-        assert _same(_epe_outcome(dense_epe, pred, gt_dict, align), expected)
+        pixel_major = TrackTable(np.ascontiguousarray(pred.tracks), truth.grid_shape)
+        tables = [(pred, gt), (pred_dict, gt_dict), (pred, gt_dict), (pred_dict, gt), (pixel_major, gt)]
+        _check_epe(tables, (pred_dict, gt_dict), align)
 
-    @pytest.mark.parametrize("block_bytes", [1, 500, 2 << 20])
-    def test_fused_table_roots(self, rng, monkeypatch, block_bytes):
-        """The root cases a fuse can give, filled one pixel row, a few
-        rows or the whole table at a time."""
-        monkeypatch.setattr(metrics, "_FILL_BLOCK_BYTES", block_bytes)
+    @pytest.mark.parametrize("seed", [1, 500, 2 << 20])
+    def test_fused_table_roots(self, seed):
+        """The root cases a fuse can give, on three independent draws of
+        the points and trajectory positions."""
+        rng = np.random.default_rng(seed)
         T, H, W = 5, 7, 8
         pred = rng.normal(size=(T, H, W, 3))
         frames = [SimpleNamespace(points=pred[t]) for t in range(T)]
@@ -333,7 +357,11 @@ class TestDenseTables:
     def test_ragged_dict_tables_still_concatenate(self, rng):
         gt = {(0, k): rng.normal(size=(2 + k, 3)) for k in range(5)}
         pred = {k: v + rng.normal(scale=0.01, size=v.shape) for k, v in gt.items()}
-        assert dense_epe(pred, gt) == ref.dense_epe(pred, gt)
+        for align in (True, False):
+            assert dense_epe(pred, gt, align) == ref.streamed_dense_epe(pred, gt, align)
+        # key by key: the samples concatenated in sorted key order
+        concatenated = ({(0, 0): np.concatenate([t[k] for k in sorted(t)])} for t in (pred, gt))
+        assert dense_epe(pred, gt) == dense_epe(*concatenated)
 
 
 @st.composite
@@ -367,8 +395,10 @@ def _solve_outcome(solve, src, dst, weights):
 
 
 class TestStridedSolve:
-    """The solve and the EPE read strided (N, T, 3) views, with broadcast
-    unit weights, to the bits they give on contiguous (n, 3) copies."""
+    """The solve reads strided (N, T, 3) views, with broadcast unit
+    weights, to the bits it gives on contiguous (n, 3) copies; the EPE
+    reads strided and contiguous tables to the bits of the frozen
+    streaming EPE on dicts."""
 
     @given(track_stacks())
     @settings(max_examples=200, deadline=None)
@@ -382,12 +412,9 @@ class TestStridedSolve:
             _solve_outcome(solve_weighted_similarity, p, g, np.broadcast_to(1.0, p.shape[:-1])),
             _solve_outcome(ref.solve_weighted_similarity, flat_p, flat_g, np.ones(len(flat_p))),
         )
-        grid = pred.shape[1:3]
+        grid, dicts = pred.shape[1:3], (ref.trajectory_table(pred), ref.trajectory_table(gt))
         for align in (True, False):
-            expected = _epe_outcome(ref.dense_epe, ref.trajectory_table(pred),
-                                    ref.trajectory_table(gt), align)
-            got = _epe_outcome(dense_epe, TrackTable(p, grid), TrackTable(g, grid), align)
-            assert _same(got, expected)
+            _check_epe([(TrackTable(p, grid), TrackTable(g, grid))], dicts, align)
 
     @given(track_stacks())
     @settings(max_examples=200, deadline=None)
@@ -396,14 +423,71 @@ class TestStridedSolve:
         src, dst = pred.reshape(-1, 3), gt.reshape(-1, 3)
         assert _same(_solve_outcome(solve_weighted_similarity, src, dst, weights),
                      _solve_outcome(ref.solve_weighted_similarity, src, dst, weights))
-        # contiguous tables, the fused table's layout
-        grid = pred.shape[1:3]
+        # contiguous (N, T, 3) tables, which the EPE copies into frame-major order
+        grid, dicts = pred.shape[1:3], (ref.trajectory_table(pred), ref.trajectory_table(gt))
         p, g = (np.ascontiguousarray(seed_tracks(a)) for a in (pred, gt))
         for align in (True, False):
-            expected = _epe_outcome(ref.dense_epe, ref.trajectory_table(pred),
-                                    ref.trajectory_table(gt), align)
-            assert _same(_epe_outcome(dense_epe, TrackTable(p, grid), TrackTable(g, grid), align),
-                         expected)
+            _check_epe([(TrackTable(p, grid), TrackTable(g, grid))], dicts, align)
+
+
+@st.composite
+def gauged_stacks(draw):
+    """True (T, H, W, 3) samples of spread ``mag`` at an offset of up to
+    1e4 spreads, and a noisy prediction in a random similarity gauge whose
+    translation is up to 1e4 spreads too, sometimes with holes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, H, W = draw(st.integers(2, 8)), draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    mag = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e2, 1e4])) * mag
+    direction = rng.normal(size=3)
+    gt = rng.normal(size=(T, H, W, 3)) * mag + direction / np.linalg.norm(direction) * offset
+    shift = draw(st.sampled_from([0.0, 1.0, 1e2, 1e4])) * mag
+    gauge = SimilarityTransform(float(rng.uniform(0.5, 2.0)), random_rotation(rng),
+                                rng.normal(size=3) * shift)
+    noise = draw(st.sampled_from([1e-3, 1e-2, 0.1])) * mag
+    pred = gauge.apply(gt + rng.normal(scale=noise, size=gt.shape))
+    for points in (pred, gt):
+        for _ in range(draw(st.integers(0, 2))):
+            points[rng.integers(T), rng.integers(H), rng.integers(W), rng.integers(3)] = np.nan
+    return pred, gt
+
+
+class TestStreamedSolve:
+    """The streaming EPE against the whole-array solve it replaced."""
+
+    @given(gauged_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_within_tolerance_of_whole_array_solve(self, stacks):
+        pred, gt = stacks
+        tables = [tuple(TrackTable(seed_tracks(a), gt.shape[1:3]) for a in (pred, gt))]
+        for align in (True, False):
+            _check_epe(tables, (ref.trajectory_table(pred), ref.trajectory_table(gt)), align)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        """The EPE of tables of nine blocks, one of them with a hole, under
+        BLAS and OpenMP pinned to one thread and allowed two."""
+        script = (
+            "import numpy as np\n"
+            "from chunkfuse.metrics import dense_epe\n"
+            "from chunkfuse.model import TrackTable, seed_tracks\n"
+            "rng = np.random.default_rng(0)\n"
+            "gt = rng.normal(size=(16, 48, 48, 3)) + 100.0\n"
+            "pred = 1.5 * gt[..., ::-1] + rng.normal(scale=0.01, size=gt.shape) - 7.0\n"
+            "tables = [TrackTable(seed_tracks(a), (48, 48)) for a in (pred, gt)]\n"
+            "print([dense_epe(*tables, align).hex() for align in (True, False)])\n"
+            "pred[3, 5, 7, 1] = np.nan\n"
+            "print([dense_epe(*tables, align).hex() for align in (True, False)])\n"
+        )
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        printed = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            printed.add(run.stdout)
+        assert len(printed) == 1
 
 
 def junction(matches, pixels_i, pixels_j):

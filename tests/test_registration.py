@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 import references as ref
 from chunkfuse.errors import DegenerateConfiguration, NotEnoughPoints
+from chunkfuse.metrics import _streamed_similarity
 from chunkfuse.model import PipelineConfig, SimilarityTransform, seed_tracks
 from chunkfuse.registration import (
     _weighted_moments,
     register_pair,
     registration_residual_rms,
     select_anchors,
-    solve_finite_similarity,
     solve_weighted_rigid,
     solve_weighted_similarity,
     static_correspondences,
@@ -131,13 +131,14 @@ class TestWeightedRigid:
 
 
 def _outcome(fn, *args, **kwargs):
-    """A transform's (scale, rotation, translation), or the error type."""
+    """A transform's (scale, rotation, translation), None, or the error
+    type."""
     try:
         with np.errstate(all="ignore"):
             T = fn(*args, **kwargs)
     except (np.linalg.LinAlgError, ValueError, NotEnoughPoints, DegenerateConfiguration) as e:
         return type(e)
-    return T.scale, T.rotation, T.translation
+    return None if T is None else (T.scale, T.rotation, T.translation)
 
 
 def _same_outcome(a, b) -> bool:
@@ -286,27 +287,23 @@ class TestUnitWeights:
         with pytest.raises(NotEnoughPoints):
             _weighted_moments(src, src + 1.0, None)
         with pytest.raises(NotEnoughPoints):
-            solve_finite_similarity(src, src + 1.0)
+            _streamed_similarity(src.reshape(-1, 3), src.reshape(-1, 3) + 1.0, finite=False)
 
     @given(unit_weight_cases())
     @settings(max_examples=100, deadline=None)
     def test_finite_solve(self, case):
-        """None exactly when some point is not finite; else the unit-weight
-        solve, with the (n, 3) buffer the sources were centred in."""
-        src, dst = case
-        expected = _outcome(solve_weighted_similarity, src, dst, None)
-        with np.errstate(all="ignore"):
-            try:
-                got = solve_finite_similarity(src, dst)
-            except (NotEnoughPoints, DegenerateConfiguration, np.linalg.LinAlgError) as e:
-                assert expected is type(e)
-                return
-        if not (np.isfinite(src).all() and np.isfinite(dst).all()):
-            assert got is None
-            return
-        T, free = got
-        assert _same_outcome((T.scale, T.rotation, T.translation), expected)
-        assert free.shape == (src.size // 3, 3) and free.flags.c_contiguous
+        """The dense EPE's streamed unit-weight solve: None exactly when
+        some point is not finite; else, and for every error, the outcome of
+        the frozen copy in ``references``, bit for bit."""
+        p, g = (np.ascontiguousarray(a).reshape(-1, 3) for a in case)
+        expected = _outcome(ref.streamed_similarity, p, g, finite=False)
+        got = _outcome(_streamed_similarity, p, g, finite=False)
+        if isinstance(got, type) or isinstance(expected, type):
+            assert got is expected
+        elif np.isfinite(p).all() and np.isfinite(g).all():
+            assert _same_outcome(got, expected)
+        else:
+            assert got is None is expected
 
 
 def _static_scene(rng, grid=16, frames=4):
