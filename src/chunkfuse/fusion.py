@@ -139,6 +139,18 @@ def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose]) -> Sim
     return SimilarityTransform(s, R, t)
 
 
+def trusted_static(
+    abstraction: OverlapAbstraction, static: tuple[SimilarityTransform, float] | None
+) -> SimilarityTransform | None:
+    """The static registration's transform when it is trusted: solved on at
+    least MIN_STATIC_ANCHORS anchors with a residual RMS within
+    STATIC_RMS_CAP scene scales. Else None."""
+    if (static is not None and abstraction.num_static >= MIN_STATIC_ANCHORS
+            and static[1] <= STATIC_RMS_CAP * abstraction.scene_scale):
+        return static[0]
+    return None
+
+
 def choose_transform(
     ablation: str,
     abstraction: OverlapAbstraction,
@@ -165,9 +177,9 @@ def choose_transform(
         return SimilarityTransform.identity(), "base"
     if ablation == "full" and refined is not None and num_matches >= MIN_DYNAMIC_MATCHES:
         return refined, "refined"
-    if (static is not None and abstraction.num_static >= MIN_STATIC_ANCHORS
-            and static[1] <= STATIC_RMS_CAP * abstraction.scene_scale):
-        return static[0], "static"
+    trusted = trusted_static(abstraction, static)
+    if trusted is not None:
+        return trusted, "static"
     if ablation == "overlap":
         return SimilarityTransform.identity(), "identity"
     return pose_only_transform(poses_i, poses_j), "pose"
@@ -450,8 +462,11 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
     match_set = MatchSet((), (), ())
     num_candidates = 0
     if ablation == "full":
-        # the static transform seeds association even when its tier is not trusted
-        T_assoc = static[0] if static else pose_only_transform(poses_i, poses_j)
+        # an untrusted static transform may be fitted to the noise of a
+        # pixel or two, far from the true gauge: the cameras seed instead
+        T_assoc = trusted_static(abstraction, static)
+        if T_assoc is None:
+            T_assoc = pose_only_transform(poses_i, poses_j)
         raw_i = build_tracklets(overlap.frames.start, overlap.points_i, overlap.conf_i,
                                 abstraction.dynamic_mask, abstraction.gamma_stat, cfg)
         raw_j = build_tracklets(overlap.frames.start, overlap.points_j, overlap.conf_j,

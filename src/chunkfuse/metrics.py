@@ -10,10 +10,10 @@ frame 0 of every track over the sorted keys, then frame 1, and so on.
 samples lie in memory in that order, so ``dense_epe`` reads both in
 place. A side that is not frame-major is copied into that order once: a
 dict whose tracks all have one length (a subset of the seeds, say) or a
-table over pixel-major (N, T, 3) tracks. When a dict's tracks differ in
-length, both sides are read key by key in sorted order instead. The
-samples and their order do not depend on how a table arrives, so dict,
-table and mixed inputs give the same EPE to the last bit.
+table over pixel-major (N, T, 3) tracks. A dict whose tracks are not all
+(T, 3) arrays of one length raises ValueError. The samples and their
+order do not depend on how a table arrives, so dict, table and mixed
+inputs give the same EPE to the last bit.
 
 The alignment is a unit-weight similarity solve in two streaming passes
 over blocks of ``_BLOCK_ROWS`` samples:
@@ -183,24 +183,23 @@ TrajectoryTable = Mapping[tuple[int, int], np.ndarray]
 
 
 def _tracks(table: TrajectoryTable, keys):
-    """The tracks of ``table`` as one frame-major (T, N, 3) array, a view
-    for a :class:`TrackTable`, or, when its tracks are not all of one
-    (T, 3) shape, as a list in ``keys`` order."""
+    """The tracks of ``table`` as one frame-major (T, N, 3) array: a view
+    for a :class:`TrackTable`, else a stack of its tracks in ``keys``
+    order, which must all be (T, 3) arrays of one length."""
     if isinstance(table, TrackTable):
         return table.tracks.transpose(1, 0, 2)
     tracks = [np.asarray(table[k], dtype=np.float64) for k in keys]
     shapes = {t.shape for t in tracks}
-    if len(shapes) == 1 and len(tracks[0].shape) == 2 and tracks[0].shape[1] == 3:
-        return np.stack(tracks, axis=1)
-    return tracks
+    if len(shapes) != 1 or len(tracks[0].shape) != 2 or tracks[0].shape[1] != 3:
+        raise ValueError(f"tracks must be (T, 3) arrays of one length, got shapes {sorted(shapes)}")
+    return np.stack(tracks, axis=1)
 
 
 def _samples(pred: TrajectoryTable, gt: TrajectoryTable):
     """Predicted and ground-truth samples over the sorted keys as two
-    (n, 3) arrays, holes included: frame-major when the tracks of both
-    tables all have one length, else key by key.
+    frame-major (n, 3) arrays, holes included.
 
-    A frame-major side that lies in memory in that order, such as a
+    A side that lies in memory in that order, such as a
     :class:`TrackTable` over a (T, H, W, 3) stack, is a view; any other
     side is copied once.
     """
@@ -215,13 +214,8 @@ def _samples(pred: TrajectoryTable, gt: TrajectoryTable):
             )
         keys = sorted(pred.keys())
     p, g = _tracks(pred, keys), _tracks(gt, keys)
-    if isinstance(p, list) or isinstance(g, list):
-        p, g = (np.concatenate(t) if isinstance(t, list) else t.transpose(1, 0, 2).reshape(-1, 3)
-                for t in (p, g))
     if p.shape != g.shape:
         raise KeyMismatch(f"trajectory tables disagree on shapes: {p.shape} vs {g.shape}")
-    if p.ndim < 2 or p.shape[-1] != 3:
-        raise ValueError(f"tracks must be (T, 3) arrays, got samples of shape {p.shape}")
     return p.reshape(-1, 3), g.reshape(-1, 3)
 
 
@@ -312,11 +306,10 @@ def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) ->
     The samples are read in one frame-major order (see the module
     docstring). Two frame-major :class:`~chunkfuse.model.TrackTable`
     without holes are read in place, in two streaming passes, with no
-    finiteness pass and no array the size of the tables. A dict whose
-    tracks all have one length, or a pixel-major table, is copied into
-    that order first; a dict of tracks of different lengths is read key by
-    key. Dict, table and mixed inputs give the same bits. A table with a
-    hole takes the masked path.
+    finiteness pass and no array the size of the tables. A dict, whose
+    tracks must all be (T, 3) arrays of one length, or a pixel-major
+    table, is copied into that order first. Dict, table and mixed inputs
+    give the same bits. A table with a hole takes the masked path.
     """
     p, g = _samples(pred, gt)
     epe = _mean_error(p, g, align, finite=False)

@@ -110,117 +110,46 @@ def select_anchors(overlap: OverlapView, cfg: PipelineConfig) -> OverlapAbstract
     )
 
 
-def _column_sum(x: np.ndarray) -> float:
-    """One column's share of ``a.sum(axis=0)`` of an (N, 3) array ``a``;
-    overwrites ``x`` with its running sums.
-
-    numpy reduces an (N, 3) array over axis 0 row by row onto a zero
-    start; a pairwise ``x.sum()`` would round differently.
-    """
-    return 0.0 + np.add.accumulate(x, out=x)[-1]
-
-
-def _unit_column_sum(x: np.ndarray, j: int, buf: np.ndarray) -> float:
-    """:func:`_column_sum` of column ``j`` of the (..., 3) array ``x``, its
-    points in row-major order; column ``j`` of the (n, 3) ``buf`` takes the
-    running sums. A C-contiguous ``x`` is summed straight from its flat
-    column; any other layout is copied into the buffer column first."""
-    col = buf[:, j]
-    if x.flags.c_contiguous:
-        return 0.0 + np.add.accumulate(x.reshape(-1, 3)[:, j], out=col)[-1]
-    # the buffer column in x's leading shape: its stride is uniform, so the
-    # reshape is a view to write through
-    np.copyto(col.reshape(x.shape[:-1]), x[..., j])
-    return _column_sum(col)
-
-
 def _weighted_moments(src, dst, weights):
     """Weighted centroids and second moments of a correspondence set.
 
-    ``src`` and ``dst`` are (..., 3) arrays of one shape, strided views
-    included, and ``weights`` holds one weight per point (a broadcast array
-    included), or is None for unit weights; the points are taken in
-    row-major order, as ``x.reshape(-1, 3)`` would list them. Returns
-    ``(mu_src, mu_dst, cov, src_cov, var_src)`` with the bits of the array
-    expressions on those (n, 3) rows:
+    ``src`` and ``dst`` are (..., 3) arrays of one shape, read as (n, 3)
+    rows in row-major order, and ``weights`` holds one weight per point, or
+    is None for unit weights. Points of weight 0 are dropped. Returns
+    ``(mu_src, mu_dst, cov, src_cov, var_src)``:
 
         mu = (w[:, None] * x).sum(axis=0) / wsum
         cov = (dst_c * w[:, None]).T @ src_c / wsum
         src_cov = (src_c * w[:, None]).T @ src_c / wsum
         var_src = (w * (src_c**2).sum(axis=1)).sum() / wsum
-
-    The solve allocates two contiguous (n, 3) buffers, the gemm operands:
-    the centred sources and the weighted centred targets. Each column is
-    read once per pass (``x[..., j]``); its weighted sum runs in the buffer
-    column that the centring then overwrites, and the squares for
-    ``var_src`` go into the weighted buffer once both products are done.
-
-    ``None`` gives the bits of ``np.ones`` weights without a multiply by
-    1.0, which is exact: a C-contiguous input is summed straight from its
-    flat column, and the second product's left operand is a copy of the
-    centred sources. Both products keep the (n, 3) operands and layouts of
-    the expressions above, on which BLAS rounding depends: a planar (3, n)
-    operand rounds differently at some sizes.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.shape[-1:] != (3,):
         raise ValueError("src, dst and weights must have the same length")
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.size != src.size // 3:
-            raise ValueError("src, dst and weights must have the same length")
-        w = w.reshape(src.shape[:-1])
-        if (w < 0).any():
-            raise ValueError("weights must be non-negative")
-        if not (w > 0).all():  # no mask is held through the solve unless one is needed
-            keep = w > 0
-            src, dst, w = src[keep], dst[keep], w[keep]
-    n = src.size // 3
-    if n < 3:
-        raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {n}")
-    # a sum of ones is exact, so n is the bits of w.sum() for unit weights
-    wsum = float(n) if w is None else w.sum()
-    src_c = np.empty((n, 3))
-    weighted = np.empty((n, 3))
-    mu_src = np.empty(3)
-    mu_dst = np.empty(3)
-    for j in range(3):
-        if w is None:
-            mu_src[j] = _unit_column_sum(src, j, src_c) / wsum
-            mu_dst[j] = _unit_column_sum(dst, j, weighted) / wsum
-        else:
-            np.multiply(w, src[..., j], out=src_c[:, j].reshape(w.shape))
-            mu_src[j] = _column_sum(src_c[:, j]) / wsum
-            np.multiply(w, dst[..., j], out=weighted[:, j].reshape(w.shape))
-            mu_dst[j] = _column_sum(weighted[:, j]) / wsum
-
-    # column j of each buffer in the inputs' leading shape: its stride is
-    # uniform, so the reshape is a view to write through
-    shape = src.shape[:-1]
-    src_cols = [src_c[:, j].reshape(shape) for j in range(3)]
-    weighted_cols = [weighted[:, j].reshape(shape) for j in range(3)]
-    for j in range(3):
-        np.subtract(src[..., j], mu_src[j], out=src_cols[j])
-        np.subtract(dst[..., j], mu_dst[j], out=weighted_cols[j])
-        if w is not None:
-            weighted_cols[j] *= w
-    cov = weighted.T @ src_c / wsum
-    if w is None:
-        # a copy, not src_c itself: numpy would take a product of an array
-        # with its own transpose by syrk, which rounds unlike gemm
-        np.copyto(weighted, src_c)
-    else:
-        for j in range(3):
-            np.multiply(src_cols[j], w, out=weighted_cols[j])
-    src_cov = weighted.T @ src_c / wsum
-    sq = np.multiply(src_c, src_c, out=weighted)[:, 0]
-    sq += weighted[:, 1]
-    sq += weighted[:, 2]
-    if w is not None:
-        weighted_cols[0] *= w
-    return mu_src, mu_dst, cov, src_cov, float(sq.sum() / wsum)
+    src, dst = src.reshape(-1, 3), dst.reshape(-1, 3)
+    w = np.ones(len(src)) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
+    if len(w) != len(src):
+        raise ValueError("src, dst and weights must have the same length")
+    if (w < 0).any():
+        raise ValueError("weights must be non-negative")
+    keep = w > 0
+    if not keep.all():
+        src, dst, w = src[keep], dst[keep], w[keep]
+    if len(src) < 3:
+        raise NotEnoughPoints(f"need >= 3 positive-weight correspondences, got {len(src)}")
+    wsum = w.sum()
+    mu_src = (w[:, None] * src).sum(axis=0) / wsum
+    mu_dst = (w[:, None] * dst).sum(axis=0) / wsum
+    src_c = src - mu_src
+    dst_c = dst - mu_dst
+    cov = (dst_c * w[:, None]).T @ src_c / wsum
+    src_cov = (src_c * w[:, None]).T @ src_c / wsum
+    # the bits of .sum(axis=1), as norm3 adds them, without numpy's slow
+    # reduction over a length-3 axis
+    s = src_c * src_c
+    var_src = float((w * (s[:, 0] + s[:, 1] + s[:, 2])).sum() / wsum)
+    return mu_src, mu_dst, cov, src_cov, var_src
 
 
 def nearest_rotation(M: np.ndarray):

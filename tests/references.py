@@ -1,14 +1,14 @@
 """Earlier implementations kept as bit-for-bit references.
 
 The dense seed-pixel tables (``model.TrackTable``) replaced per-pixel
-dicts, ``registration._weighted_moments`` and ``SimilarityTransform.apply``
-replaced whole-array expressions by column-wise, in-place passes, and
-``association.assign`` replaced two ``np.unique`` calls per connected
-component by one ordering of all kept vertices. ``metrics.junction_prf``
-replaced the same-pixel association score that ``chunkfuse evaluate``
-built inline. ``association.build_tracklets`` takes the rigidity
-threshold ``select_anchors`` resolved, where it re-derived it from the
-chunk's own scene scale. ``metrics.rpe`` replaced a loop of per-pose
+dicts, ``SimilarityTransform.apply`` replaced whole-array expressions by
+column-wise, in-place passes, and ``association.assign`` replaced two
+``np.unique`` calls per connected component by one ordering of all kept
+vertices. ``metrics.junction_prf`` replaced the same-pixel association
+score that ``chunkfuse evaluate`` built inline.
+``association.build_tracklets`` takes the rigidity threshold
+``select_anchors`` resolved, where it re-derived it from the chunk's own
+scene scale. ``metrics.rpe`` replaced a loop of per-pose
 inverses and compositions, each a checked ``Pose``, by stacked products,
 and ``metrics.rotation_angle_deg`` takes a stack. ``fusion._Stitcher``
 replaced per-trajectory builders keyed by pixel tuples by lists indexed
@@ -28,6 +28,11 @@ now matches within a stated tolerance, not to the bit. The functions here
 are the replaced code, so the tests can check that every output bit
 stayed the same; ``streamed_dense_epe`` is a frozen plain copy of the
 streaming EPE, to which ``metrics.dense_epe`` is pinned bit for bit.
+``registration._weighted_moments`` went from whole-array expressions to
+column-wise, in-place passes and back to the same expressions once the
+dense EPE no longer called it; ``weighted_moments`` here remains its bit
+reference. ``streamed_samples`` still reads a dict whose tracks differ
+in length key by key, which ``metrics.dense_epe`` now refuses.
 """
 
 import math

@@ -354,14 +354,17 @@ class TestDenseTables:
         with pytest.raises(KeyMismatch, match="shapes"):
             dense_epe(truth.trajectory_table(), shorter.trajectory_table())
 
-    def test_ragged_dict_tables_still_concatenate(self, rng):
-        gt = {(0, k): rng.normal(size=(2 + k, 3)) for k in range(5)}
-        pred = {k: v + rng.normal(scale=0.01, size=v.shape) for k, v in gt.items()}
-        for align in (True, False):
-            assert dense_epe(pred, gt, align) == ref.streamed_dense_epe(pred, gt, align)
-        # key by key: the samples concatenated in sorted key order
-        concatenated = ({(0, 0): np.concatenate([t[k] for k in sorted(t)])} for t in (pred, gt))
-        assert dense_epe(pred, gt) == dense_epe(*concatenated)
+    def test_dict_tracks_must_be_one_shape(self, rng):
+        """A dict whose tracks differ in length, or are not (T, 3), on
+        either side raises ValueError."""
+        gt = {(0, k): rng.normal(size=(4, 3)) for k in range(5)}
+        ragged = {k: v[:2 + k[1] % 3] for k, v in gt.items()}
+        flat = {k: v.ravel() for k, v in gt.items()}
+        wide = {k: np.column_stack([v, v[:, :1]]) for k, v in gt.items()}
+        for pred, truth in ((ragged, ragged), (ragged, gt), (gt, ragged), (flat, flat), (wide, wide)):
+            for align in (True, False):
+                with pytest.raises(ValueError, match=r"tracks must be \(T, 3\) arrays of one length"):
+                    dense_epe(pred, truth, align)
 
 
 @st.composite
