@@ -1,21 +1,35 @@
 """Command-line surface: generate, fuse, evaluate, inspect.
 
-``evaluate`` prints a table and one JSON line, and writes the JSON to
-``metrics.json`` next to the fused container. ``--metrics assoc`` scores
-the matches of ``matches.json`` against the ground truth at two levels,
-counts pooled over all junctions:
+``generate`` writes the ground-truth container and the seed-resolved
+``scene_spec.json`` under ``gt/``, and the chunk containers and their
+true gauges under ``chunks/``.
 
-- point level, ``assoc_precision``, ``assoc_recall``, ``assoc_f1``: a
-  match is correct when both tracklets are seeded at the same pixel, which
-  under the oracle's binding is the same surface point;
-- object level, ``assoc_obj_precision``, ``assoc_obj_recall``,
-  ``assoc_obj_f1``: a match is correct when both seed pixels carry the
-  same ground-truth object id.
+``evaluate`` prints a table and one JSON line, and writes the JSON to
+``metrics.json`` next to the fused container. Its keys are ``variant``
+(the ablation of the fuse, from ``fuse_info.json``, else ``pred``) and
+those of the metrics asked for:
+
+- ``epe``: the dense tracking end-point error after one global Sim(3)
+  alignment of the predicted tracks onto the true ones;
+- ``ate``: the RMS camera-centre error after a Sim(3) alignment of the
+  camera centres;
+- ``rpe_trans``, ``rpe_rot``: the relative pose error over consecutive
+  frames, after that alignment, in scene units and degrees;
+- with ``assoc`` in ``--metrics``, the matches of ``matches.json`` scored
+  against the ground truth at two levels, counts pooled over all junctions:
+
+  - point level, ``assoc_precision``, ``assoc_recall``, ``assoc_f1``: a
+    match is correct when both tracklets are seeded at the same pixel,
+    which under the oracle's binding is the same surface point;
+  - object level, ``assoc_obj_precision``, ``assoc_obj_recall``,
+    ``assoc_obj_f1``: a match is correct when both seed pixels carry the
+    same ground-truth object id.
 
 ``fuse`` writes its outputs beside ``--out`` and moves them in only when
 the fuse succeeds, so a failed fuse leaves an earlier output as it was.
 
 Exit codes: 0 success; 2 invalid config, scene spec or flag (among them a
+negative seed, which ``generate`` refuses before it writes any file, a
 ``fuse --out`` on a path through a file, and ATE or RPE on fewer than 3
 fused frames, which their alignment needs); 3 malformed container, or a
 broken chunk stream (see ``NoOverlap``: a missing chunk, a one-frame
@@ -63,6 +77,7 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     gt = generate(spec)
     cio.write_ground_truth(gt, out / "gt")
+    cio.write_json(out / "gt" / "scene_spec.json", cio.spec_to_dict(spec))
     emitted = emit_chunks(gt, cfg, spec)
     chunk_root = out / "chunks"
     chunk_root.mkdir(parents=True, exist_ok=True)
@@ -124,8 +139,6 @@ def _cmd_evaluate(args) -> int:
     unknown = set(wanted) - {"epe", "ate", "rpe", "assoc"}
     if unknown:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
-    if args.rpe_delta < 1:
-        raise InvalidConfig(f"--rpe-delta must be >= 1, got {args.rpe_delta}")
     pred_dir = _resolve_container(Path(args.pred), "fused")
     gt_dir = _resolve_container(Path(args.gt), "gt")
     fused = cio.read_chunk(pred_dir)
@@ -151,14 +164,9 @@ def _cmd_evaluate(args) -> int:
     if "ate" in wanted:
         result["ate"] = ate(pred_poses, gt.poses)
     if "rpe" in wanted:
-        if args.rpe_delta >= len(fused.frames):
-            raise InvalidConfig(f"--rpe-delta must be below the {len(fused.frames)} "
-                                f"fused frames, got {args.rpe_delta}")
         # aligning away the monocular gauge first keeps RPE scale-free
         T = align_trajectories(pred_poses, gt.poses)
-        aligned = T.apply_poses(pred_poses)
-        result["rpe_trans"], result["rpe_rot"] = rpe(aligned, gt.poses, delta=args.rpe_delta)
-        result["rpe_delta"] = args.rpe_delta
+        result["rpe_trans"], result["rpe_rot"] = rpe(T.apply_poses(pred_poses), gt.poses)
     if "epe" in wanted:
         out_dir = pred_dir.parent
         # a bare chunk container has no trajectory files; a fuse output has all
@@ -168,7 +176,7 @@ def _cmd_evaluate(args) -> int:
         trajectories = [] if missing else cio.read_fused_trajectories(out_dir, len(fused.frames),
                                                                       fused.grid_shape)
         pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories))
-        result["epe"] = dense_epe(pred_table, gt.trajectory_table(), align=not args.no_align)
+        result["epe"] = dense_epe(pred_table, gt.trajectory_table())
     if "assoc" in wanted:
         matches_path = pred_dir.parent / "matches.json"
         if not matches_path.is_file():
@@ -239,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pred", required=True, help="fuse output directory")
     e.add_argument("--gt", required=True, help="generate output directory")
     e.add_argument("--metrics", default="epe,ate,rpe", help="comma list: epe,ate,rpe,assoc")
-    e.add_argument("--rpe-delta", type=int, default=1, help="frame step of the RPE pairs")
-    e.add_argument("--no-align", action="store_true", help="skip the global gauge alignment")
     e.set_defaults(func=_cmd_evaluate)
 
     i = sub.add_parser("inspect", help="summarize chunk containers and overlap abstractions")

@@ -6,7 +6,9 @@ arrays: 32-bit floats, little-endian, row-major. Chunk containers (kind
 ``confidence`` [T][H][W], and ``poses`` [T][4][4] (camera-to-world, last
 row exactly 0,0,0,1). Ground-truth containers (kind ``ground_truth``)
 carry ``points``, ``poses``, ``object_ids`` [H][W] and ``visible``
-[T][H][W], plus the generating ``scene_spec.json``.
+[T][H][W], and nothing else; ``chunkfuse generate`` writes the
+seed-resolved ``scene_spec.json`` beside them, which evaluation does not
+read.
 
 Every JSON file is read by :func:`read_json`, which raises the error its
 caller names for a file that cannot be read, is not JSON or holds the wrong
@@ -29,8 +31,7 @@ with det +1 or whose translation is not finite. The poses are checked
 once, as one stack, and the error names the first bad frame; they are
 read-only views of that stack. A chunk is read as one stack and must also
 pass :class:`~chunkfuse.model.Chunk`'s checks, which name the first bad
-frame; its ``frames`` are per-frame views of that stack. A ground truth's
-``scene_spec.json`` must be a valid scene spec.
+frame; its ``frames`` are per-frame views of that stack.
 :func:`read_matches` and :func:`read_fused_trajectories` raise it for
 records of ``matches.json`` and ``trajectories_meta.json`` that are not of
 the shape below: integer ids and pixels, pixels on the grid, tracklet ids
@@ -376,17 +377,13 @@ def write_ground_truth(gt: GroundTruth, directory) -> None:
     ]
     _write_manifest(directory, "ground_truth", -1, 0, gt.num_frames - 1, gt.grid_shape, arrays,
                     scene_scale=gt.scene_scale)
-    write_json(directory / "scene_spec.json", spec_to_dict(gt.spec))
 
 
 def read_ground_truth(directory) -> GroundTruth:
     directory = Path(directory)
     manifest, data, poses = _read_container(directory, "ground_truth",
                                             ("points", "poses", "object_ids", "visible"))
-    spec_path = directory / "scene_spec.json"
-    spec = load_scene_spec(spec_path, MalformedContainer) if spec_path.is_file() else None
     return GroundTruth(
-        spec=spec,
         points=data["points"].astype(np.float64),
         poses=list(poses),
         object_ids=data["object_ids"].astype(np.int32),
@@ -639,10 +636,10 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     return dataclasses.asdict(spec)
 
 
-def load_scene_spec(path, error: type[Exception] = InvalidSpec) -> SceneSpec:
-    """The scene spec in the JSON file ``path``; ``error`` when the file
+def load_scene_spec(path) -> SceneSpec:
+    """The scene spec in the JSON file ``path``; InvalidSpec when the file
     cannot be read, is not JSON, or holds no object or no valid spec."""
     try:
         return from_json(SceneSpec, read_json(path, InvalidSpec), InvalidSpec)
     except InvalidSpec as e:
-        raise error(f"bad scene spec {path}: {e}") from e
+        raise InvalidSpec(f"bad scene spec {path}: {e}") from e

@@ -3,17 +3,19 @@ end-point error, and association precision/recall at the object and the
 point level (``junction_prf``).
 
 Dense EPE compares two trajectory tables, mappings from seed pixel (r, c)
-to a (T, 3) track. It reads the samples of both in one frame-major order:
-frame 0 of every track over the sorted keys, then frame 1, and so on.
-``build_fused_table`` and ``GroundTruth.trajectory_table`` return a
-:class:`~chunkfuse.model.TrackTable` over one (T, H, W, 3) stack, whose
-samples lie in memory in that order, so ``dense_epe`` reads both in
-place. A side that is not frame-major is copied into that order once: a
-dict whose tracks all have one length (a subset of the seeds, say) or a
-table over pixel-major (N, T, 3) tracks. A dict whose tracks are not all
-(T, 3) arrays of one length raises ValueError. The samples and their
-order do not depend on how a table arrives, so dict, table and mixed
-inputs give the same EPE to the last bit.
+to a (T, 3) track, after one global similarity alignment of the predicted
+samples onto the true ones, which absorbs the monocular gauge. It reads
+the samples of both in one frame-major order: frame 0 of every track over
+the sorted keys, then frame 1, and so on. ``build_fused_table`` and
+``GroundTruth.trajectory_table`` return a
+:class:`~chunkfuse.model.TrackTable`, the one table layout: it holds the
+(T, H, W, 3) stack its tracks are read from, whose samples lie in memory
+in that order, so ``dense_epe`` reads both in place. A dict whose tracks
+all have one length (a subset of the seeds, say) is copied into that
+order once; a dict whose tracks are not all (T, 3) arrays of one length
+raises ValueError. The samples and their order do not depend on how a
+table arrives, so dict, table and mixed inputs give the same EPE to the
+last bit.
 
 The alignment is a unit-weight similarity solve in two streaming passes
 over blocks of ``_BLOCK_ROWS`` samples:
@@ -28,12 +30,12 @@ over blocks of ``_BLOCK_ROWS`` samples:
    t] - b``, and sums their norms; the block sums are added in order.
 
 No array the size of the tables is formed, and no finiteness pass comes
-first: the moments, or without ``align`` the sum of the norms, are not
-finite when some sample is not (or when a sum overflows), and then the
-tables go through the masked path, which drops the samples non-finite in
-either table and solves again. Fewer than 3 samples raise
-NotEnoughPoints, and a source covariance of rank < 2 raises
-DegenerateConfiguration, as in ``solve_weighted_similarity``.
+first: the moments, or the sum of the norms, are not finite when some
+sample is not (or when a sum overflows), and then the tables go through
+the masked path, which drops the samples non-finite in either table and
+solves again. Fewer than 3 samples raise NotEnoughPoints, and a source
+covariance of rank < 2 raises DegenerateConfiguration, as in
+``solve_weighted_similarity``.
 
 The EPE's bits depend on the sample order, the block size and how BLAS
 rounds each block's small products; they are the same with BLAS on one
@@ -72,7 +74,6 @@ from .model import (
     check_poses,
     finite3,
     norm3,
-    seed_tracks,
     stack_poses,
 )
 from .registration import similarity_from_moments, solve_weighted_similarity
@@ -183,11 +184,11 @@ TrajectoryTable = Mapping[tuple[int, int], np.ndarray]
 
 
 def _tracks(table: TrajectoryTable, keys):
-    """The tracks of ``table`` as one frame-major (T, N, 3) array: a view
-    for a :class:`TrackTable`, else a stack of its tracks in ``keys``
-    order, which must all be (T, 3) arrays of one length."""
+    """The tracks of ``table`` as one frame-major (T, N, 3) array: its
+    stack for a :class:`TrackTable`, else a stack of its tracks in
+    ``keys`` order, which must all be (T, 3) arrays of one length."""
     if isinstance(table, TrackTable):
-        return table.tracks.transpose(1, 0, 2)
+        return table.points.reshape(len(table.points), -1, 3)
     tracks = [np.asarray(table[k], dtype=np.float64) for k in keys]
     shapes = {t.shape for t in tracks}
     if len(shapes) != 1 or len(tracks[0].shape) != 2 or tracks[0].shape[1] != 3:
@@ -199,9 +200,8 @@ def _samples(pred: TrajectoryTable, gt: TrajectoryTable):
     """Predicted and ground-truth samples over the sorted keys as two
     frame-major (n, 3) arrays, holes included.
 
-    A side that lies in memory in that order, such as a
-    :class:`TrackTable` over a (T, H, W, 3) stack, is a view; any other
-    side is copied once.
+    A :class:`TrackTable` over a C-contiguous stack is read in place; a
+    dict is copied once.
     """
     if isinstance(pred, TrackTable) and isinstance(gt, TrackTable) and pred.same_keys(gt):
         keys = None
@@ -268,54 +268,46 @@ def _norm_sum(d: np.ndarray) -> float:
     return float(np.sqrt(r, out=r).sum())
 
 
-def _mean_error(p: np.ndarray, g: np.ndarray, align: bool, finite: bool):
-    """Mean distance of the (n, 3) samples ``p`` (aligned onto ``g``
-    first) from ``g``. Unless every sample is known to be ``finite``, None
-    when a sum is not finite, which it is whenever some sample is not."""
+def _mean_error(p: np.ndarray, g: np.ndarray, finite: bool):
+    """Mean distance of the (n, 3) samples ``p``, aligned onto ``g``, from
+    ``g``. Unless every sample is known to be ``finite``, None when a sum
+    is not finite, which it is whenever some sample is not."""
     n = len(p)
     if n == 0:
         raise NotEnoughPoints("no finite trajectory samples to compare")
+    T = _streamed_similarity(p, g, finite)
+    if T is None:
+        return None
+    # the second pass: [a, 1] @ [s R^T; t] - b, in the shifted frame
+    M = np.concatenate([T.scale * T.rotation.T, T.translation[None]])
     total = 0.0
     # each block's residuals, in Fortran order: every column contiguous
     e = np.empty((_BLOCK_ROWS, 3), order="F")
-    if align:
-        T = _streamed_similarity(p, g, finite)
-        if T is None:
-            return None
-        # the second pass: [a, 1] @ [s R^T; t] - b, in the shifted frame
-        M = np.concatenate([T.scale * T.rotation.T, T.translation[None]])
-        for x in _shifted_blocks(p, g):
-            d = np.matmul(x[:, :4], M, out=e[:len(x)])
-            total += _norm_sum(np.subtract(d, x[:, 4:], out=d))
-    else:
-        for i in range(0, n, _BLOCK_ROWS):
-            pb = p[i:i + _BLOCK_ROWS]
-            total += _norm_sum(np.subtract(pb, g[i:i + _BLOCK_ROWS], out=e[:len(pb)]))
+    for x in _shifted_blocks(p, g):
+        d = np.matmul(x[:, :4], M, out=e[:len(x)])
+        total += _norm_sum(np.subtract(d, x[:, 4:], out=d))
     epe = total / n
     return epe if finite or math.isfinite(epe) else None
 
 
-def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable, align: bool = True) -> float:
+def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable) -> float:
     """Mean 3D distance over all tracked points and frames, over the samples
-    finite in both tables.
-
-    By default one global similarity alignment of the predicted scene onto
-    the ground truth absorbs the monocular gauge freedom first; pass
-    ``align=False`` to score raw coordinates.
+    finite in both tables, after one global similarity alignment of the
+    predicted scene onto the ground truth absorbs the monocular gauge.
 
     The samples are read in one frame-major order (see the module
-    docstring). Two frame-major :class:`~chunkfuse.model.TrackTable`
-    without holes are read in place, in two streaming passes, with no
-    finiteness pass and no array the size of the tables. A dict, whose
-    tracks must all be (T, 3) arrays of one length, or a pixel-major
-    table, is copied into that order first. Dict, table and mixed inputs
-    give the same bits. A table with a hole takes the masked path.
+    docstring). Two :class:`~chunkfuse.model.TrackTable` over C-contiguous
+    stacks without holes are read in place, in two streaming passes, with
+    no finiteness pass and no array the size of the tables. A dict, whose
+    tracks must all be (T, 3) arrays of one length, is copied into that
+    order first. Dict, table and mixed inputs give the same bits. A table
+    with a hole takes the masked path.
     """
     p, g = _samples(pred, gt)
-    epe = _mean_error(p, g, align, finite=False)
+    epe = _mean_error(p, g, finite=False)
     if epe is None:
         ok = finite3(p) & finite3(g)
-        epe = _mean_error(p[ok], g[ok], align, finite=True)
+        epe = _mean_error(p[ok], g[ok], finite=True)
     return epe
 
 
@@ -378,14 +370,12 @@ def build_fused_table(fused) -> TrackTable:
     as :class:`~chunkfuse.fusion.Trajectory` requires. A trajectory rooted
     off the grid is ignored (``io.read_fused_trajectories`` refuses one).
 
-    The table is frame-major: its tracks are :func:`~chunkfuse.model.seed_tracks`
-    of one (T, H, W, 3) copy of the fused frames' points, the one array
-    the size of the table it allocates, and the trajectories are scattered
-    through that view.
+    The table holds one (T, H, W, 3) stack of the fused frames' points,
+    the one array the size of the table it allocates, and the trajectories
+    are scattered straight into that stack.
     """
     points = np.stack([fp.points for fp in fused.frames])
     H, W = points.shape[1:3]
-    tracks = seed_tracks(points)
     rooted = [tr for tr in getattr(fused, "trajectories", []) if tr.sources]
     roots = np.array([tr.sources[0][2] for tr in rooted], dtype=np.intp).reshape(-1, 2)
     on_grid = ((roots >= 0) & (roots < (H, W))).all(axis=1)
@@ -394,13 +384,13 @@ def build_fused_table(fused) -> TrackTable:
         keys = roots[on_grid]
         lengths = np.array([len(tr.frames) for tr in rooted], dtype=np.intp)
         starts = np.array([tr.frames[0] if tr.frames else 0 for tr in rooted], dtype=np.intp)
-        # one scatter into every (row, frame) of the rooted trajectories;
+        # one scatter into every (frame, pixel) of the rooted trajectories;
         # numpy assigns repeated indices in order, so the last write wins
-        at = np.repeat(keys[:, 0] * W + keys[:, 1], lengths)
+        rows, cols = np.repeat(keys, lengths, axis=0).T
         first = np.cumsum(lengths) - lengths  # each one's first sample in the concatenation
-        frames = np.arange(len(at)) + np.repeat(starts - first, lengths)
-        tracks[at, frames] = np.concatenate([tr.positions for tr in rooted])
-    return TrackTable(tracks, (H, W))
+        frames = np.arange(len(rows)) + np.repeat(starts - first, lengths)
+        points[frames, rows, cols] = np.concatenate([tr.positions for tr in rooted])
+    return TrackTable(points)
 
 
 def format_metrics_table(rows: list[dict[str, object]]) -> str:

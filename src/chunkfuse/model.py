@@ -450,40 +450,25 @@ class TrackletSet:
                            self.conf[rows])
 
 
-def seed_tracks(points) -> np.ndarray:
-    """(N, T, 3) tracks of every pixel of a (T, H, W, 3) pointmap stack, in
-    row-major order: row k is the track of the k-th key of the
-    :class:`TrackTable` over the same grid. The result is a strided view of
-    ``points``, with no copy.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    return points.transpose(1, 2, 0, 3).reshape(-1, len(points), 3)
-
-
 class TrackTable(Mapping):
     """Read-only mapping from seed pixel ``(r, c)`` to its (T, 3) track.
 
-    The keys are every pixel of an (H, W) grid. One (N, T, 3) array
-    ``tracks`` holds their tracks in sorted (row-major) key order, which is
-    also the order keys iterate in: ``tracks[:, t]`` is frame t of every
-    track, key by key. ``tracks`` may be a strided view of the array it is
-    given; the table keeps a read-only view of it and copies nothing. A
-    table over :func:`seed_tracks` of a C-contiguous (T, H, W, 3) stack, as
-    ``GroundTruth.trajectory_table`` and ``metrics.build_fused_table``
-    build, is frame-major: ``tracks.transpose(1, 0, 2)`` is a C-contiguous
-    (T, N, 3) view of the stack, which ``metrics.dense_epe`` reads in
-    place. A key is a pair of integers, Python's or numpy's; anything else
-    is not a key.
+    The table holds the (T, H, W, 3) pointmap stack ``points`` it is read
+    from, as a read-only view with no copy: ``table[(r, c)]`` is
+    ``points[:, r, c]``. The keys are every pixel of the (H, W) grid and
+    iterate in sorted (row-major) order, the order of the pixels in
+    ``points.reshape(T, -1, 3)``, which ``metrics.dense_epe`` reads in
+    place when ``points`` is C-contiguous. A key is a pair of integers,
+    Python's or numpy's; anything else is not a key.
     """
 
-    def __init__(self, tracks, grid_shape: tuple[int, int]):
-        H, W = grid_shape
-        self.rows, self.cols = range(H), range(W)
-        tracks = np.asarray(tracks, dtype=np.float64)
-        if tracks.ndim != 3 or tracks.shape[0] != H * W or tracks.shape[2] != 3:
-            raise ValueError(f"tracks must be ({H * W}, T, 3), got {tracks.shape}")
-        self.tracks = tracks.view()
-        self.tracks.setflags(write=False)
+    def __init__(self, points):
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 4 or points.shape[3] != 3:
+            raise ValueError(f"points must be (T, H, W, 3), got {points.shape}")
+        self.rows, self.cols = range(points.shape[1]), range(points.shape[2])
+        self.points = points.view()
+        self.points.setflags(write=False)
 
     def same_keys(self, other: "TrackTable") -> bool:
         return self.rows == other.rows and self.cols == other.cols
@@ -500,13 +485,13 @@ class TrackTable(Mapping):
         if key not in self:
             raise KeyError(key)
         r, c = map(operator.index, key)
-        return self.tracks[r * len(self.cols) + c]
+        return self.points[:, r, c]
 
     def __iter__(self):
         return product(self.rows, self.cols)
 
     def __len__(self) -> int:
-        return len(self.tracks)
+        return len(self.rows) * len(self.cols)
 
 
 def _is_int(v) -> bool:

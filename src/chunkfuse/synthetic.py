@@ -50,7 +50,6 @@ from .model import (
     SimilarityTransform,
     TrackTable,
     norm3,
-    seed_tracks,
 )
 
 VISIBLE_CONF = (0.7, 1.0)
@@ -208,6 +207,8 @@ class SceneSpec:
                 raise InvalidSpec(f"static_window {self.static_window} outside the grid")
         if self.noise_sigma < 0:
             raise InvalidSpec("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +256,9 @@ def _pixel_directions(height: int, width: int) -> np.ndarray:
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
-def _origins_at(origin, sel):
-    """The origins of the rays ``sel``: one (3,) origin serves every ray,
-    an (N, 3) stack holds one per ray."""
-    return origin if origin.ndim == 1 else origin[sel]
-
-
 def _ray_sphere(origin, dirs, center, radius_sq):
-    """First hit of each ray (N, 3) with its sphere: ``origin`` and
-    ``center`` (3,) or one per ray, ``radius_sq`` the squared radius, a
-    scalar or one per ray."""
+    """First hit of each ray (N, 3) from its ``origin`` (N, 3) with its
+    sphere: ``center`` (N, 3) and ``radius_sq``, the squared radius (N,)."""
     oc = origin - center
     b = (dirs * oc).sum(axis=-1)
     disc = b**2 - ((oc**2).sum(axis=-1) - radius_sq)
@@ -279,8 +273,8 @@ def _ray_sphere(origin, dirs, center, radius_sq):
 
 
 def _ray_box(origin, dirs, center, half):
-    """First hit of each ray (N, 3) with its axis-aligned box: ``origin``,
-    ``center`` and half-extents ``half``, (3,) or one per ray."""
+    """First hit of each ray (N, 3) from its ``origin`` (N, 3) with its
+    axis-aligned box: ``center`` and half-extents ``half``, (N, 3)."""
     lo = center - np.asarray(half)
     hi = center + np.asarray(half)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,10 +303,10 @@ _CLEAR_MARGIN = 1e-9
 
 
 def _wall_free(origin, d, bg: BackgroundSpec, lim):
-    """Masks over the rays ``d`` (unit, (N, 3)) from ``origin`` ((3,) or one
-    per ray): ``rises``, where ``g = z - height`` strictly increases along
-    the ray, and ``clear``, where it also lies below ``-_CLEAR_MARGIN *
-    (|distance| + |amplitude|)`` at ``lim``."""
+    """Masks over the rays ``d`` (unit, (N, 3)) from ``origin`` (N, 3):
+    ``rises``, where ``g = z - height`` strictly increases along the ray,
+    and ``clear``, where it also lies below ``-_CLEAR_MARGIN * (|distance|
+    + |amplitude|)`` at ``lim``."""
     slope = _SLOPE_MARGIN * abs(bg.amplitude) * abs(bg.frequency)
     rises = d[:, 2] > slope * np.hypot(d[:, 0], d[:, 1])
     p = origin + lim[:, None] * d
@@ -324,12 +318,12 @@ def _wall_free(origin, d, bg: BackgroundSpec, lim):
 def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     """First intersection with the bumped wall along each ray, inf on a miss.
 
-    ``origin`` is one (3,) origin for every ray of ``dirs`` (..., 3), or an
-    (N, 3) stack of one per ray, in the order of ``dirs``' rays. A ray is
-    sampled at ``_SCAN_STEPS`` equal steps up to ``s_cap`` or ``s_flat``,
-    whichever is nearer, where ``s_flat`` reaches past the wall's highest
-    point. The first step at which ``g = z - height`` turns positive
-    brackets the hit, which is then bisected ``_BISECTIONS`` times.
+    ``origin`` (..., 3) holds the origin of each ray of ``dirs`` (..., 3).
+    A ray is sampled at ``_SCAN_STEPS`` equal steps up to ``s_cap`` or
+    ``s_flat``, whichever is nearer, where ``s_flat`` reaches past the
+    wall's highest point. The first step at which ``g = z - height``
+    turns positive brackets the hit, which is then bisected
+    ``_BISECTIONS`` times.
 
     Only the band of steps near the wall is evaluated. The height is
     ``distance - amplitude * sin * cos`` with ``|sin * cos| <= 1``, and
@@ -372,17 +366,15 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     binding cast) the root itself is wanted, and every ray is scanned.
     """
     flat = dirs.reshape(-1, 3)
-    if origin.ndim > 1:
-        origin = origin.reshape(-1, 3)
     s_out = np.full(len(flat), np.inf)
     idx = np.nonzero(flat[:, 2] > 1e-12)[0]
     d = flat[idx]
-    o = _origins_at(origin, idx)
+    o = origin.reshape(-1, 3)[idx]
     if limit is not None:
         lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[idx]
         keep = ~_wall_free(o, d, bg, lim)[1]
-        idx, d, lim, o = idx[keep], d[keep], lim[keep], _origins_at(o, keep)
-    oz = o[..., 2]
+        idx, d, lim, o = idx[keep], d[keep], lim[keep], o[keep]
+    oz = o[:, 2]
     s_flat = (bg.distance + abs(bg.amplitude) + 1.0 - oz) / d[:, 2]
     cap = np.broadcast_to(np.asarray(s_cap, dtype=np.float64), dirs.shape[:-1]).ravel()[idx]
     s_hi = np.minimum(s_flat, np.where(np.isfinite(cap), cap, s_flat))
@@ -416,7 +408,7 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     ray = np.repeat(rows, count)
     steps = np.arange(len(ray)) + np.repeat(first[rows] - (np.cumsum(count) - count), count)
     s = grid[steps] * s_hi[ray]
-    val = g(s, d[ray], _origins_at(o, ray))
+    val = g(s, d[ray], o[ray])
     cross = (val[:-1] <= 0) & (val[1:] > 0) & (ray[:-1] == ray[1:])
     at = np.flatnonzero(cross)
     # each ray's first crossing
@@ -425,7 +417,7 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
     fhi = s[at + 1]
     rows = ray[at]
     dd = d[rows]
-    oo = _origins_at(o, rows)
+    oo = o[rows]
 
     if limit is not None:
         lim = lim[rows]
@@ -450,7 +442,6 @@ def _ray_background(origin, dirs, bg: BackgroundSpec, s_cap, limit=None):
 class GroundTruth:
     """World-frame tracked pointmaps, poses, binding, and visibility."""
 
-    spec: SceneSpec
     points: np.ndarray
     poses: list[Pose]
     object_ids: np.ndarray
@@ -466,9 +457,9 @@ class GroundTruth:
         return self.points.shape[1:3]
 
     def trajectory_table(self) -> TrackTable:
-        """The track of every pixel of ``points``: a read-only view of
-        ``points``, with no copy."""
-        return TrackTable(seed_tracks(self.points), self.grid_shape)
+        """The track of every pixel of ``points``: a table over a read-only
+        view of ``points``, with no copy."""
+        return TrackTable(self.points)
 
 
 def _object_offsets(spec: SceneSpec) -> np.ndarray:
@@ -517,8 +508,8 @@ def _cast_all(origins, dirs, spec: SceneSpec, centers, s_cap=np.inf, limit=None)
     frames = len(origins)
     flat = dirs.reshape(frames, -1, 3)
     n = flat.shape[1]
-    # one frame's rays share its origin; a block's carry one each
-    ray_origin = origins[0] if frames == 1 else np.repeat(origins, n, axis=0)
+    # each ray carries its frame's origin
+    ray_origin = np.repeat(origins, n, axis=0)
     best_s = _ray_background(ray_origin, dirs, spec.background, s_cap, limit).ravel()
     best_id = np.where(np.isfinite(best_s), -1, -2)
     if spec.objects:
@@ -533,15 +524,14 @@ def _cast_all(origins, dirs, spec: SceneSpec, centers, s_cap=np.inf, limit=None)
         near = _near_bounds(origins, flat, centers, radii)
         rows, objs = np.divmod(np.flatnonzero(near), len(spec.objects))
         frame = rows // n
-        o = _origins_at(ray_origin, rows)
+        o = ray_origin[rows]
         ctr = centers[frame, objs]
         rays = flat.reshape(-1, 3)[rows]
         s = np.empty(len(rows))
         ball = spheres[objs]
-        s[ball] = _ray_sphere(_origins_at(o, ball), rays[ball], ctr[ball],
-                              radius_sq[objs[ball]])
+        s[ball] = _ray_sphere(o[ball], rays[ball], ctr[ball], radius_sq[objs[ball]])
         box = ~ball
-        s[box] = _ray_box(_origins_at(o, box), rays[box], ctr[box], sizes[objs[box]])
+        s[box] = _ray_box(o[box], rays[box], ctr[box], sizes[objs[box]])
         # each ray's first pair by (s, object index)
         order = np.lexsort((objs, s, rows))
         rows, objs, s = rows[order], objs[order], s[order]
@@ -647,7 +637,6 @@ def generate(spec: SceneSpec) -> GroundTruth:
                 visible[t] &= owner != m
 
     return GroundTruth(
-        spec=spec,
         points=points,
         poses=poses,
         object_ids=owner.astype(np.int32),

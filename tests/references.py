@@ -33,6 +33,8 @@ column-wise, in-place passes and back to the same expressions once the
 dense EPE no longer called it; ``weighted_moments`` here remains its bit
 reference. ``streamed_samples`` still reads a dict whose tracks differ
 in length key by key, which ``metrics.dense_epe`` now refuses.
+``model.TrackTable`` held the pixel-major ``seed_tracks`` view of a
+stack, where it now holds the stack.
 """
 
 import math
@@ -180,6 +182,13 @@ def trajectory_table(points) -> dict:
     return {(r, c): points[:, r, c, :] for r in range(H) for c in range(W)}
 
 
+def seed_tracks(points) -> np.ndarray:
+    """The pixel-major (N, T, 3) tracks of every pixel of a (T, H, W, 3)
+    stack in row-major order, a strided view of it: the layout a
+    ``TrackTable`` held before it held the stack itself."""
+    return points.transpose(1, 2, 0, 3).reshape(-1, len(points), 3)
+
+
 def build_fused_table(fused) -> dict:
     points = np.stack([fp.points for fp in fused.frames])
     table = trajectory_table(points)
@@ -206,12 +215,11 @@ def stack_tables(pred, gt):
     return p[ok], g[ok]
 
 
-def dense_epe(pred, gt, align: bool = True) -> float:
+def dense_epe(pred, gt) -> float:
     p, g = stack_tables(pred, gt)
     if len(p) == 0:
         raise NotEnoughPoints("no finite trajectory samples to compare")
-    if align:
-        p = apply(solve_weighted_similarity(p, g, np.ones(len(p))), p)
+    p = apply(solve_weighted_similarity(p, g, np.ones(len(p))), p)
     return float(np.linalg.norm(p - g, axis=1).mean())
 
 
@@ -278,38 +286,34 @@ def norm_sum(d) -> float:
     return float(np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]).sum())
 
 
-def streamed_mean_error(p, g, align: bool, finite: bool) -> float:
+def streamed_mean_error(p, g, finite: bool) -> float:
     if len(p) == 0:
         raise NotEnoughPoints("no finite trajectory samples to compare")
+    T = streamed_similarity(p, g, finite)
+    if T is None:
+        return float("nan")
+    M = np.concatenate([T.scale * T.rotation.T, T.translation[None]])
     total = 0.0
-    if align:
-        T = streamed_similarity(p, g, finite)
-        if T is None:
-            return float("nan")
-        M = np.concatenate([T.scale * T.rotation.T, T.translation[None]])
-        for x in shifted_blocks(p, g):
-            # the product into a Fortran-ordered result, as dense_epe forms it
-            d = np.matmul(x[:, :4], M, out=np.empty((len(x), 3), order="F"))
-            total += norm_sum(d - x[:, 4:])
-    else:
-        for i in range(0, len(p), BLOCK_ROWS):
-            total += norm_sum(p[i:i + BLOCK_ROWS] - g[i:i + BLOCK_ROWS])
+    for x in shifted_blocks(p, g):
+        # the product into a Fortran-ordered result, as dense_epe forms it
+        d = np.matmul(x[:, :4], M, out=np.empty((len(x), 3), order="F"))
+        total += norm_sum(d - x[:, 4:])
     return total / len(p)
 
 
-def streamed_dense_epe(pred, gt, align: bool = True) -> float:
+def streamed_dense_epe(pred, gt) -> float:
     """``metrics.dense_epe`` with the samples in frame-major order and the
     solve in two streaming passes: the moments of the samples shifted by
     the first one, summed block by block, then the residual norms."""
     p, g = streamed_samples(pred, gt)
-    epe = streamed_mean_error(p, g, align, finite=False)
+    epe = streamed_mean_error(p, g, finite=False)
     if not np.isfinite(epe):
         ok = finite3(p) & finite3(g)
-        epe = streamed_mean_error(p[ok], g[ok], align, finite=True)
+        epe = streamed_mean_error(p[ok], g[ok], finite=True)
     return epe
 
 
-def dense_epe_tolerance(pred, gt, align: bool, epe: float) -> float:
+def dense_epe_tolerance(pred, gt, epe: float) -> float:
     """A bound on the gap between ``metrics.dense_epe`` and ``dense_epe``
     here, the streamed and the whole-array solve, where the latter gives
     ``epe``:
@@ -318,10 +322,9 @@ def dense_epe_tolerance(pred, gt, align: bool, epe: float) -> float:
 
     over the n samples finite in both tables. L is the largest term the
     whole-array solve forms a residual from: a coordinate of the scaled
-    prediction, of the translation, of ``gt`` or of the aligned prediction
-    (of the prediction and ``gt`` without ``align``); kappa is the
-    condition number sqrt(lmax / lmin) of the predicted samples' covariance
-    (1 without ``align``).
+    prediction, of the translation, of ``gt`` or of the aligned
+    prediction; kappa is the condition number sqrt(lmax / lmin) of the
+    predicted samples' covariance.
 
     The bound is derived, not fitted, per solve: (a) a residual component is
     formed from terms of up to L in at most six rounded operations, so a
@@ -335,12 +338,10 @@ def dense_epe_tolerance(pred, gt, align: bool, epe: float) -> float:
     which 2^6 covers.
     """
     p, g = stack_tables(pred, gt)
-    kappa, terms = 1.0, [p, g]
-    if align:
-        eig = np.linalg.eigvalsh(np.cov(p.T, bias=True))
-        kappa = math.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
-        T = solve_weighted_similarity(p, g, np.ones(len(p)))
-        terms = [T.scale * p, T.translation, g, apply(T, p)]
+    eig = np.linalg.eigvalsh(np.cov(p.T, bias=True))
+    kappa = math.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
+    T = solve_weighted_similarity(p, g, np.ones(len(p)))
+    terms = [T.scale * p, T.translation, g, apply(T, p)]
     L = max(np.abs(t).max() for t in terms)
     return 2.0**6 * 2.0**-53 * (kappa * L + math.log2(len(p) + 1) * epe)
 
@@ -731,7 +732,6 @@ def generate(spec):
         visible[t] = vis
 
     return GroundTruth(
-        spec=spec,
         points=points,
         poses=poses,
         object_ids=owner.astype(np.int32),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -44,6 +45,8 @@ def workspace(tmp_path_factory):
 def test_generate_layout(workspace):
     root, data, out, _ = workspace
     assert (data / "gt" / cio.MANIFEST_NAME).is_file()
+    spec = cio.load_scene_spec(data / "gt" / "scene_spec.json")
+    assert spec == gauge_recovery_spec(num_frames=28, grid=12)
     assert (data / "chunks" / "gauges.json").is_file()
     chunk_dirs = sorted(p.name for p in (data / "chunks").iterdir() if p.is_dir())
     assert chunk_dirs == [f"chunk_{k:04d}" for k in range(len(chunk_dirs))]
@@ -103,11 +106,9 @@ def reference_pred_table(out, fused, trajectories: bool = True):
     return table
 
 
-@pytest.mark.parametrize("flag", [None, "--no-align"])
-def test_evaluate_epe_matches_reference_table(workspace, capsys, flag):
+def test_evaluate_epe_matches_reference_table(workspace, capsys):
     root, data, out, _ = workspace
-    flags = [] if flag is None else [flag]
-    assert main(["evaluate", "--pred", str(out), "--gt", str(data), "--metrics", "epe", *flags]) == 0
+    assert main(["evaluate", "--pred", str(out), "--gt", str(data), "--metrics", "epe"]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     fused = cio.read_chunk(out / "fused")
     table = reference_pred_table(out, fused)
@@ -115,7 +116,7 @@ def test_evaluate_epe_matches_reference_table(workspace, capsys, flag):
     plain = reference_pred_table(out, fused, trajectories=False)
     assert any(not np.array_equal(table[k], plain[k]) for k in table)
     gt = cio.read_ground_truth(data / "gt")
-    assert report["epe"] == dense_epe(table, gt.trajectory_table(), align=flag is None)
+    assert report["epe"] == dense_epe(table, gt.trajectory_table())
 
 
 def test_dense_tables_match_dict_tables(workspace):
@@ -129,12 +130,11 @@ def test_dense_tables_match_dict_tables(workspace):
     assert list(pred) == list(pred_dict) and list(truth) == list(truth_dict)
     assert all(pred[k].tobytes() == pred_dict[k].tobytes() for k in pred_dict)
     assert all(truth[k].tobytes() == truth_dict[k].tobytes() for k in truth_dict)
-    for align in (True, False):
-        expected = ref.streamed_dense_epe(pred_dict, truth_dict, align=align)
-        assert dense_epe(pred, truth, align=align) == expected
-        assert dense_epe(pred_dict, truth_dict, align=align) == expected
-        old = ref.dense_epe(pred_dict, truth_dict, align=align)
-        assert abs(expected - old) <= ref.dense_epe_tolerance(pred_dict, truth_dict, align, old)
+    expected = ref.streamed_dense_epe(pred_dict, truth_dict)
+    assert dense_epe(pred, truth) == expected
+    assert dense_epe(pred_dict, truth_dict) == expected
+    old = ref.dense_epe(pred_dict, truth_dict)
+    assert abs(expected - old) <= ref.dense_epe_tolerance(pred_dict, truth_dict, old)
 
 
 def test_evaluate_unknown_metric_is_config_error(workspace):
@@ -158,10 +158,14 @@ def exit_code(argv) -> int:
     ["--rpe-delta", "0"],
     ["--rpe-delta", "28"],
     ["--rpe-delta", "50"],
-], ids=["stride-0", "stride-negative", "stride-gone", "delta-0", "delta-frames", "delta-past-frames"])
+    ["--rpe-delta", "2"],
+    ["--no-align"],
+], ids=["stride-0", "stride-negative", "stride-gone", "delta-0", "delta-frames", "delta-past-frames",
+        "delta-gone", "no-align-gone"])
 def test_evaluate_bad_flag_exit_2(workspace, capsys, flags):
-    """The workspace's fused scene has 28 frames. Every pixel is a seed of
-    the EPE table, so ``--epe-stride`` is no option at all."""
+    """Every pixel is a seed of the EPE table, the EPE is always aligned
+    and RPE pairs consecutive frames, so ``--epe-stride``, ``--rpe-delta``
+    and ``--no-align`` are no options at all, whatever their value."""
     root, data, out, _ = workspace
     assert exit_code(["evaluate", "--pred", str(out), "--gt", str(data),
                       "--metrics", "epe,ate,rpe", *flags]) == 2
@@ -229,6 +233,30 @@ def test_bad_scene_spec_exit_2(tmp_path, capsys, text):
     spec.write_text(text)
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
     assert "bad scene spec" in capsys.readouterr().err
+
+
+def small_spec_file(tmp_path, seed: int) -> Path:
+    path = tmp_path / "scene.json"
+    spec = cio.spec_to_dict(gauge_recovery_spec(num_frames=20, grid=10))
+    path.write_text(json.dumps({**spec, "seed": seed}))
+    return path
+
+
+@pytest.mark.parametrize("seed_in_spec, flags", [(-1, []), (0, ["--seed", "-1"])],
+                         ids=["spec", "flag"])
+def test_negative_seed_exit_2(tmp_path, capsys, seed_in_spec, flags):
+    """A negative seed is refused before any file is written."""
+    spec = small_spec_file(tmp_path, seed=seed_in_spec)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out"), *flags]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_writes_the_seed_resolved_spec(tmp_path):
+    spec = small_spec_file(tmp_path, 0)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out"), "--seed", "7"]) == 0
+    written = cio.load_scene_spec(tmp_path / "out" / "gt" / "scene_spec.json")
+    assert written == dataclasses.replace(cio.load_scene_spec(spec), seed=7)
 
 
 @pytest.mark.parametrize("name, text, metrics", [
@@ -585,12 +613,6 @@ def _drop_height(gt_dir: Path):
     (gt_dir / cio.MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
-def _unknown_spec_key(gt_dir: Path):
-    spec = json.loads((gt_dir / "scene_spec.json").read_text())
-    spec["num_frmaes"] = 3
-    (gt_dir / "scene_spec.json").write_text(json.dumps(spec))
-
-
 @pytest.mark.parametrize("text, reason", [
     (_junctions(matches=[[0, 0, 0.1, [0, 0], [0, 0]]] * 2), "not one-to-one"),
     (_junctions(matches=[[0, 0, 0.1, [0, 0], [0, 0]], [1, 0, 0.2, [0, 1], [0, 0]]],
@@ -614,14 +636,8 @@ def _skewed_pose(gt_dir: Path):
     poses.tofile(gt_dir / "poses.bin")
 
 
-@pytest.mark.parametrize("corrupt", [
-    _drop_height,
-    lambda gt_dir: (gt_dir / "scene_spec.json").write_text("{nope"),
-    _unknown_spec_key,
-    lambda gt_dir: (gt_dir / "scene_spec.json").write_text('{"camera": []}'),
-    _skewed_pose,
-], ids=["no-height", "spec-not-json", "spec-unknown-key", "spec-wrong-type",
-        "pose-not-orthonormal"])
+@pytest.mark.parametrize("corrupt", [_drop_height, _skewed_pose],
+                         ids=["no-height", "pose-not-orthonormal"])
 def test_malformed_ground_truth_exit_3(workspace, tmp_path, capsys, corrupt):
     root, data, out, _ = workspace
     broken = tmp_path / "data"
@@ -631,24 +647,51 @@ def test_malformed_ground_truth_exit_3(workspace, tmp_path, capsys, corrupt):
     assert "malformed container" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, key, value", [
-    ("scene_spec.json", "num_frames", 28.0),
-    ("scene_spec.json", "camera", {"start": [0, 0]}),
-    (cio.MANIFEST_NAME, "chunk_id", 0.7),
-    (cio.MANIFEST_NAME, "height", "12"),
-    (cio.MANIFEST_NAME, "end_frame", 27.9),
-    (cio.MANIFEST_NAME, "scene_scale", math.nan),
-], ids=["spec-float-frames", "spec-short-camera-start", "float-chunk_id", "string-height",
-        "float-end_frame", "nan-scene_scale"])
-def test_ill_typed_ground_truth_exit_3(workspace, tmp_path, capsys, name, key, value):
+@pytest.mark.parametrize("key, value", [
+    ("chunk_id", 0.7),
+    ("height", "12"),
+    ("end_frame", 27.9),
+    ("scene_scale", math.nan),
+], ids=["float-chunk_id", "string-height", "float-end_frame", "nan-scene_scale"])
+def test_ill_typed_ground_truth_exit_3(workspace, tmp_path, capsys, key, value):
     root, data, out, _ = workspace
     broken = tmp_path / "data"
     shutil.copytree(data / "gt", broken / "gt")
-    path = broken / "gt" / name
+    path = broken / "gt" / cio.MANIFEST_NAME
     path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
     assert main(["evaluate", "--pred", str(out), "--gt", str(broken), "--metrics", "ate"]) == 3
     err = capsys.readouterr().err
     assert "malformed container" in err and key in err
+
+
+def _set_spec_field(key, value):
+    def corrupt(gt_dir: Path):
+        path = gt_dir / "scene_spec.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda gt_dir: (gt_dir / "scene_spec.json").write_text("{nope"),
+    _set_spec_field("num_frmaes", 3),
+    lambda gt_dir: (gt_dir / "scene_spec.json").write_text('{"camera": []}'),
+    _set_spec_field("num_frames", 28.0),
+    _set_spec_field("camera", {"start": [0, 0]}),
+    lambda gt_dir: (gt_dir / "scene_spec.json").unlink(),
+], ids=["spec-not-json", "spec-unknown-key", "spec-wrong-type", "spec-float-frames",
+        "spec-short-camera-start", "spec-deleted"])
+def test_evaluate_reads_no_scene_spec(workspace, tmp_path, capsys, corrupt):
+    """Evaluation reads the ground truth's arrays and manifest only: a
+    corrupt or deleted ``scene_spec.json`` beside them changes nothing."""
+    root, data, out, _ = workspace
+    argv = ["evaluate", "--pred", str(out), "--metrics", "epe,ate,rpe,assoc"]
+    assert main([*argv, "--gt", str(data)]) == 0
+    expected = capsys.readouterr().out
+    broken = tmp_path / "data"
+    shutil.copytree(data / "gt", broken / "gt")
+    corrupt(broken / "gt")
+    assert main([*argv, "--gt", str(broken)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.fixture(scope="module")

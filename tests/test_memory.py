@@ -35,7 +35,7 @@ def traced_peak(fn, *args):
 
 
 def truth(rng) -> GroundTruth:
-    return GroundTruth(spec=None, points=rng.normal(size=(T, H, W, 3)), poses=[],
+    return GroundTruth(points=rng.normal(size=(T, H, W, 3)), poses=[],
                        object_ids=np.full((H, W), -1), visible=np.ones((T, H, W), dtype=bool),
                        scene_scale=1.0)
 
@@ -61,8 +61,8 @@ def test_read_chunk_widens_once(rng, tmp_path):
 def test_ground_truth_table_is_a_view(rng):
     gt = truth(rng)
     table = gt.trajectory_table()
-    assert np.shares_memory(table.tracks, gt.points)
-    assert not table.tracks.flags.writeable
+    assert np.shares_memory(table.points, gt.points)
+    assert not table.points.flags.writeable
     expected = ref.trajectory_table(gt.points)
     assert list(table) == list(expected)
     assert all(ref.same_bits(table[k], track) for k, track in expected.items())
@@ -71,21 +71,20 @@ def test_ground_truth_table_is_a_view(rng):
 def test_fused_table_allocated_once(rng):
     fused = fused_scene(rng, truth(rng))
     table, peak = traced_peak(build_fused_table, fused)
-    assert peak <= 1.1 * table.tracks.nbytes
+    assert peak <= 1.1 * table.points.nbytes
 
 
 def test_dense_epe_holds_no_table_sized_array(rng):
     # two frame-major tables of 3.1 MB each are read in place, block by
     # block: measured 0.33 MB, the (4096, 7) block and its (4096, 3)
     # residuals; one (n, 3) operand would be a whole table
-    gt = GroundTruth(spec=None, points=rng.normal(size=(32, H, W, 3)), poses=[],
+    gt = GroundTruth(points=rng.normal(size=(32, H, W, 3)), poses=[],
                      object_ids=np.full((H, W), -1), visible=np.ones((32, H, W), dtype=bool),
                      scene_scale=1.0)
     pred, gt_table = build_fused_table(fused_scene(rng, gt)), gt.trajectory_table()
     assert gt.points.nbytes > 3e6
-    for align in (True, False):
-        _, peak = traced_peak(dense_epe, pred, gt_table, align)
-        assert peak <= 0.15 * gt.points.nbytes
+    _, peak = traced_peak(dense_epe, pred, gt_table)
+    assert peak <= 0.15 * gt.points.nbytes
 
 
 def test_generate_blocks_hold_no_more_than_frame_by_frame():

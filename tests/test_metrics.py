@@ -27,7 +27,7 @@ from chunkfuse.metrics import (
     rpe,
 )
 from chunkfuse.io import POSE_STORAGE_TOL
-from chunkfuse.model import Pose, SimilarityTransform, TrackTable, seed_tracks
+from chunkfuse.model import Pose, SimilarityTransform, TrackTable
 from chunkfuse.registration import solve_weighted_similarity
 from chunkfuse.synthetic import GroundTruth
 from conftest import random_rotation, rot_z
@@ -189,8 +189,7 @@ class TestDenseEpe:
             {(i, 0): sample[None] for i, sample in enumerate(np.stack([t[k] for k in keys], axis=1)[kept])}
             for t in (pred, gt)
         )
-        for align in (True, False):
-            assert dense_epe(holed_pred, holed_gt, align=align) == dense_epe(kept_pred, kept_gt, align=align)
+        assert dense_epe(holed_pred, holed_gt) == dense_epe(kept_pred, kept_gt)
 
     def test_uniform_offset_absorbed(self, rng):
         gt = self._tables(rng)
@@ -212,7 +211,7 @@ class TestDenseEpe:
         assert mc == pytest.approx(expect, rel=0.01)
         gt = self._tables(rng, n_seeds=60, n_frames=40)
         pred = {k: v + rng.normal(scale=sigma, size=v.shape) for k, v in gt.items()}
-        assert dense_epe(pred, gt, align=False) == pytest.approx(expect, rel=0.02)
+        assert dense_epe(pred, gt) == pytest.approx(expect, rel=0.02)
 
     def test_monotone_in_noise(self, rng):
         gt = self._tables(rng, n_seeds=40, n_frames=30)
@@ -253,16 +252,16 @@ def fused_scenes(draw):
     fused = SimpleNamespace(
         frames=[SimpleNamespace(points=pred[t]) for t in range(T)], trajectories=trajectories
     )
-    truth = GroundTruth(spec=None, points=gt, poses=[], object_ids=np.full((H, W), -1),
+    truth = GroundTruth(points=gt, poses=[], object_ids=np.full((H, W), -1),
                         visible=np.ones((T, H, W), dtype=bool), scene_scale=1.0)
     return fused, truth
 
 
-def _epe_outcome(epe, pred, gt, align):
+def _epe_outcome(epe, pred, gt):
     """The EPE, or the type of the error it raised."""
     try:
         with np.errstate(all="ignore"):
-            return epe(pred, gt, align=align)
+            return epe(pred, gt)
     except (NotEnoughPoints, DegenerateConfiguration, np.linalg.LinAlgError, ValueError) as e:
         return type(e)
 
@@ -273,18 +272,18 @@ def _same(a, b) -> bool:
     return ref.same_bits(a, b)
 
 
-def _check_epe(tables, dicts, align):
+def _check_epe(tables, dicts):
     """Each (pred, gt) pair of ``tables`` gives the bits and errors of the
     frozen streaming EPE on the per-pixel ``dicts``, and the whole-array
     solve's EPE on them within its stated tolerance."""
-    expected = _epe_outcome(ref.streamed_dense_epe, *dicts, align)
+    expected = _epe_outcome(ref.streamed_dense_epe, *dicts)
     for pred, gt in tables:
-        assert _same(_epe_outcome(dense_epe, pred, gt, align), expected)
-    old = _epe_outcome(ref.dense_epe, *dicts, align)
+        assert _same(_epe_outcome(dense_epe, pred, gt), expected)
+    old = _epe_outcome(ref.dense_epe, *dicts)
     if isinstance(old, type) or isinstance(expected, type):
         assert expected is old
     else:
-        assert abs(expected - old) <= ref.dense_epe_tolerance(*dicts, align, old)
+        assert abs(expected - old) <= ref.dense_epe_tolerance(*dicts, old)
 
 
 class TestDenseTables:
@@ -302,18 +301,17 @@ class TestDenseTables:
             for k, track in expected.items():
                 assert ref.same_bits(dense[k], track)
 
-    @given(fused_scenes(), st.booleans())
+    @given(fused_scenes())
     @settings(max_examples=200, deadline=None)
-    def test_dense_epe_matches_dicts(self, scene, align):
-        """Tables, dicts, both mixed and pixel-major tables give the bits
-        and errors of the frozen streaming EPE, and the whole-array solve's
-        EPE within its stated tolerance."""
+    def test_dense_epe_matches_dicts(self, scene):
+        """Tables, dicts and both mixed give the bits and errors of the
+        frozen streaming EPE, and the whole-array solve's EPE within its
+        stated tolerance."""
         fused, truth = scene
         pred, gt = build_fused_table(fused), truth.trajectory_table()
         pred_dict, gt_dict = ref.build_fused_table(fused), ref.trajectory_table(truth.points)
-        pixel_major = TrackTable(np.ascontiguousarray(pred.tracks), truth.grid_shape)
-        tables = [(pred, gt), (pred_dict, gt_dict), (pred, gt_dict), (pred_dict, gt), (pixel_major, gt)]
-        _check_epe(tables, (pred_dict, gt_dict), align)
+        tables = [(pred, gt), (pred_dict, gt_dict), (pred, gt_dict), (pred_dict, gt)]
+        _check_epe(tables, (pred_dict, gt_dict))
 
     @pytest.mark.parametrize("seed", [1, 500, 2 << 20])
     def test_fused_table_roots(self, seed):
@@ -342,14 +340,14 @@ class TestDenseTables:
 
     def test_mismatched_dense_tables(self, rng):
         points = rng.normal(size=(4, 6, 6, 3))
-        truth = GroundTruth(spec=None, points=points, poses=[], object_ids=np.full((6, 6), -1),
+        truth = GroundTruth(points=points, poses=[], object_ids=np.full((6, 6), -1),
                             visible=np.ones((4, 6, 6), dtype=bool), scene_scale=1.0)
-        narrower = GroundTruth(spec=None, points=points[:, :, :5], poses=[],
+        narrower = GroundTruth(points=points[:, :, :5], poses=[],
                                object_ids=truth.object_ids[:, :5], visible=truth.visible[:, :, :5],
                                scene_scale=1.0)
         with pytest.raises(KeyMismatch, match="seed pixels"):
             dense_epe(truth.trajectory_table(), narrower.trajectory_table())
-        shorter = GroundTruth(spec=None, points=points[:3], poses=[], object_ids=truth.object_ids,
+        shorter = GroundTruth(points=points[:3], poses=[], object_ids=truth.object_ids,
                               visible=truth.visible[:3], scene_scale=1.0)
         with pytest.raises(KeyMismatch, match="shapes"):
             dense_epe(truth.trajectory_table(), shorter.trajectory_table())
@@ -362,9 +360,8 @@ class TestDenseTables:
         flat = {k: v.ravel() for k, v in gt.items()}
         wide = {k: np.column_stack([v, v[:, :1]]) for k, v in gt.items()}
         for pred, truth in ((ragged, ragged), (ragged, gt), (gt, ragged), (flat, flat), (wide, wide)):
-            for align in (True, False):
-                with pytest.raises(ValueError, match=r"tracks must be \(T, 3\) arrays of one length"):
-                    dense_epe(pred, truth, align)
+            with pytest.raises(ValueError, match=r"tracks must be \(T, 3\) arrays of one length"):
+                dense_epe(pred, truth)
 
 
 @st.composite
@@ -400,24 +397,23 @@ def _solve_outcome(solve, src, dst, weights):
 class TestStridedSolve:
     """The solve reads strided (N, T, 3) views, with broadcast unit
     weights, to the bits it gives on contiguous (n, 3) copies; the EPE
-    reads strided and contiguous tables to the bits of the frozen
-    streaming EPE on dicts."""
+    reads tables over C- and Fortran-ordered stacks to the bits of the
+    frozen streaming EPE on dicts."""
 
     @given(track_stacks())
     @settings(max_examples=200, deadline=None)
     def test_strided_views(self, stacks):
         pred, gt, _ = stacks
-        # the ground truth's table layout: views of the transposed stacks
-        p, g = seed_tracks(pred), seed_tracks(gt)
+        # pixel-major views of the transposed stacks
+        p, g = ref.seed_tracks(pred), ref.seed_tracks(gt)
         assert np.shares_memory(p, pred) and np.shares_memory(g, gt)
         flat_p, flat_g = (np.ascontiguousarray(a).reshape(-1, 3) for a in (p, g))
         assert _same(
             _solve_outcome(solve_weighted_similarity, p, g, np.broadcast_to(1.0, p.shape[:-1])),
             _solve_outcome(ref.solve_weighted_similarity, flat_p, flat_g, np.ones(len(flat_p))),
         )
-        grid, dicts = pred.shape[1:3], (ref.trajectory_table(pred), ref.trajectory_table(gt))
-        for align in (True, False):
-            _check_epe([(TrackTable(p, grid), TrackTable(g, grid))], dicts, align)
+        dicts = (ref.trajectory_table(pred), ref.trajectory_table(gt))
+        _check_epe([(TrackTable(pred), TrackTable(gt))], dicts)
 
     @given(track_stacks())
     @settings(max_examples=200, deadline=None)
@@ -426,11 +422,10 @@ class TestStridedSolve:
         src, dst = pred.reshape(-1, 3), gt.reshape(-1, 3)
         assert _same(_solve_outcome(solve_weighted_similarity, src, dst, weights),
                      _solve_outcome(ref.solve_weighted_similarity, src, dst, weights))
-        # contiguous (N, T, 3) tables, which the EPE copies into frame-major order
-        grid, dicts = pred.shape[1:3], (ref.trajectory_table(pred), ref.trajectory_table(gt))
-        p, g = (np.ascontiguousarray(seed_tracks(a)) for a in (pred, gt))
-        for align in (True, False):
-            _check_epe([(TrackTable(p, grid), TrackTable(g, grid))], dicts, align)
+        # tables over Fortran-ordered stacks, which the EPE copies into frame-major order
+        dicts = (ref.trajectory_table(pred), ref.trajectory_table(gt))
+        p, g = (np.asfortranarray(a) for a in (pred, gt))
+        _check_epe([(TrackTable(p), TrackTable(g))], dicts)
 
 
 @st.composite
@@ -462,9 +457,8 @@ class TestStreamedSolve:
     @settings(max_examples=300, deadline=None)
     def test_within_tolerance_of_whole_array_solve(self, stacks):
         pred, gt = stacks
-        tables = [tuple(TrackTable(seed_tracks(a), gt.shape[1:3]) for a in (pred, gt))]
-        for align in (True, False):
-            _check_epe(tables, (ref.trajectory_table(pred), ref.trajectory_table(gt)), align)
+        tables = [(TrackTable(pred), TrackTable(gt))]
+        _check_epe(tables, (ref.trajectory_table(pred), ref.trajectory_table(gt)))
 
     def test_bits_do_not_depend_on_blas_threads(self):
         """The EPE of tables of nine blocks, one of them with a hole, under
@@ -472,14 +466,14 @@ class TestStreamedSolve:
         script = (
             "import numpy as np\n"
             "from chunkfuse.metrics import dense_epe\n"
-            "from chunkfuse.model import TrackTable, seed_tracks\n"
+            "from chunkfuse.model import TrackTable\n"
             "rng = np.random.default_rng(0)\n"
             "gt = rng.normal(size=(16, 48, 48, 3)) + 100.0\n"
             "pred = 1.5 * gt[..., ::-1] + rng.normal(scale=0.01, size=gt.shape) - 7.0\n"
-            "tables = [TrackTable(seed_tracks(a), (48, 48)) for a in (pred, gt)]\n"
-            "print([dense_epe(*tables, align).hex() for align in (True, False)])\n"
+            "tables = [TrackTable(a) for a in (pred, gt)]\n"
+            "print(dense_epe(*tables).hex())\n"
             "pred[3, 5, 7, 1] = np.nan\n"
-            "print([dense_epe(*tables, align).hex() for align in (True, False)])\n"
+            "print(dense_epe(*tables).hex())\n"
         )
         src = str(Path(metrics.__file__).resolve().parents[1])
         printed = set()

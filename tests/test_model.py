@@ -22,7 +22,6 @@ from chunkfuse.model import (
     finite3,
     from_json,
     norm3,
-    seed_tracks,
 )
 from conftest import POSE_FAULTS, corrupt_pose, make_chunk, random_rotation, rot_z
 
@@ -454,7 +453,7 @@ class TestApplyPoses:
 class TestTrackTable:
     def _table(self, rng, T=3, H=5, W=4):
         points = rng.normal(size=(T, H, W, 3))
-        return points, TrackTable(seed_tracks(points), (H, W))
+        return points, TrackTable(points)
 
     def test_matches_per_pixel_dict(self, rng):
         for H, W in [(5, 4), (3, 2), (2, 2), (1, 1)]:
@@ -464,9 +463,10 @@ class TestTrackTable:
             assert len(table) == len(expected) == H * W
             for k, track in expected.items():
                 assert k in table and table[k].tobytes() == track.tobytes()
-            # the samples of all keys, in key order, are the array's rows
-            assert table.tracks.reshape(-1, 3).tobytes() == np.concatenate(list(expected.values())).tobytes()
-            assert np.shares_memory(table.tracks, points)
+            # frame by frame, the samples of all keys, in key order, are the stack's rows
+            frame_major = np.stack(list(expected.values()), axis=1)
+            assert table.points.reshape(len(points), -1, 3).tobytes() == frame_major.tobytes()
+            assert np.shares_memory(table.points, points)
 
     def test_non_seed_keys_missing(self, rng):
         _, table = self._table(rng)
@@ -482,7 +482,7 @@ class TestTrackTable:
         with pytest.raises(ValueError):
             table[(0, 0)][0, 0] = 1.0
         with pytest.raises(ValueError):
-            table.tracks[0, 0, 0] = 1.0
+            table.points[0, 0, 0, 0] = 1.0
 
     def test_numpy_index_keys_match_python_ints(self, rng):
         _, table = self._table(rng)
@@ -501,9 +501,9 @@ class TestTrackTable:
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            TrackTable(np.zeros((5, 2, 3)), (3, 3))
+            TrackTable(np.zeros((5, 2, 3)))
         with pytest.raises(ValueError):
-            TrackTable(np.zeros((9, 2, 2)), (3, 3))
+            TrackTable(np.zeros((2, 3, 3, 2)))
 
 
 class TestPipelineConfig:

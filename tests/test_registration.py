@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import references as ref
 from chunkfuse.errors import DegenerateConfiguration, NotEnoughPoints
 from chunkfuse.metrics import _streamed_similarity
-from chunkfuse.model import PipelineConfig, SimilarityTransform, seed_tracks
+from chunkfuse.model import PipelineConfig, SimilarityTransform
 from chunkfuse.registration import (
     _weighted_moments,
     register_pair,
@@ -170,7 +170,8 @@ def correspondences(draw):
 
 
 class TestMomentsMatchReference:
-    """The column-wise moments give the bits of the array expressions."""
+    """``_weighted_moments`` gives the bits of the whole-array expressions
+    its docstring states, which ``references.weighted_moments`` keeps."""
 
     @given(correspondences())
     @settings(max_examples=200, deadline=None)
@@ -203,8 +204,11 @@ class TestMomentsMatchReference:
         )
 
     def test_column_sums_are_sequential(self):
-        # a pairwise sum of this column rounds differently from numpy's
-        # axis-0 reduction, which adds the rows in order
+        """The centroid is ``(w[:, None] * x).sum(axis=0) / wsum``, an
+        axis-0 reduction over the (n, 3) rows, which adds the rows in
+        order; a pairwise sum of this column rounds differently. Unit and
+        ``None`` weights, (n, 3) rows, a C-contiguous (T, N, 3) table and
+        a view that is not contiguous all read as the same rows."""
         src = np.zeros((20, 3))
         src[:, 0] = [1e16] + [1.0] * 18 + [-1e16]
         dst = np.random.default_rng(0).normal(size=(20, 3))
@@ -212,7 +216,6 @@ class TestMomentsMatchReference:
         assert src[:, 0].sum() / 20 != expected[0]
         for weights in (np.ones(20), None):
             assert ref.same_bits(_weighted_moments(src, dst, weights)[0], expected)
-            # a contiguous table is summed from its flat column, a view by copy
             table = np.ascontiguousarray(src.reshape(4, 5, 3))
             assert ref.same_bits(_weighted_moments(table, dst.reshape(4, 5, 3), weights)[0], expected)
             view = table.transpose(1, 0, 2).copy().transpose(1, 0, 2)
@@ -228,12 +231,12 @@ def _correspondence(rng, shape, mag=1.0):
 
 def _in_layout(src, dst, layout):
     """``(T, H, W, 3)`` stacks as the solve reads them: ``rows`` (n, 3),
-    a contiguous (N, T, 3) ``table`` or a ``strided`` seed_tracks view."""
+    a contiguous (N, T, 3) ``table`` or a ``strided`` pixel-major view."""
     if layout == "rows":
         return src.reshape(-1, 3), dst.reshape(-1, 3)
     if layout == "table":
-        return np.ascontiguousarray(seed_tracks(src)), np.ascontiguousarray(seed_tracks(dst))
-    return seed_tracks(src), seed_tracks(dst)
+        return np.ascontiguousarray(ref.seed_tracks(src)), np.ascontiguousarray(ref.seed_tracks(dst))
+    return ref.seed_tracks(src), ref.seed_tracks(dst)
 
 
 @st.composite

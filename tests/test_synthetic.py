@@ -378,13 +378,13 @@ def grazing_wall_spec():
 
 
 def in_frame(gt, t):
-    spec = gt.spec
-    focal = 0.5 * (spec.width - 1) / math.tan(math.radians(synthetic.FOV_DEG) / 2.0)
+    height, width = gt.grid_shape
+    focal = 0.5 * (width - 1) / math.tan(math.radians(synthetic.FOV_DEG) / 2.0)
     rel = (gt.points[t] - gt.poses[t].center) @ gt.poses[t].rotation
-    u = (spec.width - 1) / 2.0 + focal * rel[..., 0] / rel[..., 2]
-    v = (spec.height - 1) / 2.0 + focal * rel[..., 1] / rel[..., 2]
-    return (rel[..., 2] > 1e-6) & (np.abs(u - (spec.width - 1) / 2.0) <= spec.width / 2.0) \
-        & (np.abs(v - (spec.height - 1) / 2.0) <= spec.height / 2.0)
+    u = (width - 1) / 2.0 + focal * rel[..., 0] / rel[..., 2]
+    v = (height - 1) / 2.0 + focal * rel[..., 1] / rel[..., 2]
+    return (rel[..., 2] > 1e-6) & (np.abs(u - (width - 1) / 2.0) <= width / 2.0) \
+        & (np.abs(v - (height - 1) / 2.0) <= height / 2.0)
 
 
 PARITY_SCENES = {
@@ -423,8 +423,7 @@ def visibility_certificates(spec, monkeypatch):
             flat = dirs.reshape(-1, 3)
             towards = flat[:, 2] > 1e-12
             lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[towards]
-            o = origin if origin.ndim == 1 else origin.reshape(-1, 3)[towards]
-            masks.append(_wall_free(o, flat[towards], bg, lim))
+            masks.append(_wall_free(origin.reshape(-1, 3)[towards], flat[towards], bg, lim))
         return cast(origin, dirs, bg, s_cap, limit)
 
     with monkeypatch.context() as mp:
@@ -479,6 +478,7 @@ class TestReferenceParity:
         hit = np.isfinite(root)
         assert hit.mean() > 0.9
         rays, root = rays[hit], root[hit]
+        o = np.broadcast_to(o, rays.shape)  # one origin per ray
         for limit in (root, np.nextafter(root, 0.0), np.nextafter(root, np.inf),
                       0.5 * root, 2.0 * root, root * (1 + 1e-7)):
             got = _ray_background(o, rays, spec.background, cap, limit)
@@ -598,9 +598,10 @@ def test_certified_rays_meet_no_wall_before_limit(seed, amplitude, frequency, di
     root = reference_ray_background(origin, dirs, bg, s_cap)
 
     towards = dirs[:, 2] > 1e-12
-    _, clear = _wall_free(origin, dirs[towards], bg, limit[towards])
+    origins = np.broadcast_to(origin, dirs.shape)  # one origin per ray
+    _, clear = _wall_free(origins[towards], dirs[towards], bg, limit[towards])
     assert (root[towards][clear] >= limit[towards][clear]).all()
-    got = _ray_background(origin, dirs, bg, s_cap, limit)
+    got = _ray_background(origins, dirs, bg, s_cap, limit)
     assert np.array_equal(got >= limit, root >= limit)
 
 
