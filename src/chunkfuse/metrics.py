@@ -50,11 +50,10 @@ third of them not at all.
 
 The pose metrics read a pose sequence as one (n, 3, 3) rotation stack and
 one (n, 3) translation stack. ``rpe`` forms every inverse, relative motion
-and error motion as a whole-stack product and checks each derived
-rotation stack once, at the tolerance a per-pose ``Pose`` would have had.
-A stacked ``matmul`` rounds as the per-pose product does only when each
-operand keeps its per-pose layout, so an inverse's translation multiplies
-by the transposed view and a composition by the contiguous copy.
+and error motion as a whole-stack product. A stacked ``matmul`` rounds as
+the per-pose product does only when each operand keeps its per-pose
+layout, so an inverse's translation multiplies by the transposed view and
+a composition by the contiguous copy.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from .model import (
     Pose,
     SimilarityTransform,
     TrackTable,
-    check_poses,
     finite3,
     norm3,
     stack_poses,
@@ -122,27 +120,19 @@ def ate(pred: Sequence[Pose], gt: Sequence[Pose]) -> float:
     return float(np.sqrt((err**2).mean()))
 
 
-def _checked(R: np.ndarray, t: np.ndarray, tol: np.ndarray):
-    """A derived pose stack, checked as :class:`Pose` checks each pose."""
-    check_poses(R, t, tol)
-    return R, t, tol
-
-
-def _inverse(R: np.ndarray, t: np.ndarray, tol: np.ndarray):
+def _inverse(R: np.ndarray, t: np.ndarray):
     """Each pose's inverse, stacked. The rotation is the contiguous copy of
     the transpose that a ``Pose`` stores; the translation ``-Rt @ t``
     multiplies the transposed views, as one pose's product does."""
     Rt = R.transpose(0, 2, 1)
-    t_inv = (-Rt @ t[..., None])[..., 0]
-    return _checked(np.ascontiguousarray(Rt), t_inv, np.maximum(tol, 1e-8))
+    return np.ascontiguousarray(Rt), (-Rt @ t[..., None])[..., 0]
 
 
 def _compose(a, b):
     """Each pose of ``a`` composed with the one of ``b`` at the same index,
     stacked: ``b`` applied first, then ``a``."""
-    (Ra, ta, tol_a), (Rb, tb, tol_b) = a, b
-    tol = np.maximum(np.maximum(tol_a, tol_b), 1e-8)
-    return _checked(Ra @ Rb, (Ra @ tb[..., None])[..., 0] + ta, tol)
+    (Ra, ta), (Rb, tb) = a, b
+    return Ra @ Rb, (Ra @ tb[..., None])[..., 0] + ta
 
 
 def rpe(pred: Sequence[Pose], gt: Sequence[Pose], delta: int = 1) -> tuple[float, float]:
@@ -151,13 +141,10 @@ def rpe(pred: Sequence[Pose], gt: Sequence[Pose], delta: int = 1) -> tuple[float
     Returns (translation RMS, rotation RMS in degrees) of the error motion
     inv(rel_gt) @ rel_pred, where rel = inv(pose[t]) @ pose[t + delta].
 
-    The inverses and products are formed over whole stacks, and each
-    derived rotation stack is checked once at the tolerance its per-pose
-    :class:`Pose` would have, ``max(tol_a, tol_b, 1e-8)``; a derived
-    rotation that fails raises ValueError. Every stacked product has the
-    operand layouts the per-pose product had, so the figures keep its bits:
-    an inverse's translation multiplies by the transposed view, a
-    composition by the contiguous copy of the transpose.
+    The inverses and products are formed over whole stacks. Every stacked
+    product has the operand layouts the per-pose product had, so the
+    figures keep its bits: an inverse's translation multiplies by the
+    transposed view, a composition by the contiguous copy of the transpose.
     """
     if len(pred) != len(gt):
         raise ValueError(f"pose lists differ in length: {len(pred)} vs {len(gt)}")
@@ -167,12 +154,10 @@ def rpe(pred: Sequence[Pose], gt: Sequence[Pose], delta: int = 1) -> tuple[float
         raise NotEnoughPoints(f"need more than delta={delta} poses, got {len(pred)}")
 
     def relative(poses):
-        R, t, tol = stack_poses(poses)
-        return _compose(_inverse(R[:-delta], t[:-delta], tol[:-delta]),
-                        (R[delta:], t[delta:], tol[delta:]))
+        R, t = stack_poses(poses)
+        return _compose(_inverse(R[:-delta], t[:-delta]), (R[delta:], t[delta:]))
 
-    rel_gt = relative(gt)
-    R, t, _ = _compose(_inverse(*rel_gt), relative(pred))
+    R, t = _compose(_inverse(*relative(gt)), relative(pred))
     trans_sq = t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1] + t[:, 2] * t[:, 2]
     # squared as Python floats: x ** 2 there is libm's pow, which rounds
     # unlike x * x in about one case in a thousand

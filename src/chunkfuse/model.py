@@ -4,11 +4,15 @@ configuration.
 
 A chunk is one checked (T, H, W, 3) pointmap stack with its (T, H, W)
 confidences and T poses; its frames are read-only views of the stacks.
-Poses read or mapped as a sequence are checked the same way:
-``Pose.from_matrices``, ``SimilarityTransform.apply_poses`` and
-:func:`check_poses` check an (n, 3, 3) rotation stack in one pass,
-with the verdict and the first failing index that checking one matrix at
-a time would give, and the poses are read-only views of the stacks.
+A pose is checked once, where it enters the program: ``Pose(R, t)`` at
+``ROTATION_TOL``, and ``Pose.from_matrices`` over a whole stack at the
+tolerance its caller gives (a container's), with the verdict and the
+first failing index that checking one matrix at a time would give. A pose
+derived from checked ones, such as those ``SimilarityTransform.apply_poses``
+maps and the motions ``metrics.rpe`` forms, is not checked again: a
+product of two rotations, each within ``tol`` of orthonormal, may deviate
+by about ``2 tol``, so a second check would reject legal input and catch
+no fault. Poses from a stack are read-only views of it.
 
 All types but :class:`FramePrediction`, a plain record, are immutable
 after construction (arrays are made read-only), so they can be shared
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, cached_property
 from itertools import product
 from types import UnionType
@@ -84,24 +88,23 @@ def _raise_first(checks, start: int) -> None:
         raise ValueError(f"frame {start + k}: {message(k)}")
 
 
-def _rotation_checks(R: np.ndarray, tol) -> list:
+def _rotation_checks(R: np.ndarray, tol: float) -> list:
     """The two checks of :func:`check_rotation` over an (n, 3, 3) stack,
     for :func:`_raise_first`. Each product ``R[k].T @ R[k]`` and each
     determinant is the one numpy forms for that matrix alone."""
     with np.errstate(invalid="ignore"):  # a non-finite matrix fails, without a warning
         err = np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)).max(axis=(1, 2))
         det = np.linalg.det(R)
-    tol = np.broadcast_to(tol, err.shape)
     return [
-        (err <= tol, lambda k: _not_orthonormal(err[k], tol[k])),
-        (np.abs(det - 1.0) <= np.maximum(tol, 1e-8), lambda k: _not_unit_det(det[k])),
+        (err <= tol, lambda k: _not_orthonormal(err[k], tol)),
+        (np.abs(det - 1.0) <= max(tol, 1e-8), lambda k: _not_unit_det(det[k])),
     ]
 
 
 def check_rotation(R: np.ndarray, tol=ROTATION_TOL) -> None:
     """Raise ValueError unless the (3, 3) matrix R is orthonormal with det
     +1 within tol (a NaN entry fails both tests); the determinant's bound
-    is at least 1e-8. :func:`check_poses` checks a stack."""
+    is at least 1e-8. :meth:`Pose.from_matrices` checks a stack."""
     err = np.abs(R.T @ R - np.eye(3)).max()
     if not err <= tol:
         raise ValueError(_not_orthonormal(err, tol))
@@ -126,19 +129,21 @@ class Pose:
     World-to-camera inputs must be inverted before construction.
 
     ``rotation`` and ``translation`` are read-only, C-contiguous float64
-    arrays: copies checked on construction, or, from :meth:`from_matrices`
-    and :meth:`SimilarityTransform.apply_poses`, views of one rotation
-    stack and one translation stack checked once.
+    arrays. ``Pose(R, t)`` copies and checks them at ``ROTATION_TOL``;
+    :meth:`from_matrices` checks a stack of poses once, at its caller's
+    tolerance. The poses :meth:`SimilarityTransform.apply_poses` derives
+    from checked ones are not checked again (see the module docstring).
+    Poses from a stack are views of one rotation stack and one
+    translation stack.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
-    _tol: float = field(default=ROTATION_TOL, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
-        check_rotation(self.rotation, self._tol)
+        check_rotation(self.rotation)
         if not _finite(self.translation):
             raise ValueError(_not_finite(self.translation))
 
@@ -154,25 +159,16 @@ class Pose:
         return m
 
     @classmethod
-    def from_matrix(cls, m, tol: float = ROTATION_TOL) -> "Pose":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"pose matrix must be 4x4, got {m.shape}")
-        if not (m[3] == _LAST_ROW).all():
-            raise ValueError(_BAD_LAST_ROW)
-        return cls(m[:3, :3], m[:3, 3], _tol=tol)
-
-    @classmethod
     def from_matrices(cls, m, tol: float = ROTATION_TOL, start: int = 0) -> tuple["Pose", ...]:
         """The poses of an (n, 4, 4) stack of homogeneous matrices, checked once.
 
-        Every matrix passes what :meth:`from_matrix` checks: a last row of
-        exactly (0, 0, 0, 1), the rotation check at ``tol`` and a finite
+        Every matrix must have a last row of exactly (0, 0, 0, 1), a
+        rotation that passes :func:`check_rotation` at ``tol`` and a finite
         translation. The error names the first failing matrix as ``frame
         {start + k}``, with the first check it fails. The poses are
         read-only views of one (n, 3, 3) rotation stack and one (n, 3)
         translation stack, each a C-contiguous float64 copy, so every pose
-        holds the values and layout its own :meth:`from_matrix` would.
+        holds the values of its own matrix's float64 slices.
         """
         m = np.asarray(m, dtype=np.float64)
         if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -181,45 +177,30 @@ class Pose:
         translations = np.ascontiguousarray(m[:, :3, 3])
         last_row_ok = (m[:, 3] == _LAST_ROW).all(axis=1)
         _raise_first([(last_row_ok, lambda k: _BAD_LAST_ROW),
-                      *_pose_checks(rotations, translations, tol)], start)
-        return _checked_poses(rotations, translations, [tol] * len(m))
+                      *_rotation_checks(rotations, tol),
+                      (finite3(translations), lambda k: _not_finite(translations[k]))], start)
+        return _pose_views(rotations, translations)
 
 
-def _checked_poses(rotations, translations, tols) -> tuple[Pose, ...]:
+def _pose_views(rotations, translations) -> tuple[Pose, ...]:
     """Poses that are read-only views of the C-contiguous (n, 3, 3)
-    rotation and (n, 3) translation stacks, which already passed the
-    checks of :class:`Pose` at ``tols``, one per pose."""
+    rotation and (n, 3) translation stacks, with no copy and no check."""
     rotations.setflags(write=False)
     translations.setflags(write=False)
     poses = []
-    for R, t, tol in zip(rotations, translations, tols):
+    for R, t in zip(rotations, translations):
         pose = object.__new__(Pose)
-        vars(pose).update(rotation=R, translation=t, _tol=tol)
+        vars(pose).update(rotation=R, translation=t)
         poses.append(pose)
     return tuple(poses)
 
 
-def _pose_checks(R: np.ndarray, t: np.ndarray, tol) -> list:
-    """The checks :class:`Pose` runs, over (n, 3, 3) rotation and (n, 3)
-    translation stacks, for :func:`_raise_first`."""
-    return [*_rotation_checks(R, tol), (finite3(t), lambda k: _not_finite(t[k]))]
-
-
-def check_poses(R: np.ndarray, t: np.ndarray, tol=ROTATION_TOL, start: int = 0) -> None:
-    """Raise ValueError unless each pose of the (n, 3, 3) rotation and
-    (n, 3) translation stacks passes the checks of :class:`Pose`, at
-    ``tol``, a scalar or one tolerance per pose; the error names the first
-    failing pose as ``frame {start + k}``."""
-    _raise_first(_pose_checks(R, t, tol), start)
-
-
-def stack_poses(poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, 3, 3) rotations, (n, 3) translations and (n,) check
-    tolerances of ``poses``, the arrays as C-contiguous copies."""
+def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3, 3) rotations and (n, 3) translations of ``poses``, as
+    C-contiguous copies."""
     # one concatenate, reshaped, is a few times faster than np.stack
     return (np.concatenate([p.rotation for p in poses]).reshape(-1, 3, 3),
-            np.concatenate([p.translation for p in poses]).reshape(-1, 3),
-            np.array([p._tol for p in poses]))
+            np.concatenate([p.translation for p in poses]).reshape(-1, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,29 +252,26 @@ class SimilarityTransform:
         return out
 
     def apply_pose(self, pose: Pose) -> Pose:
-        """Map a camera pose expressed in this transform's source frame."""
-        return Pose(
-            self.rotation @ pose.rotation,
-            self.apply(pose.translation),
-            _tol=max(1e-8, pose._tol),
-        )
+        """Map a camera pose expressed in this transform's source frame:
+        :meth:`apply_poses` of the one pose."""
+        return self.apply_poses((pose,))[0]
 
     def apply_poses(self, poses) -> tuple[Pose, ...]:
-        """:meth:`apply_pose` of each of ``poses``, with the same bits, as
-        stacked products checked once; the error names the first failing
-        pose as ``frame {k}``. The poses are read-only views of one
-        rotation and one translation stack. Each translation is mapped as
-        a (1, 3) row, by the product :meth:`apply` forms for one pose.
+        """Map each of ``poses`` as stacked products: the rotation
+        ``rotation @ R`` and the translation :meth:`apply` of ``t``, each
+        translation as a (1, 3) row. The poses are read-only views of one
+        rotation and one translation stack. They are not checked again,
+        except that each translation must be finite, since scaling one may
+        overflow; the error names the first that is not as ``frame {k}``.
         """
         poses = tuple(poses)
         if not poses:
             return ()
-        R, t, tols = stack_poses(poses)
+        R, t = stack_poses(poses)
         R = self.rotation @ R
         t = self.apply(t[:, None]).reshape(-1, 3)
-        tols = np.maximum(tols, 1e-8)
-        check_poses(R, t, tols)
-        return _checked_poses(R, t, tols.tolist())
+        _raise_first([(finite3(t), lambda k: _not_finite(t[k]))], 0)
+        return _pose_views(R, t)
 
     def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
         """Transform equivalent to applying ``other`` first, then ``self``."""

@@ -237,8 +237,12 @@ def register_pair(
     Maps chunk j's gauge into chunk i's. Dynamic supports are excluded
     entirely, so corrupt them as you like: the result cannot change.
     Raises NotEnoughPoints / DegenerateConfiguration for the caller's
-    fallback logic rather than aborting.
+    fallback logic rather than aborting; NotEnoughPoints also for fewer
+    than 3 static anchors, since the samples of one or two pixels over
+    time carry no rotation.
     """
+    if abstraction.num_static < 3:
+        raise NotEnoughPoints(f"need >= 3 static anchors, got {abstraction.num_static}")
     src, dst, w = static_correspondences(overlap, abstraction)
     T = solve_weighted_similarity(src, dst, w)
     return T, registration_residual_rms(T, src, dst, w)

@@ -9,10 +9,12 @@ score that ``chunkfuse evaluate`` built inline.
 ``association.build_tracklets`` takes the rigidity threshold
 ``select_anchors`` resolved, where it re-derived it from the chunk's own
 scene scale. ``metrics.rpe`` replaced a loop of per-pose
-inverses and compositions, each a checked ``Pose``, by stacked products,
-and ``metrics.rotation_angle_deg`` takes a stack. ``fusion._Stitcher``
-replaced per-trajectory builders keyed by pixel tuples by lists indexed
-by trajectory id and a grid of the open ids. ``synthetic.generate`` casts
+inverses and compositions by stacked products, and
+``metrics.rotation_angle_deg`` takes a stack. The loop here keeps the
+per-pose arithmetic, not the checks: each derived pose was once a checked
+``Pose``, and neither the loop nor ``metrics.rpe`` checks one now.
+``fusion._Stitcher`` replaced per-trajectory builders keyed by pixel
+tuples by lists indexed by trajectory id and a grid of the open ids. ``synthetic.generate`` casts
 visibility for blocks of frames, where it cast one frame at a time.
 ``association.pair_cost`` gathers each set's velocities and speeds, where
 it formed them per candidate pair, and ``fusion.fuse_sequence`` maps each
@@ -40,6 +42,7 @@ stack, where it now holds the stack.
 import math
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -92,15 +95,22 @@ def apply(T: SimilarityTransform, x) -> np.ndarray:
     return T.scale * (x @ T.rotation.T) + T.translation
 
 
-def inverse(p: Pose) -> Pose:
+class Motion(NamedTuple):
+    """A pose the per-pose RPE derived, with the arrays a ``Pose`` would
+    store (the rotation a C-contiguous copy) but none of its checks."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+
+
+def inverse(p) -> Motion:
     Rt = p.rotation.T
-    return Pose(Rt, -Rt @ p.translation, _tol=max(p._tol, 1e-8))
+    return Motion(np.ascontiguousarray(Rt), -Rt @ p.translation)
 
 
-def compose(a: Pose, b: Pose) -> Pose:
+def compose(a, b) -> Motion:
     """Pose equivalent to applying ``b`` first, then ``a``."""
-    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation,
-                _tol=max(a._tol, b._tol, 1e-8))
+    return Motion(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 def rotation_angle_deg(R) -> float:

@@ -83,6 +83,24 @@ def test_evaluate_all_metrics(workspace, capsys):
     assert (out / "metrics.json").is_file()
 
 
+def test_evaluate_poses_sheared_within_storage_tolerance(workspace, tmp_path, capsys):
+    """Fused poses the container accepts score, though the relative
+    motions RPE derives from them deviate about twice as far."""
+    root, data, out, _ = workspace
+    sheared = tmp_path / "out"
+    shutil.copytree(out, sheared)
+    path = sheared / "fused" / "poses.bin"
+    poses = np.fromfile(path, dtype="<f4").reshape(-1, 4, 4)
+    poses[:, :3, 1] += np.float32(9e-5) * poses[:, :3, 0]
+    poses.tofile(path)
+    R = np.stack([fp.pose.rotation for fp in cio.read_chunk(sheared / "fused").frames])
+    deviation = np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)).max()
+    assert 8e-5 < deviation <= cio.POSE_STORAGE_TOL
+    assert main(["evaluate", "--pred", str(sheared), "--gt", str(data)]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert math.isfinite(report["rpe_trans"]) and math.isfinite(report["rpe_rot"])
+
+
 def reference_pred_table(out, fused, trajectories: bool = True):
     """The EPE table the CLI built before it used ``build_fused_table``."""
     points = np.stack([fp.points for fp in fused.frames])
@@ -152,16 +170,10 @@ def exit_code(argv) -> int:
 
 
 @pytest.mark.parametrize("flags", [
-    ["--epe-stride", "0"],
-    ["--epe-stride", "-1"],
     ["--epe-stride", "1"],
-    ["--rpe-delta", "0"],
-    ["--rpe-delta", "28"],
-    ["--rpe-delta", "50"],
     ["--rpe-delta", "2"],
     ["--no-align"],
-], ids=["stride-0", "stride-negative", "stride-gone", "delta-0", "delta-frames", "delta-past-frames",
-        "delta-gone", "no-align-gone"])
+], ids=["stride-gone", "delta-gone", "no-align-gone"])
 def test_evaluate_bad_flag_exit_2(workspace, capsys, flags):
     """Every pixel is a seed of the EPE table, the EPE is always aligned
     and RPE pairs consecutive frames, so ``--epe-stride``, ``--rpe-delta``

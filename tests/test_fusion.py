@@ -473,49 +473,53 @@ def test_recipe_junction_tiers(recipe):
             assert all(_is_identity(r.pair_transform) for r in reports)
 
 
-def _one_static_pixel_junction(rng):
+def _few_static_pixels_junction(rng, pixels):
     """Two 8-frame chunks, four frames shared, the second in a random
-    gauge. Their overlap holds one confident static pixel, its samples
-    noisy in each chunk alone, and four confident rows moving too fast to
-    be rigid; every other pixel has zero confidence."""
+    gauge. Their overlap holds the confident static ``pixels``, their
+    samples noisy in each chunk alone, and four confident rows moving too
+    fast to be rigid; every other pixel has zero confidence."""
     T, grid, L = 12, 8, 8
+    rows, cols = np.array(pixels).T
     base = rng.normal(size=(grid, grid, 3)) + [0.0, 0.0, 5.0]
     world = np.broadcast_to(base, (T, grid, grid, 3)).copy()
     world[:, :4] += np.arange(T)[:, None, None, None] * np.array([0.3, 0.05, 0.0])
     conf = np.zeros((T, grid, grid))
     conf[:, :4] = 1.0
-    conf[:, 6, 6] = 1.0
+    conf[:, rows, cols] = 1.0
     centers = np.stack([[0.02 * t, 0.01 * np.sin(t), -1.0 + 0.015 * t] for t in range(T)])
     gauge = SimilarityTransform(1.4, random_rotation(rng), rng.normal(size=3))
     chunks = []
     for k, (start, g) in enumerate(((0, SimilarityTransform.identity()), (4, gauge))):
         points = world[start:start + L].copy()
-        points[:, 6, 6] += rng.normal(scale=1e-3, size=(L, 3))
+        points[:, rows, cols] += rng.normal(scale=1e-3, size=(L, len(pixels), 3))
         poses = tuple(g.apply_pose(Pose(np.eye(3), c)) for c in centers[start:start + L])
         chunks.append(Chunk(k, start, g.apply(points), conf[start:start + L].copy(), poses))
     return chunks
 
 
 def test_untrusted_static_does_not_seed_association(rng, monkeypatch):
-    """A static transform solved on one pixel's samples is fitted to their
-    noise: association starts from the cameras instead."""
-    prev, cur = _one_static_pixel_junction(rng)
-    cfg = PipelineConfig(chunk_length=8, overlap=4,
-                         gamma_stat_frac=frac_for(0.1, prev, range(4, 8)))
-    seeds = []
+    """A static transform solved on the samples of a few pixels is fitted
+    to their noise, and on one pixel none is solved: either way
+    association starts from the cameras."""
     gate = fusion.gate_candidates
+    for pixels in ([(6, 6)], [(6, 6), (6, 7), (7, 6)]):
+        prev, cur = _few_static_pixels_junction(rng, pixels)
+        cfg = PipelineConfig(chunk_length=8, overlap=4,
+                             gamma_stat_frac=frac_for(0.1, prev, range(4, 8)))
+        seeds = []
 
-    def recording_gate(raw_i, aligned_j, gamma_p):
-        seeds.append(aligned_j)
-        return gate(raw_i, aligned_j, gamma_p)
+        def recording_gate(raw_i, aligned_j, gamma_p):
+            seeds.append(aligned_j)
+            return gate(raw_i, aligned_j, gamma_p)
 
-    monkeypatch.setattr(fusion, "gate_candidates", recording_gate)
-    report, _, _, raw_j = fusion._align_pair(prev, cur, cfg, "full")
-    # the static solve ran, on one pixel, and is not trusted
-    assert report.num_static == 1 and report.static_rms is not None
-    poses_i, poses_j = prev.poses[4:], cur.poses[:4]
-    cameras = pose_only_transform(poses_i, poses_j)
-    assert ref.same_bits(seeds[0].positions, raw_j.transformed(cameras).positions)
+        monkeypatch.setattr(fusion, "gate_candidates", recording_gate)
+        report, _, _, raw_j = fusion._align_pair(prev, cur, cfg, "full")
+        # fewer than 3 pixels are refused; three are solved, and not trusted
+        assert report.num_static == len(pixels)
+        assert (report.static_rms is not None) == (len(pixels) >= 3)
+        poses_i, poses_j = prev.poses[4:], cur.poses[:4]
+        cameras = pose_only_transform(poses_i, poses_j)
+        assert ref.same_bits(seeds[0].positions, raw_j.transformed(cameras).positions)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -714,4 +718,3 @@ def test_fused_frames_match_per_frame_mapping(recipe):
             assert g.confidence.tobytes() == w.confidence.tobytes()
             assert g.pose.rotation.tobytes() == w.pose.rotation.tobytes()
             assert g.pose.translation.tobytes() == w.pose.translation.tobytes()
-            assert g.pose._tol == w.pose._tol

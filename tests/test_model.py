@@ -17,7 +17,6 @@ from chunkfuse.model import (
     SimilarityTransform,
     TrackletSet,
     TrackTable,
-    check_poses,
     check_rotation,
     finite3,
     from_json,
@@ -116,40 +115,31 @@ class TestTransformValidation:
 
 
 class TestCheckRotation:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1e-9, 1e-4]))
     @settings(max_examples=60, deadline=None)
-    def test_stack_verdict_is_each_matrix_alone(self, seed, n):
+    def test_stack_verdict_is_each_matrix_alone(self, seed, n, tol):
         # scaled, sheared and reflected rotations near the tolerances: the
         # stack fails exactly when some matrix alone fails, and names the
         # first such matrix with its own message
         rng = np.random.default_rng(seed)
-        R = np.stack([random_rotation(rng) for _ in range(n)])
+        m = np.stack([np.eye(4)] * n)
+        R = m[:, :3, :3]
+        R[:] = [random_rotation(rng) for _ in range(n)]
         R *= 1.0 + rng.choice([0.0, 1e-10, 4e-10, 3e-5, 6e-5], size=(n, 1, 1))
         R[:, 0, 1] += rng.choice([0.0, 1e-10, 5e-5], size=n)
         R[rng.random(n) < 0.1, :, 0] *= -1.0
-        tol = rng.choice([1e-9, 1e-4], size=n)
         messages = []
         for k in range(n):
             try:
-                check_rotation(R[k], tol[k])
+                check_rotation(R[k], tol)
             except ValueError as e:
                 messages.append(f"frame {5 + k}: {e}")
         if messages:
             with pytest.raises(ValueError) as info:
-                check_poses(R, np.zeros((n, 3)), tol, start=5)
+                Pose.from_matrices(m, tol, start=5)
             assert str(info.value) == messages[0]
         else:
-            check_poses(R, np.zeros((n, 3)), tol, start=5)
-
-    def test_stack_tolerance_per_matrix(self):
-        R = np.stack([np.eye(3)] * 4)
-        R[2] *= 1.0 + 1e-6
-        check_poses(R, np.zeros((4, 3)), np.array([1e-9, 1e-9, 1e-5, 1e-9]))
-        with pytest.raises(ValueError, match="^frame 2: rotation not orthonormal"):
-            check_poses(R, np.zeros((4, 3)), 1e-9)
-        R[3, :, 0] *= -1.0
-        with pytest.raises(ValueError, match="^frame 3: rotation determinant"):
-            check_poses(R, np.zeros((4, 3)), np.array([1e-9, 1e-9, 1e-5, 1e-9]))
+            Pose.from_matrices(m, tol, start=5)
 
 
 class TestPose:
@@ -184,33 +174,31 @@ class TestPose:
 
     def test_matrix_roundtrip(self, rng):
         p = Pose(random_rotation(rng), rng.normal(size=3))
-        q = Pose.from_matrix(p.matrix())
+        (q,) = Pose.from_matrices(p.matrix()[None])
         assert np.array_equal(p.rotation, q.rotation)
         assert np.array_equal(p.translation, q.translation)
 
     def test_from_matrix_rejects_bad_last_row(self):
         m = np.eye(4)
         m[3, 0] = 1e-12
-        with pytest.raises(ValueError):
-            Pose.from_matrix(m)
+        with pytest.raises(ValueError, match="^frame 0: pose matrix last row"):
+            Pose.from_matrices(m[None])
 
     @pytest.mark.parametrize("j", range(4))
     def test_from_matrix_rejects_nan_last_row(self, j):
         m = np.eye(4)
         m[3, j] = np.nan
-        with pytest.raises(ValueError, match="last row"):
-            Pose.from_matrix(m)
+        with pytest.raises(ValueError, match="^frame 0: pose matrix last row"):
+            Pose.from_matrices(m[None])
 
     def test_from_matrices_views_with_the_bits_of_from_matrix(self, rng):
         m = np.stack([Pose(random_rotation(rng), rng.normal(size=3)).matrix()
                       for _ in range(5)]).astype(np.float32)
         poses = Pose.from_matrices(m, tol=1e-4)
-        for p, mk in zip(poses, m):
-            q = Pose.from_matrix(mk, tol=1e-4)
-            for a, b in ((p.rotation, q.rotation), (p.translation, q.translation)):
+        for p, mk in zip(poses, m.astype(np.float64)):
+            for a, b in ((p.rotation, mk[:3, :3]), (p.translation, mk[:3, 3])):
                 assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
                 assert a.flags.c_contiguous and not a.flags.writeable
-            assert p._tol == q._tol == 1e-4
             assert np.shares_memory(p.rotation, poses[0].rotation.base)
             assert np.shares_memory(p.translation, poses[0].translation.base)
 
@@ -419,8 +407,8 @@ class TestApplyMatchesReference:
 
 
 class TestApplyPoses:
-    """``apply_poses`` maps a stack of poses with the bits of ``apply_pose``
-    on each, checked once."""
+    """``apply_poses`` maps a stack of poses with the bits of the per-pose
+    formula on each, and ``apply_pose`` is its one-pose case."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1e-3, 1.0, 1e3]))
     @settings(max_examples=100, deadline=None)
@@ -428,16 +416,14 @@ class TestApplyPoses:
         rng = np.random.default_rng(seed)
         T = SimilarityTransform(float(rng.uniform(0.1, 10.0)), random_rotation(rng),
                                 rng.normal(size=3) * span)
-        poses = [Pose(random_rotation(rng), rng.normal(size=3) * span,
-                      _tol=float(rng.choice([1e-12, 1e-9, 1e-6])))
-                 for _ in range(n)]
+        poses = [Pose(random_rotation(rng), rng.normal(size=3) * span) for _ in range(n)]
         got = T.apply_poses(poses)
         assert len(got) == n
-        for p, q in zip(got, (T.apply_pose(pose) for pose in poses)):
-            for a, b in ((p.rotation, q.rotation), (p.translation, q.translation)):
-                assert a.tobytes() == b.tobytes()
+        for p, q, pose in zip(got, (T.apply_pose(pose) for pose in poses), poses):
+            want = (T.rotation @ pose.rotation, T.apply(pose.translation))
+            for a, b, c in zip((p.rotation, p.translation), (q.rotation, q.translation), want):
+                assert a.tobytes() == b.tobytes() == c.tobytes()
                 assert a.flags.c_contiguous and not a.flags.writeable
-            assert p._tol == q._tol
             assert np.shares_memory(p.rotation, got[0].rotation.base)
 
     def test_no_poses(self):

@@ -395,6 +395,29 @@ class TestRegisterPair:
         with pytest.raises(NotEnoughPoints):
             register_pair(overlap, ab)
 
+    def test_fewer_than_three_anchors_raise(self, rng):
+        # the samples of one or two pixels, noisy over time, have a full
+        # covariance yet carry no rotation: they are refused, three solve
+        T_star = SimilarityTransform(1.4, random_rotation(rng), rng.normal(size=3))
+        pixels = [(1, 1), (2, 4), (4, 2)]
+        for n in (1, 2, 3):
+            pts = _static_scene(rng, grid=6)
+            conf = np.zeros(pts.shape[:3])
+            rows, cols = np.array(pixels[:n]).T
+            conf[:, rows, cols] = 1.0
+            noisy_i, noisy_j = (pts + rng.normal(scale=1e-3, size=pts.shape) for _ in range(2))
+            a = make_chunk(noisy_i, conf, chunk_id=0)
+            b = make_chunk(T_star.apply(noisy_j), conf, chunk_id=1)
+            overlap = whole_overlap(a, b)
+            ab = select_anchors(overlap, PipelineConfig(gamma_stat_frac=frac_for(0.1, a)))
+            assert ab.num_static == n
+            if n < 3:
+                with pytest.raises(NotEnoughPoints, match="static anchors"):
+                    register_pair(overlap, ab)
+            else:
+                T, rms = register_pair(overlap, ab)
+                assert abs(T.scale - 1 / T_star.scale) < 0.05 and rms < 0.01
+
     def test_dynamic_supports_never_affect_result(self, rng):
         gamma_stat = 0.1
         pts = _static_scene(rng)
