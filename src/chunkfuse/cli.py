@@ -29,12 +29,15 @@ those of the metrics asked for:
 the fuse succeeds, so a failed fuse leaves an earlier output as it was.
 
 Exit codes: 0 success; 2 invalid config, scene spec or flag (among them a
-negative seed, which ``generate`` refuses before it writes any file, a
-``fuse --out`` on a path through a file, and ATE or RPE on fewer than 3
-fused frames, which their alignment needs); 3 malformed container, or a
-broken chunk stream (see ``NoOverlap``: a missing chunk, a one-frame
+negative seed and a ``generate`` or ``fuse`` ``--out`` on a path through
+a file, both refused before any file is written, and ATE or RPE on fewer
+than 3 fused frames, which their alignment needs); 3 malformed container
+(among them ground truth with an object id that is not an integer >= -1),
+or a broken chunk stream (see ``NoOverlap``: a missing chunk, a one-frame
 overlap, another grid, or a chunk that does not advance); 4 evaluation key
-mismatch.
+mismatch (among them ``assoc`` on a ``matches.json`` that is missing or
+holds no junction, as after a ``base`` or ``overlap`` fuse or of one
+chunk).
 """
 
 from __future__ import annotations
@@ -69,12 +72,21 @@ from .registration import select_anchors
 from .synthetic import emit_chunks, generate
 
 
+def _out_dir(path: str) -> Path:
+    """``--out`` as a path; InvalidConfig when it or a parent is a file."""
+    out = Path(path)
+    for d in (out, *out.parents):
+        if d.exists() and not d.is_dir():
+            raise InvalidConfig(f"--out {out}: {d} is not a directory")
+    return out
+
+
 def _cmd_generate(args) -> int:
     spec = cio.load_scene_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     cfg = PipelineConfig(chunk_length=args.chunk_length, overlap=args.overlap)
-    out = Path(args.out)
+    out = _out_dir(args.out)
     gt = generate(spec)
     cio.write_ground_truth(gt, out / "gt")
     cio.write_json(out / "gt" / "scene_spec.json", cio.spec_to_dict(spec))
@@ -102,10 +114,7 @@ def _move_into(src: Path, dst: Path) -> None:
 
 def _cmd_fuse(args) -> int:
     cfg = cio.load_pipeline_config(args.config)
-    out = Path(args.out)
-    for d in (out, *out.parents):
-        if d.exists() and not d.is_dir():
-            raise InvalidConfig(f"--out {out}: {d} is not a directory")
+    out = _out_dir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
@@ -184,6 +193,9 @@ def _cmd_evaluate(args) -> int:
         if fused.grid_shape != gt.grid_shape:
             raise KeyMismatch(f"prediction grid {fused.grid_shape} but ground truth has {gt.grid_shape}")
         junctions = cio.read_matches(matches_path, gt.grid_shape)
+        if not junctions:
+            # a base or overlap fuse, or one chunk: no association to score
+            raise KeyMismatch(f"{matches_path} holds no junction (fused with association?)")
         H, W = gt.grid_shape
         # point level: generate binds each pixel to one surface point, so a
         # pixel identifies its point

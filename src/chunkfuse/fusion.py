@@ -101,31 +101,24 @@ def refine_transform(
         src = dst = np.zeros((0, 3))
         track_w, mean_track_w = np.zeros(0), 1.0
 
-    # at lambda_cam 0 the centres carry zero weight, which the solve drops
+    # at lambda_cam 0 the centres carry zero weight, which the solve drops;
+    # fewer than 3 positive weights raise NotEnoughPoints there
     src = np.concatenate([src, np.stack([p.center for p in poses_j])])
     dst = np.concatenate([dst, np.stack([p.center for p in poses_i])])
     weights = np.concatenate([track_w, np.full(len(poses_j), cfg.lambda_cam * mean_track_w)])
-
-    if (weights > 0).sum() < 3:
-        raise NotEnoughPoints("refinement needs >= 3 positive-weight correspondences")
     if cfg.refine_scale:
         return solve_weighted_similarity(src, dst, weights)
     return solve_weighted_rigid(src, dst, weights, scale=initial.scale)
 
 
 def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose]) -> SimilarityTransform:
-    """Similarity alignment of overlap camera centers, chunk j -> chunk i.
-
-    Collinear or too-few centers degrade to translation-plus-averaged
-    rotation: R is the projected mean of the per-frame relative rotations,
-    the scale is the ratio of center spreads (1 when undefined).
-    """
+    """Alignment of the overlap cameras, chunk j -> chunk i, in closed form
+    for any number and layout of cameras: R is the rotation nearest to
+    the sum of the per-frame relative rotations R_i R_j^T, the scale the
+    ratio of the two centre spreads (1 when either is 0), and the
+    translation maps the centre mean of chunk j onto that of chunk i."""
     c_i = np.stack([p.center for p in poses_i])
     c_j = np.stack([p.center for p in poses_j])
-    try:
-        return solve_weighted_similarity(c_j, c_i, None)
-    except (DegenerateConfiguration, NotEnoughPoints):
-        pass
     M = np.zeros((3, 3))
     for pi, pj in zip(poses_i, poses_j):
         M += pi.rotation @ pj.rotation.T
@@ -134,21 +127,9 @@ def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose]) -> Sim
     mu_j = c_j.mean(axis=0)
     spread_j = np.sqrt(((c_j - mu_j) ** 2).sum(axis=1).mean())
     spread_i = np.sqrt(((c_i - mu_i) ** 2).sum(axis=1).mean())
-    s = spread_i / spread_j if spread_j > 1e-15 else 1.0
+    s = spread_i / spread_j if min(spread_i, spread_j) > 1e-15 else 1.0
     t = mu_i - s * (R @ mu_j)
     return SimilarityTransform(s, R, t)
-
-
-def trusted_static(
-    abstraction: OverlapAbstraction, static: tuple[SimilarityTransform, float] | None
-) -> SimilarityTransform | None:
-    """The static registration's transform when it is trusted: solved on at
-    least MIN_STATIC_ANCHORS anchors with a residual RMS within
-    STATIC_RMS_CAP scene scales. Else None."""
-    if (static is not None and abstraction.num_static >= MIN_STATIC_ANCHORS
-            and static[1] <= STATIC_RMS_CAP * abstraction.scene_scale):
-        return static[0]
-    return None
 
 
 def choose_transform(
@@ -171,15 +152,15 @@ def choose_transform(
       feedback and no pose fallback: the trusted static transform
       (``static``), else the identity (``identity``).
     - ``full`` falls back from refined (``refined``) to trusted static
-      (``static``) to the alignment of the camera centres (``pose``).
+      (``static``) to the alignment of the overlap cameras (``pose``).
     """
     if ablation == "base":
         return SimilarityTransform.identity(), "base"
     if ablation == "full" and refined is not None and num_matches >= MIN_DYNAMIC_MATCHES:
         return refined, "refined"
-    trusted = trusted_static(abstraction, static)
-    if trusted is not None:
-        return trusted, "static"
+    if (static is not None and abstraction.num_static >= MIN_STATIC_ANCHORS
+            and static[1] <= STATIC_RMS_CAP * abstraction.scene_scale):
+        return static[0], "static"
     if ablation == "overlap":
         return SimilarityTransform.identity(), "identity"
     return pose_only_transform(poses_i, poses_j), "pose"
@@ -357,17 +338,18 @@ class _Stitcher:
                  match_set: MatchSet, cfg: PipelineConfig):
         """Stitch the matches of one junction across its boundary window.
 
-        Every match shares the window [junction - bw + 1, junction + bw],
-        with half width bw = ``cfg.overlap``, clipped to the two chunks, and
-        all are reconstructed in one solve. A stitched trajectory keeps its
-        frames before the window, takes the reconstructed window, and goes
-        on with its track in ``cur`` after it. A match whose window cannot
-        be reconstructed is handled as two unmatched tracklets. New ids go
-        to the stitched matches not open yet, in match order, then to the
+        Every match shares the window that runs from the first of the n
+        frames the two chunks share to n frames past the last, clipped to
+        ``cur``, and all are reconstructed in one solve; ``cfg`` gives only
+        the smoothness weight. A stitched trajectory keeps its frames
+        before the window, takes the reconstructed window, and goes on with
+        its track in ``cur`` after it. A match whose window cannot be
+        reconstructed is handled as two unmatched tracklets. New ids go to
+        the stitched matches not open yet, in match order, then to the
         rest of ``raw_i`` not open yet and of ``raw_j``, each in row order.
         """
-        junction, bw = prev.end_frame, cfg.overlap
-        window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
+        n = prev.end_frame - cur.start_frame + 1
+        window = range(cur.start_frame, min(prev.end_frame + n, cur.end_frame) + 1)
         rows_a, rows_b = match_set.pairs().T
         tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)
         tracks_j = _pixel_tracks(cur, raw_j.pixels, G_cur)
@@ -416,11 +398,13 @@ class PairReport:
 @dataclass
 class FusedScene:
     """Chunk transforms and long-range trajectories, all expressed in the
-    first chunk's gauge; the fused frames went to the frame sink. Trajectory
-    ids are given in creation order, junction by junction, so start frames
-    never decrease with id. A ``full`` fuse keeps (chunk i, chunk j,
-    matches, pixels i, pixels j) per junction in ``match_sets``, row k of
-    each (N, 2) pixels being tracklet k."""
+    first chunk's gauge; the fused frames went to the frame sink. Each
+    depends on the chunks and the config's weights and thresholds, not on
+    its ``chunk_length`` or ``overlap``. Trajectory ids are given in
+    creation order, junction by junction, so start frames never decrease
+    with id. A ``full`` fuse keeps (chunk i, chunk j, matches, pixels i,
+    pixels j) per junction in ``match_sets``, row k of each (N, 2) pixels
+    being tracklet k."""
 
     num_frames: int
     chunk_transforms: list[SimilarityTransform]
@@ -445,8 +429,15 @@ def _emit_frames(chunk: Chunk, first: int, G: SimilarityTransform,
 
 
 def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
-    """Register and associate one junction under ``ablation``: its report,
-    the match set, and both raw tracklet sets (None unless "full")."""
+    """Register and associate one junction under ``ablation``, from its
+    overlap alone: its report, the match set, and both raw tracklet sets
+    (None unless "full").
+
+    Association starts from the transform the junction takes without
+    refinement, the trusted static one, else the cameras'. A static solve
+    or a refinement that raises NotEnoughPoints or
+    DegenerateConfiguration is left out, and the tiers fall back past it.
+    """
     overlap = slice_overlap(prev, cur)
     abstraction = select_anchors(overlap, cfg)
     poses_i, poses_j = overlap.poses_i, overlap.poses_j
@@ -463,10 +454,8 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
     num_candidates = 0
     if ablation == "full":
         # an untrusted static transform may be fitted to the noise of a
-        # pixel or two, far from the true gauge: the cameras seed instead
-        T_assoc = trusted_static(abstraction, static)
-        if T_assoc is None:
-            T_assoc = pose_only_transform(poses_i, poses_j)
+        # pixel or two, far from the true gauge, so it seeds nothing
+        T_assoc, _ = choose_transform(ablation, abstraction, static, None, 0, poses_i, poses_j)
         raw_i = build_tracklets(overlap.frames.start, overlap.points_i, overlap.conf_i,
                                 abstraction.dynamic_mask, abstraction.gamma_stat, cfg)
         raw_j = build_tracklets(overlap.frames.start, overlap.points_j, overlap.conf_j,
@@ -485,7 +474,7 @@ def _align_pair(prev: Chunk, cur: Chunk, cfg: PipelineConfig, ablation: str):
                 break
             try:
                 refined = refine_transform(match_set, raw_i, raw_j, poses_i, poses_j, T_assoc, cfg)
-            except NotEnoughPoints:
+            except (NotEnoughPoints, DegenerateConfiguration):
                 break
             T_assoc = refined
 
@@ -522,8 +511,11 @@ def fuse_sequence(
     earlier chunk) are mapped into the first chunk's gauge as one stack
     once its transform is known, and handed to ``frame_sink`` one frame
     at a time; only that one chunk's mapped stack is held meanwhile.
-    Per-pair registration failures never abort; the tier hierarchy always
-    produces a transform.
+    Each junction is solved from the frames its two chunks share, as
+    :func:`~chunkfuse.chunking.slice_overlap` finds them; ``cfg.overlap``
+    and ``cfg.chunk_length``, which plan the chunks, are not read. A static
+    registration or refinement that fails never aborts; the tier hierarchy
+    always produces a transform.
     """
     if ablation not in ABLATION_MODES:
         raise ValueError(f"ablation must be one of {ABLATION_MODES}, got {ablation!r}")

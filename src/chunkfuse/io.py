@@ -31,7 +31,9 @@ with det +1 or whose translation is not finite. The poses are checked
 once, as one stack, and the error names the first bad frame; they are
 read-only views of that stack. A chunk is read as one stack and must also
 pass :class:`~chunkfuse.model.Chunk`'s checks, which name the first bad
-frame; its ``frames`` are per-frame views of that stack.
+frame; its ``frames`` are per-frame views of that stack. Ground truth
+must also store every object id as an integer >= -1 (-1 is the static
+background); the error names the first pixel that does not.
 :func:`read_matches` and :func:`read_fused_trajectories` raise it for
 records of ``matches.json`` and ``trajectories_meta.json`` that are not of
 the shape below: integer ids and pixels, pixels on the grid, tracklet ids
@@ -55,10 +57,13 @@ Sidecar files
   identity; ``base`` only), ``identity`` (no trusted static registration;
   ``overlap`` only), ``static`` (the static registration; ``overlap`` and
   ``full``), ``refined`` (re-solved on the matched tracks; ``full`` only)
-  or ``pose`` (the camera centres aligned; ``full`` only).
+  or ``pose`` (the overlap cameras aligned, rotations and centres;
+  ``full`` only).
 - ``matches.json``: per junction, ``{"chunk_i", "chunk_j", "matches",
-  "tracklets_i", "tracklets_j"}``. A match is ``[a, b, cost, [row, col] of
-  a, [row, col] of b]``, a tracklet ``[id, row, col]``.
+  "tracklets_i", "tracklets_j"}``. A match is ``[a, b, cost]``, the ids of
+  its two tracklets and its cost, a tracklet ``[id, row, col]``; its
+  pixels are those of its tracklets. Records of older fuses, which
+  repeat the two pixels after the cost, read the same.
 - ``trajectories.txt``: the index, one trajectory per line, ``id
   start_frame num_frames``; a trajectory runs over consecutive frames from
   its start (0 when it has none).
@@ -383,10 +388,18 @@ def read_ground_truth(directory) -> GroundTruth:
     directory = Path(directory)
     manifest, data, poses = _read_container(directory, "ground_truth",
                                             ("points", "poses", "object_ids", "visible"))
+    ids = data["object_ids"]
+    # NaN fails every comparison; the bound keeps the int32 cast exact
+    bad = ~((ids >= -1) & (ids < 2**31) & (ids == np.floor(ids)))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise MalformedContainer(
+            f"array 'object_ids': pixel ({r}, {c}) holds {ids[r, c]}, not an integer >= -1"
+        )
     return GroundTruth(
         points=data["points"].astype(np.float64),
         poses=list(poses),
-        object_ids=data["object_ids"].astype(np.int32),
+        object_ids=ids.astype(np.int32),
         visible=data["visible"] > 0.5,
         scene_scale=_field(manifest, "scene_scale", float, 1.0),
     )
@@ -543,19 +556,15 @@ def _trajectory_meta(trajectories: list[Trajectory]) -> dict:
 
 def _junction_records(match_sets) -> list[dict]:
     """One record per junction of ``FusedScene.match_sets``: its matches
-    with costs and pixels, and the (id, row, col) of every tracklet on each
-    side, as ``matches.json`` holds them."""
-    junctions = []
-    for chunk_i, chunk_j, match_set, pixels_i, pixels_j in match_sets:
-        pix_i, pix_j = pixels_i.tolist(), pixels_j.tolist()
-        junctions.append({
-            "chunk_i": chunk_i,
-            "chunk_j": chunk_j,
-            "matches": [[a, b, c, pix_i[a], pix_j[b]] for a, b, c in match_set.matches],
-            "tracklets_i": [[k, *px] for k, px in enumerate(pix_i)],
-            "tracklets_j": [[k, *px] for k, px in enumerate(pix_j)],
-        })
-    return junctions
+    with costs, and the (id, row, col) of every tracklet on each side, as
+    ``matches.json`` holds them."""
+    return [{
+        "chunk_i": chunk_i,
+        "chunk_j": chunk_j,
+        "matches": [list(m) for m in match_set.matches],
+        "tracklets_i": [[k, *px] for k, px in enumerate(pixels_i.tolist())],
+        "tracklets_j": [[k, *px] for k, px in enumerate(pixels_j.tolist())],
+    } for chunk_i, chunk_j, match_set, pixels_i, pixels_j in match_sets]
 
 
 _JUNCTION_KEYS = {"matches", "tracklets_i", "tracklets_j"}
@@ -567,7 +576,9 @@ def read_matches(path, grid_shape: tuple[int, int]) -> list[dict]:
     each tracklet is ``[id, row, col]`` integers with its pixel on the
     ``grid_shape`` grid and an id no other tracklet on its side has, and
     each match is a list that starts with the ids of a tracklet on each
-    side of its junction and a finite cost, no id matched twice."""
+    side of its junction and a finite cost, no id matched twice. Entries
+    past those three, such as the two pixels of older records, are not
+    read."""
     H, W = grid_shape
     junctions = read_json(path, kind=list)
     for k, junction in enumerate(junctions):

@@ -628,14 +628,15 @@ class Stitcher:
                  match_set: MatchSet, cfg: PipelineConfig):
         """Stitch the matches of one junction across its boundary window.
 
-        Every match shares the window [junction - bw + 1, junction + bw],
-        with half width bw = ``cfg.overlap``, clipped to the two chunks, and
-        all are reconstructed in one solve. A match whose window cannot be
-        reconstructed is handled as two unmatched tracklets.
+        Every match shares the window [junction - n + 1, junction + n],
+        where the two chunks share the n frames up to the junction,
+        clipped to ``cur``, and all are reconstructed in one solve. A match
+        whose window cannot be reconstructed is handled as two unmatched
+        tracklets.
         """
-        bw = cfg.overlap
         junction = prev.end_frame
-        window = range(max(junction - bw + 1, prev.start_frame), min(junction + bw, cur.end_frame) + 1)
+        n = junction - cur.start_frame + 1
+        window = range(junction - n + 1, min(junction + n, cur.end_frame) + 1)
         pairs = match_set.pairs()
         rows_a, rows_b = pairs[:, 0], pairs[:, 1]
         tracks_i = _pixel_tracks(prev, raw_i.pixels, G_prev)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import references as ref
+from chunkfuse import cli
 from chunkfuse import io as cio
 from chunkfuse.cli import main
 from chunkfuse.metrics import build_fused_table, dense_epe
@@ -352,9 +353,9 @@ def _trajectory_files(index: str, floats: int) -> dict:
     ({"matches.json": _junctions(tracklets_j=[[0, -1, -1]])}, "assoc"),
     ({"matches.json": _junctions(tracklets_j=[[0, 1.5, 2]])}, "assoc"),
     ({"matches.json": _junctions(matches=[[0]])}, "assoc"),
-    ({"matches.json": _junctions(matches=[[0, 5, 0.1, [0, 0], [0, 0]]])}, "assoc"),
-    ({"matches.json": _junctions(matches=[[0, 0, math.nan, [0, 0], [0, 0]]])}, "assoc"),
-    ({"matches.json": _junctions(matches=[[0, 0, "0.1", [0, 0], [0, 0]]])}, "assoc"),
+    ({"matches.json": _junctions(matches=[[0, 5, 0.1]])}, "assoc"),
+    ({"matches.json": _junctions(matches=[[0, 0, math.nan]])}, "assoc"),
+    ({"matches.json": _junctions(matches=[[0, 0, "0.1"]])}, "assoc"),
     ({"trajectories_meta.json": "[]"}, "epe"),
     ({"trajectories_meta.json": '{"0": []}'}, "epe"),
     ({"trajectories_meta.json": '{"0": {"sources": [[0, 1, 2.5, 3]]}}'}, "epe"),
@@ -446,6 +447,23 @@ def test_fuse_out_through_a_file_exit_2(workspace, tmp_path, capsys, where):
     assert capsys.readouterr().err == f"error: --out {dest}: {blocker} is not a directory\n"
     assert blocker.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("where", ["out", "parent"])
+def test_generate_out_through_a_file_exit_2(tmp_path, capsys, monkeypatch, where):
+    """The path is refused before the oracle runs."""
+    def oracle(spec):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "generate", oracle)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    dest = blocker if where == "out" else blocker / "out"
+    spec = small_spec_file(tmp_path, 0)
+    assert main(["generate", "--spec", str(spec), "--out", str(dest)]) == 2
+    assert capsys.readouterr().err == f"error: --out {dest}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json", "taken"]
 
 
 @pytest.mark.parametrize("name", cio.TRAJECTORY_FILES)
@@ -611,6 +629,54 @@ def test_key_mismatch_exit_4(workspace, tmp_path):
                  "--chunk-length", "8", "--overlap", "4"]) == 0
     code = main(["evaluate", "--pred", str(out), "--gt", str(other), "--metrics", "assoc"])
     assert code == 4
+
+
+def test_assoc_without_junctions_exit_4(workspace, tmp_path, capsys):
+    """An ``overlap`` fuse associates nothing: its empty ``matches.json``
+    has no score, as a missing one has none."""
+    root, data, out, cfg_path = workspace
+    dest = tmp_path / "fused_overlap"
+    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(cfg_path),
+                 "--out", str(dest), "--ablation", "overlap"]) == 0
+    assert json.loads((dest / "matches.json").read_text()) == []
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", str(dest), "--gt", str(data), "--metrics", "assoc"]) == 4
+    assert capsys.readouterr().err == \
+        f"error: {dest / 'matches.json'} holds no junction (fused with association?)\n"
+    assert not (dest / "metrics.json").exists()
+
+
+def test_evaluate_reads_matches_with_pixels(workspace, tmp_path, capsys):
+    """Records of older fuses repeat the pixels of a match after its cost;
+    they score as the ``[a, b, cost]`` records of today."""
+    root, data, out, _ = workspace
+    argv = ["evaluate", "--gt", str(data), "--metrics", "assoc"]
+    assert main([*argv, "--pred", str(out)]) == 0
+    expected = capsys.readouterr().out
+    older = tmp_path / "fused"
+    shutil.copytree(out, older)
+    junctions = json.loads((out / "matches.json").read_text())
+    assert any(junction["matches"] for junction in junctions)
+    for junction in junctions:
+        assert all(len(m) == 3 for m in junction["matches"])
+        pix_i = {t: [r, c] for t, r, c in junction["tracklets_i"]}
+        pix_j = {t: [r, c] for t, r, c in junction["tracklets_j"]}
+        junction["matches"] = [[a, b, cost, pix_i[a], pix_j[b]] for a, b, cost in junction["matches"]]
+    (older / "matches.json").write_text(json.dumps(junctions))
+    assert main([*argv, "--pred", str(older)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_object_id_not_an_integer_exit_3(workspace, tmp_path, capsys):
+    root, data, out, _ = workspace
+    broken = tmp_path / "data"
+    shutil.copytree(data / "gt", broken / "gt")
+    H, W = cio.read_ground_truth(data / "gt").grid_shape
+    ids = np.fromfile(broken / "gt" / "object_ids.bin", dtype="<f4").reshape(H, W)
+    ids[0, 1] = np.nan
+    ids.tofile(broken / "gt" / "object_ids.bin")
+    assert main(["evaluate", "--pred", str(out), "--gt", str(broken), "--metrics", "assoc"]) == 3
+    assert "object_ids" in capsys.readouterr().err
 
 
 def test_missing_pred_dir_exit_3(workspace, tmp_path):

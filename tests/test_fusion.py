@@ -537,6 +537,32 @@ def test_dynamic_overlap_full_epe_bound(seed):
     assert dense_epe(table, gt.trajectory_table()) < 0.17
 
 
+def _one_mover_chunks():
+    """Chunks [0, 9] and [6, 15] of a flat 8x8 wall in one gauge, the
+    camera drifting, with one pixel moving at constant velocity: the one
+    match at their junction moves on a line."""
+    T, grid = 16, 8
+    rows, cols = np.mgrid[:grid, :grid]
+    wall = np.stack([0.2 * cols, 0.2 * rows, np.full((grid, grid), 5.0)], axis=-1).astype(float)
+    world = np.broadcast_to(wall, (T, grid, grid, 3)).copy()
+    world[:, 3, 4] += np.arange(T)[:, None] * np.array([0.2, 0.0, 0.0])
+    centers = [[0.02 * t, 0.01 * np.sin(t), -1.0 + 0.015 * t] for t in range(T)]
+    return [make_chunk(world[s:e + 1], chunk_id=k, start_frame=s, centers=centers[s:e + 1])
+            for k, (s, e) in enumerate(((0, 9), (6, 15)))]
+
+
+def test_refinement_on_a_line_falls_back_to_static():
+    """With no camera weight the refinement sees only the samples of one
+    match, on a line, which fix no rotation: the junction falls back to
+    the trusted static transform and keeps its match."""
+    cfg = PipelineConfig(chunk_length=10, overlap=4, lambda_cam=0.0, seed_stride=1,
+                         min_displacement=0.1)
+    fused = fuse_sequence(_one_mover_chunks(), cfg, "full", frame_sink=[].append)
+    (report,) = fused.reports
+    assert report.tier == "static"
+    assert report.num_matches == 1
+
+
 class TestPoseOnly:
     def test_exact_recovery(self, rng):
         T_star = SimilarityTransform(1.6, random_rotation(rng), rng.normal(size=3))
@@ -557,6 +583,17 @@ class TestPoseOnly:
         assert np.linalg.norm(T.rotation - inv.rotation) < 1e-9
         assert abs(T.scale - inv.scale) < 1e-9
         assert np.linalg.norm(T.translation - inv.translation) < 1e-9
+
+    def test_coincident_centers_keep_unit_scale(self, rng):
+        """Centres of chunk i that coincide have no spread to scale to: the
+        scale is 1, and the centre means still map onto each other."""
+        center = np.array([0.3, -0.2, 1.0])
+        poses_i = [Pose(random_rotation(rng), center) for _ in range(4)]
+        poses_j = _overlap_poses(rng, n=4)
+        T = pose_only_transform(poses_i, poses_j)
+        assert T.scale == 1.0
+        mean_j = np.mean([p.center for p in poses_j], axis=0)
+        assert np.linalg.norm(T.apply(mean_j) - center) < 1e-12
 
 
 class TestFuseSequence:
@@ -645,6 +682,22 @@ class TestBoundaryHoles:
         tr = self._trajectory_from(fused, (chunk_j, b, pixel))
         assert tr.sources[0] == (chunk_j, b, pixel)
         assert tr.frames[0] == chunks[1].start_frame
+
+
+@pytest.mark.parametrize("chunk_length, overlap", [(16, 2), (40, 7)])
+def test_fuse_ignores_the_chunk_plan_of_its_config(chunk_length, overlap):
+    """A junction takes its stitch window from the frames its chunks
+    share, so the config's chunk plan leaves a fuse as it was."""
+    spec = identity_span_spec()
+    chunks = list(emit_chunks(generate(spec), HOLE_CFG, spec).chunks)
+    other = PipelineConfig(**{**HOLE_CFG.to_dict(), "chunk_length": chunk_length, "overlap": overlap})
+    want, got = (fuse_sequence(chunks, cfg, "full", frame_sink=[].append) for cfg in (HOLE_CFG, other))
+    assert ([(t.trajectory_id, t.frames, t.positions.tobytes()) for t in got.trajectories]
+            == [(t.trajectory_id, t.frames, t.positions.tobytes()) for t in want.trajectories])
+    assert ([(T.scale, T.rotation.tobytes(), T.translation.tobytes()) for T in got.chunk_transforms]
+            == [(T.scale, T.rotation.tobytes(), T.translation.tobytes()) for T in want.chunk_transforms])
+    assert ([(i, j, m.matches, m.unmatched_i, m.unmatched_j) for i, j, m, _, _ in got.match_sets]
+            == [(i, j, m.matches, m.unmatched_i, m.unmatched_j) for i, j, m, _, _ in want.match_sets])
 
 
 def assert_stitched_like_reference(chunks, cfg, monkeypatch):

@@ -162,6 +162,15 @@ class TestMalformedContainers:
         with pytest.raises(MalformedContainer, match="^frame 4: .*last row"):
             cio.read_ground_truth(tmp_path)
 
+    @pytest.mark.parametrize("value", [np.nan, 0.5, -2.0, np.inf, 2.0**31])
+    def test_ground_truth_object_id_must_be_an_integer(self, tmp_path, value):
+        cio.write_ground_truth(generate(gauge_recovery_spec(num_frames=6, grid=8)), tmp_path)
+        ids = np.fromfile(tmp_path / "object_ids.bin", dtype="<f4").reshape(8, 8)
+        ids[2, 5] = value
+        ids.tofile(tmp_path / "object_ids.bin")
+        with pytest.raises(MalformedContainer, match=r"pixel \(2, 5\) holds .*integer >= -1"):
+            cio.read_ground_truth(tmp_path)
+
     def test_poses_are_views_of_one_stack(self, written):
         poses = cio.read_chunk(written).poses
         rotations, translations = poses[0].rotation.base, poses[0].translation.base
@@ -356,7 +365,7 @@ def reference_sidecars(fused: FusedScene) -> dict[str, bytes]:
             {
                 "chunk_i": chunk_i,
                 "chunk_j": chunk_j,
-                "matches": [[a, b, c, pix_i[a], pix_j[b]] for a, b, c in match_set.matches],
+                "matches": [[a, b, c] for a, b, c in match_set.matches],
                 "tracklets_i": [[k, *px] for k, px in enumerate(pix_i)],
                 "tracklets_j": [[k, *px] for k, px in enumerate(pix_j)],
             }
