@@ -19,6 +19,7 @@ from .errors import (
 from .fusion import (
     FusedScene,
     Trajectory,
+    camera_scale,
     choose_transform,
     fuse_sequence,
     pose_only_transform,

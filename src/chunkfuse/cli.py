@@ -28,16 +28,24 @@ those of the metrics asked for:
 ``fuse`` writes its outputs beside ``--out`` and moves them in only when
 the fuse succeeds, so a failed fuse leaves an earlier output as it was.
 
+``inspect`` prints, for each overlap of the previous chunk i and the next
+chunk j, the sizes of its static and dynamic sets, the rigidity threshold
+``gamma_stat`` resolved in each chunk, chunk i's scene scale, and the
+scale j -> i the camera tier takes (``fusion.camera_scale``).
+
 Exit codes: 0 success; 2 invalid config, scene spec or flag (among them a
-negative seed and a ``generate`` or ``fuse`` ``--out`` on a path through
-a file, both refused before any file is written, and ATE or RPE on fewer
-than 3 fused frames, which their alignment needs); 3 malformed container
-(among them ground truth with an object id that is not an integer >= -1),
-or a broken chunk stream (see ``NoOverlap``: a missing chunk, a one-frame
-overlap, another grid, or a chunk that does not advance); 4 evaluation key
-mismatch (among them ``assoc`` on a ``matches.json`` that is missing or
-holds no junction, as after a ``base`` or ``overlap`` fuse or of one
-chunk).
+negative seed, and a ``generate`` or ``fuse`` ``--out`` on a path through
+a file or whose ``gt``, ``chunks`` or ``fused`` entry is a file, all
+refused before any work is done, and ATE or RPE on fewer than 3 fused
+frames, which their alignment needs); 3 malformed container (among them
+ground truth with an object id that is not an integer >= -1), or a broken
+chunk stream (see ``NoOverlap``: a missing chunk, a one-frame overlap,
+another grid, or a chunk that does not advance); 4 evaluation key mismatch
+(among them ``assoc`` on a ``matches.json`` that is missing or holds no
+junction, as after a ``base`` or ``overlap`` fuse or of one chunk, and
+``epe`` on fewer than 3 samples finite in both the prediction and the
+ground truth). A prediction whose samples are collinear or coincident
+aligns by translation, and scores.
 """
 
 from __future__ import annotations
@@ -56,8 +64,15 @@ import numpy as np
 
 from . import io as cio
 from .chunking import slice_overlap
-from .errors import InvalidConfig, InvalidSpec, KeyMismatch, MalformedContainer, NoOverlap
-from .fusion import ABLATION_MODES, fuse_sequence
+from .errors import (
+    InvalidConfig,
+    InvalidSpec,
+    KeyMismatch,
+    MalformedContainer,
+    NoOverlap,
+    NotEnoughPoints,
+)
+from .fusion import ABLATION_MODES, camera_scale, fuse_sequence
 from .metrics import (
     align_trajectories,
     ate,
@@ -72,10 +87,11 @@ from .registration import select_anchors
 from .synthetic import emit_chunks, generate
 
 
-def _out_dir(path: str) -> Path:
-    """``--out`` as a path; InvalidConfig when it or a parent is a file."""
+def _out_dir(path: str, *entries: str) -> Path:
+    """``--out`` as a path; InvalidConfig when it, a parent or one of the
+    ``entries`` the command makes in it is a file."""
     out = Path(path)
-    for d in (out, *out.parents):
+    for d in (out, *out.parents, *(out / e for e in entries)):
         if d.exists() and not d.is_dir():
             raise InvalidConfig(f"--out {out}: {d} is not a directory")
     return out
@@ -86,7 +102,7 @@ def _cmd_generate(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     cfg = PipelineConfig(chunk_length=args.chunk_length, overlap=args.overlap)
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "gt", "chunks")
     gt = generate(spec)
     cio.write_ground_truth(gt, out / "gt")
     cio.write_json(out / "gt" / "scene_spec.json", cio.spec_to_dict(spec))
@@ -114,7 +130,7 @@ def _move_into(src: Path, dst: Path) -> None:
 
 def _cmd_fuse(args) -> int:
     cfg = cio.load_pipeline_config(args.config)
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "fused")
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
@@ -185,7 +201,11 @@ def _cmd_evaluate(args) -> int:
         trajectories = [] if missing else cio.read_fused_trajectories(out_dir, len(fused.frames),
                                                                       fused.grid_shape)
         pred_table = build_fused_table(SimpleNamespace(frames=fused.frames, trajectories=trajectories))
-        result["epe"] = dense_epe(pred_table, gt.trajectory_table())
+        try:
+            result["epe"] = dense_epe(pred_table, gt.trajectory_table())
+        except NotEnoughPoints as e:
+            # fewer than 3 samples finite in both tables: nothing to align
+            raise KeyMismatch(f"epe: {e}") from None
     if "assoc" in wanted:
         matches_path = pred_dir.parent / "matches.json"
         if not matches_path.is_file():
@@ -226,7 +246,10 @@ def _cmd_inspect(args) -> int:
             abstraction = select_anchors(overlap, cfg)
             line += (
                 f"; overlap with previous: {len(overlap)} frames, "
-                f"{abstraction.num_static} static anchors, {abstraction.num_dynamic} dynamic supports"
+                f"{abstraction.num_static} static anchors, {abstraction.num_dynamic} dynamic supports, "
+                f"gamma_stat i/j {abstraction.gamma_stat:.6g}/{abstraction.gamma_stat_j:.6g}, "
+                f"scene scale i {abstraction.scene_scale:.6g}, "
+                f"camera scale j->i {camera_scale(abstraction):.6g}"
             )
         print(line)
         prev = chunk

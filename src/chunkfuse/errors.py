@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: InvalidConfig -> 2, InvalidSpec -> 2,
 MalformedContainer -> 3, NoOverlap -> 3 (a broken chunk stream),
-KeyMismatch -> 4.
+KeyMismatch -> 4. ``evaluate`` raises a NotEnoughPoints of its EPE as a
+KeyMismatch: the prediction and the ground truth share too few finite
+samples to compare.
 """
 
 

@@ -111,25 +111,23 @@ def refine_transform(
     return solve_weighted_rigid(src, dst, weights, scale=initial.scale)
 
 
-def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose]) -> SimilarityTransform:
-    """Alignment of the overlap cameras, chunk j -> chunk i, in closed form
-    for any number and layout of cameras: R is the rotation nearest to
-    the sum of the per-frame relative rotations R_i R_j^T, the scale the
-    ratio of the two centre spreads (1 when either is 0), and the
-    translation maps the centre mean of chunk j onto that of chunk i."""
-    c_i = np.stack([p.center for p in poses_i])
-    c_j = np.stack([p.center for p in poses_j])
-    M = np.zeros((3, 3))
-    for pi, pj in zip(poses_i, poses_j):
-        M += pi.rotation @ pj.rotation.T
+def camera_scale(abstraction: OverlapAbstraction) -> float:
+    """The ``pose`` tier's scale, chunk j -> chunk i: ``gamma_stat / gamma_stat_j``, or 1
+    where a median point on its camera leaves that ratio not positive and finite."""
+    s = abstraction.gamma_stat / abstraction.gamma_stat_j if abstraction.gamma_stat_j > 0 else 0.0
+    return s if s > 0 and np.isfinite(s) else 1.0
+
+
+def pose_only_transform(poses_i: Sequence[Pose], poses_j: Sequence[Pose],
+                        scale: float) -> SimilarityTransform:
+    """Alignment of the overlap cameras at ``scale``, chunk j -> chunk i,
+    for any number and layout of cameras: R is the rotation nearest to the
+    sum of the per-frame relative rotations R_i R_j^T, and the translation
+    maps the centre mean of chunk j onto that of chunk i."""
+    M = sum(pi.rotation @ pj.rotation.T for pi, pj in zip(poses_i, poses_j))
     R, _, _ = nearest_rotation(M)
-    mu_i = c_i.mean(axis=0)
-    mu_j = c_j.mean(axis=0)
-    spread_j = np.sqrt(((c_j - mu_j) ** 2).sum(axis=1).mean())
-    spread_i = np.sqrt(((c_i - mu_i) ** 2).sum(axis=1).mean())
-    s = spread_i / spread_j if min(spread_i, spread_j) > 1e-15 else 1.0
-    t = mu_i - s * (R @ mu_j)
-    return SimilarityTransform(s, R, t)
+    mu_i, mu_j = (np.stack([p.center for p in poses]).mean(axis=0) for poses in (poses_i, poses_j))
+    return SimilarityTransform(scale, R, mu_i - scale * (R @ mu_j))
 
 
 def choose_transform(
@@ -152,7 +150,8 @@ def choose_transform(
       feedback and no pose fallback: the trusted static transform
       (``static``), else the identity (``identity``).
     - ``full`` falls back from refined (``refined``) to trusted static
-      (``static``) to the alignment of the overlap cameras (``pose``).
+      (``static``) to the alignment of the overlap cameras at
+      :func:`camera_scale` (``pose``).
     """
     if ablation == "base":
         return SimilarityTransform.identity(), "base"
@@ -163,7 +162,7 @@ def choose_transform(
         return static[0], "static"
     if ablation == "overlap":
         return SimilarityTransform.identity(), "identity"
-    return pose_only_transform(poses_i, poses_j), "pose"
+    return pose_only_transform(poses_i, poses_j, camera_scale(abstraction)), "pose"
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ Sidecar files
   identity; ``base`` only), ``identity`` (no trusted static registration;
   ``overlap`` only), ``static`` (the static registration; ``overlap`` and
   ``full``), ``refined`` (re-solved on the matched tracks; ``full`` only)
-  or ``pose`` (the overlap cameras aligned, rotations and centres;
+  or ``pose`` (the overlap cameras aligned: rotations and centre means,
+  at the ratio of the two chunks' median camera-to-point distances;
   ``full`` only).
 - ``matches.json``: per junction, ``{"chunk_i", "chunk_j", "matches",
   "tracklets_i", "tracklets_j"}``. A match is ``[a, b, cost]``, the ids of

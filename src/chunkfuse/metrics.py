@@ -33,9 +33,10 @@ No array the size of the tables is formed, and no finiteness pass comes
 first: the moments, or the sum of the norms, are not finite when some
 sample is not (or when a sum overflows), and then the tables go through
 the masked path, which drops the samples non-finite in either table and
-solves again. Fewer than 3 samples raise NotEnoughPoints, and a source
-covariance of rank < 2 raises DegenerateConfiguration, as in
-``solve_weighted_similarity``.
+solves again. Fewer than 3 samples raise NotEnoughPoints. A degenerate
+prediction, its samples collinear or coincident, aligns by the translation
+of its centroid onto the truth's, as the camera centres of
+``align_trajectories`` do (``_align_moments``).
 
 The EPE's bits depend on the sample order, the block size and how BLAS
 rounds each block's small products; they are the same with BLAS on one
@@ -74,7 +75,7 @@ from .model import (
     norm3,
     stack_poses,
 )
-from .registration import similarity_from_moments, solve_weighted_similarity
+from .registration import _weighted_moments, similarity_from_moments
 
 # the samples the dense EPE's solve reads at a time, in each of its two
 # passes: a (rows, 7) float64 block of 224 KiB, which stays in a per-core
@@ -94,6 +95,16 @@ def _centers(poses: Sequence[Pose]) -> np.ndarray:
     return np.stack([p.center for p in poses])
 
 
+def _align_moments(mu_src, mu_dst, cov, src_cov, var_src) -> SimilarityTransform:
+    """The alignment rule of both metrics: the similarity of the moments,
+    or, when it is degenerate (the source collinear or coincident), the
+    translation of the source centroid onto the destination's."""
+    try:
+        return similarity_from_moments(mu_src, mu_dst, cov, src_cov, var_src)
+    except DegenerateConfiguration:
+        return SimilarityTransform(1.0, np.eye(3), mu_dst - mu_src)
+
+
 def align_trajectories(pred: Sequence[Pose], gt: Sequence[Pose]) -> SimilarityTransform:
     """Least-squares similarity (Sim(3)) alignment of predicted camera
     centers onto ground truth, the gauge freedom of a monocular prediction.
@@ -105,12 +116,7 @@ def align_trajectories(pred: Sequence[Pose], gt: Sequence[Pose]) -> SimilarityTr
         raise ValueError(f"pose lists differ in length: {len(pred)} vs {len(gt)}")
     if len(pred) < 3:
         raise NotEnoughPoints("alignment needs at least 3 poses")
-    src = _centers(pred)
-    dst = _centers(gt)
-    try:
-        return solve_weighted_similarity(src, dst, None)
-    except DegenerateConfiguration:
-        return SimilarityTransform(1.0, np.eye(3), dst.mean(axis=0) - src.mean(axis=0))
+    return _align_moments(*_weighted_moments(_centers(pred), _centers(gt), None))
 
 
 def ate(pred: Sequence[Pose], gt: Sequence[Pose]) -> float:
@@ -224,9 +230,9 @@ def _shifted_blocks(p: np.ndarray, g: np.ndarray):
 def _streamed_similarity(p: np.ndarray, g: np.ndarray, finite: bool):
     """The solve's first pass: the unit-weight similarity that takes each
     sample of ``p`` less ``p[0]`` onto the one of ``g`` less ``g[0]``, from
-    the block sums of the first and second moments of the shifted samples.
-    Unless every sample is known to be ``finite``, None when a moment is
-    not."""
+    the block sums of the first and second moments of the shifted samples,
+    by ``_align_moments``. Unless every sample is known to be ``finite``,
+    None when a moment is not."""
     n = len(p)
     if n < 3:
         raise NotEnoughPoints(f"need >= 3 samples to align, got {n}")
@@ -240,7 +246,7 @@ def _streamed_similarity(p: np.ndarray, g: np.ndarray, finite: bool):
     mu_a, mu_b = m[:3, 3] / n, m[4:, 3] / n
     src_cov = m[:3, :3] / n - np.outer(mu_a, mu_a)
     cov = m[4:, :3] / n - np.outer(mu_b, mu_a)
-    return similarity_from_moments(mu_a, mu_b, cov, src_cov, float(np.trace(src_cov)))
+    return _align_moments(mu_a, mu_b, cov, src_cov, float(np.trace(src_cov)))
 
 
 def _norm_sum(d: np.ndarray) -> float:

@@ -30,7 +30,11 @@ class OverlapAbstraction:
     its own scale, in its own gauge). Dynamic supports pass confidence but
     fail rigidity. Pixels failing confidence belong to neither set.
     ``scene_scale`` and ``gamma_stat`` refer to chunk i, whose gauge is the
-    pair's working frame; ``gamma_stat_j`` is chunk j's own.
+    pair's working frame; ``gamma_stat_j`` is chunk j's own. A chunk's
+    scale is its median camera-to-point distance over the overlap, so
+    ``gamma_stat / gamma_stat_j`` is the scale from chunk j's gauge to
+    chunk i's, which the camera tier takes
+    (:func:`~chunkfuse.fusion.camera_scale`).
     """
 
     static_mask: np.ndarray

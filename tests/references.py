@@ -225,11 +225,20 @@ def stack_tables(pred, gt):
     return p[ok], g[ok]
 
 
+def align(p, g) -> SimilarityTransform:
+    """The whole-array similarity of ``p`` onto ``g``, or, for a degenerate
+    ``p``, the translation of its centroid onto that of ``g``."""
+    try:
+        return solve_weighted_similarity(p, g, np.ones(len(p)))
+    except DegenerateConfiguration:
+        return SimilarityTransform(1.0, np.eye(3), g.mean(axis=0) - p.mean(axis=0))
+
+
 def dense_epe(pred, gt) -> float:
     p, g = stack_tables(pred, gt)
     if len(p) == 0:
         raise NotEnoughPoints("no finite trajectory samples to compare")
-    p = apply(solve_weighted_similarity(p, g, np.ones(len(p))), p)
+    p = apply(align(p, g), p)
     return float(np.linalg.norm(p - g, axis=1).mean())
 
 
@@ -278,9 +287,11 @@ def streamed_similarity(p, g, finite: bool):
     mu_a, mu_b = m[:3, 3] / n, m[4:, 3] / n
     src_cov = m[:3, :3] / n - np.outer(mu_a, mu_a)
     cov = m[4:, :3] / n - np.outer(mu_b, mu_a)
+    # a degenerate prediction aligns by the translation of its centroid
+    translation = SimilarityTransform(1.0, np.eye(3), mu_b - mu_a)
     svals = np.linalg.svd(src_cov, compute_uv=False)
     if svals[1] < RANK_TOL * max(svals[0], RANK_TOL):
-        raise DegenerateConfiguration("rank < 2")
+        return translation
     U, D, Vt = np.linalg.svd(cov)
     S = np.ones(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:
@@ -288,7 +299,7 @@ def streamed_similarity(p, g, finite: bool):
     R = (U * S) @ Vt
     scale = float((D * S).sum() / float(np.trace(src_cov)))
     if scale <= 0 or not np.isfinite(scale):
-        raise DegenerateConfiguration(f"non-positive recovered scale {scale}")
+        return translation
     return SimilarityTransform(scale, R, mu_b - scale * (R @ mu_a))
 
 
@@ -350,7 +361,7 @@ def dense_epe_tolerance(pred, gt, epe: float) -> float:
     p, g = stack_tables(pred, gt)
     eig = np.linalg.eigvalsh(np.cov(p.T, bias=True))
     kappa = math.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
-    T = solve_weighted_similarity(p, g, np.ones(len(p)))
+    T = align(p, g)
     terms = [T.scale * p, T.translation, g, apply(T, p)]
     L = max(np.abs(t).max() for t in terms)
     return 2.0**6 * 2.0**-53 * (kappa * L + math.log2(len(p) + 1) * epe)

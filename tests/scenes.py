@@ -4,17 +4,21 @@ The ablation and robustness scenes are frozen here: small fast-moving
 objects with controlled pairwise separation (so association is
 well-posed), a mostly low-confidence wall whose trusted region is a
 compact corner patch (so static-anchor registration is valid but
-ill-conditioned), and per-chunk gauge randomization.
+ill-conditioned), and per-chunk gauge randomization. ``with_camera_noise``
+adds the camera noise of a monocular predictor to an emitted stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from chunkfuse import PipelineConfig
+from chunkfuse.model import Chunk, Pose
 from chunkfuse.synthetic import (
     BackgroundSpec,
     CameraSpec,
+    EmittedChunks,
     GaugeSpec,
     ObjectSpec,
     SceneSpec,
@@ -274,3 +278,28 @@ def identity_span_spec(visible_ranges=None) -> SceneSpec:
                           rate=0.008, bob=0.04),
         gauge=GaugeSpec(scale_range=(0.8, 1.3), rotation_max=0.5, translation_max=0.3),
     )
+
+
+# camera noise: per axis, 0.2% of the scene scale on a centre (times its
+# chunk's gauge scale) and 0.5 degrees on a rotation
+CENTER_NOISE = 0.002
+ROTATION_NOISE_DEG = 0.5
+
+
+def with_camera_noise(emitted: EmittedChunks, scene_scale: float, seed: int) -> list[Chunk]:
+    """The chunks of ``emitted`` with noisy cameras, points and confidences
+    kept. Each pose, in each chunk alone, turns by an axis-angle vector
+    and its centre moves by an offset, both iid Gaussian per axis at
+    ``ROTATION_NOISE_DEG`` and ``CENTER_NOISE * scene_scale`` times the
+    chunk's gauge scale. The draw has its own rng, the sixth child of
+    ``SeedSequence(seed)``: ``emit_chunks`` spawns five, which keep their
+    values."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(6)[5])
+    noisy = []
+    for chunk, gauge in zip(emitted.chunks, emitted.gauges):
+        n = len(chunk.poses)
+        turns = Rotation.from_rotvec(rng.normal(0.0, np.radians(ROTATION_NOISE_DEG), (n, 3))).as_matrix()
+        shifts = rng.normal(0.0, CENTER_NOISE * scene_scale * gauge.scale, (n, 3))
+        poses = tuple(Pose(q @ p.rotation, p.center + d) for q, p, d in zip(turns, chunk.poses, shifts))
+        noisy.append(Chunk(chunk.chunk_id, chunk.start_frame, chunk.points, chunk.confidence, poses))
+    return noisy

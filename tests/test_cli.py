@@ -13,8 +13,12 @@ import pytest
 import references as ref
 from chunkfuse import cli
 from chunkfuse import io as cio
+from chunkfuse.chunking import slice_overlap
 from chunkfuse.cli import main
+from chunkfuse.fusion import camera_scale
 from chunkfuse.metrics import build_fused_table, dense_epe
+from chunkfuse.model import Chunk, PipelineConfig
+from chunkfuse.registration import select_anchors
 from conftest import make_chunk
 from scenes import ablation_config, ablation_spec, gauge_recovery_spec
 
@@ -67,6 +71,24 @@ def test_inspect(workspace, capsys):
     assert main(["inspect", "--chunks", str(data / "chunks")]) == 0
     text = capsys.readouterr().out
     assert "chunk 0" in text and "overlap with previous" in text
+
+
+def test_inspect_prints_thresholds_and_scales(workspace, capsys):
+    """Each overlap line ends with what ``select_anchors`` resolves and
+    the scale the camera tier takes, which on this noise-free scene is the
+    ratio of the true gauges' scales up to the containers' float32."""
+    root, data, out, _ = workspace
+    assert main(["inspect", "--chunks", str(data / "chunks")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    chunks = [cio.read_chunk(d) for d in cio.chunk_dirs(data / "chunks")]
+    gauges = cio.read_gauges(data / "chunks" / "gauges.json")
+    assert len(lines) == len(chunks) > 2
+    for k, line in enumerate(lines[1:]):
+        a = select_anchors(slice_overlap(chunks[k], chunks[k + 1]), PipelineConfig())
+        assert line.endswith(
+            f"gamma_stat i/j {a.gamma_stat:.6g}/{a.gamma_stat_j:.6g}, scene scale i "
+            f"{a.scene_scale:.6g}, camera scale j->i {camera_scale(a):.6g}")
+        assert camera_scale(a) == pytest.approx(gauges[k].scale / gauges[k + 1].scale, rel=1e-5)
 
 
 def test_evaluate_all_metrics(workspace, capsys):
@@ -436,33 +458,104 @@ def test_epe_on_two_frames(two_frames, capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["epe"] < 5e-4
 
 
-@pytest.mark.parametrize("where", ["out", "parent"])
-def test_fuse_out_through_a_file_exit_2(workspace, tmp_path, capsys, where):
-    root, data, out, cfg_path = workspace
-    blocker = tmp_path / "taken"
+@pytest.fixture(scope="module")
+def small_truth(tmp_path_factory):
+    """The ground truth of a 12-frame 8x8 scene."""
+    root = tmp_path_factory.mktemp("small")
+    spec_path = root / "scene.json"
+    spec_path.write_text(json.dumps(cio.spec_to_dict(gauge_recovery_spec(num_frames=12, grid=8))))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(root / "data"),
+                 "--chunk-length", "8", "--overlap", "4"]) == 0
+    return root / "data"
+
+
+def _bare_prediction(directory: Path, gt, points, confidence) -> Path:
+    """A prediction of ``points`` at ``confidence`` with the true poses, as
+    a bare container under ``directory``."""
+    cio.write_chunk(Chunk(0, 0, points, confidence, tuple(gt.poses)), directory / "fused")
+    return directory
+
+
+@pytest.mark.parametrize("layout", ["coincident", "collinear"])
+def test_epe_of_a_degenerate_prediction(small_truth, tmp_path, capsys, layout):
+    """Points that all coincide, or lie on one line, fix no rotation or
+    scale: the prediction aligns by the translation of its centroid onto
+    the truth's, as collinear camera centres do for ATE."""
+    gt = cio.read_ground_truth(small_truth / "gt")
+    shape = gt.points.shape
+    points = np.zeros(shape)
+    if layout == "collinear":
+        points[..., 0] = np.arange(math.prod(shape[:3])).reshape(shape[:3])
+    pred = _bare_prediction(tmp_path, gt, points, np.ones(shape[:3]))
+    assert main(["evaluate", "--pred", str(pred), "--gt", str(small_truth), "--metrics", "epe"]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    p, g = points.reshape(-1, 3), gt.points.reshape(-1, 3)
+    expected = np.linalg.norm(p + (g.mean(axis=0) - p.mean(axis=0)) - g, axis=1).mean()
+    assert report["epe"] == pytest.approx(expected, rel=1e-9)
+
+
+def test_epe_with_no_finite_sample_exit_4(small_truth, tmp_path, capsys):
+    """A prediction of holes alone, NaN at confidence 0, leaves nothing to
+    align: the EPE is refused, as ``assoc`` is with no junction."""
+    gt = cio.read_ground_truth(small_truth / "gt")
+    shape = gt.points.shape
+    pred = _bare_prediction(tmp_path, gt, np.full(shape, np.nan), np.zeros(shape[:3]))
+    assert main(["evaluate", "--pred", str(pred), "--gt", str(small_truth), "--metrics", "epe"]) == 4
+    assert capsys.readouterr().err == "error: epe: no finite trajectory samples to compare\n"
+    assert not (pred / "metrics.json").exists()
+
+
+def _blocked_out(tmp_path: Path, where: str):
+    """A file holding "kept", and an ``--out`` path that is the file
+    (``out``), runs through it (``parent``), or else holds it as its entry
+    named ``where``, under the directory ``taken``."""
+    if where in ("out", "parent"):
+        blocker = tmp_path / "taken"
+        dest = blocker if where == "out" else blocker / "out"
+    else:
+        dest = tmp_path / "taken"
+        dest.mkdir()
+        blocker = dest / where
     blocker.write_text("kept\n")
-    dest = blocker if where == "out" else blocker / "out"
-    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(cfg_path),
-                 "--out", str(dest)]) == 2
+    return blocker, dest
+
+
+def _refused(blocker: Path, dest: Path, capsys):
+    """The error names the file, which is kept as it was, alone."""
     assert capsys.readouterr().err == f"error: --out {dest}: {blocker} is not a directory\n"
     assert blocker.read_text() == "kept\n"
+    if dest.is_dir():
+        assert list(dest.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("where", ["out", "parent", "fused"])
+def test_fuse_out_through_a_file_exit_2(workspace, tmp_path, capsys, monkeypatch, where):
+    """The path, with the ``fused`` entry the fuse moves into it, is
+    refused before the fuse runs."""
+    def fuse(*args, **kwargs):
+        raise AssertionError("the fuse ran")
+
+    root, data, out, cfg_path = workspace
+    monkeypatch.setattr(cli, "fuse_sequence", fuse)
+    blocker, dest = _blocked_out(tmp_path, where)
+    assert main(["fuse", "--chunks", str(data / "chunks"), "--config", str(cfg_path),
+                 "--out", str(dest)]) == 2
+    _refused(blocker, dest, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
-@pytest.mark.parametrize("where", ["out", "parent"])
+@pytest.mark.parametrize("where", ["out", "parent", "gt", "chunks"])
 def test_generate_out_through_a_file_exit_2(tmp_path, capsys, monkeypatch, where):
-    """The path is refused before the oracle runs."""
+    """The path, with the ``gt`` and ``chunks`` entries it makes in it,
+    is refused before the oracle runs."""
     def oracle(spec):
         raise AssertionError("the oracle ran")
 
     monkeypatch.setattr(cli, "generate", oracle)
-    blocker = tmp_path / "taken"
-    blocker.write_text("kept\n")
-    dest = blocker if where == "out" else blocker / "out"
+    blocker, dest = _blocked_out(tmp_path, where)
     spec = small_spec_file(tmp_path, 0)
     assert main(["generate", "--spec", str(spec), "--out", str(dest)]) == 2
-    assert capsys.readouterr().err == f"error: --out {dest}: {blocker} is not a directory\n"
-    assert blocker.read_text() == "kept\n"
+    _refused(blocker, dest, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json", "taken"]
 
 
