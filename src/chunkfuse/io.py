@@ -378,8 +378,9 @@ def write_ground_truth(gt: GroundTruth, directory) -> None:
     arrays = [
         _write_array(directory, "points", gt.points),
         _write_array(directory, "poses", poses),
-        _write_array(directory, "object_ids", gt.object_ids.astype(np.float64)),
-        _write_array(directory, "visible", gt.visible.astype(np.float64)),
+        # straight to float32: every int32 id rounds as it would through float64
+        _write_array(directory, "object_ids", gt.object_ids),
+        _write_array(directory, "visible", gt.visible),
     ]
     _write_manifest(directory, "ground_truth", -1, 0, gt.num_frames - 1, gt.grid_shape, arrays,
                     scene_scale=gt.scene_scale)

@@ -22,19 +22,34 @@ before it skips the scan altogether: the wall's slope is at most
 (by a 0.1% margin) ``g = z - height`` only rises, and if ``g`` is still
 below ``-1e-9 * (|distance| + |amplitude|)`` at the distance, it is below
 zero everywhere before it. The objects are cast in one batched pass over
-the (ray, object) pairs whose ray passes within the object's bounding
-sphere. A ray's nearest object is the lowest-index one at its least
-distance, and it hides the wall only when strictly nearer, as when the
-objects are cast one after another. Visibility is cast for blocks of
-consecutive frames at once; every per-ray step is elementwise, so each
-frame of a block gets the decisions of a cast of its own. None of these
-shortcuts changes a visibility decision or a bound point: ``generate``
-gives the same bits as scanning every step, bisecting to the end, casting
-every object against every ray in index order and each frame alone.
+(ray, object) pairs. A ray's nearest object is the lowest-index one at its
+least distance, and it hides the wall only when strictly nearer, as when
+the objects are cast one after another.
+
+Most visibility rays are decided without a cast. A ray out of view is not
+visible. An object can meet a ray from the camera only where its image
+covers the ray's pixel, so each object's image is bounded by the
+projected corners of its bounding box, widened to whole pixel cells, and
+a ray is cast only against the objects whose boxes cover its cell; a box
+not wholly in front of the camera covers every cell. The wall cannot hide
+a wall point whose ray rises faster than the wall's slope by enough that
+``g`` falls below the margin above over the ray's last ``tol``: the scan
+would find that ray clear, so it is skipped too. A ray in view is
+scanned against the wall unless certified, and cast against the objects
+whose boxes cover its cell; one left with neither is visible, the decision
+the full cast reaches for it. The frame-0 binding cast uses the same
+cover, each pixel's ray lying in its own cell. The per-ray steps
+are elementwise, so casting the rays left over from a block of frames, or
+from all frames at once, gives each ray the decision of a cast of its own
+frame. None of these shortcuts changes a visibility decision or a bound
+point: ``generate`` gives the same bits as scanning every step, bisecting
+to the end, casting every object against every ray in index order and
+each frame alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -258,10 +273,13 @@ def _pixel_directions(height: int, width: int) -> np.ndarray:
 
 def _ray_sphere(origin, dirs, center, radius_sq):
     """First hit of each ray (N, 3) from its ``origin`` (N, 3) with its
-    sphere: ``center`` (N, 3) and ``radius_sq``, the squared radius (N,)."""
+    sphere: ``center`` (N, 3) and ``radius_sq``, the squared radius (N,).
+    The length-3 sums are spelled out as numpy sums them, (a + b) + c."""
     oc = origin - center
-    b = (dirs * oc).sum(axis=-1)
-    disc = b**2 - ((oc**2).sum(axis=-1) - radius_sq)
+    prod = dirs * oc
+    b = prod[:, 0] + prod[:, 1] + prod[:, 2]
+    sq = oc**2
+    disc = b**2 - ((sq[:, 0] + sq[:, 1] + sq[:, 2]) - radius_sq)
     s = np.full(dirs.shape[:-1], np.inf)
     hit = disc >= 0
     root = np.sqrt(np.where(hit, disc, 0.0))
@@ -275,8 +293,8 @@ def _ray_sphere(origin, dirs, center, radius_sq):
 def _ray_box(origin, dirs, center, half):
     """First hit of each ray (N, 3) from its ``origin`` (N, 3) with its
     axis-aligned box: ``center`` and half-extents ``half``, (N, 3)."""
-    lo = center - np.asarray(half)
-    hi = center + np.asarray(half)
+    lo = center - half
+    hi = center + half
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / dirs
         t0 = (lo - origin) * inv
@@ -288,8 +306,9 @@ def _ray_box(origin, dirs, center, half):
     inside = (origin >= lo) & (origin <= hi)
     tmin = np.where(par, np.where(inside, -np.inf, np.inf), tmin)
     tmax = np.where(par, np.where(inside, np.inf, -np.inf), tmax)
-    enter = tmin.max(axis=-1)
-    exit_ = tmax.min(axis=-1)
+    # the length-3 reductions, spelled out in numpy's order
+    enter = np.maximum(np.maximum(tmin[:, 0], tmin[:, 1]), tmin[:, 2])
+    exit_ = np.minimum(np.minimum(tmax[:, 0], tmax[:, 1]), tmax[:, 2])
     s = np.full(dirs.shape[:-1], np.inf)
     hit = (enter <= exit_) & (exit_ > 1e-9)
     near = np.where(enter > 1e-9, enter, exit_)
@@ -468,99 +487,226 @@ def _object_offsets(spec: SceneSpec) -> np.ndarray:
     return np.stack([o.trajectory.offsets(spec.num_frames) for o in spec.objects])
 
 
-def _near_bounds(origin, dirs, centers, radii):
-    """(..., N, M) mask: ray n passes within bounding sphere m.
+# Objects are inflated by this factor wherever a superset of the rays that
+# meet them is wanted: the 0.1% dwarfs the rounding by which a computed hit
+# can stray outside the exact surface.
+_INFLATE = 1.001
+# Padding, in pixels, of each object's image box: far more than the
+# rounding of a projected point, about 1e-12 pixels.
+_BOX_PAD = 1e-6
 
-    The rays ``dirs`` (..., N, 3) leave ``origin`` (..., 3), and ``centers``
-    (..., M, 3) are the spheres' centres. Each leading index, such as a
-    frame, has its own (N, 3) @ (3, M) product. The test is on the squared
-    distance from each center to each ray's line, the quantity
-    ``_ray_sphere`` also tests, written as the squared projection of the
-    center on the ray against ``dist2`` less the bound, so the (N, M)
-    product is squared in place. The spheres are inflated by 0.1% and by a
-    rounding allowance, so no ray that hits an object is dropped.
+
+def _cell_boxes(origins, rotations, centers, spec: SceneSpec):
+    """The pixel cells each object's image may cover, frame by frame: an
+    (F, M, 4) int array of half-open row and column ranges (r0, r1, c0, c1).
+
+    Frame f's camera sits at ``origins[f]`` with camera-to-world rotation
+    ``rotations[f]``, and object m at ``centers[f, m]``. A ray that leaves
+    the camera with a positive depth (every in-frame ray does) has positive
+    depth all along it, and each of its points projects to the same image
+    point. So a ray can meet an object only where the object's projection
+    covers that image point. Each object is bounded by its axis-aligned box
+    (a sphere's is a cube), inflated by ``_INFLATE``; a box wholly in front
+    of the camera projects into the convex hull of its 8 corners, so into
+    the corners' bounding box, padded by ``_BOX_PAD`` and widened to whole
+    pixel cells (the cell of image point (u, v) is (round(v), round(u))). A
+    box not wholly in front of the camera covers the whole image.
     """
-    rel = centers - origin[..., None, :]
-    dist2 = (rel**2).sum(axis=-1)[..., None, :]
-    along2 = dirs @ rel.swapaxes(-1, -2)
-    np.square(along2, out=along2)
-    return along2 >= dist2 - ((1.001 * radii) ** 2 + 1e-12 * dist2)
+    height, width = spec.height, spec.width
+    half = _INFLATE * np.array([(obj.size[0],) * 3 if obj.shape == "sphere" else obj.size
+                                for obj in spec.objects]).reshape(-1, 3)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    corners = centers[:, :, None] + half[:, None] * signs
+    cam = (corners - origins[:, None, None]) @ rotations[:, None]
+    z = cam[..., 2]
+    front = (z > 1e-6).all(axis=-1)
+    focal = _focal(width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (width - 1) / 2.0 + focal * cam[..., 0] / z
+        v = (height - 1) / 2.0 + focal * cam[..., 1] / z
+
+    def cells(x, size):
+        lo = np.where(front, np.floor(x.min(axis=-1) - _BOX_PAD + 0.5), 0.0)
+        hi = np.where(front, np.floor(x.max(axis=-1) + _BOX_PAD + 0.5), size - 1.0)
+        return np.clip(lo, 0, size), np.clip(hi + 1, 0, size)
+
+    return np.stack([*cells(v, height), *cells(u, width)], axis=-1).astype(np.intp)
 
 
-def _cast_all(origins, dirs, spec: SceneSpec, centers, s_cap=np.inf, limit=None):
-    """Nearest hit over background and all objects: (s, owner id), shaped
-    like ``dirs[..., 0]``.
+def _cover(boxes, height: int, width: int):
+    """The objects each pixel cell's ray may meet: the cells of ``boxes``
+    (F, M, 4) as an (F, H, W, M) mask, and their union, (F, H, W)."""
+    frames, num, _ = boxes.shape
+    cover = np.zeros((frames, height, width, num), dtype=bool)
+    covered = np.zeros((frames, height, width), dtype=bool)
+    # the union is painted too: numpy's any over the last axis costs more
+    for f, frame_boxes in enumerate(boxes.tolist()):
+        for m, (r0, r1, c0, c1) in enumerate(frame_boxes):
+            cover[f, r0:r1, c0:c1, m] = True
+            covered[f, r0:r1, c0:c1] = True
+    return cover, covered
 
-    The rays ``dirs`` (F, ..., 3) of a block of F frames are cast in one
-    pass, frame f's from ``origins[f]`` against the objects at
-    ``centers[f]`` (F, M, 3); ``s_cap`` and ``limit`` are scalars or one
-    per ray. Every per-ray step is elementwise, so a ray gets the bits it
-    would get cast in a block of its own frame. Owner is -1 for the
-    background, the object index otherwise, and -2 where nothing is hit.
-    The objects are cast in one batched pass over the (ray, object) pairs
-    whose ray passes within the object's slightly inflated bounding sphere;
-    the other pairs cannot hit. Each ray's nearest object is the
-    lowest-index one at its least ``s``, and it replaces the wall only
-    where its ``s`` is strictly less. ``limit`` is passed to the wall scan,
-    so where it is given, ``s`` is exact for objects but only on the right
-    side of ``limit`` for the wall.
+
+def _object_hits(origins, dirs, frame, spec: SceneSpec, centers, rows, objs):
+    """The first hit ``s`` of each (ray, object) pair (``rows[k]``,
+    ``objs[k]``), inf on a miss: ray k leaves ``origins[frame[k]]`` along
+    ``dirs[k]``, and object m sits at ``centers[frame[k], m]``."""
+    sizes = np.array([obj.size for obj in spec.objects]).reshape(-1, 3)
+    spheres = np.array([obj.shape == "sphere" for obj in spec.objects], dtype=bool)
+    # squared by Python's float power, one object at a time: numpy's
+    # square rounds about one radius in a thousand differently
+    radius_sq = np.array([obj.size[0] ** 2 for obj in spec.objects])
+    s = np.empty(len(rows))
+    ball = spheres[objs]
+    for k, cast, size in ((np.flatnonzero(ball), _ray_sphere, radius_sq),
+                          (np.flatnonzero(~ball), _ray_box, sizes)):
+        ray, obj = rows[k], objs[k]
+        s[k] = cast(origins[frame[ray]], dirs[ray], centers[frame[ray], obj], size[obj])
+    return s
+
+
+def _cast_all(origins, dirs, frame, spec: SceneSpec, centers, near, s_cap=np.inf):
+    """Nearest hit over the wall and the objects: (s, owner id) of each ray.
+
+    Ray k leaves ``origins[frame[k]]`` along ``dirs[k]`` (N, 3), capped at
+    ``s_cap`` (a scalar or one per ray), and the objects of its frame sit
+    at ``centers[frame[k]]``. Only the (ray, object) pairs of ``near``
+    (N, M) are cast; the others must be misses. Owner is -1 for the wall,
+    the object index otherwise, and -2 where nothing is hit. A ray's
+    nearest object is the lowest-index one at its least ``s``, and it
+    replaces the wall only where its ``s`` is strictly less.
     """
-    frames = len(origins)
-    flat = dirs.reshape(frames, -1, 3)
-    n = flat.shape[1]
-    # each ray carries its frame's origin
-    ray_origin = np.repeat(origins, n, axis=0)
-    best_s = _ray_background(ray_origin, dirs, spec.background, s_cap, limit).ravel()
+    best_s = _ray_background(origins[frame], dirs, spec.background, s_cap)
     best_id = np.where(np.isfinite(best_s), -1, -2)
     if spec.objects:
-        sizes = np.array([obj.size for obj in spec.objects])
-        spheres = np.array([obj.shape == "sphere" for obj in spec.objects])
-        radii = np.array([obj.size[0] if obj.shape == "sphere" else math.hypot(*obj.size)
-                          for obj in spec.objects])
-        # squared by Python's float power, one object at a time: numpy's
-        # square rounds about one radius in a thousand differently
-        radius_sq = np.array([obj.size[0] ** 2 for obj in spec.objects])
-        # the pairs, row-major; a flat index is ten times faster than 2-D nonzero
-        near = _near_bounds(origins, flat, centers, radii)
         rows, objs = np.divmod(np.flatnonzero(near), len(spec.objects))
-        frame = rows // n
-        o = ray_origin[rows]
-        ctr = centers[frame, objs]
-        rays = flat.reshape(-1, 3)[rows]
-        s = np.empty(len(rows))
-        ball = spheres[objs]
-        s[ball] = _ray_sphere(o[ball], rays[ball], ctr[ball], radius_sq[objs[ball]])
-        box = ~ball
-        s[box] = _ray_box(o[box], rays[box], ctr[box], sizes[objs[box]])
+        s = _object_hits(origins, dirs, frame, spec, centers, rows, objs)
+        closer = s < best_s[rows]
+        rows, objs, s = rows[closer], objs[closer], s[closer]
         # each ray's first pair by (s, object index)
         order = np.lexsort((objs, s, rows))
         rows, objs, s = rows[order], objs[order], s[order]
         first = np.flatnonzero(np.diff(rows, prepend=-1))
-        rows, objs, s = rows[first], objs[first], s[first]
-        closer = s < best_s[rows]
-        best_s[rows[closer]] = s[closer]
-        best_id[rows[closer]] = objs[closer]
-    shape = dirs.shape[:-1]
-    return best_s.reshape(shape), best_id.reshape(shape)
+        best_s[rows[first]] = s[first]
+        best_id[rows[first]] = objs[first]
+    return best_s, best_id
 
 
-# Largest number of (ray, object) pairs one visibility cast may hold; a
-# block of frames is cast together while its pairs stay within it. On a
-# long-stream scene (1,024 rays, 21 objects) that is 12 frames a block.
-# There generate's tracemalloc peak, 7.9 MB, is set by the block casts;
-# with 2**19 it is 12.0 MB and with 2**20 20.2 MB. A 120 x 120 frame with
-# 50 objects already exceeds it and is cast alone.
-_PAIR_BUDGET = 2**18
+# A certified ray's g falls by this many of _wall_free's margins over its
+# last tol: one to pass _wall_free's test, one for rounding.
+_CERT_FACTOR = 2.0
+
+
+def _wall_certified(ray, dist, bg: BackgroundSpec, tol):
+    """Mask over the rays ``ray`` (n, 3), each from its camera to a point
+    of the wall ``dist`` away: the wall cannot hide the point, and
+    ``_wall_free`` would find the ray ``clear`` at ``limit = dist - tol``.
+
+    A ray is certified when ``tol * m >= 2 * margin``, with ``m = d_z -
+    1.001 |A f| |d_xy|`` for the unit ray ``d`` and ``margin = 1e-9 (|D| +
+    |A|)``, the margin of ``_wall_free``. It is tested on the ray
+    unnormalised, ``tol (r_z - 1.001 |A f| |r_xy|) >= 2 margin dist``, which
+    rounds within a few ulps of the same test on ``d``.
+
+    Along the ray ``g = z - height`` rises at rate at least ``m`` (the
+    height's gradient is at most ``|A f|`` long; see ``_ray_background``).
+    The point itself is the root of the frame-0 bisection, which stops on
+    adjacent floats: its bracket, at most ``(8 |A| + 5) s / 96`` long (the
+    camera is at least 0.25 below the wall's lowest point), halves 60
+    times, below one ulp of ``s`` for any ``|A| < 1000``. So the exact
+    ``g`` at the point is within ``e0 = (1 + |A f|) ulp(s)`` plus the
+    rounding of one computed ``g`` of zero, and over the ray's last ``tol``
+    it falls by at least ``tol * m >= 2 margin``. The limit point that
+    ``_wall_free`` computes, ``origin + limit * d``, strays from the exact
+    point by ``e1``, a few ulps of ``|origin| + dist``, which moves ``g``
+    by at most ``(1 + |A f|) e1``, and the computed ``g`` strays from the
+    exact one by ``e2``, a few ulps of ``|z| + |D| + |A| (1 + |f x| + |f y|
+    + |phase|)``. The computed ``g`` at the limit is then at most
+    ``-2 margin + e0 + (1 + |A f|) e1 + e2``, below ``-margin`` while
+    ``(1 + |A f|) (|origin| + dist)`` stays below about ``1e6 (|D| + |A|)``:
+    ``_wall_free`` finds the ray ``clear``, and the cast returns ``inf``
+    for its wall, as it does for the certified ray.
+    """
+    slope = _SLOPE_MARGIN * abs(bg.amplitude) * abs(bg.frequency)
+    margin = _CLEAR_MARGIN * (abs(bg.distance) + abs(bg.amplitude))
+    rise = ray[:, 2] - slope * np.hypot(ray[:, 0], ray[:, 1])
+    return tol * rise >= _CERT_FACTOR * margin * dist
+
+
+def _undecided_rays(points, origins, rotations, boxes, on_wall, spec: SceneSpec, tol):
+    """The visibility rays of a block of F frames that need a cast.
+
+    ``points`` (F, H, W, 3) are seen from cameras at ``origins`` (F, 3)
+    with rotations ``rotations`` (F, 3, 3); ``boxes`` are the objects' cell
+    boxes (``_cell_boxes``) and ``on_wall`` (H * W) marks the pixels bound
+    to the wall. Returns ``in_frame`` (F, H, W); then, for the in-frame
+    rays that the wall or an object might hide, their flat index in the
+    block, unit ray, distance and whether to scan the wall; and the (ray,
+    object) pairs to cast, the ray by its place in that list. Every other
+    in-frame ray is visible.
+    """
+    height, width = spec.height, spec.width
+    ray = points - origins[:, None, None]
+    # one (W, 3) @ (3, 3) product per image row, as frame by frame
+    rel = ray @ rotations[:, None]
+    z = rel[..., 2]
+    in_front = z > 1e-6
+    focal = _focal(width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (width - 1) / 2.0 + focal * rel[..., 0] / z
+        v = (height - 1) / 2.0 + focal * rel[..., 1] / z
+    in_frame = in_front & (u >= -0.5) & (u <= width - 0.5) & (v >= -0.5) & (v <= height - 0.5)
+    ray = ray.reshape(-1, 3)
+    dist = norm3(ray)
+    scan = ~(np.tile(on_wall, len(origins)) & _wall_certified(ray, dist, spec.background, tol))
+
+    idx = np.flatnonzero(in_frame)
+    frame = idx // (height * width)
+    rows = np.minimum(np.floor(v.ravel()[idx] + 0.5), height - 1).astype(np.intp)
+    cols = np.minimum(np.floor(u.ravel()[idx] + 0.5), width - 1).astype(np.intp)
+    cover, covered = _cover(boxes, height, width)
+    near = covered[frame, rows, cols]
+    cast = near | scan[idx]
+    # each covered ray's objects; the ray by its place among those cast
+    sub = np.flatnonzero(near)
+    hit, objs = np.divmod(np.flatnonzero(cover[frame[sub], rows[sub], cols[sub]]),
+                          max(len(spec.objects), 1))
+    hit = (np.cumsum(cast) - 1)[sub[hit]]
+    idx = idx[cast]
+    dist = dist[idx]
+    return in_frame, idx, ray[idx] / np.maximum(dist, 1e-12)[:, None], dist, scan[idx], hit, objs
+
+
+# Largest number of rays one visibility block may hold (one frame at
+# least): 8 frames of a long-stream scene (32 x 32), one of a 120 x 120
+# scene. The rays left to cast are cast in chunks of as many rays. With
+# 2**14, generate's tracemalloc peak on a long-stream scene rises from
+# 6.9 to 8.4 MB, past that of casting every ray (7.9 MB).
+_RAY_BUDGET = 2**13
 
 
 def generate(spec: SceneSpec) -> GroundTruth:
     """Ground truth of ``spec``, a function of the spec alone: no random
     numbers are drawn, and the seed is left to :func:`emit_chunks`.
 
-    Each pixel is bound by one cast of frame 0's rays. Visibility is then
-    cast for blocks of consecutive frames, as many as keep a block's
-    (ray, object) pairs within ``_PAIR_BUDGET`` (one at least). A block
-    gives every frame the decisions a cast of that frame alone gives.
+    Each pixel is bound by one cast of frame 0's rays. A point is then
+    visible in a frame when it is in view and nothing lies on its ray more
+    than ``tol`` before it. Rays out of view are not cast. Of the rest,
+    only those that the wall or an object might hide are cast:
+
+    - an object can meet a ray only where its image box covers the ray's
+      pixel cell (``_cover``), so only rays in that frame's cover are cast
+      against objects, and each only against the objects covering it;
+    - the wall cannot hide a wall point whose ray rises steeply enough
+      (``_wall_certified``); the full cast would skip that ray's wall scan
+      too, so every other ray is scanned.
+
+    A ray cast neither way is visible, which is what the full cast finds
+    for it. The rays are decided in blocks of frames of up to
+    ``_RAY_BUDGET`` rays (one frame at least), and the rays left over from
+    every block are cast together, in chunks of as many rays. Every per-ray
+    step is elementwise, so each ray gets the decision a cast of its frame
+    alone gives.
     """
     if not spec.objects and spec.background.amplitude == 0.0 and spec.camera.kind == "dolly" \
             and spec.camera.velocity == (0.0, 0.0, 0.0) and spec.camera.accel == (0.0, 0.0, 0.0):
@@ -578,17 +724,23 @@ def generate(spec: SceneSpec) -> GroundTruth:
     rig[:, 3, 3] = 1.0
     poses = list(Pose.from_matrices(rig))
     rotations = np.ascontiguousarray(rig[:, :3, :3])
+    height, width = spec.height, spec.width
+    pixels = height * width
 
     offsets = _object_offsets(spec)
     # each object's centre in each frame, (T, M, 3)
     centers = np.array([obj.position for obj in spec.objects], dtype=np.float64).reshape(-1, 3) \
         + offsets.transpose(1, 0, 2)
-    dirs_cam = _pixel_directions(spec.height, spec.width)
+    dirs_cam = _pixel_directions(height, width)
     R0 = poses[0].rotation
     dirs0 = dirs_cam @ R0.T
     o0 = positions[0]
-    s0, owner = _cast_all(positions[:1], dirs0[None], spec, centers[:1])
-    s0, owner = s0[0], owner[0]
+    boxes = _cell_boxes(positions, rotations, centers, spec)
+    # a pixel's own ray lies in its own cell
+    cover0, _ = _cover(boxes[:1], height, width)
+    s0, owner = _cast_all(positions[:1], dirs0.reshape(-1, 3), np.zeros(pixels, dtype=np.intp),
+                          spec, centers[:1], cover0.reshape(pixels, -1))
+    s0, owner = s0.reshape(height, width), owner.reshape(height, width)
     if not np.isfinite(s0).all():
         raise InvalidSpec("some pixels hit no surface; widen the background or narrow the fov")
     bound = o0 + s0[..., None] * dirs0
@@ -600,7 +752,7 @@ def generate(spec: SceneSpec) -> GroundTruth:
     points = np.take(padded, owner, axis=1)
     points += bound
 
-    block = max(1, _PAIR_BUDGET // (spec.height * spec.width * max(len(spec.objects), 1)))
+    block = max(1, _RAY_BUDGET // pixels)
     # the median camera-to-point distance, its distances formed block by
     # block into one (T, H, W) buffer rather than from a (T, H, W, 3)
     # difference; the median of the same values has the same bits
@@ -612,29 +764,44 @@ def generate(spec: SceneSpec) -> GroundTruth:
     del dist
     tol = 1e-6 * scene_scale
 
-    visible = np.empty((spec.num_frames, spec.height, spec.width), dtype=bool)
-    focal = _focal(spec.width)
-    cy, cx = (spec.height - 1) / 2.0, (spec.width - 1) / 2.0
+    on_wall = (owner == -1).ravel()
+    visible = np.empty((spec.num_frames, height, width), dtype=bool)
+    # the rays left to cast, block by block: flat index into ``visible``,
+    # unit ray, distance, whether to scan the wall; and (ray, object) pairs
+    left = []
+    pairs = []
+    count = 0
     for t in range(0, spec.num_frames, block):
         b = slice(t, t + block)
-        o = positions[b]
-        ray = points[b] - o[:, None, None]
-        # one (W, 3) @ (3, 3) product per image row, as frame by frame
-        rel = ray @ rotations[b, None]
-        z = rel[..., 2]
-        in_front = z > 1e-6
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = cx + focal * rel[..., 0] / z
-            v = cy + focal * rel[..., 1] / z
-        in_frame = in_front & (u >= -0.5) & (u <= spec.width - 0.5) & (v >= -0.5) & (v <= spec.height - 0.5)
-        dist = norm3(ray)
-        ray /= np.maximum(dist, 1e-12)[..., None]
-        s_hit, _ = _cast_all(o, ray, spec, centers[b], s_cap=dist + tol, limit=dist - tol)
-        visible[b] = in_frame & (s_hit >= dist - tol)
+        in_frame, idx, d, dist, scan, hit, objs = _undecided_rays(
+            points[b], positions[b], rotations[b], boxes[b], on_wall, spec, tol)
+        visible[b] = in_frame
+        left.append((idx + t * pixels, d, dist, scan))
+        pairs.append((count + hit, objs))
+        count += len(idx)
+    idx, d, dist, scan = (np.concatenate(a) for a in zip(*left))
+    rows, objs = (np.concatenate(a) for a in zip(*pairs))
+    del left, pairs
+    clear = np.ones(len(idx), dtype=bool)
+    for k in range(0, len(idx), _RAY_BUDGET):
+        c = slice(k, k + _RAY_BUDGET)
+        frame, ray, limit = idx[c] // pixels, d[c], dist[c] - tol
+        w = np.flatnonzero(scan[c])
+        clear[k + w] = _ray_background(positions[frame[w]], ray[w], spec.background,
+                                       dist[c][w] + tol, limit[w]) >= limit[w]
+        p = slice(*np.searchsorted(rows, (k, k + _RAY_BUDGET)))
+        hit = rows[p] - k
+        s = _object_hits(positions, ray, frame, spec, centers, hit, objs[p])
+        clear[k + hit[s < limit[hit]]] = False
+    visible.reshape(-1)[idx] = clear
+
+    frames = np.arange(spec.num_frames)
     for m, obj in enumerate(spec.objects):
-        for t in range(spec.num_frames):
-            if not obj.forced_visible(t):
-                visible[t] &= owner != m
+        if obj.visible_ranges is not None:
+            shown = np.zeros(spec.num_frames, dtype=bool)
+            for lo, hi in obj.visible_ranges:
+                shown |= (lo <= frames) & (frames <= hi)
+            visible[~shown] &= owner != m
 
     return GroundTruth(
         points=points,
@@ -717,7 +884,7 @@ def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> Emitte
             pts = g.apply(gt.points[start : end + 1])
             sigma = spec.noise_sigma * gt.scene_scale * g.scale
             if sigma > 0:
-                pts = pts + noise_rng.normal(0.0, sigma, size=pts.shape)
+                pts += noise_rng.normal(0.0, sigma, size=pts.shape)
             vis = gt.visible[start : end + 1]
             conf = np.where(
                 vis,

@@ -36,7 +36,12 @@ dense EPE no longer called it; ``weighted_moments`` here remains its bit
 reference. ``streamed_samples`` still reads a dict whose tracks differ
 in length key by key, which ``metrics.dense_epe`` now refuses.
 ``model.TrackTable`` held the pixel-major ``seed_tracks`` view of a
-stack, where it now holds the stack.
+stack, where it now holds the stack. ``synthetic.generate`` decides most
+visibility rays without a cast; ``generate`` here casts every ray of every
+frame with ``block_cast``, the full cast as it stood (bounding-sphere cull,
+band-limited wall scan), or with a cast the caller passes.
+``separated_objects`` draws the test recipes' objects try by try, where
+``scenes.separated_objects`` draws a batch of tries at once.
 """
 
 import math
@@ -72,7 +77,8 @@ from chunkfuse.model import (
 from chunkfuse.registration import GAMMA_C, RANK_TOL, _median_distance
 from chunkfuse.synthetic import (
     GroundTruth,
-    _cast_all,
+    ObjectSpec,
+    TrajectorySpec,
     _focal,
     _look_at_rotations,
     _object_offsets,
@@ -680,17 +686,272 @@ class Stitcher:
         return [b.finish() for b in self.builders]
 
 
-def cast_frame(o, dirs, spec, offsets_t, s_cap=np.inf, limit=None):
-    """The cast of one frame's rays ``dirs`` from ``o``, with the objects
-    at ``offsets_t`` from their positions, as a block of one frame."""
-    centers = np.array([obj.position for obj in spec.objects], dtype=np.float64).reshape(-1, 3) + offsets_t
-    s, owner = _cast_all(o[None], dirs[None], spec, centers.reshape(1, -1, 3),
-                         np.asarray(s_cap)[None], None if limit is None else limit[None])
+def ray_sphere(origin, dirs, center, radius_sq):
+    """First hit of each ray (N, 3) from its ``origin`` (N, 3) with its
+    sphere: ``center`` (N, 3) and ``radius_sq``, the squared radius (N,)."""
+    oc = origin - center
+    b = (dirs * oc).sum(axis=-1)
+    disc = b**2 - ((oc**2).sum(axis=-1) - radius_sq)
+    s = np.full(dirs.shape[:-1], np.inf)
+    hit = disc >= 0
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    near = -b - root
+    far = -b + root
+    s = np.where(hit & (near > 1e-9), near, s)
+    s = np.where(hit & (near <= 1e-9) & (far > 1e-9), far, s)
+    return s
+
+
+def ray_box(origin, dirs, center, half):
+    """First hit of each ray (N, 3) from its ``origin`` (N, 3) with its
+    axis-aligned box: ``center`` and half-extents ``half``, (N, 3)."""
+    lo = center - np.asarray(half)
+    hi = center + np.asarray(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t0 = (lo - origin) * inv
+        t1 = (hi - origin) * inv
+    tmin = np.minimum(t0, t1)
+    tmax = np.maximum(t0, t1)
+    # rays parallel to a slab: inside -> (-inf, inf), outside -> miss
+    par = np.abs(dirs) < 1e-15
+    inside = (origin >= lo) & (origin <= hi)
+    tmin = np.where(par, np.where(inside, -np.inf, np.inf), tmin)
+    tmax = np.where(par, np.where(inside, np.inf, -np.inf), tmax)
+    enter = tmin.max(axis=-1)
+    exit_ = tmax.min(axis=-1)
+    s = np.full(dirs.shape[:-1], np.inf)
+    hit = (enter <= exit_) & (exit_ > 1e-9)
+    near = np.where(enter > 1e-9, enter, exit_)
+    return np.where(hit, near, s)
+
+
+SCAN_STEPS = 96
+BISECTIONS = 60
+SLOPE_MARGIN = 1.001
+CLEAR_MARGIN = 1e-9
+
+
+def wall_free(origin, d, bg, lim):
+    """Masks over the rays ``d`` (unit, (N, 3)) from ``origin`` (N, 3):
+    ``rises``, where ``g = z - height`` strictly increases along the ray,
+    and ``clear``, where it also lies below ``-CLEAR_MARGIN * (|distance|
+    + |amplitude|)`` at ``lim``."""
+    slope = SLOPE_MARGIN * abs(bg.amplitude) * abs(bg.frequency)
+    rises = d[:, 2] > slope * np.hypot(d[:, 0], d[:, 1])
+    p = origin + lim[:, None] * d
+    below = p[:, 2] - bg.height(p[:, 0], p[:, 1]) < -CLEAR_MARGIN * (
+        abs(bg.distance) + abs(bg.amplitude))
+    return rises, rises & below
+
+
+def ray_background(origin, dirs, bg, s_cap, limit=None):
+    """First intersection with the bumped wall along each ray, inf on a miss.
+
+    ``origin`` (..., 3) holds the origin of each ray of ``dirs`` (..., 3).
+    A ray is sampled at ``SCAN_STEPS`` equal steps up to ``s_cap`` or
+    ``s_flat``, whichever is nearer, where ``s_flat`` reaches past the
+    wall's highest point. The first step at which ``g = z - height``
+    turns positive brackets the hit, which is then bisected
+    ``BISECTIONS`` times.
+
+    Only the band of steps near the wall is evaluated. The height is
+    ``distance - amplitude * sin * cos`` with ``|sin * cos| <= 1``, and
+    float rounding is monotone, so ``g <= 0`` at every step whose z lies
+    below ``distance - |amplitude|`` and ``g > 0`` at every step whose z
+    lies above ``distance + |amplitude|``. A ray's z does not decrease from
+    one step to the next, so every sign change lies between the last step
+    below the band and the first step above it, and scanning those steps
+    finds the same bracket as scanning the whole grid. Each ray is scanned
+    over its own band only: the (ray, step) pairs are laid out flat, so a
+    wide or fallback band pads no other ray.
+
+    The bisection stops early once a step changes no ray's bracket: that
+    state is a fixed point, so the remaining steps would return the same
+    bits. A NaN bracket never compares equal and runs every step.
+
+    ``limit`` (per ray) asks only whether the hit lies before it. The
+    bisection then stops as soon as every ray's bracket lies wholly on one
+    side of its limit. Each bracket holds the brackets of all later steps,
+    so the returned midpoint is on the same side of ``limit`` as the full
+    root, but is not the root itself; which midpoint depends on the other
+    rays of the call. The rays bisect in lockstep: they usually all decide
+    at the same step, and gathering the undecided ones each step cost more
+    than the steps it saved.
+
+    With ``limit``, a ray that ``wall_free`` certifies returns ``inf``
+    without a scan. The height's gradient, ``amplitude * frequency *
+    (-cos a cos b, sin a sin b)``, is at most ``|amplitude| * |frequency|``
+    long, so along a ray with ``d_z > 1.001 * |amplitude| * |frequency| *
+    |d_xy|`` ``g`` strictly increases; the 0.1% covers rounding in the test
+    itself. If the computed ``g`` at ``origin + limit * d`` is also below
+    ``-1e-9 * (|distance| + |amplitude|)``, a margin many orders above the
+    few ulps by which a computed ``g`` strays from the exact one, then the
+    computed ``g`` is negative at every point up to ``limit``, and every
+    point where it is positive lies a margin's worth of ``g`` beyond it.
+    The full scan can then only bracket a sign change whose upper end lies
+    past ``limit``, and after its bisections the bracket is far narrower
+    than that gap, so its root is ``inf`` or ``>= limit``: the same
+    decision as the ``inf`` returned. Without ``limit`` (the frame-0
+    binding cast) the root itself is wanted, and every ray is scanned.
+    """
+    flat = dirs.reshape(-1, 3)
+    s_out = np.full(len(flat), np.inf)
+    idx = np.nonzero(flat[:, 2] > 1e-12)[0]
+    d = flat[idx]
+    o = origin.reshape(-1, 3)[idx]
+    if limit is not None:
+        lim = np.broadcast_to(limit, dirs.shape[:-1]).ravel()[idx]
+        keep = ~wall_free(o, d, bg, lim)[1]
+        idx, d, lim, o = idx[keep], d[keep], lim[keep], o[keep]
+    oz = o[:, 2]
+    s_flat = (bg.distance + abs(bg.amplitude) + 1.0 - oz) / d[:, 2]
+    cap = np.broadcast_to(np.asarray(s_cap, dtype=np.float64), dirs.shape[:-1]).ravel()[idx]
+    s_hi = np.minimum(s_flat, np.where(np.isfinite(cap), cap, s_flat))
+    s_hi = np.maximum(s_hi, 1e-9)
+    grid = np.linspace(0.0, 1.0, SCAN_STEPS + 1)
+
+    def g(s, dd, oo):
+        p = oo + s[..., None] * dd
+        return p[..., 2] - bg.height(p[..., 0], p[..., 1])
+
+    # z of the sample at step k, computed as g computes it
+    def z_at(k):
+        return oz + (grid[k] * s_hi) * d[:, 2]
+
+    # The padding keeps the band safe should sin or cos round past +-1.
+    reach = abs(bg.amplitude) + 1e-9 * (abs(bg.distance) + abs(bg.amplitude))
+    z_lo, z_hi = bg.distance - reach, bg.distance + reach
+    rise = s_hi * d[:, 2] / SCAN_STEPS
+    first = np.clip(np.floor((z_lo - oz) / rise) - 1, 0, SCAN_STEPS).astype(np.intp)
+    last = np.clip(np.ceil((z_hi - oz) / rise) + 1, 0, SCAN_STEPS).astype(np.intp)
+    # The estimate is exact to a few ulps; should it miss, scan every step.
+    off = ((first > 0) & (z_at(first) > z_lo)) | ((last < SCAN_STEPS) & (z_at(last) <= z_hi))
+    first[off] = 0
+    last[off] = SCAN_STEPS
+
+    rows = np.nonzero(last > first)[0]
+    if not rows.size:
+        return s_out.reshape(dirs.shape[:-1])
+    # one (ray, step) pair per step of each ray's band, ray by ray
+    count = last[rows] - first[rows] + 1
+    ray = np.repeat(rows, count)
+    steps = np.arange(len(ray)) + np.repeat(first[rows] - (np.cumsum(count) - count), count)
+    s = grid[steps] * s_hi[ray]
+    val = g(s, d[ray], o[ray])
+    cross = (val[:-1] <= 0) & (val[1:] > 0) & (ray[:-1] == ray[1:])
+    at = np.flatnonzero(cross)
+    # each ray's first crossing
+    at = at[np.flatnonzero(np.diff(ray[at], prepend=-1))]
+    flo = s[at]
+    fhi = s[at + 1]
+    rows = ray[at]
+    dd = d[rows]
+    oo = o[rows]
+
+    if limit is not None:
+        lim = lim[rows]
+    for _ in range(BISECTIONS):
+        if limit is not None and not ((flo < lim) & (lim <= fhi)).any():
+            break
+        mid = 0.5 * (flo + fhi)
+        neg = g(mid, dd, oo) <= 0
+        lo, hi = np.where(neg, mid, flo), np.where(neg, fhi, mid)
+        if np.array_equal(lo, flo) and np.array_equal(hi, fhi):
+            break
+        flo, fhi = lo, hi
+    s_out[idx[rows]] = 0.5 * (flo + fhi)
+    return s_out.reshape(dirs.shape[:-1])
+
+
+def near_bounds(origin, dirs, centers, radii):
+    """(..., N, M) mask: ray n passes within bounding sphere m.
+
+    The rays ``dirs`` (..., N, 3) leave ``origin`` (..., 3), and ``centers``
+    (..., M, 3) are the spheres' centres. Each leading index, such as a
+    frame, has its own (N, 3) @ (3, M) product. The test is on the squared
+    distance from each center to each ray's line, the quantity
+    ``ray_sphere`` also tests, written as the squared projection of the
+    center on the ray against ``dist2`` less the bound, so the (N, M)
+    product is squared in place. The spheres are inflated by 0.1% and by a
+    rounding allowance, so no ray that hits an object is dropped.
+    """
+    rel = centers - origin[..., None, :]
+    dist2 = (rel**2).sum(axis=-1)[..., None, :]
+    along2 = dirs @ rel.swapaxes(-1, -2)
+    np.square(along2, out=along2)
+    return along2 >= dist2 - ((1.001 * radii) ** 2 + 1e-12 * dist2)
+
+
+def block_cast(origins, dirs, spec, centers, s_cap=np.inf, limit=None):
+    """Nearest hit over background and all objects: (s, owner id), shaped
+    like ``dirs[..., 0]``.
+
+    The rays ``dirs`` (F, ..., 3) of a block of F frames are cast in one
+    pass, frame f's from ``origins[f]`` against the objects at
+    ``centers[f]`` (F, M, 3); ``s_cap`` and ``limit`` are scalars or one
+    per ray. Every per-ray step is elementwise, so a ray gets the bits it
+    would get cast in a block of its own frame. Owner is -1 for the
+    background, the object index otherwise, and -2 where nothing is hit.
+    The objects are cast in one batched pass over the (ray, object) pairs
+    whose ray passes within the object's slightly inflated bounding sphere;
+    the other pairs cannot hit. Each ray's nearest object is the
+    lowest-index one at its least ``s``, and it replaces the wall only
+    where its ``s`` is strictly less. ``limit`` is passed to the wall scan,
+    so where it is given, ``s`` is exact for objects but only on the right
+    side of ``limit`` for the wall.
+    """
+    frames = len(origins)
+    flat = dirs.reshape(frames, -1, 3)
+    n = flat.shape[1]
+    # each ray carries its frame's origin
+    ray_origin = np.repeat(origins, n, axis=0)
+    best_s = ray_background(ray_origin, dirs, spec.background, s_cap, limit).ravel()
+    best_id = np.where(np.isfinite(best_s), -1, -2)
+    if spec.objects:
+        sizes = np.array([obj.size for obj in spec.objects])
+        spheres = np.array([obj.shape == "sphere" for obj in spec.objects])
+        radii = np.array([obj.size[0] if obj.shape == "sphere" else math.hypot(*obj.size)
+                          for obj in spec.objects])
+        # squared by Python's float power, one object at a time: numpy's
+        # square rounds about one radius in a thousand differently
+        radius_sq = np.array([obj.size[0] ** 2 for obj in spec.objects])
+        # the pairs, row-major; a flat index is ten times faster than 2-D nonzero
+        near = near_bounds(origins, flat, centers, radii)
+        rows, objs = np.divmod(np.flatnonzero(near), len(spec.objects))
+        frame = rows // n
+        o = ray_origin[rows]
+        ctr = centers[frame, objs]
+        rays = flat.reshape(-1, 3)[rows]
+        s = np.empty(len(rows))
+        ball = spheres[objs]
+        s[ball] = ray_sphere(o[ball], rays[ball], ctr[ball], radius_sq[objs[ball]])
+        box = ~ball
+        s[box] = ray_box(o[box], rays[box], ctr[box], sizes[objs[box]])
+        # each ray's first pair by (s, object index)
+        order = np.lexsort((objs, s, rows))
+        rows, objs, s = rows[order], objs[order], s[order]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        rows, objs, s = rows[first], objs[first], s[first]
+        closer = s < best_s[rows]
+        best_s[rows[closer]] = s[closer]
+        best_id[rows[closer]] = objs[closer]
+    shape = dirs.shape[:-1]
+    return best_s.reshape(shape), best_id.reshape(shape)
+
+
+def cast_frame(o, dirs, spec, centers, s_cap=np.inf, limit=None):
+    """The full cast of one frame's rays ``dirs`` from ``o``, with the
+    objects at ``centers`` (M, 3), as a block of one frame."""
+    s, owner = block_cast(o[None], dirs[None], spec, centers.reshape(1, -1, 3),
+                          np.asarray(s_cap)[None], None if limit is None else limit[None])
     return s[0], owner[0]
 
 
-def generate(spec):
-    """``synthetic.generate`` with one visibility cast per frame."""
+def generate(spec, cast=cast_frame):
+    """``synthetic.generate`` with one visibility cast per frame, each
+    deciding every ray by ``cast(o, dirs, spec, centers, s_cap, limit)``,
+    a full cast of one frame that returns (s, owner) per ray."""
     if not spec.objects and spec.background.amplitude == 0.0 and spec.camera.kind == "dolly" \
             and spec.camera.velocity == (0.0, 0.0, 0.0) and spec.camera.accel == (0.0, 0.0, 0.0):
         # A featureless static wall with a static camera carries no scene
@@ -708,11 +969,13 @@ def generate(spec):
     poses = list(Pose.from_matrices(rig))
 
     offsets = _object_offsets(spec)
+    centers = np.array([obj.position for obj in spec.objects], dtype=np.float64).reshape(-1, 3) \
+        + offsets.transpose(1, 0, 2)
     dirs_cam = _pixel_directions(spec.height, spec.width)
     R0 = poses[0].rotation
     dirs0 = dirs_cam @ R0.T
     o0 = positions[0]
-    s0, owner = cast_frame(o0, dirs0, spec, offsets[:, 0] if spec.objects else offsets[:, :0])
+    s0, owner = cast(o0, dirs0, spec, centers[0])
     if not np.isfinite(s0).all():
         raise InvalidSpec("some pixels hit no surface; widen the background or narrow the fov")
     bound = o0 + s0[..., None] * dirs0
@@ -744,8 +1007,7 @@ def generate(spec):
         in_frame = in_front & (u >= -0.5) & (u <= spec.width - 0.5) & (v >= -0.5) & (v <= spec.height - 0.5)
         dist = norm3(points[t] - o)
         rays = (points[t] - o) / np.maximum(dist, 1e-12)[..., None]
-        s_hit, _ = cast_frame(o, rays, spec, offsets[:, t] if spec.objects else offsets[:, :0],
-                              s_cap=dist + tol, limit=dist - tol)
+        s_hit, _ = cast(o, rays, spec, centers[t], s_cap=dist + tol, limit=dist - tol)
         unoccluded = s_hit >= dist - tol
         vis = in_frame & unoccluded
         for m, obj in enumerate(spec.objects):
@@ -760,6 +1022,68 @@ def generate(spec):
         visible=visible,
         scene_scale=scene_scale,
     )
+
+
+def separated_objects(
+    rng: np.random.Generator,
+    n: int,
+    num_frames: int,
+    min_sep: float,
+    arena=((-1.1, 1.1), (-0.55, 0.55), (3.1, 5.3)),
+    radius_range=(0.3, 0.65),
+    rate_range=(0.25, 0.4),
+    size_range=(0.07, 0.11),
+    max_tries: int = 8000,
+    surface_separation: bool = False,
+) -> tuple[ObjectSpec, ...]:
+    """Circular-motion objects whose trajectories never come closer than
+    ``min_sep`` to each other over the whole sequence: the sampler of
+    ``scenes.separated_objects`` as it stood, drawing try by try.
+
+    With ``surface_separation`` the bound applies between object surfaces
+    (center distance minus both sizes), i.e. between the tracked points
+    themselves.
+    """
+    objs, tracks, sizes = [], [], []
+    tries = 0
+    while len(objs) < n and tries < max_tries:
+        tries += 1
+        center = np.array(
+            [rng.uniform(*arena[0]), rng.uniform(*arena[1]), rng.uniform(*arena[2])]
+        )
+        radius = rng.uniform(*radius_range)
+        rate = (1 if rng.random() < 0.5 else -1) * rng.uniform(*rate_range)
+        phase = rng.uniform(0, 2 * np.pi)
+        size = float(rng.uniform(*size_range))
+        traj = TrajectorySpec(
+            kind="circular",
+            radius=float(radius),
+            angular_rate=float(rate),
+            phase=float(phase),
+            plane="xz",
+        )
+        track = center + traj.offsets(num_frames)
+        ok = True
+        for other, other_size in zip(tracks, sizes):
+            bound = min_sep
+            if surface_separation:
+                bound = min_sep + np.sqrt(3) * (size + other_size)
+            if np.linalg.norm(track - other, axis=1).min() < bound:
+                ok = False
+                break
+        if not ok:
+            continue
+        tracks.append(track)
+        sizes.append(size)
+        objs.append(
+            ObjectSpec(
+                shape="sphere" if len(objs) % 2 else "box",
+                size=(size,) * 3,
+                position=tuple(center),
+                trajectory=traj,
+            )
+        )
+    return tuple(objs)
 
 
 def write_trajectories(trajectories: list[Trajectory], path) -> None:

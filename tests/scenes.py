@@ -10,6 +10,9 @@ adds the camera noise of a monocular predictor to an emitted stream.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 from scipy.spatial.transform import Rotation
 
@@ -26,6 +29,8 @@ from chunkfuse.synthetic import (
 )
 
 FULL_GAUGE = GaugeSpec(scale_range=(0.6, 1.6), rotation_max=1.2, translation_max=0.6)
+# tries drawn and tested together by separated_objects
+TRY_BATCH = 128
 
 
 def separated_objects(
@@ -46,46 +51,62 @@ def separated_objects(
     With ``surface_separation`` the bound applies between object surfaces
     (center distance minus both sizes), i.e. between the tracked points
     themselves.
+
+    Each try draws eight values, accepted or not: the centre's x, y and z,
+    the radius, the turning sign, the rate, the phase and the size. The
+    tries are drawn ``TRY_BATCH`` at a time: ``Generator.uniform(lo, hi)`` gives
+    the bits of ``lo + (hi - lo) * random()``, so the objects are those of
+    drawing try by try (``references.separated_objects``). Each try is
+    tested against every accepted track at once, the whole batch first on
+    every fourth frame.
     """
-    objs, tracks, sizes = [], [], []
-    tries = 0
-    while len(objs) < n and tries < max_tries:
-        tries += 1
-        center = np.array(
-            [rng.uniform(*arena[0]), rng.uniform(*arena[1]), rng.uniform(*arena[2])]
-        )
-        radius = rng.uniform(*radius_range)
-        rate = (1 if rng.random() < 0.5 else -1) * rng.uniform(*rate_range)
-        phase = rng.uniform(0, 2 * np.pi)
-        size = float(rng.uniform(*size_range))
-        traj = TrajectorySpec(
-            kind="circular",
-            radius=float(radius),
-            angular_rate=float(rate),
-            phase=float(phase),
-            plane="xz",
-        )
-        track = center + traj.offsets(num_frames)
-        ok = True
-        for other, other_size in zip(tracks, sizes):
-            bound = min_sep
-            if surface_separation:
-                bound = min_sep + np.sqrt(3) * (size + other_size)
-            if np.linalg.norm(track - other, axis=1).min() < bound:
-                ok = False
-                break
-        if not ok:
-            continue
-        tracks.append(track)
-        sizes.append(size)
-        objs.append(
-            ObjectSpec(
-                shape="sphere" if len(objs) % 2 else "box",
-                size=(size,) * 3,
-                position=tuple(center),
-                trajectory=traj,
+    lo, hi = np.array([*arena, radius_range, (0.0, 1.0), rate_range,
+                       (0.0, 2 * np.pi), size_range]).T
+    t = np.arange(num_frames, dtype=np.float64)
+    objs, tracks, sizes = [], np.empty((0, num_frames, 3)), np.empty(0)
+    for start in range(0, max_tries, TRY_BATCH):
+        if len(objs) == n:
+            break
+        draws = rng.random((min(TRY_BATCH, max_tries - start), 8))
+        values = lo + (hi - lo) * draws
+        values[:, 4] = draws[:, 4]
+        centers, radii, phases = values[:, :3], values[:, 3], values[:, 6]
+        rates = np.where(values[:, 4] < 0.5, 1.0, -1.0) * values[:, 5]
+        # TrajectorySpec.offsets of every try, its phase's sine and cosine
+        # taken by math as there
+        ang = rates[:, None] * t + phases[:, None]
+        batch_tracks = np.repeat(centers[:, None], num_frames, axis=1)
+        batch_tracks[..., 0] += radii[:, None] * (np.cos(ang) - np.array([math.cos(p) for p in phases])[:, None])
+        batch_tracks[..., 2] += radii[:, None] * (np.sin(ang) - np.array([math.sin(p) for p in phases])[:, None])
+        # a clash on every fourth frame with an object accepted before the
+        # batch is a clash; the tries left are tested one by one
+        sizes_k = values[:, 7]
+        bound = min_sep + np.sqrt(3) * (sizes_k[:, None] + sizes) if surface_separation else min_sep
+        coarse = np.linalg.norm(batch_tracks[:, None, ::4] - tracks[:, ::4], axis=3)
+        clash = (coarse.min(axis=2) < bound).any(axis=1)
+        for k in np.flatnonzero(~clash).tolist():
+            track, size = batch_tracks[k], float(sizes_k[k])
+            bound = min_sep + np.sqrt(3) * (size + sizes) if surface_separation else min_sep
+            if (np.linalg.norm(track - tracks, axis=2).min(axis=1) < bound).any():
+                continue
+            tracks = np.concatenate([tracks, track[None]])
+            sizes = np.append(sizes, size)
+            objs.append(
+                ObjectSpec(
+                    shape="sphere" if len(objs) % 2 else "box",
+                    size=(size,) * 3,
+                    position=tuple(centers[k]),
+                    trajectory=TrajectorySpec(
+                        kind="circular",
+                        radius=float(radii[k]),
+                        angular_rate=float(rates[k]),
+                        phase=float(phases[k]),
+                        plane="xz",
+                    ),
+                )
             )
-        )
+            if len(objs) == n:
+                break
     return tuple(objs)
 
 
@@ -102,6 +123,7 @@ def linear_objects(n: int = 2) -> tuple[ObjectSpec, ...]:
     return tuple(presets[:n])
 
 
+@functools.cache
 def gauge_recovery_spec(seed: int = 3, num_frames: int = 40, grid: int = 24) -> SceneSpec:
     """Noise-free dynamic scene with randomized chunk gauges."""
     return SceneSpec(
@@ -116,6 +138,7 @@ def gauge_recovery_spec(seed: int = 3, num_frames: int = 40, grid: int = 24) -> 
     )
 
 
+@functools.cache
 def end_to_end_spec(seed: int = 11) -> SceneSpec:
     """128-frame noise-free scene for exact gauge-recovery acceptance."""
     return SceneSpec(
@@ -130,6 +153,7 @@ def end_to_end_spec(seed: int = 11) -> SceneSpec:
     )
 
 
+@functools.cache
 def ablation_spec(seed: int) -> SceneSpec:
     """Weak-static scene for the ablation ordering: the only trusted wall
     region is a compact corner patch, so static registration is valid but
@@ -153,6 +177,7 @@ def ablation_spec(seed: int) -> SceneSpec:
     )
 
 
+@functools.cache
 def dynamic_overlap_spec(seed: int) -> SceneSpec:
     """Almost every trustworthy overlap pixel is dynamic: the wall carries
     no confidence at all and the view is full of separated moving objects."""
@@ -202,6 +227,7 @@ ASSOCIATION_SIGMA = 0.008
 ASSOCIATION_SCENE_SCALE = 7.3  # measured on these scenes; pins 5 sigma in world units
 
 
+@functools.cache
 def association_spec(seed: int, num_objects: int = 50) -> SceneSpec:
     """50 separated objects; the tracked surfaces never come closer than
     five times the world-unit point noise."""
@@ -252,6 +278,7 @@ def association_config() -> PipelineConfig:
     )
 
 
+@functools.cache
 def identity_span_spec(visible_ranges=None) -> SceneSpec:
     """One clearly moving object crossing several chunk boundaries, plus a
     second mover as background traffic; 64 frames, plan (0,15)...(48,63)."""
