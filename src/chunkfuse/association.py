@@ -7,19 +7,20 @@ row. Gating, costs and assignment work on whole sets at once: candidates
 are an (K, 2) array of (row in set i, row in set j) pairs, and costs are
 a matching (K,) array.
 
-Assignment splits the kept candidates into the connected components of
-their bipartite graph, found by min-label propagation over the edges, so
-each component is labelled by its smallest vertex. A component of one
-edge is matched outright; every other one is solved on its own.
+Gating keeps a pair when either tracklet is among the other's
+:data:`GATE_K` nearest terminals inside the gating radius, so the
+candidates grow with the tracklet count, not with its square. Assignment
+solves a whole round as one sparse minimum-weight perfect matching (see
+:func:`assign`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.spatial import cKDTree
 
 from .model import PipelineConfig, TrackletSet, finite3, norm3
@@ -28,8 +29,11 @@ from .registration import GAMMA_C
 VEL_EPS = 1e-9
 # gamma_p: the gating radius is this many mean per-frame dynamic steps
 GAMMA_P_FACTOR = 3.0
-# cKDTree's ball test is inclusive and works on squared distances; the
-# query is widened by this factor so the strict test below decides alone
+# gating keeps each tracklet's GATE_K nearest partners inside gamma_p
+GATE_K = 6
+# cKDTree's distance bound works on squared distances, rounded its own
+# way; the query is widened by this factor so the strict test below
+# decides alone
 _BALL_SLACK = 1.0 + 1e-9
 
 
@@ -158,51 +162,41 @@ def resolve_gamma_p(tracklets_i: TrackletSet, tracklets_j: TrackletSet) -> float
 
 
 def gate_candidates(tracklets_i: TrackletSet, tracklets_j: TrackletSet, radius: float) -> np.ndarray:
-    """Candidate id pairs whose terminal positions lie closer than
-    ``radius``, the gating radius gamma_p (see :func:`resolve_gamma_p`).
+    """Candidate id pairs (a, b) whose terminal positions lie closer than
+    ``radius``, the gating radius gamma_p (see :func:`resolve_gamma_p`),
+    and where b is among a's :data:`GATE_K` nearest terminals of set j or a
+    among b's of set i.
 
-    Terminal = position at the last overlap frame. A k-d tree over set j's
-    terminals keeps this near-linear in the tracklet count; the distance
-    test is strict, so a radius of 0 or less gates nothing. Pairs come
-    sorted by (a, b).
+    Terminal = position at the last overlap frame. One k-d tree query per
+    side keeps this near-linear in the tracklet count, and every tracklet
+    keeps at most ``GATE_K`` partners of its own, so there are at most
+    ``GATE_K * (n_i + n_j)`` pairs. Of terminals tied at the k-th nearest
+    distance, the tree's query decides which are kept; swapping the sets
+    transposes the pairs. The distance test is strict, so a radius of 0 or
+    less gates nothing. Pairs come sorted by (a, b).
     """
     if not len(tracklets_i) or not len(tracklets_j) or radius <= 0:
         return _no_pairs()
 
     terms_i = tracklets_i.positions[:, -1]
     terms_j = tracklets_j.positions[:, -1]
-    hits = cKDTree(terms_j).query_ball_point(terms_i, radius * _BALL_SLACK, return_sorted=True)
-    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-    a = np.repeat(np.arange(len(hits), dtype=np.intp), counts)
-    b = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
+    n_i, n_j = len(terms_i), len(terms_j)
+    bound = radius * _BALL_SLACK
+    # (n, GATE_K) neighbour ids, the other set's size past its last hit
+    _, near_j = cKDTree(terms_j).query(terms_i, k=GATE_K, distance_upper_bound=bound)
+    _, near_i = cKDTree(terms_i).query(terms_j, k=GATE_K, distance_upper_bound=bound)
+    hit_j = np.flatnonzero(near_j < n_j)
+    hit_i = np.flatnonzero(near_i < n_i)
+    # a pair's key a * n_j + b sorts by (a, b); a pair found from both
+    # sides repeats, and sorting then dropping repeats is several times
+    # faster than np.unique here
+    keys = np.sort(np.concatenate([
+        hit_j // GATE_K * n_j + near_j.ravel()[hit_j],
+        near_i.ravel()[hit_i] * n_j + hit_i // GATE_K,
+    ]))
+    a, b = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n_j)
     near = norm3(terms_i[a] - terms_j[b]) < radius
     return np.stack([a[near], b[near]], axis=1)
-
-
-def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Component label of each of ``n`` vertices in the undirected graph of
-    the edges (u[k], v[k]): the smallest vertex of its component.
-
-    Min-label propagation with pointer jumping. Every vertex points at a
-    root no larger than itself. Each round hooks every root to the smallest
-    root across its edges into other trees, then jumps pointers until each
-    vertex points at its root; rounds go on while an edge joins two trees.
-    Labelled by their smallest vertex, components sort the way
-    ``scipy.sparse.csgraph.connected_components`` numbers them.
-    """
-    label = np.arange(n)
-    while True:
-        lu, lv = label[u], label[v]
-        apart = lu != lv
-        if not apart.any():
-            return label
-        lu, lv = lu[apart], lv[apart]
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
 
 
 def assign(
@@ -214,73 +208,59 @@ def assign(
 ) -> MatchSet:
     """Minimum-total-cost one-to-one matching with unmatched allowed.
 
-    ``costs[k]`` is the cost of the pair ``candidates[k]``. The sparse
-    candidate matrix is padded with per-tracklet dummy assignments of cost
-    ``cost_max``, so any tracklet may remain unmatched; candidates above
-    ``cost_max`` (or rejected, non-finite) are discarded up front, which
-    keeps every reported match at or below the threshold. Deterministic
-    given the input.
+    ``costs[k]`` is the cost of the pair ``candidates[k]``; a pair given
+    more than once keeps its lowest cost. Candidates above ``cost_max``
+    (or rejected, non-finite) are discarded up front, which keeps every
+    reported match at or below the threshold, and an unmatched tracklet
+    costs ``cost_max``.
 
-    Solved per connected component of the kept candidates (see
-    :func:`_components`). A component of one edge is matched outright: its
-    padded 2x2 problem costs c <= ``cost_max`` matched against
-    2 ``cost_max`` unmatched, and ``cost_max`` > 0. Every other component
-    is solved with the Hungarian method over its rows and columns in id
-    order, which fixes how ties break.
+    Solved as one minimum-weight perfect matching of a sparse padded graph
+    (``scipy.sparse.csgraph.min_weight_full_bipartite_matching``, the
+    Jonker-Volgenant shortest augmenting path method). Its rows are set
+    i's tracklets, then one dummy per tracklet of set j; its columns set
+    j's tracklets, then one dummy per tracklet of set i. Every kept pair
+    (a, b) is an edge a -> b at its cost; each tracklet has an edge to its
+    own dummy at ``cost_max``; and each kept pair has the transpose edge
+    dummy b -> dummy a at 0, so that the dummies of a matched pair pair up.
+    A perfect matching of this graph is a matching of the tracklets at
+    the same total cost, and back. The solver drops zero weights, so every
+    weight is shifted by ``cost_max``: each perfect matching pays the
+    shift n_i + n_j times, and the optimum does not move.
+
+    Between matchings of equal total cost, the solver's order over the
+    graph's rows and columns, both in id order, decides. The result is
+    deterministic given the set of kept pairs and their costs, whatever
+    their order, but may differ from another exact solver's.
     """
     pairs = np.asarray(candidates, dtype=np.intp).reshape(-1, 2)
     costs = np.asarray(costs, dtype=np.float64)
     keep = np.isfinite(costs) & (costs >= 0.0) & (costs <= cfg.cost_max)
-    a, b, c = pairs[keep, 0], pairs[keep, 1], costs[keep]
-
-    matched: list[tuple[int, int, float]] = []
-    if len(a):
-        n = n_i + n_j
-        label = _components(a, n_i + b, n)
-        comp = label[a]
-        order = np.argsort(comp, kind="stable")
-        starts = np.flatnonzero(np.diff(comp[order], prepend=-1))
-        count = np.diff(starts, append=len(order))
-        lone = order[starts[count == 1]]
-        matched += zip(a[lone].tolist(), b[lone].tolist(), c[lone].tolist())
-        big = count > 1
-        edges = order[np.repeat(big, count)]
-        if len(edges):
-            # Every vertex of a larger component, ordered by component,
-            # then by id, which puts a component's rows (ids < n_i) before
-            # its columns. Its rank within its (component, side) group is
-            # its local index.
-            used = np.zeros(n, dtype=bool)
-            used[a[edges]] = used[n_i + b[edges]] = True
-            vert = np.flatnonzero(used)
-            vert = vert[np.argsort(label[vert], kind="stable")]
-            first = np.flatnonzero(np.diff(2 * label[vert] + (vert >= n_i), prepend=-1))
-            size = np.diff(first, append=len(vert))
-            local = np.empty(n, dtype=np.intp)
-            local[vert] = np.arange(len(vert)) - np.repeat(first, size)
-            ra_all, cb_all = local[a], local[n_i + b]
-            groups = zip(
-                np.split(edges, np.cumsum(count[big])[:-1]),
-                first[0::2], size[0::2], first[1::2], size[1::2],
-            )
-            for group, r0, nr, c0, nc in groups:
-                rows, cols = vert[r0:r0 + nr], vert[c0:c0 + nc] - n_i
-                M = np.full((nr + nc, nc + nr), np.inf)
-                M[ra_all[group], cb_all[group]] = c[group]
-                M[np.arange(nr), nc + np.arange(nr)] = cfg.cost_max
-                M[nr + np.arange(nc), np.arange(nc)] = cfg.cost_max
-                M[nr:, nc:] = 0.0
-                rr, cc = linear_sum_assignment(M)
-                real = (rr < nr) & (cc < nc)
-                rr, cc = rr[real], cc[real]
-                matched += zip(rows[rr].tolist(), cols[cc].tolist(), M[rr, cc].tolist())
-    matched.sort()
     taken_i = np.zeros(n_i, dtype=bool)
     taken_j = np.zeros(n_j, dtype=bool)
-    taken_i[[m[0] for m in matched]] = True
-    taken_j[[m[1] for m in matched]] = True
+    matches: tuple[tuple[int, int, float], ...] = ()
+    if keep.any():
+        n = n_i + n_j
+        ids = np.arange(n + 1)
+        a, b = pairs[keep, 0], pairs[keep, 1]
+        rows = np.concatenate([a, ids[:n_i], ids[n_i:n], n_i + b])
+        cols = np.concatenate([b, n_j + ids[:n_i], ids[:n_j], n_j + a])
+        cost = np.concatenate([costs[keep], np.full(n, cfg.cost_max), np.zeros(len(a))])
+        # the graph's entries in (row, col) order, keyed row * n + col; a
+        # pair given more than once keeps its lowest cost
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, cost = key[first], np.minimum.reduceat(cost[order], first)
+        graph = csr_array((cost + cfg.cost_max, key % n, np.searchsorted(key, ids * n)), shape=(n, n))
+        _, col = min_weight_full_bipartite_matching(graph)
+        ma = np.flatnonzero(col[:n_i] < n_j)
+        mb = col[ma].astype(np.intp)
+        mc = cost[np.searchsorted(key, ma * n + mb)]
+        matches = tuple(zip(ma.tolist(), mb.tolist(), mc.tolist()))
+        taken_i[ma] = taken_j[mb] = True
     return MatchSet(
-        matches=tuple(matched),
+        matches=matches,
         unmatched_i=tuple(np.flatnonzero(~taken_i).tolist()),
         unmatched_j=tuple(np.flatnonzero(~taken_j).tolist()),
     )

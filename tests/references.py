@@ -1044,7 +1044,7 @@ def separated_objects(
     (center distance minus both sizes), i.e. between the tracked points
     themselves.
     """
-    objs, tracks, sizes = [], [], []
+    objs, tracks, sizes = [], np.empty((0, num_frames, 3)), np.empty(0)
     tries = 0
     while len(objs) < n and tries < max_tries:
         tries += 1
@@ -1063,18 +1063,12 @@ def separated_objects(
             plane="xz",
         )
         track = center + traj.offsets(num_frames)
-        ok = True
-        for other, other_size in zip(tracks, sizes):
-            bound = min_sep
-            if surface_separation:
-                bound = min_sep + np.sqrt(3) * (size + other_size)
-            if np.linalg.norm(track - other, axis=1).min() < bound:
-                ok = False
-                break
-        if not ok:
+        # against every accepted track at once; norm3 has np.linalg.norm's bits
+        bound = min_sep + np.sqrt(3) * (size + sizes) if surface_separation else min_sep
+        if (norm3(track - tracks).min(axis=1) < bound).any():
             continue
-        tracks.append(track)
-        sizes.append(size)
+        tracks = np.concatenate([tracks, track[None]])
+        sizes = np.append(sizes, size)
         objs.append(
             ObjectSpec(
                 shape="sphere" if len(objs) % 2 else "box",

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 import references as ref
 from chunkfuse.association import (
@@ -16,7 +14,7 @@ from chunkfuse.association import (
     pair_cost,
     resolve_gamma_p,
 )
-from chunkfuse.association import VEL_EPS, _components
+from chunkfuse.association import GATE_K, VEL_EPS
 from chunkfuse.chunking import slice_overlap
 from chunkfuse.model import PipelineConfig, SimilarityTransform, TrackletSet
 from chunkfuse.registration import select_anchors
@@ -79,6 +77,14 @@ def assignment_total_cost(match_set: MatchSet, cfg: PipelineConfig) -> float:
         total += c
     total += cfg.cost_max * (len(match_set.unmatched_i) + len(match_set.unmatched_j))
     return total
+
+
+def continuous_costs(rng, k):
+    """``k`` distinct costs, about one in ten over ``cost_max`` 1.0 and one
+    in twenty rejected: one optimal matching, whatever the solver."""
+    costs = rng.uniform(0.0, 1.1, k)
+    costs[rng.random(k) < 0.05] = np.inf
+    return costs
 
 
 def brute_force_match(costs, n_i, n_j, cost_max):
@@ -391,24 +397,63 @@ class TestGateCandidates:
         assert gate_candidates(ti, tj, 0.5).tolist() == [[0, 1]]
         assert len(gate_candidates(ti, tj, 0.0)) == 0
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_equals_brute_force_scan(self, seed):
+    @staticmethod
+    def _lattice(seed):
+        """Terminals of two sets and a radius. A coarse lattice puts many
+        terminals at exactly the radius and at equal distances from one
+        another; half of set j is jittered off it."""
         rng = np.random.default_rng(seed)
         n_i, n_j = (int(v) for v in rng.integers(0, 40, size=2))
-        # a coarse lattice puts many terminals at exactly the radius
         terms_i = rng.integers(-3, 4, size=(n_i, 3)) * 0.25
         terms_j = rng.integers(-3, 4, size=(n_j, 3)) * 0.25
         terms_j[: n_j // 2] += rng.normal(scale=0.1, size=(n_j // 2, 3))
-        ti, tj = self._tracklets(terms_i), self._tracklets(terms_j)
         radius = float(rng.choice([0.25, 0.5, rng.uniform(0.05, 1.0)]))
-        brute = [
-            [a, b]
-            for a in range(n_i)
-            for b in range(n_j)
-            if np.linalg.norm(terms_i[a] - terms_j[b]) < radius
-        ]
-        assert gate_candidates(ti, tj, radius).tolist() == brute
+        return terms_i, terms_j, radius
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_brute_force_scan(self, seed):
+        # where no tracklet has more than GATE_K partners in the radius, the
+        # cap takes nothing away: the most crowded tracklet is dropped until
+        # none is
+        terms_i, terms_j, radius = self._lattice(seed)
+        while True:
+            inside = np.linalg.norm(terms_i[:, None] - terms_j[None], axis=2) < radius
+            crowd = np.concatenate([inside.sum(axis=1), inside.sum(axis=0)])
+            if not len(crowd) or crowd.max() <= GATE_K:
+                break
+            k = int(np.argmax(crowd))
+            if k < len(terms_i):
+                terms_i = np.delete(terms_i, k, axis=0)
+            else:
+                terms_j = np.delete(terms_j, k - len(terms_i), axis=0)
+        ti, tj = self._tracklets(terms_i), self._tracklets(terms_j)
+        assert gate_candidates(ti, tj, radius).tolist() == np.argwhere(inside).tolist()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_keeps_each_tracklets_nearest_partners(self, seed):
+        terms_i, terms_j, radius = self._lattice(seed)
+        n_i, n_j = len(terms_i), len(terms_j)
+        ti, tj = self._tracklets(terms_i), self._tracklets(terms_j)
+        pairs = gate_candidates(ti, tj, radius)
+        dist = np.linalg.norm(terms_i[:, None] - terms_j[None], axis=2)
+        kept = np.zeros((n_i, n_j), dtype=bool)
+        kept[pairs[:, 0], pairs[:, 1]] = True
+
+        assert (dist[kept] < radius).all()
+        assert pairs.tolist() == np.argwhere(kept).tolist()  # sorted by (a, b), no repeats
+        assert len(pairs) <= GATE_K * (n_i + n_j)
+        for d, k in ((dist, kept), (dist.T, kept.T)):
+            for row, partners in zip(d, k):
+                inside = np.sort(row[row < radius])
+                assert partners.sum() >= min(GATE_K, len(inside))
+                if len(inside) > GATE_K:
+                    assert partners[row < inside[GATE_K - 1]].all()
+                else:
+                    assert partners[row < radius].all()
+        swapped = gate_candidates(tj, ti, radius)
+        assert swapped.tolist() == np.argwhere(kept.T).tolist()
 
 
 class TestAssign:
@@ -466,28 +511,20 @@ class TestAssign:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40), st.floats(0.01, 0.5))
     @settings(max_examples=200, deadline=None)
     def test_matches_per_component_unique_reference(self, seed, n_i, n_j, density):
-        # costs from a coarse grid, so ties make the result depend on each
-        # component's local row and column order
+        # costs from a coarse grid tie often, and ties may break either way:
+        # the objective equals the reference's. Distinct continuous costs
+        # have one optimum, the reference's matches exactly.
         rng = np.random.default_rng(seed)
         mask = rng.random((n_i, n_j)) < density
         candidates = np.argwhere(mask)
-        costs = rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, 1.5, np.inf, np.nan], len(candidates))
         order = rng.permutation(len(candidates))
-        candidates, costs = candidates[order], costs[order]
-        expected = ref.assign(candidates, costs, n_i, n_j, self.CFG)
-        assert assign(candidates, costs, n_i, n_j, self.CFG) == expected
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(0, 120))
-    @settings(max_examples=100, deadline=None)
-    def test_components_labelled_by_smallest_vertex(self, seed, n, k):
-        rng = np.random.default_rng(seed)
-        u, v = rng.integers(0, n, size=(2, k))
-        graph = coo_matrix((np.ones(k), (u, v)), shape=(n, n))
-        _, scipy_label = connected_components(graph, directed=False)
-        smallest = np.full(scipy_label.max() + 1, n)
-        np.minimum.at(smallest, scipy_label, np.arange(n))
-        assert (np.diff(smallest) > 0).all()  # scipy numbers them by smallest vertex
-        assert _components(u, v, n).tolist() == smallest[scipy_label].tolist()
+        candidates = candidates[order]
+        costs = rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, 1.5, np.inf, np.nan], len(candidates))
+        got = assign(candidates, costs, n_i, n_j, self.CFG)
+        want = ref.assign(candidates, costs, n_i, n_j, self.CFG)
+        assert assignment_total_cost(got, self.CFG) == assignment_total_cost(want, self.CFG)
+        costs = continuous_costs(rng, len(candidates))
+        assert assign(candidates, costs, n_i, n_j, self.CFG) == ref.assign(candidates, costs, n_i, n_j, self.CFG)
 
     @pytest.mark.parametrize("cost_max", [1.0, 0.25])
     def test_single_edge_components_equal_reference(self, cost_max):
@@ -523,12 +560,15 @@ class TestAssign:
             candidates = np.array([(perm_i[a], perm_j[b]) for a, b in pairs])
             candidates = candidates[rng.permutation(len(candidates))]
             costs = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, np.inf], len(candidates))
+            got, want = assign(candidates, costs, n_i, n_j, cfg), ref.assign(candidates, costs, n_i, n_j, cfg)
+            assert assignment_total_cost(got, cfg) == assignment_total_cost(want, cfg)
+            costs = continuous_costs(rng, len(candidates))
             assert assign(candidates, costs, n_i, n_j, cfg) == ref.assign(candidates, costs, n_i, n_j, cfg)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_long_path_component_equals_reference(self, rng, reverse):
-        # one ~200-vertex path, rows and columns alternating, the worst case
-        # for labelling by propagation; ties left to the local order
+        # one ~200-vertex path, rows and columns alternating: the longest
+        # augmenting paths for its size
         cfg = PipelineConfig(cost_max=1.0)
         n = 100
         a = np.concatenate([np.arange(n), np.arange(1, n)])
@@ -537,9 +577,10 @@ class TestAssign:
             a, b = n - 1 - a, n - 1 - b
         candidates = np.stack([a, b], axis=1)[rng.permutation(2 * n - 1)]
         costs = rng.choice([0.25, 0.5, 0.75], len(candidates))
+        got, want = assign(candidates, costs, n, n, cfg), ref.assign(candidates, costs, n, n, cfg)
+        assert assignment_total_cost(got, cfg) == assignment_total_cost(want, cfg)
+        costs = continuous_costs(rng, len(candidates))
         assert assign(candidates, costs, n, n, cfg) == ref.assign(candidates, costs, n, n, cfg)
-        label = _components(candidates[:, 0], n + candidates[:, 1], 2 * n)
-        assert (label == 0).all()
 
 
 class TestEndToEndAssociation:

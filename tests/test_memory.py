@@ -1,5 +1,6 @@
 """Memory bounds of the evaluate path, in units of the arrays involved,
-and of the synthetic oracle against its per-frame reference.
+of the synthetic oracle against its per-frame reference, and of what
+importing the package loads.
 
 Each bound is measured with ``tracemalloc``, which sees numpy's array
 buffers, as the peak allocated above what was live when the step began.
@@ -8,12 +9,17 @@ each copy the bits do not need shows as one more.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 import references as ref
+import chunkfuse
 from chunkfuse import io as cio
 from chunkfuse.fusion import Trajectory
 from chunkfuse.metrics import build_fused_table, dense_epe
@@ -114,3 +120,15 @@ def test_generate_on_the_assoc_dense_shape():
     spec = dataclasses.replace(association_spec(0), height=120, width=120, num_frames=32)
     gt, peak = traced_peak(generate, spec)
     assert peak <= 1.9 * gt.points.nbytes
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize holds about 10 MB resident; association solves its
+    # matchings with scipy.sparse.csgraph and needs none of it
+    script = "import sys, chunkfuse, chunkfuse.cli\nprint('scipy.optimize' in sys.modules)\n"
+    src = str(Path(chunkfuse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
