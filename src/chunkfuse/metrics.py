@@ -10,12 +10,17 @@ the sorted keys, then frame 1, and so on. ``build_fused_table`` and
 ``GroundTruth.trajectory_table`` return a
 :class:`~chunkfuse.model.TrackTable`, the one table layout: it holds the
 (T, H, W, 3) stack its tracks are read from, whose samples lie in memory
-in that order, so ``dense_epe`` reads both in place. A dict whose tracks
-all have one length (a subset of the seeds, say) is copied into that
-order once; a dict whose tracks are not all (T, 3) arrays of one length
-raises ValueError. The samples and their order do not depend on how a
-table arrives, so dict, table and mixed inputs give the same EPE to the
-last bit.
+in that order, and the replaced tracks of some pixels, frame-major.
+``build_fused_table`` reads the fused frames' own stack in place and
+keeps as replaced tracks only the pixels where stitched trajectories are
+rooted, the last trajectory written winning where several share a pixel.
+``dense_epe`` reads a table's stack in place, against a table or a dict,
+and writes its replaced samples into each block it reads right after
+the block is filled. A dict whose tracks all have one length (a subset
+of the seeds, say) is copied into that order once; a dict whose tracks
+are not all (T, 3) arrays of one length raises ValueError. The samples
+and their order do not depend on how a table arrives, so dict, table and
+mixed inputs give the same EPE to the last bit.
 
 The alignment is a unit-weight similarity solve in two streaming passes
 over blocks of ``_BLOCK_ROWS`` samples:
@@ -32,8 +37,9 @@ over blocks of ``_BLOCK_ROWS`` samples:
 No array the size of the tables is formed, and no finiteness pass comes
 first: the moments, or the sum of the norms, are not finite when some
 sample is not (or when a sum overflows), and then the tables go through
-the masked path, which drops the samples non-finite in either table and
-solves again. Fewer than 3 samples raise NotEnoughPoints. A degenerate
+the masked path, which copies each table's samples with its replaced
+ones written in, drops the samples non-finite in either and solves
+again. Fewer than 3 samples raise NotEnoughPoints. A degenerate
 prediction, its samples collinear or coincident, aligns by the translation
 of its centroid onto the truth's, as the camera centres of
 ``align_trajectories`` do (``_align_moments``).
@@ -61,7 +67,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,8 +182,9 @@ TrajectoryTable = Mapping[tuple[int, int], np.ndarray]
 
 def _tracks(table: TrajectoryTable, keys):
     """The tracks of ``table`` as one frame-major (T, N, 3) array: its
-    stack for a :class:`TrackTable`, else a stack of its tracks in
-    ``keys`` order, which must all be (T, 3) arrays of one length."""
+    stack for a :class:`TrackTable`, without its replaced tracks, else a
+    stack of its tracks in ``keys`` order, which must all be (T, 3) arrays
+    of one length."""
     if isinstance(table, TrackTable):
         return table.points.reshape(len(table.points), -1, 3)
     tracks = [np.asarray(table[k], dtype=np.float64) for k in keys]
@@ -187,12 +194,46 @@ def _tracks(table: TrajectoryTable, keys):
     return np.stack(tracks, axis=1)
 
 
+class _Patch(NamedTuple):
+    """The replaced samples of a :class:`TrackTable` among its frame-major
+    samples: their increasing positions ``at``, each one's row in its
+    block of ``_BLOCK_ROWS`` samples, their (k, 3) ``values``, and
+    ``bounds``, where block b holds ``at[bounds[b]:bounds[b + 1]]``."""
+
+    at: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    bounds: list
+
+
+def _patch(table: TrajectoryTable) -> _Patch | None:
+    """The samples that ``table``'s replaced tracks put in the place of its
+    stack's, or None when it has none."""
+    if not isinstance(table, TrackTable) or not len(table.ids):
+        return None
+    T, n = len(table.points), len(table.points) * len(table)
+    at = (np.arange(T)[:, None] * len(table) + table.ids).ravel()
+    bounds = np.searchsorted(at, np.arange(0, n + _BLOCK_ROWS, _BLOCK_ROWS))
+    return _Patch(at, at % _BLOCK_ROWS, table.replaced.reshape(-1, 3), bounds.tolist())
+
+
+def _patched(a: np.ndarray, patch: _Patch | None) -> np.ndarray:
+    """The (n, 3) samples ``a`` with ``patch``'s written in: a copy when
+    there are any."""
+    if patch is None:
+        return a
+    a = a.copy()
+    a[patch.at] = patch.values
+    return a
+
+
 def _samples(pred: TrajectoryTable, gt: TrajectoryTable):
     """Predicted and ground-truth samples over the sorted keys as two
-    frame-major (n, 3) arrays, holes included.
+    frame-major (n, 3) arrays, holes included, and each one's
+    :class:`_Patch` of replaced samples (or None).
 
-    A :class:`TrackTable` over a C-contiguous stack is read in place; a
-    dict is copied once.
+    A :class:`TrackTable` over a C-contiguous stack is read in place,
+    against a table or a dict alike; a dict is copied once.
     """
     if isinstance(pred, TrackTable) and isinstance(gt, TrackTable) and pred.same_keys(gt):
         keys = None
@@ -207,39 +248,52 @@ def _samples(pred: TrajectoryTable, gt: TrajectoryTable):
     p, g = _tracks(pred, keys), _tracks(gt, keys)
     if p.shape != g.shape:
         raise KeyMismatch(f"trajectory tables disagree on shapes: {p.shape} vs {g.shape}")
-    return p.reshape(-1, 3), g.reshape(-1, 3)
+    return p.reshape(-1, 3), g.reshape(-1, 3), (_patch(pred), _patch(gt))
 
 
-def _shifted_blocks(p: np.ndarray, g: np.ndarray):
+def _shifted_blocks(p: np.ndarray, g: np.ndarray, patches=(None, None)):
     """The samples of the (n, 3) arrays ``p`` and ``g``, each less its
     first sample, ``_BLOCK_ROWS`` at a time: the (m, 7) block
     ``[p - p[0], 1, g - g[0]]`` in Fortran order, so every column is
-    contiguous. One buffer serves every block."""
+    contiguous. One buffer serves every block.
+
+    ``patches`` holds a :class:`_Patch` or None for each of ``p`` and
+    ``g``: a patch's samples take the place of the array's, its first
+    sample included, and are written into each block right after its
+    fill, one slice of the patch per block."""
     X = np.empty((_BLOCK_ROWS, 7), order="F")
     X[:, 3] = 1.0
-    p0, g0 = p[0][:, None], g[0][:, None]
-    for i in range(0, len(p), _BLOCK_ROWS):
-        pb, gb = p[i:i + _BLOCK_ROWS], g[i:i + _BLOCK_ROWS]
-        x = X[:len(pb)]
-        # the transposes are (3, m) views, so each row is one column of x
-        np.subtract(pb.T, p0, out=x[:, :3].T)
-        np.subtract(gb.T, g0, out=x[:, 4:].T)
-        yield x
+    sides = []
+    for a, patch, cols in zip((p, g), patches, (X[:, :3], X[:, 4:])):
+        first = patch.values[0] if patch is not None and patch.at[0] == 0 else a[0]
+        # the replaced samples less the first, formed once for every block
+        shifted = None if patch is None else patch.values - first
+        sides.append((a, first, cols, patch, shifted))
+    for b, i in enumerate(range(0, len(p), _BLOCK_ROWS)):
+        m = min(_BLOCK_ROWS, len(p) - i)
+        for a, first, cols, patch, shifted in sides:
+            # the transpose is a (3, m) view, so each row is one column of X
+            np.subtract(a[i:i + m].T, first[:, None], out=cols[:m].T)
+            if patch is not None:
+                lo, hi = patch.bounds[b:b + 2]
+                cols[patch.rows[lo:hi]] = shifted[lo:hi]
+        yield X[:m]
 
 
-def _streamed_similarity(p: np.ndarray, g: np.ndarray, finite: bool):
+def _streamed_similarity(p: np.ndarray, g: np.ndarray, finite: bool, patches=(None, None)):
     """The solve's first pass: the unit-weight similarity that takes each
     sample of ``p`` less ``p[0]`` onto the one of ``g`` less ``g[0]``, from
     the block sums of the first and second moments of the shifted samples,
-    by ``_align_moments``. Unless every sample is known to be ``finite``,
-    None when a moment is not."""
+    by ``_align_moments``; ``patches`` as ``_shifted_blocks`` reads them.
+    Unless every sample is known to be ``finite``, None when a moment is
+    not."""
     n = len(p)
     if n < 3:
         raise NotEnoughPoints(f"need >= 3 samples to align, got {n}")
     # [a, 1, b].T @ [a, 1]: sum a a^T and sum a in the first three rows,
     # sum b a^T and sum b in the last three
     m = np.zeros((7, 4))
-    for x in _shifted_blocks(p, g):
+    for x in _shifted_blocks(p, g, patches):
         m += x.T @ x[:, :4]
     if not (finite or np.isfinite(m).all()):
         return None
@@ -259,14 +313,15 @@ def _norm_sum(d: np.ndarray) -> float:
     return float(np.sqrt(r, out=r).sum())
 
 
-def _mean_error(p: np.ndarray, g: np.ndarray, finite: bool):
+def _mean_error(p: np.ndarray, g: np.ndarray, finite: bool, patches=(None, None)):
     """Mean distance of the (n, 3) samples ``p``, aligned onto ``g``, from
-    ``g``. Unless every sample is known to be ``finite``, None when a sum
-    is not finite, which it is whenever some sample is not."""
+    ``g``, with ``patches`` as ``_shifted_blocks`` reads them. Unless every
+    sample is known to be ``finite``, None when a sum is not finite, which
+    it is whenever some sample is not."""
     n = len(p)
     if n == 0:
         raise NotEnoughPoints("no finite trajectory samples to compare")
-    T = _streamed_similarity(p, g, finite)
+    T = _streamed_similarity(p, g, finite, patches)
     if T is None:
         return None
     # the second pass: [a, 1] @ [s R^T; t] - b, in the shifted frame
@@ -274,7 +329,7 @@ def _mean_error(p: np.ndarray, g: np.ndarray, finite: bool):
     total = 0.0
     # each block's residuals, in Fortran order: every column contiguous
     e = np.empty((_BLOCK_ROWS, 3), order="F")
-    for x in _shifted_blocks(p, g):
+    for x in _shifted_blocks(p, g, patches):
         d = np.matmul(x[:, :4], M, out=e[:len(x)])
         total += _norm_sum(np.subtract(d, x[:, 4:], out=d))
     epe = total / n
@@ -287,16 +342,18 @@ def dense_epe(pred: TrajectoryTable, gt: TrajectoryTable) -> float:
     predicted scene onto the ground truth absorbs the monocular gauge.
 
     The samples are read in one frame-major order (see the module
-    docstring). Two :class:`~chunkfuse.model.TrackTable` over C-contiguous
-    stacks without holes are read in place, in two streaming passes, with
-    no finiteness pass and no array the size of the tables. A dict, whose
-    tracks must all be (T, 3) arrays of one length, is copied into that
-    order first. Dict, table and mixed inputs give the same bits. A table
-    with a hole takes the masked path.
+    docstring). A :class:`~chunkfuse.model.TrackTable` over a C-contiguous
+    stack is read in place, its replaced samples written into each block,
+    in two streaming passes, with no finiteness pass and no array the size
+    of the tables. A dict, whose tracks must all be (T, 3) arrays of one
+    length, is copied into that order first. Dict, table and mixed inputs
+    give the same bits. Tables with a hole take the masked path, which
+    copies them.
     """
-    p, g = _samples(pred, gt)
-    epe = _mean_error(p, g, finite=False)
+    p, g, patches = _samples(pred, gt)
+    epe = _mean_error(p, g, finite=False, patches=patches)
     if epe is None:
+        p, g = (_patched(a, patch) for a, patch in zip((p, g), patches))
         ok = finite3(p) & finite3(g)
         epe = _mean_error(p[ok], g[ok], finite=True)
     return epe
@@ -348,40 +405,66 @@ def junction_prf(junctions: Sequence[Mapping], labels: np.ndarray) -> tuple[floa
     return object_level_prf(MatchSet(tuple(matches), (), ()), labels_i, labels_j)
 
 
+def _frame_stack(frames) -> np.ndarray:
+    """The (T, H, W, 3) stack of the frames' points: the one C-contiguous
+    stack they are consecutive views of, as a chunk's frames are, itself;
+    else (frames a sink emitted, say) a stack of copies."""
+    views = [fp.points for fp in frames]
+    base = getattr(views[0], "base", None) if views else None
+    if (isinstance(base, np.ndarray) and base.flags.c_contiguous and len(base) == len(views)
+            and all(isinstance(v, np.ndarray) and v.dtype == f.dtype and v.shape == f.shape
+                    and v.strides == f.strides
+                    and v.__array_interface__["data"][0] == f.__array_interface__["data"][0]
+                    for v, f in zip(views, base))):
+        return base
+    return np.stack(views)
+
+
 def build_fused_table(fused) -> TrackTable:
     """Trajectory table of a fused scene, keyed by pixel.
 
     Per-pixel pointmap tracks, overridden by the associated long-range
     trajectories where one is rooted at the pixel; where several are
     rooted at the same pixel, the later one in ``fused.trajectories`` wins
-    on the frames they share. A fuse lists them in id order, and gives ids
-    in creation order, junction by junction, so start frames never
-    decrease with id: the later one is the one with the later start frame,
-    then the higher id. Each trajectory's frames are one increasing range,
-    as :class:`~chunkfuse.fusion.Trajectory` requires. A trajectory rooted
-    off the grid is ignored (``io.read_fused_trajectories`` refuses one).
+    on the frames they share (the last write wins). A fuse lists them in
+    id order, and gives ids in creation order, junction by junction, so
+    start frames never decrease with id: the later one is the one with the
+    later start frame, then the higher id. Each trajectory's frames are
+    one increasing range, as :class:`~chunkfuse.fusion.Trajectory`
+    requires; one that leaves the fused frames [0, T) raises ValueError
+    naming it. A trajectory rooted off the grid is ignored
+    (``io.read_fused_trajectories`` refuses one).
 
-    The table holds one (T, H, W, 3) stack of the fused frames' points,
-    the one array the size of the table it allocates, and the trajectories
-    are scattered straight into that stack.
+    The table reads the fused frames' own stack in place when they are
+    consecutive views of one C-contiguous stack, as a chunk's frames are,
+    and copies them into one otherwise. Beside it the table holds the
+    replaced tracks only: the rooted pixels' (T, u, 3) tracks, gathered
+    from the stack, with the trajectories scattered into them in order.
     """
-    points = np.stack([fp.points for fp in fused.frames])
-    H, W = points.shape[1:3]
+    points = _frame_stack(fused.frames)
+    T, H, W = points.shape[:3]
     rooted = [tr for tr in getattr(fused, "trajectories", []) if tr.sources]
     roots = np.array([tr.sources[0][2] for tr in rooted], dtype=np.intp).reshape(-1, 2)
     on_grid = ((roots >= 0) & (roots < (H, W))).all(axis=1)
     rooted = [tr for tr, on in zip(rooted, on_grid.tolist()) if on]
-    if rooted:
-        keys = roots[on_grid]
-        lengths = np.array([len(tr.frames) for tr in rooted], dtype=np.intp)
-        starts = np.array([tr.frames[0] if tr.frames else 0 for tr in rooted], dtype=np.intp)
-        # one scatter into every (frame, pixel) of the rooted trajectories;
-        # numpy assigns repeated indices in order, so the last write wins
-        rows, cols = np.repeat(keys, lengths, axis=0).T
-        first = np.cumsum(lengths) - lengths  # each one's first sample in the concatenation
-        frames = np.arange(len(rows)) + np.repeat(starts - first, lengths)
-        points[frames, rows, cols] = np.concatenate([tr.positions for tr in rooted])
-    return TrackTable(points)
+    if not rooted:
+        return TrackTable(points)
+    lengths = np.array([len(tr.frames) for tr in rooted], dtype=np.intp)
+    starts = np.array([tr.frames[0] if tr.frames else 0 for tr in rooted], dtype=np.intp)
+    outside = (starts < 0) | (starts + lengths > T)
+    if outside.any():
+        tr = rooted[int(np.argmax(outside))]
+        raise ValueError(f"trajectory {tr.trajectory_id}: frames {tr.frames[0]}..{tr.frames[-1]} "
+                         f"lie outside the fused frames 0..{T - 1}")
+    keys = roots[on_grid]
+    ids, slot = np.unique(keys[:, 0] * W + keys[:, 1], return_inverse=True)
+    tracks = points.reshape(T, -1, 3)[:, ids]
+    # one scatter into every (frame, pixel) of the rooted trajectories;
+    # numpy assigns repeated indices in order, so the last write wins
+    first = np.cumsum(lengths) - lengths  # each one's first sample in the concatenation
+    frames = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+    tracks[frames, np.repeat(slot, lengths)] = np.concatenate([tr.positions for tr in rooted])
+    return TrackTable(points, ids, tracks.transpose(1, 0, 2))
 
 
 def format_metrics_table(rows: list[dict[str, object]]) -> str:

@@ -432,21 +432,48 @@ class TrackTable(Mapping):
     """Read-only mapping from seed pixel ``(r, c)`` to its (T, 3) track.
 
     The table holds the (T, H, W, 3) pointmap stack ``points`` it is read
-    from, as a read-only view with no copy: ``table[(r, c)]`` is
-    ``points[:, r, c]``. The keys are every pixel of the (H, W) grid and
-    iterate in sorted (row-major) order, the order of the pixels in
-    ``points.reshape(T, -1, 3)``, which ``metrics.dense_epe`` reads in
-    place when ``points`` is C-contiguous. A key is a pair of integers,
-    Python's or numpy's; anything else is not a key.
+    from, as a read-only view with no copy, and the tracks that replace
+    those of some pixels: ``ids`` are the increasing flat ids ``r * W + c``
+    of those pixels and ``tracks`` their (u, T, 3) tracks. ``table[(r, c)]``
+    is ``points[:, r, c]``, or the replaced track of a pixel in ``ids``.
+    The replaced tracks are kept frame-major, as the (T, u, 3) array
+    ``replaced`` (a transposed C-contiguous (T, u, 3) array is taken with
+    no copy), so its samples lie in the order ``metrics.dense_epe`` reads.
+    ``metrics.build_fused_table`` gives a fused scene's table the fused
+    frames' own stack and, as replaced tracks, the pixels where stitched
+    trajectories are rooted, the last one written winning on the frames
+    that several rooted at one pixel share.
+
+    The keys are every pixel of the (H, W) grid and iterate in sorted
+    (row-major) order, the order of the pixels in ``points.reshape(T, -1,
+    3)``, which ``metrics.dense_epe`` reads in place when ``points`` is
+    C-contiguous, writing the replaced samples into each block it reads. A
+    key is a pair of integers, Python's or numpy's; anything else is not a
+    key. Replaced tracks that are not (u, T, 3), or whose ids do not
+    increase or lie off the grid, raise ValueError.
     """
 
-    def __init__(self, points):
+    def __init__(self, points, ids=None, tracks=None):
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 4 or points.shape[3] != 3:
             raise ValueError(f"points must be (T, H, W, 3), got {points.shape}")
-        self.rows, self.cols = range(points.shape[1]), range(points.shape[2])
+        T, H, W = points.shape[:3]
+        ids = np.empty(0, dtype=np.intp) if ids is None else np.asarray(ids)
+        tracks = np.empty((0, T, 3)) if tracks is None else np.asarray(tracks, dtype=np.float64)
+        if ids.ndim != 1 or not (len(ids) == 0 or np.issubdtype(ids.dtype, np.integer)):
+            raise ValueError(f"ids must be a 1-D integer array, got {ids.dtype} {ids.shape}")
+        if tracks.shape != (len(ids), T, 3):
+            raise ValueError(f"tracks must be ({len(ids)}, {T}, 3), got {tracks.shape}")
+        if len(ids) and not ((np.diff(ids) > 0).all() and 0 <= ids[0] and ids[-1] < H * W):
+            raise ValueError(f"ids must increase and lie within [0, {H * W})")
+        self.rows, self.cols = range(H), range(W)
         self.points = points.view()
-        self.points.setflags(write=False)
+        self.ids = ids.astype(np.intp)
+        self.replaced = np.ascontiguousarray(tracks.transpose(1, 0, 2)).view()
+        for a in (self.points, self.ids, self.replaced):
+            a.setflags(write=False)
+        # each replaced pixel's column of ``replaced``
+        self._slot = dict(zip(self.ids.tolist(), range(len(ids))))
 
     def same_keys(self, other: "TrackTable") -> bool:
         return self.rows == other.rows and self.cols == other.cols
@@ -463,7 +490,8 @@ class TrackTable(Mapping):
         if key not in self:
             raise KeyError(key)
         r, c = map(operator.index, key)
-        return self.points[:, r, c]
+        j = self._slot.get(r * len(self.cols) + c)
+        return self.points[:, r, c] if j is None else self.replaced[:, j]
 
     def __iter__(self):
         return product(self.rows, self.cols)

@@ -877,26 +877,29 @@ def emit_chunks(gt: GroundTruth, cfg: PipelineConfig, spec: SceneSpec) -> Emitte
             pick = wall_rng.permutation(len(bg_rows))[:count]
             static_mask[bg_rows[pick], bg_cols[pick]] = True
 
+    def emit(k: int, start: int, end: int) -> Chunk:
+        # the chunk copies its arrays, so nothing else outlives the call
+        g = gauges[k]
+        n = end - start + 1
+        pts = g.apply(gt.points[start : end + 1])
+        sigma = spec.noise_sigma * gt.scene_scale * g.scale
+        if sigma > 0:
+            pts += noise_rng.normal(0.0, sigma, size=pts.shape)
+        vis = gt.visible[start : end + 1]
+        conf = np.where(
+            vis,
+            noise_rng.uniform(*VISIBLE_CONF, size=vis.shape),
+            noise_rng.uniform(*HIDDEN_CONF, size=vis.shape),
+        )
+        if static_mask.any():
+            conf[:, static_mask] = noise_rng.uniform(
+                *CORRUPT_CONF, size=(n, int(static_mask.sum()))
+            )
+        return Chunk(k, start, pts, conf, g.apply_poses(gt.poses[start : end + 1]))
+
     def stream() -> Iterator[Chunk]:
         for k, (start, end) in enumerate(plan):
-            g = gauges[k]
-            n = end - start + 1
-            pts = g.apply(gt.points[start : end + 1])
-            sigma = spec.noise_sigma * gt.scene_scale * g.scale
-            if sigma > 0:
-                pts += noise_rng.normal(0.0, sigma, size=pts.shape)
-            vis = gt.visible[start : end + 1]
-            conf = np.where(
-                vis,
-                noise_rng.uniform(*VISIBLE_CONF, size=vis.shape),
-                noise_rng.uniform(*HIDDEN_CONF, size=vis.shape),
-            )
-            if static_mask.any():
-                conf[:, static_mask] = noise_rng.uniform(
-                    *CORRUPT_CONF, size=(n, int(static_mask.sum()))
-                )
-            poses = g.apply_poses(gt.poses[start : end + 1])
-            yield Chunk(k, start, pts, conf, poses)
+            yield emit(k, start, end)
 
     return EmittedChunks(plan=plan, gauges=gauges, chunks=stream())
 

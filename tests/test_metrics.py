@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -27,10 +28,10 @@ from chunkfuse.metrics import (
     rpe,
 )
 from chunkfuse.io import POSE_STORAGE_TOL
-from chunkfuse.model import Pose, SimilarityTransform, TrackTable
+from chunkfuse.model import Pose, SimilarityTransform, TrackTable, finite3
 from chunkfuse.registration import solve_weighted_similarity
 from chunkfuse.synthetic import GroundTruth
-from conftest import random_rotation, rot_z
+from conftest import make_chunk, random_rotation, rot_z
 
 
 def random_poses(rng, n=8):
@@ -234,8 +235,11 @@ class TestDenseEpe:
 
 @st.composite
 def fused_scenes(draw):
-    """A small fused scene and its ground truth, with holes in either and
-    trajectories whose roots repeat or lie off the grid."""
+    """A small fused scene, its frames a chunk's, and its ground truth,
+    with holes in either and trajectories whose roots repeat or lie off
+    the grid; sometimes all trajectories share one root, and sometimes the
+    last one is rooted at pixel (0, 0) from frame 0, so that it replaces
+    the first sample."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T, H, W = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
     gt = np.cumsum(rng.normal(size=(T, H, W, 3)), axis=0)
@@ -245,22 +249,39 @@ def fused_scenes(draw):
         for _ in range(draw(st.integers(0, 3))):
             points[rng.integers(T), rng.integers(H), rng.integers(W), rng.integers(3)] = draw(
                 st.sampled_from([np.nan, np.inf, -np.inf]))
-    roots = [(int(rng.integers(H + 1)), int(rng.integers(W))) for _ in range(3)]
+    roots = [(int(rng.integers(H + 1)), int(rng.integers(W))) for _ in range(draw(st.sampled_from([1, 3])))]
+
+    def trajectory(tid, frames, root):
+        positions = pred[list(frames), 0, 0] + rng.normal(size=(len(frames), 3))
+        if len(frames) and rng.random() < 0.2:
+            positions[rng.integers(len(frames))] = np.nan
+        return Trajectory(tid, frames, positions, ((0, tid, root),))
+
     trajectories = []
     for tid in range(draw(st.integers(0, 8))):
         start = int(rng.integers(T))
         frames = tuple(range(start, start + int(rng.integers(T - start + 1))))
-        positions = pred[list(frames), 0, 0] + rng.normal(size=(len(frames), 3))
-        if len(frames) and rng.random() < 0.2:
-            positions[rng.integers(len(frames))] = np.nan
-        sources = () if rng.random() < 0.1 else ((0, tid, roots[rng.integers(len(roots))]),)
-        trajectories.append(Trajectory(tid, frames, positions, sources))
-    fused = SimpleNamespace(
-        frames=[SimpleNamespace(points=pred[t]) for t in range(T)], trajectories=trajectories
-    )
+        tr = trajectory(tid, frames, roots[rng.integers(len(roots))])
+        trajectories.append(tr if rng.random() >= 0.1 else dataclasses.replace(tr, sources=()))
+    if draw(st.booleans()):
+        trajectories.append(trajectory(len(trajectories), tuple(range(int(rng.integers(1, T + 1)))), (0, 0)))
+    # a chunk takes no hole where its confidence is not 0
+    chunk = make_chunk(pred, finite3(pred).astype(float))
+    fused = SimpleNamespace(frames=chunk.frames, trajectories=trajectories)
     truth = GroundTruth(points=gt, poses=[], object_ids=np.full((H, W), -1),
                         visible=np.ones((T, H, W), dtype=bool), scene_scale=1.0)
     return fused, truth
+
+
+def fused_tables(fused):
+    """``build_fused_table`` of ``fused`` both ways: over its chunk's stack,
+    read in place, and over copies of its frames, stacked."""
+    in_place = build_fused_table(fused)
+    assert np.shares_memory(in_place.points, fused.frames[0].points)
+    copies = [SimpleNamespace(points=np.array(fp.points)) for fp in fused.frames]
+    stacked = build_fused_table(SimpleNamespace(frames=copies, trajectories=fused.trajectories))
+    assert not np.shares_memory(stacked.points, fused.frames[0].points)
+    return in_place, stacked
 
 
 def _epe_outcome(epe, pred, gt):
@@ -299,8 +320,9 @@ class TestDenseTables:
     @settings(max_examples=200, deadline=None)
     def test_tables_match_dicts(self, scene):
         fused, truth = scene
+        pred_dict = ref.build_fused_table(fused)
         for dense, expected in (
-            (build_fused_table(fused), ref.build_fused_table(fused)),
+            *((table, pred_dict) for table in fused_tables(fused)),
             (truth.trajectory_table(), ref.trajectory_table(truth.points)),
         ):
             assert list(dense) == list(expected)
@@ -310,14 +332,16 @@ class TestDenseTables:
     @given(fused_scenes())
     @settings(max_examples=200, deadline=None)
     def test_dense_epe_matches_dicts(self, scene):
-        """Tables, dicts and both mixed give the bits and errors of the
-        frozen streaming EPE, and the whole-array solve's EPE within its
-        stated tolerance."""
+        """Tables, built both ways, dicts and both mixed give the bits and
+        errors of the frozen streaming EPE, and the whole-array solve's EPE
+        within its stated tolerance, with the fused table on either side."""
         fused, truth = scene
-        pred, gt = build_fused_table(fused), truth.trajectory_table()
-        pred_dict, gt_dict = ref.build_fused_table(fused), ref.trajectory_table(truth.points)
-        tables = [(pred, gt), (pred_dict, gt_dict), (pred, gt_dict), (pred_dict, gt)]
-        _check_epe(tables, (pred_dict, gt_dict))
+        gt, gt_dict = truth.trajectory_table(), ref.trajectory_table(truth.points)
+        pred_dict = ref.build_fused_table(fused)
+        for pred in fused_tables(fused):
+            tables = [(pred, gt), (pred_dict, gt_dict), (pred, gt_dict), (pred_dict, gt)]
+            _check_epe(tables, (pred_dict, gt_dict))
+            _check_epe([(gt, pred), (gt_dict, pred)], (gt_dict, pred_dict))
 
     @pytest.mark.parametrize("seed", [1, 500, 2 << 20])
     def test_fused_table_roots(self, seed):
@@ -343,6 +367,18 @@ class TestDenseTables:
             dense, expected = build_fused_table(fused), ref.build_fused_table(fused)
             assert list(dense) == list(expected)
             assert all(ref.same_bits(dense[k], track) for k, track in expected.items())
+
+    @pytest.mark.parametrize("span", [range(-2, 2), range(6, 9), range(8, 10)])
+    def test_frames_outside_the_fused_frames(self, rng, span):
+        """A trajectory over frames before 0 or past the last fused frame
+        raises ValueError naming it and its frames: frames before 0 must
+        not wrap onto the last ones."""
+        frames = make_chunk(rng.normal(size=(8, 3, 3, 3))).frames
+        trajectories = [Trajectory(0, tuple(range(0, 4)), rng.normal(size=(4, 3)), ((0, 0, (1, 1)),)),
+                        Trajectory(7, tuple(span), rng.normal(size=(len(span), 3)), ((0, 7, (1, 2)),))]
+        with pytest.raises(ValueError, match=rf"^trajectory 7: frames {span[0]}\.\.{span[-1]} "
+                                             r"lie outside the fused frames 0\.\.7$"):
+            build_fused_table(SimpleNamespace(frames=frames, trajectories=trajectories))
 
     def test_mismatched_dense_tables(self, rng):
         points = rng.normal(size=(4, 6, 6, 3))

@@ -491,6 +491,37 @@ class TestTrackTable:
         with pytest.raises(ValueError):
             TrackTable(np.zeros((2, 3, 3, 2)))
 
+    def test_replaced_tracks(self, rng):
+        # pixels 1 and 13 of a 5 x 4 grid: (0, 1) and (3, 1)
+        points = rng.normal(size=(3, 5, 4, 3))
+        frame_major = rng.normal(size=(3, 2, 3))
+        table = TrackTable(points, np.array([1, 13]), frame_major.transpose(1, 0, 2))
+        expected = ref.trajectory_table(points)
+        expected[(0, 1)], expected[(3, 1)] = frame_major[:, 0], frame_major[:, 1]
+        assert list(table) == list(expected)
+        assert all(table[k].tobytes() == track.tobytes() for k, track in expected.items())
+        assert table[(np.int64(3), np.uint8(1))].tobytes() == frame_major[:, 1].tobytes()
+        # a transposed frame-major array is kept with no copy, read-only
+        assert np.shares_memory(table.replaced, frame_major) and np.shares_memory(table.points, points)
+        with pytest.raises(ValueError):
+            table[(0, 1)][0, 0] = 1.0
+        assert frame_major.flags.writeable
+
+    @pytest.mark.parametrize("ids, shape, match", [
+        ([13, 1], (2, 3, 3), "increase"),  # unsorted
+        ([1, 1], (2, 3, 3), "increase"),  # repeated
+        ([-1, 1], (2, 3, 3), "lie within"),  # off the grid
+        ([1, 20], (2, 3, 3), "lie within"),
+        ([1, 13], (3, 2, 3), "tracks must be"),  # frame-major, not (u, T, 3)
+        ([1, 13], (2, 3, 2), "tracks must be"),
+        ([1], (2, 3, 3), "tracks must be"),
+        ([[1, 13]], (2, 3, 3), "1-D integer"),
+        ([1.0, 13.0], (2, 3, 3), "1-D integer"),
+    ])
+    def test_replaced_tracks_checked(self, rng, ids, shape, match):
+        with pytest.raises(ValueError, match=match):
+            TrackTable(rng.normal(size=(3, 5, 4, 3)), np.array(ids), rng.normal(size=shape))
+
 
 class TestPipelineConfig:
     def test_defaults_valid(self):
